@@ -1,0 +1,111 @@
+"""Strict JSON codec for the frozen config dataclasses.
+
+A config file mirrors its dataclass: one key per field, nested dataclasses
+as objects, tuples and frozensets as lists, dicts as objects. Omitted keys
+keep the field default. An unknown key, a value of the wrong type, a missing
+required field or a value the dataclass itself rejects raises
+InvalidConfigError naming the dotted path, e.g.
+"SimConfig.mesh: unknown key 'bogus'". A float field also takes a JSON int;
+nothing else is coerced.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import types
+import typing
+from pathlib import Path
+
+from .errors import InvalidConfigError, InvalidInputError
+
+_SCALARS = {float: "a number", int: "an integer", str: "a string",
+            bool: "true or false"}
+
+
+def encode(value):
+    """Dataclass tree to JSON-able data; frozensets become sorted lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: encode(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [encode(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(encode(v) for v in value)
+    if isinstance(value, dict):
+        return {k: encode(v) for k, v in value.items()}
+    return value
+
+
+def _fail(path: str, message: str):
+    raise InvalidConfigError(f"{path}: {message}")
+
+
+def _check(ok: bool, path: str, expected: str, value) -> None:
+    if not ok:
+        _fail(path, f"expected {expected}, got {value!r:.60}")
+
+
+def decode(tp, data, path: str):
+    """JSON data to an instance of type tp, checked at every depth."""
+    if dataclasses.is_dataclass(tp):
+        _check(isinstance(data, dict), path, "an object", data)
+        fields = {f.name: f for f in dataclasses.fields(tp) if f.init}
+        for key in data:
+            if key not in fields:
+                _fail(path, f"unknown key {key!r}")
+        hints = typing.get_type_hints(tp)
+        kwargs = {}
+        for name, f in fields.items():
+            if name in data:
+                kwargs[name] = decode(hints[name], data[name], f"{path}.{name}")
+            elif f.default is dataclasses.MISSING and \
+                    f.default_factory is dataclasses.MISSING:
+                _fail(path, f"missing key {name!r}")
+        try:
+            return tp(**kwargs)
+        except (InvalidConfigError, InvalidInputError) as exc:
+            raise InvalidConfigError(f"{path}: {exc}") from exc
+
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        inner = [a for a in args if a is not type(None)]
+        if len(inner) != 1:
+            raise TypeError(f"unsupported field type {tp} at {path}")
+        return None if data is None else decode(inner[0], data, path)
+    if origin in (tuple, frozenset):
+        _check(isinstance(data, list), path, "a list", data)
+        if origin is frozenset:
+            return frozenset(decode(args[0], v, f"{path}[{i}]")
+                             for i, v in enumerate(data))
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(data)
+        _check(len(data) == len(args), path, f"{len(args)} items", data)
+        return tuple(decode(a, v, f"{path}[{i}]")
+                     for i, (a, v) in enumerate(zip(args, data)))
+    if origin is dict:
+        _check(isinstance(data, dict), path, "an object", data)
+        return {k: decode(args[1], v, f"{path}.{k}") for k, v in data.items()}
+    if tp in _SCALARS:
+        if tp is float and isinstance(data, int) and not isinstance(data, bool):
+            data = float(data)
+        # bool is an int subclass in Python but never a number in a config
+        _check(isinstance(data, tp) and isinstance(data, bool) == (tp is bool),
+               path, _SCALARS[tp], data)
+        return data
+    raise TypeError(f"unsupported field type {tp} at {path}")
+
+
+class JsonConfig:
+    """Mixin giving a frozen dataclass strict to_json/from_json/load."""
+
+    def to_json(self) -> dict:
+        return encode(self)
+
+    @classmethod
+    def from_json(cls, data):
+        return decode(cls, data, cls.__name__)
+
+    @classmethod
+    def load(cls, path: str | Path):
+        return cls.from_json(json.loads(Path(path).read_text()))

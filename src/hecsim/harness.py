@@ -15,6 +15,7 @@ warnings.jsonl, metrics.json.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .central import (CnAnomaly, CnConfig, CnState, DetectorResult,
                       StochasticDetector, StochasticDetectorParams,
                       WarningKind, cn_step, detect_frame, emit_warning,
                       truth_from_frame)
+from .codec import JsonConfig
 from .detection import Algorithm1Params, detect_stream
 from .deterrent import ModificationKind, ModificationParams
 from .errors import InvalidConfigError, InvalidInputError
@@ -65,14 +67,14 @@ class ElephantEvent:
 
     def __post_init__(self):
         object.__setattr__(self, "pn_ids", tuple(self.pn_ids))
-        if self.t_onset_s < 0:
+        if not self.t_onset_s >= 0:
             raise InvalidInputError("event onset must be non-negative")
         if not self.pn_ids:
             raise InvalidInputError("event must touch at least one node")
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(JsonConfig):
     name: str
     duration_s: float
     pns: tuple[PnPlacement, ...]
@@ -84,8 +86,8 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "pns", tuple(self.pns))
         object.__setattr__(self, "events", tuple(self.events))
-        if self.duration_s <= 0:
-            raise InvalidConfigError("scenario duration must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise InvalidConfigError("scenario duration must be positive and finite")
         if not self.pns:
             raise InvalidConfigError("scenario needs at least one node")
         ids = [p.node_id for p in self.pns]
@@ -95,74 +97,30 @@ class Scenario:
             raise InvalidConfigError(f"unknown detector {self.detector!r}")
         known = set(ids)
         for ev in self.events:
-            if ev.t_onset_s >= self.duration_s:
-                raise InvalidConfigError("event onset falls outside the scenario")
+            # the same tolerance synth_rumble_stream applies to the stream end
+            if ev.t_onset_s + ev.rumble.duration_s > self.duration_s + 1e-9:
+                raise InvalidConfigError("event rumble runs past the end of the scenario")
             missing = set(ev.pn_ids) - known
             if missing:
                 raise InvalidConfigError(f"event references unknown nodes {sorted(missing)}")
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "duration_s": self.duration_s,
-            "pns": [{"node_id": p.node_id, "position": p.position}
-                    for p in self.pns],
-            "events": [{
-                "t_onset_s": ev.t_onset_s,
-                "pn_ids": list(ev.pn_ids),
-                "rumble": vars(ev.rumble).copy(),
-                "thermal_visible": ev.thermal_visible,
-            } for ev in self.events],
-            "detector": self.detector,
-            "master_seed": self.master_seed,
-            "network": self.network.to_json() if self.network else None,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict, base_dir: str | Path | None = None) -> "Scenario":
-        try:
-            network = data.get("network")
-            if isinstance(network, str):
-                # a string is a path to a network config file, relative to
-                # the scenario file itself
-                path = Path(network)
-                if base_dir is not None and not path.is_absolute():
-                    path = Path(base_dir) / path
-                network = NetworkConfig.load(path)
-            elif isinstance(network, dict):
-                network = NetworkConfig.from_json(network)
-            return cls(
-                name=data["name"],
-                duration_s=float(data["duration_s"]),
-                pns=tuple(PnPlacement(node_id=p["node_id"],
-                                      position=p.get("position", ""))
-                          for p in data["pns"]),
-                events=tuple(ElephantEvent(
-                    t_onset_s=float(ev["t_onset_s"]),
-                    pn_ids=tuple(ev["pn_ids"]),
-                    rumble=RumbleSpec(**ev["rumble"]),
-                    thermal_visible=bool(ev.get("thermal_visible", True)),
-                ) for ev in data.get("events", [])),
-                detector=data.get("detector", "oracle"),
-                master_seed=int(data.get("master_seed", 0)),
-                network=network,
-            )
-        except (KeyError, TypeError) as exc:
-            raise InvalidConfigError(f"bad scenario: {exc}")
-
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
+        """Read a scenario file; a string network is a path to a network
+        config file, relative to the scenario file itself."""
         path = Path(path)
-        return cls.from_json(json.loads(path.read_text()), base_dir=path.parent)
+        data = json.loads(path.read_text())
+        if isinstance(data, dict) and isinstance(data.get("network"), str):
+            data["network"] = json.loads((path.parent / data["network"]).read_text())
+        return cls.from_json(data)
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    window_s: float = 4.0
+class SimConfig(JsonConfig):
     alg1: Algorithm1Params = Algorithm1Params()
     seismic_rate_hz: float = 1000.0
     noise_rms: float = 1.0
-    pn_defaults: PnConfig = PnConfig(node_id="pn")
+    pn: PnConfig = PnConfig()
     cn: CnConfig = CnConfig()
     detector_params: StochasticDetectorParams = StochasticDetectorParams()
     thermal_hold_s: float = 30.0
@@ -174,10 +132,6 @@ class SimConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if abs(self.window_s - self.alg1.window_s) > 1e-9:
-            raise InvalidConfigError(
-                f"window_s {self.window_s} disagrees with the detector window "
-                f"{self.alg1.window_s}")
         if self.seismic_rate_hz <= 0 or self.noise_rms <= 0:
             raise InvalidConfigError("rate and noise level must be positive")
         if self.capture_delay_s < 0 or self.detector_delay_s < 0:
@@ -185,68 +139,6 @@ class SimConfig:
         if "/" in self.topic_prefix or "+" in self.topic_prefix \
                 or not self.topic_prefix:
             raise InvalidConfigError("topic prefix must be one plain segment")
-
-    def to_json(self) -> dict:
-        pn = vars(self.pn_defaults).copy()
-        pn.pop("node_id")
-        pn.pop("alg1")  # the detector params are owned by this config
-        pn["broker_priority"] = list(pn["broker_priority"])
-        return {
-            "window_s": self.window_s,
-            "alg1": vars(self.alg1).copy(),
-            "seismic_rate_hz": self.seismic_rate_hz,
-            "noise_rms": self.noise_rms,
-            "pn": pn,
-            "cn": vars(self.cn).copy() | {
-                "deterrent_alpha_range": list(self.cn.deterrent_alpha_range)},
-            "detector_params": {"tpr": self.detector_params.tpr,
-                                "fpr": self.detector_params.fpr},
-            "thermal_hold_s": self.thermal_hold_s,
-            "capture_delay_s": self.capture_delay_s,
-            "detector_delay_s": self.detector_delay_s,
-            "mesh": self.mesh.to_json(),
-            "topic_prefix": self.topic_prefix,
-            "match_horizon_s": self.match_horizon_s,
-            "output_dir": self.output_dir,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SimConfig":
-        try:
-            alg1 = Algorithm1Params(**data.get("alg1", {}))
-            pn_fields = dict(data.get("pn", {}))
-            pn_fields["broker_priority"] = tuple(
-                pn_fields.get("broker_priority", ()))
-            cn_fields = dict(data.get("cn", {}))
-            if "deterrent_alpha_range" in cn_fields:
-                cn_fields["deterrent_alpha_range"] = tuple(
-                    cn_fields["deterrent_alpha_range"])
-            det = data.get("detector_params", {})
-            return cls(
-                window_s=float(data.get("window_s", alg1.window_s)),
-                alg1=alg1,
-                seismic_rate_hz=float(data.get("seismic_rate_hz", 1000.0)),
-                noise_rms=float(data.get("noise_rms", 1.0)),
-                pn_defaults=PnConfig(node_id="pn", alg1=alg1, **pn_fields),
-                cn=CnConfig(**cn_fields),
-                detector_params=StochasticDetectorParams(
-                    tpr=float(det.get("tpr", 0.9)),
-                    fpr=float(det.get("fpr", 0.05))),
-                thermal_hold_s=float(data.get("thermal_hold_s", 30.0)),
-                capture_delay_s=float(data.get("capture_delay_s", 0.05)),
-                detector_delay_s=float(data.get("detector_delay_s", 0.1)),
-                mesh=NetworkConfig.from_json(data["mesh"])
-                    if "mesh" in data else NetworkConfig(),
-                topic_prefix=data.get("topic_prefix", "hec"),
-                match_horizon_s=float(data.get("match_horizon_s", 30.0)),
-                output_dir=data.get("output_dir"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InvalidConfigError(f"bad sim config: {exc}")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SimConfig":
-        return cls.from_json(json.loads(Path(path).read_text()))
 
 
 # ---- metrics ----
@@ -429,10 +321,10 @@ def _action_label(action) -> str:
 
 
 class _PnRuntime:
-    def __init__(self, run: "_Run", config: PnConfig):
+    def __init__(self, run: "_Run", config: PnConfig, node_id: str):
         self.run = run
         self.config = config
-        self.node_id = config.node_id
+        self.node_id = node_id
         self.state = PnState.idle()
         self.state_log = [(0.0, self.state)]
 
@@ -616,9 +508,7 @@ class _Run:
 
         self.pns: dict[str, _PnRuntime] = {}
         for placement in scenario.pns:
-            pn_cfg = replace(config.pn_defaults, node_id=placement.node_id,
-                             alg1=config.alg1)
-            runtime = _PnRuntime(self, pn_cfg)
+            runtime = _PnRuntime(self, config.pn, placement.node_id)
             self.pns[placement.node_id] = runtime
             self.net.add_client(placement.node_id,
                                 on_message=self._pn_message)
@@ -669,7 +559,7 @@ class _Run:
             {"kind": "frame", "frame_id": frame.frame_id,
              "pn_id": frame.pn_id, "timestamp_s": frame.timestamp_s,
              "width": frame.width, "height": frame.height,
-             "pixels_b64": None, "truth_present": frame.sim_ground_truth},
+             "truth_present": frame.sim_ground_truth},
             qos=QoS.AT_LEAST_ONCE)
 
     def publish_command(self, cn: _CnRuntime, command: RepelCommand,
@@ -731,7 +621,7 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
             noise_rms=config.noise_rms)
         runtime = run.pns[pn_id]
         for det in detect_stream(trace, config.alg1):
-            t_ready = det.window_start_s + config.window_s
+            t_ready = det.window_start_s + config.alg1.window_s
             run.net.schedule(t_ready, lambda r=runtime, d=det: r.on_window(d))
 
     run.net.run_until(scenario.duration_s)

@@ -30,11 +30,10 @@ from typing import Callable
 
 import numpy as np
 
+from .codec import JsonConfig
 from .errors import InvalidConfigError, InvalidInputError
 
 log = logging.getLogger(__name__)
-
-TraceRow = dict
 
 
 class QoS(Enum):
@@ -115,10 +114,10 @@ class BrokerFailure:
 
 
 @dataclass(frozen=True)
-class NetworkConfig:
+class NetworkConfig(JsonConfig):
     brokers: tuple[str, ...] = ("broker-a",)
     default_link: LinkModel = LinkModel()
-    link_overrides: dict = field(default_factory=dict)  # client id -> LinkModel
+    link_overrides: dict[str, LinkModel] = field(default_factory=dict)  # by client id
     partitions: tuple[Partition, ...] = ()
     failover: FailoverConfig = FailoverConfig()
     broker_failures: tuple[BrokerFailure, ...] = ()
@@ -135,56 +134,6 @@ class NetworkConfig:
         if self.retry_interval_s <= 0:
             raise InvalidConfigError("retry interval must be positive")
 
-    def to_json(self) -> dict:
-        return {
-            "brokers": list(self.brokers),
-            "default_link": vars(self.default_link).copy(),
-            "link_overrides": {k: vars(v).copy()
-                               for k, v in self.link_overrides.items()},
-            "partitions": [{"t_start_s": p.t_start_s, "t_end_s": p.t_end_s,
-                            "nodes": sorted(p.nodes)} for p in self.partitions],
-            "failover": vars(self.failover).copy() | {
-                "broker_priority": list(self.failover.broker_priority)},
-            "broker_failures": [vars(bf).copy() for bf in self.broker_failures],
-            "max_retries": self.max_retries,
-            "retry_interval_s": self.retry_interval_s,
-            "buffer_cap": self.buffer_cap,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "NetworkConfig":
-        try:
-            failover = data.get("failover", {})
-            return cls(
-                brokers=tuple(data.get("brokers", ("broker-a",))),
-                default_link=LinkModel(**data.get("default_link", {})),
-                link_overrides={k: LinkModel(**v) for k, v in
-                                data.get("link_overrides", {}).items()},
-                partitions=tuple(
-                    Partition(t_start_s=p["t_start_s"], t_end_s=p["t_end_s"],
-                              nodes=frozenset(p["nodes"]))
-                    for p in data.get("partitions", [])),
-                failover=FailoverConfig(
-                    heartbeat_interval_s=failover.get("heartbeat_interval_s", 1.0),
-                    miss_threshold=failover.get("miss_threshold", 3),
-                    broker_priority=tuple(failover.get("broker_priority", ())),
-                    resend_delay_s=failover.get("resend_delay_s", 1.0)),
-                broker_failures=tuple(
-                    BrokerFailure(broker_id=bf["broker_id"], t_s=bf["t_s"])
-                    for bf in data.get("broker_failures", [])),
-                max_retries=int(data.get("max_retries", 10)),
-                retry_interval_s=float(data.get("retry_interval_s", 0.5)),
-                buffer_cap=int(data.get("buffer_cap", 64)),
-                seed=int(data.get("seed", 0)),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InvalidConfigError(f"bad network config: {exc}")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "NetworkConfig":
-        return cls.from_json(json.loads(Path(path).read_text()))
-
 
 def topic_matches(pattern: str, topic: str) -> bool:
     """Segment-wise match where '+' stands in for exactly one level."""
@@ -196,13 +145,12 @@ def topic_matches(pattern: str, topic: str) -> bool:
 
 
 class BrokerState:
-    """Broker bookkeeping: subscription table, in-flight ids, liveness."""
+    """Broker bookkeeping: subscription table and liveness."""
 
     def __init__(self, broker_id: str):
         self.broker_id = broker_id
         self.alive = True
         self.subscriptions: dict[str, list[str]] = {}  # client -> patterns
-        self.inflight: set[str] = set()  # msg ids currently being fanned out
 
 
 class _Client:
@@ -249,7 +197,7 @@ class MeshNetwork:
         self.rng = np.random.default_rng(config.seed)
         self.brokers: dict[str, BrokerState] = {}
         self.clients: dict[str, _Client] = {}
-        self.trace: list[TraceRow] = []
+        self.trace: list[dict] = []
         self.broker_transitions: list[dict] = []
         self._heap: list = []
         self._seq = itertools.count()
@@ -473,14 +421,12 @@ class MeshNetwork:
 
     def _fanout(self, msg: Message, broker_id: str) -> None:
         broker = self.brokers[broker_id]
-        broker.inflight.add(msg.msg_id)
         for client_id, patterns in list(broker.subscriptions.items()):
             if any(topic_matches(p, msg.topic) for p in patterns):
                 key = ("down", msg.publisher, msg.topic, client_id)
                 transfer = _Transfer(msg, "down", client_id, broker_id, key)
                 self._channels.setdefault(key, deque()).append(transfer)
                 self._attempt_down(transfer)
-        broker.inflight.discard(msg.msg_id)
 
     def _attempt_down(self, transfer: _Transfer) -> None:
         if transfer.state is not _PENDING:

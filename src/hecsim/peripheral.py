@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .detection import Algorithm1Params, WindowDetection
+from .detection import WindowDetection
 from .deterrent import ModificationParams, apply_modification
 from .errors import InvalidInputError
 from .signals import AudioClip
@@ -26,15 +26,12 @@ from .signals import AudioClip
 
 @dataclass(frozen=True)
 class PnConfig:
-    node_id: str
     ds_threshold: int = 1
-    alg1: Algorithm1Params = Algorithm1Params()
     decision_timeout_s: float = 10.0
     repel_cooldown_s: float = 60.0
     flash_freq_hz: float = 2.0
     ir_capture_count: int = 1
     arm_on_high_score: bool = False
-    broker_priority: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.ds_threshold not in (1, 2):
@@ -75,7 +72,6 @@ class ThermalFrame:
     timestamp_s: float
     width: int = 32
     height: int = 24
-    pixels: tuple[float, ...] | None = None
     sim_ground_truth: bool | None = None  # set by the simulator, never by hardware
 
 

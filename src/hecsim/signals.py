@@ -131,6 +131,8 @@ class RumbleSpec:
                 raise InvalidInputError("rumble frequencies must be positive")
         if self.envelope not in ("flat", "hann"):
             raise InvalidInputError(f"unknown envelope {self.envelope!r}")
+        if not np.isfinite(self.snr_db):
+            raise InvalidInputError("rumble snr_db must be finite")
 
 
 def window_trace(trace: SeismicTrace, window_s: float) -> list[SeismicTrace]:

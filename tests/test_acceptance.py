@@ -304,7 +304,7 @@ def test_criterion_10_bundled_scenario_deterministic_fast_and_gated():
         assert first.dumps() == second.dumps()
 
         link = config.mesh.default_link.latency_s
-        bound = config.window_s + 2 * link + 0.5
+        bound = config.alg1.window_s + 2 * link + 0.5
         assert len(first.events) == 2
         for ev in first.events:
             assert ev.detected

@@ -278,6 +278,15 @@ def test_bad_scenario_is_a_runtime_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--scenario", str(path))
     assert code == 1
     assert err.startswith("hecsim: ")
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"mesh": {"failover": {"miss_treshold": 2}}}))
+    code, _, err = run_cli(
+        capsys, "simulate",
+        "--scenario", str(REPO / "scenarios/example_scenario.json"),
+        "--config", str(config))
+    assert code == 1
+    assert err == ("hecsim: SimConfig.mesh.failover: "
+                   "unknown key 'miss_treshold'\n")
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -30,8 +31,9 @@ def tiny_scenario(**kwargs):
 # ---- validation ----
 
 def test_scenario_validation():
-    with pytest.raises(InvalidConfigError):
-        tiny_scenario(duration_s=0.0)
+    for duration_s in (0.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidConfigError):
+            tiny_scenario(duration_s=duration_s)
     with pytest.raises(InvalidConfigError):
         tiny_scenario(pns=())
     with pytest.raises(InvalidConfigError):
@@ -44,18 +46,38 @@ def test_scenario_validation():
             rumble=RumbleSpec(duration_s=3.0)),))  # onset past the end
     with pytest.raises(InvalidConfigError):
         tiny_scenario(events=(ElephantEvent(
+            t_onset_s=18.0, pn_ids=("pn-1",),
+            rumble=RumbleSpec(duration_s=3.0)),))  # rumble runs past the end
+    with pytest.raises(InvalidInputError):
+        ElephantEvent(t_onset_s=float("nan"), pn_ids=("pn-1",),
+                      rumble=RumbleSpec(duration_s=3.0))
+    with pytest.raises(InvalidConfigError):
+        tiny_scenario(events=(ElephantEvent(
             t_onset_s=1.0, pn_ids=("pn-9",), rumble=RumbleSpec(duration_s=3.0)),))
 
 
 def test_sim_config_validation():
-    with pytest.raises(InvalidConfigError):
-        SimConfig(window_s=5.0)  # disagrees with the detector window
     with pytest.raises(InvalidConfigError):
         SimConfig(topic_prefix="a/b")
     with pytest.raises(InvalidConfigError):
         SimConfig(topic_prefix="")
     with pytest.raises(InvalidConfigError):
         SimConfig(capture_delay_s=-1.0)
+    # the file codec rejects typos and wrong types, naming the path
+    for data, where in [
+        ({"mesh": {"bogus": 1}}, "SimConfig.mesh: unknown key 'bogus'"),
+        ({"window_s": 4.0}, "SimConfig: unknown key 'window_s'"),
+        ({"noise_rms": "1.0"}, "SimConfig.noise_rms: expected a number"),
+        ({"pn": {"ir_capture_count": True}},
+         "SimConfig.pn.ir_capture_count: expected an integer"),
+        ({"cn": {"deterrent_alpha_range": [0.5, 1.0, 1.5]}},
+         "SimConfig.cn.deterrent_alpha_range: expected 2 items"),
+        ({"alg1": {"run_low": 30}}, "SimConfig.alg1: run thresholds"),
+    ]:
+        with pytest.raises(InvalidConfigError, match=re.escape(where)):
+            SimConfig.from_json(data)
+    # a float field takes a JSON int
+    assert SimConfig.from_json({"noise_rms": 2}).noise_rms == 2.0
 
 
 def test_event_outcome_and_report_validation():
@@ -74,8 +96,18 @@ def test_scenario_round_trip():
     sc = example_scenario()
     back = Scenario.from_json(json.loads(json.dumps(sc.to_json())))
     assert back == sc
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError, match="missing key 'duration_s'"):
         Scenario.from_json({"name": "x"})
+    data = sc.to_json()
+    data["master_sed"] = 1
+    with pytest.raises(InvalidConfigError,
+                       match="Scenario: unknown key 'master_sed'"):
+        Scenario.from_json(data)
+    data = sc.to_json()
+    data["events"][1]["rumble"]["snr_db"] = "14"
+    with pytest.raises(InvalidConfigError,
+                       match=re.escape("Scenario.events[1].rumble.snr_db")):
+        Scenario.from_json(data)
 
 
 def test_scenario_with_inline_network_round_trip():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -87,8 +88,21 @@ def test_config_validation():
         Partition(t_start_s=2.0, t_end_s=1.0, nodes=frozenset())
     with pytest.raises(InvalidConfigError):
         FailoverConfig(miss_threshold=0)
-    with pytest.raises(InvalidConfigError):
-        NetworkConfig.from_json({"default_link": {"bogus_field": 1}})
+    for data, where in [
+        ({"default_link": {"bogus_field": 1}},
+         "NetworkConfig.default_link: unknown key 'bogus_field'"),
+        ({"failover": {"miss_treshold": 2}},
+         "NetworkConfig.failover: unknown key 'miss_treshold'"),
+        ({"brokers": "broker-a"}, "NetworkConfig.brokers: expected a list"),
+        ({"max_retries": 2.0}, "NetworkConfig.max_retries: expected an integer"),
+        ({"buffer_cap": False}, "NetworkConfig.buffer_cap: expected an integer"),
+        ({"link_overrides": {"pn-1": {"loss_prob": 2.0}}},
+         "NetworkConfig.link_overrides.pn-1: loss_prob"),
+        ({"partitions": [{"t_start_s": 1.0, "t_end_s": 2.0}]},
+         "NetworkConfig.partitions[0]: missing key 'nodes'"),
+    ]:
+        with pytest.raises(InvalidConfigError, match=re.escape(where)):
+            NetworkConfig.from_json(data)
 
 
 def test_duplicate_and_unknown_clients():

@@ -14,7 +14,7 @@ from hecsim.peripheral import (CaptureFrame, CommandReceived, Flash,
                                execute_repel, flash_schedule, ir_duty_cycle,
                                pn_step)
 
-CFG = PnConfig(node_id="pn-1")
+CFG = PnConfig()
 
 
 def window(ds, run=None, start=0.0):
@@ -86,7 +86,7 @@ def test_subthreshold_score_does_nothing():
 
 
 def test_threshold_two_ignores_ds_one():
-    cfg = PnConfig(node_id="pn-1", ds_threshold=2)
+    cfg = PnConfig(ds_threshold=2)
     state, actions = pn_step(PnState.idle(), SeismicWindowReady(window(1)),
                              cfg, 4.0)
     assert state.kind is PnStateKind.IDLE
@@ -106,7 +106,7 @@ def test_scores_outside_idle_are_silent():
 
 
 def test_prearm_on_high_score():
-    cfg = PnConfig(node_id="pn-1", arm_on_high_score=True)
+    cfg = PnConfig(arm_on_high_score=True)
     _, actions = pn_step(PnState.idle(), SeismicWindowReady(window(2)), cfg, 4.0)
     assert actions == (CaptureFrame(count=1), PreArm(ds=2))
     _, actions = pn_step(PnState.idle(), SeismicWindowReady(window(1)), cfg, 4.0)
@@ -114,7 +114,7 @@ def test_prearm_on_high_score():
 
 
 def test_multi_capture_counts_down():
-    cfg = PnConfig(node_id="pn-1", ir_capture_count=3)
+    cfg = PnConfig(ir_capture_count=3)
     state, _ = pn_step(PnState.idle(), SeismicWindowReady(window(2)), cfg, 4.0)
     assert state.captures_remaining == 3
     state, actions = pn_step(state, FrameCaptured(frame("pn-1-w000-c0")), cfg, 4.05)
@@ -151,11 +151,11 @@ def test_stale_timer_is_ignored():
 
 def test_config_validation():
     with pytest.raises(InvalidInputError):
-        PnConfig(node_id="x", ds_threshold=3)
+        PnConfig(ds_threshold=3)
     with pytest.raises(InvalidInputError):
-        PnConfig(node_id="x", ir_capture_count=0)
+        PnConfig(ir_capture_count=0)
     with pytest.raises(InvalidInputError):
-        PnConfig(node_id="x", decision_timeout_s=0.0)
+        PnConfig(decision_timeout_s=0.0)
 
 
 def test_flash_schedule_counts_cycles():

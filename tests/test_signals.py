@@ -183,6 +183,8 @@ def test_rumble_spec_validation():
         RumbleSpec(duration_s=0.0)
     with pytest.raises(InvalidInputError):
         RumbleSpec(duration_s=3.0, envelope="triangle")
+    with pytest.raises(InvalidInputError):
+        RumbleSpec(duration_s=3.0, snr_db=float("nan"))
 
 
 @settings(max_examples=30, deadline=None)
