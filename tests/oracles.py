@@ -129,3 +129,23 @@ def brute_force_ap50(predictions, truths, iou_threshold=0.5):
             area += env * (r - prev_recall)
             prev_recall = r
     return area
+
+
+def naive_ir_duty(action_rows, node, duration_s):
+    """Camera-on fraction for one node, summed interval by interval.
+
+    Replays the node's action rows from an initial idle state; every stretch
+    between two rows (or the last row and duration_s) spent in a powered
+    state counts, one state at a time.
+    """
+    powered = ("ir_active", "awaiting_decision")
+    state, since, on = "idle", 0.0, 0.0
+    for row in action_rows:
+        if row["node"] != node:
+            continue
+        if state in powered:
+            on += row["t"] - since
+        state, since = row["state_to"], row["t"]
+    if state in powered:
+        on += duration_s - since
+    return on / duration_s

@@ -1,0 +1,126 @@
+"""Golden sha256 digests of every output file for two fixed runs.
+
+Any change that alters one byte of metrics.json, delivery_trace.jsonl,
+actions.jsonl, detections.jsonl or warnings.jsonl for these scenarios fails
+here; a deliberate change must update the digests and say why. They were
+taken with numpy 2.4.6 on CPython 3.11; a numpy whose random streams or FFT
+rounding differ may legitimately produce other bytes.
+"""
+
+import hashlib
+
+import pytest
+
+from hecsim.harness import (ElephantEvent, PnPlacement, Scenario,
+                            example_scenario, run_scenario_with_logs)
+from hecsim.mesh import BrokerFailure, LinkModel, NetworkConfig, Partition
+from hecsim.signals import RumbleSpec
+from oracles import naive_ir_duty
+
+OUTPUTS = ("metrics.json", "delivery_trace.jsonl", "actions.jsonl",
+           "detections.jsonl", "warnings.jsonl")
+
+
+def lossy_scenario():
+    """Three nodes for two minutes on a lossy, jittered two-broker mesh.
+
+    pn-2 is cut off from 30 s to 45 s, in the middle of an approach, and
+    broker-a dies at 60 s, just after another one starts.
+    """
+    net = NetworkConfig(
+        brokers=("broker-a", "broker-b"),
+        default_link=LinkModel(latency_s=0.05, jitter_s=0.03, loss_prob=0.2),
+        partitions=(Partition(t_start_s=30.0, t_end_s=45.0,
+                              nodes=frozenset({"pn-2"})),),
+        broker_failures=(BrokerFailure(broker_id="broker-a", t_s=60.0),),
+        max_retries=3, retry_interval_s=0.25)
+
+    def approach(t, pn_ids, snr_db, visible=True):
+        return ElephantEvent(t_onset_s=t, pn_ids=pn_ids,
+                             rumble=RumbleSpec(duration_s=3.5, snr_db=snr_db),
+                             thermal_visible=visible)
+
+    return Scenario(
+        name="lossy-field", duration_s=120.0,
+        pns=(PnPlacement("pn-1"), PnPlacement("pn-2"), PnPlacement("pn-3")),
+        events=(approach(10.25, ("pn-1",), 18.0),
+                approach(33.25, ("pn-2",), 16.0),
+                approach(58.25, ("pn-1", "pn-3"), 15.0),
+                approach(80.25, ("pn-2",), 14.0, visible=False),
+                approach(100.25, ("pn-1",), 18.0)),
+        master_seed=2026, network=net)
+
+
+SCENARIOS = {"example": example_scenario, "lossy": lossy_scenario}
+
+GOLDEN = {
+    "example": {
+        "metrics.json":
+            "6f3e782f3255426718c7e31b3ff5228313ec68f6d6ae24e1997d6785a5c24a34",
+        "delivery_trace.jsonl":
+            "3c3b4216e1b2ff09b40dff07cbbcc5d11389420b8c91707b4228bc4685238c29",
+        "actions.jsonl":
+            "60f5135dbe42795463f68128b1c4fad0d1f9060c024bb904c8344342832a0b9c",
+        "detections.jsonl":
+            "99915e44e6665febff8c89f83ddcd48d8554186e88dddaafc39b0c139c898a49",
+        "warnings.jsonl":
+            "5b984c18e143ef841ef6c4b7e2565c8e37d39723f6e86ae35dd3a5820e506c57",
+    },
+    "lossy": {
+        "metrics.json":
+            "b81184c2e7106cf138b5986614b353857c35ae1a87b72eea61d8e2621d297eca",
+        "delivery_trace.jsonl":
+            "d0120b87e16a7f400a0c20d49dcc4fe0ab14ecd4216755b2a434b958db654362",
+        "actions.jsonl":
+            "5be583fd38f42893161abe65b9880770201f40730052c11c17cead476e6b24aa",
+        "detections.jsonl":
+            "5e6b8004cd809b58f2ea8035eb07aa455274a37036ecf5df3d9441434d0f36b2",
+        "warnings.jsonl":
+            "d35f892767acae9edcad22da62d1a5ff4fb95357640943fc642b070062dcd4ef",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """name -> (scenario, report, logs, output directory), run once each."""
+    done = {}
+    for name, build in SCENARIOS.items():
+        scenario = build()
+        out = tmp_path_factory.mktemp(name)
+        report, logs = run_scenario_with_logs(scenario, out_dir=out)
+        done[name] = (scenario, report, logs, out)
+    return done
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_golden_output_digests(runs, name):
+    out = runs[name][3]
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in OUTPUTS}
+    assert digests == GOLDEN[name]
+
+
+def test_lossy_scenario_exercises_the_mesh(runs):
+    trace = runs["lossy"][2].delivery_trace
+    reasons = {r.get("reason") for r in trace if r["event"] == "drop"}
+    assert reasons >= {"loss", "unreachable", "disconnected", "session_gone"}
+    assert {r["event"] for r in trace} >= {"retry", "failover"}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_duty_cycle_matches_action_log(runs, name):
+    scenario, report, logs, _ = runs[name]
+    for placement in scenario.pns:
+        node = placement.node_id
+        rows = [r for r in logs.actions if r["node"] == node]
+        # each row starts where the node's previous row left it, except
+        # that a step with several actions logs one row per action
+        previous = {"t": 0.0, "state_from": "idle", "state_to": "idle"}
+        for row in rows:
+            same_step = all(row[k] == previous[k]
+                            for k in ("t", "state_from", "state_to"))
+            assert same_step or row["state_from"] == previous["state_to"], row
+            previous = row
+        expected = naive_ir_duty(rows, node, scenario.duration_s)
+        assert abs(report.ir_duty_cycle[node] - expected) <= 1e-9
