@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import subprocess
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,7 +22,7 @@ from typing import Protocol
 import numpy as np
 
 from .deterrent import pick_modification
-from .errors import InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError
 from .peripheral import NegativeDecision, RepelCommand, ThermalFrame
 from .seeds import derive_seed
 
@@ -187,6 +188,16 @@ class CnConfig:
     flash_freq_hz: float = 2.0
     deterrent_alpha_range: tuple[float, float] = (0.5, 1.5)
     deterrent_seed: int = 0
+
+    def __post_init__(self):
+        if not 0 < self.repel_duration_s < math.inf or \
+                not 0 < self.flash_freq_hz < math.inf:
+            raise InvalidConfigError("repel duration and flash frequency "
+                                     "must be positive and finite")
+        lo, hi = self.deterrent_alpha_range
+        if not lo < hi:
+            raise InvalidConfigError(
+                "deterrent_alpha_range must satisfy lo < hi")
 
 
 @dataclass(frozen=True)

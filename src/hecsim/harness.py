@@ -32,10 +32,10 @@ from .deterrent import ModificationKind, ModificationParams
 from .errors import InvalidConfigError, InvalidInputError
 from .mesh import (MeshNetwork, NetworkConfig, QoS, heartbeat_and_failover)
 from .peripheral import (CaptureFrame, CommandReceived, FrameCaptured, Flash,
-                         IR_POWERED_STATES, LogAnomaly, NegativeDecision,
-                         PlayDeterrent, PnConfig, PnState, PnStateKind,
-                         PreArm, PublishFrame, RepelCommand, SeismicWindowReady,
-                         ThermalFrame, ir_duty_cycle, pn_step)
+                         LogAnomaly, NegativeDecision, PlayDeterrent,
+                         PnConfig, PnState, PnStateKind, PreArm, PublishFrame,
+                         RepelCommand, SeismicWindowReady, ThermalFrame,
+                         ir_duty_cycle, pn_step)
 from .seeds import derive_seed
 from .signals import RumbleSpec, synth_rumble_stream
 from .sigio import write_jsonl
@@ -201,34 +201,6 @@ class RunLogs:
     actions: list
     warnings: list
     detections: list
-    # in-memory state history per node, for the duty-cycle cross-check
-    state_logs: dict | None = None
-
-
-IR_STATE_NAMES = frozenset(k.value for k in IR_POWERED_STATES)
-
-
-def _duty_from_actions(actions: list, node_ids: list[str],
-                       duration_s: float) -> dict:
-    """Reconstruct camera-on time from logged state transitions."""
-    duty = {}
-    for node in node_ids:
-        powered_since = None
-        total = 0.0
-        for row in actions:
-            if row["node"] != node:
-                continue
-            entering = row["state_to"] in IR_STATE_NAMES
-            leaving = row["state_from"] in IR_STATE_NAMES
-            if entering and powered_since is None:
-                powered_since = row["t"]
-            elif leaving and not entering and powered_since is not None:
-                total += row["t"] - powered_since
-                powered_since = None
-        if powered_since is not None:
-            total += duration_s - powered_since
-        duty[node] = total / duration_s if duration_s > 0 else 0.0
-    return duty
 
 
 def compute_metrics(logs: RunLogs, scenario: Scenario,
@@ -237,8 +209,8 @@ def compute_metrics(logs: RunLogs, scenario: Scenario,
 
     An event counts as detected when an officer warning lands inside
     [onset, onset + match_horizon_s]; a warning inside no event's horizon is
-    false. Duty cycles come from the action log and, when the in-memory
-    state histories are present, are cross-checked against them.
+    false. Duty cycles come from the state each action row leaves its
+    node in.
     """
     for name in ("delivery_trace", "actions", "warnings", "detections"):
         if getattr(logs, name) is None:
@@ -265,15 +237,13 @@ def compute_metrics(logs: RunLogs, scenario: Scenario,
     if scenario.events:
         recall = sum(o.detected for o in outcomes) / len(scenario.events)
 
-    node_ids = [p.node_id for p in scenario.pns]
-    duty = _duty_from_actions(logs.actions, node_ids, scenario.duration_s)
-    if logs.state_logs is not None:
-        for node in node_ids:
-            direct = ir_duty_cycle(logs.state_logs[node], scenario.duration_s)
-            if abs(direct - duty[node]) > 1e-9:
-                raise InvalidInputError(
-                    f"duty mismatch for {node}: state log {direct} vs "
-                    f"action log {duty[node]}")
+    duty = {}
+    for placement in scenario.pns:
+        node = placement.node_id
+        history = [(0.0, PnState.idle())] + [
+            (row["t"], PnState(PnStateKind(row["state_to"])))
+            for row in logs.actions if row["node"] == node]
+        duty[node] = ir_duty_cycle(history, scenario.duration_s)
 
     counts: dict[str, dict] = {}
     for row in logs.delivery_trace:
@@ -326,7 +296,6 @@ class _PnRuntime:
         self.config = config
         self.node_id = node_id
         self.state = PnState.idle()
-        self.state_log = [(0.0, self.state)]
 
     # -- event entry points --
 
@@ -372,7 +341,6 @@ class _PnRuntime:
         new, actions = pn_step(old, event, self.config, now)
         self.state = new
         if new != old:
-            self.state_log.append((now, new))
             if new.until_s is not None and \
                     (new.kind, new.until_s) != (old.kind, old.until_s):
                 run.net.schedule(new.until_s,
@@ -478,6 +446,11 @@ class _Run:
         self.scenario = scenario
         self.config = config
         mesh_cfg = scenario.network if scenario.network is not None else config.mesh
+        clients = {p.node_id for p in scenario.pns} | {config.cn.node_id}
+        stray = set(mesh_cfg.link_overrides) - clients
+        if stray:
+            raise InvalidConfigError(
+                f"link_overrides name unknown clients {sorted(stray)}")
         mesh_cfg = replace(mesh_cfg,
                            seed=derive_seed(scenario.master_seed, "mesh"))
         self.net = MeshNetwork(mesh_cfg)
@@ -631,7 +604,6 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
         actions=run.actions,
         warnings=[r.to_record() for r in run.memory_sink.records],
         detections=run.detections,
-        state_logs={pn_id: rt.state_log for pn_id, rt in run.pns.items()},
     )
     report = compute_metrics(logs, scenario, config)
 
@@ -639,8 +611,6 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
         run.net.write_trace_jsonl(out / "delivery_trace.jsonl")
         write_jsonl(logs.actions, out / "actions.jsonl")
         write_jsonl(logs.detections, out / "detections.jsonl")
-        if not run.memory_sink.records:
-            (out / "warnings.jsonl").write_text("")
         (out / "metrics.json").write_text(report.dumps())
     return report, logs
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import logging
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -32,6 +31,7 @@ import numpy as np
 
 from .codec import JsonConfig
 from .errors import InvalidConfigError, InvalidInputError
+from .sigio import write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -133,6 +133,10 @@ class NetworkConfig(JsonConfig):
             raise InvalidConfigError("bad retry or buffer setting")
         if self.retry_interval_s <= 0:
             raise InvalidConfigError("retry interval must be positive")
+        unknown = {f.broker_id for f in self.broker_failures}.union(
+            self.failover.broker_priority) - set(self.brokers)
+        if unknown:
+            raise InvalidConfigError(f"unknown brokers {sorted(unknown)}")
 
 
 def topic_matches(pattern: str, topic: str) -> bool:
@@ -154,10 +158,9 @@ class BrokerState:
 
 
 class _Client:
-    def __init__(self, client_id: str, on_message, priority: tuple[str, ...]):
+    def __init__(self, client_id: str, on_message):
         self.client_id = client_id
         self.on_message = on_message
-        self.priority = priority
         self.connected = False
         self.current_broker: str | None = None
         self.failed_brokers: set[str] = set()
@@ -237,27 +240,21 @@ class MeshNetwork:
 
     # ---- wiring ----
 
-    def add_client(self, client_id: str, on_message=None,
-                   priority: tuple[str, ...] | None = None) -> None:
+    def add_client(self, client_id: str, on_message=None) -> None:
         if client_id in self.clients or client_id in self.brokers:
             raise InvalidInputError(f"duplicate node id {client_id!r}")
-        if priority is None:
-            priority = self.config.failover.broker_priority or self.config.brokers
-        client = _Client(client_id, on_message, tuple(priority))
+        client = _Client(client_id, on_message)
         self.clients[client_id] = client
         self._try_connect(client)
 
-    def subscribe(self, client_id: str, pattern: str) -> bool:
+    def subscribe(self, client_id: str, pattern: str) -> None:
         """Register interest; replayed automatically after a failover."""
         client = self._client(client_id)
         if pattern not in client.subscriptions:
             client.subscriptions.append(pattern)
         if client.connected:
-            broker = self.brokers[client.current_broker]
-            broker.subscriptions.setdefault(client_id, [])
-            if pattern not in broker.subscriptions[client_id]:
-                broker.subscriptions[client_id].append(pattern)
-        return True
+            self._register(self.brokers[client.current_broker], client_id,
+                           [pattern])
 
     def publish(self, client_id: str, topic: str, payload: dict,
                 qos: QoS = QoS.AT_LEAST_ONCE) -> str:
@@ -279,7 +276,7 @@ class MeshNetwork:
             # queue behind undrained messages to preserve publish order
             self._park(client, msg)
         else:
-            self._start_uplink(client, msg)
+            self._start(msg, "up", client_id)
         return msg.msg_id
 
     def kill_broker(self, broker_id: str) -> None:
@@ -292,9 +289,7 @@ class MeshNetwork:
             {"t": self.now, "kind": "broker_killed", "broker": broker_id})
 
     def write_trace_jsonl(self, path: str | Path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            for row in self.trace:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        write_jsonl(self.trace, path)
 
     # ---- internals ----
 
@@ -336,152 +331,104 @@ class MeshNetwork:
 
     def _drain_buffer(self, client: _Client) -> None:
         client.drain_scheduled = False
-        if not client.connected:
-            return
-        while client.buffer:
-            if not client.connected:
-                return
-            self._start_uplink(client, client.buffer.popleft())
+        while client.connected and client.buffer:
+            self._start(client.buffer.popleft(), "up", client.client_id)
 
-    # ---- uplink: client to broker ----
+    # ---- one hop: client to broker ("up") or broker to client ("down") ----
 
-    def _start_uplink(self, client: _Client, msg: Message) -> None:
-        key = ("up", msg.publisher, msg.topic)
-        transfer = _Transfer(msg, "up", client.client_id, None, key)
+    def _start(self, msg: Message, direction: str, client_id: str,
+               broker_id: str | None = None) -> None:
+        key = (direction, msg.publisher, msg.topic, client_id)
+        transfer = _Transfer(msg, direction, client_id, broker_id, key)
         self._channels.setdefault(key, deque()).append(transfer)
-        self._attempt_up(transfer)
+        self._attempt(transfer)
 
-    def _attempt_up(self, transfer: _Transfer) -> None:
+    def _attempt(self, transfer: _Transfer) -> None:
         if transfer.state is not _PENDING:
             return
         client = self.clients[transfer.client_id]
         msg = transfer.msg
-        if not client.connected:
-            # fold back into the buffer; the transfer slot dies so the
-            # channel does not deadlock, and the drain re-creates it
-            transfer.state = _DEAD
-            if msg.qos is QoS.AT_LEAST_ONCE:
-                self._park(client, msg)
-            else:
-                self._trace(msg, "drop", client.client_id, "", reason="disconnected")
-            self._pump(transfer.channel_key)
-            return
-        broker_id = client.current_broker
-        broker = self.brokers[broker_id]
-        if not broker.alive or self._severed(client.client_id, broker_id):
+        if transfer.direction == "up":
+            if not client.connected:
+                # fold back into the buffer; the transfer slot dies so the
+                # channel does not deadlock, and the drain re-creates it
+                if msg.qos is QoS.AT_LEAST_ONCE:
+                    self._park(client, msg)
+                    self._kill(transfer)
+                else:
+                    self._kill(transfer, "disconnected", client.client_id, "")
+                return
+            broker_id = client.current_broker
+            ends = (client.client_id, broker_id)
+        else:
+            broker_id = transfer.broker_id
+            ends = (broker_id, client.client_id)
+            if client.current_broker != broker_id or \
+                    not self.brokers[broker_id].alive:
+                # the session this delivery belonged to is gone
+                self._kill(transfer, "session_gone", *ends)
+                return
+        if not self.brokers[broker_id].alive or \
+                self._severed(client.client_id, broker_id):
             if msg.qos is QoS.AT_LEAST_ONCE:
                 # unreachable, not lost: retry without spending a credit
-                self.schedule_in(self.config.retry_interval_s,
-                                 lambda: self._attempt_up(transfer))
+                self._retry_later(transfer)
             else:
-                transfer.state = _DEAD
-                self._trace(msg, "drop", client.client_id, broker_id,
-                            reason="unreachable")
-                self._pump(transfer.channel_key)
+                self._kill(transfer, "unreachable", *ends)
             return
         link = self._link_for(client.client_id)
         if self._lost(link):
             transfer.attempts += 1
-            self._trace(msg, "drop", client.client_id, broker_id, reason="loss",
+            self._trace(msg, "drop", *ends, reason="loss",
                         attempt=transfer.attempts)
             if msg.qos is QoS.AT_LEAST_ONCE and \
                     transfer.attempts <= self.config.max_retries:
-                self._trace(msg, "retry", client.client_id, broker_id,
-                            attempt=transfer.attempts)
-                self.schedule_in(self.config.retry_interval_s,
-                                 lambda: self._attempt_up(transfer))
+                self._trace(msg, "retry", *ends, attempt=transfer.attempts)
+                self._retry_later(transfer)
             else:
-                transfer.state = _DEAD
-                self._pump(transfer.channel_key)
+                self._kill(transfer)
             return
         self.schedule_in(self._latency(link),
-                         lambda b=broker_id: self._arrive_up(transfer, b))
+                         lambda: self._arrive(transfer, broker_id))
 
-    def _arrive_up(self, transfer: _Transfer, broker_id: str) -> None:
+    def _arrive(self, transfer: _Transfer, broker_id: str) -> None:
         if transfer.state is not _PENDING:
             return
-        broker = self.brokers[broker_id]
-        if not broker.alive:
+        if transfer.direction == "up" and not self.brokers[broker_id].alive:
             # the broker died while the message was in flight
-            msg = transfer.msg
-            if msg.qos is QoS.AT_LEAST_ONCE:
-                self.schedule_in(self.config.retry_interval_s,
-                                 lambda: self._attempt_up(transfer))
+            if transfer.msg.qos is QoS.AT_LEAST_ONCE:
+                self._retry_later(transfer)
             else:
-                transfer.state = _DEAD
-                self._trace(msg, "drop", transfer.client_id, broker_id,
-                            reason="broker_dead")
-                self._pump(transfer.channel_key)
+                self._kill(transfer, "broker_dead", transfer.client_id,
+                           broker_id)
             return
         transfer.state = _ARRIVED
         transfer.broker_id = broker_id
         self._pump(transfer.channel_key)
 
-    # ---- downlink: broker to subscriber ----
+    def _retry_later(self, transfer: _Transfer) -> None:
+        self.schedule_in(self.config.retry_interval_s,
+                         lambda: self._attempt(transfer))
+
+    def _kill(self, transfer: _Transfer, reason: str | None = None,
+              frm: str = "", to: str = "") -> None:
+        """Retire a transfer, tracing a drop when a reason is given."""
+        transfer.state = _DEAD
+        if reason is not None:
+            self._trace(transfer.msg, "drop", frm, to, reason=reason)
+        self._pump(transfer.channel_key)
 
     def _fanout(self, msg: Message, broker_id: str) -> None:
         broker = self.brokers[broker_id]
         for client_id, patterns in list(broker.subscriptions.items()):
             if any(topic_matches(p, msg.topic) for p in patterns):
-                key = ("down", msg.publisher, msg.topic, client_id)
-                transfer = _Transfer(msg, "down", client_id, broker_id, key)
-                self._channels.setdefault(key, deque()).append(transfer)
-                self._attempt_down(transfer)
-
-    def _attempt_down(self, transfer: _Transfer) -> None:
-        if transfer.state is not _PENDING:
-            return
-        client = self.clients[transfer.client_id]
-        broker = self.brokers[transfer.broker_id]
-        msg = transfer.msg
-        if not broker.alive or not client.connected or \
-                client.current_broker != transfer.broker_id:
-            # the session this delivery belonged to is gone
-            transfer.state = _DEAD
-            self._trace(msg, "drop", transfer.broker_id, client.client_id,
-                        reason="session_gone")
-            self._pump(transfer.channel_key)
-            return
-        if self._severed(client.client_id, transfer.broker_id):
-            if msg.qos is QoS.AT_LEAST_ONCE:
-                self.schedule_in(self.config.retry_interval_s,
-                                 lambda: self._attempt_down(transfer))
-            else:
-                transfer.state = _DEAD
-                self._trace(msg, "drop", transfer.broker_id, client.client_id,
-                            reason="unreachable")
-                self._pump(transfer.channel_key)
-            return
-        link = self._link_for(client.client_id)
-        if self._lost(link):
-            transfer.attempts += 1
-            self._trace(msg, "drop", transfer.broker_id, client.client_id,
-                        reason="loss", attempt=transfer.attempts)
-            if msg.qos is QoS.AT_LEAST_ONCE and \
-                    transfer.attempts <= self.config.max_retries:
-                self._trace(msg, "retry", transfer.broker_id, client.client_id,
-                            attempt=transfer.attempts)
-                self.schedule_in(self.config.retry_interval_s,
-                                 lambda: self._attempt_down(transfer))
-            else:
-                transfer.state = _DEAD
-                self._pump(transfer.channel_key)
-            return
-        self.schedule_in(self._latency(link), lambda: self._arrive_down(transfer))
-
-    def _arrive_down(self, transfer: _Transfer) -> None:
-        if transfer.state is not _PENDING:
-            return
-        transfer.state = _ARRIVED
-        self._pump(transfer.channel_key)
+                self._start(msg, "down", client_id, broker_id)
 
     # ---- ordered handoff ----
 
     def _pump(self, key: tuple) -> None:
         """Release the channel head when it has resolved, preserving order."""
         channel = self._channels.get(key)
-        if not channel:
-            return
         while channel:
             head = channel[0]
             if head.state == _DEAD:
@@ -567,9 +514,10 @@ class MeshNetwork:
 
     def _try_connect(self, client: _Client, record_reconnect: bool = False) -> bool:
         """Connect to the first reachable candidate not already written off."""
-        for broker_id in client.priority:
-            broker = self.brokers.get(broker_id)
-            if broker is None or not broker.alive:
+        candidates = self.config.failover.broker_priority or self.config.brokers
+        for broker_id in candidates:
+            broker = self.brokers[broker_id]
+            if not broker.alive:
                 continue
             if broker_id in client.failed_brokers:
                 continue  # no failback
@@ -579,10 +527,7 @@ class MeshNetwork:
             client.current_broker = broker_id
             client.last_heartbeat_s = self.now
             client.missed = 0
-            for pattern in client.subscriptions:
-                broker.subscriptions.setdefault(client.client_id, [])
-                if pattern not in broker.subscriptions[client.client_id]:
-                    broker.subscriptions[client.client_id].append(pattern)
+            self._register(broker, client.client_id, client.subscriptions)
             if record_reconnect:
                 self.broker_transitions.append(
                     {"t": self.now, "kind": "reconnect",
@@ -594,9 +539,18 @@ class MeshNetwork:
             return True
         return False
 
+    @staticmethod
+    def _register(broker: BrokerState, client_id: str,
+                  patterns: list[str]) -> None:
+        # a client gets a slot only with its first pattern: slot order is
+        # fan-out order
+        for pattern in patterns:
+            mine = broker.subscriptions.setdefault(client_id, [])
+            if pattern not in mine:
+                mine.append(pattern)
 
-def heartbeat_and_failover(network: MeshNetwork,
-                           config: FailoverConfig | None = None) -> list[dict]:
+
+def heartbeat_and_failover(network: MeshNetwork) -> list[dict]:
     """Arm heartbeat emission and client-side liveness monitoring.
 
     Brokers beat once per interval; a client that misses miss_threshold beats
@@ -604,10 +558,6 @@ def heartbeat_and_failover(network: MeshNetwork,
     returned list is live: transitions (broker_killed, failover, reconnect)
     append to it as the simulation advances. Arming twice is a no-op.
     """
-    if config is not None and config != network.config.failover:
-        if network._failover_armed:
-            raise InvalidConfigError("failover already armed with other settings")
-        network.config = replace(network.config, failover=config)
     if not network._failover_armed:
         network._failover_armed = True
         interval = network.config.failover.heartbeat_interval_s

@@ -248,7 +248,10 @@ def ir_duty_cycle(state_log: list[tuple[float, PnState]],
     """Fraction of logged time the camera was powered.
 
     state_log holds (time, state) entries in chronological order, starting
-    with the initial state; end_time_s closes the last interval.
+    with the initial state; end_time_s closes the last interval. Powered
+    time is summed stretch by stretch, from entering a powered state to
+    entering an unpowered one, so a step between two powered states does
+    not split a stretch.
     """
     if not state_log:
         raise InvalidInputError("state log is empty")
@@ -259,7 +262,12 @@ def ir_duty_cycle(state_log: list[tuple[float, PnState]],
     if total <= 0:
         return 0.0
     powered = 0.0
-    for (t, state), t_next in zip(state_log, times[1:] + [end_time_s]):
-        if state.kind in IR_POWERED_STATES:
-            powered += t_next - t
+    since = None  # start of the current powered stretch
+    for t, state in state_log + [(end_time_s, PnState.idle())]:
+        on = state.kind in IR_POWERED_STATES
+        if on and since is None:
+            since = t
+        elif not on and since is not None:
+            powered += t - since
+            since = None
     return powered / total

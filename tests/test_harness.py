@@ -11,7 +11,6 @@ from hecsim.harness import (ElephantEvent, EventOutcome, MetricsReport,
                             compute_metrics, example_scenario, run_scenario,
                             run_scenario_with_logs)
 from hecsim.mesh import BrokerFailure, LinkModel, NetworkConfig
-from hecsim.peripheral import PnState, PnStateKind
 from hecsim.signals import RumbleSpec
 
 REPO = Path(__file__).resolve().parents[1]
@@ -73,6 +72,12 @@ def test_sim_config_validation():
         ({"cn": {"deterrent_alpha_range": [0.5, 1.0, 1.5]}},
          "SimConfig.cn.deterrent_alpha_range: expected 2 items"),
         ({"alg1": {"run_low": 30}}, "SimConfig.alg1: run thresholds"),
+        ({"cn": {"repel_duration_s": -5.0}},
+         "SimConfig.cn: repel duration and flash frequency"),
+        ({"cn": {"flash_freq_hz": 0}},
+         "SimConfig.cn: repel duration and flash frequency"),
+        ({"cn": {"deterrent_alpha_range": [2.0, -1.0]}},
+         "SimConfig.cn: deterrent_alpha_range must satisfy lo < hi"),
     ]:
         with pytest.raises(InvalidConfigError, match=re.escape(where)):
             SimConfig.from_json(data)
@@ -248,6 +253,11 @@ def test_scenario_network_override_is_used():
                     if r["event"] == "publish" and r["to"]}
     assert brokers_seen == {"field-broker"}
     assert report.recall == 1.0
+    # a link override must name a client of the run
+    stray = NetworkConfig(link_overrides={"pn-9": LinkModel(loss_prob=0.5)})
+    with pytest.raises(InvalidConfigError,
+                       match=re.escape("unknown clients ['pn-9']")):
+        run_scenario(tiny_scenario(network=stray))
 
 
 def test_run_survives_broker_failover():
@@ -270,14 +280,12 @@ def test_run_survives_broker_failover():
 
 # ---- compute_metrics unit cases ----
 
-def metrics_for(warnings, events=(), actions=None, duration=60.0,
-                state_logs=None):
+def metrics_for(warnings, events=(), actions=None, duration=60.0):
     sc = Scenario(name="unit", duration_s=duration,
                   pns=(PnPlacement("pn-1"),), events=tuple(events),
                   master_seed=0)
     logs = RunLogs(delivery_trace=[], actions=actions or [],
-                   warnings=list(warnings), detections=[],
-                   state_logs=state_logs)
+                   warnings=list(warnings), detections=[])
     return compute_metrics(logs, sc, SimConfig())
 
 
@@ -343,10 +351,3 @@ def test_metrics_missing_stream_rejected():
     with pytest.raises(InvalidInputError):
         compute_metrics(logs, sc, SimConfig())
 
-
-def test_metrics_duty_cross_check_detects_mismatch():
-    # action log says the camera never ran; state history says always on
-    state_logs = {"pn-1": [(0.0, PnState(kind=PnStateKind.IR_ACTIVE,
-                                         captures_remaining=1))]}
-    with pytest.raises(InvalidInputError):
-        metrics_for([], state_logs=state_logs)

@@ -100,6 +100,12 @@ def test_config_validation():
          "NetworkConfig.link_overrides.pn-1: loss_prob"),
         ({"partitions": [{"t_start_s": 1.0, "t_end_s": 2.0}]},
          "NetworkConfig.partitions[0]: missing key 'nodes'"),
+        # every broker a config names must be one of its brokers
+        ({"brokers": ["b1"], "failover": {"broker_priority": ["bx"]}},
+         "NetworkConfig: unknown brokers ['bx']"),
+        ({"brokers": ["b1"],
+          "broker_failures": [{"broker_id": "b2", "t_s": 5.0}]},
+         "NetworkConfig: unknown brokers ['b2']"),
     ]:
         with pytest.raises(InvalidConfigError, match=re.escape(where)):
             NetworkConfig.from_json(data)
@@ -325,8 +331,6 @@ def test_arming_twice_is_idempotent():
     first = heartbeat_and_failover(net)
     second = heartbeat_and_failover(net)
     assert first is second
-    with pytest.raises(InvalidConfigError):
-        heartbeat_and_failover(net, FailoverConfig(heartbeat_interval_s=2.0))
 
 
 def test_trace_is_deterministic():
