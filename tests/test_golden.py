@@ -1,4 +1,4 @@
-"""Golden sha256 digests of every output file for two fixed runs.
+"""Golden sha256 digests of every output file for three fixed runs.
 
 Any change that alters one byte of metrics.json, delivery_trace.jsonl,
 actions.jsonl, detections.jsonl or warnings.jsonl for these scenarios fails
@@ -51,7 +51,24 @@ def lossy_scenario():
         master_seed=2026, network=net)
 
 
-SCENARIOS = {"example": example_scenario, "lossy": lossy_scenario}
+def hidden_scenario():
+    """Two nodes hear one approach that the thermal camera cannot see.
+
+    The stochastic detector turns both frames down, so the central node
+    sends each node a negative decision over a lossless mesh.
+    """
+    return Scenario(
+        name="hidden-approach", duration_s=40.0,
+        pns=(PnPlacement("pn-1"), PnPlacement("pn-2")),
+        events=(ElephantEvent(t_onset_s=12.25, pn_ids=("pn-1", "pn-2"),
+                              rumble=RumbleSpec(duration_s=3.5, snr_db=18.0),
+                              thermal_visible=False),),
+        detector="stochastic", master_seed=11,
+        network=NetworkConfig(default_link=LinkModel(latency_s=0.05)))
+
+
+SCENARIOS = {"example": example_scenario, "lossy": lossy_scenario,
+             "hidden": hidden_scenario}
 
 GOLDEN = {
     "example": {
@@ -77,6 +94,18 @@ GOLDEN = {
             "5e6b8004cd809b58f2ea8035eb07aa455274a37036ecf5df3d9441434d0f36b2",
         "warnings.jsonl":
             "d35f892767acae9edcad22da62d1a5ff4fb95357640943fc642b070062dcd4ef",
+    },
+    "hidden": {
+        "metrics.json":
+            "b1f14f09ff58638b990a71f9801e96d918103e3f72b3259f5f102f66eed3ba8e",
+        "delivery_trace.jsonl":
+            "fbc712af906986901eddab80e135b32187252786b331257c44549bee85fb4644",
+        "actions.jsonl":
+            "19dad4fa8edfb60b76e20b2e36cd421436cc562090bef39a00eaa353d2b45da5",
+        "detections.jsonl":
+            "c8cf809739f8af0efabe8e2356ce73f01c46667a2f2ec5f036a3c4745969a947",
+        "warnings.jsonl":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
 }
 
@@ -106,6 +135,19 @@ def test_lossy_scenario_exercises_the_mesh(runs):
     reasons = {r.get("reason") for r in trace if r["event"] == "drop"}
     assert reasons >= {"loss", "unreachable", "disconnected", "session_gone"}
     assert {r["event"] for r in trace} >= {"retry", "failover"}
+
+
+def test_hidden_scenario_sends_negative_decisions(runs):
+    scenario, _, logs, _ = runs["hidden"]
+    sent = [r for r in logs.actions if r["action"].startswith("publish_negative:")]
+    assert len(sent) == len(scenario.pns)
+    # each node leaves awaiting_decision on the decision, not on its timeout
+    for placement in scenario.pns:
+        back = [r for r in logs.actions if r["node"] == placement.node_id
+                and r["state_from"] == "awaiting_decision"]
+        assert [r["state_to"] for r in back] == ["idle"]
+        assert back[0]["t"] < sent[0]["t"] + 1.0
+    assert logs.warnings == []
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
