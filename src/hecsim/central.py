@@ -10,13 +10,9 @@ module scores box detectors with IoU and average precision at IoU 0.5.
 
 from __future__ import annotations
 
-import json
-import logging
 import math
-import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Protocol
 
 import numpy as np
@@ -25,8 +21,6 @@ from .deterrent import pick_modification
 from .errors import InvalidConfigError, InvalidInputError
 from .peripheral import NegativeDecision, RepelCommand, ThermalFrame
 from .seeds import derive_seed
-
-log = logging.getLogger(__name__)
 
 # Detector quality reported for the original thermal-image corpus (full
 # precision model vs. the embedded quantized build). That corpus is not
@@ -330,62 +324,6 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
                      OfficerMessage(officer), Siren(siren))
 
     return state, (CnAnomaly(f"unknown event {type(event).__name__}"),)
-
-
-# ---- warning sinks ----
-
-class WarningSink(Protocol):
-    def write(self, record: WarningRecord) -> None: ...
-
-
-class MemorySink:
-    def __init__(self):
-        self.records: list[WarningRecord] = []
-
-    def write(self, record: WarningRecord) -> None:
-        self.records.append(record)
-
-
-class JsonlSink:
-    """Appends one JSON object per record to a file."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-
-    def write(self, record: WarningRecord) -> None:
-        with open(self.path, "a", encoding="ascii") as fh:
-            fh.write(json.dumps(record.to_record(), sort_keys=True) + "\n")
-
-
-class CommandSink:
-    """Pipes each record as one JSON line to an external command's stdin."""
-
-    def __init__(self, argv: list[str], timeout_s: float = 5.0):
-        self.argv = list(argv)
-        self.timeout_s = timeout_s
-
-    def write(self, record: WarningRecord) -> None:
-        payload = json.dumps(record.to_record(), sort_keys=True) + "\n"
-        subprocess.run(self.argv, input=payload.encode("ascii"),
-                       timeout=self.timeout_s, check=True,
-                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-
-
-def emit_warning(record: WarningRecord, sinks: list[WarningSink]) -> None:
-    """Write one record to every sink; a failed write is retried once.
-
-    Warning delivery must never block the repel path, so a sink that fails
-    twice is logged and skipped.
-    """
-    for sink in sinks:
-        try:
-            sink.write(record)
-        except Exception:
-            try:
-                sink.write(record)
-            except Exception:
-                log.error("warning sink %r failed twice for frame %s",
-                          type(sink).__name__, record.frame_id)
 
 
 # ---- labeled frames and AP evaluation ----

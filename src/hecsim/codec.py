@@ -6,13 +6,14 @@ keep the field default. An unknown key, a value of the wrong type, a missing
 required field or a value the dataclass itself rejects raises
 InvalidConfigError naming the dotted path, e.g.
 "SimConfig.mesh: unknown key 'bogus'". A float field also takes a JSON int;
-nothing else is coerced.
+nothing else is coerced. NaN and the infinities are never valid numbers.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from pathlib import Path
@@ -92,6 +93,8 @@ def decode(tp, data, path: str):
         # bool is an int subclass in Python but never a number in a config
         _check(isinstance(data, tp) and isinstance(data, bool) == (tp is bool),
                path, _SCALARS[tp], data)
+        _check(tp is not float or math.isfinite(data), path, "a finite number",
+               data)
         return data
     raise TypeError(f"unsupported field type {tp} at {path}")
 

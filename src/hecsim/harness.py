@@ -20,22 +20,19 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .central import (CnAnomaly, CnConfig, CnState, DetectorResult,
-                      FrameReceived, JsonlSink, MemorySink, OfficerMessage,
-                      OracleDetector, PublishNegativeDecision,
-                      PublishRepelCommand, RunDetector, Siren,
-                      StochasticDetector, StochasticDetectorParams,
-                      WarningKind, cn_step, detect_frame, emit_warning,
-                      truth_from_frame)
+                      FrameReceived, OfficerMessage, OracleDetector,
+                      PublishNegativeDecision, PublishRepelCommand,
+                      RunDetector, Siren, StochasticDetector,
+                      StochasticDetectorParams, WarningKind, cn_step,
+                      detect_frame, truth_from_frame)
 from .codec import JsonConfig
 from .detection import Algorithm1Params, detect_stream
-from .deterrent import ModificationKind, ModificationParams
 from .errors import InvalidConfigError, InvalidInputError
 from .mesh import (MeshNetwork, NetworkConfig, QoS, heartbeat_and_failover)
 from .peripheral import (CaptureFrame, CommandReceived, FrameCaptured, Flash,
-                         LogAnomaly, NegativeDecision, PlayDeterrent,
-                         PnConfig, PnState, PnStateKind, PreArm, PublishFrame,
-                         RepelCommand, SeismicWindowReady, ThermalFrame,
-                         ir_duty_cycle, pn_step)
+                         LogAnomaly, PlayDeterrent, PnConfig, PnState,
+                         PnStateKind, PreArm, PublishFrame, SeismicWindowReady,
+                         ThermalFrame, TimerExpired, ir_duty_cycle, pn_step)
 from .seeds import derive_seed
 from .signals import RumbleSpec, synth_rumble_stream
 from .sigio import write_jsonl
@@ -136,6 +133,9 @@ class SimConfig(JsonConfig):
             raise InvalidConfigError("rate and noise level must be positive")
         if self.capture_delay_s < 0 or self.detector_delay_s < 0:
             raise InvalidConfigError("delays must be non-negative")
+        if not self.thermal_hold_s >= 0 or not self.match_horizon_s >= 0:
+            raise InvalidConfigError(
+                "thermal hold and match horizon must be non-negative")
         if "/" in self.topic_prefix or "+" in self.topic_prefix \
                 or not self.topic_prefix:
             raise InvalidConfigError("topic prefix must be one plain segment")
@@ -281,10 +281,8 @@ def _action_label(action) -> str:
         return f"publish_repel:{action.frame_id}"
     if isinstance(action, PublishNegativeDecision):
         return f"publish_negative:{action.decision.frame_id}"
-    if isinstance(action, OfficerMessage):
-        return f"officer_message:{action.record.frame_id}"
-    if isinstance(action, Siren):
-        return f"siren:{action.record.frame_id}"
+    if isinstance(action, (OfficerMessage, Siren)):
+        return f"{action.record.kind.value}:{action.record.frame_id}"
     if isinstance(action, CnAnomaly):
         return f"anomaly:{action.reason}"
     return type(action).__name__
@@ -303,38 +301,13 @@ class _PnRuntime:
         if detection.ds >= 1:
             # scores are recorded whether or not they trigger, which is what
             # lets the action log justify every later repel command
+            kind = self.state.kind.value
             self.run.log_action(
-                self.node_id, self.state, self.state,
+                self.node_id, kind, kind,
                 f"seismic_score:ds={detection.ds}:run={detection.max_run}")
-        self._dispatch(SeismicWindowReady(detection), detection=detection)
+        self.dispatch(SeismicWindowReady(detection), detection=detection)
 
-    def on_command(self, payload: dict) -> None:
-        if payload.get("kind") == "repel":
-            det = payload["deterrent"]
-            command = RepelCommand(
-                pn_id=payload["pn_id"], issued_at_s=payload["issued_at_s"],
-                deterrent=ModificationParams(
-                    kind=ModificationKind(det["kind"]), alpha=det["alpha"],
-                    seed=det["seed"]),
-                flash_freq_hz=payload["flash_freq_hz"],
-                duration_s=payload["duration_s"])
-            self._dispatch(CommandReceived(command))
-        elif payload.get("kind") == "negative":
-            decision = NegativeDecision(pn_id=payload["pn_id"],
-                                        frame_id=payload["frame_id"],
-                                        issued_at_s=payload["issued_at_s"])
-            self._dispatch(CommandReceived(decision))
-        else:
-            self.run.log_action(self.node_id, self.state, self.state,
-                                "anomaly:bad command payload")
-
-    def on_timer(self, deadline_s: float) -> None:
-        from .peripheral import TimerExpired
-        self._dispatch(TimerExpired(deadline_s))
-
-    # -- machinery --
-
-    def _dispatch(self, event, detection=None) -> None:
+    def dispatch(self, event, detection=None) -> None:
         run = self.run
         now = run.net.now
         old = self.state
@@ -343,16 +316,16 @@ class _PnRuntime:
         if new != old:
             if new.until_s is not None and \
                     (new.kind, new.until_s) != (old.kind, old.until_s):
-                run.net.schedule(new.until_s,
-                                 lambda d=new.until_s: self.on_timer(d))
+                run.net.schedule(
+                    new.until_s,
+                    lambda d=new.until_s: self.dispatch(TimerExpired(d)))
             if new.kind != old.kind:
-                run.publish_status(self, old.kind, new.kind)
+                run.publish(self.node_id, f"pn/{self.node_id}/status", new,
+                            qos=QoS.AT_MOST_ONCE)
         if new != old or actions:
-            if actions:
-                for action in actions:
-                    run.log_action(self.node_id, old, new, _action_label(action))
-            else:
-                run.log_action(self.node_id, old, new, "")
+            for label in [_action_label(a) for a in actions] or [""]:
+                run.log_action(self.node_id, old.kind.value, new.kind.value,
+                               label)
         for action in actions:
             self._perform(action, detection)
 
@@ -368,7 +341,7 @@ class _PnRuntime:
                     run.config.capture_delay_s,
                     lambda f=fid: self._capture(f))
         elif isinstance(action, PublishFrame):
-            run.publish_frame(self, action.frame)
+            run.publish(self.node_id, f"pn/{self.node_id}/frame", action.frame)
         # PlayDeterrent / Flash / PreArm / LogAnomaly are fully described by
         # their action-log rows; nothing further runs in simulation
 
@@ -378,7 +351,7 @@ class _PnRuntime:
         frame = ThermalFrame(frame_id=frame_id, pn_id=self.node_id,
                              timestamp_s=now,
                              sim_ground_truth=run.thermal_truth(self.node_id, now))
-        self._dispatch(FrameCaptured(frame))
+        self.dispatch(FrameCaptured(frame))
 
 
 class _CnRuntime:
@@ -389,15 +362,7 @@ class _CnRuntime:
         self.node_id = config.node_id
         self.state = CnState()
 
-    def on_frame(self, payload: dict) -> None:
-        frame = ThermalFrame(
-            frame_id=payload["frame_id"], pn_id=payload["pn_id"],
-            timestamp_s=payload["timestamp_s"], width=payload["width"],
-            height=payload["height"],
-            sim_ground_truth=payload["truth_present"])
-        self._dispatch(FrameReceived(frame))
-
-    def _dispatch(self, event) -> None:
+    def dispatch(self, event) -> None:
         run = self.run
         now = run.net.now
         old = self.state
@@ -405,8 +370,7 @@ class _CnRuntime:
         self.state = new
         for action in actions:
             run.log_action(self.node_id, _cn_state_label(old),
-                           _cn_state_label(new), _action_label(action),
-                           raw_states=True)
+                           _cn_state_label(new), _action_label(action))
             self._perform(action)
 
     def _perform(self, action) -> None:
@@ -416,13 +380,14 @@ class _CnRuntime:
             run.net.schedule_in(run.config.detector_delay_s,
                                 lambda: self._decide(frame))
         elif isinstance(action, PublishRepelCommand):
-            run.publish_command(self, action.command, action.frame_id)
+            run.publish(self.node_id, f"cn/cmd/{action.command.pn_id}",
+                        action.command)
         elif isinstance(action, PublishNegativeDecision):
-            run.publish_negative(self, action.decision)
-        elif isinstance(action, OfficerMessage):
-            run.emit_warning(action.record)
-        elif isinstance(action, Siren):
-            run.emit_warning(action.record)
+            run.publish(self.node_id, f"cn/cmd/{action.decision.pn_id}",
+                        action.decision)
+        elif isinstance(action, (OfficerMessage, Siren)):
+            run.warnings.append(action.record.to_record())
+            run.publish(self.node_id, "cn/warning", action.record)
 
     def _decide(self, frame: ThermalFrame) -> None:
         decision = detect_frame(frame, self.detector, truth_from_frame(frame))
@@ -431,7 +396,7 @@ class _CnRuntime:
             "pn_id": frame.pn_id,
             "elephant_present": decision.elephant_present,
             "confidence": round(decision.confidence, 6)})
-        self._dispatch(DetectorResult(decision))
+        self.dispatch(DetectorResult(decision))
 
 
 def _cn_state_label(state: CnState) -> str:
@@ -441,8 +406,7 @@ def _cn_state_label(state: CnState) -> str:
 # ---- orchestration ----
 
 class _Run:
-    def __init__(self, scenario: Scenario, config: SimConfig,
-                 out_dir: Path | None):
+    def __init__(self, scenario: Scenario, config: SimConfig):
         self.scenario = scenario
         self.config = config
         mesh_cfg = scenario.network if scenario.network is not None else config.mesh
@@ -455,15 +419,8 @@ class _Run:
                            seed=derive_seed(scenario.master_seed, "mesh"))
         self.net = MeshNetwork(mesh_cfg)
         self.actions: list[dict] = []
+        self.warnings: list[dict] = []
         self.detections: list[dict] = []
-        self.memory_sink = MemorySink()
-        self.sinks = [self.memory_sink]
-        if out_dir is not None:
-            # the sink appends, so reruns must start from an empty file for
-            # the byte-identical determinism contract to hold
-            warnings_path = out_dir / "warnings.jsonl"
-            warnings_path.write_text("")
-            self.sinks.append(JsonlSink(warnings_path))
         prefix = config.topic_prefix
 
         if scenario.detector == "oracle":
@@ -489,14 +446,13 @@ class _Run:
                                f"{prefix}/cn/cmd/{placement.node_id}")
         heartbeat_and_failover(self.net)
 
-    # -- mesh callbacks --
+    # -- mesh callbacks; payloads are the state machines' own objects --
 
     def _cn_message(self, client_id: str, msg, t: float) -> None:
-        if msg.payload.get("kind") == "frame":
-            self.cn.on_frame(msg.payload)
+        self.cn.dispatch(FrameReceived(msg.payload))
 
     def _pn_message(self, client_id: str, msg, t: float) -> None:
-        self.pns[client_id].on_command(msg.payload)
+        self.pns[client_id].dispatch(CommandReceived(msg.payload))
 
     # -- helpers used by the runtimes --
 
@@ -507,65 +463,16 @@ class _Run:
             and ev.t_onset_s <= t <= ev.t_onset_s + ev.rumble.duration_s + hold
             for ev in self.scenario.events)
 
-    def log_action(self, node: str, state_from, state_to, action: str,
-                   raw_states: bool = False) -> None:
-        if raw_states:
-            frm, to = state_from, state_to
-        else:
-            frm, to = state_from.kind.value, state_to.kind.value
+    def log_action(self, node: str, state_from: str, state_to: str,
+                   action: str) -> None:
         self.actions.append({"t": self.net.now, "node": node,
-                             "state_from": frm, "state_to": to,
+                             "state_from": state_from, "state_to": state_to,
                              "action": action})
 
-    def publish_status(self, pn: _PnRuntime, old_kind, new_kind) -> None:
-        self.net.publish(
-            pn.node_id,
-            f"{self.config.topic_prefix}/pn/{pn.node_id}/status",
-            {"kind": "status", "pn_id": pn.node_id, "t": self.net.now,
-             "state": new_kind.value, "previous": old_kind.value},
-            qos=QoS.AT_MOST_ONCE)
-
-    def publish_frame(self, pn: _PnRuntime, frame: ThermalFrame) -> None:
-        self.net.publish(
-            pn.node_id,
-            f"{self.config.topic_prefix}/pn/{pn.node_id}/frame",
-            {"kind": "frame", "frame_id": frame.frame_id,
-             "pn_id": frame.pn_id, "timestamp_s": frame.timestamp_s,
-             "width": frame.width, "height": frame.height,
-             "truth_present": frame.sim_ground_truth},
-            qos=QoS.AT_LEAST_ONCE)
-
-    def publish_command(self, cn: _CnRuntime, command: RepelCommand,
-                        frame_id: str) -> None:
-        self.net.publish(
-            cn.node_id,
-            f"{self.config.topic_prefix}/cn/cmd/{command.pn_id}",
-            {"kind": "repel", "pn_id": command.pn_id, "frame_id": frame_id,
-             "issued_at_s": command.issued_at_s,
-             "deterrent": {"kind": command.deterrent.kind.value,
-                           "alpha": command.deterrent.alpha,
-                           "seed": command.deterrent.seed},
-             "flash_freq_hz": command.flash_freq_hz,
-             "duration_s": command.duration_s},
-            qos=QoS.AT_LEAST_ONCE)
-
-    def publish_negative(self, cn: _CnRuntime,
-                         decision: NegativeDecision) -> None:
-        self.net.publish(
-            cn.node_id,
-            f"{self.config.topic_prefix}/cn/cmd/{decision.pn_id}",
-            {"kind": "negative", "pn_id": decision.pn_id,
-             "frame_id": decision.frame_id,
-             "issued_at_s": decision.issued_at_s},
-            qos=QoS.AT_LEAST_ONCE)
-
-    def emit_warning(self, record) -> None:
-        emit_warning(record, self.sinks)
-        self.net.publish(
-            self.cn.node_id,
-            f"{self.config.topic_prefix}/cn/warning",
-            record.to_record() | {"kind_tag": "warning"},
-            qos=QoS.AT_LEAST_ONCE)
+    def publish(self, sender: str, topic: str, payload,
+                qos: QoS = QoS.AT_LEAST_ONCE) -> None:
+        self.net.publish(sender, f"{self.config.topic_prefix}/{topic}",
+                         payload, qos=qos)
 
 
 def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
@@ -579,7 +486,7 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
         out = Path(resolved)
         out.mkdir(parents=True, exist_ok=True)
 
-    run = _Run(scenario, config, out)
+    run = _Run(scenario, config)
 
     # seismic synthesis and window scoring, per node, up front; scores are
     # consumed by the event loop at each window's end time
@@ -602,7 +509,7 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
     logs = RunLogs(
         delivery_trace=run.net.trace,
         actions=run.actions,
-        warnings=[r.to_record() for r in run.memory_sink.records],
+        warnings=run.warnings,
         detections=run.detections,
     )
     report = compute_metrics(logs, scenario, config)
@@ -610,6 +517,7 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
     if out is not None:
         run.net.write_trace_jsonl(out / "delivery_trace.jsonl")
         write_jsonl(logs.actions, out / "actions.jsonl")
+        write_jsonl(logs.warnings, out / "warnings.jsonl")
         write_jsonl(logs.detections, out / "detections.jsonl")
         (out / "metrics.json").write_text(report.dumps())
     return report, logs

@@ -43,7 +43,9 @@ class QoS(Enum):
 
 @dataclass(frozen=True)
 class Message:
-    """Envelope; the payload is opaque to the mesh (bytes or JSON-able)."""
+    """Envelope. The mesh never reads, copies or traces the payload, so
+    every subscriber receives the publisher's own object: publish
+    immutable ones."""
 
     msg_id: str
     topic: str
@@ -105,6 +107,8 @@ class FailoverConfig:
             raise InvalidConfigError("heartbeat interval must be positive")
         if self.miss_threshold < 1:
             raise InvalidConfigError("miss threshold must be at least 1")
+        if not self.resend_delay_s >= 0:
+            raise InvalidConfigError("resend delay must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -256,7 +260,7 @@ class MeshNetwork:
             self._register(self.brokers[client.current_broker], client_id,
                            [pattern])
 
-    def publish(self, client_id: str, topic: str, payload: dict,
+    def publish(self, client_id: str, topic: str, payload: object,
                 qos: QoS = QoS.AT_LEAST_ONCE) -> str:
         """Publish one message; returns its id. Buffered while disconnected."""
         client = self._client(client_id)

@@ -29,7 +29,6 @@ class PnConfig:
     ds_threshold: int = 1
     decision_timeout_s: float = 10.0
     repel_cooldown_s: float = 60.0
-    flash_freq_hz: float = 2.0
     ir_capture_count: int = 1
     arm_on_high_score: bool = False
 

@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hecsim.central import (BoundingBox, CnAnomaly, CnConfig, CnState,
-                            CommandSink, DetectorDecision, DetectorResult,
-                            FrameReceived, FrameTruth, JsonlSink, LabeledFrame,
-                            LabeledFrameSet, MemorySink, OfficerMessage,
-                            OracleDetector, PublishNegativeDecision,
-                            PublishRepelCommand, RunDetector, Siren,
-                            StochasticDetector, StochasticDetectorParams,
-                            WarningKind, WarningRecord, cn_step, default_box,
-                            emit_warning, evaluate_ap50, iou,
+                            DetectorDecision, DetectorResult, FrameReceived,
+                            FrameTruth, LabeledFrame, LabeledFrameSet,
+                            OfficerMessage, OracleDetector,
+                            PublishNegativeDecision, PublishRepelCommand,
+                            RunDetector, Siren, StochasticDetector,
+                            StochasticDetectorParams, WarningKind, cn_step,
+                            default_box, evaluate_ap50, iou,
                             truth_from_frame)
 from hecsim.errors import InvalidInputError
 from hecsim.peripheral import ThermalFrame
@@ -24,11 +23,6 @@ CFG = CnConfig()
 def frame(frame_id="pn-1-w000", pn="pn-1", truth=True):
     return ThermalFrame(frame_id=frame_id, pn_id=pn, timestamp_s=4.0,
                         sim_ground_truth=truth)
-
-
-def record(kind=WarningKind.OFFICER_MESSAGE):
-    return WarningRecord(kind=kind, timestamp_s=5.0, pn_id="pn-1",
-                         frame_id="pn-1-w000", message="x")
 
 
 # ---- IoU ----
@@ -199,60 +193,6 @@ def test_deterrent_draw_is_stable_per_frame():
     _, actions_a = cn_step(state, DetectorResult(decision), CFG, 5.1)
     _, actions_b = cn_step(state, DetectorResult(decision), CFG, 9.9)
     assert actions_a[0].command.deterrent == actions_b[0].command.deterrent
-
-
-# ---- warning sinks ----
-
-def test_memory_and_jsonl_sinks(tmp_path):
-    mem = MemorySink()
-    path = tmp_path / "warnings.jsonl"
-    sinks = [mem, JsonlSink(path)]
-    emit_warning(record(), sinks)
-    emit_warning(record(WarningKind.SIREN), sinks)
-    assert [r.kind for r in mem.records] == [WarningKind.OFFICER_MESSAGE,
-                                             WarningKind.SIREN]
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    first = json.loads(lines[0])
-    assert first["kind"] == "officer_message"
-    assert first["frame_id"] == "pn-1-w000"
-
-
-def test_command_sink_pipes_json(tmp_path):
-    out = tmp_path / "captured.txt"
-    sink = CommandSink(["/bin/sh", "-c", f"cat > {out}"])
-    sink.write(record())
-    data = json.loads(out.read_text())
-    assert data["kind"] == "officer_message"
-
-
-def test_emit_warning_retries_once():
-    class Flaky:
-        def __init__(self):
-            self.calls = 0
-
-        def write(self, rec):
-            self.calls += 1
-            if self.calls == 1:
-                raise OSError("transient")
-
-    flaky = Flaky()
-    mem = MemorySink()
-    emit_warning(record(), [flaky, mem])
-    assert flaky.calls == 2
-    assert len(mem.records) == 1  # later sinks still run
-
-
-def test_emit_warning_gives_up_after_two_failures(caplog):
-    class Dead:
-        def write(self, rec):
-            raise OSError("gone")
-
-    mem = MemorySink()
-    with caplog.at_level("ERROR", logger="hecsim.central"):
-        emit_warning(record(), [Dead(), mem])
-    assert any("failed twice" in r.message for r in caplog.records)
-    assert len(mem.records) == 1
 
 
 # ---- labeled frames and AP50 ----

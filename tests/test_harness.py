@@ -62,6 +62,8 @@ def test_sim_config_validation():
         SimConfig(topic_prefix="")
     with pytest.raises(InvalidConfigError):
         SimConfig(capture_delay_s=-1.0)
+    with pytest.raises(InvalidConfigError):
+        SimConfig(thermal_hold_s=float("nan"))
     # the file codec rejects typos and wrong types, naming the path
     for data, where in [
         ({"mesh": {"bogus": 1}}, "SimConfig.mesh: unknown key 'bogus'"),
@@ -78,6 +80,25 @@ def test_sim_config_validation():
          "SimConfig.cn: repel duration and flash frequency"),
         ({"cn": {"deterrent_alpha_range": [2.0, -1.0]}},
          "SimConfig.cn: deterrent_alpha_range must satisfy lo < hi"),
+        ({"pn": {"flash_freq_hz": 99}},
+         "SimConfig.pn: unknown key 'flash_freq_hz'"),
+        # a file number is finite, whichever field it fills
+        (json.loads('{"seismic_rate_hz": NaN}'),
+         "SimConfig.seismic_rate_hz: expected a finite number"),
+        ({"noise_rms": float("inf")},
+         "SimConfig.noise_rms: expected a finite number"),
+        ({"capture_delay_s": float("nan")},
+         "SimConfig.capture_delay_s: expected a finite number"),
+        ({"pn": {"decision_timeout_s": float("nan")}},
+         "SimConfig.pn.decision_timeout_s: expected a finite number"),
+        ({"mesh": {"failover": {"heartbeat_interval_s": float("nan")}}},
+         "SimConfig.mesh.failover.heartbeat_interval_s: expected a finite"),
+        ({"mesh": {"default_link": {"latency_s": float("nan")}}},
+         "SimConfig.mesh.default_link.latency_s: expected a finite number"),
+        ({"thermal_hold_s": -5},
+         "SimConfig: thermal hold and match horizon must be non-negative"),
+        ({"match_horizon_s": -1},
+         "SimConfig: thermal hold and match horizon must be non-negative"),
     ]:
         with pytest.raises(InvalidConfigError, match=re.escape(where)):
             SimConfig.from_json(data)
@@ -112,6 +133,11 @@ def test_scenario_round_trip():
     data["events"][1]["rumble"]["snr_db"] = "14"
     with pytest.raises(InvalidConfigError,
                        match=re.escape("Scenario.events[1].rumble.snr_db")):
+        Scenario.from_json(data)
+    data = sc.to_json()
+    data["events"][0]["rumble"]["f_peak_hz"] = float("inf")
+    with pytest.raises(InvalidConfigError, match=re.escape(
+            "Scenario.events[0].rumble.f_peak_hz: expected a finite number")):
         Scenario.from_json(data)
 
 

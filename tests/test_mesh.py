@@ -88,6 +88,8 @@ def test_config_validation():
         Partition(t_start_s=2.0, t_end_s=1.0, nodes=frozenset())
     with pytest.raises(InvalidConfigError):
         FailoverConfig(miss_threshold=0)
+    with pytest.raises(InvalidConfigError):
+        FailoverConfig(resend_delay_s=float("nan"))
     for data, where in [
         ({"default_link": {"bogus_field": 1}},
          "NetworkConfig.default_link: unknown key 'bogus_field'"),
@@ -106,6 +108,11 @@ def test_config_validation():
         ({"brokers": ["b1"],
           "broker_failures": [{"broker_id": "b2", "t_s": 5.0}]},
          "NetworkConfig: unknown brokers ['b2']"),
+        ({"partitions": [{"t_start_s": 1.0, "t_end_s": float("nan"),
+                          "nodes": ["pn-1"]}]},
+         "NetworkConfig.partitions[0].t_end_s: expected a finite number"),
+        ({"failover": {"resend_delay_s": -3}},
+         "NetworkConfig.failover: resend delay must be non-negative"),
     ]:
         with pytest.raises(InvalidConfigError, match=re.escape(where)):
             NetworkConfig.from_json(data)
