@@ -8,8 +8,8 @@ from hecsim.detection import (Algorithm1Params, RumbleEvent, detect_stream,
                               stft_oracle_detect)
 from hecsim.errors import InvalidInputError
 from hecsim.signals import (RumbleSpec, SeismicTrace, synth_rumble,
-                            synth_rumble_stream)
-from oracles import longest_true_run
+                            synth_rumble_stream, window_trace)
+from oracles import longest_true_run, naive_peak_frequency
 
 PARAMS = Algorithm1Params()
 
@@ -78,6 +78,28 @@ def test_band_edges_are_strict():
     inside = SeismicTrace(samples=np.sin(2 * np.pi * 30.0 * t),
                           sample_rate_hz=1000.0)
     assert detect_window(inside, PARAMS).ds == 2
+
+
+def test_detect_window_matches_naive_dft_runs():
+    # at 200 Hz a 25-sample sub-segment pads to 128 bins, small enough for
+    # the direct-summation DFT; one 3 s rumble per window, SNR falling
+    rate = 200.0
+    events = [(4.0 * i + 0.5, RumbleSpec(duration_s=3.0, snr_db=snr))
+              for i, snr in enumerate((20.0, 5.0, 0.0, -5.0))]
+    trace = synth_rumble_stream(events, total_s=16.0, sample_rate_hz=rate,
+                                seed=0)
+    runs = []
+    for window in window_trace(trace, PARAMS.window_s):
+        in_band = [
+            PARAMS.band_low_hz
+            < naive_peak_frequency(seg, rate, pad_to=128)
+            < PARAMS.band_high_hz
+            for seg in np.split(window.samples, PARAMS.subsegments_per_window)]
+        expected = longest_true_run(in_band)
+        assert detect_window(window, PARAMS).max_run == expected
+        runs.append(expected)
+    assert len(runs) == 4
+    assert runs[0] >= PARAMS.run_high  # the clean rumble scores 2
 
 
 def test_oracle_finds_one_event_with_tight_bounds():
