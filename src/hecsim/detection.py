@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .signals import (SeismicTrace, compute_spectrum, compute_stft,
-                      peak_frequency, window_trace)
+from .signals import SeismicTrace, compute_stft, window_trace
 
 # Recall reported for the original 44-recording field dataset. Context only:
 # that corpus is not available here, so this is not a test target.
@@ -94,34 +93,32 @@ def score_from_run(max_run: int, params: Algorithm1Params) -> int:
     return 0
 
 
+def _runs(flags: np.ndarray) -> np.ndarray:
+    """[start, stop) index pairs, one row per maximal run of True in flags."""
+    padded = np.concatenate(([0], np.asarray(flags, dtype=np.int8), [0]))
+    return np.flatnonzero(np.diff(padded)).reshape(-1, 2)
+
+
 def detect_window(window: SeismicTrace,
                   params: Algorithm1Params = Algorithm1Params()) -> WindowDetection:
     """Score one window of seismic samples.
 
     The window is cut into consecutive sub-segments; each one contributes a
-    single peak-frequency reading. Strict band inequalities mean a peak at
-    exactly 20 or 40 Hz does not count.
+    single peak-frequency reading, taken from a rectangular-window STFT with
+    the hop equal to the frame (ties go to the lowest bin). Strict band
+    inequalities mean a peak at exactly 20 or 40 Hz does not count.
     """
     n_expected = int(round(params.window_s * window.sample_rate_hz))
     if abs(len(window.samples) - n_expected) > 1:
         raise InvalidInputError(
             f"window holds {len(window.samples)} samples, expected {n_expected}")
-    n_sub = int(round(params.subsegment_s * window.sample_rate_hz))
-    if n_sub < 2:
-        raise InvalidInputError("sub-segment too short for the sample rate")
-
-    run = 0
-    max_run = 0
-    for k in range(params.subsegments_per_window):
-        seg = window.samples[k * n_sub:(k + 1) * n_sub]
-        if len(seg) < n_sub:
-            break
-        peak = peak_frequency(compute_spectrum(seg, window.sample_rate_hz))
-        if params.band_low_hz < peak < params.band_high_hz:
-            run += 1
-            max_run = max(max_run, run)
-        else:
-            run = 0
+    spec = compute_stft(window, params.subsegment_s, params.subsegment_s,
+                        window_fn="rect")
+    # a sub-segment length rounded down can leave room for an extra frame
+    mags = spec.magnitudes[:params.subsegments_per_window]
+    peaks = spec.freqs_hz[np.argmax(mags, axis=1)]
+    runs = _runs((peaks > params.band_low_hz) & (peaks < params.band_high_hz))
+    max_run = int(np.diff(runs, axis=1).max(initial=0))
     return WindowDetection(window_index=0, ds=score_from_run(max_run, params),
                            max_run=max_run, window_start_s=window.start_time_s)
 
@@ -154,33 +151,20 @@ def stft_oracle_detect(trace: SeismicTrace, frame_s: float = 0.5,
     in_band = (peaks > band_low_hz) & (peaks < band_high_hz)
 
     events = []
-    i = 0
-    n = len(in_band)
-    while i < n:
-        if not in_band[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and in_band[j + 1]:
-            j += 1
+    for i, j in _runs(in_band):
         t_start = float(spec.frame_times_s[i])
-        t_end = float(spec.frame_times_s[j]) + frame_s
-        if t_end - t_start >= min_event_s:
-            trajectory = tuple(
-                (float(spec.frame_times_s[k]), float(peaks[k]))
-                for k in range(i, j + 1))
-            keep = True
-            if require_rise_fall:
-                freqs = [p for _, p in trajectory]
-                top = max(freqs)
-                first = freqs.index(top)
-                last = len(freqs) - 1 - freqs[::-1].index(top)
-                # a plateau touching either end is still one-sided
-                keep = first > 0 and last < len(freqs) - 1
-            if keep:
-                events.append(RumbleEvent(t_start_s=t_start, t_end_s=t_end,
-                                          peak_trajectory=trajectory))
-        i = j + 1
+        t_end = float(spec.frame_times_s[j - 1]) + frame_s
+        if t_end - t_start < min_event_s:
+            continue
+        run = peaks[i:j]
+        if require_rise_fall:
+            top = np.flatnonzero(run == run.max())
+            # a plateau touching either end is still one-sided
+            if top[0] == 0 or top[-1] == len(run) - 1:
+                continue
+        trajectory = tuple(zip(spec.frame_times_s[i:j].tolist(), run.tolist()))
+        events.append(RumbleEvent(t_start_s=t_start, t_end_s=t_end,
+                                  peak_trajectory=trajectory))
     return events
 
 

@@ -129,9 +129,11 @@ class SimConfig(JsonConfig):
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.seismic_rate_hz <= 0 or self.noise_rms <= 0:
-            raise InvalidConfigError("rate and noise level must be positive")
-        if self.capture_delay_s < 0 or self.detector_delay_s < 0:
+        if not 0 < self.seismic_rate_hz < math.inf or \
+                not 0 < self.noise_rms < math.inf:
+            raise InvalidConfigError(
+                "rate and noise level must be positive and finite")
+        if not self.capture_delay_s >= 0 or not self.detector_delay_s >= 0:
             raise InvalidConfigError("delays must be non-negative")
         if not self.thermal_hold_s >= 0 or not self.match_horizon_s >= 0:
             raise InvalidConfigError(

@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -64,7 +65,7 @@ class LinkModel:
     loss_prob: float = 0.0
 
     def __post_init__(self):
-        if self.latency_s < 0 or self.jitter_s < 0:
+        if not self.latency_s >= 0 or not self.jitter_s >= 0:
             raise InvalidConfigError("latencies must be non-negative")
         if not 0.0 <= self.loss_prob <= 1.0:
             raise InvalidConfigError("loss_prob must be in [0, 1]")
@@ -84,7 +85,7 @@ class Partition:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", frozenset(self.nodes))
-        if self.t_end_s <= self.t_start_s:
+        if not self.t_start_s < self.t_end_s:
             raise InvalidConfigError("partition must end after it starts")
 
     def severs(self, a: str, b: str, t: float) -> bool:
@@ -103,8 +104,9 @@ class FailoverConfig:
     resend_delay_s: float = 1.0
 
     def __post_init__(self):
-        if self.heartbeat_interval_s <= 0:
-            raise InvalidConfigError("heartbeat interval must be positive")
+        if not 0 < self.heartbeat_interval_s < math.inf:
+            raise InvalidConfigError(
+                "heartbeat interval must be positive and finite")
         if self.miss_threshold < 1:
             raise InvalidConfigError("miss threshold must be at least 1")
         if not self.resend_delay_s >= 0:
@@ -135,8 +137,8 @@ class NetworkConfig(JsonConfig):
             raise InvalidConfigError("need at least one broker")
         if self.max_retries < 0 or self.buffer_cap < 1:
             raise InvalidConfigError("bad retry or buffer setting")
-        if self.retry_interval_s <= 0:
-            raise InvalidConfigError("retry interval must be positive")
+        if not 0 < self.retry_interval_s < math.inf:
+            raise InvalidConfigError("retry interval must be positive and finite")
         unknown = {f.broker_id for f in self.broker_failures}.union(
             self.failover.broker_priority) - set(self.brokers)
         if unknown:

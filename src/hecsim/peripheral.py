@@ -13,6 +13,7 @@ measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -37,7 +38,8 @@ class PnConfig:
             raise InvalidInputError("ds_threshold must be 1 or 2")
         if self.ir_capture_count < 1:
             raise InvalidInputError("ir_capture_count must be at least 1")
-        if self.decision_timeout_s <= 0 or self.repel_cooldown_s < 0:
+        if not 0 < self.decision_timeout_s < math.inf or \
+                not self.repel_cooldown_s >= 0:
             raise InvalidInputError("timeouts must be positive")
 
 

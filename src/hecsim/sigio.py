@@ -128,36 +128,6 @@ def load_trace_csv(path: str | Path) -> SeismicTrace:
                         sample_rate_hz=rate, start_time_s=start_time)
 
 
-def trace_to_record(trace: SeismicTrace) -> dict:
-    return {
-        "sample_rate_hz": trace.sample_rate_hz,
-        "start_time_s": trace.start_time_s,
-        "samples": [float(v) for v in trace.samples],
-    }
-
-
-def trace_from_record(record: dict) -> SeismicTrace:
-    try:
-        return SeismicTrace(
-            samples=np.array(record["samples"], dtype=np.float64),
-            sample_rate_hz=float(record["sample_rate_hz"]),
-            start_time_s=float(record.get("start_time_s", 0.0)),
-        )
-    except KeyError as exc:
-        raise ParseError(f"trace record missing field {exc}")
-
-
-def save_traces_jsonl(traces: list[SeismicTrace], path: str | Path) -> None:
-    """One JSON object per line, one trace per object."""
-    with open(path, "w", encoding="ascii") as fh:
-        for trace in traces:
-            fh.write(json.dumps(trace_to_record(trace)) + "\n")
-
-
-def load_traces_jsonl(path: str | Path) -> list[SeismicTrace]:
-    return [trace_from_record(rec) for rec in read_jsonl(path)]
-
-
 def write_jsonl(records: list[dict], path: str | Path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for rec in records:

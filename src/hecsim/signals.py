@@ -1,15 +1,17 @@
-"""Signal containers, spectra, and synthetic sources.
+"""Signal containers, the short-time spectrum, and synthetic sources.
 
 Seismic traces are 1-D float arrays with a sample rate and an absolute start
 time; audio clips are the same thing with amplitudes nominally in [-1, 1].
-Spectra exclude the DC bin so that a peak search can never land on the mean.
+Spectrograms exclude the DC bin so that a peak search can never land on the
+mean.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
 
@@ -70,24 +72,6 @@ class AudioClip:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.frame_rate_hz
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Magnitude spectrum over positive frequencies (DC excluded)."""
-
-    freqs_hz: np.ndarray
-    magnitudes: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.freqs_hz, dtype=np.float64)
-        m = np.asarray(self.magnitudes, dtype=np.float64)
-        if f.shape != m.shape or f.ndim != 1 or len(f) == 0:
-            raise InvalidInputError("spectrum arrays must be equal-length 1-D")
-        if f[0] <= 0:
-            raise InvalidInputError("spectrum must start above DC")
-        object.__setattr__(self, "freqs_hz", f)
-        object.__setattr__(self, "magnitudes", m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,39 +144,6 @@ def window_trace(trace: SeismicTrace, window_s: float) -> list[SeismicTrace]:
     ]
 
 
-def compute_spectrum(samples: np.ndarray, sample_rate_hz: float,
-                     pad_to: int | None = None) -> Spectrum:
-    """Magnitude spectrum of a segment: mean removed, zero-padded, DC dropped.
-
-    Parameters
-    ----------
-    samples : array
-        Time-domain segment.
-    sample_rate_hz : float
-        Sampling rate.
-    pad_to : int, optional
-        FFT length; defaults to the next power of two >= 4x the segment
-        length. Must be >= the segment length.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1 or len(x) == 0:
-        raise InvalidInputError("segment must be a non-empty 1-D array")
-    if not sample_rate_hz > 0:
-        raise InvalidInputError("sample rate must be positive")
-    if pad_to is None:
-        pad_to = default_pad_length(len(x))
-    if pad_to < len(x):
-        raise InvalidInputError("pad_to shorter than the segment")
-    mags = np.abs(np.fft.rfft(x - x.mean(), n=pad_to))
-    freqs = np.fft.rfftfreq(pad_to, 1.0 / sample_rate_hz)
-    return Spectrum(freqs_hz=freqs[1:], magnitudes=mags[1:])
-
-
-def peak_frequency(spectrum: Spectrum) -> float:
-    """Frequency of the largest magnitude bin; ties go to the lowest bin."""
-    return float(spectrum.freqs_hz[int(np.argmax(spectrum.magnitudes))])
-
-
 def _samples_and_rate(signal) -> tuple[np.ndarray, float, float]:
     if isinstance(signal, SeismicTrace):
         return signal.samples, signal.sample_rate_hz, signal.start_time_s
@@ -220,20 +171,17 @@ def compute_stft(signal, frame_s: float, hop_s: float,
         win = np.hanning(frame)
     elif window_fn == "rect":
         win = np.ones(frame)
-    elif callable(window_fn):
-        win = np.asarray(window_fn(frame), dtype=np.float64)
     else:
         raise InvalidInputError(f"unknown window {window_fn!r}")
 
-    n_frames = (len(x) - frame) // hop + 1
+    frames = sliding_window_view(x, frame)[::hop]
     pad = default_pad_length(frame)
-    segs = np.empty((n_frames, frame))
-    for k in range(n_frames):
-        seg = x[k * hop:k * hop + frame]
-        segs[k] = (seg - seg.mean()) * win
+    # two steps, so only one frame-sized temporary is alive at a time
+    segs = frames - frames.mean(axis=1, keepdims=True)
+    segs *= win
     mags = np.abs(np.fft.rfft(segs, n=pad, axis=1))[:, 1:]
     freqs = np.fft.rfftfreq(pad, 1.0 / rate)[1:]
-    times = t0 + np.arange(n_frames) * hop / rate
+    times = t0 + np.arange(len(frames)) * hop / rate
     return Spectrogram(frame_times_s=times, freqs_hz=freqs, magnitudes=mags,
                        frame_s=frame / rate, hop_s=hop / rate)
 

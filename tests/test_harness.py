@@ -64,6 +64,12 @@ def test_sim_config_validation():
         SimConfig(capture_delay_s=-1.0)
     with pytest.raises(InvalidConfigError):
         SimConfig(thermal_hold_s=float("nan"))
+    # the constructors reject NaN and infinity, not only the file codec
+    nan, inf = float("nan"), float("inf")
+    for bad in [{"seismic_rate_hz": nan}, {"noise_rms": inf},
+                {"capture_delay_s": nan}, {"detector_delay_s": nan}]:
+        with pytest.raises(InvalidConfigError):
+            SimConfig(**bad)
     # the file codec rejects typos and wrong types, naming the path
     for data, where in [
         ({"mesh": {"bogus": 1}}, "SimConfig.mesh: unknown key 'bogus'"),

@@ -90,6 +90,16 @@ def test_config_validation():
         FailoverConfig(miss_threshold=0)
     with pytest.raises(InvalidConfigError):
         FailoverConfig(resend_delay_s=float("nan"))
+    # the constructors reject NaN, not only the file codec
+    nan = float("nan")
+    for make in [lambda: LinkModel(latency_s=nan),
+                 lambda: LinkModel(jitter_s=nan),
+                 lambda: FailoverConfig(heartbeat_interval_s=nan),
+                 lambda: NetworkConfig(retry_interval_s=nan),
+                 lambda: Partition(nan, 5.0, frozenset({"pn-1"})),
+                 lambda: Partition(0.0, nan, frozenset({"pn-1"}))]:
+        with pytest.raises(InvalidConfigError):
+            make()
     for data, where in [
         ({"default_link": {"bogus_field": 1}},
          "NetworkConfig.default_link: unknown key 'bogus_field'"),

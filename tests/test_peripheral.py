@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecsim.detection import WindowDetection
@@ -156,6 +156,10 @@ def test_config_validation():
         PnConfig(ir_capture_count=0)
     with pytest.raises(InvalidInputError):
         PnConfig(decision_timeout_s=0.0)
+    with pytest.raises(InvalidInputError):
+        PnConfig(decision_timeout_s=float("nan"))
+    with pytest.raises(InvalidInputError):
+        PnConfig(repel_cooldown_s=float("nan"))
 
 
 def test_flash_schedule_counts_cycles():
@@ -211,11 +215,17 @@ EVENT_STRATEGY = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(EVENT_STRATEGY, max_size=30))
+@example([SeismicWindowReady(window(1)), FrameCaptured(frame()),
+          CommandReceived(repel(t=0.0))] + [SeismicWindowReady(window(0))] * 21)
 def test_random_event_storms_never_corrupt_state(events):
     state = PnState.idle()
     now = 0.0
     for ev in events:
         now += 0.5
+        # the node runtime fires every deadline it schedules, on time
+        while state.until_s is not None and state.until_s <= now:
+            state, _ = pn_step(state, TimerExpired(state.until_s), CFG,
+                               state.until_s)
         state, actions = pn_step(state, ev, CFG, now)
         assert isinstance(state, PnState)
         assert state.kind in PnStateKind

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from hecsim.errors import ParseError
 from hecsim.signals import AudioClip, SeismicTrace
 from hecsim.sigio import (load_trace_csv, load_wav, read_jsonl,
-                          save_trace_csv, save_wav, load_traces_jsonl,
-                          save_traces_jsonl, write_jsonl)
+                          save_trace_csv, save_wav, write_jsonl)
 
 
 def test_wav_round_trip_is_exact_after_quantization(tmp_path):
@@ -112,19 +111,6 @@ def test_jsonl_bad_line_reports_offset(tmp_path):
     with pytest.raises(ParseError) as err:
         read_jsonl(p)
     assert err.value.byte_offset >= 10
-
-
-def test_traces_jsonl_round_trip(tmp_path):
-    traces = [SeismicTrace(samples=np.arange(5, dtype=float),
-                           sample_rate_hz=250.0, start_time_s=1.0),
-              SeismicTrace(samples=np.zeros(3), sample_rate_hz=100.0)]
-    p = tmp_path / "traces.jsonl"
-    save_traces_jsonl(traces, p)
-    back = load_traces_jsonl(p)
-    assert len(back) == 2
-    assert back[0].sample_rate_hz == 250.0
-    assert np.array_equal(back[0].samples, traces[0].samples)
-    assert back[1].start_time_s == 0.0
 
 
 @settings(max_examples=25, deadline=None)

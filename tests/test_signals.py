@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from hecsim.errors import InvalidInputError
 from hecsim.signals import (AudioClip, RumbleSpec, SeismicTrace,
-                            chirp_waveform, compute_spectrum, compute_stft,
-                            default_pad_length, next_pow2, peak_frequency,
-                            synth_bee_buzz, synth_rumble, synth_rumble_stream,
-                            window_trace)
-from oracles import (naive_dft_magnitudes, naive_peak_frequency,
-                     rumble_instantaneous_freq)
+                            chirp_waveform, compute_stft, default_pad_length,
+                            next_pow2, synth_bee_buzz, synth_rumble,
+                            synth_rumble_stream, window_trace)
+from oracles import naive_dft_magnitudes, rumble_instantaneous_freq
 
 
 def test_next_pow2():
@@ -28,54 +26,40 @@ def test_default_pad_length_is_at_least_four_times_signal():
         assert padded & (padded - 1) == 0  # a power of two
 
 
+def one_frame(samples, rate):
+    """Spectrogram of a single rectangular frame spanning the whole signal."""
+    trace = SeismicTrace(samples=samples, sample_rate_hz=rate)
+    return compute_stft(trace, trace.duration_s, trace.duration_s,
+                        window_fn="rect")
+
+
+def peak_hz(gram):
+    """Peak frequency of the first frame."""
+    return float(gram.freqs_hz[int(np.argmax(gram.magnitudes[0]))])
+
+
 def test_spectrum_matches_naive_dft():
     rng = np.random.default_rng(3)
     samples = rng.standard_normal(48)
-    spec = compute_spectrum(samples, sample_rate_hz=400.0, pad_to=128)
-    freqs, mags = naive_dft_magnitudes(samples, 400.0, pad_to=128)
-    assert np.allclose(spec.freqs_hz, freqs, atol=1e-9)
-    assert np.allclose(spec.magnitudes, mags, atol=1e-6)
+    gram = one_frame(samples, 400.0)
+    freqs, mags = naive_dft_magnitudes(samples, 400.0,
+                                       pad_to=default_pad_length(48))
+    assert gram.magnitudes.shape == (1, len(mags))
+    assert np.allclose(gram.freqs_hz, freqs, atol=1e-9)
+    assert np.allclose(gram.magnitudes[0], mags, atol=1e-6)
 
 
 def test_spectrum_excludes_dc_and_removes_mean():
-    samples = np.ones(64) * 5.0  # pure offset
-    spec = compute_spectrum(samples, sample_rate_hz=64.0)
-    assert spec.freqs_hz[0] > 0.0
-    assert np.all(spec.magnitudes < 1e-9)
+    gram = one_frame(np.ones(64) * 5.0, 64.0)  # pure offset
+    assert gram.freqs_hz[0] > 0.0
+    assert np.all(gram.magnitudes < 1e-9)
 
 
 def test_peak_frequency_exact_for_on_grid_tone():
-    fs, n = 1000.0, 125
-    pad = 500  # 2 Hz bins; 30 Hz falls on bin 15
+    fs, n = 1024.0, 128  # pads to 512: 2 Hz bins; 30 Hz falls on bin 15
     t = np.arange(n) / fs
-    tone = np.sin(2 * np.pi * 30.0 * t)
-    spec = compute_spectrum(tone, fs, pad_to=pad)
-    assert peak_frequency(spec) == pytest.approx(30.0, abs=1e-9)
-
-
-def test_peak_frequency_tie_takes_lowest():
-    from hecsim.signals import Spectrum
-    spec = Spectrum(freqs_hz=np.array([10.0, 20.0, 30.0]),
-                    magnitudes=np.array([1.0, 5.0, 5.0]))
-    assert peak_frequency(spec) == 20.0
-
-
-def test_on_grid_tone_energy_concentrates_at_natural_resolution():
-    # at pad_to == len the tone occupies one bin; its 3-bin neighborhood
-    # must hold nearly all of the spectral energy
-    fs, n = 1000.0, 500
-    t = np.arange(n) / fs
-    tone = np.sin(2 * np.pi * 30.0 * t)
-    spec = compute_spectrum(tone, fs, pad_to=n)
-    power = spec.magnitudes ** 2
-    k = int(np.argmax(power))
-    window = power[max(0, k - 1):k + 2].sum()
-    assert window / power.sum() >= 0.90
-
-
-def test_spectrum_pad_shorter_than_signal_rejected():
-    with pytest.raises(InvalidInputError):
-        compute_spectrum(np.zeros(100), 1000.0, pad_to=64)
+    gram = one_frame(np.sin(2 * np.pi * 30.0 * t), fs)
+    assert peak_hz(gram) == pytest.approx(30.0, abs=1e-9)
 
 
 def test_stft_frame_count_and_times():
@@ -165,9 +149,8 @@ def test_bee_buzz_shape_and_pitch():
     assert isinstance(clip, AudioClip)
     assert clip.frame_rate_hz == 8000.0
     assert np.max(np.abs(clip.samples)) <= 1.0
-    spec = compute_spectrum(clip.samples, clip.frame_rate_hz)
-    peak = peak_frequency(spec)
-    assert 200.0 < peak < 260.0  # fundamental near 230 Hz
+    gram = one_frame(clip.samples, clip.frame_rate_hz)
+    assert 200.0 < peak_hz(gram) < 260.0  # fundamental near 230 Hz
 
 
 def test_bee_buzz_deterministic_per_seed():
@@ -188,12 +171,19 @@ def test_rumble_spec_validation():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=16, max_value=200), st.integers(0, 2 ** 31))
-def test_spectrum_properties(n, seed):
+@given(st.integers(min_value=16, max_value=200), st.integers(1, 4),
+       st.integers(0, 2 ** 31))
+def test_spectrum_properties(n, frames, seed):
+    # every STFT row is the one-frame spectrum of its own slice
     rng = np.random.default_rng(seed)
-    samples = rng.standard_normal(n)
-    spec = compute_spectrum(samples, sample_rate_hz=500.0)
-    assert np.all(spec.magnitudes >= 0.0)
-    assert np.all(np.diff(spec.freqs_hz) > 0)
-    if np.any(spec.magnitudes > 0):
-        assert peak_frequency(spec) in spec.freqs_hz
+    hop = max(1, n // 3)
+    samples = rng.standard_normal(n + (frames - 1) * hop)
+    trace = SeismicTrace(samples=samples, sample_rate_hz=500.0)
+    gram = compute_stft(trace, n / 500.0, hop / 500.0, window_fn="rect")
+    assert gram.magnitudes.shape[0] == frames
+    assert np.all(gram.magnitudes >= 0.0)
+    assert gram.freqs_hz[0] > 0.0
+    assert np.all(np.diff(gram.freqs_hz) > 0)
+    for k in range(frames):
+        alone = one_frame(samples[k * hop:k * hop + n], 500.0)
+        assert np.allclose(gram.magnitudes[k], alone.magnitudes[0], atol=1e-9)
