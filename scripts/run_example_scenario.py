@@ -8,7 +8,7 @@ Equivalent to:
 import argparse
 from pathlib import Path
 
-from hecsim.harness import Scenario, SimConfig, run_scenario
+from hecsim.harness import Scenario, SimConfig, run_scenario_with_logs
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -25,7 +25,7 @@ def main() -> None:
 
     scenario = Scenario.load(args.scenario)
     config = SimConfig.load(args.config)
-    report = run_scenario(scenario, config, out_dir=args.out)
+    report, _ = run_scenario_with_logs(scenario, config, out_dir=args.out)
     print(report.dumps(), end="")
     print(f"\nlogs in {args.out}/")
 

@@ -119,7 +119,6 @@ class OracleDetector:
 class StochasticDetectorParams:
     tpr: float = 0.9
     fpr: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         for r in (self.tpr, self.fpr):
@@ -138,7 +137,9 @@ class StochasticDetector:
 
     name = "stochastic"
 
-    def __init__(self, params: StochasticDetectorParams = StochasticDetectorParams()):
+    def __init__(self, seed: int,
+                 params: StochasticDetectorParams = StochasticDetectorParams()):
+        self.seed = seed
         self.params = params
 
     def decide(self, frame: ThermalFrame,
@@ -146,7 +147,7 @@ class StochasticDetector:
         if truth is None:
             truth = truth_from_frame(frame)
         rng = np.random.default_rng(
-            derive_seed(self.params.seed, "frame", frame.frame_id))
+            derive_seed(self.seed, "frame", frame.frame_id))
         draw = float(rng.random())
         present = draw < (self.params.tpr if truth.present else self.params.fpr)
         if not present:
@@ -181,7 +182,6 @@ class CnConfig:
     repel_duration_s: float = 10.0
     flash_freq_hz: float = 2.0
     deterrent_alpha_range: tuple[float, float] = (0.5, 1.5)
-    deterrent_seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.repel_duration_s < math.inf or \
@@ -306,8 +306,10 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
         if not decision.elephant_present:
             neg = NegativeDecision(pn_id=pn_id, frame_id=fid, issued_at_s=now_s)
             return new, (PublishNegativeDecision(neg),)
+        # keyed by frame id alone, not by the run's master seed: deriving
+        # it from master_seed would change every pinned run output
         deterrent = pick_modification(
-            derive_seed(config.deterrent_seed, "repel", fid),
+            derive_seed(0, "repel", fid),
             config.deterrent_alpha_range)
         command = RepelCommand(pn_id=pn_id, issued_at_s=now_s,
                                deterrent=deterrent,

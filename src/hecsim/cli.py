@@ -26,7 +26,7 @@ from .deterrent import (ModificationKind, ModificationParams,
                         apply_modification, generate_pink_noise, l2_delta,
                         pick_modification, stft_similarity)
 from .errors import InvalidConfigError, InvalidInputError, ParseError
-from .harness import Scenario, SimConfig, run_scenario
+from .harness import Scenario, SimConfig, run_scenario_with_logs
 from .signals import AudioClip, RumbleSpec, SeismicTrace, compute_stft, \
     synth_bee_buzz, synth_rumble
 from .sigio import load_trace_csv, load_wav, save_trace_csv, save_wav
@@ -176,7 +176,7 @@ def cmd_synth(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = Scenario.load(args.scenario)
     config = SimConfig.load(args.config) if args.config else SimConfig()
-    report = run_scenario(scenario, config, out_dir=args.out)
+    report, _ = run_scenario_with_logs(scenario, config, out_dir=args.out)
     print(report.dumps(), end="")
     if args.out:
         print(f"metrics written to {Path(args.out) / 'metrics.json'}",
@@ -192,8 +192,8 @@ def cmd_eval_ap50(args) -> int:
         seed = None  # nothing random to reproduce
     else:
         seed = args.seed if args.seed is not None else _fresh_seed()
-        detector = StochasticDetector(StochasticDetectorParams(
-            tpr=args.tpr, fpr=args.fpr, seed=seed))
+        detector = StochasticDetector(seed, StochasticDetectorParams(
+            tpr=args.tpr, fpr=args.fpr))
     ap = evaluate_ap50(detector, frame_set)
     print(json.dumps({"ap50": round(ap, 6), "detector": args.detector,
                       "frames": len(frame_set.frames), "seed": seed},

@@ -89,7 +89,10 @@ def decode(tp, data, path: str):
         return {k: decode(args[1], v, f"{path}.{k}") for k, v in data.items()}
     if tp in _SCALARS:
         if tp is float and isinstance(data, int) and not isinstance(data, bool):
-            data = float(data)
+            try:
+                data = float(data)
+            except OverflowError:  # an int past the float range
+                data = math.inf
         # bool is an int subclass in Python but never a number in a config
         _check(isinstance(data, tp) and isinstance(data, bool) == (tp is bool),
                path, _SCALARS[tp], data)

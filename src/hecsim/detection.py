@@ -8,6 +8,7 @@ slower reference used to label events when scoring recall.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,6 +19,12 @@ from .signals import SeismicTrace, compute_stft, window_trace
 # Recall reported for the original 44-recording field dataset. Context only:
 # that corpus is not available here, so this is not a test target.
 REFERENCE_FIELD_RECALL = 0.82
+
+# spectrogram frames and rumble band of the reference tracker
+ORACLE_FRAME_S = 0.5
+ORACLE_HOP_S = 0.125
+ORACLE_BAND_LOW_HZ = 20.0
+ORACLE_BAND_HIGH_HZ = 40.0
 
 
 @dataclass(frozen=True)
@@ -41,7 +48,7 @@ class Algorithm1Params:
         if not 0 < self.subsegment_s <= self.window_s:
             raise InvalidInputError("sub-segment must fit inside the window")
         ratio = self.window_s / self.subsegment_s
-        if abs(ratio - round(ratio)) > 1e-9:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise InvalidInputError("window must hold a whole number of sub-segments")
         if not 0 < self.band_low_hz < self.band_high_hz:
             raise InvalidInputError("band edges must satisfy 0 < low < high")
@@ -133,11 +140,8 @@ def detect_stream(trace: SeismicTrace,
     return out
 
 
-def stft_oracle_detect(trace: SeismicTrace, frame_s: float = 0.5,
-                       hop_s: float = 0.125, min_event_s: float = 3.0,
-                       require_rise_fall: bool = False,
-                       band_low_hz: float = 20.0,
-                       band_high_hz: float = 40.0) -> list[RumbleEvent]:
+def stft_oracle_detect(trace: SeismicTrace, min_event_s: float = 3.0,
+                       require_rise_fall: bool = False) -> list[RumbleEvent]:
     """Reference detector: track the spectrogram peak through the band.
 
     Maximal runs of frames whose peak frequency sits strictly inside the
@@ -146,14 +150,14 @@ def stft_oracle_detect(trace: SeismicTrace, frame_s: float = 0.5,
     require_rise_fall, the peak trajectory must attain its maximum strictly
     inside the run, which discards one-sided sweeps.
     """
-    spec = compute_stft(trace, frame_s, hop_s, window_fn="hann")
+    spec = compute_stft(trace, ORACLE_FRAME_S, ORACLE_HOP_S, window_fn="hann")
     peaks = spec.freqs_hz[np.argmax(spec.magnitudes, axis=1)]
-    in_band = (peaks > band_low_hz) & (peaks < band_high_hz)
+    in_band = (peaks > ORACLE_BAND_LOW_HZ) & (peaks < ORACLE_BAND_HIGH_HZ)
 
     events = []
     for i, j in _runs(in_band):
         t_start = float(spec.frame_times_s[i])
-        t_end = float(spec.frame_times_s[j - 1]) + frame_s
+        t_end = float(spec.frame_times_s[j - 1]) + ORACLE_FRAME_S
         if t_end - t_start < min_event_s:
             continue
         run = peaks[i:j]

@@ -20,6 +20,13 @@ from .signals import AudioClip, compute_stft
 
 log = logging.getLogger(__name__)
 
+# spectrogram frames for the similarity check
+SIMILARITY_FRAME_S = 0.064
+SIMILARITY_HOP_S = 0.032
+# each full frame of this length gets a gap with this probability
+_GAP_FRAME_S = 1.0
+_GAP_PROB = 0.3
+
 
 class ModificationKind(str, Enum):
     FRAME_RATE_SCALE = "frame_rate_scale"
@@ -47,30 +54,15 @@ class SimilarityScore:
     lag_frames: int
 
 
-@dataclass(frozen=True)
-class GapPlan:
-    """Where insert_silence_gaps put its gaps (for audits and tests)."""
-
-    frame_samples: int
-    gap_samples: int
-    frames: tuple[int, ...]
-    offsets: tuple[int, ...]
-
-
-def pick_modification(rng_or_seed, alpha_range: tuple[float, float] = (0.5, 1.5)
+def pick_modification(seed: int, alpha_range: tuple[float, float] = (0.5, 1.5)
                       ) -> ModificationParams:
     """Draw a modification kind uniformly and alpha uniformly in alpha_range.
 
-    Accepts either an integer seed or a numpy Generator; with a Generator a
-    fresh seed is drawn from it first. The seed is recorded in the result so
-    the exact draw can be replayed.
+    The seed is recorded in the result so the exact draw can be replayed.
     """
-    if isinstance(rng_or_seed, (int, np.integer)):
-        seed = int(rng_or_seed)
-    elif isinstance(rng_or_seed, np.random.Generator):
-        seed = int(rng_or_seed.integers(0, 2 ** 63))
-    else:
-        raise InvalidInputError("expected an int seed or numpy Generator")
+    if not isinstance(seed, (int, np.integer)):
+        raise InvalidInputError("expected an integer seed")
+    seed = int(seed)
     lo, hi = alpha_range
     if not lo < hi:
         raise InvalidInputError("alpha_range must satisfy lo < hi")
@@ -138,23 +130,19 @@ def overlay_pink_noise(clip: AudioClip, alpha: float, seed: int) -> AudioClip:
     return AudioClip(samples=y, frame_rate_hz=clip.frame_rate_hz)
 
 
-def insert_silence_gaps(clip: AudioClip, alpha: float, seed: int,
-                        frame_s: float = 1.0, gap_prob: float = 0.3,
-                        return_plan: bool = False):
+def insert_silence_gaps(clip: AudioClip, alpha: float, seed: int) -> AudioClip:
     """Zero one gap of alpha * 100 ms in each randomly selected 1 s frame.
 
-    Every full frame is selected independently with probability gap_prob;
-    when chance selects none at all, one frame is forced so that a draw can
+    Every full frame is selected independently with probability 0.3; when
+    chance selects none at all, one frame is forced so that a draw can
     never return the clip unmodified. The gap offset is uniform within the
     frame, and a gap longer than the frame is clamped with a warning. Total
     length never changes.
     """
     if alpha < 0:
         raise InvalidInputError("alpha must be non-negative")
-    if not 0 <= gap_prob <= 1:
-        raise InvalidInputError("gap_prob must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    frame_n = int(round(frame_s * clip.frame_rate_hz))
+    frame_n = int(round(_GAP_FRAME_S * clip.frame_rate_hz))
     n_frames = len(clip.samples) // frame_n if frame_n > 0 else 0
     gap_n = int(round(alpha * 0.1 * clip.frame_rate_hz))
     if gap_n > frame_n:
@@ -163,34 +151,26 @@ def insert_silence_gaps(clip: AudioClip, alpha: float, seed: int,
         gap_n = frame_n
 
     selected: list[int] = []
-    if n_frames > 0 and gap_n > 0 and gap_prob > 0:
-        mask = rng.random(n_frames) < gap_prob
+    if n_frames > 0 and gap_n > 0:
+        mask = rng.random(n_frames) < _GAP_PROB
         selected = [k for k in range(n_frames) if mask[k]]
         if not selected:
             selected = [int(rng.integers(0, n_frames))]
 
     y = clip.samples.copy()
-    offsets = []
     for k in selected:
-        off = int(rng.integers(0, frame_n - gap_n + 1))
-        start = k * frame_n + off
+        start = k * frame_n + int(rng.integers(0, frame_n - gap_n + 1))
         y[start:start + gap_n] = 0.0
-        offsets.append(off)
-    out = AudioClip(samples=y, frame_rate_hz=clip.frame_rate_hz)
-    if return_plan:
-        plan = GapPlan(frame_samples=frame_n, gap_samples=gap_n,
-                       frames=tuple(selected), offsets=tuple(offsets))
-        return out, plan
-    return out
+    return AudioClip(samples=y, frame_rate_hz=clip.frame_rate_hz)
 
 
-def _log_spectrogram(clip: AudioClip, frame_s: float, hop_s: float):
-    spec = compute_stft(clip, frame_s, hop_s, window_fn="hann")
+def _log_spectrogram(clip: AudioClip):
+    spec = compute_stft(clip, SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
+                        window_fn="hann")
     return spec.freqs_hz, spec.magnitudes
 
 
-def stft_similarity(a: AudioClip, b: AudioClip, frame_s: float = 0.064,
-                    hop_s: float = 0.032) -> SimilarityScore:
+def stft_similarity(a: AudioClip, b: AudioClip) -> SimilarityScore:
     """Best normalized cross-correlation of two log-magnitude spectrograms.
 
     Each clip is analyzed at its own rate; the finer frequency grid is
@@ -200,8 +180,8 @@ def stft_similarity(a: AudioClip, b: AudioClip, frame_s: float = 0.064,
     inner product, so an exact copy scores 1 and the bound abs(score) <= 1
     always holds.
     """
-    fa, ma = _log_spectrogram(a, frame_s, hop_s)
-    fb, mb = _log_spectrogram(b, frame_s, hop_s)
+    fa, ma = _log_spectrogram(a)
+    fb, mb = _log_spectrogram(b)
     floor = 1e-6 * max(float(ma.max()), float(mb.max()))
     if floor == 0.0:
         floor = 1e-12

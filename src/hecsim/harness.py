@@ -2,11 +2,11 @@
 
 A Scenario says where the peripheral nodes stand and when elephants pass
 which of them; a SimConfig says how the nodes and the network behave.
-run_scenario synthesizes one seismic trace per node, scores every window,
-and drives the peripheral and central state machines through the simulated
-mesh in a single discrete-event loop. Every random choice descends from the
-scenario's master seed through labeled sub-seeds, so the same scenario and
-seed produce byte-identical outputs.
+run_scenario_with_logs synthesizes one seismic trace per node, scores every
+window, and drives the peripheral and central state machines through the
+simulated mesh in a single discrete-event loop. Every random choice descends
+from the scenario's master seed through labeled sub-seeds, so the same
+scenario and seed produce byte-identical outputs.
 
 Outputs per run: delivery_trace.jsonl, actions.jsonl, detections.jsonl,
 warnings.jsonl, metrics.json.
@@ -126,7 +126,6 @@ class SimConfig(JsonConfig):
     mesh: NetworkConfig = NetworkConfig()
     topic_prefix: str = "hec"
     match_horizon_s: float = 30.0
-    output_dir: str | None = None
 
     def __post_init__(self):
         if not 0 < self.seismic_rate_hz < math.inf or \
@@ -417,6 +416,10 @@ class _Run:
         if stray:
             raise InvalidConfigError(
                 f"link_overrides name unknown clients {sorted(stray)}")
+        if mesh_cfg.seed != 0:
+            raise InvalidConfigError(
+                "mesh seed must be 0 in a scenario run: it comes from "
+                "master_seed")
         mesh_cfg = replace(mesh_cfg,
                            seed=derive_seed(scenario.master_seed, "mesh"))
         self.net = MeshNetwork(mesh_cfg)
@@ -428,9 +431,9 @@ class _Run:
         if scenario.detector == "oracle":
             detector = OracleDetector()
         else:
-            detector = StochasticDetector(replace(
-                config.detector_params,
-                seed=derive_seed(scenario.master_seed, "detector")))
+            detector = StochasticDetector(
+                derive_seed(scenario.master_seed, "detector"),
+                config.detector_params)
         self.cn = _CnRuntime(self, config.cn, detector)
         # the central node registers first so it re-subscribes first after
         # a failover, before any node re-sends buffered frames
@@ -482,10 +485,9 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
                            ) -> tuple[MetricsReport, RunLogs]:
     """Run one scenario end to end; returns the report plus the raw logs."""
     config = config if config is not None else SimConfig()
-    resolved = out_dir if out_dir is not None else config.output_dir
     out = None
-    if resolved is not None:
-        out = Path(resolved)
+    if out_dir is not None:
+        out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
 
     run = _Run(scenario, config)
@@ -523,12 +525,6 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
         write_jsonl(logs.detections, out / "detections.jsonl")
         (out / "metrics.json").write_text(report.dumps())
     return report, logs
-
-
-def run_scenario(scenario: Scenario, config: SimConfig | None = None,
-                 out_dir: str | Path | None = None) -> MetricsReport:
-    report, _ = run_scenario_with_logs(scenario, config, out_dir)
-    return report
 
 
 def example_scenario() -> Scenario:

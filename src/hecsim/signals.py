@@ -8,6 +8,7 @@ mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,8 +116,15 @@ class RumbleSpec:
                 raise InvalidInputError("rumble frequencies must be positive")
         if self.envelope not in ("flat", "hann"):
             raise InvalidInputError(f"unknown envelope {self.envelope!r}")
-        if not np.isfinite(self.snr_db):
-            raise InvalidInputError("rumble snr_db must be finite")
+        # synthesis scales by this amplitude ratio and by its inverse
+        try:
+            ratio = 10.0 ** (self.snr_db / 20.0)
+        except OverflowError:
+            ratio = math.inf
+        if not 0 < ratio < math.inf or 1 / ratio == math.inf:
+            raise InvalidInputError(
+                f"rumble snr_db {self.snr_db!r} gives no finite, positive "
+                "amplitude ratio")
 
 
 def window_trace(trace: SeismicTrace, window_s: float) -> list[SeismicTrace]:

@@ -88,17 +88,17 @@ def test_oracle_echoes_truth():
 
 
 def test_stochastic_is_deterministic_per_frame_id():
-    d = StochasticDetector(StochasticDetectorParams(seed=5))
+    d = StochasticDetector(5)
     a = d.decide(frame())
     b = d.decide(frame())
     assert a == b
-    other = StochasticDetector(StochasticDetectorParams(seed=6)).decide(frame())
+    other = StochasticDetector(6).decide(frame())
     # a different seed keys a different draw stream
     assert other.confidence != a.confidence
 
 
 def test_stochastic_rates_converge():
-    d = StochasticDetector(StochasticDetectorParams(tpr=0.9, fpr=0.05, seed=1))
+    d = StochasticDetector(1, StochasticDetectorParams(tpr=0.9, fpr=0.05))
     hits = sum(d.decide(frame(frame_id=f"p{k}", truth=True)).elephant_present
                for k in range(400))
     falses = sum(d.decide(frame(frame_id=f"n{k}", truth=False)).elephant_present
@@ -108,8 +108,8 @@ def test_stochastic_rates_converge():
 
 
 def test_stochastic_extreme_rates():
-    always = StochasticDetector(StochasticDetectorParams(tpr=1.0, fpr=1.0, seed=0))
-    never = StochasticDetector(StochasticDetectorParams(tpr=0.0, fpr=0.0, seed=0))
+    always = StochasticDetector(0, StochasticDetectorParams(tpr=1.0, fpr=1.0))
+    never = StochasticDetector(0, StochasticDetectorParams(tpr=0.0, fpr=0.0))
     for k in range(20):
         f = frame(frame_id=f"e{k}", truth=k % 2 == 0)
         assert always.decide(f).elephant_present
@@ -119,7 +119,7 @@ def test_stochastic_extreme_rates():
 
 
 def test_stochastic_false_alarm_still_boxes():
-    d = StochasticDetector(StochasticDetectorParams(tpr=1.0, fpr=1.0, seed=0))
+    d = StochasticDetector(0, StochasticDetectorParams(tpr=1.0, fpr=1.0))
     decision = d.decide(frame(truth=False))
     assert decision.elephant_present
     assert len(decision.boxes) == 1

@@ -1,14 +1,17 @@
+import copy
 import hashlib
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.harness import (ElephantEvent, EventOutcome, MetricsReport,
                             PnPlacement, RunLogs, Scenario, SimConfig,
-                            compute_metrics, example_scenario, run_scenario,
+                            compute_metrics, example_scenario,
                             run_scenario_with_logs)
 from hecsim.mesh import BrokerFailure, LinkModel, NetworkConfig
 from hecsim.signals import RumbleSpec
@@ -105,6 +108,16 @@ def test_sim_config_validation():
          "SimConfig: thermal hold and match horizon must be non-negative"),
         ({"match_horizon_s": -1},
          "SimConfig: thermal hold and match horizon must be non-negative"),
+        ({"noise_rms": 10 ** 400},
+         "SimConfig.noise_rms: expected a finite number"),
+        ({"alg1": {"window_s": 1e300, "subsegment_s": 1e-300}},
+         "SimConfig.alg1: window must hold a whole number of sub-segments"),
+        # keys a run used to overwrite or ignore are gone from the schema
+        ({"output_dir": "out"}, "SimConfig: unknown key 'output_dir'"),
+        ({"detector_params": {"seed": 3}},
+         "SimConfig.detector_params: unknown key 'seed'"),
+        ({"cn": {"deterrent_seed": 0}},
+         "SimConfig.cn: unknown key 'deterrent_seed'"),
     ]:
         with pytest.raises(InvalidConfigError, match=re.escape(where)):
             SimConfig.from_json(data)
@@ -213,7 +226,7 @@ def test_rerun_is_byte_identical(tmp_path):
     digests = []
     for sub in ("a", "b"):
         out = tmp_path / sub
-        run_scenario(example_scenario(), out_dir=out)
+        run_scenario_with_logs(example_scenario(), out_dir=out)
         blob = hashlib.sha256()
         for name in sorted(p.name for p in out.iterdir()):
             blob.update(name.encode())
@@ -248,17 +261,17 @@ def test_frame_ids_follow_window_naming():
 
 def test_stochastic_detector_path():
     sc = tiny_scenario(detector="stochastic")
-    report = run_scenario(sc)
+    report, _ = run_scenario_with_logs(sc)
     assert report.recall in (0.0, 1.0)
     assert report.seed == 7
     # deterministic replay regardless of detector randomness
-    again = run_scenario(sc)
+    again, _ = run_scenario_with_logs(sc)
     assert again.dumps() == report.dumps()
 
 
 def test_zero_event_scenario_has_no_recall():
     sc = tiny_scenario(events=(), duration_s=40.0)
-    report = run_scenario(sc)
+    report, _ = run_scenario_with_logs(sc)
     assert report.recall is None
     assert report.events == ()
     assert report.false_warning_count == 0  # oracle rejects noise triggers
@@ -289,7 +302,14 @@ def test_scenario_network_override_is_used():
     stray = NetworkConfig(link_overrides={"pn-9": LinkModel(loss_prob=0.5)})
     with pytest.raises(InvalidConfigError,
                        match=re.escape("unknown clients ['pn-9']")):
-        run_scenario(tiny_scenario(network=stray))
+        run_scenario_with_logs(tiny_scenario(network=stray))
+    # the mesh seed comes from master_seed, from either config
+    for scenario, config in [
+            (tiny_scenario(network=NetworkConfig(seed=5)), None),
+            (tiny_scenario(), SimConfig(mesh=NetworkConfig(seed=5)))]:
+        with pytest.raises(InvalidConfigError,
+                           match="it comes from master_seed"):
+            run_scenario_with_logs(scenario, config)
 
 
 def test_run_survives_broker_failover():
@@ -383,3 +403,98 @@ def test_metrics_missing_stream_rejected():
     with pytest.raises(InvalidInputError):
         compute_metrics(logs, sc, SimConfig())
 
+
+
+# ---- properties ----
+
+def _leaf_paths(data, path=()):
+    """Every scalar, empty list and empty object in a JSON document."""
+    if isinstance(data, dict):
+        items = list(data.items())
+    elif isinstance(data, list):
+        items = list(enumerate(data))
+    else:
+        items = []
+    if not items:
+        yield path
+    for key, value in items:
+        yield from _leaf_paths(value, path + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_any_one_leaf_decodes_or_raises_config_error(data):
+    cls, base = data.draw(st.sampled_from([
+        (SimConfig, SimConfig().to_json()),
+        (Scenario, example_scenario().to_json())]))
+    doc = copy.deepcopy(base)
+    path = data.draw(st.sampled_from(list(_leaf_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    # numbers of the right type are the likeliest to pass the codec and
+    # reach a constructor's range checks
+    parent[path[-1]] = data.draw(st.floats() | st.integers() | _JSON_VALUES)
+    try:
+        cls.from_json(doc)
+    except InvalidConfigError:
+        pass
+
+
+_AT_MOST_ONCE = re.compile(r"^(sys/heartbeat/.*|.*/status)$")
+
+
+@settings(max_examples=10, deadline=None)
+@given(n_nodes=st.integers(1, 3), duration_s=st.integers(8, 60),
+       loss=st.floats(0.0, 0.3), kill_at=st.none() | st.floats(0.0, 60.0),
+       detector=st.sampled_from(["oracle", "stochastic"]),
+       master_seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_small_runs_keep_their_invariants(n_nodes, duration_s, loss, kill_at,
+                                          detector, master_seed, data):
+    nodes = tuple(f"pn-{i}" for i in range(n_nodes))
+    events = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        rumble = RumbleSpec(duration_s=3.5,
+                            snr_db=data.draw(st.floats(0.0, 20.0)))
+        events.append(ElephantEvent(
+            t_onset_s=data.draw(st.floats(0.0, duration_s - 3.5)),
+            pn_ids=tuple(sorted(data.draw(st.sets(st.sampled_from(nodes),
+                                                  min_size=1)))),
+            rumble=rumble, thermal_visible=data.draw(st.booleans())))
+    net = NetworkConfig(
+        brokers=("broker-a", "broker-b"),
+        default_link=LinkModel(latency_s=0.02, loss_prob=loss),
+        broker_failures=() if kill_at is None
+        else (BrokerFailure("broker-a", kill_at),))
+    scenario = Scenario(
+        name="prop", duration_s=float(duration_s),
+        pns=tuple(PnPlacement(n) for n in nodes), events=tuple(events),
+        detector=detector, master_seed=master_seed, network=net)
+
+    report, logs = run_scenario_with_logs(scenario)
+
+    assert report.recall is None or 0.0 <= report.recall <= 1.0
+    assert all(0.0 <= d <= 1.0 for d in report.ir_duty_cycle.values())
+    published = {}  # msg_id -> (publisher, topic, publish order)
+    last_seen = {}  # (subscriber, publisher, topic) -> publish order
+    delivered_once = set()
+    for row in logs.delivery_trace:
+        if row["event"] == "publish":
+            published[row["msg_id"]] = (row["from"], row["topic"],
+                                        len(published))
+        elif row["event"] == "deliver":
+            publisher, topic, order = published[row["msg_id"]]
+            key = (row["to"], publisher, topic)
+            assert order >= last_seen.get(key, -1), row
+            last_seen[key] = order
+            if _AT_MOST_ONCE.match(topic):
+                assert (row["msg_id"], row["to"]) not in delivered_once, row
+                delivered_once.add((row["msg_id"], row["to"]))

@@ -166,8 +166,10 @@ def test_rumble_spec_validation():
         RumbleSpec(duration_s=0.0)
     with pytest.raises(InvalidInputError):
         RumbleSpec(duration_s=3.0, envelope="triangle")
-    with pytest.raises(InvalidInputError):
-        RumbleSpec(duration_s=3.0, snr_db=float("nan"))
+    # the amplitude ratio 10 ** (snr_db / 20) must be finite and positive
+    for snr_db in (float("nan"), 1e4, -1e4):
+        with pytest.raises(InvalidInputError):
+            RumbleSpec(duration_s=3.0, snr_db=snr_db)
 
 
 @settings(max_examples=30, deadline=None)
