@@ -170,6 +170,47 @@ def _log_spectrogram(clip: AudioClip):
     return spec.freqs_hz, spec.magnitudes
 
 
+def _onto_grid(grid, freqs, rows):
+    """np.interp(grid, freqs, row) for every row, weights found once."""
+    j = np.clip(np.searchsorted(freqs, grid, side="right") - 1, 0, len(freqs) - 2)
+    # clamped like np.interp; a grid point on a bin takes its value exactly
+    w = np.clip((grid - freqs[j]) / (freqs[j + 1] - freqs[j]), 0.0, 1.0)
+    return rows[:, j] * (1.0 - w) + rows[:, j + 1] * w
+
+
+def _overlap_norms(rows, lo, hi):
+    """Per lag: the norm of rows[lo:hi] and, by row count, if it is non-zero."""
+    energy = (rows * rows).sum(axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(energy)))
+    nonzero = np.concatenate(([0], np.cumsum(energy > 0)))
+    return np.sqrt(np.maximum(cum[hi] - cum[lo], 0.0)), nonzero[hi] > nonzero[lo]
+
+
+def _best_lag(la, lb) -> SimilarityScore:
+    """Score every frame lag of two spectrograms (rows are frames) at once.
+
+    A lag's inner product is a diagonal sum of one frame Gram matrix, its
+    overlap norms are differences of cumulative row energies. A lag whose
+    overlap is all zeros is skipped; ties go to the most negative lag.
+    """
+    # row i of a meets row j of b at lag i - j
+    n_a, n_b = len(la), len(lb)
+    diag = np.subtract.outer(np.arange(n_a), np.arange(n_b)) + (n_b - 1)
+    dots = np.bincount(diag.ravel(), weights=(la @ lb.T).ravel(),
+                       minlength=n_a + n_b - 1)
+    lags = np.arange(-(n_b - 1), n_a)
+    a0, a1 = np.maximum(lags, 0), np.minimum(lags + n_b, n_a)
+    ov_a, live_a = _overlap_norms(la, a0, a1)
+    ov_b, live_b = _overlap_norms(lb, a0 - lags, a1 - lags)
+    denom = ov_a * ov_b  # > 0 only guards an overlap lost to cumsum rounding
+    scored = live_a & live_b & (denom > 0)
+    if not scored.any():
+        raise InvalidInputError("no overlapping frames at any lag")
+    scores = np.divide(dots, denom, out=np.full(len(lags), -np.inf), where=scored)
+    best = int(np.argmax(scores))  # first maximum: the most negative lag
+    return SimilarityScore(max_xcorr=float(scores[best]), lag_frames=int(lags[best]))
+
+
 def stft_similarity(a: AudioClip, b: AudioClip) -> SimilarityScore:
     """Best normalized cross-correlation of two log-magnitude spectrograms.
 
@@ -182,19 +223,15 @@ def stft_similarity(a: AudioClip, b: AudioClip) -> SimilarityScore:
     """
     fa, ma = _log_spectrogram(a)
     fb, mb = _log_spectrogram(b)
-    floor = 1e-6 * max(float(ma.max()), float(mb.max()))
-    if floor == 0.0:
-        floor = 1e-12
-    la = np.log(ma + floor)
-    lb = np.log(mb + floor)
+    floor = 1e-6 * max(float(ma.max()), float(mb.max())) or 1e-12
+    la, lb = np.log(ma + floor), np.log(mb + floor)
 
     # shared grid: keep the coarser axis, interpolate the other onto it
-    if fa[-1] <= fb[-1]:
-        grid = fa
-        lb = np.array([np.interp(grid, fb, row) for row in lb])
-    else:
-        grid = fb
-        la = np.array([np.interp(grid, fa, row) for row in la])
+    # (equal tops mean equal rates, so the grids already agree)
+    if fa[-1] < fb[-1]:
+        lb = _onto_grid(fa, fb, lb)
+    elif fb[-1] < fa[-1]:
+        la = _onto_grid(fb, fa, la)
 
     la = la - la.mean()
     norm_a = np.linalg.norm(la)
@@ -202,28 +239,7 @@ def stft_similarity(a: AudioClip, b: AudioClip) -> SimilarityScore:
     norm_b = np.linalg.norm(lb)
     if norm_a == 0 or norm_b == 0:
         return SimilarityScore(max_xcorr=0.0, lag_frames=0)
-    la /= norm_a
-    lb /= norm_b
-
-    n_a, n_b = len(la), len(lb)
-    best = -2.0
-    best_lag = 0
-    for lag in range(-(n_b - 1), n_a):
-        a0 = max(0, lag)
-        a1 = min(n_a, lag + n_b)
-        ov_a = la[a0:a1]
-        ov_b = lb[a0 - lag:a1 - lag]
-        na = np.linalg.norm(ov_a)
-        nb = np.linalg.norm(ov_b)
-        if na == 0 or nb == 0:
-            continue
-        score = float(np.dot(ov_a.ravel(), ov_b.ravel()) / (na * nb))
-        if score > best:
-            best = score
-            best_lag = lag
-    if best < -1.5:
-        raise InvalidInputError("no overlapping frames at any lag")
-    return SimilarityScore(max_xcorr=best, lag_frames=best_lag)
+    return _best_lag(la / norm_a, lb / norm_b)
 
 
 def l2_delta(a: AudioClip, b: AudioClip) -> float:

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -147,11 +147,12 @@ class NetworkConfig(JsonConfig):
 
 def topic_matches(pattern: str, topic: str) -> bool:
     """Segment-wise match where '+' stands in for exactly one level."""
-    p_parts = pattern.split("/")
-    t_parts = topic.split("/")
-    if len(p_parts) != len(t_parts):
-        return False
-    return all(p == "+" or p == t for p, t in zip(p_parts, t_parts))
+    return _levels_match(pattern.split("/"), topic.split("/"))
+
+
+def _levels_match(p_parts: Sequence[str], t_parts: Sequence[str]) -> bool:
+    return len(p_parts) == len(t_parts) and all(
+        p == "+" or p == t for p, t in zip(p_parts, t_parts))
 
 
 class BrokerState:
@@ -160,7 +161,7 @@ class BrokerState:
     def __init__(self, broker_id: str):
         self.broker_id = broker_id
         self.alive = True
-        self.subscriptions: dict[str, list[str]] = {}  # client -> patterns
+        self.subscriptions: dict[str, list[tuple[str, ...]]] = {}  # split patterns
 
 
 class _Client:
@@ -426,8 +427,9 @@ class MeshNetwork:
 
     def _fanout(self, msg: Message, broker_id: str) -> None:
         broker = self.brokers[broker_id]
+        levels = msg.topic.split("/")
         for client_id, patterns in list(broker.subscriptions.items()):
-            if any(topic_matches(p, msg.topic) for p in patterns):
+            if any(_levels_match(p, levels) for p in patterns):
                 self._start(msg, "down", client_id, broker_id)
 
     # ---- ordered handoff ----
@@ -552,8 +554,8 @@ class MeshNetwork:
         # fan-out order
         for pattern in patterns:
             mine = broker.subscriptions.setdefault(client_id, [])
-            if pattern not in mine:
-                mine.append(pattern)
+            if (levels := tuple(pattern.split("/"))) not in mine:
+                mine.append(levels)
 
 
 def heartbeat_and_failover(network: MeshNetwork) -> list[dict]:

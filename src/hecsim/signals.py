@@ -254,6 +254,8 @@ def synth_rumble_stream(events: list[tuple[float, RumbleSpec]], total_s: float,
         chirp = chirp_waveform(spec, sample_rate_hz)
         chirp_rms = float(np.sqrt(np.mean(chirp ** 2)))
         scale = noise_rms * (10.0 ** (spec.snr_db / 20.0)) / chirp_rms
+        if not math.isfinite(scale):
+            raise InvalidInputError(f"event at {onset_s} s: chirp scale overflows")
         i0 = int(round(onset_s * sample_rate_hz))
         seg = chirp[:max(0, n - i0)] * scale
         x[i0:i0 + len(seg)] += seg

@@ -3,13 +3,21 @@
 Everything here is deliberately written the slow, obvious way, without
 sharing code with the package: direct DFT summation instead of FFT, explicit
 threshold enumeration instead of sorted sweeps, closed-form probability
-instead of simulation. Tests compare package output against these.
+instead of simulation. Tests compare package output against these. The one
+exception is naive_stft_similarity: it reads its spectrograms through the
+package's STFT and pins only the lag search and the frequency-grid
+interpolation built on top of it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
+
+from hecsim.deterrent import SIMILARITY_FRAME_S, SIMILARITY_HOP_S
+from hecsim.signals import compute_stft
 
 
 def naive_dft_magnitudes(samples, sample_rate_hz, pad_to=None):
@@ -149,3 +157,67 @@ def naive_ir_duty(action_rows, node, duration_s):
     if state in powered:
         on += duration_s - since
     return on / duration_s
+
+
+def naive_stft_similarity(a, b):
+    """Best normalized spectrogram cross-correlation, one lag at a time.
+
+    The per-lag loop that hecsim.deterrent.stft_similarity replaced: both
+    log-magnitude spectrograms on the coarser frequency grid (finer rows
+    interpolated one by one), zero-mean and unit-norm as a whole; every
+    integer frame lag is scored by naive_best_lag. Returns (max_xcorr,
+    lag_frames).
+    """
+    def log_spectrogram(clip):
+        spec = compute_stft(clip, SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
+                            window_fn="hann")
+        return spec.freqs_hz, spec.magnitudes
+
+    fa, ma = log_spectrogram(a)
+    fb, mb = log_spectrogram(b)
+    floor = 1e-6 * max(float(ma.max()), float(mb.max()))
+    if floor == 0.0:
+        floor = 1e-12
+    la = np.log(ma + floor)
+    lb = np.log(mb + floor)
+    if fa[-1] <= fb[-1]:
+        lb = np.array([np.interp(fa, fb, row) for row in lb])
+    else:
+        la = np.array([np.interp(fb, fa, row) for row in la])
+
+    la = la - la.mean()
+    norm_a = np.linalg.norm(la)
+    lb = lb - lb.mean()
+    norm_b = np.linalg.norm(lb)
+    if norm_a == 0 or norm_b == 0:
+        return 0.0, 0
+    la /= norm_a
+    lb /= norm_b
+    return naive_best_lag(la, lb)
+
+
+def naive_best_lag(la, lb):
+    """(score, lag) of the best normalized inner product over frame lags.
+
+    Row i of la meets row i - lag of lb. A lag whose overlap has zero norm
+    on either side is skipped; the first (most negative) best lag wins.
+    """
+    n_a, n_b = len(la), len(lb)
+    best = -2.0
+    best_lag = 0
+    for lag in range(-(n_b - 1), n_a):
+        a0 = max(0, lag)
+        a1 = min(n_a, lag + n_b)
+        ov_a = la[a0:a1]
+        ov_b = lb[a0 - lag:a1 - lag]
+        na = np.linalg.norm(ov_a)
+        nb = np.linalg.norm(ov_b)
+        if na == 0 or nb == 0:
+            continue
+        score = float(np.dot(ov_a.ravel(), ov_b.ravel()) / (na * nb))
+        if score > best:
+            best = score
+            best_lag = lag
+    if best < -1.5:
+        raise ValueError("no overlapping frames at any lag")
+    return best, best_lag

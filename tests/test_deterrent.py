@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecsim import deterrent
 from hecsim.deterrent import (ModificationKind, ModificationParams,
                               apply_modification, generate_pink_noise,
                               insert_silence_gaps, l2_delta,
                               modify_frame_rate, overlay_pink_noise,
                               pick_modification, stft_similarity)
 from hecsim.errors import InvalidInputError
+from hecsim.seeds import derive_seed
 from hecsim.signals import AudioClip, synth_bee_buzz
+from oracles import naive_best_lag, naive_stft_similarity
 
 
 def test_pick_modification_is_replayable():
@@ -181,6 +184,65 @@ def test_modified_clips_stay_similar(bee_clip):
         out = apply_modification(bee_clip, params)
         score = stft_similarity(bee_clip, out)
         assert score.max_xcorr >= 0.5, (params, score)
+
+
+def assert_matches_loop(a, b):
+    score = stft_similarity(a, b)
+    best, lag = naive_stft_similarity(a, b)
+    assert type(score.max_xcorr) is float and type(score.lag_frames) is int
+    assert score.lag_frames == lag
+    assert abs(score.max_xcorr - best) <= 1e-12
+
+
+def test_similarity_matches_loop_on_sweep_draws():
+    # the 16 draws of the seed-1 deterrent sweep benchmark, on its 10 s clip
+    clip = synth_bee_buzz(duration_s=10.0, seed=derive_seed(1, "clip"))
+    for i in range(16):
+        out = apply_modification(clip, pick_modification(derive_seed(1, "draw", i)))
+        assert_matches_loop(clip, out)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(list(ModificationKind)),
+       st.floats(0.5, 1.5), st.floats(0.2, 3.0), st.booleans())
+def test_similarity_matches_loop(seed, kind, alpha, clip_s, swap):
+    clip = synth_bee_buzz(duration_s=clip_s, seed=seed)
+    out = apply_modification(clip, ModificationParams(kind, alpha, seed))
+    assert_matches_loop(*((out, clip) if swap else (clip, out)))
+
+
+def int_rows(bins):
+    return st.lists(st.lists(st.integers(-1, 1), min_size=bins, max_size=bins),
+                    min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda bins: st.tuples(int_rows(bins),
+                                                        int_rows(bins))))
+def test_lag_search_matches_loop_exactly(rows):
+    # on small integers every sum is exact, so the scores agree bit for bit
+    # and the zero-overlap skip and the first-lag tie rule are both hit
+    la, lb = (np.array(r, dtype=float) for r in rows)
+    try:
+        want = naive_best_lag(la, lb)
+    except ValueError:
+        with pytest.raises(InvalidInputError, match="no overlapping frames"):
+            deterrent._best_lag(la, lb)
+        return
+    got = deterrent._best_lag(la, lb)
+    assert (got.max_xcorr, got.lag_frames) == want
+
+
+def test_lag_search_skips_zero_overlaps_and_keeps_the_first_tie():
+    la = np.array([[1.0], [0.0], [1.0]])
+    got = deterrent._best_lag(la, np.array([[1.0]]))
+    assert (got.max_xcorr, got.lag_frames) == (1.0, 0)
+    got = deterrent._best_lag(np.array([[1.0]]), la)
+    assert (got.max_xcorr, got.lag_frames) == (1.0, -2)
+    # the 1e-18 energy of the last row vanishes from the cumulative sum, so
+    # lag 1 has a live row but no norm: it is skipped, never divided by 0
+    got = deterrent._best_lag(np.array([[1.0], [1e-9]]), np.array([[1.0]]))
+    assert (got.max_xcorr, got.lag_frames) == (1.0, 0)
 
 
 def test_l2_delta_same_grid(bee_clip):

@@ -312,6 +312,16 @@ def test_scenario_network_override_is_used():
             run_scenario_with_logs(scenario, config)
 
 
+def test_overflowing_rumble_fails_before_any_output(tmp_path):
+    loud = tiny_scenario(events=(ElephantEvent(
+        t_onset_s=4.25, pn_ids=("pn-1",),
+        rumble=RumbleSpec(duration_s=3.5, snr_db=6160.0)),))
+    out = tmp_path / "run"
+    with pytest.raises(InvalidInputError, match="event at 4.25 s"):
+        run_scenario_with_logs(loud, SimConfig(noise_rms=10.0), out_dir=out)
+    assert not any(out.iterdir())
+
+
 def test_run_survives_broker_failover():
     net = NetworkConfig(
         brokers=("broker-a", "broker-b"),

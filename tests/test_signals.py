@@ -137,6 +137,14 @@ def test_synth_rumble_stream_places_events():
     assert within > 10 * outside
 
 
+def test_synth_rumble_stream_rejects_overflowing_chirp():
+    # 6160 dB is a finite amplitude ratio on its own (about 1e308), but ten
+    # times the noise RMS on top of it is not
+    with pytest.raises(InvalidInputError, match="event at 1.0 s"):
+        synth_rumble_stream([(1.0, RumbleSpec(3.5, snr_db=6160.0))],
+                            total_s=8.0, noise_rms=10.0)
+
+
 def test_synth_rumble_stream_deterministic():
     events = [(1.0, RumbleSpec(duration_s=3.0))]
     a = synth_rumble_stream(events, total_s=6.0, seed=9)
