@@ -218,8 +218,9 @@ def stft_similarity(a: AudioClip, b: AudioClip) -> SimilarityScore:
     interpolated onto the coarser one so the comparison happens on shared
     bins. Both spectrograms are made zero-mean as a whole, and at every
     integer frame lag the overlapping regions are compared by normalized
-    inner product, so an exact copy scores 1 and the bound abs(score) <= 1
-    always holds.
+    inner product, so an exact copy scores 1 and abs(score) <= 1 holds up
+    to rounding. On a stationary clip every lag ties within rounding, so
+    rounding picks the lag.
     """
     fa, ma = _log_spectrogram(a)
     fb, mb = _log_spectrogram(b)

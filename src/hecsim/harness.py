@@ -299,13 +299,13 @@ class _PnRuntime:
     # -- event entry points --
 
     def on_window(self, detection) -> None:
-        if detection.ds >= 1:
-            # scores are recorded whether or not they trigger, which is what
-            # lets the action log justify every later repel command
-            kind = self.state.kind.value
-            self.run.log_action(
-                self.node_id, kind, kind,
-                f"seismic_score:ds={detection.ds}:run={detection.max_run}")
+        # only windows scoring ds >= 1 arrive here; each is recorded whether
+        # or not it triggers, which lets the action log justify every later
+        # repel command
+        kind = self.state.kind.value
+        self.run.log_action(
+            self.node_id, kind, kind,
+            f"seismic_score:ds={detection.ds}:run={detection.max_run}")
         self.dispatch(SeismicWindowReady(detection), detection=detection)
 
     def dispatch(self, event, detection=None) -> None:
@@ -492,8 +492,9 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
 
     run = _Run(scenario, config)
 
-    # seismic synthesis and window scoring, per node, up front; scores are
-    # consumed by the event loop at each window's end time
+    # seismic synthesis and window scoring, per node, up front; the event
+    # loop consumes each score at its window's end time. A window scoring 0
+    # triggers nothing (ds_threshold is at least 1), so it is not scheduled
     for placement in scenario.pns:
         pn_id = placement.node_id
         events = [(ev.t_onset_s, ev.rumble) for ev in scenario.events
@@ -505,8 +506,10 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
             noise_rms=config.noise_rms)
         runtime = run.pns[pn_id]
         for det in detect_stream(trace, config.alg1):
-            t_ready = det.window_start_s + config.alg1.window_s
-            run.net.schedule(t_ready, lambda r=runtime, d=det: r.on_window(d))
+            if det.ds >= 1:
+                t_ready = det.window_start_s + config.alg1.window_s
+                run.net.schedule(t_ready,
+                                 lambda r=runtime, d=det: r.on_window(d))
 
     run.net.run_until(scenario.duration_s)
 

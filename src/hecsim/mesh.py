@@ -156,12 +156,14 @@ def _levels_match(p_parts: Sequence[str], t_parts: Sequence[str]) -> bool:
 
 
 class BrokerState:
-    """Broker bookkeeping: subscription table and liveness."""
+    """Broker bookkeeping: subscription table, topic routes and liveness."""
 
     def __init__(self, broker_id: str):
         self.broker_id = broker_id
         self.alive = True
         self.subscriptions: dict[str, list[tuple[str, ...]]] = {}  # split patterns
+        # topic -> matching client ids in slot order; cleared on any change
+        self.routes: dict[str, tuple[str, ...]] = {}
 
 
 class _Client:
@@ -204,7 +206,8 @@ class MeshNetwork:
     def __init__(self, config: NetworkConfig):
         self.config = config
         self.now = 0.0
-        self.rng = np.random.default_rng(config.seed)
+        self._rng = np.random.default_rng(config.seed)
+        self._draws: list[float] = []  # uniforms drawn ahead, next one last
         self.brokers: dict[str, BrokerState] = {}
         self.clients: dict[str, _Client] = {}
         self.trace: list[dict] = []
@@ -292,6 +295,7 @@ class MeshNetwork:
             return
         broker.alive = False
         broker.subscriptions.clear()
+        broker.routes.clear()
         self.broker_transitions.append(
             {"t": self.now, "kind": "broker_killed", "broker": broker_id})
 
@@ -319,13 +323,20 @@ class MeshNetwork:
     def _severed(self, a: str, b: str) -> bool:
         return any(p.severs(a, b, self.now) for p in self.config.partitions)
 
+    def _draw(self) -> float:
+        """Next uniform in [0, 1), in the order scalar rng.random() gives."""
+        if not self._draws:
+            self._draws = self._rng.random(512).tolist()[::-1]
+        return self._draws.pop()
+
     def _latency(self, link: LinkModel) -> float:
+        # rng.uniform(0, j) is 0.0 + j * u, so this is bit-identical to it
         if link.jitter_s > 0:
-            return link.latency_s + float(self.rng.uniform(0.0, link.jitter_s))
+            return link.latency_s + link.jitter_s * self._draw()
         return link.latency_s
 
     def _lost(self, link: LinkModel) -> bool:
-        return link.loss_prob > 0 and float(self.rng.random()) < link.loss_prob
+        return link.loss_prob > 0 and self._draw() < link.loss_prob
 
     def _park(self, client: _Client, msg: Message) -> None:
         client.buffer.append(msg)
@@ -427,10 +438,14 @@ class MeshNetwork:
 
     def _fanout(self, msg: Message, broker_id: str) -> None:
         broker = self.brokers[broker_id]
-        levels = msg.topic.split("/")
-        for client_id, patterns in list(broker.subscriptions.items()):
-            if any(_levels_match(p, levels) for p in patterns):
-                self._start(msg, "down", client_id, broker_id)
+        route = broker.routes.get(msg.topic)
+        if route is None:
+            levels = msg.topic.split("/")
+            route = broker.routes[msg.topic] = tuple(
+                client_id for client_id, patterns in broker.subscriptions.items()
+                if any(_levels_match(p, levels) for p in patterns))
+        for client_id in route:
+            self._start(msg, "down", client_id, broker_id)
 
     # ---- ordered handoff ----
 
@@ -556,6 +571,7 @@ class MeshNetwork:
             mine = broker.subscriptions.setdefault(client_id, [])
             if (levels := tuple(pattern.split("/"))) not in mine:
                 mine.append(levels)
+                broker.routes.clear()
 
 
 def heartbeat_and_failover(network: MeshNetwork) -> list[dict]:

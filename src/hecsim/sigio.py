@@ -128,10 +128,14 @@ def load_trace_csv(path: str | Path) -> SeismicTrace:
                         sample_rate_hz=rate, start_time_s=start_time)
 
 
+# the encoder json.dumps(rec, sort_keys=True) builds anew for every call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_jsonl(records: list[dict], path: str | Path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(_encode(rec) + "\n")
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

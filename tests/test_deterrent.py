@@ -158,6 +158,15 @@ def test_similarity_of_identical_clips_is_one(bee_clip):
     assert score.lag_frames == 0
 
 
+def test_stationary_tone_scores_one_up_to_rounding():
+    # every lag of a steady tone ties within rounding, so rounding picks the
+    # lag, and the score may sit a rounding step above 1; it is not clamped
+    t = np.arange(16000) / 8000.0
+    tone = AudioClip(samples=0.5 * np.sin(2 * np.pi * 220 * t),
+                     frame_rate_hz=8000.0)
+    assert abs(stft_similarity(tone, tone).max_xcorr - 1) <= 1e-12
+
+
 def test_similarity_recovers_time_shift(bee_clip):
     hop = 0.032
     shift_frames = 8

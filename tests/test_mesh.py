@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -371,6 +372,87 @@ def test_trace_is_deterministic():
     b = run()
     assert a == b
     assert len(a) > 40
+
+
+# ---- cached topic routes and block draws ----
+
+def fresh_route(broker, topic):
+    """What a fan-out on topic reaches: every matching slot, in slot order."""
+    return tuple(cid for cid, patterns in broker.subscriptions.items()
+                 if any(topic_matches("/".join(p), topic) for p in patterns))
+
+
+def test_cached_routes_match_subscriptions_after_failovers():
+    # sub-b starts on broker-b (the partition cuts it off broker-a), so
+    # broker-b routes topics before the others fail over and subscribe there
+    net = make_net(
+        brokers=("broker-a", "broker-b"),
+        default_link=LinkModel(latency_s=0.05, jitter_s=0.02, loss_prob=0.1),
+        partitions=(Partition(t_start_s=0.0, t_end_s=6.0,
+                              nodes=frozenset({"sub-b", "broker-b"})),),
+        broker_failures=(BrokerFailure(broker_id="broker-a", t_s=10.0),),
+        seed=5)
+    transitions = heartbeat_and_failover(net)
+    subs = {"cn": ["hec/pn/+/frame"],
+            "dash-1": ["hec/pn/+/status", "hec/pn/pn-1/+"],
+            "dash-2": ["hec/+/+/status"],
+            "sub-b": ["hec/pn/+/status", "hec/cn/cmd/pn-2"]}
+    for node in ("pn-1", "pn-2"):
+        subs[node] = [f"hec/cn/cmd/{node}"]
+    for cid, patterns in subs.items():
+        net.add_client(cid)
+        for pattern in patterns:
+            net.subscribe(cid, pattern)
+    assert net.clients["sub-b"].current_broker == "broker-b"
+    routed_on_a = {}
+    for k in range(40):
+        net.run_until(0.5 * k)
+        if k == 19:  # just before the kill
+            routed_on_a = dict(net.brokers["broker-a"].routes)
+        for node in ("pn-1", "pn-2"):
+            net.publish(node, f"hec/pn/{node}/status", k, qos=QoS.AT_MOST_ONCE)
+            net.publish(node, f"hec/pn/{node}/frame", k)
+        net.publish("sub-b", f"hec/cn/cmd/pn-{1 + k % 2}", k)
+    net.advance(10.0)
+
+    assert any(tr["kind"] == "failover" for tr in transitions)
+    assert len(routed_on_a) == 4
+    assert net.brokers["broker-a"].routes == {}
+    assert len(net.brokers["broker-b"].routes) >= 5
+    for broker in net.brokers.values():
+        for topic, route in broker.routes.items():
+            assert route == fresh_route(broker, topic), (broker.broker_id, topic)
+
+
+def test_subscribe_after_a_topic_was_routed_receives_the_next_message():
+    net = make_net()
+    first = collect(net, "first", "t/+")
+    net.add_client("pub")
+    net.publish("pub", "t/x", 1)
+    net.advance(1.0)
+    assert "t/x" in net.brokers["broker-a"].routes
+    late = collect(net, "late", "t/x")
+    net.publish("pub", "t/x", 2)
+    net.advance(1.0)
+    assert [p for _, p in first] == [1, 2]
+    assert [p for _, p in late] == [2]
+
+
+def test_block_draws_equal_scalar_draws():
+    # 2,000 interleaved draws cross several 512-draw block edges
+    link = LinkModel(latency_s=0.05, jitter_s=0.02, loss_prob=0.3)
+    net = make_net(seed=17)
+    ref = np.random.default_rng(17)
+    kinds = np.random.default_rng(0).integers(0, 3, 2000)
+    for kind in kinds:
+        if kind == 0:
+            assert net._draw() == ref.random()
+        elif kind == 1:
+            assert net._lost(link) == (ref.random() < link.loss_prob)
+        else:
+            assert net._latency(link) == \
+                link.latency_s + ref.uniform(0.0, link.jitter_s)
+    assert (kinds == 2).sum() > 512
 
 
 def test_trace_jsonl_round_trips(tmp_path):

@@ -105,6 +105,18 @@ def test_jsonl_round_trip(tmp_path):
     assert read_jsonl(p) == rows
 
 
+def test_jsonl_writes_what_json_dumps_writes(tmp_path):
+    rows = [{"name": "Éléphant ☂ 象", "z": None, "a": True},
+            {"nested": {"b": [1.5, {"y": "ü", "x": -0.0}], "a": []}},
+            {"f": [0.1, 1e-300, 1.7976931348623157e308, 2.5e16, -3.0],
+             "big": 2 ** 70, "nan": float("nan"), "inf": float("-inf")},
+            {}]
+    p = tmp_path / "r.jsonl"
+    write_jsonl(rows, p)
+    assert p.read_text(encoding="ascii") == "".join(
+        json.dumps(r, sort_keys=True) + "\n" for r in rows)
+
+
 def test_jsonl_bad_line_reports_offset(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"ok": 1}\n{broken\n')
