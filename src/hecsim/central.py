@@ -1,11 +1,12 @@
 """Central node: frame triage, detector plumbing, warnings, and evaluation.
 
 The central node receives thermal frames, runs a detector on each one
-exactly once, and turns positive decisions into a repel command plus an
-officer message and a siren record. Two simulation detectors are built in:
-an oracle that reads the simulated ground truth, and a stochastic stand-in
-with configurable true and false positive rates. The evaluation half of the
-module scores box detectors with IoU and average precision at IoU 0.5.
+exactly once, and turns positive decisions into a repel command plus two
+warnings, an officer message and a siren. Two simulation detectors are
+built in: an oracle that reads the simulated ground truth, and a
+stochastic stand-in with configurable true and false positive rates. The
+evaluation half of the module scores box detectors with IoU and average
+precision at IoU 0.5.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .deterrent import pick_modification
 from .errors import InvalidConfigError, InvalidInputError
-from .peripheral import NegativeDecision, RepelCommand, ThermalFrame
+from .peripheral import LogAnomaly, NegativeDecision, RepelCommand, ThermalFrame
 from .seeds import derive_seed
 
 # Detector quality reported for the original thermal-image corpus (full
@@ -39,6 +40,8 @@ class BoundingBox:
     y1: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.as_tuple())):
+            raise InvalidInputError("box corners must be finite")
         if self.x1 < self.x0 or self.y1 < self.y0:
             raise InvalidInputError("box corners are inverted")
 
@@ -257,22 +260,12 @@ class PublishNegativeDecision:
 
 
 @dataclass(frozen=True)
-class OfficerMessage:
-    record: WarningRecord
-
-
-@dataclass(frozen=True)
-class Siren:
-    record: WarningRecord
-
-
-@dataclass(frozen=True)
-class CnAnomaly:
-    reason: str
+class IssueWarning:
+    record: WarningRecord  # its kind says officer message or siren
 
 
 CnAction = (RunDetector | PublishRepelCommand | PublishNegativeDecision
-            | OfficerMessage | Siren | CnAnomaly)
+            | IssueWarning | LogAnomaly)
 
 
 def cn_step(state: CnState, event: CnEvent, config: CnConfig,
@@ -286,7 +279,7 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
         frame = event.frame
         if frame.frame_id in state.decided or \
                 state.pending_pn(frame.frame_id) is not None:
-            return state, (CnAnomaly(f"duplicate frame {frame.frame_id}"),)
+            return state, (LogAnomaly(f"duplicate frame {frame.frame_id}"),)
         new = CnState(pending=state.pending + ((frame.frame_id, frame.pn_id),),
                       decided=state.decided)
         return new, (RunDetector(frame),)
@@ -295,10 +288,10 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
         decision = event.decision
         fid = decision.frame_id
         if fid in state.decided:
-            return state, (CnAnomaly(f"repeat decision for frame {fid}"),)
+            return state, (LogAnomaly(f"repeat decision for frame {fid}"),)
         pn_id = state.pending_pn(fid)
         if pn_id is None:
-            return state, (CnAnomaly(f"decision for unknown frame {fid}"),)
+            return state, (LogAnomaly(f"decision for unknown frame {fid}"),)
         new = CnState(
             pending=tuple(p for p in state.pending if p[0] != fid),
             decided=state.decided | {fid},
@@ -323,9 +316,9 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
             kind=WarningKind.SIREN, timestamp_s=now_s, pn_id=pn_id,
             frame_id=fid, message=f"siren sounding at {pn_id}")
         return new, (PublishRepelCommand(command, frame_id=fid),
-                     OfficerMessage(officer), Siren(siren))
+                     IssueWarning(officer), IssueWarning(siren))
 
-    return state, (CnAnomaly(f"unknown event {type(event).__name__}"),)
+    return state, (LogAnomaly(f"unknown event {type(event).__name__}"),)
 
 
 # ---- labeled frames and AP evaluation ----
@@ -376,8 +369,8 @@ class LabeledFrameSet:
                 frames.append(LabeledFrame(frame=frame, boxes=boxes,
                                            split=str(rec.get("split", "test"))))
             return cls(frames=tuple(frames))
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"bad labeled frame set: {exc}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"bad labeled frame set: {exc}") from exc
 
 
 def evaluate_ap50(detector: Detector, frame_set: LabeledFrameSet,

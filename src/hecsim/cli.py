@@ -20,9 +20,10 @@ import numpy as np
 
 from .central import (LabeledFrameSet, OracleDetector, StochasticDetector,
                       StochasticDetectorParams, evaluate_ap50)
-from .detection import (Algorithm1Params, detect_stream, match_and_recall,
-                        stft_oracle_detect)
-from .deterrent import (ModificationKind, ModificationParams,
+from .detection import (ORACLE_FRAME_S, ORACLE_HOP_S, Algorithm1Params,
+                        detect_stream, match_and_recall, stft_oracle_detect)
+from .deterrent import (SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
+                        ModificationKind, ModificationParams,
                         apply_modification, generate_pink_noise, l2_delta,
                         pick_modification, stft_similarity)
 from .errors import InvalidConfigError, InvalidInputError, ParseError
@@ -203,14 +204,12 @@ def cmd_eval_ap50(args) -> int:
 
 def cmd_spectrogram(args) -> int:
     p = Path(args.input)
-    if p.suffix.lower() == ".csv":
-        signal = load_trace_csv(p)
-        frame_s = args.frame_s if args.frame_s is not None else 0.5
-        hop_s = args.hop_s if args.hop_s is not None else 0.125
-    else:
-        signal = load_wav(p)
-        frame_s = args.frame_s if args.frame_s is not None else 0.064
-        hop_s = args.hop_s if args.hop_s is not None else 0.032
+    if p.suffix.lower() == ".csv":  # a trace: the reference tracker's frames
+        signal, defaults = load_trace_csv(p), (ORACLE_FRAME_S, ORACLE_HOP_S)
+    else:  # a clip: the similarity check's frames
+        signal, defaults = load_wav(p), (SIMILARITY_FRAME_S, SIMILARITY_HOP_S)
+    frame_s = defaults[0] if args.frame_s is None else args.frame_s
+    hop_s = defaults[1] if args.hop_s is None else args.hop_s
     gram = compute_stft(signal, frame_s=frame_s, hop_s=hop_s)
     out = Path(args.out)
     with open(out, "w", encoding="ascii") as fh:

@@ -76,7 +76,6 @@ class RumbleEvent:
 
     t_start_s: float
     t_end_s: float
-    peak_trajectory: tuple[tuple[float, float], ...]  # (frame time, peak Hz)
 
     @property
     def duration_s(self) -> float:
@@ -88,7 +87,6 @@ class RecallReport:
     oracle_count: int
     matched_count: int
     recall: float | None  # None when there are no reference events
-    event_matches: tuple[tuple[bool, int | None], ...]  # (matched, window index)
 
 
 def score_from_run(max_run: int, params: Algorithm1Params) -> int:
@@ -160,15 +158,13 @@ def stft_oracle_detect(trace: SeismicTrace, min_event_s: float = 3.0,
         t_end = float(spec.frame_times_s[j - 1]) + ORACLE_FRAME_S
         if t_end - t_start < min_event_s:
             continue
-        run = peaks[i:j]
         if require_rise_fall:
+            run = peaks[i:j]
             top = np.flatnonzero(run == run.max())
             # a plateau touching either end is still one-sided
             if top[0] == 0 or top[-1] == len(run) - 1:
                 continue
-        trajectory = tuple(zip(spec.frame_times_s[i:j].tolist(), run.tolist()))
-        events.append(RumbleEvent(t_start_s=t_start, t_end_s=t_end,
-                                  peak_trajectory=trajectory))
+        events.append(RumbleEvent(t_start_s=t_start, t_end_s=t_end))
     return events
 
 
@@ -181,18 +177,9 @@ def match_and_recall(detections: list[WindowDetection],
     interval. Recall is matched / total; with no reference events the ratio
     is undefined and recall is None rather than 0 or 1.
     """
-    hits = [d for d in detections if d.ds >= ds_min]
-    matches = []
-    matched = 0
-    for ev in events:
-        found = None
-        for det in hits:
-            if det.window_start_s < ev.t_end_s and \
-                    det.window_start_s + window_s > ev.t_start_s:
-                found = det.window_index
-                break
-        matches.append((found is not None, found))
-        matched += found is not None
+    starts = [d.window_start_s for d in detections if d.ds >= ds_min]
+    matched = sum(any(s < ev.t_end_s and s + window_s > ev.t_start_s
+                      for s in starts) for ev in events)
     recall = None if not events else matched / len(events)
     return RecallReport(oracle_count=len(events), matched_count=matched,
-                        recall=recall, event_matches=tuple(matches))
+                        recall=recall)

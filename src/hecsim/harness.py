@@ -19,13 +19,12 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .central import (CnAnomaly, CnConfig, CnState, DetectorResult,
-                      FrameReceived, OfficerMessage, OracleDetector,
-                      PublishNegativeDecision, PublishRepelCommand,
-                      RunDetector, Siren, StochasticDetector,
+from .central import (CnConfig, CnState, DetectorResult, FrameReceived,
+                      IssueWarning, OracleDetector, PublishNegativeDecision,
+                      PublishRepelCommand, RunDetector, StochasticDetector,
                       StochasticDetectorParams, WarningKind, cn_step,
                       detect_frame, truth_from_frame)
-from .codec import JsonConfig
+from .codec import JsonConfig, encode
 from .detection import Algorithm1Params, detect_stream
 from .errors import InvalidConfigError, InvalidInputError
 from .mesh import (MeshNetwork, NetworkConfig, QoS, heartbeat_and_failover)
@@ -158,7 +157,7 @@ class EventOutcome:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    scenario_name: str
+    scenario: str
     duration_s: float
     events: tuple[EventOutcome, ...]
     recall: float | None
@@ -172,23 +171,7 @@ class MetricsReport:
             raise InvalidInputError("recall must lie in [0, 1]")
 
     def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario_name,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "recall": self.recall,
-            "false_warning_count": self.false_warning_count,
-            "events": [{
-                "t_onset_s": ev.t_onset_s,
-                "pn_ids": list(ev.pn_ids),
-                "detected": ev.detected,
-                "latency_s": ev.latency_s,
-            } for ev in self.events],
-            "ir_duty_cycle": dict(sorted(self.ir_duty_cycle.items())),
-            "message_counts": {
-                topic: dict(counts)
-                for topic, counts in sorted(self.message_counts.items())},
-        }
+        return encode(self)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
@@ -254,7 +237,7 @@ def compute_metrics(logs: RunLogs, scenario: Scenario,
         slot["published" if row["event"] == "publish" else "delivered"] += 1
 
     return MetricsReport(
-        scenario_name=scenario.name, duration_s=scenario.duration_s,
+        scenario=scenario.name, duration_s=scenario.duration_s,
         events=tuple(outcomes), recall=recall,
         false_warning_count=false_count, ir_duty_cycle=duty,
         message_counts=counts, seed=scenario.master_seed)
@@ -282,10 +265,8 @@ def _action_label(action) -> str:
         return f"publish_repel:{action.frame_id}"
     if isinstance(action, PublishNegativeDecision):
         return f"publish_negative:{action.decision.frame_id}"
-    if isinstance(action, (OfficerMessage, Siren)):
+    if isinstance(action, IssueWarning):
         return f"{action.record.kind.value}:{action.record.frame_id}"
-    if isinstance(action, CnAnomaly):
-        return f"anomaly:{action.reason}"
     return type(action).__name__
 
 
@@ -386,7 +367,7 @@ class _CnRuntime:
         elif isinstance(action, PublishNegativeDecision):
             run.publish(self.node_id, f"cn/cmd/{action.decision.pn_id}",
                         action.decision)
-        elif isinstance(action, (OfficerMessage, Siren)):
+        elif isinstance(action, IssueWarning):
             run.warnings.append(action.record.to_record())
             run.publish(self.node_id, "cn/warning", action.record)
 

@@ -52,7 +52,6 @@ class Message:
     topic: str
     payload: object
     qos: QoS
-    publish_time_s: float
     publisher: str
 
 
@@ -271,19 +270,12 @@ class MeshNetwork:
         """Publish one message; returns its id. Buffered while disconnected."""
         client = self._client(client_id)
         msg = Message(msg_id=f"m{next(self._msg_counter):06d}", topic=topic,
-                      payload=payload, qos=qos, publish_time_s=self.now,
-                      publisher=client_id)
+                      payload=payload, qos=qos, publisher=client_id)
         self._trace(msg, "publish", client_id,
                     client.current_broker if client.connected else "")
-        if not client.connected:
-            # only at-least-once publishes survive a disconnect; the
-            # fire-and-forget class is stale by the time a reconnect lands
-            if qos is QoS.AT_LEAST_ONCE:
-                self._park(client, msg)
-            else:
-                self._trace(msg, "drop", client_id, "", reason="disconnected")
-        elif client.buffer and qos is QoS.AT_LEAST_ONCE:
-            # queue behind undrained messages to preserve publish order
+        if client.buffer and qos is QoS.AT_LEAST_ONCE:
+            # queue behind undrained messages to preserve publish order;
+            # _attempt decides what a disconnected client does with the rest
             self._park(client, msg)
         else:
             self._start(msg, "up", client_id)
@@ -368,8 +360,10 @@ class MeshNetwork:
         msg = transfer.msg
         if transfer.direction == "up":
             if not client.connected:
-                # fold back into the buffer; the transfer slot dies so the
-                # channel does not deadlock, and the drain re-creates it
+                # only at-least-once messages survive a disconnect: they fold
+                # back into the buffer, and the transfer slot dies so the
+                # channel does not deadlock; the drain re-creates it. The
+                # fire-and-forget class is stale by the time a reconnect lands
                 if msg.qos is QoS.AT_LEAST_ONCE:
                     self._park(client, msg)
                     self._kill(transfer)
@@ -483,8 +477,7 @@ class MeshNetwork:
                 continue
             msg = Message(msg_id=f"m{next(self._msg_counter):06d}",
                           topic=f"sys/heartbeat/{broker.broker_id}",
-                          payload={"broker": broker.broker_id, "t": self.now},
-                          qos=QoS.AT_MOST_ONCE, publish_time_s=self.now,
+                          payload=None, qos=QoS.AT_MOST_ONCE,
                           publisher=broker.broker_id)
             self._trace(msg, "publish", broker.broker_id, "")
             for client in self.clients.values():
@@ -528,8 +521,8 @@ class MeshNetwork:
         client.missed = 0
         connected = self._try_connect(client)
         self._trace(
-            Message(msg_id="", topic="", payload={}, qos=QoS.AT_MOST_ONCE,
-                    publish_time_s=self.now, publisher=client.client_id),
+            Message(msg_id="", topic="", payload=None, qos=QoS.AT_MOST_ONCE,
+                    publisher=client.client_id),
             "failover", old, client.current_broker if connected else "")
         self.broker_transitions.append(
             {"t": self.now, "kind": "failover", "client": client.client_id,

@@ -7,6 +7,7 @@ inspected directly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -92,7 +93,14 @@ def save_trace_csv(trace: SeismicTrace, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
 def load_trace_csv(path: str | Path) -> SeismicTrace:
+    """Read a trace written by save_trace_csv; NaN and infinity are faults."""
     raw = Path(path).read_bytes()
     text = raw.decode("ascii", errors="replace")
     offset = 0
@@ -106,9 +114,9 @@ def load_trace_csv(path: str | Path) -> SeismicTrace:
             key = key.strip()
             try:
                 if key == "sample_rate_hz":
-                    rate = float(val)
+                    rate = _finite(val)
                 elif key == "start_time_s":
-                    start_time = float(val)
+                    start_time = _finite(val)
                 else:
                     raise ValueError
             except ValueError:
@@ -118,7 +126,7 @@ def load_trace_csv(path: str | Path) -> SeismicTrace:
                 raise ParseError("sample before the sample_rate_hz header",
                                  byte_offset=offset)
             try:
-                values.append(float(stripped))
+                values.append(_finite(stripped))
             except ValueError:
                 raise ParseError(f"bad sample value {stripped!r}", byte_offset=offset)
         offset += len(line.encode("ascii", errors="replace"))

@@ -46,8 +46,8 @@ class SeismicTrace:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise InvalidInputError("trace samples must be 1-D")
-        if not self.sample_rate_hz > 0:
-            raise InvalidInputError("sample rate must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise InvalidInputError("sample rate must be positive and finite")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -66,8 +66,8 @@ class AudioClip:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise InvalidInputError("clip samples must be 1-D")
-        if not self.frame_rate_hz > 0:
-            raise InvalidInputError("frame rate must be positive")
+        if not 0 < self.frame_rate_hz < math.inf:
+            raise InvalidInputError("frame rate must be positive and finite")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -82,8 +82,6 @@ class Spectrogram:
     frame_times_s: np.ndarray
     freqs_hz: np.ndarray
     magnitudes: np.ndarray  # shape (n_frames, n_freqs)
-    frame_s: float
-    hop_s: float
 
     def __post_init__(self):
         m = np.asarray(self.magnitudes, dtype=np.float64)
@@ -190,8 +188,7 @@ def compute_stft(signal, frame_s: float, hop_s: float,
     mags = np.abs(np.fft.rfft(segs, n=pad, axis=1))[:, 1:]
     freqs = np.fft.rfftfreq(pad, 1.0 / rate)[1:]
     times = t0 + np.arange(len(frames)) * hop / rate
-    return Spectrogram(frame_times_s=times, freqs_hz=freqs, magnitudes=mags,
-                       frame_s=frame / rate, hop_s=hop / rate)
+    return Spectrogram(frame_times_s=times, freqs_hz=freqs, magnitudes=mags)
 
 
 def chirp_waveform(spec: RumbleSpec, sample_rate_hz: float) -> np.ndarray:

@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecsim.central import (BoundingBox, CnAnomaly, CnConfig, CnState,
+from hecsim.central import (BoundingBox, CnConfig, CnState,
                             DetectorDecision, DetectorResult, FrameReceived,
-                            FrameTruth, LabeledFrame, LabeledFrameSet,
-                            OfficerMessage, OracleDetector,
+                            FrameTruth, IssueWarning, LabeledFrame,
+                            LabeledFrameSet, OracleDetector,
                             PublishNegativeDecision, PublishRepelCommand,
-                            RunDetector, Siren, StochasticDetector,
+                            RunDetector, StochasticDetector,
                             StochasticDetectorParams, WarningKind, cn_step,
                             default_box, evaluate_ap50, iou,
                             truth_from_frame)
 from hecsim.errors import InvalidInputError
-from hecsim.peripheral import ThermalFrame
+from hecsim.peripheral import LogAnomaly, ThermalFrame
 from oracles import brute_force_ap50, iou_fraction
 
 CFG = CnConfig()
@@ -134,7 +134,7 @@ def test_positive_frame_produces_repel_officer_siren():
     decision = OracleDetector().decide(frame())
     state, actions = cn_step(state, DetectorResult(decision), CFG, 5.1)
     kinds = [type(a) for a in actions]
-    assert kinds == [PublishRepelCommand, OfficerMessage, Siren]
+    assert kinds == [PublishRepelCommand, IssueWarning, IssueWarning]
     repel = actions[0]
     assert repel.command.pn_id == "pn-1"
     assert repel.frame_id == "pn-1-w000"
@@ -159,7 +159,7 @@ def test_duplicate_frame_is_anomaly():
     state, _ = cn_step(state, FrameReceived(frame()), CFG, 5.0)
     state2, actions = cn_step(state, FrameReceived(frame()), CFG, 5.2)
     assert state2 == state
-    assert len(actions) == 1 and isinstance(actions[0], CnAnomaly)
+    assert len(actions) == 1 and isinstance(actions[0], LogAnomaly)
 
 
 def test_replayed_frame_after_decision_is_anomaly():
@@ -169,7 +169,7 @@ def test_replayed_frame_after_decision_is_anomaly():
                        CFG, 5.1)
     state2, actions = cn_step(state, FrameReceived(frame()), CFG, 6.0)
     assert state2 == state
-    assert len(actions) == 1 and isinstance(actions[0], CnAnomaly)
+    assert len(actions) == 1 and isinstance(actions[0], LogAnomaly)
 
 
 def test_repeat_and_unknown_decisions_are_anomalies():
@@ -179,11 +179,11 @@ def test_repeat_and_unknown_decisions_are_anomalies():
     state, _ = cn_step(state, DetectorResult(decision), CFG, 5.1)
     state2, actions = cn_step(state, DetectorResult(decision), CFG, 5.2)
     assert state2 == state
-    assert isinstance(actions[0], CnAnomaly)
+    assert isinstance(actions[0], LogAnomaly)
     _, actions = cn_step(state, DetectorResult(
         DetectorDecision(frame_id="ghost", elephant_present=True,
                          confidence=1.0)), CFG, 5.3)
-    assert isinstance(actions[0], CnAnomaly)
+    assert isinstance(actions[0], LogAnomaly)
 
 
 def test_deterrent_draw_is_stable_per_frame():
@@ -214,6 +214,14 @@ def test_labeled_frame_set_round_trip():
     assert back.to_json() == fs.to_json()
     with pytest.raises(InvalidInputError):
         LabeledFrameSet.from_json({"nope": []})
+    # a NaN corner would silently score as a miss; a string one is no number
+    for corner in ["NaN", '"x"', "Infinity"]:
+        text = ('{"frames": [{"frame_id": "a", "boxes": [[1, 1, 5, 5]]}, '
+                f'{{"frame_id": "b", "boxes": [[{corner}, 1, 5, 5]]}}]}}')
+        with pytest.raises(InvalidInputError):
+            LabeledFrameSet.from_json(json.loads(text))
+    with pytest.raises(InvalidInputError):
+        BoundingBox(float("nan"), 1.0, 5.0, 5.0)
 
 
 def test_ap50_oracle_detector_is_perfect():

@@ -256,12 +256,31 @@ def test_missing_input_file_is_a_usage_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_unreadable_content_is_a_runtime_error(tmp_path, capsys):
+def test_unreadable_content_is_a_runtime_error(bee_wav, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("definitely,not,a trace\n1,2,3\n")
     code, _, err = run_cli(capsys, "detect", "--input", str(bad))
     assert code == 1
     assert err.startswith("hecsim: ")
+    # non-finite input fails at once instead of scoring as silence or
+    # overflowing deep in windowing or WAV writing
+    header = "# sample_rate_hz=1000.0\n"
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text(header + "0.0\n" * 4000 + "nan\n" + "0.0\n" * 3999)
+    inf_rate = tmp_path / "inf_rate.csv"
+    inf_rate.write_text("# sample_rate_hz=inf\n" + "0.0\n" * 8000)
+    for argv, needle in [
+            (("detect", "--input", str(nan_csv)),
+             f"bad sample value 'nan' (byte offset {len(header) + 4 * 4000})"),
+            (("oracle", "--input", str(nan_csv)), "'nan'"),
+            (("detect", "--input", str(inf_rate)), "sample_rate_hz=inf"),
+            (("modify-sound", "--input", str(bee_wav), "--out",
+              str(tmp_path / "inf.wav"), "--method", "frame_rate_scale",
+              "--alpha", "inf", "--seed", "1"), "frame rate")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == "" and len(err.strip().splitlines()) == 1, argv
+        assert err.startswith("hecsim: ") and needle in err, (argv, err)
 
 
 def test_unknown_suffix_is_a_runtime_error(tmp_path, capsys):

@@ -162,7 +162,7 @@ def test_match_and_recall_no_events_is_not_applicable():
 
 
 def test_match_and_recall_ds_min_filter():
-    ev = RumbleEvent(t_start_s=0.5, t_end_s=3.5, peak_trajectory=())
+    ev = RumbleEvent(t_start_s=0.5, t_end_s=3.5)
     trace = synth_rumble(RumbleSpec(duration_s=3.5, snr_db=20.0),
                          seed=2, total_s=4.0, onset_s=0.25)
     detections = detect_stream(trace, PARAMS)

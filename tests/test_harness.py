@@ -130,7 +130,7 @@ def test_event_outcome_and_report_validation():
         EventOutcome(t_onset_s=0.0, pn_ids=("a",), detected=True,
                      latency_s=-1.0)
     with pytest.raises(InvalidInputError):
-        MetricsReport(scenario_name="x", duration_s=1.0, events=(),
+        MetricsReport(scenario="x", duration_s=1.0, events=(),
                       recall=1.5, false_warning_count=0, ir_duty_cycle={},
                       message_counts={}, seed=0)
 

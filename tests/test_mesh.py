@@ -257,6 +257,8 @@ def test_disconnected_publishes_park_then_drop_oldest():
                 and r.get("reason") == "buffer_overflow"]
     assert [r["msg_id"] for r in overflow] == ids[:2]  # oldest go first
     assert [m.msg_id for m in net.clients["pub"].buffer] == ids[2:]
+    # at-least-once messages are parked, never dropped as disconnected
+    assert not [r for r in net.trace if r.get("reason") == "disconnected"]
 
 
 def test_disconnected_amo_is_dropped_immediately():
@@ -264,9 +266,9 @@ def test_disconnected_amo_is_dropped_immediately():
     net.kill_broker("broker-a")
     net.add_client("pub")
     mid = net.publish("pub", "t/x", {}, qos=QoS.AT_MOST_ONCE)
-    drop = next(r for r in net.trace
-                if r["msg_id"] == mid and r["event"] == "drop")
-    assert drop["reason"] == "disconnected"
+    drops = [r for r in net.trace if r["event"] == "drop"]
+    assert drops == [{"t": 0.0, "msg_id": mid, "topic": "t/x", "from": "pub",
+                      "to": "", "event": "drop", "reason": "disconnected"}]
     assert len(net.clients["pub"].buffer) == 0
 
 

@@ -112,6 +112,14 @@ def test_window_trace_empty_trace_rejected():
                                   sample_rate_hz=1000.0), 4.0)
 
 
+def test_containers_need_a_positive_finite_rate():
+    for rate in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError):
+            SeismicTrace(samples=np.zeros(10), sample_rate_hz=rate)
+        with pytest.raises(InvalidInputError):
+            AudioClip(samples=np.zeros(10), frame_rate_hz=rate)
+
+
 def test_synth_rumble_snr_definition():
     # noise-only region before onset measures the noise floor; the chirp
     # region must sit snr_db above it
