@@ -249,14 +249,8 @@ class RunDetector:
 
 
 @dataclass(frozen=True)
-class PublishRepelCommand:
-    command: RepelCommand
-    frame_id: str
-
-
-@dataclass(frozen=True)
-class PublishNegativeDecision:
-    decision: NegativeDecision
+class PublishCommand:
+    command: RepelCommand | NegativeDecision
 
 
 @dataclass(frozen=True)
@@ -264,8 +258,7 @@ class IssueWarning:
     record: WarningRecord  # its kind says officer message or siren
 
 
-CnAction = (RunDetector | PublishRepelCommand | PublishNegativeDecision
-            | IssueWarning | LogAnomaly)
+CnAction = RunDetector | PublishCommand | IssueWarning | LogAnomaly
 
 
 def cn_step(state: CnState, event: CnEvent, config: CnConfig,
@@ -297,15 +290,13 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
             decided=state.decided | {fid},
         )
         if not decision.elephant_present:
-            neg = NegativeDecision(pn_id=pn_id, frame_id=fid, issued_at_s=now_s)
-            return new, (PublishNegativeDecision(neg),)
+            return new, (PublishCommand(NegativeDecision(pn_id, fid)),)
         # keyed by frame id alone, not by the run's master seed: deriving
         # it from master_seed would change every pinned run output
         deterrent = pick_modification(
             derive_seed(0, "repel", fid),
             config.deterrent_alpha_range)
-        command = RepelCommand(pn_id=pn_id, issued_at_s=now_s,
-                               deterrent=deterrent,
+        command = RepelCommand(pn_id=pn_id, frame_id=fid, deterrent=deterrent,
                                flash_freq_hz=config.flash_freq_hz,
                                duration_s=config.repel_duration_s)
         officer = WarningRecord(
@@ -315,7 +306,7 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
         siren = WarningRecord(
             kind=WarningKind.SIREN, timestamp_s=now_s, pn_id=pn_id,
             frame_id=fid, message=f"siren sounding at {pn_id}")
-        return new, (PublishRepelCommand(command, frame_id=fid),
+        return new, (PublishCommand(command),
                      IssueWarning(officer), IssueWarning(siren))
 
     return state, (LogAnomaly(f"unknown event {type(event).__name__}"),)

@@ -29,7 +29,7 @@ from .deterrent import (SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
 from .errors import InvalidConfigError, InvalidInputError, ParseError
 from .harness import Scenario, SimConfig, run_scenario_with_logs
 from .signals import AudioClip, RumbleSpec, SeismicTrace, compute_stft, \
-    synth_bee_buzz, synth_rumble
+    sample_count, synth_bee_buzz, synth_rumble
 from .sigio import load_trace_csv, load_wav, save_trace_csv, save_wav
 
 MAX_SEED = (1 << 63) - 1
@@ -164,7 +164,7 @@ def cmd_synth(args) -> int:
                               frame_rate_hz=args.rate, seed=seed)
         save_wav(clip, out)
     else:  # pinknoise
-        n = int(round(args.duration_s * args.rate))
+        n = sample_count(args.duration_s, args.rate)
         clip = generate_pink_noise(n, args.rate, seed)
         save_wav(AudioClip(_peak_normalized(clip.samples),
                            frame_rate_hz=args.rate), out)

@@ -10,13 +10,14 @@ resembles the original.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .signals import AudioClip, compute_stft
+from .signals import AudioClip, check_rate, compute_stft
 
 log = logging.getLogger(__name__)
 
@@ -88,7 +89,7 @@ def modify_frame_rate(clip: AudioClip, alpha: float) -> AudioClip:
     The sample values are untouched; pitch and duration change together.
     """
     if not alpha > 0:
-        raise InvalidInputError("alpha must be positive")
+        raise InvalidInputError(f"alpha must be positive, got {alpha!r}")
     return AudioClip(samples=clip.samples, frame_rate_hz=clip.frame_rate_hz * alpha)
 
 
@@ -99,6 +100,7 @@ def generate_pink_noise(n_samples: int, sample_rate_hz: float, seed: int) -> Aud
     the power density falls off as 1/f. The DC bin is zeroed, so the result
     is mean-free before normalization.
     """
+    check_rate(sample_rate_hz)
     if n_samples < 2:
         raise InvalidInputError("need at least two samples")
     rng = np.random.default_rng(seed)
@@ -111,14 +113,19 @@ def generate_pink_noise(n_samples: int, sample_rate_hz: float, seed: int) -> Aud
     return AudioClip(samples=x, frame_rate_hz=sample_rate_hz)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 <= alpha < math.inf:
+        raise InvalidInputError(
+            f"alpha must be non-negative and finite, got {alpha!r}")
+
+
 def overlay_pink_noise(clip: AudioClip, alpha: float, seed: int) -> AudioClip:
     """Add pink noise scaled to 0.1 * alpha of the clip RMS.
 
     If the mix exceeds full scale it is renormalized to peak 1. alpha of 0
     or a silent clip returns the input unchanged.
     """
-    if alpha < 0:
-        raise InvalidInputError("alpha must be non-negative")
+    _check_alpha(alpha)
     rms = float(np.sqrt(np.mean(clip.samples ** 2)))
     if alpha == 0.0 or rms == 0.0:
         return clip
@@ -139,8 +146,7 @@ def insert_silence_gaps(clip: AudioClip, alpha: float, seed: int) -> AudioClip:
     frame, and a gap longer than the frame is clamped with a warning. Total
     length never changes.
     """
-    if alpha < 0:
-        raise InvalidInputError("alpha must be non-negative")
+    _check_alpha(alpha)
     rng = np.random.default_rng(seed)
     frame_n = int(round(_GAP_FRAME_S * clip.frame_rate_hz))
     n_frames = len(clip.samples) // frame_n if frame_n > 0 else 0

@@ -1,4 +1,4 @@
-"""Scenario runner: seismic synthesis, node runtimes, mesh, and metrics.
+"""Scenario runner: seismic synthesis, node state machines, mesh, metrics.
 
 A Scenario says where the peripheral nodes stand and when elephants pass
 which of them; a SimConfig says how the nodes and the network behave.
@@ -20,18 +20,19 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .central import (CnConfig, CnState, DetectorResult, FrameReceived,
-                      IssueWarning, OracleDetector, PublishNegativeDecision,
-                      PublishRepelCommand, RunDetector, StochasticDetector,
+                      IssueWarning, OracleDetector, PublishCommand,
+                      RunDetector, StochasticDetector,
                       StochasticDetectorParams, WarningKind, cn_step,
-                      detect_frame, truth_from_frame)
+                      detect_frame)
 from .codec import JsonConfig, encode
 from .detection import Algorithm1Params, detect_stream
 from .errors import InvalidConfigError, InvalidInputError
 from .mesh import (MeshNetwork, NetworkConfig, QoS, heartbeat_and_failover)
 from .peripheral import (CaptureFrame, CommandReceived, FrameCaptured, Flash,
                          LogAnomaly, PlayDeterrent, PnConfig, PnState,
-                         PnStateKind, PreArm, PublishFrame, SeismicWindowReady,
-                         ThermalFrame, TimerExpired, ir_duty_cycle, pn_step)
+                         PnStateKind, PreArm, PublishFrame, RepelCommand,
+                         SeismicWindowReady, ThermalFrame, TimerExpired,
+                         ir_duty_cycle, pn_step)
 from .seeds import derive_seed
 from .signals import RumbleSpec, synth_rumble_stream
 from .sigio import write_jsonl
@@ -224,7 +225,7 @@ def compute_metrics(logs: RunLogs, scenario: Scenario,
     duty = {}
     for placement in scenario.pns:
         node = placement.node_id
-        history = [(0.0, PnState.idle())] + [
+        history = [(0.0, PnState())] + [
             (row["t"], PnState(PnStateKind(row["state_to"])))
             for row in logs.actions if row["node"] == node]
         duty[node] = ir_duty_cycle(history, scenario.duration_s)
@@ -243,7 +244,7 @@ def compute_metrics(logs: RunLogs, scenario: Scenario,
         message_counts=counts, seed=scenario.master_seed)
 
 
-# ---- node runtimes ----
+# ---- orchestration ----
 
 def _action_label(action) -> str:
     if isinstance(action, CaptureFrame):
@@ -261,133 +262,23 @@ def _action_label(action) -> str:
         return f"anomaly:{action.reason}"
     if isinstance(action, RunDetector):
         return f"run_detector:{action.frame.frame_id}"
-    if isinstance(action, PublishRepelCommand):
-        return f"publish_repel:{action.frame_id}"
-    if isinstance(action, PublishNegativeDecision):
-        return f"publish_negative:{action.decision.frame_id}"
+    if isinstance(action, PublishCommand):
+        kind = ("repel" if isinstance(action.command, RepelCommand)
+                else "negative")
+        return f"publish_{kind}:{action.command.frame_id}"
     if isinstance(action, IssueWarning):
         return f"{action.record.kind.value}:{action.record.frame_id}"
     return type(action).__name__
 
 
-class _PnRuntime:
-    def __init__(self, run: "_Run", config: PnConfig, node_id: str):
-        self.run = run
-        self.config = config
-        self.node_id = node_id
-        self.state = PnState.idle()
-
-    # -- event entry points --
-
-    def on_window(self, detection) -> None:
-        # only windows scoring ds >= 1 arrive here; each is recorded whether
-        # or not it triggers, which lets the action log justify every later
-        # repel command
-        kind = self.state.kind.value
-        self.run.log_action(
-            self.node_id, kind, kind,
-            f"seismic_score:ds={detection.ds}:run={detection.max_run}")
-        self.dispatch(SeismicWindowReady(detection), detection=detection)
-
-    def dispatch(self, event, detection=None) -> None:
-        run = self.run
-        now = run.net.now
-        old = self.state
-        new, actions = pn_step(old, event, self.config, now)
-        self.state = new
-        if new != old:
-            if new.until_s is not None and \
-                    (new.kind, new.until_s) != (old.kind, old.until_s):
-                run.net.schedule(
-                    new.until_s,
-                    lambda d=new.until_s: self.dispatch(TimerExpired(d)))
-            if new.kind != old.kind:
-                run.publish(self.node_id, f"pn/{self.node_id}/status", new,
-                            qos=QoS.AT_MOST_ONCE)
-        if new != old or actions:
-            for label in [_action_label(a) for a in actions] or [""]:
-                run.log_action(self.node_id, old.kind.value, new.kind.value,
-                               label)
-        for action in actions:
-            self._perform(action, detection)
-
-    def _perform(self, action, detection) -> None:
-        run = self.run
-        if isinstance(action, CaptureFrame):
-            widx = detection.window_index if detection is not None else -1
-            for k in range(action.count):
-                fid = f"{self.node_id}-w{widx:03d}"
-                if action.count > 1:
-                    fid += f"-c{k}"
-                run.net.schedule_in(
-                    run.config.capture_delay_s,
-                    lambda f=fid: self._capture(f))
-        elif isinstance(action, PublishFrame):
-            run.publish(self.node_id, f"pn/{self.node_id}/frame", action.frame)
-        # PlayDeterrent / Flash / PreArm / LogAnomaly are fully described by
-        # their action-log rows; nothing further runs in simulation
-
-    def _capture(self, frame_id: str) -> None:
-        run = self.run
-        now = run.net.now
-        frame = ThermalFrame(frame_id=frame_id, pn_id=self.node_id,
-                             timestamp_s=now,
-                             sim_ground_truth=run.thermal_truth(self.node_id, now))
-        self.dispatch(FrameCaptured(frame))
-
-
-class _CnRuntime:
-    def __init__(self, run: "_Run", config: CnConfig, detector):
-        self.run = run
-        self.config = config
-        self.detector = detector
-        self.node_id = config.node_id
-        self.state = CnState()
-
-    def dispatch(self, event) -> None:
-        run = self.run
-        now = run.net.now
-        old = self.state
-        new, actions = cn_step(old, event, self.config, now)
-        self.state = new
-        for action in actions:
-            run.log_action(self.node_id, _cn_state_label(old),
-                           _cn_state_label(new), _action_label(action))
-            self._perform(action)
-
-    def _perform(self, action) -> None:
-        run = self.run
-        if isinstance(action, RunDetector):
-            frame = action.frame
-            run.net.schedule_in(run.config.detector_delay_s,
-                                lambda: self._decide(frame))
-        elif isinstance(action, PublishRepelCommand):
-            run.publish(self.node_id, f"cn/cmd/{action.command.pn_id}",
-                        action.command)
-        elif isinstance(action, PublishNegativeDecision):
-            run.publish(self.node_id, f"cn/cmd/{action.decision.pn_id}",
-                        action.decision)
-        elif isinstance(action, IssueWarning):
-            run.warnings.append(action.record.to_record())
-            run.publish(self.node_id, "cn/warning", action.record)
-
-    def _decide(self, frame: ThermalFrame) -> None:
-        decision = detect_frame(frame, self.detector, truth_from_frame(frame))
-        self.run.detections.append({
-            "t": self.run.net.now, "frame_id": decision.frame_id,
-            "pn_id": frame.pn_id,
-            "elephant_present": decision.elephant_present,
-            "confidence": round(decision.confidence, 6)})
-        self.dispatch(DetectorResult(decision))
-
-
-def _cn_state_label(state: CnState) -> str:
-    return f"pending={len(state.pending)}"
-
-
-# ---- orchestration ----
-
 class _Run:
+    """One run's mesh, node states and logs.
+
+    pn_dispatch and cn_dispatch step a node's state machine, log the step
+    and perform its actions: schedule timers, captures and detector runs,
+    and publish the state machines' own objects as mesh payloads.
+    """
+
     def __init__(self, scenario: Scenario, config: SimConfig):
         self.scenario = scenario
         self.config = config
@@ -410,44 +301,100 @@ class _Run:
         prefix = config.topic_prefix
 
         if scenario.detector == "oracle":
-            detector = OracleDetector()
+            self.detector = OracleDetector()
         else:
-            detector = StochasticDetector(
+            self.detector = StochasticDetector(
                 derive_seed(scenario.master_seed, "detector"),
                 config.detector_params)
-        self.cn = _CnRuntime(self, config.cn, detector)
+        self.cn = CnState()
         # the central node registers first so it re-subscribes first after
         # a failover, before any node re-sends buffered frames
-        self.net.add_client(self.cn.node_id,
-                            on_message=self._cn_message)
-        self.net.subscribe(self.cn.node_id, f"{prefix}/pn/+/frame")
+        self.net.add_client(
+            config.cn.node_id, on_message=lambda _, msg, t:
+            self.cn_dispatch(FrameReceived(msg.payload)))
+        self.net.subscribe(config.cn.node_id, f"{prefix}/pn/+/frame")
 
-        self.pns: dict[str, _PnRuntime] = {}
-        for placement in scenario.pns:
-            runtime = _PnRuntime(self, config.pn, placement.node_id)
-            self.pns[placement.node_id] = runtime
-            self.net.add_client(placement.node_id,
-                                on_message=self._pn_message)
-            self.net.subscribe(placement.node_id,
-                               f"{prefix}/cn/cmd/{placement.node_id}")
+        self.pns = {p.node_id: PnState() for p in scenario.pns}
+        for node in self.pns:
+            self.net.add_client(
+                node, on_message=lambda pn, msg, t:
+                self.pn_dispatch(pn, CommandReceived(msg.payload)))
+            self.net.subscribe(node, f"{prefix}/cn/cmd/{node}")
         heartbeat_and_failover(self.net)
 
-    # -- mesh callbacks; payloads are the state machines' own objects --
+    def pn_dispatch(self, node: str, event) -> None:
+        old = self.pns[node]
+        if isinstance(event, SeismicWindowReady):
+            # only windows scoring ds >= 1 arrive here; each is recorded
+            # whether or not it triggers, which lets the action log justify
+            # every later repel command
+            det = event.detection
+            self.log_action(node, old.kind.value, old.kind.value,
+                            f"seismic_score:ds={det.ds}:run={det.max_run}")
+        new, actions = pn_step(old, event, self.config.pn, self.net.now)
+        self.pns[node] = new
+        if new != old:
+            if new.until_s is not None and \
+                    (new.kind, new.until_s) != (old.kind, old.until_s):
+                self.net.schedule(new.until_s, lambda d=new.until_s:
+                                  self.pn_dispatch(node, TimerExpired(d)))
+            if new.kind != old.kind:
+                self.publish(node, f"pn/{node}/status", new,
+                             qos=QoS.AT_MOST_ONCE)
+        if new != old or actions:
+            for label in [_action_label(a) for a in actions] or [""]:
+                self.log_action(node, old.kind.value, new.kind.value, label)
+        for action in actions:
+            if isinstance(action, CaptureFrame):
+                # only a seismic window triggers a capture
+                fid = f"{node}-w{event.detection.window_index:03d}"
+                for k in range(action.count):
+                    suffix = f"-c{k}" if action.count > 1 else ""
+                    self.net.schedule_in(
+                        self.config.capture_delay_s,
+                        lambda f=fid + suffix: self.capture(node, f))
+            elif isinstance(action, PublishFrame):
+                self.publish(node, f"pn/{node}/frame", action.frame)
+            # PlayDeterrent / Flash / PreArm / LogAnomaly are fully described
+            # by their action-log rows; nothing further runs in simulation
 
-    def _cn_message(self, client_id: str, msg, t: float) -> None:
-        self.cn.dispatch(FrameReceived(msg.payload))
-
-    def _pn_message(self, client_id: str, msg, t: float) -> None:
-        self.pns[client_id].dispatch(CommandReceived(msg.payload))
-
-    # -- helpers used by the runtimes --
-
-    def thermal_truth(self, pn_id: str, t: float) -> bool:
+    def capture(self, node: str, frame_id: str) -> None:
+        now = self.net.now
         hold = self.config.thermal_hold_s
-        return any(
-            ev.thermal_visible and pn_id in ev.pn_ids
-            and ev.t_onset_s <= t <= ev.t_onset_s + ev.rumble.duration_s + hold
+        truth = any(
+            ev.thermal_visible and node in ev.pn_ids
+            and ev.t_onset_s <= now <= ev.t_onset_s + ev.rumble.duration_s + hold
             for ev in self.scenario.events)
+        self.pn_dispatch(node, FrameCaptured(ThermalFrame(
+            frame_id=frame_id, pn_id=node, timestamp_s=now,
+            sim_ground_truth=truth)))
+
+    def cn_dispatch(self, event) -> None:
+        old = self.cn
+        new, actions = cn_step(old, event, self.config.cn, self.net.now)
+        self.cn = new
+        node = self.config.cn.node_id
+        for action in actions:
+            self.log_action(node, f"pending={len(old.pending)}",
+                            f"pending={len(new.pending)}", _action_label(action))
+            if isinstance(action, RunDetector):
+                self.net.schedule_in(self.config.detector_delay_s,
+                                     lambda f=action.frame: self.decide(f))
+            elif isinstance(action, PublishCommand):
+                self.publish(node, f"cn/cmd/{action.command.pn_id}",
+                             action.command)
+            elif isinstance(action, IssueWarning):
+                self.warnings.append(action.record.to_record())
+                self.publish(node, "cn/warning", action.record)
+
+    def decide(self, frame: ThermalFrame) -> None:
+        decision = detect_frame(frame, self.detector)
+        self.detections.append({
+            "t": self.net.now, "frame_id": decision.frame_id,
+            "pn_id": frame.pn_id,
+            "elephant_present": decision.elephant_present,
+            "confidence": round(decision.confidence, 6)})
+        self.cn_dispatch(DetectorResult(decision))
 
     def log_action(self, node: str, state_from: str, state_to: str,
                    action: str) -> None:
@@ -485,12 +432,11 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
             sample_rate_hz=config.seismic_rate_hz,
             seed=derive_seed(scenario.master_seed, "seismic", pn_id),
             noise_rms=config.noise_rms)
-        runtime = run.pns[pn_id]
         for det in detect_stream(trace, config.alg1):
             if det.ds >= 1:
                 t_ready = det.window_start_s + config.alg1.window_s
-                run.net.schedule(t_ready,
-                                 lambda r=runtime, d=det: r.on_window(d))
+                run.net.schedule(t_ready, lambda n=pn_id, d=det:
+                                 run.pn_dispatch(n, SeismicWindowReady(d)))
 
     run.net.run_until(scenario.duration_s)
 

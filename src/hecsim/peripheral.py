@@ -61,10 +61,6 @@ class PnState:
     until_s: float | None = None  # deadline for the timed states
     captures_remaining: int = 0
 
-    @classmethod
-    def idle(cls) -> "PnState":
-        return cls()
-
 
 @dataclass(frozen=True)
 class ThermalFrame:
@@ -79,7 +75,7 @@ class ThermalFrame:
 @dataclass(frozen=True)
 class RepelCommand:
     pn_id: str
-    issued_at_s: float
+    frame_id: str
     deterrent: ModificationParams
     flash_freq_hz: float = 2.0
     duration_s: float = 10.0
@@ -89,7 +85,6 @@ class RepelCommand:
 class NegativeDecision:
     pn_id: str
     frame_id: str
-    issued_at_s: float
 
 
 # ---- events ----
@@ -201,19 +196,19 @@ def pn_step(state: PnState, event: PnEvent, config: PnConfig,
                 return new, (PlayDeterrent(cmd),
                              Flash(freq_hz=cmd.flash_freq_hz,
                                    duration_s=cmd.duration_s))
-            return PnState.idle(), ()
+            return PnState(), ()
         return state, (LogAnomaly(f"command received in state {kind.value}"),)
 
     if isinstance(event, TimerExpired):
         if not _timer_matches(state, event, now_s):
             return state, ()  # stale timer from an abandoned deadline
         if kind is PnStateKind.AWAITING_DECISION:
-            return PnState.idle(), ()
+            return PnState(), ()
         if kind is PnStateKind.REPELLING:
             return PnState(kind=PnStateKind.COOLDOWN,
                            until_s=now_s + config.repel_cooldown_s), ()
         if kind is PnStateKind.COOLDOWN:
-            return PnState.idle(), ()
+            return PnState(), ()
         return state, (LogAnomaly(f"timer expired in state {kind.value}"),)
 
     return state, (LogAnomaly(f"unknown event {type(event).__name__}"),)
@@ -264,7 +259,7 @@ def ir_duty_cycle(state_log: list[tuple[float, PnState]],
         return 0.0
     powered = 0.0
     since = None  # start of the current powered stretch
-    for t, state in state_log + [(end_time_s, PnState.idle())]:
+    for t, state in state_log + [(end_time_s, PnState())]:
         on = state.kind in IR_POWERED_STATES
         if on and since is None:
             since = t

@@ -24,6 +24,22 @@ def next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
+def check_rate(rate_hz: float, what: str = "sample rate") -> None:
+    if not 0 < rate_hz < math.inf:
+        raise InvalidInputError(
+            f"{what} must be positive and finite, got {rate_hz!r}")
+
+
+def sample_count(duration_s: float, rate_hz: float) -> int:
+    """round(duration_s * rate_hz), for a positive, finite rate and a
+    non-negative duration that gives a finite count."""
+    check_rate(rate_hz)
+    if not 0 <= duration_s * rate_hz < math.inf:
+        raise InvalidInputError(
+            f"duration must be non-negative and finite, got {duration_s!r}")
+    return int(round(duration_s * rate_hz))
+
+
 def default_pad_length(n_samples: int) -> int:
     """FFT length used throughout: next power of two >= 4x the segment.
 
@@ -46,8 +62,7 @@ class SeismicTrace:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise InvalidInputError("trace samples must be 1-D")
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise InvalidInputError("sample rate must be positive and finite")
+        check_rate(self.sample_rate_hz)
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -66,8 +81,7 @@ class AudioClip:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise InvalidInputError("clip samples must be 1-D")
-        if not 0 < self.frame_rate_hz < math.inf:
-            raise InvalidInputError("frame rate must be positive and finite")
+        check_rate(self.frame_rate_hz, "frame rate")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -107,8 +121,9 @@ class RumbleSpec:
     snr_db: float = 20.0
 
     def __post_init__(self):
-        if not self.duration_s > 0:
-            raise InvalidInputError("rumble duration must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise InvalidInputError("rumble duration must be positive and "
+                                    f"finite, got {self.duration_s!r}")
         for f in (self.f_start_hz, self.f_peak_hz, self.f_end_hz):
             if not f > 0:
                 raise InvalidInputError("rumble frequencies must be positive")
@@ -193,7 +208,7 @@ def compute_stft(signal, frame_s: float, hop_s: float,
 
 def chirp_waveform(spec: RumbleSpec, sample_rate_hz: float) -> np.ndarray:
     """Phase-continuous rise/fall chirp, unit amplitude before the envelope."""
-    n = int(round(spec.duration_s * sample_rate_hz))
+    n = sample_count(spec.duration_s, sample_rate_hz)
     if n < 2:
         raise InvalidInputError("rumble too short for the sample rate")
     t = np.arange(n) / sample_rate_hz
@@ -221,10 +236,10 @@ def synth_rumble(spec: RumbleSpec, sample_rate_hz: float = 1000.0,
     """
     if total_s is None:
         total_s = spec.duration_s
-    if onset_s < 0 or onset_s + spec.duration_s > total_s + 1e-9:
+    if not (onset_s >= 0 and onset_s + spec.duration_s <= total_s + 1e-9):
         raise InvalidInputError("rumble does not fit in the trace")
     rng = np.random.default_rng(seed)
-    n = int(round(total_s * sample_rate_hz))
+    n = sample_count(total_s, sample_rate_hz)
     chirp = chirp_waveform(spec, sample_rate_hz)
     chirp_rms = float(np.sqrt(np.mean(chirp ** 2)))
     noise_rms = chirp_rms / (10.0 ** (spec.snr_db / 20.0))
@@ -243,10 +258,10 @@ def synth_rumble_stream(events: list[tuple[float, RumbleSpec]], total_s: float,
     noise RMS matches spec.snr_db. Events may overlap.
     """
     rng = np.random.default_rng(seed)
-    n = int(round(total_s * sample_rate_hz))
+    n = sample_count(total_s, sample_rate_hz)
     x = rng.standard_normal(n) * noise_rms
     for onset_s, spec in events:
-        if onset_s < 0 or onset_s + spec.duration_s > total_s + 1e-9:
+        if not (onset_s >= 0 and onset_s + spec.duration_s <= total_s + 1e-9):
             raise InvalidInputError("event does not fit in the stream")
         chirp = chirp_waveform(spec, sample_rate_hz)
         chirp_rms = float(np.sqrt(np.mean(chirp ** 2)))
@@ -270,7 +285,7 @@ def synth_bee_buzz(duration_s: float = 2.0, frame_rate_hz: float = 8000.0,
     modifications that move the harmonic comb.
     """
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * frame_rate_hz))
+    n = sample_count(duration_s, frame_rate_hz)
     if n < 2:
         raise InvalidInputError("clip too short")
     t = np.arange(n) / frame_rate_hz

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from hecsim.central import (BoundingBox, CnConfig, CnState,
                             DetectorDecision, DetectorResult, FrameReceived,
                             FrameTruth, IssueWarning, LabeledFrame,
-                            LabeledFrameSet, OracleDetector,
-                            PublishNegativeDecision, PublishRepelCommand,
+                            LabeledFrameSet, OracleDetector, PublishCommand,
                             RunDetector, StochasticDetector,
                             StochasticDetectorParams, WarningKind, cn_step,
                             default_box, evaluate_ap50, iou,
                             truth_from_frame)
 from hecsim.errors import InvalidInputError
-from hecsim.peripheral import LogAnomaly, ThermalFrame
+from hecsim.peripheral import (LogAnomaly, NegativeDecision, RepelCommand,
+                               ThermalFrame)
 from oracles import brute_force_ap50, iou_fraction
 
 CFG = CnConfig()
@@ -134,10 +134,11 @@ def test_positive_frame_produces_repel_officer_siren():
     decision = OracleDetector().decide(frame())
     state, actions = cn_step(state, DetectorResult(decision), CFG, 5.1)
     kinds = [type(a) for a in actions]
-    assert kinds == [PublishRepelCommand, IssueWarning, IssueWarning]
+    assert kinds == [PublishCommand, IssueWarning, IssueWarning]
     repel = actions[0]
+    assert isinstance(repel.command, RepelCommand)
     assert repel.command.pn_id == "pn-1"
-    assert repel.frame_id == "pn-1-w000"
+    assert repel.command.frame_id == "pn-1-w000"
     assert repel.command.duration_s == CFG.repel_duration_s
     assert actions[1].record.kind is WarningKind.OFFICER_MESSAGE
     assert actions[2].record.kind is WarningKind.SIREN
@@ -149,9 +150,10 @@ def test_negative_frame_produces_negative_decision():
     state, _ = cn_step(state, FrameReceived(frame(truth=False)), CFG, 5.0)
     decision = OracleDetector().decide(frame(truth=False))
     state, actions = cn_step(state, DetectorResult(decision), CFG, 5.1)
-    assert len(actions) == 1 and isinstance(actions[0], PublishNegativeDecision)
-    assert actions[0].decision.pn_id == "pn-1"
-    assert actions[0].decision.frame_id == "pn-1-w000"
+    assert len(actions) == 1 and isinstance(actions[0], PublishCommand)
+    assert isinstance(actions[0].command, NegativeDecision)
+    assert actions[0].command.pn_id == "pn-1"
+    assert actions[0].command.frame_id == "pn-1-w000"
 
 
 def test_duplicate_frame_is_anomaly():

@@ -269,18 +269,46 @@ def test_unreadable_content_is_a_runtime_error(bee_wav, tmp_path, capsys):
     nan_csv.write_text(header + "0.0\n" * 4000 + "nan\n" + "0.0\n" * 3999)
     inf_rate = tmp_path / "inf_rate.csv"
     inf_rate.write_text("# sample_rate_hz=inf\n" + "0.0\n" * 8000)
+    outs = tmp_path / "outs"
+    outs.mkdir()
+
+    def modify(method, alpha):
+        return ("modify-sound", "--input", str(bee_wav), "--out",
+                str(outs / f"{method}-{alpha}.wav"), "--method", method,
+                "--alpha", alpha, "--seed", "1")
+
+    def synth(signal, flag, value):
+        return ("synth", signal, "--out", str(outs / f"{signal}.wav"),
+                flag, value, "--seed", "1")
+
     for argv, needle in [
             (("detect", "--input", str(nan_csv)),
              f"bad sample value 'nan' (byte offset {len(header) + 4 * 4000})"),
             (("oracle", "--input", str(nan_csv)), "'nan'"),
             (("detect", "--input", str(inf_rate)), "sample_rate_hz=inf"),
-            (("modify-sound", "--input", str(bee_wav), "--out",
-              str(tmp_path / "inf.wav"), "--method", "frame_rate_scale",
-              "--alpha", "inf", "--seed", "1"), "frame rate")]:
+            (modify("frame_rate_scale", "inf"), "frame rate"),
+            # a non-finite alpha fails before any sample is computed, and a
+            # bad synthesis rate or duration before synthesis; each message
+            # names the value
+            (modify("pink_noise_overlay", "nan"), "alpha"),
+            (modify("pink_noise_overlay", "inf"), "alpha"),
+            (modify("silence_gaps", "inf"), "alpha"),
+            (modify("silence_gaps", "nan"), "alpha"),
+            (synth("rumble", "--rate", "inf"), "rate"),
+            (synth("rumble", "--duration-s", "inf"), "duration"),
+            (synth("rumble", "--total-s", "inf"), "duration"),
+            (synth("bee", "--duration-s", "inf"), "duration"),
+            (synth("bee", "--rate", "0"), "rate"),
+            (synth("pinknoise", "--duration-s", "nan"), "duration"),
+            (synth("pinknoise", "--rate", "-5"), "rate")]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert out == "" and len(err.strip().splitlines()) == 1, argv
         assert err.startswith("hecsim: ") and needle in err, (argv, err)
+        if argv[0] in ("modify-sound", "synth"):
+            assert f"got {float(argv[-3])!r}" in err, err
+            assert "Error" not in err, err
+    assert list(outs.iterdir()) == []
 
 
 def test_unknown_suffix_is_a_runtime_error(tmp_path, capsys):

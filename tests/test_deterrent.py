@@ -81,8 +81,9 @@ def test_overlay_alpha_zero_is_identity(bee_clip):
     assert overlay_pink_noise(bee_clip, 0.0, seed=5) is bee_clip
     silent = AudioClip(samples=np.zeros(1000), frame_rate_hz=8000.0)
     assert overlay_pink_noise(silent, 1.0, seed=5) is silent
-    with pytest.raises(InvalidInputError):
-        overlay_pink_noise(bee_clip, -0.1, seed=5)
+    for alpha in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError, match="alpha"):
+            overlay_pink_noise(bee_clip, alpha, seed=5)
 
 
 def test_overlay_renormalizes_when_clipping():
@@ -139,8 +140,9 @@ def test_gap_longer_than_frame_clamps_with_warning(bee_clip, caplog):
 
 
 def test_gaps_validate_inputs(bee_clip):
-    with pytest.raises(InvalidInputError):
-        insert_silence_gaps(bee_clip, alpha=-1.0, seed=0)
+    for alpha in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError, match="alpha"):
+            insert_silence_gaps(bee_clip, alpha=alpha, seed=0)
 
 
 def test_apply_modification_dispatch(bee_clip):

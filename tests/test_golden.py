@@ -1,19 +1,26 @@
-"""Golden sha256 digests of every output file for three fixed runs.
+"""Golden sha256 digests of every output file for four fixed runs.
 
 Any change that alters one byte of metrics.json, delivery_trace.jsonl,
 actions.jsonl, detections.jsonl or warnings.jsonl for these scenarios fails
 here; a deliberate change must update the digests and say why. They were
 taken with numpy 2.4.6 on CPython 3.11; a numpy whose random streams or FFT
 rounding differ may legitimately produce other bytes.
+
+Run this file as a script (PYTHONPATH=src python tests/test_golden.py) to
+print the GOLDEN table for the current source, ready to paste over the one
+below after a deliberate change.
 """
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import pytest
 
-from hecsim.harness import (ElephantEvent, PnPlacement, Scenario,
+from hecsim.harness import (ElephantEvent, PnPlacement, Scenario, SimConfig,
                             example_scenario, run_scenario_with_logs)
 from hecsim.mesh import BrokerFailure, LinkModel, NetworkConfig, Partition
+from hecsim.peripheral import PnConfig
 from hecsim.signals import RumbleSpec
 from oracles import naive_ir_duty
 
@@ -67,8 +74,32 @@ def hidden_scenario():
         network=NetworkConfig(default_link=LinkModel(latency_s=0.05)))
 
 
+def multi_capture_scenario():
+    """Two nodes with a non-default config: two captures per trigger.
+
+    Each trigger captures frames -c0 and -c1, a window scoring ds 2 logs a
+    pre_arm row, and the short cooldown lets the second approach trigger
+    again (it is thermally hidden, but its frames fall inside the first
+    approach's thermal hold). Both frames of a trigger are decided, so the
+    second repel command meets a node already repelling: an anomaly row.
+    """
+    return Scenario(
+        name="multi-capture", duration_s=40.0,
+        pns=(PnPlacement("pn-1"), PnPlacement("pn-2")),
+        events=(ElephantEvent(t_onset_s=4.25, pn_ids=("pn-1", "pn-2"),
+                              rumble=RumbleSpec(duration_s=3.5, snr_db=18.0)),
+                ElephantEvent(t_onset_s=24.25, pn_ids=("pn-1", "pn-2"),
+                              rumble=RumbleSpec(duration_s=3.5, snr_db=18.0),
+                              thermal_visible=False)),
+        detector="stochastic", master_seed=5,
+        network=NetworkConfig(default_link=LinkModel(latency_s=0.05)))
+
+
 SCENARIOS = {"example": example_scenario, "lossy": lossy_scenario,
-             "hidden": hidden_scenario}
+             "hidden": hidden_scenario, "multi": multi_capture_scenario}
+# the runs not named here use SimConfig()
+CONFIGS = {"multi": SimConfig(pn=PnConfig(
+    ir_capture_count=2, arm_on_high_score=True, repel_cooldown_s=5.0))}
 
 GOLDEN = {
     "example": {
@@ -107,27 +138,46 @@ GOLDEN = {
         "warnings.jsonl":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
+    "multi": {
+        "metrics.json":
+            "1d9fed41d9ea0300de1d3651acb36b71d316312d27abd984cb711f289f5ba135",
+        "delivery_trace.jsonl":
+            "237d9ca0ef399ca402870f050b60ca8f9a4f82b93f68fb45a3c7427523dd9b6a",
+        "actions.jsonl":
+            "14e793bd6e60527222a7f454ed61765f564fe0f63b5b462ab534f71fbb51b061",
+        "detections.jsonl":
+            "1386068d9c790aec7e25bd9818c5eeefaed9eeb592bb629bdf969bfa15a22e13",
+        "warnings.jsonl":
+            "65017ac28fc1cd0726e98f9fb06a8a38027f6e4d5484256c3eb2a97333080170",
+    },
 }
 
 
-@pytest.fixture(scope="module")
-def runs(tmp_path_factory):
+def run_all(make_dir):
     """name -> (scenario, report, logs, output directory), run once each."""
     done = {}
     for name, build in SCENARIOS.items():
         scenario = build()
-        out = tmp_path_factory.mktemp(name)
-        report, logs = run_scenario_with_logs(scenario, out_dir=out)
+        out = make_dir(name)
+        report, logs = run_scenario_with_logs(scenario, CONFIGS.get(name),
+                                              out_dir=out)
         done[name] = (scenario, report, logs, out)
     return done
 
 
+def digests(out):
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in OUTPUTS}
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    return run_all(tmp_path_factory.mktemp)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_output_digests(runs, name):
-    out = runs[name][3]
-    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
-               for f in OUTPUTS}
-    assert digests == GOLDEN[name]
+    assert digests(runs[name][3]) == GOLDEN[name]
 
 
 def test_lossy_scenario_exercises_the_mesh(runs):
@@ -150,6 +200,15 @@ def test_hidden_scenario_sends_negative_decisions(runs):
     assert logs.warnings == []
 
 
+def test_multi_capture_scenario_covers_the_config(runs):
+    actions = [r["action"] for r in runs["multi"][2].actions]
+    published = [a for a in actions if a.startswith("publish_frame:")]
+    assert any(a.endswith("-c0") for a in published)
+    assert any(a.endswith("-c1") for a in published)
+    assert "pre_arm:2" in actions
+    assert any(a.startswith("anomaly:") for a in actions)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_duty_cycle_matches_action_log(runs, name):
     scenario, report, logs, _ = runs[name]
@@ -166,3 +225,15 @@ def test_duty_cycle_matches_action_log(runs, name):
             previous = row
         expected = naive_ir_duty(rows, node, scenario.duration_s)
         assert abs(report.ir_duty_cycle[node] - expected) <= 1e-9
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as root:
+        done = run_all(lambda name: Path(root) / name)
+        print("GOLDEN = {")
+        for name, (_, _, _, out) in done.items():
+            print(f'    "{name}": {{')
+            for f, digest in digests(out).items():
+                print(f'        "{f}":\n            "{digest}",')
+            print("    },")
+        print("}")

@@ -28,15 +28,15 @@ def frame(frame_id="pn-1-w000", t=4.0):
     return ThermalFrame(frame_id=frame_id, pn_id="pn-1", timestamp_s=t)
 
 
-def repel(t=5.0, duration=10.0):
+def repel(duration=10.0):
     det = ModificationParams(kind=ModificationKind.PINK_NOISE_OVERLAY,
                              alpha=1.0, seed=0)
-    return RepelCommand(pn_id="pn-1", issued_at_s=t, deterrent=det,
+    return RepelCommand(pn_id="pn-1", frame_id="pn-1-w000", deterrent=det,
                         flash_freq_hz=2.0, duration_s=duration)
 
 
 def test_full_cycle_through_all_states():
-    state = PnState.idle()
+    state = PnState()
 
     state, actions = pn_step(state, SeismicWindowReady(window(2)), CFG, 4.0)
     assert state.kind is PnStateKind.IR_ACTIVE
@@ -47,7 +47,7 @@ def test_full_cycle_through_all_states():
     assert state.until_s == pytest.approx(4.05 + CFG.decision_timeout_s)
     assert actions == (PublishFrame(frame()),)
 
-    cmd = repel(t=4.2)
+    cmd = repel()
     state, actions = pn_step(state, CommandReceived(cmd), CFG, 4.2)
     assert state.kind is PnStateKind.REPELLING
     assert state.until_s == pytest.approx(14.2)
@@ -65,7 +65,7 @@ def test_full_cycle_through_all_states():
 
 def test_negative_decision_returns_to_idle():
     state = PnState(kind=PnStateKind.AWAITING_DECISION, until_s=14.0)
-    neg = NegativeDecision(pn_id="pn-1", frame_id="pn-1-w000", issued_at_s=5.0)
+    neg = NegativeDecision(pn_id="pn-1", frame_id="pn-1-w000")
     state, actions = pn_step(state, CommandReceived(neg), CFG, 5.0)
     assert state.kind is PnStateKind.IDLE
     assert actions == ()
@@ -79,7 +79,7 @@ def test_decision_timeout_drops_back_to_idle():
 
 
 def test_subthreshold_score_does_nothing():
-    state, actions = pn_step(PnState.idle(), SeismicWindowReady(window(0)),
+    state, actions = pn_step(PnState(), SeismicWindowReady(window(0)),
                              CFG, 4.0)
     assert state.kind is PnStateKind.IDLE
     assert actions == ()
@@ -87,11 +87,11 @@ def test_subthreshold_score_does_nothing():
 
 def test_threshold_two_ignores_ds_one():
     cfg = PnConfig(ds_threshold=2)
-    state, actions = pn_step(PnState.idle(), SeismicWindowReady(window(1)),
+    state, actions = pn_step(PnState(), SeismicWindowReady(window(1)),
                              cfg, 4.0)
     assert state.kind is PnStateKind.IDLE
     assert actions == ()
-    state, actions = pn_step(PnState.idle(), SeismicWindowReady(window(2)),
+    state, actions = pn_step(PnState(), SeismicWindowReady(window(2)),
                              cfg, 4.0)
     assert state.kind is PnStateKind.IR_ACTIVE
 
@@ -107,15 +107,15 @@ def test_scores_outside_idle_are_silent():
 
 def test_prearm_on_high_score():
     cfg = PnConfig(arm_on_high_score=True)
-    _, actions = pn_step(PnState.idle(), SeismicWindowReady(window(2)), cfg, 4.0)
+    _, actions = pn_step(PnState(), SeismicWindowReady(window(2)), cfg, 4.0)
     assert actions == (CaptureFrame(count=1), PreArm(ds=2))
-    _, actions = pn_step(PnState.idle(), SeismicWindowReady(window(1)), cfg, 4.0)
+    _, actions = pn_step(PnState(), SeismicWindowReady(window(1)), cfg, 4.0)
     assert actions == (CaptureFrame(count=1),)
 
 
 def test_multi_capture_counts_down():
     cfg = PnConfig(ir_capture_count=3)
-    state, _ = pn_step(PnState.idle(), SeismicWindowReady(window(2)), cfg, 4.0)
+    state, _ = pn_step(PnState(), SeismicWindowReady(window(2)), cfg, 4.0)
     assert state.captures_remaining == 3
     state, actions = pn_step(state, FrameCaptured(frame("pn-1-w000-c0")), cfg, 4.05)
     assert state.kind is PnStateKind.IR_ACTIVE
@@ -127,13 +127,13 @@ def test_multi_capture_counts_down():
 
 
 def test_unexpected_frame_is_an_anomaly():
-    state, actions = pn_step(PnState.idle(), FrameCaptured(frame()), CFG, 4.0)
+    state, actions = pn_step(PnState(), FrameCaptured(frame()), CFG, 4.0)
     assert state.kind is PnStateKind.IDLE
     assert len(actions) == 1 and isinstance(actions[0], LogAnomaly)
 
 
 def test_unexpected_command_is_an_anomaly():
-    state, actions = pn_step(PnState.idle(), CommandReceived(repel()), CFG, 4.0)
+    state, actions = pn_step(PnState(), CommandReceived(repel()), CFG, 4.0)
     assert state.kind is PnStateKind.IDLE
     assert len(actions) == 1 and isinstance(actions[0], LogAnomaly)
 
@@ -181,16 +181,16 @@ def test_execute_repel_materializes(bee_clip):
 
 
 def test_ir_duty_cycle_simple_interval():
-    log = [(0.0, PnState.idle()),
+    log = [(0.0, PnState()),
            (10.0, PnState(kind=PnStateKind.IR_ACTIVE, captures_remaining=1)),
            (12.0, PnState(kind=PnStateKind.AWAITING_DECISION, until_s=22.0)),
-           (14.0, PnState.idle())]
+           (14.0, PnState())]
     assert ir_duty_cycle(log, end_time_s=40.0) == pytest.approx(4.0 / 40.0)
 
 
 def test_ir_duty_cycle_repelling_not_counted():
     log = [(0.0, PnState(kind=PnStateKind.REPELLING, until_s=10.0)),
-           (10.0, PnState.idle())]
+           (10.0, PnState())]
     assert ir_duty_cycle(log, end_time_s=20.0) == 0.0
 
 
@@ -198,16 +198,16 @@ def test_ir_duty_cycle_validation():
     with pytest.raises(InvalidInputError):
         ir_duty_cycle([], end_time_s=10.0)
     with pytest.raises(InvalidInputError):
-        ir_duty_cycle([(5.0, PnState.idle()), (3.0, PnState.idle())], 10.0)
+        ir_duty_cycle([(5.0, PnState()), (3.0, PnState())], 10.0)
     with pytest.raises(InvalidInputError):
-        ir_duty_cycle([(5.0, PnState.idle())], end_time_s=4.0)
+        ir_duty_cycle([(5.0, PnState())], end_time_s=4.0)
 
 
 EVENT_STRATEGY = st.one_of(
     st.integers(0, 2).map(lambda ds: SeismicWindowReady(window(ds))),
     st.just(FrameCaptured(frame())),
-    st.just(CommandReceived(repel(t=0.0))),
-    st.just(CommandReceived(NegativeDecision("pn-1", "pn-1-w000", 0.0))),
+    st.just(CommandReceived(repel())),
+    st.just(CommandReceived(NegativeDecision("pn-1", "pn-1-w000"))),
     st.floats(0.0, 100.0, allow_nan=False).map(
         lambda d: TimerExpired(deadline_s=d)),
 )
@@ -216,9 +216,9 @@ EVENT_STRATEGY = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(EVENT_STRATEGY, max_size=30))
 @example([SeismicWindowReady(window(1)), FrameCaptured(frame()),
-          CommandReceived(repel(t=0.0))] + [SeismicWindowReady(window(0))] * 21)
+          CommandReceived(repel())] + [SeismicWindowReady(window(0))] * 21)
 def test_random_event_storms_never_corrupt_state(events):
-    state = PnState.idle()
+    state = PnState()
     now = 0.0
     for ev in events:
         now += 0.5
@@ -243,7 +243,7 @@ def test_random_event_storms_never_corrupt_state(events):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(EVENT_STRATEGY, max_size=30))
 def test_repel_only_fires_from_awaiting(events):
-    state = PnState.idle()
+    state = PnState()
     now = 0.0
     for ev in events:
         now += 0.5

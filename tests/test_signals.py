@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecsim.deterrent import generate_pink_noise
 from hecsim.errors import InvalidInputError
 from hecsim.signals import (AudioClip, RumbleSpec, SeismicTrace,
                             chirp_waveform, compute_stft, default_pad_length,
@@ -153,6 +154,19 @@ def test_synth_rumble_stream_rejects_overflowing_chirp():
                             total_s=8.0, noise_rms=10.0)
 
 
+def test_synthesis_needs_a_finite_rate_and_duration():
+    inf, nan = float("inf"), float("nan")
+    for call, value in [
+            (lambda: synth_rumble_stream([], total_s=8.0,
+                                         sample_rate_hz=inf), "inf"),
+            (lambda: synth_rumble_stream([], total_s=nan), "nan"),
+            (lambda: synth_rumble(RumbleSpec(3.5), total_s=inf), "inf"),
+            (lambda: synth_bee_buzz(duration_s=1.0, frame_rate_hz=0.0), "0.0"),
+            (lambda: generate_pink_noise(100, -5.0, seed=0), "-5.0")]:
+        with pytest.raises(InvalidInputError, match=f"got {value}"):
+            call()
+
+
 def test_synth_rumble_stream_deterministic():
     events = [(1.0, RumbleSpec(duration_s=3.0))]
     a = synth_rumble_stream(events, total_s=6.0, seed=9)
@@ -178,8 +192,9 @@ def test_bee_buzz_deterministic_per_seed():
 
 
 def test_rumble_spec_validation():
-    with pytest.raises(InvalidInputError):
-        RumbleSpec(duration_s=0.0)
+    for duration_s in (0.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidInputError):
+            RumbleSpec(duration_s=duration_s)
     with pytest.raises(InvalidInputError):
         RumbleSpec(duration_s=3.0, envelope="triangle")
     # the amplitude ratio 10 ** (snr_db / 20) must be finite and positive
