@@ -18,6 +18,7 @@ from typing import Protocol
 
 import numpy as np
 
+from .codec import JsonConfig
 from .deterrent import pick_modification
 from .errors import InvalidConfigError, InvalidInputError
 from .peripheral import LogAnomaly, NegativeDecision, RepelCommand, ThermalFrame
@@ -316,52 +317,45 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
 
 @dataclass(frozen=True)
 class LabeledFrame:
-    frame: ThermalFrame
-    boxes: tuple[BoundingBox, ...]
+    """One labeled frame; the fields mirror the keys of a labels file.
+
+    Each box is [x0, y0, x1, y1] in pixels; a frame without boxes is a
+    negative.
+    """
+
+    frame_id: str
+    boxes: tuple[tuple[float, float, float, float], ...]
+    pn_id: str = ""
+    timestamp_s: float = 0.0
+    width: int = 32
+    height: int = 24
     split: str = "test"
+
+    def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise InvalidInputError("frame size must be at least 1x1, got "
+                                    f"{self.width!r}x{self.height!r}")
+        for corners in self.boxes:
+            BoundingBox(*corners)
+
+    @property
+    def frame(self) -> ThermalFrame:
+        return ThermalFrame(frame_id=self.frame_id, pn_id=self.pn_id,
+                            timestamp_s=self.timestamp_s, width=self.width,
+                            height=self.height,
+                            sim_ground_truth=bool(self.boxes))
 
     @property
     def truth(self) -> FrameTruth:
-        return FrameTruth(present=bool(self.boxes), boxes=self.boxes)
+        return FrameTruth(present=bool(self.boxes),
+                          boxes=tuple(BoundingBox(*b) for b in self.boxes))
 
 
 @dataclass(frozen=True)
-class LabeledFrameSet:
+class LabeledFrameSet(JsonConfig):
+    """A labels file: {"frames": [...]}, loaded strictly by the codec."""
+
     frames: tuple[LabeledFrame, ...]
-
-    def to_json(self) -> dict:
-        return {"frames": [
-            {
-                "frame_id": lf.frame.frame_id,
-                "pn_id": lf.frame.pn_id,
-                "timestamp_s": lf.frame.timestamp_s,
-                "width": lf.frame.width,
-                "height": lf.frame.height,
-                "boxes": [b.as_tuple() for b in lf.boxes],
-                "split": lf.split,
-            }
-            for lf in self.frames
-        ]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LabeledFrameSet":
-        try:
-            frames = []
-            for rec in data["frames"]:
-                boxes = tuple(BoundingBox(*map(float, b)) for b in rec["boxes"])
-                frame = ThermalFrame(
-                    frame_id=str(rec["frame_id"]),
-                    pn_id=str(rec.get("pn_id", "")),
-                    timestamp_s=float(rec.get("timestamp_s", 0.0)),
-                    width=int(rec.get("width", 32)),
-                    height=int(rec.get("height", 24)),
-                    sim_ground_truth=bool(boxes),
-                )
-                frames.append(LabeledFrame(frame=frame, boxes=boxes,
-                                           split=str(rec.get("split", "test"))))
-            return cls(frames=tuple(frames))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"bad labeled frame set: {exc}") from exc
 
 
 def evaluate_ap50(detector: Detector, frame_set: LabeledFrameSet,
@@ -372,14 +366,15 @@ def evaluate_ap50(detector: Detector, frame_set: LabeledFrameSet,
     unmatched truth box in its own frame. A positive decision without boxes
     cannot be scored and is rejected.
     """
-    total_truth = sum(len(lf.boxes) for lf in frame_set.frames)
+    truths = [lf.truth for lf in frame_set.frames]
+    total_truth = sum(len(t.boxes) for t in truths)
     predictions = []  # (confidence, order, frame index, box)
-    for idx, lf in enumerate(frame_set.frames):
-        decision = detector.decide(lf.frame, truth=lf.truth)
+    for idx, (lf, truth) in enumerate(zip(frame_set.frames, truths)):
+        decision = detector.decide(lf.frame, truth=truth)
         if decision.elephant_present and not decision.boxes:
             raise InvalidInputError(
                 f"detector {detector.name!r} flagged frame "
-                f"{lf.frame.frame_id} without boxes")
+                f"{lf.frame_id} without boxes")
         for box in decision.boxes:
             predictions.append((decision.confidence, len(predictions), idx, box))
     if not predictions or total_truth == 0:
@@ -391,7 +386,7 @@ def evaluate_ap50(detector: Detector, frame_set: LabeledFrameSet,
     for rank, (_, _, idx, box) in enumerate(predictions):
         best_iou = 0.0
         best_key = None
-        for gt_idx, gt in enumerate(frame_set.frames[idx].boxes):
+        for gt_idx, gt in enumerate(truths[idx].boxes):
             if (idx, gt_idx) in matched:
                 continue
             value = iou(box, gt)

@@ -71,13 +71,10 @@ def cmd_detect(args) -> int:
     trace = _load_trace(args.input)
     params = Algorithm1Params(window_s=args.window_s)
     for det in detect_stream(trace, params):
-        row = {"window": det.window_index, "t_start_s": det.window_start_s,
-               "max_run": det.max_run, "ds": det.ds}
-        if args.json:
-            print(json.dumps(row, sort_keys=True))
-        else:
-            print(f"window={det.window_index} t={det.window_start_s:.3f}s "
-                  f"max_run={det.max_run} ds={det.ds}")
+        _emit({"window": det.window_index, "t_start_s": det.window_start_s,
+               "max_run": det.max_run, "ds": det.ds}, args.json,
+              [f"window={det.window_index} t={det.window_start_s:.3f}s "
+               f"max_run={det.max_run} ds={det.ds}"])
     return 0
 
 
@@ -85,13 +82,10 @@ def cmd_oracle(args) -> int:
     trace = _load_trace(args.input)
     events = stft_oracle_detect(trace, min_event_s=args.min_event_s)
     for i, ev in enumerate(events):
-        row = {"event": i, "t_start_s": ev.t_start_s, "t_end_s": ev.t_end_s,
-               "duration_s": ev.duration_s}
-        if args.json:
-            print(json.dumps(row, sort_keys=True))
-        else:
-            print(f"event={i} start={ev.t_start_s:.3f}s end={ev.t_end_s:.3f}s "
-                  f"duration={ev.duration_s:.3f}s")
+        _emit({"event": i, "t_start_s": ev.t_start_s, "t_end_s": ev.t_end_s,
+               "duration_s": ev.duration_s}, args.json,
+              [f"event={i} start={ev.t_start_s:.3f}s end={ev.t_end_s:.3f}s "
+               f"duration={ev.duration_s:.3f}s"])
     if not events and not args.json:
         print("no events")
     return 0
@@ -186,8 +180,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval_ap50(args) -> int:
-    frame_set = LabeledFrameSet.from_json(
-        json.loads(Path(args.labels).read_text()))
+    frame_set = LabeledFrameSet.load(args.labels)
     if args.detector == "oracle":
         detector = OracleDetector()
         seed = None  # nothing random to reproduce

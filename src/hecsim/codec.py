@@ -1,6 +1,7 @@
-"""Strict JSON codec for the frozen config dataclasses.
+"""Strict JSON codec for the frozen dataclasses read from files: the
+configs, the scenario and the labeled frame set.
 
-A config file mirrors its dataclass: one key per field, nested dataclasses
+A file mirrors its dataclass: one key per field, nested dataclasses
 as objects, tuples and frozensets as lists, dicts as objects. Omitted keys
 keep the field default. An unknown key, a value of the wrong type, a missing
 required field or a value the dataclass itself rejects raises

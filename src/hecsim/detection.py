@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .signals import SeismicTrace, compute_stft, window_trace
+from .signals import SeismicTrace, compute_stft
 
 # Recall reported for the original 44-recording field dataset. Context only:
 # that corpus is not available here, so this is not a test target.
@@ -130,11 +130,23 @@ def detect_window(window: SeismicTrace,
 
 def detect_stream(trace: SeismicTrace,
                   params: Algorithm1Params = Algorithm1Params()) -> list[WindowDetection]:
-    """Score every full window of a trace; the remainder is ignored."""
+    """Score every full window of a trace; the remainder is ignored.
+
+    Each window keeps its absolute start time, so detections sit on the
+    trace's own timeline.
+    """
+    x, rate = trace.samples, trace.sample_rate_hz
+    if len(x) == 0:
+        raise InvalidInputError("cannot window an empty trace")
+    n = int(round(params.window_s * rate))
+    if n < 1:
+        raise InvalidInputError("window shorter than one sample")
     out = []
-    for i, window in enumerate(window_trace(trace, params.window_s)):
-        det = detect_window(window, params)
-        out.append(replace(det, window_index=i))
+    for i in range(len(x) // n):
+        window = SeismicTrace(samples=x[i * n:(i + 1) * n],
+                              sample_rate_hz=rate,
+                              start_time_s=trace.start_time_s + i * n / rate)
+        out.append(replace(detect_window(window, params), window_index=i))
     return out
 
 

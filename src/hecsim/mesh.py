@@ -179,7 +179,7 @@ class _Client:
         self.drain_scheduled = False
 
 
-_PENDING, _ARRIVED, _DEAD, _DONE = range(4)
+_PENDING, _ARRIVED, _DEAD = range(3)
 
 
 class _Transfer:
@@ -453,7 +453,6 @@ class MeshNetwork:
                 continue
             if head.state != _ARRIVED:
                 return
-            head.state = _DONE
             channel.popleft()
             if head.direction == "up":
                 self._fanout(head.msg, head.broker_id)

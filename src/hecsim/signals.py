@@ -140,31 +140,6 @@ class RumbleSpec:
                 "amplitude ratio")
 
 
-def window_trace(trace: SeismicTrace, window_s: float) -> list[SeismicTrace]:
-    """Split a trace into non-overlapping windows of window_s seconds.
-
-    A trailing remainder shorter than one window is discarded. Each window
-    keeps an absolute start time so detections can be placed on the original
-    timeline.
-    """
-    if len(trace.samples) == 0:
-        raise InvalidInputError("cannot window an empty trace")
-    if not window_s > 0:
-        raise InvalidInputError("window_s must be positive")
-    n = int(round(window_s * trace.sample_rate_hz))
-    if n < 1:
-        raise InvalidInputError("window shorter than one sample")
-    count = len(trace.samples) // n
-    return [
-        SeismicTrace(
-            samples=trace.samples[i * n:(i + 1) * n],
-            sample_rate_hz=trace.sample_rate_hz,
-            start_time_s=trace.start_time_s + i * n / trace.sample_rate_hz,
-        )
-        for i in range(count)
-    ]
-
-
 def _samples_and_rate(signal) -> tuple[np.ndarray, float, float]:
     if isinstance(signal, SeismicTrace):
         return signal.samples, signal.sample_rate_hz, signal.start_time_s
@@ -232,21 +207,15 @@ def synth_rumble(spec: RumbleSpec, sample_rate_hz: float = 1000.0,
 
     SNR is the ratio of chirp RMS (over the chirp extent) to noise RMS.
     By default the trace covers exactly the rumble; total_s and onset_s
-    place it inside a longer noisy record.
+    place it inside a longer noisy record. This is a one-event
+    synth_rumble_stream whose noise RMS is the chirp RMS over the SNR
+    amplitude ratio.
     """
     if total_s is None:
         total_s = spec.duration_s
-    if not (onset_s >= 0 and onset_s + spec.duration_s <= total_s + 1e-9):
-        raise InvalidInputError("rumble does not fit in the trace")
-    rng = np.random.default_rng(seed)
-    n = sample_count(total_s, sample_rate_hz)
-    chirp = chirp_waveform(spec, sample_rate_hz)
-    chirp_rms = float(np.sqrt(np.mean(chirp ** 2)))
-    noise_rms = chirp_rms / (10.0 ** (spec.snr_db / 20.0))
-    x = rng.standard_normal(n) * noise_rms
-    i0 = int(round(onset_s * sample_rate_hz))
-    x[i0:i0 + len(chirp)] += chirp[:max(0, n - i0)]
-    return SeismicTrace(samples=x, sample_rate_hz=sample_rate_hz)
+    chirp_rms = float(np.sqrt(np.mean(chirp_waveform(spec, sample_rate_hz) ** 2)))
+    return synth_rumble_stream([(onset_s, spec)], total_s, sample_rate_hz,
+                               seed, chirp_rms / 10.0 ** (spec.snr_db / 20.0))
 
 
 def synth_rumble_stream(events: list[tuple[float, RumbleSpec]], total_s: float,

@@ -21,7 +21,6 @@ from hecsim.deterrent import (apply_modification, generate_pink_noise,
 from hecsim.harness import (ElephantEvent, PnPlacement, Scenario, SimConfig,
                             run_scenario_with_logs)
 from hecsim.mesh import BrokerFailure, LinkModel, MeshNetwork, NetworkConfig
-from hecsim.peripheral import ThermalFrame
 from hecsim.signals import (RumbleSpec, SeismicTrace, synth_bee_buzz,
                             synth_rumble)
 from oracles import brute_force_ap50, delivery_probability
@@ -154,10 +153,8 @@ def test_criterion_07_iou_and_ap50_match_exact_geometry():
         assert abs(got - expected) <= 1e-12, (a, b, got)
 
     def lf(frame_id, boxes):
-        frame = ThermalFrame(frame_id=frame_id, pn_id="pn-1", timestamp_s=0.0,
-                             width=32, height=32, sim_ground_truth=bool(boxes))
-        return LabeledFrame(frame=frame,
-                            boxes=tuple(BoundingBox(*b) for b in boxes))
+        return LabeledFrame(frame_id=frame_id, boxes=tuple(boxes),
+                            pn_id="pn-1", width=32, height=32)
 
     truths = [
         [(2, 2, 10, 10)],

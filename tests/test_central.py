@@ -12,7 +12,7 @@ from hecsim.central import (BoundingBox, CnConfig, CnState,
                             StochasticDetectorParams, WarningKind, cn_step,
                             default_box, evaluate_ap50, iou,
                             truth_from_frame)
-from hecsim.errors import InvalidInputError
+from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.peripheral import (LogAnomaly, NegativeDecision, RepelCommand,
                                ThermalFrame)
 from oracles import brute_force_ap50, iou_fraction
@@ -200,10 +200,8 @@ def test_deterrent_draw_is_stable_per_frame():
 # ---- labeled frames and AP50 ----
 
 def lf(frame_id, boxes, width=32, height=24):
-    f = ThermalFrame(frame_id=frame_id, pn_id="pn-1", timestamp_s=0.0,
-                     width=width, height=height,
-                     sim_ground_truth=bool(boxes))
-    return LabeledFrame(frame=f, boxes=tuple(BoundingBox(*b) for b in boxes))
+    return LabeledFrame(frame_id=frame_id, boxes=tuple(boxes), pn_id="pn-1",
+                        width=width, height=height)
 
 
 def test_labeled_frame_set_round_trip():
@@ -213,17 +211,44 @@ def test_labeled_frame_set_round_trip():
         lf("c", [(0, 0, 2, 2), (10, 10, 20, 20)]),
     ))
     back = LabeledFrameSet.from_json(json.loads(json.dumps(fs.to_json())))
+    assert back == fs
     assert back.to_json() == fs.to_json()
-    with pytest.raises(InvalidInputError):
+    assert back.frames[2].truth.boxes == (BoundingBox(0, 0, 2, 2),
+                                          BoundingBox(10, 10, 20, 20))
+    assert back.frames[1].frame.sim_ground_truth is False
+    with pytest.raises(InvalidConfigError):
         LabeledFrameSet.from_json({"nope": []})
     # a NaN corner would silently score as a miss; a string one is no number
     for corner in ["NaN", '"x"', "Infinity"]:
         text = ('{"frames": [{"frame_id": "a", "boxes": [[1, 1, 5, 5]]}, '
                 f'{{"frame_id": "b", "boxes": [[{corner}, 1, 5, 5]]}}]}}')
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidConfigError):
             LabeledFrameSet.from_json(json.loads(text))
     with pytest.raises(InvalidInputError):
         BoundingBox(float("nan"), 1.0, 5.0, 5.0)
+    # no value is coerced or dropped: each bad one fails at its own path
+    good = {"frame_id": "a", "boxes": [[1, 1, 5, 5]], "width": 32}
+    for bad, path, needle in [
+            ({"widht": 640}, "LabeledFrameSet.frames[1]", "unknown key"),
+            ({"timestamp_s": float("nan")},
+             "LabeledFrameSet.frames[1].timestamp_s", "finite"),
+            ({"boxes": [["1", "1", "5", "5"]]},
+             "LabeledFrameSet.frames[1].boxes[0][0]", "a number"),
+            ({"width": 32.9}, "LabeledFrameSet.frames[1].width", "an integer"),
+            ({"width": True}, "LabeledFrameSet.frames[1].width", "an integer"),
+            ({"frame_id": 7}, "LabeledFrameSet.frames[1].frame_id", "a string"),
+            ({"width": -5}, "LabeledFrameSet.frames[1]", "-5x24"),
+            ({"height": 0}, "LabeledFrameSet.frames[1]", "32x0"),
+            ({"boxes": [[5, 1, 1, 5]]}, "LabeledFrameSet.frames[1]",
+             "inverted")]:
+        data = {"frames": [good, {**good, "frame_id": "b", **bad}]}
+        with pytest.raises(InvalidConfigError) as exc:
+            LabeledFrameSet.from_json(data)
+        assert str(exc.value).startswith(path + ": ") and needle in \
+            str(exc.value), (bad, str(exc.value))
+    with pytest.raises(InvalidConfigError, match="^LabeledFrameSet: "
+                       "unknown key 'version'"):
+        LabeledFrameSet.from_json({"frames": [good], "version": 2})
 
 
 def test_ap50_oracle_detector_is_perfect():

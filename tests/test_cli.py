@@ -224,6 +224,29 @@ def test_eval_ap50_stochastic_echoes_seed(labels_json, capsys):
     assert 0.0 <= report["ap50"] <= 1.0
 
 
+def test_eval_ap50_bundled_labels(capsys):
+    code, out, _ = run_cli(capsys, "eval-ap50", "--labels",
+                           str(REPO / "scenarios/example_labels.json"))
+    assert code == 0
+    assert json.loads(out) == {"ap50": 1.0, "detector": "oracle",
+                               "frames": 2, "seed": None}
+
+
+def test_eval_ap50_rejects_a_bad_label(labels_json, capsys):
+    # a negative width fails at load, before the stochastic detector draws
+    # a false-alarm box inside it
+    data = json.loads(labels_json.read_text())
+    data["frames"][1]["width"] = -5
+    labels_json.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "eval-ap50", "--labels",
+                             str(labels_json), "--detector", "stochastic",
+                             "--fpr", "1", "--seed", "3")
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("hecsim: LabeledFrameSet.frames[1]: "), err
+    assert "Error" not in err, err
+
+
 # ---- spectrogram ----
 
 def test_spectrogram_csv_defaults(rumble_csv, tmp_path, capsys):

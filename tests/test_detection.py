@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hecsim.detection import (Algorithm1Params, RumbleEvent, detect_stream,
                               stft_oracle_detect)
 from hecsim.errors import InvalidInputError
 from hecsim.signals import (RumbleSpec, SeismicTrace, synth_rumble,
-                            synth_rumble_stream, window_trace)
+                            synth_rumble_stream)
 from oracles import longest_true_run, naive_peak_frequency
 
 PARAMS = Algorithm1Params()
@@ -68,6 +70,34 @@ def test_detect_stream_indexes_windows():
     assert detections[1].ds >= 1  # rumble sits inside the second window
 
 
+def test_detect_stream_discards_remainder():
+    trace = synth_rumble(RumbleSpec(duration_s=3.5, snr_db=20.0),
+                         seed=1, total_s=10.5, onset_s=4.25)
+    detections = detect_stream(trace, PARAMS)
+    assert [d.window_start_s for d in detections] == [0.0, 4.0]
+    # the second window is samples 4000..7999, the last 2500 are dropped
+    second = SeismicTrace(samples=trace.samples[4000:8000],
+                          sample_rate_hz=1000.0, start_time_s=4.0)
+    assert detections[1] == replace(detect_window(second, PARAMS),
+                                    window_index=1)
+    assert detections[1].ds == 2
+
+
+def test_detect_stream_short_trace_yields_nothing():
+    short = SeismicTrace(samples=np.zeros(100), sample_rate_hz=1000.0)
+    assert detect_stream(short, PARAMS) == []
+
+
+def test_detect_stream_empty_trace_rejected():
+    with pytest.raises(InvalidInputError, match="empty"):
+        detect_stream(SeismicTrace(samples=np.zeros(0),
+                                   sample_rate_hz=1000.0), PARAMS)
+    tiny = Algorithm1Params(window_s=1e-4, subsegment_s=1e-4)
+    with pytest.raises(InvalidInputError, match="shorter than one sample"):
+        detect_stream(SeismicTrace(samples=np.zeros(100),
+                                   sample_rate_hz=1000.0), tiny)
+
+
 def test_band_edges_are_strict():
     # a tone exactly on the 20 Hz band edge must not count as in-band
     t = np.arange(4000) / 1000.0
@@ -89,13 +119,16 @@ def test_detect_window_matches_naive_dft_runs():
     trace = synth_rumble_stream(events, total_s=16.0, sample_rate_hz=rate,
                                 seed=0)
     runs = []
-    for window in window_trace(trace, PARAMS.window_s):
+    n = int(PARAMS.window_s * rate)
+    for i0 in range(0, len(trace.samples), n):
+        samples = trace.samples[i0:i0 + n]
         in_band = [
             PARAMS.band_low_hz
             < naive_peak_frequency(seg, rate, pad_to=128)
             < PARAMS.band_high_hz
-            for seg in np.split(window.samples, PARAMS.subsegments_per_window)]
+            for seg in np.split(samples, PARAMS.subsegments_per_window)]
         expected = longest_true_run(in_band)
+        window = SeismicTrace(samples=samples, sample_rate_hz=rate)
         assert detect_window(window, PARAMS).max_run == expected
         runs.append(expected)
     assert len(runs) == 4

@@ -8,7 +8,7 @@ from hecsim.errors import InvalidInputError
 from hecsim.signals import (AudioClip, RumbleSpec, SeismicTrace,
                             chirp_waveform, compute_stft, default_pad_length,
                             next_pow2, synth_bee_buzz, synth_rumble,
-                            synth_rumble_stream, window_trace)
+                            synth_rumble_stream)
 from oracles import naive_dft_magnitudes, rumble_instantaneous_freq
 
 
@@ -89,28 +89,6 @@ def test_stft_tracks_chirp_frequency():
         expected = rumble_instantaneous_freq(mid, 4.0, 20.0, 40.0, 20.0)
         observed = gram.freqs_hz[int(np.argmax(gram.magnitudes[i]))]
         assert observed == pytest.approx(expected, abs=2.5)
-
-
-def test_window_trace_discards_remainder():
-    trace = SeismicTrace(samples=np.arange(10500, dtype=float),
-                         sample_rate_hz=1000.0)
-    windows = window_trace(trace, 4.0)
-    assert len(windows) == 2
-    assert windows[0].start_time_s == 0.0
-    assert windows[1].start_time_s == 4.0
-    assert len(windows[1].samples) == 4000
-    assert windows[1].samples[0] == 4000.0
-
-
-def test_window_trace_short_trace_yields_nothing():
-    short = SeismicTrace(samples=np.zeros(100), sample_rate_hz=1000.0)
-    assert window_trace(short, 4.0) == []
-
-
-def test_window_trace_empty_trace_rejected():
-    with pytest.raises(InvalidInputError):
-        window_trace(SeismicTrace(samples=np.zeros(0),
-                                  sample_rate_hz=1000.0), 4.0)
 
 
 def test_containers_need_a_positive_finite_rate():
