@@ -2,7 +2,8 @@
 """Run the bundled river-crossing scenario and print its metrics.
 
 Equivalent to:
-    hecsim simulate --scenario scenarios/example_scenario.json --out out/
+    hecsim simulate --scenario scenarios/example_scenario.json \
+        --config scenarios/example_sim.json --out out/
 """
 
 import argparse

@@ -73,33 +73,18 @@ class DetectorDecision:
     boxes: tuple[BoundingBox, ...] = ()
 
 
-@dataclass(frozen=True)
-class FrameTruth:
-    """Ground truth handed to simulation detectors, never to real ones."""
-
-    present: bool
-    boxes: tuple[BoundingBox, ...] = ()
-
-
-def default_box(frame: ThermalFrame) -> BoundingBox:
-    """Canonical centered box used when the simulator has no geometry."""
-    return BoundingBox(frame.width * 0.25, frame.height * 0.25,
-                       frame.width * 0.75, frame.height * 0.75)
-
-
-def truth_from_frame(frame: ThermalFrame) -> FrameTruth:
-    if frame.sim_ground_truth is None:
+def _sim_boxes(frame: ThermalFrame) -> tuple[BoundingBox, ...]:
+    """The simulated truth boxes of a frame; none means no elephant."""
+    if frame.sim_boxes is None:
         raise InvalidInputError(
             f"frame {frame.frame_id} carries no simulated ground truth")
-    boxes = (default_box(frame),) if frame.sim_ground_truth else ()
-    return FrameTruth(present=frame.sim_ground_truth, boxes=boxes)
+    return tuple(BoundingBox(*b) for b in frame.sim_boxes)
 
 
 class Detector(Protocol):
     name: str
 
-    def decide(self, frame: ThermalFrame,
-               truth: FrameTruth | None = None) -> DetectorDecision: ...
+    def decide(self, frame: ThermalFrame) -> DetectorDecision: ...
 
 
 class OracleDetector:
@@ -107,16 +92,11 @@ class OracleDetector:
 
     name = "oracle"
 
-    def decide(self, frame: ThermalFrame,
-               truth: FrameTruth | None = None) -> DetectorDecision:
-        if truth is None:
-            truth = truth_from_frame(frame)
-        return DetectorDecision(
-            frame_id=frame.frame_id,
-            elephant_present=truth.present,
-            confidence=1.0 if truth.present else 0.0,
-            boxes=truth.boxes if truth.present else (),
-        )
+    def decide(self, frame: ThermalFrame) -> DetectorDecision:
+        boxes = _sim_boxes(frame)
+        return DetectorDecision(frame_id=frame.frame_id,
+                                elephant_present=bool(boxes),
+                                confidence=1.0 if boxes else 0.0, boxes=boxes)
 
 
 @dataclass(frozen=True)
@@ -146,20 +126,18 @@ class StochasticDetector:
         self.seed = seed
         self.params = params
 
-    def decide(self, frame: ThermalFrame,
-               truth: FrameTruth | None = None) -> DetectorDecision:
-        if truth is None:
-            truth = truth_from_frame(frame)
+    def decide(self, frame: ThermalFrame) -> DetectorDecision:
+        truth = _sim_boxes(frame)
         rng = np.random.default_rng(
             derive_seed(self.seed, "frame", frame.frame_id))
         draw = float(rng.random())
-        present = draw < (self.params.tpr if truth.present else self.params.fpr)
+        present = draw < (self.params.tpr if truth else self.params.fpr)
         if not present:
             return DetectorDecision(frame_id=frame.frame_id,
                                     elephant_present=False,
                                     confidence=float(rng.uniform(0.0, 0.5)))
-        if truth.present and truth.boxes:
-            boxes = truth.boxes
+        if truth:
+            boxes = truth
         else:
             # false alarm: an arbitrary plausible box
             x0 = float(rng.uniform(0, frame.width * 0.5))
@@ -172,10 +150,9 @@ class StochasticDetector:
                                 boxes=boxes)
 
 
-def detect_frame(frame: ThermalFrame, detector: Detector,
-                 truth: FrameTruth | None = None) -> DetectorDecision:
+def detect_frame(frame: ThermalFrame, detector: Detector) -> DetectorDecision:
     """Run one detector on one frame."""
-    return detector.decide(frame, truth=truth)
+    return detector.decide(frame)
 
 
 # ---- central node state machine ----
@@ -319,8 +296,8 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
 class LabeledFrame:
     """One labeled frame; the fields mirror the keys of a labels file.
 
-    Each box is [x0, y0, x1, y1] in pixels; a frame without boxes is a
-    negative.
+    Each box is [x0, y0, x1, y1] in pixels and lies inside the frame; a
+    frame without boxes is a negative.
     """
 
     frame_id: str
@@ -336,19 +313,18 @@ class LabeledFrame:
             raise InvalidInputError("frame size must be at least 1x1, got "
                                     f"{self.width!r}x{self.height!r}")
         for corners in self.boxes:
-            BoundingBox(*corners)
+            box = BoundingBox(*corners)
+            if box.x0 < 0 or box.y0 < 0 or box.x1 > self.width or \
+                    box.y1 > self.height:
+                raise InvalidInputError(
+                    f"box {list(corners)} lies outside the "
+                    f"{self.width}x{self.height} frame")
 
     @property
     def frame(self) -> ThermalFrame:
         return ThermalFrame(frame_id=self.frame_id, pn_id=self.pn_id,
                             timestamp_s=self.timestamp_s, width=self.width,
-                            height=self.height,
-                            sim_ground_truth=bool(self.boxes))
-
-    @property
-    def truth(self) -> FrameTruth:
-        return FrameTruth(present=bool(self.boxes),
-                          boxes=tuple(BoundingBox(*b) for b in self.boxes))
+                            height=self.height, sim_boxes=self.boxes)
 
 
 @dataclass(frozen=True)
@@ -357,20 +333,27 @@ class LabeledFrameSet(JsonConfig):
 
     frames: tuple[LabeledFrame, ...]
 
+    def __post_init__(self):
+        seen = set()
+        for lf in self.frames:
+            if lf.frame_id in seen:
+                raise InvalidInputError(f"duplicate frame id {lf.frame_id!r}")
+            seen.add(lf.frame_id)
 
-def evaluate_ap50(detector: Detector, frame_set: LabeledFrameSet,
-                  iou_threshold: float = 0.5) -> float:
-    """Average precision at the given IoU threshold, all-point interpolation.
+
+def evaluate_ap50(detector: Detector, frame_set: LabeledFrameSet) -> float:
+    """Average precision at IoU 0.5, all-point interpolation.
 
     Predictions are ranked by confidence; each can match at most one still
     unmatched truth box in its own frame. A positive decision without boxes
     cannot be scored and is rejected.
     """
-    truths = [lf.truth for lf in frame_set.frames]
-    total_truth = sum(len(t.boxes) for t in truths)
+    truths = [tuple(BoundingBox(*b) for b in lf.boxes)
+              for lf in frame_set.frames]
+    total_truth = sum(map(len, truths))
     predictions = []  # (confidence, order, frame index, box)
-    for idx, (lf, truth) in enumerate(zip(frame_set.frames, truths)):
-        decision = detector.decide(lf.frame, truth=truth)
+    for idx, lf in enumerate(frame_set.frames):
+        decision = detector.decide(lf.frame)
         if decision.elephant_present and not decision.boxes:
             raise InvalidInputError(
                 f"detector {detector.name!r} flagged frame "
@@ -386,14 +369,14 @@ def evaluate_ap50(detector: Detector, frame_set: LabeledFrameSet,
     for rank, (_, _, idx, box) in enumerate(predictions):
         best_iou = 0.0
         best_key = None
-        for gt_idx, gt in enumerate(truths[idx].boxes):
+        for gt_idx, gt in enumerate(truths[idx]):
             if (idx, gt_idx) in matched:
                 continue
             value = iou(box, gt)
             if value > best_iou:
                 best_iou = value
                 best_key = (idx, gt_idx)
-        if best_key is not None and best_iou >= iou_threshold:
+        if best_key is not None and best_iou >= 0.5:
             matched.add(best_key)
             tp[rank] = 1.0
 

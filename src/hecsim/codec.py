@@ -6,8 +6,10 @@ as objects, tuples and frozensets as lists, dicts as objects. Omitted keys
 keep the field default. An unknown key, a value of the wrong type, a missing
 required field or a value the dataclass itself rejects raises
 InvalidConfigError naming the dotted path, e.g.
-"SimConfig.mesh: unknown key 'bogus'". A float field also takes a JSON int;
-nothing else is coerced. NaN and the infinities are never valid numbers.
+"Scenario.network.failover: unknown key 'bogus'". A float field also takes
+a JSON int; nothing else is coerced. NaN and the infinities are never valid
+numbers. A file that is not UTF-8 JSON raises InvalidConfigError naming the
+class and the file.
 """
 
 from __future__ import annotations
@@ -103,6 +105,16 @@ def decode(tp, data, path: str):
     raise TypeError(f"unsupported field type {tp} at {path}")
 
 
+def read_json(path: str | Path, owner: str):
+    """Parse one JSON file read as UTF-8; owner names what it holds."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: the parser nests one call per bracket of the file
+        raise InvalidConfigError(f"{owner}: {path}: not UTF-8 JSON: {exc}") \
+            from exc
+
+
 class JsonConfig:
     """Mixin giving a frozen dataclass strict to_json/from_json/load."""
 
@@ -115,4 +127,4 @@ class JsonConfig:
 
     @classmethod
     def load(cls, path: str | Path):
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path, cls.__name__))

@@ -170,12 +170,6 @@ def insert_silence_gaps(clip: AudioClip, alpha: float, seed: int) -> AudioClip:
     return AudioClip(samples=y, frame_rate_hz=clip.frame_rate_hz)
 
 
-def _log_spectrogram(clip: AudioClip):
-    spec = compute_stft(clip, SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
-                        window_fn="hann")
-    return spec.freqs_hz, spec.magnitudes
-
-
 def _onto_grid(grid, freqs, rows):
     """np.interp(grid, freqs, row) for every row, weights found once."""
     j = np.clip(np.searchsorted(freqs, grid, side="right") - 1, 0, len(freqs) - 2)
@@ -228,8 +222,9 @@ def stft_similarity(a: AudioClip, b: AudioClip) -> SimilarityScore:
     to rounding. On a stationary clip every lag ties within rounding, so
     rounding picks the lag.
     """
-    fa, ma = _log_spectrogram(a)
-    fb, mb = _log_spectrogram(b)
+    sa, sb = (compute_stft(c, SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
+                           window_fn="hann") for c in (a, b))
+    fa, ma, fb, mb = sa.freqs_hz, sa.magnitudes, sb.freqs_hz, sb.magnitudes
     floor = 1e-6 * max(float(ma.max()), float(mb.max())) or 1e-12
     la, lb = np.log(ma + floor), np.log(mb + floor)
 

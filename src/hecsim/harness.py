@@ -1,7 +1,8 @@
 """Scenario runner: seismic synthesis, node state machines, mesh, metrics.
 
-A Scenario says where the peripheral nodes stand and when elephants pass
-which of them; a SimConfig says how the nodes and the network behave.
+A Scenario says where the peripheral nodes stand, when elephants pass
+which of them and which network joins them; a SimConfig says how the nodes
+behave.
 run_scenario_with_logs synthesizes one seismic trace per node, scores every
 window, and drives the peripheral and central state machines through the
 simulated mesh in a single discrete-event loop. Every random choice descends
@@ -24,7 +25,7 @@ from .central import (CnConfig, CnState, DetectorResult, FrameReceived,
                       RunDetector, StochasticDetector,
                       StochasticDetectorParams, WarningKind, cn_step,
                       detect_frame)
-from .codec import JsonConfig, encode
+from .codec import JsonConfig, encode, read_json
 from .detection import Algorithm1Params, detect_stream
 from .errors import InvalidConfigError, InvalidInputError
 from .mesh import (MeshNetwork, NetworkConfig, QoS, heartbeat_and_failover)
@@ -78,7 +79,7 @@ class Scenario(JsonConfig):
     events: tuple[ElephantEvent, ...] = ()
     detector: str = "oracle"
     master_seed: int = 0
-    network: NetworkConfig | None = None  # overrides SimConfig.mesh when set
+    network: NetworkConfig = NetworkConfig()
 
     def __post_init__(self):
         object.__setattr__(self, "pns", tuple(self.pns))
@@ -106,9 +107,10 @@ class Scenario(JsonConfig):
         """Read a scenario file; a string network is a path to a network
         config file, relative to the scenario file itself."""
         path = Path(path)
-        data = json.loads(path.read_text())
+        data = read_json(path, cls.__name__)
         if isinstance(data, dict) and isinstance(data.get("network"), str):
-            data["network"] = json.loads((path.parent / data["network"]).read_text())
+            data["network"] = read_json(path.parent / data["network"],
+                                        f"{cls.__name__}.network")
         return cls.from_json(data)
 
 
@@ -123,7 +125,6 @@ class SimConfig(JsonConfig):
     thermal_hold_s: float = 30.0
     capture_delay_s: float = 0.05
     detector_delay_s: float = 0.1
-    mesh: NetworkConfig = NetworkConfig()
     topic_prefix: str = "hec"
     match_horizon_s: float = 30.0
 
@@ -282,19 +283,18 @@ class _Run:
     def __init__(self, scenario: Scenario, config: SimConfig):
         self.scenario = scenario
         self.config = config
-        mesh_cfg = scenario.network if scenario.network is not None else config.mesh
+        network = scenario.network
         clients = {p.node_id for p in scenario.pns} | {config.cn.node_id}
-        stray = set(mesh_cfg.link_overrides) - clients
+        stray = set(network.link_overrides) - clients
         if stray:
             raise InvalidConfigError(
                 f"link_overrides name unknown clients {sorted(stray)}")
-        if mesh_cfg.seed != 0:
+        if network.seed != 0:
             raise InvalidConfigError(
                 "mesh seed must be 0 in a scenario run: it comes from "
                 "master_seed")
-        mesh_cfg = replace(mesh_cfg,
-                           seed=derive_seed(scenario.master_seed, "mesh"))
-        self.net = MeshNetwork(mesh_cfg)
+        self.net = MeshNetwork(replace(
+            network, seed=derive_seed(scenario.master_seed, "mesh")))
         self.actions: list[dict] = []
         self.warnings: list[dict] = []
         self.detections: list[dict] = []
@@ -361,13 +361,14 @@ class _Run:
     def capture(self, node: str, frame_id: str) -> None:
         now = self.net.now
         hold = self.config.thermal_hold_s
-        truth = any(
+        seen = any(
             ev.thermal_visible and node in ev.pn_ids
             and ev.t_onset_s <= now <= ev.t_onset_s + ev.rumble.duration_s + hold
             for ev in self.scenario.events)
         self.pn_dispatch(node, FrameCaptured(ThermalFrame(
             frame_id=frame_id, pn_id=node, timestamp_s=now,
-            sim_ground_truth=truth)))
+            # a seen elephant fills the central half of the 32x24 frame
+            sim_boxes=((8.0, 6.0, 24.0, 18.0),) if seen else ())))
 
     def cn_dispatch(self, event) -> None:
         old = self.cn

@@ -69,10 +69,6 @@ class LinkModel:
         if not 0.0 <= self.loss_prob <= 1.0:
             raise InvalidConfigError("loss_prob must be in [0, 1]")
 
-    @property
-    def max_latency_s(self) -> float:
-        return self.latency_s + self.jitter_s
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -231,21 +227,18 @@ class MeshNetwork:
     def schedule_in(self, dt_s: float, fn: Callable[[], None]) -> None:
         self.schedule(self.now + dt_s, fn)
 
-    def advance(self, dt_s: float) -> list[tuple[float, str, Message]]:
-        """Process every event due within dt_s; returns (t, client, msg) deliveries."""
-        if dt_s < 0:
-            raise InvalidInputError("cannot advance backwards")
-        target = self.now + dt_s
+    def run_until(self, t_s: float) -> list[tuple[float, str, Message]]:
+        """Process every event due by t_s; returns (t, client, msg) deliveries."""
+        if not t_s >= self.now:
+            raise InvalidInputError(
+                f"cannot run the clock from {self.now} s to {t_s} s")
         self._delivered = []
-        while self._heap and self._heap[0][0] <= target:
+        while self._heap and self._heap[0][0] <= t_s:
             t, _, fn = heapq.heappop(self._heap)
             self.now = t
             fn()
-        self.now = target
+        self.now = t_s
         return self._delivered
-
-    def run_until(self, t_s: float) -> list[tuple[float, str, Message]]:
-        return self.advance(t_s - self.now)
 
     # ---- wiring ----
 

@@ -69,7 +69,8 @@ class ThermalFrame:
     timestamp_s: float
     width: int = 32
     height: int = 24
-    sim_ground_truth: bool | None = None  # set by the simulator, never by hardware
+    # truth boxes (x0, y0, x1, y1) set by the simulator; None on a real frame
+    sim_boxes: tuple[tuple[float, float, float, float], ...] | None = None
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,7 @@ def test_criterion_07_iou_and_ap50_match_exact_geometry():
     class Scripted:
         name = "scripted"
 
-        def decide(self, frame, truth=None):
+        def decide(self, frame):
             idx = int(frame.frame_id)
             boxes = tuple(BoundingBox(*b) for _, b in preds[idx])
             confs = [c for c, _ in preds[idx]]
@@ -186,7 +186,7 @@ def test_criterion_07_iou_and_ap50_match_exact_geometry():
     class Mute:
         name = "mute"
 
-        def decide(self, frame, truth=None):
+        def decide(self, frame):
             return DetectorDecision(frame_id=frame.frame_id,
                                     elephant_present=False, confidence=0.0)
 
@@ -247,7 +247,7 @@ def test_criterion_08_delivery_invariants_lossless_and_lossy():
         net.add_client("pub")
         for k in range(1000):
             net.publish("pub", "t/x", {"n": k})
-        net.advance(3600.0)
+        net.run_until(3600.0)
         delivered = len(got)
         assert delivered / 1000 >= 0.999, delivered
         p = delivery_probability(0.5, 10)  # 1 - 0.5 ** 11
@@ -271,7 +271,8 @@ def failover_scenario():
 def test_criterion_09_failover_rescues_outage_detection():
     report, logs = run_scenario_with_logs(failover_scenario())
 
-    max_link = LinkModel().max_latency_s
+    link = LinkModel()
+    max_link = link.latency_s + link.jitter_s
     failovers = [r for r in logs.delivery_trace if r["event"] == "failover"]
     assert {r["from"] for r in failovers} == {"broker-a"}
     assert {r["to"] for r in failovers} == {"broker-b"}
@@ -300,7 +301,7 @@ def test_criterion_10_bundled_scenario_deterministic_fast_and_gated():
         second, _ = run_scenario_with_logs(scenario, config)
         assert first.dumps() == second.dumps()
 
-        link = config.mesh.default_link.latency_s
+        link = scenario.network.default_link.latency_s
         bound = config.alg1.window_s + 2 * link + 0.5
         assert len(first.events) == 2
         for ev in first.events:

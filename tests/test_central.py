@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from hecsim.central import (BoundingBox, CnConfig, CnState,
                             DetectorDecision, DetectorResult, FrameReceived,
-                            FrameTruth, IssueWarning, LabeledFrame,
-                            LabeledFrameSet, OracleDetector, PublishCommand,
-                            RunDetector, StochasticDetector,
-                            StochasticDetectorParams, WarningKind, cn_step,
-                            default_box, evaluate_ap50, iou,
-                            truth_from_frame)
+                            IssueWarning, LabeledFrame, LabeledFrameSet,
+                            OracleDetector, PublishCommand, RunDetector,
+                            StochasticDetector, StochasticDetectorParams,
+                            WarningKind, cn_step, detect_frame, evaluate_ap50,
+                            iou)
 from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.peripheral import (LogAnomaly, NegativeDecision, RepelCommand,
                                ThermalFrame)
@@ -20,9 +19,12 @@ from oracles import brute_force_ap50, iou_fraction
 CFG = CnConfig()
 
 
+SEEN_BOX = (8.0, 6.0, 24.0, 18.0)  # the box a scenario run gives a seen elephant
+
+
 def frame(frame_id="pn-1-w000", pn="pn-1", truth=True):
     return ThermalFrame(frame_id=frame_id, pn_id=pn, timestamp_s=4.0,
-                        sim_ground_truth=truth)
+                        sim_boxes=(SEEN_BOX,) if truth else ())
 
 
 # ---- IoU ----
@@ -74,15 +76,16 @@ def test_iou_matches_oracle_everywhere(raw_a, raw_b):
 
 def test_truth_requires_simulated_flag():
     bare = ThermalFrame(frame_id="x", pn_id="pn-1", timestamp_s=0.0)
-    with pytest.raises(InvalidInputError):
-        truth_from_frame(bare)
+    for detector in (OracleDetector(), StochasticDetector(0)):
+        with pytest.raises(InvalidInputError, match="no simulated ground"):
+            detect_frame(bare, detector)
 
 
 def test_oracle_echoes_truth():
     d = OracleDetector()
     pos = d.decide(frame(truth=True))
     assert pos.elephant_present and pos.confidence == 1.0
-    assert pos.boxes == (default_box(frame()),)
+    assert pos.boxes == (BoundingBox(*SEEN_BOX),)
     neg = d.decide(frame(truth=False))
     assert not neg.elephant_present and neg.boxes == ()
 
@@ -213,9 +216,9 @@ def test_labeled_frame_set_round_trip():
     back = LabeledFrameSet.from_json(json.loads(json.dumps(fs.to_json())))
     assert back == fs
     assert back.to_json() == fs.to_json()
-    assert back.frames[2].truth.boxes == (BoundingBox(0, 0, 2, 2),
-                                          BoundingBox(10, 10, 20, 20))
-    assert back.frames[1].frame.sim_ground_truth is False
+    assert OracleDetector().decide(back.frames[2].frame).boxes == (
+        BoundingBox(0, 0, 2, 2), BoundingBox(10, 10, 20, 20))
+    assert back.frames[1].frame.sim_boxes == ()
     with pytest.raises(InvalidConfigError):
         LabeledFrameSet.from_json({"nope": []})
     # a NaN corner would silently score as a miss; a string one is no number
@@ -240,7 +243,13 @@ def test_labeled_frame_set_round_trip():
             ({"width": -5}, "LabeledFrameSet.frames[1]", "-5x24"),
             ({"height": 0}, "LabeledFrameSet.frames[1]", "32x0"),
             ({"boxes": [[5, 1, 1, 5]]}, "LabeledFrameSet.frames[1]",
-             "inverted")]:
+             "inverted"),
+            ({"boxes": [[4, 4, 200, 180]]}, "LabeledFrameSet.frames[1]",
+             "outside the 32x24 frame"),
+            ({"boxes": [[-1, 0, 4, 4]]}, "LabeledFrameSet.frames[1]",
+             "outside the 32x24 frame"),
+            # two labels for one frame id would draw and score alike
+            ({"frame_id": "a"}, "LabeledFrameSet", "duplicate frame id 'a'")]:
         data = {"frames": [good, {**good, "frame_id": "b", **bad}]}
         with pytest.raises(InvalidConfigError) as exc:
             LabeledFrameSet.from_json(data)
@@ -264,7 +273,7 @@ def test_ap50_empty_detector_is_zero():
     class Mute:
         name = "mute"
 
-        def decide(self, frame, truth=None):
+        def decide(self, frame):
             return DetectorDecision(frame_id=frame.frame_id,
                                     elephant_present=False, confidence=0.0)
 
@@ -276,7 +285,7 @@ def test_ap50_positive_without_boxes_rejected():
     class Boxless:
         name = "boxless"
 
-        def decide(self, frame, truth=None):
+        def decide(self, frame):
             return DetectorDecision(frame_id=frame.frame_id,
                                     elephant_present=True, confidence=0.9)
 
@@ -306,7 +315,7 @@ def test_ap50_matches_brute_force_oracle():
     class Scripted:
         name = "scripted"
 
-        def decide(self, frame, truth=None):
+        def decide(self, frame):
             idx = int(frame.frame_id)
             boxes = tuple(BoundingBox(*b) for _, b in preds[idx])
             confs = [c for c, _ in preds[idx]]

@@ -348,15 +348,57 @@ def test_bad_scenario_is_a_runtime_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--scenario", str(path))
     assert code == 1
     assert err.startswith("hecsim: ")
+    data = json.loads((REPO / "scenarios/example_scenario.json").read_text())
+    data["network"]["failover"]["miss_treshold"] = 2
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert code == 1
+    assert err == ("hecsim: Scenario.network.failover: "
+                   "unknown key 'miss_treshold'\n")
+    # the network has no second home in the sim config
     config = tmp_path / "sim.json"
-    config.write_text(json.dumps({"mesh": {"failover": {"miss_treshold": 2}}}))
+    config.write_text(json.dumps({"mesh": {}}))
     code, _, err = run_cli(
         capsys, "simulate",
         "--scenario", str(REPO / "scenarios/example_scenario.json"),
         "--config", str(config))
     assert code == 1
-    assert err == ("hecsim: SimConfig.mesh.failover: "
-                   "unknown key 'miss_treshold'\n")
+    assert err == "hecsim: SimConfig: unknown key 'mesh'\n"
+
+
+def test_bad_json_exits_one_naming_the_file(tmp_path, capsys):
+    bundled = str(REPO / "scenarios/example_scenario.json")
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"frames": [')
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"frames": [{"frame_id": "\xe9", "boxes": []}]}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    net_ref = tmp_path / "scenario.json"
+    data = json.loads(Path(bundled).read_text())
+    data["network"] = "truncated.json"  # relative to the scenario file
+    net_ref.write_text(json.dumps(data))
+    for argv, prefix in [
+            (["eval-ap50", "--labels", str(truncated)], "LabeledFrameSet"),
+            (["eval-ap50", "--labels", str(latin)], "LabeledFrameSet"),
+            (["eval-ap50", "--labels", str(deep)], "LabeledFrameSet"),
+            (["simulate", "--scenario", str(truncated)], "Scenario"),
+            (["simulate", "--scenario", bundled, "--config", str(truncated)],
+             "SimConfig"),
+            (["simulate", "--scenario", str(net_ref)], "Scenario.network")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert len(err.strip().splitlines()) == 1, err
+        bad = next((f for f in (latin, deep) if str(f) in argv), truncated)
+        assert err.startswith(f"hecsim: {prefix}: {bad}: "), err
+        assert "DecodeError" not in err and "RecursionError" not in err, err
+    # a file that is not there is still a usage error
+    data["network"] = "absent.json"
+    net_ref.write_text(json.dumps(data))
+    for argv in (["eval-ap50", "--labels", str(tmp_path / "absent.json")],
+                 ["simulate", "--scenario", str(net_ref)]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "absent.json" in err, (argv, err)
 
 
 def test_usage_errors_exit_two(capsys):

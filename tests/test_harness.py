@@ -75,7 +75,8 @@ def test_sim_config_validation():
             SimConfig(**bad)
     # the file codec rejects typos and wrong types, naming the path
     for data, where in [
-        ({"mesh": {"bogus": 1}}, "SimConfig.mesh: unknown key 'bogus'"),
+        # the network lives in the scenario alone
+        ({"mesh": {}}, "SimConfig: unknown key 'mesh'"),
         ({"window_s": 4.0}, "SimConfig: unknown key 'window_s'"),
         ({"noise_rms": "1.0"}, "SimConfig.noise_rms: expected a number"),
         ({"pn": {"ir_capture_count": True}},
@@ -100,10 +101,6 @@ def test_sim_config_validation():
          "SimConfig.capture_delay_s: expected a finite number"),
         ({"pn": {"decision_timeout_s": float("nan")}},
          "SimConfig.pn.decision_timeout_s: expected a finite number"),
-        ({"mesh": {"failover": {"heartbeat_interval_s": float("nan")}}},
-         "SimConfig.mesh.failover.heartbeat_interval_s: expected a finite"),
-        ({"mesh": {"default_link": {"latency_s": float("nan")}}},
-         "SimConfig.mesh.default_link.latency_s: expected a finite number"),
         ({"thermal_hold_s": -5},
          "SimConfig: thermal hold and match horizon must be non-negative"),
         ({"match_horizon_s": -1},
@@ -165,6 +162,21 @@ def test_scenario_with_inline_network_round_trip():
     sc = tiny_scenario(network=net)
     back = Scenario.from_json(sc.to_json())
     assert back.network == net
+    assert tiny_scenario().network == NetworkConfig()
+    # the codec checks the network at its path; null is not a network
+    for network, where in [
+            ({"bogus": 1}, "Scenario.network: unknown key 'bogus'"),
+            ({"failover": {"heartbeat_interval_s": float("nan")}},
+             "Scenario.network.failover.heartbeat_interval_s: expected a "
+             "finite"),
+            ({"default_link": {"latency_s": float("nan")}},
+             "Scenario.network.default_link.latency_s: expected a finite "
+             "number"),
+            (None, "Scenario.network: expected an object, got None")]:
+        data = sc.to_json()
+        data["network"] = network
+        with pytest.raises(InvalidConfigError, match=re.escape(where)):
+            Scenario.from_json(data)
 
 
 def test_scenario_network_as_file_reference(tmp_path):
@@ -291,7 +303,7 @@ def test_invisible_elephant_is_rejected_by_the_camera():
                for r in logs.actions)
 
 
-def test_scenario_network_override_is_used():
+def test_scenario_network_is_used():
     net = NetworkConfig(brokers=("field-broker",))
     report, logs = run_scenario_with_logs(tiny_scenario(network=net))
     brokers_seen = {r["to"] for r in logs.delivery_trace
@@ -303,13 +315,9 @@ def test_scenario_network_override_is_used():
     with pytest.raises(InvalidConfigError,
                        match=re.escape("unknown clients ['pn-9']")):
         run_scenario_with_logs(tiny_scenario(network=stray))
-    # the mesh seed comes from master_seed, from either config
-    for scenario, config in [
-            (tiny_scenario(network=NetworkConfig(seed=5)), None),
-            (tiny_scenario(), SimConfig(mesh=NetworkConfig(seed=5)))]:
-        with pytest.raises(InvalidConfigError,
-                           match="it comes from master_seed"):
-            run_scenario_with_logs(scenario, config)
+    # the mesh seed comes from master_seed
+    with pytest.raises(InvalidConfigError, match="it comes from master_seed"):
+        run_scenario_with_logs(tiny_scenario(network=NetworkConfig(seed=5)))
 
 
 def test_overflowing_rumble_fails_before_any_output(tmp_path):

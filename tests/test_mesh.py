@@ -145,7 +145,7 @@ def test_lossless_delivery_and_latency():
     got = collect(net)
     net.add_client("pub")
     net.publish("pub", "t/x", {"n": 1})
-    net.advance(1.0)
+    net.run_until(1.0)
     assert len(got) == 1
     t, payload = got[0]
     assert payload == {"n": 1}
@@ -160,7 +160,7 @@ def test_publish_order_is_preserved_end_to_end():
     for n in range(10):
         net.run_until(n * 0.05)
         net.publish("pub", "t/x", {"n": n})
-    net.advance(60.0)
+    net.run_until(60.45)
     assert [p["n"] for _, p in got] == list(range(10))
 
 
@@ -169,7 +169,7 @@ def test_at_most_once_gives_up_on_first_loss():
     got = collect(net)
     net.add_client("pub")
     mid = net.publish("pub", "t/x", {}, qos=QoS.AT_MOST_ONCE)
-    net.advance(30.0)
+    net.run_until(30.0)
     assert got == []
     rows = [r for r in net.trace if r["msg_id"] == mid]
     assert [r["event"] for r in rows] == ["publish", "drop"]
@@ -182,7 +182,7 @@ def test_at_least_once_dies_after_retry_budget():
     got = collect(net)
     net.add_client("pub")
     mid = net.publish("pub", "t/x", {})
-    net.advance(30.0)
+    net.run_until(30.0)
     assert got == []
     drops = [r for r in net.trace
              if r["msg_id"] == mid and r["event"] == "drop"]
@@ -198,20 +198,25 @@ def test_loss_recovery_matches_closed_form():
     n = 200
     for k in range(n):
         net.publish("pub", "t/x", {"n": k})
-    net.advance(300.0)
+    net.run_until(300.0)
     # each hop succeeds with p = 1 - loss^(retries+1); two hops in series
     p = delivery_probability(0.3, 5) ** 2
     sigma = (p * (1 - p) / n) ** 0.5
     assert abs(len(got) / n - p) <= 3 * sigma + 1e-12
 
 
-def test_delivery_callback_and_advance_agree():
+def test_delivery_callback_and_run_until_agree():
     net = make_net()
     got = collect(net)
     net.add_client("pub")
     net.publish("pub", "t/x", {"n": 0})
-    out = net.advance(1.0)
+    out = net.run_until(1.0)
     assert [(t, m.payload) for t, _, m in out] == got
+    # the clock never runs back, and a NaN time is no time
+    for t in (0.5, float("nan")):
+        with pytest.raises(InvalidInputError, match="cannot run the clock"):
+            net.run_until(t)
+    assert net.now == 1.0
 
 
 # ---- partitions ----
@@ -224,9 +229,9 @@ def test_partition_parks_alo_until_it_heals():
     net.add_client("pub")
     net.run_until(6.0)
     net.publish("pub", "t/x", {"n": 1})
-    net.advance(1.0)
+    net.run_until(7.0)
     assert got == []  # still severed
-    net.advance(20.0)
+    net.run_until(27.0)
     assert len(got) == 1
     assert got[0][0] == pytest.approx(10.10)  # first recheck after healing
 
@@ -238,7 +243,7 @@ def test_partition_drops_amo():
     net.add_client("pub")
     net.run_until(6.0)
     mid = net.publish("pub", "t/x", {}, qos=QoS.AT_MOST_ONCE)
-    net.advance(20.0)
+    net.run_until(26.0)
     assert got == []
     drop = next(r for r in net.trace
                 if r["msg_id"] == mid and r["event"] == "drop")
@@ -289,7 +294,7 @@ def test_no_failure_means_no_transitions():
     collect(net)
     net.add_client("pub")
     net.publish("pub", "t/x", {})
-    net.advance(30.0)
+    net.run_until(30.0)
     assert transitions == []
     beats = [r for r in net.trace if r["topic"].startswith("sys/heartbeat/")]
     assert len(beats) > 0
@@ -299,7 +304,7 @@ def test_failover_timeline_and_replayed_subscriptions():
     net, transitions = two_broker_net(kill_at=10.0)
     got = collect(net)
     net.add_client("pub")
-    net.advance(20.0)
+    net.run_until(20.0)
 
     kinds = [tr["kind"] for tr in transitions]
     assert kinds.count("broker_killed") == 1
@@ -312,7 +317,7 @@ def test_failover_timeline_and_replayed_subscriptions():
 
     # subscriptions were replayed: traffic flows on the new broker
     net.publish("pub", "t/x", {"n": 7})
-    net.advance(1.0)
+    net.run_until(21.0)
     assert got[-1][1] == {"n": 7}
     assert "broker-a" in net.clients["pub"].failed_brokers  # no failback
 
@@ -323,7 +328,7 @@ def test_alo_published_during_outage_arrives_after_failover():
     net.add_client("pub")
     net.run_until(10.2)
     net.publish("pub", "t/x", {"n": 1})  # broker-a is already dead
-    net.advance(10.0)
+    net.run_until(20.2)
     assert len(got) == 1
     assert 12.5 <= got[0][0] <= 13.0
 
@@ -338,7 +343,7 @@ def test_all_brokers_dead_strands_the_client():
     net.add_client("pub")
     net.run_until(8.0)
     net.publish("pub", "t/x", {"n": 1})
-    net.advance(20.0)
+    net.run_until(28.0)
     assert got == []
     failover = next(tr for tr in transitions if tr["kind"] == "failover"
                     and tr["client"] == "pub")
@@ -367,7 +372,7 @@ def test_trace_is_deterministic():
         for k in range(20):
             net.run_until(0.3 * k)
             net.publish("pub", "t/x", {"n": k})
-        net.advance(30.0)
+        net.run_until(35.7)
         return net.trace
 
     a = run()
@@ -415,7 +420,7 @@ def test_cached_routes_match_subscriptions_after_failovers():
             net.publish(node, f"hec/pn/{node}/status", k, qos=QoS.AT_MOST_ONCE)
             net.publish(node, f"hec/pn/{node}/frame", k)
         net.publish("sub-b", f"hec/cn/cmd/pn-{1 + k % 2}", k)
-    net.advance(10.0)
+    net.run_until(29.5)
 
     assert any(tr["kind"] == "failover" for tr in transitions)
     assert len(routed_on_a) == 4
@@ -431,11 +436,11 @@ def test_subscribe_after_a_topic_was_routed_receives_the_next_message():
     first = collect(net, "first", "t/+")
     net.add_client("pub")
     net.publish("pub", "t/x", 1)
-    net.advance(1.0)
+    net.run_until(1.0)
     assert "t/x" in net.brokers["broker-a"].routes
     late = collect(net, "late", "t/x")
     net.publish("pub", "t/x", 2)
-    net.advance(1.0)
+    net.run_until(2.0)
     assert [p for _, p in first] == [1, 2]
     assert [p for _, p in late] == [2]
 
@@ -462,7 +467,7 @@ def test_trace_jsonl_round_trips(tmp_path):
     collect(net)
     net.add_client("pub")
     net.publish("pub", "t/x", {"n": 1})
-    net.advance(1.0)
+    net.run_until(1.0)
     path = tmp_path / "trace.jsonl"
     net.write_trace_jsonl(path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
