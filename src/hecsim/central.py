@@ -189,17 +189,7 @@ class CnState:
         return None
 
 
-@dataclass(frozen=True)
-class FrameReceived:
-    frame: ThermalFrame
-
-
-@dataclass(frozen=True)
-class DetectorResult:
-    decision: DetectorDecision
-
-
-CnEvent = FrameReceived | DetectorResult
+CnEvent = ThermalFrame | DetectorDecision
 
 
 class WarningKind(str, Enum):
@@ -246,18 +236,16 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
     Each frame id is decided at most once: repeat frames and repeat or
     unknown detector results produce an anomaly action and nothing else.
     """
-    if isinstance(event, FrameReceived):
-        frame = event.frame
-        if frame.frame_id in state.decided or \
-                state.pending_pn(frame.frame_id) is not None:
-            return state, (LogAnomaly(f"duplicate frame {frame.frame_id}"),)
-        new = CnState(pending=state.pending + ((frame.frame_id, frame.pn_id),),
+    if isinstance(event, ThermalFrame):
+        fid = event.frame_id
+        if fid in state.decided or state.pending_pn(fid) is not None:
+            return state, (LogAnomaly(f"duplicate frame {fid}"),)
+        new = CnState(pending=state.pending + ((fid, event.pn_id),),
                       decided=state.decided)
-        return new, (RunDetector(frame),)
+        return new, (RunDetector(event),)
 
-    if isinstance(event, DetectorResult):
-        decision = event.decision
-        fid = decision.frame_id
+    if isinstance(event, DetectorDecision):
+        fid = event.frame_id
         if fid in state.decided:
             return state, (LogAnomaly(f"repeat decision for frame {fid}"),)
         pn_id = state.pending_pn(fid)
@@ -267,7 +255,7 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
             pending=tuple(p for p in state.pending if p[0] != fid),
             decided=state.decided | {fid},
         )
-        if not decision.elephant_present:
+        if not event.elephant_present:
             return new, (PublishCommand(NegativeDecision(pn_id, fid)),)
         # keyed by frame id alone, not by the run's master seed: deriving
         # it from master_seed would change every pinned run output

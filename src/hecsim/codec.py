@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import types
 import typing
 from pathlib import Path
 
@@ -72,11 +71,6 @@ def decode(tp, data, path: str):
             raise InvalidConfigError(f"{path}: {exc}") from exc
 
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        inner = [a for a in args if a is not type(None)]
-        if len(inner) != 1:
-            raise TypeError(f"unsupported field type {tp} at {path}")
-        return None if data is None else decode(inner[0], data, path)
     if origin in (tuple, frozenset):
         _check(isinstance(data, list), path, "a list", data)
         if origin is frozenset:

@@ -20,19 +20,17 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .central import (CnConfig, CnState, DetectorResult, FrameReceived,
-                      IssueWarning, OracleDetector, PublishCommand,
-                      RunDetector, StochasticDetector,
+from .central import (CnConfig, CnState, IssueWarning, OracleDetector,
+                      PublishCommand, RunDetector, StochasticDetector,
                       StochasticDetectorParams, WarningKind, cn_step,
                       detect_frame)
 from .codec import JsonConfig, encode, read_json
-from .detection import Algorithm1Params, detect_stream
+from .detection import Algorithm1Params, WindowDetection, detect_stream
 from .errors import InvalidConfigError, InvalidInputError
 from .mesh import (MeshNetwork, NetworkConfig, QoS, heartbeat_and_failover)
-from .peripheral import (CaptureFrame, CommandReceived, FrameCaptured, Flash,
-                         LogAnomaly, PlayDeterrent, PnConfig, PnState,
-                         PnStateKind, PreArm, PublishFrame, RepelCommand,
-                         SeismicWindowReady, ThermalFrame, TimerExpired,
+from .peripheral import (CaptureFrame, Flash, LogAnomaly, PlayDeterrent,
+                         PnConfig, PnState, PnStateKind, PreArm, PublishFrame,
+                         RepelCommand, ThermalFrame, TimerExpired,
                          ir_duty_cycle, pn_step)
 from .seeds import derive_seed
 from .signals import RumbleSpec, synth_rumble_stream
@@ -101,6 +99,9 @@ class Scenario(JsonConfig):
             missing = set(ev.pn_ids) - known
             if missing:
                 raise InvalidConfigError(f"event references unknown nodes {sorted(missing)}")
+        if self.network.seed != 0:
+            raise InvalidConfigError(
+                "network seed must be 0: the mesh seed comes from master_seed")
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
@@ -288,11 +289,8 @@ class _Run:
         stray = set(network.link_overrides) - clients
         if stray:
             raise InvalidConfigError(
-                f"link_overrides name unknown clients {sorted(stray)}")
-        if network.seed != 0:
-            raise InvalidConfigError(
-                "mesh seed must be 0 in a scenario run: it comes from "
-                "master_seed")
+                "Scenario.network.link_overrides: unknown clients "
+                f"{sorted(stray)}")
         self.net = MeshNetwork(replace(
             network, seed=derive_seed(scenario.master_seed, "mesh")))
         self.actions: list[dict] = []
@@ -310,27 +308,26 @@ class _Run:
         # the central node registers first so it re-subscribes first after
         # a failover, before any node re-sends buffered frames
         self.net.add_client(
-            config.cn.node_id, on_message=lambda _, msg, t:
-            self.cn_dispatch(FrameReceived(msg.payload)))
+            config.cn.node_id,
+            on_message=lambda _, msg, t: self.cn_dispatch(msg.payload))
         self.net.subscribe(config.cn.node_id, f"{prefix}/pn/+/frame")
 
         self.pns = {p.node_id: PnState() for p in scenario.pns}
         for node in self.pns:
             self.net.add_client(
                 node, on_message=lambda pn, msg, t:
-                self.pn_dispatch(pn, CommandReceived(msg.payload)))
+                self.pn_dispatch(pn, msg.payload))
             self.net.subscribe(node, f"{prefix}/cn/cmd/{node}")
         heartbeat_and_failover(self.net)
 
     def pn_dispatch(self, node: str, event) -> None:
         old = self.pns[node]
-        if isinstance(event, SeismicWindowReady):
+        if isinstance(event, WindowDetection):
             # only windows scoring ds >= 1 arrive here; each is recorded
             # whether or not it triggers, which lets the action log justify
             # every later repel command
-            det = event.detection
             self.log_action(node, old.kind.value, old.kind.value,
-                            f"seismic_score:ds={det.ds}:run={det.max_run}")
+                            f"seismic_score:ds={event.ds}:run={event.max_run}")
         new, actions = pn_step(old, event, self.config.pn, self.net.now)
         self.pns[node] = new
         if new != old:
@@ -347,7 +344,7 @@ class _Run:
         for action in actions:
             if isinstance(action, CaptureFrame):
                 # only a seismic window triggers a capture
-                fid = f"{node}-w{event.detection.window_index:03d}"
+                fid = f"{node}-w{event.window_index:03d}"
                 for k in range(action.count):
                     suffix = f"-c{k}" if action.count > 1 else ""
                     self.net.schedule_in(
@@ -365,10 +362,10 @@ class _Run:
             ev.thermal_visible and node in ev.pn_ids
             and ev.t_onset_s <= now <= ev.t_onset_s + ev.rumble.duration_s + hold
             for ev in self.scenario.events)
-        self.pn_dispatch(node, FrameCaptured(ThermalFrame(
+        self.pn_dispatch(node, ThermalFrame(
             frame_id=frame_id, pn_id=node, timestamp_s=now,
             # a seen elephant fills the central half of the 32x24 frame
-            sim_boxes=((8.0, 6.0, 24.0, 18.0),) if seen else ())))
+            sim_boxes=((8.0, 6.0, 24.0, 18.0),) if seen else ()))
 
     def cn_dispatch(self, event) -> None:
         old = self.cn
@@ -395,7 +392,7 @@ class _Run:
             "pn_id": frame.pn_id,
             "elephant_present": decision.elephant_present,
             "confidence": round(decision.confidence, 6)})
-        self.cn_dispatch(DetectorResult(decision))
+        self.cn_dispatch(decision)
 
     def log_action(self, node: str, state_from: str, state_to: str,
                    action: str) -> None:
@@ -437,7 +434,7 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
             if det.ds >= 1:
                 t_ready = det.window_start_s + config.alg1.window_s
                 run.net.schedule(t_ready, lambda n=pn_id, d=det:
-                                 run.pn_dispatch(n, SeismicWindowReady(d)))
+                                 run.pn_dispatch(n, d))
 
     run.net.run_until(scenario.duration_s)
 

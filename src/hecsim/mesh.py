@@ -165,8 +165,7 @@ class _Client:
     def __init__(self, client_id: str, on_message):
         self.client_id = client_id
         self.on_message = on_message
-        self.connected = False
-        self.current_broker: str | None = None
+        self.current_broker: str | None = None  # None while disconnected
         self.failed_brokers: set[str] = set()
         self.last_heartbeat_s = -np.inf
         self.missed = 0
@@ -254,7 +253,7 @@ class MeshNetwork:
         client = self._client(client_id)
         if pattern not in client.subscriptions:
             client.subscriptions.append(pattern)
-        if client.connected:
+        if client.current_broker is not None:
             self._register(self.brokers[client.current_broker], client_id,
                            [pattern])
 
@@ -264,8 +263,7 @@ class MeshNetwork:
         client = self._client(client_id)
         msg = Message(msg_id=f"m{next(self._msg_counter):06d}", topic=topic,
                       payload=payload, qos=qos, publisher=client_id)
-        self._trace(msg, "publish", client_id,
-                    client.current_broker if client.connected else "")
+        self._trace(msg, "publish", client_id, client.current_broker)
         if client.buffer and qos is QoS.AT_LEAST_ONCE:
             # queue behind undrained messages to preserve publish order;
             # _attempt decides what a disconnected client does with the rest
@@ -334,7 +332,7 @@ class MeshNetwork:
 
     def _drain_buffer(self, client: _Client) -> None:
         client.drain_scheduled = False
-        while client.connected and client.buffer:
+        while client.current_broker is not None and client.buffer:
             self._start(client.buffer.popleft(), "up", client.client_id)
 
     # ---- one hop: client to broker ("up") or broker to client ("down") ----
@@ -352,7 +350,7 @@ class MeshNetwork:
         client = self.clients[transfer.client_id]
         msg = transfer.msg
         if transfer.direction == "up":
-            if not client.connected:
+            if client.current_broker is None:
                 # only at-least-once messages survive a disconnect: they fold
                 # back into the buffer, and the transfer slot dies so the
                 # channel does not deadlock; the drain re-creates it. The
@@ -473,7 +471,7 @@ class MeshNetwork:
                           publisher=broker.broker_id)
             self._trace(msg, "publish", broker.broker_id, "")
             for client in self.clients.values():
-                if client.current_broker != broker.broker_id or not client.connected:
+                if client.current_broker != broker.broker_id:
                     continue
                 if self._severed(client.client_id, broker.broker_id):
                     continue
@@ -486,7 +484,7 @@ class MeshNetwork:
         self.schedule_in(interval, self._heartbeat_tick)
 
     def _receive_heartbeat(self, client: _Client, msg: Message) -> None:
-        if not client.connected or client.current_broker != msg.publisher:
+        if client.current_broker != msg.publisher:
             return
         client.last_heartbeat_s = self.now
         client.missed = 0
@@ -495,7 +493,7 @@ class MeshNetwork:
     def _monitor_tick(self) -> None:
         interval = self.config.failover.heartbeat_interval_s
         for client in self.clients.values():
-            if client.connected:
+            if client.current_broker is not None:
                 if self.now - client.last_heartbeat_s > interval:
                     client.missed += 1
                 if client.missed >= self.config.failover.miss_threshold:
@@ -508,19 +506,18 @@ class MeshNetwork:
     def _failover(self, client: _Client) -> None:
         old = client.current_broker
         client.failed_brokers.add(old)
-        client.connected = False
         client.current_broker = None
         client.missed = 0
-        connected = self._try_connect(client)
+        self._try_connect(client)
         self._trace(
             Message(msg_id="", topic="", payload=None, qos=QoS.AT_MOST_ONCE,
                     publisher=client.client_id),
-            "failover", old, client.current_broker if connected else "")
+            "failover", old, client.current_broker)
         self.broker_transitions.append(
             {"t": self.now, "kind": "failover", "client": client.client_id,
              "from": old, "to": client.current_broker})
 
-    def _try_connect(self, client: _Client, record_reconnect: bool = False) -> bool:
+    def _try_connect(self, client: _Client, record_reconnect: bool = False) -> None:
         """Connect to the first reachable candidate not already written off."""
         candidates = self.config.failover.broker_priority or self.config.brokers
         for broker_id in candidates:
@@ -531,7 +528,6 @@ class MeshNetwork:
                 continue  # no failback
             if self._severed(client.client_id, broker_id):
                 continue
-            client.connected = True
             client.current_broker = broker_id
             client.last_heartbeat_s = self.now
             client.missed = 0
@@ -544,8 +540,7 @@ class MeshNetwork:
                 client.drain_scheduled = True
                 self.schedule_in(self.config.failover.resend_delay_s,
                                  lambda c=client: self._drain_buffer(c))
-            return True
-        return False
+            return
 
     @staticmethod
     def _register(broker: BrokerState, client_id: str,

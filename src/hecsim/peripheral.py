@@ -91,26 +91,12 @@ class NegativeDecision:
 # ---- events ----
 
 @dataclass(frozen=True)
-class SeismicWindowReady:
-    detection: WindowDetection
-
-
-@dataclass(frozen=True)
-class FrameCaptured:
-    frame: ThermalFrame
-
-
-@dataclass(frozen=True)
-class CommandReceived:
-    command: RepelCommand | NegativeDecision
-
-
-@dataclass(frozen=True)
 class TimerExpired:
     deadline_s: float
 
 
-PnEvent = SeismicWindowReady | FrameCaptured | CommandReceived | TimerExpired
+PnEvent = (WindowDetection | ThermalFrame | RepelCommand | NegativeDecision
+           | TimerExpired)
 
 
 # ---- actions ----
@@ -167,36 +153,35 @@ def pn_step(state: PnState, event: PnEvent, config: PnConfig,
     """
     kind = state.kind
 
-    if isinstance(event, SeismicWindowReady):
-        if kind is PnStateKind.IDLE and event.detection.ds >= config.ds_threshold:
+    if isinstance(event, WindowDetection):
+        if kind is PnStateKind.IDLE and event.ds >= config.ds_threshold:
             actions: list[PnAction] = [CaptureFrame(count=config.ir_capture_count)]
-            if config.arm_on_high_score and event.detection.ds >= 2:
-                actions.append(PreArm(ds=event.detection.ds))
+            if config.arm_on_high_score and event.ds >= 2:
+                actions.append(PreArm(ds=event.ds))
             new = PnState(kind=PnStateKind.IR_ACTIVE,
                           captures_remaining=config.ir_capture_count)
             return new, tuple(actions)
         return state, ()
 
-    if isinstance(event, FrameCaptured):
+    if isinstance(event, ThermalFrame):
         if kind is not PnStateKind.IR_ACTIVE:
             return state, (LogAnomaly(f"frame captured in state {kind.value}"),)
         remaining = state.captures_remaining - 1
         if remaining > 0:
             return replace(state, captures_remaining=remaining), \
-                (PublishFrame(event.frame),)
+                (PublishFrame(event),)
         new = PnState(kind=PnStateKind.AWAITING_DECISION,
                       until_s=now_s + config.decision_timeout_s)
-        return new, (PublishFrame(event.frame),)
+        return new, (PublishFrame(event),)
 
-    if isinstance(event, CommandReceived):
+    if isinstance(event, (RepelCommand, NegativeDecision)):
         if kind is PnStateKind.AWAITING_DECISION:
-            cmd = event.command
-            if isinstance(cmd, RepelCommand):
+            if isinstance(event, RepelCommand):
                 new = PnState(kind=PnStateKind.REPELLING,
-                              until_s=now_s + cmd.duration_s)
-                return new, (PlayDeterrent(cmd),
-                             Flash(freq_hz=cmd.flash_freq_hz,
-                                   duration_s=cmd.duration_s))
+                              until_s=now_s + event.duration_s)
+                return new, (PlayDeterrent(event),
+                             Flash(freq_hz=event.flash_freq_hz,
+                                   duration_s=event.duration_s))
             return PnState(), ()
         return state, (LogAnomaly(f"command received in state {kind.value}"),)
 
@@ -215,26 +200,18 @@ def pn_step(state: PnState, event: PnEvent, config: PnConfig,
     return state, (LogAnomaly(f"unknown event {type(event).__name__}"),)
 
 
-@dataclass(frozen=True)
-class FlashSchedule:
-    """On/off cycle times for the dimming flashlight, relative to start."""
-
-    freq_hz: float
-    duration_s: float
-    cycles: tuple[tuple[float, float], ...]
-
-
-def flash_schedule(freq_hz: float, duration_s: float) -> FlashSchedule:
+def flash_schedule(freq_hz: float,
+                   duration_s: float) -> tuple[tuple[float, float], ...]:
+    """(on, off) cycle times for the dimming flashlight, relative to start."""
     if not freq_hz > 0 or not duration_s > 0:
         raise InvalidInputError("flash frequency and duration must be positive")
     n = int(np.floor(duration_s * freq_hz + 1e-9))
     period = 1.0 / freq_hz
-    cycles = tuple((k * period, k * period + period / 2.0) for k in range(n))
-    return FlashSchedule(freq_hz=freq_hz, duration_s=duration_s, cycles=cycles)
+    return tuple((k * period, k * period + period / 2.0) for k in range(n))
 
 
-def execute_repel(command: RepelCommand,
-                  bee_clip: AudioClip) -> tuple[AudioClip, FlashSchedule]:
+def execute_repel(command: RepelCommand, bee_clip: AudioClip
+                  ) -> tuple[AudioClip, tuple[tuple[float, float], ...]]:
     """Materialize a repel command: modified clip plus flash schedule."""
     clip = apply_modification(bee_clip, command.deterrent)
     return clip, flash_schedule(command.flash_freq_hz, command.duration_s)

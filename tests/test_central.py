@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hecsim.central import (BoundingBox, CnConfig, CnState,
-                            DetectorDecision, DetectorResult, FrameReceived,
-                            IssueWarning, LabeledFrame, LabeledFrameSet,
-                            OracleDetector, PublishCommand, RunDetector,
-                            StochasticDetector, StochasticDetectorParams,
-                            WarningKind, cn_step, detect_frame, evaluate_ap50,
-                            iou)
+                            DetectorDecision, IssueWarning, LabeledFrame,
+                            LabeledFrameSet, OracleDetector, PublishCommand,
+                            RunDetector, StochasticDetector,
+                            StochasticDetectorParams, WarningKind, cn_step,
+                            detect_frame, evaluate_ap50, iou)
+from hecsim.deterrent import ModificationKind, ModificationParams
 from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.peripheral import (LogAnomaly, NegativeDecision, RepelCommand,
                                ThermalFrame)
@@ -132,10 +132,10 @@ def test_stochastic_false_alarm_still_boxes():
 
 def test_positive_frame_produces_repel_officer_siren():
     state = CnState()
-    state, actions = cn_step(state, FrameReceived(frame()), CFG, 5.0)
+    state, actions = cn_step(state, frame(), CFG, 5.0)
     assert actions == (RunDetector(frame()),)
     decision = OracleDetector().decide(frame())
-    state, actions = cn_step(state, DetectorResult(decision), CFG, 5.1)
+    state, actions = cn_step(state, decision, CFG, 5.1)
     kinds = [type(a) for a in actions]
     assert kinds == [PublishCommand, IssueWarning, IssueWarning]
     repel = actions[0]
@@ -150,9 +150,9 @@ def test_positive_frame_produces_repel_officer_siren():
 
 def test_negative_frame_produces_negative_decision():
     state = CnState()
-    state, _ = cn_step(state, FrameReceived(frame(truth=False)), CFG, 5.0)
+    state, _ = cn_step(state, frame(truth=False), CFG, 5.0)
     decision = OracleDetector().decide(frame(truth=False))
-    state, actions = cn_step(state, DetectorResult(decision), CFG, 5.1)
+    state, actions = cn_step(state, decision, CFG, 5.1)
     assert len(actions) == 1 and isinstance(actions[0], PublishCommand)
     assert isinstance(actions[0].command, NegativeDecision)
     assert actions[0].command.pn_id == "pn-1"
@@ -161,42 +161,51 @@ def test_negative_frame_produces_negative_decision():
 
 def test_duplicate_frame_is_anomaly():
     state = CnState()
-    state, _ = cn_step(state, FrameReceived(frame()), CFG, 5.0)
-    state2, actions = cn_step(state, FrameReceived(frame()), CFG, 5.2)
+    state, _ = cn_step(state, frame(), CFG, 5.0)
+    state2, actions = cn_step(state, frame(), CFG, 5.2)
     assert state2 == state
     assert len(actions) == 1 and isinstance(actions[0], LogAnomaly)
 
 
 def test_replayed_frame_after_decision_is_anomaly():
     state = CnState()
-    state, _ = cn_step(state, FrameReceived(frame()), CFG, 5.0)
-    state, _ = cn_step(state, DetectorResult(OracleDetector().decide(frame())),
-                       CFG, 5.1)
-    state2, actions = cn_step(state, FrameReceived(frame()), CFG, 6.0)
+    state, _ = cn_step(state, frame(), CFG, 5.0)
+    state, _ = cn_step(state, OracleDetector().decide(frame()), CFG, 5.1)
+    state2, actions = cn_step(state, frame(), CFG, 6.0)
     assert state2 == state
     assert len(actions) == 1 and isinstance(actions[0], LogAnomaly)
 
 
 def test_repeat_and_unknown_decisions_are_anomalies():
     state = CnState()
-    state, _ = cn_step(state, FrameReceived(frame()), CFG, 5.0)
+    state, _ = cn_step(state, frame(), CFG, 5.0)
     decision = OracleDetector().decide(frame())
-    state, _ = cn_step(state, DetectorResult(decision), CFG, 5.1)
-    state2, actions = cn_step(state, DetectorResult(decision), CFG, 5.2)
+    state, _ = cn_step(state, decision, CFG, 5.1)
+    state2, actions = cn_step(state, decision, CFG, 5.2)
     assert state2 == state
     assert isinstance(actions[0], LogAnomaly)
-    _, actions = cn_step(state, DetectorResult(
-        DetectorDecision(frame_id="ghost", elephant_present=True,
-                         confidence=1.0)), CFG, 5.3)
+    _, actions = cn_step(state, DetectorDecision(
+        frame_id="ghost", elephant_present=True, confidence=1.0), CFG, 5.3)
     assert isinstance(actions[0], LogAnomaly)
+
+
+def test_unknown_event_is_an_anomaly():
+    state, _ = cn_step(CnState(), frame(), CFG, 5.0)
+    command = RepelCommand(pn_id="pn-1", frame_id="pn-1-w000",
+                           deterrent=ModificationParams(
+                               kind=ModificationKind.PINK_NOISE_OVERLAY,
+                               alpha=1.0, seed=0))
+    state2, actions = cn_step(state, command, CFG, 5.1)
+    assert state2 == state
+    assert actions == (LogAnomaly("unknown event RepelCommand"),)
 
 
 def test_deterrent_draw_is_stable_per_frame():
     state = CnState()
-    state, _ = cn_step(state, FrameReceived(frame()), CFG, 5.0)
+    state, _ = cn_step(state, frame(), CFG, 5.0)
     decision = OracleDetector().decide(frame())
-    _, actions_a = cn_step(state, DetectorResult(decision), CFG, 5.1)
-    _, actions_b = cn_step(state, DetectorResult(decision), CFG, 9.9)
+    _, actions_a = cn_step(state, decision, CFG, 5.1)
+    _, actions_b = cn_step(state, decision, CFG, 9.9)
     assert actions_a[0].command.deterrent == actions_b[0].command.deterrent
 
 

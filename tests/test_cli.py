@@ -355,6 +355,12 @@ def test_bad_scenario_is_a_runtime_error(tmp_path, capsys):
     assert code == 1
     assert err == ("hecsim: Scenario.network.failover: "
                    "unknown key 'miss_treshold'\n")
+    data["network"] = {"seed": 5}
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert code == 1
+    assert err == ("hecsim: Scenario: network seed must be 0: the mesh seed "
+                   "comes from master_seed\n")
     # the network has no second home in the sim config
     config = tmp_path / "sim.json"
     config.write_text(json.dumps({"mesh": {}}))

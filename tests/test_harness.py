@@ -158,7 +158,7 @@ def test_scenario_round_trip():
 
 
 def test_scenario_with_inline_network_round_trip():
-    net = NetworkConfig(brokers=("b1", "b2"), seed=5)
+    net = NetworkConfig(brokers=("b1", "b2"), max_retries=3)
     sc = tiny_scenario(network=net)
     back = Scenario.from_json(sc.to_json())
     assert back.network == net
@@ -172,7 +172,9 @@ def test_scenario_with_inline_network_round_trip():
             ({"default_link": {"latency_s": float("nan")}},
              "Scenario.network.default_link.latency_s: expected a finite "
              "number"),
-            (None, "Scenario.network: expected an object, got None")]:
+            (None, "Scenario.network: expected an object, got None"),
+            # the mesh seed comes from master_seed
+            ({"seed": 5}, "Scenario: network seed must be 0")]:
         data = sc.to_json()
         data["network"] = network
         with pytest.raises(InvalidConfigError, match=re.escape(where)):
@@ -312,12 +314,9 @@ def test_scenario_network_is_used():
     assert report.recall == 1.0
     # a link override must name a client of the run
     stray = NetworkConfig(link_overrides={"pn-9": LinkModel(loss_prob=0.5)})
-    with pytest.raises(InvalidConfigError,
-                       match=re.escape("unknown clients ['pn-9']")):
+    with pytest.raises(InvalidConfigError, match=re.escape(
+            "Scenario.network.link_overrides: unknown clients ['pn-9']")):
         run_scenario_with_logs(tiny_scenario(network=stray))
-    # the mesh seed comes from master_seed
-    with pytest.raises(InvalidConfigError, match="it comes from master_seed"):
-        run_scenario_with_logs(tiny_scenario(network=NetworkConfig(seed=5)))
 
 
 def test_overflowing_rumble_fails_before_any_output(tmp_path):

@@ -256,7 +256,7 @@ def test_disconnected_publishes_park_then_drop_oldest():
     net = make_net(buffer_cap=3)
     net.kill_broker("broker-a")  # nothing to connect to from the start
     net.add_client("pub")
-    assert not net.clients["pub"].connected
+    assert net.clients["pub"].current_broker is None
     ids = [net.publish("pub", "t/x", {"n": k}) for k in range(5)]
     overflow = [r for r in net.trace if r["event"] == "drop"
                 and r.get("reason") == "buffer_overflow"]

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hecsim.central import DetectorDecision
 from hecsim.detection import WindowDetection
 from hecsim.deterrent import ModificationKind, ModificationParams
 from hecsim.errors import InvalidInputError
-from hecsim.peripheral import (CaptureFrame, CommandReceived, Flash,
-                               FrameCaptured, LogAnomaly, NegativeDecision,
-                               PlayDeterrent, PnConfig, PnState, PnStateKind,
-                               PreArm, PublishFrame, RepelCommand,
-                               SeismicWindowReady, ThermalFrame, TimerExpired,
+from hecsim.peripheral import (CaptureFrame, Flash, LogAnomaly,
+                               NegativeDecision, PlayDeterrent, PnConfig,
+                               PnState, PnStateKind, PreArm, PublishFrame,
+                               RepelCommand, ThermalFrame, TimerExpired,
                                execute_repel, flash_schedule, ir_duty_cycle,
                                pn_step)
 
@@ -38,17 +38,17 @@ def repel(duration=10.0):
 def test_full_cycle_through_all_states():
     state = PnState()
 
-    state, actions = pn_step(state, SeismicWindowReady(window(2)), CFG, 4.0)
+    state, actions = pn_step(state, window(2), CFG, 4.0)
     assert state.kind is PnStateKind.IR_ACTIVE
     assert actions == (CaptureFrame(count=1),)
 
-    state, actions = pn_step(state, FrameCaptured(frame()), CFG, 4.05)
+    state, actions = pn_step(state, frame(), CFG, 4.05)
     assert state.kind is PnStateKind.AWAITING_DECISION
     assert state.until_s == pytest.approx(4.05 + CFG.decision_timeout_s)
     assert actions == (PublishFrame(frame()),)
 
     cmd = repel()
-    state, actions = pn_step(state, CommandReceived(cmd), CFG, 4.2)
+    state, actions = pn_step(state, cmd, CFG, 4.2)
     assert state.kind is PnStateKind.REPELLING
     assert state.until_s == pytest.approx(14.2)
     assert actions == (PlayDeterrent(cmd), Flash(freq_hz=2.0, duration_s=10.0))
@@ -66,7 +66,7 @@ def test_full_cycle_through_all_states():
 def test_negative_decision_returns_to_idle():
     state = PnState(kind=PnStateKind.AWAITING_DECISION, until_s=14.0)
     neg = NegativeDecision(pn_id="pn-1", frame_id="pn-1-w000")
-    state, actions = pn_step(state, CommandReceived(neg), CFG, 5.0)
+    state, actions = pn_step(state, neg, CFG, 5.0)
     assert state.kind is PnStateKind.IDLE
     assert actions == ()
 
@@ -79,20 +79,17 @@ def test_decision_timeout_drops_back_to_idle():
 
 
 def test_subthreshold_score_does_nothing():
-    state, actions = pn_step(PnState(), SeismicWindowReady(window(0)),
-                             CFG, 4.0)
+    state, actions = pn_step(PnState(), window(0), CFG, 4.0)
     assert state.kind is PnStateKind.IDLE
     assert actions == ()
 
 
 def test_threshold_two_ignores_ds_one():
     cfg = PnConfig(ds_threshold=2)
-    state, actions = pn_step(PnState(), SeismicWindowReady(window(1)),
-                             cfg, 4.0)
+    state, actions = pn_step(PnState(), window(1), cfg, 4.0)
     assert state.kind is PnStateKind.IDLE
     assert actions == ()
-    state, actions = pn_step(PnState(), SeismicWindowReady(window(2)),
-                             cfg, 4.0)
+    state, actions = pn_step(PnState(), window(2), cfg, 4.0)
     assert state.kind is PnStateKind.IR_ACTIVE
 
 
@@ -100,42 +97,51 @@ def test_scores_outside_idle_are_silent():
     for kind in (PnStateKind.IR_ACTIVE, PnStateKind.AWAITING_DECISION,
                  PnStateKind.REPELLING, PnStateKind.COOLDOWN):
         state = PnState(kind=kind, until_s=99.0, captures_remaining=1)
-        new, actions = pn_step(state, SeismicWindowReady(window(2)), CFG, 8.0)
+        new, actions = pn_step(state, window(2), CFG, 8.0)
         assert new == state
         assert actions == ()
 
 
 def test_prearm_on_high_score():
     cfg = PnConfig(arm_on_high_score=True)
-    _, actions = pn_step(PnState(), SeismicWindowReady(window(2)), cfg, 4.0)
+    _, actions = pn_step(PnState(), window(2), cfg, 4.0)
     assert actions == (CaptureFrame(count=1), PreArm(ds=2))
-    _, actions = pn_step(PnState(), SeismicWindowReady(window(1)), cfg, 4.0)
+    _, actions = pn_step(PnState(), window(1), cfg, 4.0)
     assert actions == (CaptureFrame(count=1),)
 
 
 def test_multi_capture_counts_down():
     cfg = PnConfig(ir_capture_count=3)
-    state, _ = pn_step(PnState(), SeismicWindowReady(window(2)), cfg, 4.0)
+    state, _ = pn_step(PnState(), window(2), cfg, 4.0)
     assert state.captures_remaining == 3
-    state, actions = pn_step(state, FrameCaptured(frame("pn-1-w000-c0")), cfg, 4.05)
+    state, actions = pn_step(state, frame("pn-1-w000-c0"), cfg, 4.05)
     assert state.kind is PnStateKind.IR_ACTIVE
     assert state.captures_remaining == 2
     assert isinstance(actions[0], PublishFrame)
-    state, _ = pn_step(state, FrameCaptured(frame("pn-1-w000-c1")), cfg, 4.10)
-    state, _ = pn_step(state, FrameCaptured(frame("pn-1-w000-c2")), cfg, 4.15)
+    state, _ = pn_step(state, frame("pn-1-w000-c1"), cfg, 4.10)
+    state, _ = pn_step(state, frame("pn-1-w000-c2"), cfg, 4.15)
     assert state.kind is PnStateKind.AWAITING_DECISION
 
 
 def test_unexpected_frame_is_an_anomaly():
-    state, actions = pn_step(PnState(), FrameCaptured(frame()), CFG, 4.0)
+    state, actions = pn_step(PnState(), frame(), CFG, 4.0)
     assert state.kind is PnStateKind.IDLE
     assert len(actions) == 1 and isinstance(actions[0], LogAnomaly)
 
 
 def test_unexpected_command_is_an_anomaly():
-    state, actions = pn_step(PnState(), CommandReceived(repel()), CFG, 4.0)
+    state, actions = pn_step(PnState(), repel(), CFG, 4.0)
     assert state.kind is PnStateKind.IDLE
     assert len(actions) == 1 and isinstance(actions[0], LogAnomaly)
+
+
+def test_unknown_event_is_an_anomaly():
+    state = PnState(kind=PnStateKind.AWAITING_DECISION, until_s=14.0)
+    decision = DetectorDecision(frame_id="pn-1-w000", elephant_present=True,
+                                confidence=1.0)
+    new, actions = pn_step(state, decision, CFG, 5.0)
+    assert new == state
+    assert actions == (LogAnomaly("unknown event DetectorDecision"),)
 
 
 def test_stale_timer_is_ignored():
@@ -164,11 +170,11 @@ def test_config_validation():
 
 def test_flash_schedule_counts_cycles():
     sched = flash_schedule(2.0, 10.0)
-    assert len(sched.cycles) == 20
-    assert sched.cycles[0] == (0.0, 0.25)
-    assert sched.cycles[-1] == pytest.approx((9.5, 9.75))
+    assert len(sched) == 20
+    assert sched[0] == (0.0, 0.25)
+    assert sched[-1] == pytest.approx((9.5, 9.75))
     # a partial trailing cycle is not emitted
-    assert len(flash_schedule(2.0, 10.4).cycles) == 20
+    assert len(flash_schedule(2.0, 10.4)) == 20
     with pytest.raises(InvalidInputError):
         flash_schedule(0.0, 10.0)
 
@@ -176,7 +182,7 @@ def test_flash_schedule_counts_cycles():
 def test_execute_repel_materializes(bee_clip):
     clip, sched = execute_repel(repel(), bee_clip)
     assert clip.frame_rate_hz > 0
-    assert len(sched.cycles) == 20
+    assert len(sched) == 20
     assert not np.array_equal(clip.samples, bee_clip.samples)
 
 
@@ -204,10 +210,10 @@ def test_ir_duty_cycle_validation():
 
 
 EVENT_STRATEGY = st.one_of(
-    st.integers(0, 2).map(lambda ds: SeismicWindowReady(window(ds))),
-    st.just(FrameCaptured(frame())),
-    st.just(CommandReceived(repel())),
-    st.just(CommandReceived(NegativeDecision("pn-1", "pn-1-w000"))),
+    st.integers(0, 2).map(window),
+    st.just(frame()),
+    st.just(repel()),
+    st.just(NegativeDecision("pn-1", "pn-1-w000")),
     st.floats(0.0, 100.0, allow_nan=False).map(
         lambda d: TimerExpired(deadline_s=d)),
 )
@@ -215,8 +221,7 @@ EVENT_STRATEGY = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(EVENT_STRATEGY, max_size=30))
-@example([SeismicWindowReady(window(1)), FrameCaptured(frame()),
-          CommandReceived(repel())] + [SeismicWindowReady(window(0))] * 21)
+@example([window(1), frame(), repel()] + [window(0)] * 21)
 def test_random_event_storms_never_corrupt_state(events):
     state = PnState()
     now = 0.0
