@@ -420,17 +420,17 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
 
     # seismic synthesis and window scoring, per node, up front; the event
     # loop consumes each score at its window's end time. A window scoring 0
-    # triggers nothing (ds_threshold is at least 1), so it is not scheduled
+    # triggers nothing (ds_threshold is at least 1), so it is not scheduled.
+    # No name holds a node's trace, so it is freed before the next is made
     for placement in scenario.pns:
         pn_id = placement.node_id
         events = [(ev.t_onset_s, ev.rumble) for ev in scenario.events
                   if pn_id in ev.pn_ids]
-        trace = synth_rumble_stream(
-            events, total_s=scenario.duration_s,
-            sample_rate_hz=config.seismic_rate_hz,
-            seed=derive_seed(scenario.master_seed, "seismic", pn_id),
-            noise_rms=config.noise_rms)
-        for det in detect_stream(trace, config.alg1):
+        for det in detect_stream(synth_rumble_stream(
+                events, total_s=scenario.duration_s,
+                sample_rate_hz=config.seismic_rate_hz,
+                seed=derive_seed(scenario.master_seed, "seismic", pn_id),
+                noise_rms=config.noise_rms), config.alg1):
             if det.ds >= 1:
                 t_ready = det.window_start_s + config.alg1.window_s
                 run.net.schedule(t_ready, lambda n=pn_id, d=det:

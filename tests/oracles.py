@@ -3,10 +3,10 @@
 Everything here is deliberately written the slow, obvious way, without
 sharing code with the package: direct DFT summation instead of FFT, explicit
 threshold enumeration instead of sorted sweeps, closed-form probability
-instead of simulation. Tests compare package output against these. The one
-exception is naive_stft_similarity: it reads its spectrograms through the
-package's STFT and pins only the lag search and the frequency-grid
-interpolation built on top of it.
+instead of simulation. Tests compare package output against these. The two
+exceptions read through the package's STFT and pin only what is built on
+top of it: naive_stft_similarity pins the lag search and the frequency-grid
+interpolation, and stft_window_max_run pins the batched window scoring.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from hecsim.deterrent import SIMILARITY_FRAME_S, SIMILARITY_HOP_S
-from hecsim.signals import compute_stft
+from hecsim.signals import SeismicTrace, compute_stft
 
 
 def naive_dft_magnitudes(samples, sample_rate_hz, pad_to=None):
@@ -60,6 +60,23 @@ def longest_true_run(flags) -> int:
         run = run + 1 if f else 0
         best = max(best, run)
     return best
+
+
+def stft_window_max_run(samples, rate, params):
+    """Longest strict in-band run of one window, one STFT row per sub-segment.
+
+    The per-window scoring that hecsim.detection's batched path replaced: a
+    rectangular-window STFT with the hop equal to the sub-segment, its first
+    subsegments_per_window rows, the peak frequency of each, and
+    longest_true_run over the strict band test.
+    """
+    spec = compute_stft(SeismicTrace(samples=samples, sample_rate_hz=rate),
+                        params.subsegment_s, params.subsegment_s,
+                        window_fn="rect")
+    mags = spec.magnitudes[:params.subsegments_per_window]
+    peaks = spec.freqs_hz[np.argmax(mags, axis=1)]
+    return longest_true_run(params.band_low_hz < f < params.band_high_hz
+                            for f in peaks)
 
 
 def rumble_instantaneous_freq(t, duration_s, f_start, f_peak, f_end):

@@ -1,17 +1,19 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hecsim.detection import (Algorithm1Params, RumbleEvent, detect_stream,
-                              detect_window, match_and_recall, score_from_run,
-                              stft_oracle_detect)
+from hecsim.detection import (Algorithm1Params, RumbleEvent, WindowDetection,
+                              detect_stream, detect_window, match_and_recall,
+                              score_from_run, stft_oracle_detect)
 from hecsim.errors import InvalidInputError
 from hecsim.signals import (RumbleSpec, SeismicTrace, synth_rumble,
                             synth_rumble_stream)
-from oracles import longest_true_run, naive_peak_frequency
+from oracles import (longest_true_run, naive_peak_frequency,
+                     stft_window_max_run)
 
 PARAMS = Algorithm1Params()
 
@@ -133,6 +135,83 @@ def test_detect_window_matches_naive_dft_runs():
         runs.append(expected)
     assert len(runs) == 4
     assert runs[0] >= PARAMS.run_high  # the clean rumble scores 2
+
+
+@st.composite
+def seismic_traces(draw):
+    """1 to 20 windows plus a remainder at an awkward or easy rate, with up
+    to three rumbles between -8 and 22 dB, so traces cross and end on
+    scoring-chunk edges."""
+    rate = draw(st.sampled_from([200.0, 999.0, 1000.0, 1001.0]))
+    n = int(round(PARAMS.window_s * rate))
+    total_s = (draw(st.integers(1, 20)) * n + draw(st.integers(0, n - 1))) / rate
+    events = []
+    for _ in range(draw(st.integers(0, 3))):
+        duration = min(draw(st.floats(0.5, 5.0)), total_s)
+        onset = draw(st.floats(0.0, 1.0)) * (total_s - duration)
+        events.append((onset, RumbleSpec(duration_s=duration,
+                                         snr_db=draw(st.floats(-8.0, 22.0)))))
+    trace = synth_rumble_stream(events, total_s, rate,
+                                seed=draw(st.integers(0, 2**32 - 1)))
+    return SeismicTrace(samples=trace.samples, sample_rate_hz=rate,
+                        start_time_s=draw(st.floats(0.0, 1e5)))
+
+
+def _three_windows_of(samples):
+    return SeismicTrace(samples=np.concatenate([samples] * 3),
+                        sample_rate_hz=1000.0, start_time_s=2.0)
+
+
+_T = np.arange(4000) / 1000.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seismic_traces())
+@example(_three_windows_of(np.zeros(4000)))
+@example(_three_windows_of(np.full(4000, 3.0)))
+@example(_three_windows_of(np.sin(2 * np.pi * 20.0 * _T)))
+@example(_three_windows_of(np.sin(2 * np.pi * 40.0 * _T)))
+def test_batched_scoring_matches_per_window_stft(trace):
+    x, rate = trace.samples, trace.sample_rate_hz
+    n = int(round(PARAMS.window_s * rate))
+    detections = detect_stream(trace, PARAMS)
+    assert len(detections) == len(x) // n
+    for i, det in enumerate(detections):
+        run = stft_window_max_run(x[i * n:(i + 1) * n], rate, PARAMS)
+        assert det == WindowDetection(
+            window_index=i, ds=score_from_run(run, PARAMS), max_run=run,
+            window_start_s=trace.start_time_s + i * n / rate)
+    for m in (n - 1, n, n + 1):
+        if m <= len(x):
+            det = detect_window(SeismicTrace(samples=x[:m], sample_rate_hz=rate,
+                                             start_time_s=trace.start_time_s),
+                                PARAMS)
+            assert det.max_run == stft_window_max_run(x[:m], rate, PARAMS)
+
+
+def test_flat_spectrum_ties_go_to_the_lowest_bin():
+    # every bin of a silent sub-segment ties at zero; with a band around
+    # the lowest bin (1.95 Hz at 1 kHz) only the lowest-bin rule counts it
+    low = Algorithm1Params(band_low_hz=1.0, band_high_hz=3.0)
+    silent = SeismicTrace(samples=np.zeros(3 * 4000 + 7), sample_rate_hz=1000.0)
+    assert [d.max_run for d in detect_stream(silent, low)] == [32, 32, 32]
+    assert stft_window_max_run(np.zeros(4000), 1000.0, low) == 32
+
+
+def test_detect_stream_memory_is_bounded_by_the_chunk():
+    # one hour at 1 kHz is 900 windows; scoring them in one batch would
+    # take over 100 MiB of spectra, a chunk of 8 windows about 3 MiB
+    trace = SeismicTrace(
+        samples=np.random.default_rng(0).standard_normal(3_600_000),
+        sample_rate_hz=1000.0)
+    tracemalloc.start()
+    try:
+        detections = detect_stream(trace, PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(detections) == 900
+    assert peak < 4 * 2**20
 
 
 def test_oracle_finds_one_event_with_tight_bounds():
