@@ -8,10 +8,12 @@ consecutive windows of one white-noise trace, drawn in one call.
 """
 
 import argparse
+import math
 
 import numpy as np
 
 from hecsim.detection import Algorithm1Params, detect_stream
+from hecsim.errors import InvalidInputError
 from hecsim.signals import SeismicTrace
 
 
@@ -21,13 +23,20 @@ def main() -> None:
     ap.add_argument("--rate", type=float, default=1000.0)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.windows < 1:
+        ap.error(f"--windows must be at least 1, got {args.windows}")
+    if not 0 < args.rate < math.inf:
+        ap.error(f"--rate must be positive and finite, got {args.rate}")
 
     params = Algorithm1Params()
     rng = np.random.default_rng(args.seed)
     n = int(round(params.window_s * args.rate))
     trace = SeismicTrace(samples=rng.standard_normal(args.windows * n),
                          sample_rate_hz=args.rate)
-    detections = detect_stream(trace, params)
+    try:
+        detections = detect_stream(trace, params)
+    except InvalidInputError as exc:  # a rate too low for the sub-segments
+        ap.error(f"--rate {args.rate}: {exc}")
     counts = {ds: sum(d.ds == ds for d in detections) for ds in (0, 1, 2)}
     worst_run = max(d.max_run for d in detections)
 

@@ -19,7 +19,7 @@ from typing import Protocol
 import numpy as np
 
 from .codec import JsonConfig
-from .deterrent import pick_modification
+from .deterrent import ALPHA_RANGE, pick_modification
 from .errors import InvalidConfigError, InvalidInputError
 from .peripheral import LogAnomaly, NegativeDecision, RepelCommand, ThermalFrame
 from .seeds import derive_seed
@@ -162,7 +162,7 @@ class CnConfig:
     node_id: str = "cn"
     repel_duration_s: float = 10.0
     flash_freq_hz: float = 2.0
-    deterrent_alpha_range: tuple[float, float] = (0.5, 1.5)
+    deterrent_alpha_range: tuple[float, float] = ALPHA_RANGE
 
     def __post_init__(self):
         if not 0 < self.repel_duration_s < math.inf or \

@@ -22,7 +22,7 @@ from .central import (LabeledFrameSet, OracleDetector, StochasticDetector,
                       StochasticDetectorParams, evaluate_ap50)
 from .detection import (ORACLE_FRAME_S, ORACLE_HOP_S, Algorithm1Params,
                         detect_stream, match_and_recall, stft_oracle_detect)
-from .deterrent import (SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
+from .deterrent import (ALPHA_RANGE, SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
                         ModificationKind, ModificationParams,
                         apply_modification, generate_pink_noise, l2_delta,
                         pick_modification, stft_similarity)
@@ -120,7 +120,7 @@ def cmd_modify_sound(args) -> int:
         kind = ModificationKind(args.method)
         alpha = args.alpha
         if alpha is None:
-            alpha = float(np.random.default_rng(seed).uniform(0.5, 1.5))
+            alpha = float(np.random.default_rng(seed).uniform(*ALPHA_RANGE))
         params = ModificationParams(kind=kind, alpha=alpha, seed=seed)
     modified = apply_modification(clip, params)
     out_path = Path(args.out) if args.out else \

@@ -188,15 +188,13 @@ def detect_stream(trace: SeismicTrace,
             for i, run in enumerate(runs.tolist())]
 
 
-def stft_oracle_detect(trace: SeismicTrace, min_event_s: float = 3.0,
-                       require_rise_fall: bool = False) -> list[RumbleEvent]:
+def stft_oracle_detect(trace: SeismicTrace,
+                       min_event_s: float = 3.0) -> list[RumbleEvent]:
     """Reference detector: track the spectrogram peak through the band.
 
     Maximal runs of frames whose peak frequency sits strictly inside the
     band become events when they last at least min_event_s. An event spans
-    from the first frame's start to the last frame's end. With
-    require_rise_fall, the peak trajectory must attain its maximum strictly
-    inside the run, which discards one-sided sweeps.
+    from the first frame's start to the last frame's end.
     """
     spec = compute_stft(trace, ORACLE_FRAME_S, ORACLE_HOP_S, window_fn="hann")
     peaks = spec.freqs_hz[np.argmax(spec.magnitudes, axis=1)]
@@ -208,12 +206,6 @@ def stft_oracle_detect(trace: SeismicTrace, min_event_s: float = 3.0,
         t_end = float(spec.frame_times_s[j - 1]) + ORACLE_FRAME_S
         if t_end - t_start < min_event_s:
             continue
-        if require_rise_fall:
-            run = peaks[i:j]
-            top = np.flatnonzero(run == run.max())
-            # a plateau touching either end is still one-sided
-            if top[0] == 0 or top[-1] == len(run) - 1:
-                continue
         events.append(RumbleEvent(t_start_s=t_start, t_end_s=t_end))
     return events
 

@@ -21,6 +21,7 @@ from .signals import AudioClip, check_rate, compute_stft
 
 log = logging.getLogger(__name__)
 
+ALPHA_RANGE = (0.5, 1.5)  # default range of the strength factor alpha
 # spectrogram frames for the similarity check
 SIMILARITY_FRAME_S = 0.064
 SIMILARITY_HOP_S = 0.032
@@ -55,7 +56,7 @@ class SimilarityScore:
     lag_frames: int
 
 
-def pick_modification(seed: int, alpha_range: tuple[float, float] = (0.5, 1.5)
+def pick_modification(seed: int, alpha_range: tuple[float, float] = ALPHA_RANGE
                       ) -> ModificationParams:
     """Draw a modification kind uniformly and alpha uniformly in alpha_range.
 

@@ -345,8 +345,6 @@ class MeshNetwork:
         self._attempt(transfer)
 
     def _attempt(self, transfer: _Transfer) -> None:
-        if transfer.state is not _PENDING:
-            return
         client = self.clients[transfer.client_id]
         msg = transfer.msg
         if transfer.direction == "up":
@@ -395,8 +393,6 @@ class MeshNetwork:
                          lambda: self._arrive(transfer, broker_id))
 
     def _arrive(self, transfer: _Transfer, broker_id: str) -> None:
-        if transfer.state is not _PENDING:
-            return
         if transfer.direction == "up" and not self.brokers[broker_id].alive:
             # the broker died while the message was in flight
             if transfer.msg.qos is QoS.AT_LEAST_ONCE:

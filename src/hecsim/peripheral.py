@@ -20,9 +20,8 @@ from enum import Enum
 import numpy as np
 
 from .detection import WindowDetection
-from .deterrent import ModificationParams, apply_modification
+from .deterrent import ModificationParams
 from .errors import InvalidInputError
-from .signals import AudioClip
 
 
 @dataclass(frozen=True)
@@ -208,13 +207,6 @@ def flash_schedule(freq_hz: float,
     n = int(np.floor(duration_s * freq_hz + 1e-9))
     period = 1.0 / freq_hz
     return tuple((k * period, k * period + period / 2.0) for k in range(n))
-
-
-def execute_repel(command: RepelCommand, bee_clip: AudioClip
-                  ) -> tuple[AudioClip, tuple[tuple[float, float], ...]]:
-    """Materialize a repel command: modified clip plus flash schedule."""
-    clip = apply_modification(bee_clip, command.deterrent)
-    return clip, flash_schedule(command.flash_freq_hz, command.duration_s)
 
 
 def ir_duty_cycle(state_log: list[tuple[float, PnState]],

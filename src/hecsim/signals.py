@@ -104,31 +104,20 @@ class Spectrogram:
         object.__setattr__(self, "magnitudes", m)
 
 
+RUMBLE_RAMP_HZ = (20.0, 40.0, 20.0)  # start, peak at mid-duration, end
+
+
 @dataclass(frozen=True)
 class RumbleSpec:
-    """Rise-then-fall chirp model of an elephant rumble.
-
-    The instantaneous frequency ramps linearly from f_start_hz to f_peak_hz
-    over the first half of the duration and back down to f_end_hz over the
-    second half. envelope is "flat" or "hann".
-    """
+    """Elephant rumble: a flat-amplitude linear chirp through RUMBLE_RAMP_HZ."""
 
     duration_s: float
-    f_start_hz: float = 20.0
-    f_peak_hz: float = 40.0
-    f_end_hz: float = 20.0
-    envelope: str = "flat"
     snr_db: float = 20.0
 
     def __post_init__(self):
         if not 0 < self.duration_s < math.inf:
             raise InvalidInputError("rumble duration must be positive and "
                                     f"finite, got {self.duration_s!r}")
-        for f in (self.f_start_hz, self.f_peak_hz, self.f_end_hz):
-            if not f > 0:
-                raise InvalidInputError("rumble frequencies must be positive")
-        if self.envelope not in ("flat", "hann"):
-            raise InvalidInputError(f"unknown envelope {self.envelope!r}")
         # synthesis scales by this amplitude ratio and by its inverse
         try:
             ratio = 10.0 ** (self.snr_db / 20.0)
@@ -182,22 +171,20 @@ def compute_stft(signal, frame_s: float, hop_s: float,
 
 
 def chirp_waveform(spec: RumbleSpec, sample_rate_hz: float) -> np.ndarray:
-    """Phase-continuous rise/fall chirp, unit amplitude before the envelope."""
+    """Phase-continuous rise/fall chirp of unit amplitude."""
     n = sample_count(spec.duration_s, sample_rate_hz)
     if n < 2:
         raise InvalidInputError("rumble too short for the sample rate")
     t = np.arange(n) / sample_rate_hz
     half = spec.duration_s / 2.0
+    f_start, f_peak, f_end = RUMBLE_RAMP_HZ
     f_inst = np.where(
         t < half,
-        spec.f_start_hz + (spec.f_peak_hz - spec.f_start_hz) * t / half,
-        spec.f_peak_hz + (spec.f_end_hz - spec.f_peak_hz) * (t - half) / half,
+        f_start + (f_peak - f_start) * t / half,
+        f_peak + (f_end - f_peak) * (t - half) / half,
     )
     phase = 2.0 * np.pi * np.cumsum(f_inst) / sample_rate_hz
-    x = np.sin(phase)
-    if spec.envelope == "hann":
-        x = x * np.hanning(n)
-    return x
+    return np.sin(phase)
 
 
 def synth_rumble(spec: RumbleSpec, sample_rate_hz: float = 1000.0,
@@ -244,14 +231,13 @@ def synth_rumble_stream(events: list[tuple[float, RumbleSpec]], total_s: float,
 
 
 def synth_bee_buzz(duration_s: float = 2.0, frame_rate_hz: float = 8000.0,
-                   seed: int = 0, f0_hz: float = 230.0, n_harmonics: int = 7,
-                   noise_db: float = -12.0, noise_knee_hz: float = 500.0) -> AudioClip:
+                   seed: int = 0) -> AudioClip:
     """Synthetic bee-buzz: a harmonic stack over a shaped noise bed.
 
-    The stack has 1/h harmonic rolloff, slight vibrato, and slow amplitude
-    pulsing. The noise bed has a smooth low-pass envelope; it matters for
-    spectrogram comparisons because the broadband shape survives playback
-    modifications that move the harmonic comb.
+    The stack is 7 harmonics of 230 Hz with 1/h rolloff, slight vibrato and
+    slow amplitude pulsing. The noise bed, 12 dB below it, has a low-pass
+    envelope with a 500 Hz knee; it matters for spectrogram comparisons
+    because its shape survives modifications that move the harmonic comb.
     """
     rng = np.random.default_rng(seed)
     n = sample_count(duration_s, frame_rate_hz)
@@ -260,16 +246,16 @@ def synth_bee_buzz(duration_s: float = 2.0, frame_rate_hz: float = 8000.0,
     t = np.arange(n) / frame_rate_hz
     x = np.zeros(n)
     vibrato = 1.0 + 0.01 * np.sin(2 * np.pi * 3.0 * t + rng.uniform(0, 2 * np.pi))
-    phases = rng.uniform(0, 2 * np.pi, n_harmonics)
-    for h in range(1, n_harmonics + 1):
-        f_inst = f0_hz * h * vibrato
+    phases = rng.uniform(0, 2 * np.pi, 7)
+    for h in range(1, 8):
+        f_inst = 230.0 * h * vibrato
         phase = 2 * np.pi * np.cumsum(f_inst) / frame_rate_hz + phases[h - 1]
         x += np.sin(phase) / h
     x *= 1.0 + 0.25 * np.sin(2 * np.pi * 0.7 * t + rng.uniform(0, 2 * np.pi))
 
-    spectrum_shape = 1.0 / (1.0 + (np.fft.rfftfreq(n, 1.0 / frame_rate_hz) / noise_knee_hz) ** 2)
+    spectrum_shape = 1.0 / (1.0 + (np.fft.rfftfreq(n, 1.0 / frame_rate_hz) / 500.0) ** 2)
     noise = np.fft.irfft(np.fft.rfft(rng.standard_normal(n)) * spectrum_shape, n=n)
     noise /= np.sqrt(np.mean(noise ** 2))
-    x += noise * float(np.sqrt(np.mean(x ** 2))) * (10.0 ** (noise_db / 20.0))
+    x += noise * float(np.sqrt(np.mean(x ** 2))) * (10.0 ** (-12.0 / 20.0))
     x /= np.max(np.abs(x))
     return AudioClip(samples=x, frame_rate_hz=frame_rate_hz)

@@ -370,6 +370,14 @@ def test_bad_scenario_is_a_runtime_error(tmp_path, capsys):
         "--config", str(config))
     assert code == 1
     assert err == "hecsim: SimConfig: unknown key 'mesh'\n"
+    # a rumble is a duration and an SNR; its old shape keys are unknown
+    data = json.loads((REPO / "scenarios/example_scenario.json").read_text())
+    data["events"][0]["rumble"]["envelope"] = "flat"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert code == 1
+    assert err == ("hecsim: Scenario.events[0].rumble: "
+                   "unknown key 'envelope'\n")
 
 
 def test_bad_json_exits_one_naming_the_file(tmp_path, capsys):

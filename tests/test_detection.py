@@ -240,19 +240,6 @@ def test_oracle_ignores_short_bursts():
     assert stft_oracle_detect(trace, min_event_s=3.0) == []
 
 
-def test_oracle_rise_fall_filter():
-    rising_only = RumbleSpec(duration_s=3.6, f_start_hz=21.0, f_peak_hz=39.0,
-                             f_end_hz=39.0)
-    trace = synth_rumble(rising_only, seed=6, total_s=10.0, onset_s=3.0)
-    loose = stft_oracle_detect(trace)
-    strict = stft_oracle_detect(trace, require_rise_fall=True)
-    assert len(loose) == 1
-    assert strict == []
-    proper = synth_rumble(RumbleSpec(duration_s=3.6, snr_db=20.0),
-                          seed=6, total_s=10.0, onset_s=3.0)
-    assert len(stft_oracle_detect(proper, require_rise_fall=True)) == 1
-
-
 def test_match_and_recall_counts_overlaps():
     trace = synth_rumble(RumbleSpec(duration_s=3.5, snr_db=20.0),
                          seed=7, total_s=12.0, onset_s=4.25)

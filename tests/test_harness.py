@@ -151,9 +151,9 @@ def test_scenario_round_trip():
                        match=re.escape("Scenario.events[1].rumble.snr_db")):
         Scenario.from_json(data)
     data = sc.to_json()
-    data["events"][0]["rumble"]["f_peak_hz"] = float("inf")
+    data["events"][0]["rumble"]["snr_db"] = float("inf")
     with pytest.raises(InvalidConfigError, match=re.escape(
-            "Scenario.events[0].rumble.f_peak_hz: expected a finite number")):
+            "Scenario.events[0].rumble.snr_db: expected a finite number")):
         Scenario.from_json(data)
 
 

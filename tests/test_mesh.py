@@ -333,6 +333,48 @@ def test_alo_published_during_outage_arrives_after_failover():
     assert 12.5 <= got[0][0] <= 13.0
 
 
+@pytest.mark.parametrize("qos", [QoS.AT_MOST_ONCE, QoS.AT_LEAST_ONCE])
+def test_broker_dies_with_a_message_in_flight(qos):
+    net, _ = two_broker_net(kill_at=10.0)
+    got = collect(net)
+    net.add_client("pub")
+    net.run_until(9.98)
+    mid = net.publish("pub", "t/x", {"n": 1}, qos=qos)  # lands at 10.03
+    net.run_until(20.0)
+    drops = [r for r in net.trace if r["msg_id"] == mid and r["event"] == "drop"]
+    if qos is QoS.AT_MOST_ONCE:
+        assert got == []
+        assert drops == [{"t": 10.03, "msg_id": mid, "topic": "t/x",
+                          "from": "pub", "to": "broker-a", "event": "drop",
+                          "reason": "broker_dead"}]
+    else:
+        # retried until the 12.5 s failover, then through broker-b
+        assert drops == []
+        assert got == [(pytest.approx(12.63), {"n": 1})]
+        assert [r["from"] for r in net.trace if r["msg_id"] == mid
+                and r["event"] == "deliver"] == ["broker-b"]
+
+
+def test_stale_heartbeat_from_the_old_broker_is_ignored():
+    cfg = NetworkConfig(
+        brokers=("broker-a", "broker-b"),
+        link_overrides={"sub": LinkModel(latency_s=0.6)},
+        partitions=(Partition(t_start_s=0.5, t_end_s=2.5,
+                              nodes=frozenset({"sub"})),))
+    net = MeshNetwork(cfg)
+    heartbeat_and_failover(net)
+    net.add_client("sub")
+    net.run_until(3.55)
+    sub = net.clients["sub"]
+    # the beats of 1 s and 2 s were severed; three misses by 3.5 s
+    assert sub.current_broker == "broker-b"
+    before = (sub.last_heartbeat_s, sub.missed)
+    net.run_until(3.65)  # broker-a's 3 s beat lands at 3.6 s
+    assert (sub.last_heartbeat_s, sub.missed) == before
+    assert not [r for r in net.trace if r["event"] == "deliver"
+                and r["to"] == "sub"]
+
+
 def test_all_brokers_dead_strands_the_client():
     cfg = NetworkConfig(
         brokers=("broker-a",),

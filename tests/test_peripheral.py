@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,8 +10,7 @@ from hecsim.peripheral import (CaptureFrame, Flash, LogAnomaly,
                                NegativeDecision, PlayDeterrent, PnConfig,
                                PnState, PnStateKind, PreArm, PublishFrame,
                                RepelCommand, ThermalFrame, TimerExpired,
-                               execute_repel, flash_schedule, ir_duty_cycle,
-                               pn_step)
+                               flash_schedule, ir_duty_cycle, pn_step)
 
 CFG = PnConfig()
 
@@ -177,13 +175,6 @@ def test_flash_schedule_counts_cycles():
     assert len(flash_schedule(2.0, 10.4)) == 20
     with pytest.raises(InvalidInputError):
         flash_schedule(0.0, 10.0)
-
-
-def test_execute_repel_materializes(bee_clip):
-    clip, sched = execute_repel(repel(), bee_clip)
-    assert clip.frame_rate_hz > 0
-    assert len(sched) == 20
-    assert not np.array_equal(clip.samples, bee_clip.samples)
 
 
 def test_ir_duty_cycle_simple_interval():
