@@ -145,26 +145,6 @@ def _max_runs(windows: np.ndarray, rate: float,
     return best
 
 
-def detect_window(window: SeismicTrace,
-                  params: Algorithm1Params = Algorithm1Params()) -> WindowDetection:
-    """Score one window of seismic samples.
-
-    The window is cut into consecutive sub-segments; each one contributes a
-    single peak-frequency reading, taken as one row of a rectangular-window
-    STFT with the hop equal to the frame (ties go to the lowest bin).
-    Strict band inequalities mean a peak at exactly 20 or 40 Hz does not
-    count.
-    """
-    n_expected = int(round(params.window_s * window.sample_rate_hz))
-    if abs(len(window.samples) - n_expected) > 1:
-        raise InvalidInputError(
-            f"window holds {len(window.samples)} samples, expected {n_expected}")
-    max_run = int(_max_runs(window.samples[None, :], window.sample_rate_hz,
-                            params)[0])
-    return WindowDetection(window_index=0, ds=score_from_run(max_run, params),
-                           max_run=max_run, window_start_s=window.start_time_s)
-
-
 def detect_stream(trace: SeismicTrace,
                   params: Algorithm1Params = Algorithm1Params()) -> list[WindowDetection]:
     """Score every full window of a trace; the remainder is ignored.
@@ -196,6 +176,9 @@ def stft_oracle_detect(trace: SeismicTrace,
     band become events when they last at least min_event_s. An event spans
     from the first frame's start to the last frame's end.
     """
+    if not min_event_s >= 0:
+        raise InvalidInputError(
+            f"min_event_s must be non-negative, got {min_event_s!r}")
     spec = compute_stft(trace, ORACLE_FRAME_S, ORACLE_HOP_S, window_fn="hann")
     peaks = spec.freqs_hz[np.argmax(spec.magnitudes, axis=1)]
     in_band = (peaks > ORACLE_BAND_LOW_HZ) & (peaks < ORACLE_BAND_HIGH_HZ)
@@ -217,8 +200,11 @@ def match_and_recall(detections: list[WindowDetection],
 
     An event is matched when any window with ds >= ds_min overlaps its
     interval. Recall is matched / total; with no reference events the ratio
-    is undefined and recall is None rather than 0 or 1.
+    is undefined and recall is None rather than 0 or 1. ds_min is 1 or 2,
+    the same rule as PnConfig.ds_threshold.
     """
+    if ds_min not in (1, 2):
+        raise InvalidInputError(f"ds_min must be 1 or 2, got {ds_min!r}")
     starts = [d.window_start_s for d in detections if d.ds >= ds_min]
     matched = sum(any(s < ev.t_end_s and s + window_s > ev.t_start_s
                       for s in starts) for ev in events)

@@ -453,22 +453,3 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
         write_jsonl(logs.detections, out / "detections.jsonl")
         (out / "metrics.json").write_text(report.dumps())
     return report, logs
-
-
-def example_scenario() -> Scenario:
-    """Three riverside nodes, two elephant approaches in one minute."""
-    return Scenario(
-        name="river-crossing",
-        duration_s=60.0,
-        pns=(PnPlacement("pn-1", "river-east"),
-             PnPlacement("pn-2", "river-ford"),
-             PnPlacement("pn-3", "river-west")),
-        events=(
-            ElephantEvent(t_onset_s=8.25, pn_ids=("pn-1",),
-                          rumble=RumbleSpec(duration_s=3.5, snr_db=18.0)),
-            ElephantEvent(t_onset_s=28.3, pn_ids=("pn-3",),
-                          rumble=RumbleSpec(duration_s=3.5, snr_db=14.0)),
-        ),
-        detector="oracle",
-        master_seed=42,
-    )

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
 from .detection import WindowDetection
 from .deterrent import ModificationParams
 from .errors import InvalidInputError
@@ -197,16 +195,6 @@ def pn_step(state: PnState, event: PnEvent, config: PnConfig,
         return state, (LogAnomaly(f"timer expired in state {kind.value}"),)
 
     return state, (LogAnomaly(f"unknown event {type(event).__name__}"),)
-
-
-def flash_schedule(freq_hz: float,
-                   duration_s: float) -> tuple[tuple[float, float], ...]:
-    """(on, off) cycle times for the dimming flashlight, relative to start."""
-    if not freq_hz > 0 or not duration_s > 0:
-        raise InvalidInputError("flash frequency and duration must be positive")
-    n = int(np.floor(duration_s * freq_hz + 1e-9))
-    period = 1.0 / freq_hz
-    return tuple((k * period, k * period + period / 2.0) for k in range(n))
 
 
 def ir_duty_cycle(state_log: list[tuple[float, PnState]],

@@ -144,20 +144,3 @@ def write_jsonl(records: list[dict], path: str | Path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for rec in records:
             fh.write(_encode(rec) + "\n")
-
-
-def read_jsonl(path: str | Path) -> list[dict]:
-    """Parse a JSON-lines file; faults are located by byte offset."""
-    raw = Path(path).read_bytes()
-    records = []
-    offset = 0
-    for line in raw.splitlines(keepends=True):
-        stripped = line.strip()
-        if stripped:
-            try:
-                records.append(json.loads(stripped))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON line: {exc.msg}",
-                                 byte_offset=offset + exc.pos)
-        offset += len(line)
-    return records

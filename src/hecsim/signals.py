@@ -30,13 +30,14 @@ def check_rate(rate_hz: float, what: str = "sample rate") -> None:
             f"{what} must be positive and finite, got {rate_hz!r}")
 
 
-def sample_count(duration_s: float, rate_hz: float) -> int:
+def sample_count(duration_s: float, rate_hz: float,
+                 what: str = "duration") -> int:
     """round(duration_s * rate_hz), for a positive, finite rate and a
     non-negative duration that gives a finite count."""
     check_rate(rate_hz)
     if not 0 <= duration_s * rate_hz < math.inf:
         raise InvalidInputError(
-            f"duration must be non-negative and finite, got {duration_s!r}")
+            f"{what} must be non-negative and finite, got {duration_s!r}")
     return int(round(duration_s * rate_hz))
 
 
@@ -146,8 +147,8 @@ def compute_stft(signal, frame_s: float, hop_s: float,
     multiplied by the window, and zero-padded to the default FFT length.
     """
     x, rate, t0 = _samples_and_rate(signal)
-    frame = int(round(frame_s * rate))
-    hop = int(round(hop_s * rate))
+    frame = sample_count(frame_s, rate, "frame_s")
+    hop = sample_count(hop_s, rate, "hop_s")
     if frame < 2 or hop < 1:
         raise InvalidInputError("frame_s and hop_s too small for the rate")
     if len(x) < frame:

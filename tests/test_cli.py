@@ -279,7 +279,8 @@ def test_missing_input_file_is_a_usage_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_unreadable_content_is_a_runtime_error(bee_wav, tmp_path, capsys):
+def test_unreadable_content_is_a_runtime_error(bee_wav, rumble_csv, tmp_path,
+                                               capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("definitely,not,a trace\n1,2,3\n")
     code, _, err = run_cli(capsys, "detect", "--input", str(bad))
@@ -308,6 +309,25 @@ def test_unreadable_content_is_a_runtime_error(bee_wav, tmp_path, capsys):
             (("detect", "--input", str(nan_csv)),
              f"bad sample value 'nan' (byte offset {len(header) + 4 * 4000})"),
             (("oracle", "--input", str(nan_csv)), "'nan'"),
+            # NaN compares false with every event length, so it would keep
+            # every blip; a score is 0, 1 or 2, so a ds_min of 0 or 3 would
+            # match every window or none
+            (("oracle", "--input", str(rumble_csv), "--min-event-s", "nan"),
+             "min_event_s must be non-negative, got nan"),
+            (("oracle", "--input", str(rumble_csv), "--min-event-s", "-1"),
+             "got -1.0"),
+            (("eval-recall", "--input", str(rumble_csv), "--min-event-s",
+              "nan"), "got nan"),
+            (("eval-recall", "--input", str(rumble_csv), "--ds-min", "0"),
+             "ds_min must be 1 or 2, got 0"),
+            (("eval-recall", "--input", str(rumble_csv), "--ds-min", "3"),
+             "ds_min must be 1 or 2, got 3"),
+            (("spectrogram", "--input", str(rumble_csv), "--out",
+              str(outs / "gram.csv"), "--frame-s", "nan"),
+             "frame_s must be non-negative and finite, got nan"),
+            (("spectrogram", "--input", str(rumble_csv), "--out",
+              str(outs / "gram.csv"), "--hop-s", "inf"),
+             "hop_s must be non-negative and finite, got inf"),
             (("detect", "--input", str(inf_rate)), "sample_rate_hz=inf"),
             (modify("frame_rate_scale", "inf"), "frame rate"),
             # a non-finite alpha fails before any sample is computed, and a

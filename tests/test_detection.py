@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecsim.detection import (Algorithm1Params, RumbleEvent, WindowDetection,
-                              detect_stream, detect_window, match_and_recall,
+                              detect_stream, match_and_recall,
                               score_from_run, stft_oracle_detect)
 from hecsim.errors import InvalidInputError
 from hecsim.signals import (RumbleSpec, SeismicTrace, synth_rumble,
@@ -16,6 +16,12 @@ from oracles import (longest_true_run, naive_peak_frequency,
                      stft_window_max_run)
 
 PARAMS = Algorithm1Params()
+
+
+def score_one_window(trace):
+    """The detection of a trace that holds exactly one window."""
+    (det,) = detect_stream(trace, PARAMS)
+    return det
 
 
 def test_score_thresholds_at_run_boundaries():
@@ -38,7 +44,7 @@ def test_score_covers_every_run_length():
 def test_detect_window_high_snr_rumble_scores_two():
     trace = synth_rumble(RumbleSpec(duration_s=3.5, snr_db=20.0),
                          seed=2, total_s=4.0, onset_s=0.25)
-    det = detect_window(trace, PARAMS)
+    det = score_one_window(trace)
     assert det.ds == 2
     assert det.max_run >= PARAMS.run_high
 
@@ -47,20 +53,14 @@ def test_detect_window_out_of_band_tone_scores_zero():
     t = np.arange(4000) / 1000.0
     tone = SeismicTrace(samples=np.sin(2 * np.pi * 10.0 * t),
                         sample_rate_hz=1000.0)
-    assert detect_window(tone, PARAMS).ds == 0
+    assert score_one_window(tone).ds == 0
 
 
 def test_detect_window_silence_scores_zero():
     silent = SeismicTrace(samples=np.zeros(4000), sample_rate_hz=1000.0)
-    det = detect_window(silent, PARAMS)
+    det = score_one_window(silent)
     assert det.ds == 0
     assert det.max_run == 0
-
-
-def test_detect_window_wrong_length_rejected():
-    with pytest.raises(InvalidInputError):
-        detect_window(SeismicTrace(samples=np.zeros(3900),
-                                   sample_rate_hz=1000.0), PARAMS)
 
 
 def test_detect_stream_indexes_windows():
@@ -80,7 +80,7 @@ def test_detect_stream_discards_remainder():
     # the second window is samples 4000..7999, the last 2500 are dropped
     second = SeismicTrace(samples=trace.samples[4000:8000],
                           sample_rate_hz=1000.0, start_time_s=4.0)
-    assert detections[1] == replace(detect_window(second, PARAMS),
+    assert detections[1] == replace(score_one_window(second),
                                     window_index=1)
     assert detections[1].ds == 2
 
@@ -105,11 +105,10 @@ def test_band_edges_are_strict():
     t = np.arange(4000) / 1000.0
     edge = SeismicTrace(samples=np.sin(2 * np.pi * 20.0 * t),
                         sample_rate_hz=1000.0)
-    det = detect_window(edge, PARAMS)
-    assert det.max_run == 0
+    assert score_one_window(edge).max_run == 0
     inside = SeismicTrace(samples=np.sin(2 * np.pi * 30.0 * t),
                           sample_rate_hz=1000.0)
-    assert detect_window(inside, PARAMS).ds == 2
+    assert score_one_window(inside).ds == 2
 
 
 def test_detect_window_matches_naive_dft_runs():
@@ -123,16 +122,15 @@ def test_detect_window_matches_naive_dft_runs():
     runs = []
     n = int(PARAMS.window_s * rate)
     for i0 in range(0, len(trace.samples), n):
-        samples = trace.samples[i0:i0 + n]
         in_band = [
             PARAMS.band_low_hz
             < naive_peak_frequency(seg, rate, pad_to=128)
             < PARAMS.band_high_hz
-            for seg in np.split(samples, PARAMS.subsegments_per_window)]
-        expected = longest_true_run(in_band)
-        window = SeismicTrace(samples=samples, sample_rate_hz=rate)
-        assert detect_window(window, PARAMS).max_run == expected
-        runs.append(expected)
+            for seg in np.split(trace.samples[i0:i0 + n],
+                                PARAMS.subsegments_per_window)]
+        runs.append(longest_true_run(in_band))
+    # each window of the joined trace is scored on its own
+    assert [d.max_run for d in detect_stream(trace, PARAMS)] == runs
     assert len(runs) == 4
     assert runs[0] >= PARAMS.run_high  # the clean rumble scores 2
 
@@ -157,12 +155,15 @@ def seismic_traces(draw):
                         start_time_s=draw(st.floats(0.0, 1e5)))
 
 
-def _three_windows_of(samples):
+def _three_windows_of(samples, rate=1000.0):
     return SeismicTrace(samples=np.concatenate([samples] * 3),
-                        sample_rate_hz=1000.0, start_time_s=2.0)
+                        sample_rate_hz=rate, start_time_s=2.0)
 
 
 _T = np.arange(4000) / 1000.0
+# at 999 Hz a window is 3996 samples and a sub-segment 125, so it holds
+# only 31 sub-segments
+_T999 = np.arange(3996) / 999.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,6 +172,7 @@ _T = np.arange(4000) / 1000.0
 @example(_three_windows_of(np.full(4000, 3.0)))
 @example(_three_windows_of(np.sin(2 * np.pi * 20.0 * _T)))
 @example(_three_windows_of(np.sin(2 * np.pi * 40.0 * _T)))
+@example(_three_windows_of(np.sin(2 * np.pi * 30.0 * _T999), rate=999.0))
 def test_batched_scoring_matches_per_window_stft(trace):
     x, rate = trace.samples, trace.sample_rate_hz
     n = int(round(PARAMS.window_s * rate))
@@ -181,12 +183,6 @@ def test_batched_scoring_matches_per_window_stft(trace):
         assert det == WindowDetection(
             window_index=i, ds=score_from_run(run, PARAMS), max_run=run,
             window_start_s=trace.start_time_s + i * n / rate)
-    for m in (n - 1, n, n + 1):
-        if m <= len(x):
-            det = detect_window(SeismicTrace(samples=x[:m], sample_rate_hz=rate,
-                                             start_time_s=trace.start_time_s),
-                                PARAMS)
-            assert det.max_run == stft_window_max_run(x[:m], rate, PARAMS)
 
 
 def test_flat_spectrum_ties_go_to_the_lowest_bin():
@@ -240,6 +236,17 @@ def test_oracle_ignores_short_bursts():
     assert stft_oracle_detect(trace, min_event_s=3.0) == []
 
 
+def test_oracle_rejects_a_nan_or_negative_min_event():
+    # NaN compares false with every length, so it would keep every blip
+    trace = synth_rumble(RumbleSpec(duration_s=3.5, snr_db=20.0),
+                         seed=3, total_s=12.0, onset_s=4.25)
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(InvalidInputError, match=f"min_event_s must be "
+                           f"non-negative, got {bad!r}"):
+            stft_oracle_detect(trace, min_event_s=bad)
+    assert len(stft_oracle_detect(trace, min_event_s=0.0)) >= 1
+
+
 def test_match_and_recall_counts_overlaps():
     trace = synth_rumble(RumbleSpec(duration_s=3.5, snr_db=20.0),
                          seed=7, total_s=12.0, onset_s=4.25)
@@ -269,9 +276,12 @@ def test_match_and_recall_ds_min_filter():
     strict = match_and_recall(detections, [ev], ds_min=2,
                               window_s=PARAMS.window_s)
     assert strict.recall == 1.0
-    impossible = match_and_recall(
-        [d for d in detections], [ev], ds_min=3, window_s=PARAMS.window_s)
-    assert impossible.recall == 0.0
+    # a score is 0, 1 or 2, so a threshold of 0 or 3 matches everything
+    # or nothing
+    for ds_min in (0, 3):
+        with pytest.raises(InvalidInputError, match=f"got {ds_min}"):
+            match_and_recall(detections, [ev], ds_min=ds_min,
+                             window_s=PARAMS.window_s)
 
 
 def test_params_validation():

@@ -18,14 +18,20 @@ from pathlib import Path
 import pytest
 
 from hecsim.harness import (ElephantEvent, PnPlacement, Scenario, SimConfig,
-                            example_scenario, run_scenario_with_logs)
+                            run_scenario_with_logs)
 from hecsim.mesh import BrokerFailure, LinkModel, NetworkConfig, Partition
 from hecsim.peripheral import PnConfig
 from hecsim.signals import RumbleSpec
 from oracles import naive_ir_duty
 
+REPO = Path(__file__).resolve().parents[1]
 OUTPUTS = ("metrics.json", "delivery_trace.jsonl", "actions.jsonl",
            "detections.jsonl", "warnings.jsonl")
+
+
+def bundled_scenario():
+    """The bundled example: three riverside nodes, two approaches."""
+    return Scenario.load(REPO / "scenarios/example_scenario.json")
 
 
 def lossy_scenario():
@@ -95,7 +101,7 @@ def multi_capture_scenario():
         network=NetworkConfig(default_link=LinkModel(latency_s=0.05)))
 
 
-SCENARIOS = {"example": example_scenario, "lossy": lossy_scenario,
+SCENARIOS = {"example": bundled_scenario, "lossy": lossy_scenario,
              "hidden": hidden_scenario, "multi": multi_capture_scenario}
 # the runs not named here use SimConfig()
 CONFIGS = {"multi": SimConfig(pn=PnConfig(

@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.harness import (ElephantEvent, EventOutcome, MetricsReport,
                             PnPlacement, RunLogs, Scenario, SimConfig,
-                            compute_metrics, example_scenario,
-                            run_scenario_with_logs)
+                            compute_metrics, run_scenario_with_logs)
 from hecsim.mesh import BrokerFailure, LinkModel, NetworkConfig
 from hecsim.signals import RumbleSpec
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def bundled_scenario():
+    """The bundled example: three riverside nodes, two approaches."""
+    return Scenario.load(REPO / "scenarios/example_scenario.json")
 
 
 def tiny_scenario(**kwargs):
@@ -135,7 +139,7 @@ def test_event_outcome_and_report_validation():
 # ---- JSON round trips ----
 
 def test_scenario_round_trip():
-    sc = example_scenario()
+    sc = bundled_scenario()
     back = Scenario.from_json(json.loads(json.dumps(sc.to_json())))
     assert back == sc
     with pytest.raises(InvalidConfigError, match="missing key 'duration_s'"):
@@ -200,8 +204,6 @@ def test_sim_config_round_trip():
 
 
 def test_bundled_files_match_builders():
-    bundled = json.loads((REPO / "scenarios/example_scenario.json").read_text())
-    assert bundled == example_scenario().to_json()
     sim = json.loads((REPO / "scenarios/example_sim.json").read_text())
     assert sim == SimConfig().to_json()
 
@@ -209,7 +211,7 @@ def test_bundled_files_match_builders():
 # ---- end to end ----
 
 def test_example_scenario_end_to_end(tmp_path):
-    report, logs = run_scenario_with_logs(example_scenario(),
+    report, logs = run_scenario_with_logs(bundled_scenario(),
                                           out_dir=tmp_path)
     assert report.recall == 1.0
     assert report.false_warning_count == 0
@@ -240,7 +242,7 @@ def test_rerun_is_byte_identical(tmp_path):
     digests = []
     for sub in ("a", "b"):
         out = tmp_path / sub
-        run_scenario_with_logs(example_scenario(), out_dir=out)
+        run_scenario_with_logs(bundled_scenario(), out_dir=out)
         blob = hashlib.sha256()
         for name in sorted(p.name for p in out.iterdir()):
             blob.update(name.encode())
@@ -250,7 +252,7 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_repel_commands_are_causally_justified():
-    _, logs = run_scenario_with_logs(example_scenario())
+    _, logs = run_scenario_with_logs(bundled_scenario())
     score_times = {}  # node -> first qualifying score time
     for row in logs.actions:
         if row["action"].startswith("seismic_score:"):
@@ -264,7 +266,7 @@ def test_repel_commands_are_causally_justified():
 
 
 def test_frame_ids_follow_window_naming():
-    _, logs = run_scenario_with_logs(example_scenario())
+    _, logs = run_scenario_with_logs(bundled_scenario())
     frame_ids = [d["frame_id"] for d in logs.detections]
     assert frame_ids  # at least the two event frames
     for fid in frame_ids:
@@ -451,7 +453,7 @@ _JSON_VALUES = st.recursive(
 def test_any_one_leaf_decodes_or_raises_config_error(data):
     cls, base = data.draw(st.sampled_from([
         (SimConfig, SimConfig().to_json()),
-        (Scenario, example_scenario().to_json())]))
+        (Scenario, bundled_scenario().to_json())]))
     doc = copy.deepcopy(base)
     path = data.draw(st.sampled_from(list(_leaf_paths(doc))))
     parent = doc

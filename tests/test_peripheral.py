@@ -10,7 +10,7 @@ from hecsim.peripheral import (CaptureFrame, Flash, LogAnomaly,
                                NegativeDecision, PlayDeterrent, PnConfig,
                                PnState, PnStateKind, PreArm, PublishFrame,
                                RepelCommand, ThermalFrame, TimerExpired,
-                               flash_schedule, ir_duty_cycle, pn_step)
+                               ir_duty_cycle, pn_step)
 
 CFG = PnConfig()
 
@@ -164,17 +164,6 @@ def test_config_validation():
         PnConfig(decision_timeout_s=float("nan"))
     with pytest.raises(InvalidInputError):
         PnConfig(repel_cooldown_s=float("nan"))
-
-
-def test_flash_schedule_counts_cycles():
-    sched = flash_schedule(2.0, 10.0)
-    assert len(sched) == 20
-    assert sched[0] == (0.0, 0.25)
-    assert sched[-1] == pytest.approx((9.5, 9.75))
-    # a partial trailing cycle is not emitted
-    assert len(flash_schedule(2.0, 10.4)) == 20
-    with pytest.raises(InvalidInputError):
-        flash_schedule(0.0, 10.0)
 
 
 def test_ir_duty_cycle_simple_interval():

@@ -78,6 +78,17 @@ def test_stft_too_short_signal_rejected():
         compute_stft(trace, frame_s=0.5, hop_s=0.125)
 
 
+def test_stft_rejects_a_bad_frame_or_hop():
+    trace = SeismicTrace(samples=np.zeros(4000), sample_rate_hz=1000.0)
+    for bad in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(InvalidInputError, match=f"frame_s must be "
+                           f"non-negative and finite, got {bad!r}"):
+            compute_stft(trace, frame_s=bad, hop_s=0.125)
+        with pytest.raises(InvalidInputError, match=f"hop_s must be "
+                           f"non-negative and finite, got {bad!r}"):
+            compute_stft(trace, frame_s=0.5, hop_s=bad)
+
+
 def test_stft_tracks_chirp_frequency():
     wave = chirp_waveform(RumbleSpec(duration_s=4.0), 1000.0)
     trace = SeismicTrace(samples=wave, sample_rate_hz=1000.0)
