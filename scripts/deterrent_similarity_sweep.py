@@ -34,7 +34,7 @@ def main() -> None:
         delta = l2_delta(clip, modified)
         per_kind.setdefault(params.kind.value, []).append(
             (score.max_xcorr, delta))
-        signatures.add((round(modified.frame_rate_hz, 9),
+        signatures.add((round(modified.sample_rate_hz, 9),
                         modified.samples.tobytes()))
 
     print(f"draws: {args.draws}, distinct outputs: {len(signatures)}")

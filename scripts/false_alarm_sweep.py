@@ -14,7 +14,7 @@ import numpy as np
 
 from hecsim.detection import Algorithm1Params, detect_stream
 from hecsim.errors import InvalidInputError
-from hecsim.signals import SeismicTrace
+from hecsim.signals import Signal
 
 
 def main() -> None:
@@ -31,8 +31,8 @@ def main() -> None:
     params = Algorithm1Params()
     rng = np.random.default_rng(args.seed)
     n = int(round(params.window_s * args.rate))
-    trace = SeismicTrace(samples=rng.standard_normal(args.windows * n),
-                         sample_rate_hz=args.rate)
+    trace = Signal(samples=rng.standard_normal(args.windows * n),
+                   sample_rate_hz=args.rate)
     try:
         detections = detect_stream(trace, params)
     except InvalidInputError as exc:  # a rate too low for the sub-segments

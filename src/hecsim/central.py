@@ -19,7 +19,7 @@ from typing import Protocol
 import numpy as np
 
 from .codec import JsonConfig
-from .deterrent import ALPHA_RANGE, pick_modification
+from .deterrent import pick_modification
 from .errors import InvalidConfigError, InvalidInputError
 from .peripheral import LogAnomaly, NegativeDecision, RepelCommand, ThermalFrame
 from .seeds import derive_seed
@@ -105,9 +105,10 @@ class StochasticDetectorParams:
     fpr: float = 0.05
 
     def __post_init__(self):
-        for r in (self.tpr, self.fpr):
-            if not 0.0 <= r <= 1.0:
-                raise InvalidInputError("rates must lie in [0, 1]")
+        for name in ("tpr", "fpr"):
+            if not 0.0 <= (rate := getattr(self, name)) <= 1.0:
+                raise InvalidInputError(
+                    f"{name} must lie in [0, 1], got {rate!r}")
 
 
 class StochasticDetector:
@@ -162,17 +163,12 @@ class CnConfig:
     node_id: str = "cn"
     repel_duration_s: float = 10.0
     flash_freq_hz: float = 2.0
-    deterrent_alpha_range: tuple[float, float] = ALPHA_RANGE
 
     def __post_init__(self):
         if not 0 < self.repel_duration_s < math.inf or \
                 not 0 < self.flash_freq_hz < math.inf:
             raise InvalidConfigError("repel duration and flash frequency "
                                      "must be positive and finite")
-        lo, hi = self.deterrent_alpha_range
-        if not lo < hi:
-            raise InvalidConfigError(
-                "deterrent_alpha_range must satisfy lo < hi")
 
 
 @dataclass(frozen=True)
@@ -259,9 +255,7 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
             return new, (PublishCommand(NegativeDecision(pn_id, fid)),)
         # keyed by frame id alone, not by the run's master seed: deriving
         # it from master_seed would change every pinned run output
-        deterrent = pick_modification(
-            derive_seed(0, "repel", fid),
-            config.deterrent_alpha_range)
+        deterrent = pick_modification(derive_seed(0, "repel", fid))
         command = RepelCommand(pn_id=pn_id, frame_id=fid, deterrent=deterrent,
                                flash_freq_hz=config.flash_freq_hz,
                                duration_s=config.repel_duration_s)

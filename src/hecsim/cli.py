@@ -28,8 +28,8 @@ from .deterrent import (ALPHA_RANGE, SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
                         pick_modification, stft_similarity)
 from .errors import InvalidConfigError, InvalidInputError, ParseError
 from .harness import Scenario, SimConfig, run_scenario_with_logs
-from .signals import AudioClip, RumbleSpec, SeismicTrace, compute_stft, \
-    sample_count, synth_bee_buzz, synth_rumble
+from .signals import RumbleSpec, Signal, compute_stft, sample_count, \
+    synth_bee_buzz, synth_rumble
 from .sigio import load_trace_csv, load_wav, save_trace_csv, save_wav
 
 MAX_SEED = (1 << 63) - 1
@@ -39,14 +39,12 @@ def _fresh_seed() -> int:
     return int.from_bytes(os.urandom(8), "big") & MAX_SEED
 
 
-def _load_trace(path: str) -> SeismicTrace:
+def _load_trace(path: str) -> Signal:
     p = Path(path)
     if p.suffix.lower() == ".csv":
         return load_trace_csv(p)
     if p.suffix.lower() == ".wav":
-        clip = load_wav(p)
-        return SeismicTrace(samples=clip.samples,
-                            sample_rate_hz=clip.frame_rate_hz)
+        return load_wav(p)
     raise InvalidInputError(f"cannot read a trace from {p.suffix!r} files")
 
 
@@ -151,17 +149,16 @@ def cmd_synth(args) -> int:
         if out.suffix.lower() == ".csv":
             save_trace_csv(trace, out)
         else:
-            save_wav(AudioClip(_peak_normalized(trace.samples),
-                               frame_rate_hz=trace.sample_rate_hz), out)
+            save_wav(replace(trace, samples=_peak_normalized(trace.samples)),
+                     out)
     elif args.signal == "bee":
         clip = synth_bee_buzz(duration_s=args.duration_s,
-                              frame_rate_hz=args.rate, seed=seed)
+                              sample_rate_hz=args.rate, seed=seed)
         save_wav(clip, out)
     else:  # pinknoise
         n = sample_count(args.duration_s, args.rate)
         clip = generate_pink_noise(n, args.rate, seed)
-        save_wav(AudioClip(_peak_normalized(clip.samples),
-                           frame_rate_hz=args.rate), out)
+        save_wav(replace(clip, samples=_peak_normalized(clip.samples)), out)
     print(json.dumps({"signal": args.signal, "out": str(out), "seed": seed,
                       "duration_s": args.duration_s, "rate_hz": args.rate},
                      sort_keys=True))
@@ -196,11 +193,11 @@ def cmd_eval_ap50(args) -> int:
 
 
 def cmd_spectrogram(args) -> int:
-    p = Path(args.input)
-    if p.suffix.lower() == ".csv":  # a trace: the reference tracker's frames
-        signal, defaults = load_trace_csv(p), (ORACLE_FRAME_S, ORACLE_HOP_S)
+    signal = _load_trace(args.input)
+    if Path(args.input).suffix.lower() == ".csv":  # a trace: the tracker's
+        defaults = (ORACLE_FRAME_S, ORACLE_HOP_S)
     else:  # a clip: the similarity check's frames
-        signal, defaults = load_wav(p), (SIMILARITY_FRAME_S, SIMILARITY_HOP_S)
+        defaults = (SIMILARITY_FRAME_S, SIMILARITY_HOP_S)
     frame_s = defaults[0] if args.frame_s is None else args.frame_s
     hop_s = defaults[1] if args.hop_s is None else args.hop_s
     gram = compute_stft(signal, frame_s=frame_s, hop_s=hop_s)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .signals import SeismicTrace, compute_stft, default_pad_length
+from .signals import Signal, compute_stft, default_pad_length
 
 # Recall reported for the original 44-recording field dataset. Context only:
 # that corpus is not available here, so this is not a test target.
@@ -48,11 +48,15 @@ class Algorithm1Params:
     run_high: int = 24
 
     def __post_init__(self):
-        if not 0 < self.subsegment_s <= self.window_s:
-            raise InvalidInputError("sub-segment must fit inside the window")
+        for name in ("window_s", "subsegment_s"):
+            if not 0 < (value := getattr(self, name)) < math.inf:
+                raise InvalidInputError(
+                    f"{name} must be positive and finite, got {value!r}")
         ratio = self.window_s / self.subsegment_s
-        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
-            raise InvalidInputError("window must hold a whole number of sub-segments")
+        if not 1 <= ratio < math.inf or abs(ratio - round(ratio)) > 1e-9:
+            raise InvalidInputError(
+                f"window_s {self.window_s!r} must hold a whole number of "
+                f"subsegment_s {self.subsegment_s!r}")
         if not 0 < self.band_low_hz < self.band_high_hz:
             raise InvalidInputError("band edges must satisfy 0 < low < high")
         if not 0 < self.run_low < self.run_high:
@@ -145,7 +149,7 @@ def _max_runs(windows: np.ndarray, rate: float,
     return best
 
 
-def detect_stream(trace: SeismicTrace,
+def detect_stream(trace: Signal,
                   params: Algorithm1Params = Algorithm1Params()) -> list[WindowDetection]:
     """Score every full window of a trace; the remainder is ignored.
 
@@ -168,7 +172,7 @@ def detect_stream(trace: SeismicTrace,
             for i, run in enumerate(runs.tolist())]
 
 
-def stft_oracle_detect(trace: SeismicTrace,
+def stft_oracle_detect(trace: Signal,
                        min_event_s: float = 3.0) -> list[RumbleEvent]:
     """Reference detector: track the spectrogram peak through the band.
 

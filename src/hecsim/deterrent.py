@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .signals import AudioClip, check_rate, compute_stft
+from .signals import Signal, check_rate, compute_stft
 
 log = logging.getLogger(__name__)
 
-ALPHA_RANGE = (0.5, 1.5)  # default range of the strength factor alpha
+ALPHA_RANGE = (0.5, 1.5)  # range of the strength factor alpha
 # spectrogram frames for the similarity check
 SIMILARITY_FRAME_S = 0.064
 SIMILARITY_HOP_S = 0.032
@@ -56,25 +56,21 @@ class SimilarityScore:
     lag_frames: int
 
 
-def pick_modification(seed: int, alpha_range: tuple[float, float] = ALPHA_RANGE
-                      ) -> ModificationParams:
-    """Draw a modification kind uniformly and alpha uniformly in alpha_range.
+def pick_modification(seed: int) -> ModificationParams:
+    """Draw a modification kind uniformly and alpha uniformly in ALPHA_RANGE.
 
     The seed is recorded in the result so the exact draw can be replayed.
     """
     if not isinstance(seed, (int, np.integer)):
         raise InvalidInputError("expected an integer seed")
     seed = int(seed)
-    lo, hi = alpha_range
-    if not lo < hi:
-        raise InvalidInputError("alpha_range must satisfy lo < hi")
     rng = np.random.default_rng(seed)
     kind = _KINDS[int(rng.integers(0, len(_KINDS)))]
-    alpha = float(rng.uniform(lo, hi))
+    alpha = float(rng.uniform(*ALPHA_RANGE))
     return ModificationParams(kind=kind, alpha=alpha, seed=seed)
 
 
-def apply_modification(clip: AudioClip, params: ModificationParams) -> AudioClip:
+def apply_modification(clip: Signal, params: ModificationParams) -> Signal:
     if params.kind is ModificationKind.FRAME_RATE_SCALE:
         return modify_frame_rate(clip, params.alpha)
     if params.kind is ModificationKind.PINK_NOISE_OVERLAY:
@@ -84,17 +80,17 @@ def apply_modification(clip: AudioClip, params: ModificationParams) -> AudioClip
     raise InvalidInputError(f"unknown modification {params.kind!r}")
 
 
-def modify_frame_rate(clip: AudioClip, alpha: float) -> AudioClip:
+def modify_frame_rate(clip: Signal, alpha: float) -> Signal:
     """Reinterpret the samples at alpha times the original rate.
 
     The sample values are untouched; pitch and duration change together.
     """
     if not alpha > 0:
         raise InvalidInputError(f"alpha must be positive, got {alpha!r}")
-    return AudioClip(samples=clip.samples, frame_rate_hz=clip.frame_rate_hz * alpha)
+    return replace(clip, sample_rate_hz=clip.sample_rate_hz * alpha)
 
 
-def generate_pink_noise(n_samples: int, sample_rate_hz: float, seed: int) -> AudioClip:
+def generate_pink_noise(n_samples: int, sample_rate_hz: float, seed: int) -> Signal:
     """Pink noise with unit RMS: white noise shaped by 1/sqrt(f).
 
     Shaping the spectrum of seeded white noise keeps the phases random while
@@ -111,7 +107,7 @@ def generate_pink_noise(n_samples: int, sample_rate_hz: float, seed: int) -> Aud
     shape[1:] = 1.0 / np.sqrt(f[1:])
     x = np.fft.irfft(spectrum * shape, n=n_samples)
     x /= np.sqrt(np.mean(x ** 2))
-    return AudioClip(samples=x, frame_rate_hz=sample_rate_hz)
+    return Signal(samples=x, sample_rate_hz=sample_rate_hz)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -120,7 +116,7 @@ def _check_alpha(alpha: float) -> None:
             f"alpha must be non-negative and finite, got {alpha!r}")
 
 
-def overlay_pink_noise(clip: AudioClip, alpha: float, seed: int) -> AudioClip:
+def overlay_pink_noise(clip: Signal, alpha: float, seed: int) -> Signal:
     """Add pink noise scaled to 0.1 * alpha of the clip RMS.
 
     If the mix exceeds full scale it is renormalized to peak 1. alpha of 0
@@ -130,15 +126,15 @@ def overlay_pink_noise(clip: AudioClip, alpha: float, seed: int) -> AudioClip:
     rms = float(np.sqrt(np.mean(clip.samples ** 2)))
     if alpha == 0.0 or rms == 0.0:
         return clip
-    noise = generate_pink_noise(len(clip.samples), clip.frame_rate_hz, seed)
+    noise = generate_pink_noise(len(clip.samples), clip.sample_rate_hz, seed)
     y = clip.samples + noise.samples * (0.1 * alpha * rms)
     peak = float(np.max(np.abs(y)))
     if peak > 1.0:
         y = y / peak
-    return AudioClip(samples=y, frame_rate_hz=clip.frame_rate_hz)
+    return replace(clip, samples=y)
 
 
-def insert_silence_gaps(clip: AudioClip, alpha: float, seed: int) -> AudioClip:
+def insert_silence_gaps(clip: Signal, alpha: float, seed: int) -> Signal:
     """Zero one gap of alpha * 100 ms in each randomly selected 1 s frame.
 
     Every full frame is selected independently with probability 0.3; when
@@ -149,9 +145,9 @@ def insert_silence_gaps(clip: AudioClip, alpha: float, seed: int) -> AudioClip:
     """
     _check_alpha(alpha)
     rng = np.random.default_rng(seed)
-    frame_n = int(round(_GAP_FRAME_S * clip.frame_rate_hz))
+    frame_n = int(round(_GAP_FRAME_S * clip.sample_rate_hz))
     n_frames = len(clip.samples) // frame_n if frame_n > 0 else 0
-    gap_n = int(round(alpha * 0.1 * clip.frame_rate_hz))
+    gap_n = int(round(alpha * 0.1 * clip.sample_rate_hz))
     if gap_n > frame_n:
         log.warning("gap of %d samples clamped to the %d-sample frame",
                     gap_n, frame_n)
@@ -168,7 +164,7 @@ def insert_silence_gaps(clip: AudioClip, alpha: float, seed: int) -> AudioClip:
     for k in selected:
         start = k * frame_n + int(rng.integers(0, frame_n - gap_n + 1))
         y[start:start + gap_n] = 0.0
-    return AudioClip(samples=y, frame_rate_hz=clip.frame_rate_hz)
+    return replace(clip, samples=y)
 
 
 def _onto_grid(grid, freqs, rows):
@@ -212,7 +208,7 @@ def _best_lag(la, lb) -> SimilarityScore:
     return SimilarityScore(max_xcorr=float(scores[best]), lag_frames=int(lags[best]))
 
 
-def stft_similarity(a: AudioClip, b: AudioClip) -> SimilarityScore:
+def stft_similarity(a: Signal, b: Signal) -> SimilarityScore:
     """Best normalized cross-correlation of two log-magnitude spectrograms.
 
     Each clip is analyzed at its own rate; the finer frequency grid is
@@ -245,7 +241,7 @@ def stft_similarity(a: AudioClip, b: AudioClip) -> SimilarityScore:
     return _best_lag(la / norm_a, lb / norm_b)
 
 
-def l2_delta(a: AudioClip, b: AudioClip) -> float:
+def l2_delta(a: Signal, b: Signal) -> float:
     """Relative L2 distance between two clips as functions of time.
 
     Clips at the same rate and length are compared sample-wise. Otherwise
@@ -256,13 +252,13 @@ def l2_delta(a: AudioClip, b: AudioClip) -> float:
     ref = float(np.linalg.norm(a.samples))
     if ref == 0.0:
         ref = 1e-30
-    if a.frame_rate_hz == b.frame_rate_hz and len(a.samples) == len(b.samples):
+    if a.sample_rate_hz == b.sample_rate_hz and len(a.samples) == len(b.samples):
         return float(np.linalg.norm(a.samples - b.samples)) / ref
-    rate = max(a.frame_rate_hz, b.frame_rate_hz)
+    rate = max(a.sample_rate_hz, b.sample_rate_hz)
     total = max(a.duration_s, b.duration_s)
     t = np.arange(int(round(total * rate))) / rate
-    ta = np.arange(len(a.samples)) / a.frame_rate_hz
-    tb = np.arange(len(b.samples)) / b.frame_rate_hz
+    ta = np.arange(len(a.samples)) / a.sample_rate_hz
+    tb = np.arange(len(b.samples)) / b.sample_rate_hz
     ga = np.interp(t, ta, a.samples, left=0.0, right=0.0)
     gb = np.interp(t, tb, b.samples, left=0.0, right=0.0)
     ref = float(np.linalg.norm(ga))

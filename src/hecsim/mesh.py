@@ -9,8 +9,9 @@ AtMostOnce transfers get a single shot.
 
 Liveness is heartbeat-based: every alive broker beats once per interval, and
 a client that misses miss_threshold consecutive beats abandons the broker,
-reconnects to the next one in its priority list, replays its subscriptions,
-and re-sends what it buffered while disconnected. There is no failback.
+reconnects to the first usable one in NetworkConfig.brokers order, replays
+its subscriptions, and re-sends what it buffered while disconnected. There
+is no failback.
 
 Ordering guarantee: for the messages that survive, delivery order per
 (publisher, topic) matches publish order at every subscriber.
@@ -93,7 +94,6 @@ class Partition:
 class FailoverConfig:
     heartbeat_interval_s: float = 1.0
     miss_threshold: int = 3
-    broker_priority: tuple[str, ...] = ()
     # parked publishes are re-sent this long after a reconnect, giving every
     # client time to replay subscriptions on the new broker first
     resend_delay_s: float = 1.0
@@ -134,8 +134,7 @@ class NetworkConfig(JsonConfig):
             raise InvalidConfigError("bad retry or buffer setting")
         if not 0 < self.retry_interval_s < math.inf:
             raise InvalidConfigError("retry interval must be positive and finite")
-        unknown = {f.broker_id for f in self.broker_failures}.union(
-            self.failover.broker_priority) - set(self.brokers)
+        unknown = {f.broker_id for f in self.broker_failures} - set(self.brokers)
         if unknown:
             raise InvalidConfigError(f"unknown brokers {sorted(unknown)}")
 
@@ -515,8 +514,7 @@ class MeshNetwork:
 
     def _try_connect(self, client: _Client, record_reconnect: bool = False) -> None:
         """Connect to the first reachable candidate not already written off."""
-        candidates = self.config.failover.broker_priority or self.config.brokers
-        for broker_id in candidates:
+        for broker_id in self.config.brokers:
             broker = self.brokers[broker_id]
             if not broker.alive:
                 continue

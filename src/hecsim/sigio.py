@@ -14,17 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .signals import AudioClip, SeismicTrace
+from .signals import Signal
 
 _PCM16_FULL_SCALE = 32767.0
 
 
-def save_wav(clip: AudioClip, path: str | Path) -> None:
+def save_wav(clip: Signal, path: str | Path) -> None:
     """Write a mono PCM16 WAV file; samples are clamped to [-1, 1]."""
     x = np.clip(clip.samples, -1.0, 1.0)
     ints = np.round(x * _PCM16_FULL_SCALE).astype(np.int16)
     data = ints.tobytes()
-    rate = int(round(clip.frame_rate_hz))
+    rate = int(round(clip.sample_rate_hz))
     fmt = struct.pack("<HHIIHH", 1, 1, rate, rate * 2, 2, 16)
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(data)) + data
@@ -32,7 +32,7 @@ def save_wav(clip: AudioClip, path: str | Path) -> None:
         fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
-def load_wav(path: str | Path) -> AudioClip:
+def load_wav(path: str | Path) -> Signal:
     """Read a mono PCM16 WAV file written by save_wav or compatible tools."""
     raw = Path(path).read_bytes()
     if len(raw) < 12:
@@ -78,10 +78,10 @@ def load_wav(path: str | Path) -> AudioClip:
         offset = body_start + size + (size % 2)
     if samples is None:
         raise ParseError("no data chunk found", byte_offset=len(raw))
-    return AudioClip(samples=samples, frame_rate_hz=rate)
+    return Signal(samples=samples, sample_rate_hz=rate)
 
 
-def save_trace_csv(trace: SeismicTrace, path: str | Path) -> None:
+def save_trace_csv(trace: Signal, path: str | Path) -> None:
     """One sample per line after a '# sample_rate_hz=...' header.
 
     repr() formatting keeps the round trip bit-identical.
@@ -99,7 +99,7 @@ def _finite(text: str) -> float:
     return value
 
 
-def load_trace_csv(path: str | Path) -> SeismicTrace:
+def load_trace_csv(path: str | Path) -> Signal:
     """Read a trace written by save_trace_csv; NaN and infinity are faults."""
     raw = Path(path).read_bytes()
     text = raw.decode("ascii", errors="replace")
@@ -132,8 +132,8 @@ def load_trace_csv(path: str | Path) -> SeismicTrace:
         offset += len(line.encode("ascii", errors="replace"))
     if rate is None:
         raise ParseError("missing sample_rate_hz header", byte_offset=0)
-    return SeismicTrace(samples=np.array(values, dtype=np.float64),
-                        sample_rate_hz=rate, start_time_s=start_time)
+    return Signal(samples=np.array(values, dtype=np.float64),
+                  sample_rate_hz=rate, start_time_s=start_time)
 
 
 # the encoder json.dumps(rec, sort_keys=True) builds anew for every call

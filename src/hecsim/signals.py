@@ -1,9 +1,9 @@
 """Signal containers, the short-time spectrum, and synthetic sources.
 
-Seismic traces are 1-D float arrays with a sample rate and an absolute start
-time; audio clips are the same thing with amplitudes nominally in [-1, 1].
-Spectrograms exclude the DC bin so that a peak search can never land on the
-mean.
+A geophone trace and a bee-sound clip are both a Signal: a 1-D float array
+with a sample rate and an absolute start time. Clip amplitudes are nominally
+in [-1, 1]. Spectrograms exclude the DC bin so that a peak search can never
+land on the mean.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ def next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
-def check_rate(rate_hz: float, what: str = "sample rate") -> None:
+def check_rate(rate_hz: float) -> None:
     if not 0 < rate_hz < math.inf:
         raise InvalidInputError(
-            f"{what} must be positive and finite, got {rate_hz!r}")
+            f"sample rate must be positive and finite, got {rate_hz!r}")
 
 
 def sample_count(duration_s: float, rate_hz: float,
@@ -52,8 +52,8 @@ def default_pad_length(n_samples: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class SeismicTrace:
-    """Geophone samples with a sample rate and absolute start time."""
+class Signal:
+    """Sampled 1-D signal with a sample rate and absolute start time."""
 
     samples: np.ndarray
     sample_rate_hz: float
@@ -62,32 +62,13 @@ class SeismicTrace:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
-            raise InvalidInputError("trace samples must be 1-D")
+            raise InvalidInputError("signal samples must be 1-D")
         check_rate(self.sample_rate_hz)
         object.__setattr__(self, "samples", samples)
 
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate_hz
-
-
-@dataclass(frozen=True, eq=False)
-class AudioClip:
-    """Mono audio samples, nominally in [-1, 1], with a frame rate."""
-
-    samples: np.ndarray
-    frame_rate_hz: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise InvalidInputError("clip samples must be 1-D")
-        check_rate(self.frame_rate_hz, "frame rate")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.frame_rate_hz
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,15 +111,7 @@ class RumbleSpec:
                 "amplitude ratio")
 
 
-def _samples_and_rate(signal) -> tuple[np.ndarray, float, float]:
-    if isinstance(signal, SeismicTrace):
-        return signal.samples, signal.sample_rate_hz, signal.start_time_s
-    if isinstance(signal, AudioClip):
-        return signal.samples, signal.frame_rate_hz, 0.0
-    raise InvalidInputError(f"unsupported signal type {type(signal).__name__}")
-
-
-def compute_stft(signal, frame_s: float, hop_s: float,
+def compute_stft(signal: Signal, frame_s: float, hop_s: float,
                  window_fn: str = "hann") -> Spectrogram:
     """Short-time spectrum over sliding frames.
 
@@ -146,7 +119,7 @@ def compute_stft(signal, frame_s: float, hop_s: float,
     shorter than one frame is rejected. Each frame is mean-removed,
     multiplied by the window, and zero-padded to the default FFT length.
     """
-    x, rate, t0 = _samples_and_rate(signal)
+    x, rate = signal.samples, signal.sample_rate_hz
     frame = sample_count(frame_s, rate, "frame_s")
     hop = sample_count(hop_s, rate, "hop_s")
     if frame < 2 or hop < 1:
@@ -167,7 +140,7 @@ def compute_stft(signal, frame_s: float, hop_s: float,
     segs *= win
     mags = np.abs(np.fft.rfft(segs, n=pad, axis=1))[:, 1:]
     freqs = np.fft.rfftfreq(pad, 1.0 / rate)[1:]
-    times = t0 + np.arange(len(frames)) * hop / rate
+    times = signal.start_time_s + np.arange(len(frames)) * hop / rate
     return Spectrogram(frame_times_s=times, freqs_hz=freqs, magnitudes=mags)
 
 
@@ -190,7 +163,7 @@ def chirp_waveform(spec: RumbleSpec, sample_rate_hz: float) -> np.ndarray:
 
 def synth_rumble(spec: RumbleSpec, sample_rate_hz: float = 1000.0,
                  seed: int = 0, total_s: float | None = None,
-                 onset_s: float = 0.0) -> SeismicTrace:
+                 onset_s: float = 0.0) -> Signal:
     """Rumble chirp embedded in white background noise at spec.snr_db.
 
     SNR is the ratio of chirp RMS (over the chirp extent) to noise RMS.
@@ -208,7 +181,7 @@ def synth_rumble(spec: RumbleSpec, sample_rate_hz: float = 1000.0,
 
 def synth_rumble_stream(events: list[tuple[float, RumbleSpec]], total_s: float,
                         sample_rate_hz: float = 1000.0, seed: int = 0,
-                        noise_rms: float = 1.0) -> SeismicTrace:
+                        noise_rms: float = 1.0) -> Signal:
     """Background noise of the given RMS with one chirp added per event.
 
     Each event is (onset_s, spec); its chirp is scaled so that chirp RMS over
@@ -228,11 +201,11 @@ def synth_rumble_stream(events: list[tuple[float, RumbleSpec]], total_s: float,
         i0 = int(round(onset_s * sample_rate_hz))
         seg = chirp[:max(0, n - i0)] * scale
         x[i0:i0 + len(seg)] += seg
-    return SeismicTrace(samples=x, sample_rate_hz=sample_rate_hz)
+    return Signal(samples=x, sample_rate_hz=sample_rate_hz)
 
 
-def synth_bee_buzz(duration_s: float = 2.0, frame_rate_hz: float = 8000.0,
-                   seed: int = 0) -> AudioClip:
+def synth_bee_buzz(duration_s: float = 2.0, sample_rate_hz: float = 8000.0,
+                   seed: int = 0) -> Signal:
     """Synthetic bee-buzz: a harmonic stack over a shaped noise bed.
 
     The stack is 7 harmonics of 230 Hz with 1/h rolloff, slight vibrato and
@@ -241,22 +214,22 @@ def synth_bee_buzz(duration_s: float = 2.0, frame_rate_hz: float = 8000.0,
     because its shape survives modifications that move the harmonic comb.
     """
     rng = np.random.default_rng(seed)
-    n = sample_count(duration_s, frame_rate_hz)
+    n = sample_count(duration_s, sample_rate_hz)
     if n < 2:
         raise InvalidInputError("clip too short")
-    t = np.arange(n) / frame_rate_hz
+    t = np.arange(n) / sample_rate_hz
     x = np.zeros(n)
     vibrato = 1.0 + 0.01 * np.sin(2 * np.pi * 3.0 * t + rng.uniform(0, 2 * np.pi))
     phases = rng.uniform(0, 2 * np.pi, 7)
     for h in range(1, 8):
         f_inst = 230.0 * h * vibrato
-        phase = 2 * np.pi * np.cumsum(f_inst) / frame_rate_hz + phases[h - 1]
+        phase = 2 * np.pi * np.cumsum(f_inst) / sample_rate_hz + phases[h - 1]
         x += np.sin(phase) / h
     x *= 1.0 + 0.25 * np.sin(2 * np.pi * 0.7 * t + rng.uniform(0, 2 * np.pi))
 
-    spectrum_shape = 1.0 / (1.0 + (np.fft.rfftfreq(n, 1.0 / frame_rate_hz) / 500.0) ** 2)
+    spectrum_shape = 1.0 / (1.0 + (np.fft.rfftfreq(n, 1.0 / sample_rate_hz) / 500.0) ** 2)
     noise = np.fft.irfft(np.fft.rfft(rng.standard_normal(n)) * spectrum_shape, n=n)
     noise /= np.sqrt(np.mean(noise ** 2))
     x += noise * float(np.sqrt(np.mean(x ** 2))) * (10.0 ** (-12.0 / 20.0))
     x /= np.max(np.abs(x))
-    return AudioClip(samples=x, frame_rate_hz=frame_rate_hz)
+    return Signal(samples=x, sample_rate_hz=sample_rate_hz)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from hecsim.deterrent import SIMILARITY_FRAME_S, SIMILARITY_HOP_S
-from hecsim.signals import SeismicTrace, compute_stft
+from hecsim.signals import Signal, compute_stft
 
 
 def naive_dft_magnitudes(samples, sample_rate_hz, pad_to=None):
@@ -70,7 +70,7 @@ def stft_window_max_run(samples, rate, params):
     subsegments_per_window rows, the peak frequency of each, and
     longest_true_run over the strict band test.
     """
-    spec = compute_stft(SeismicTrace(samples=samples, sample_rate_hz=rate),
+    spec = compute_stft(Signal(samples=samples, sample_rate_hz=rate),
                         params.subsegment_s, params.subsegment_s,
                         window_fn="rect")
     mags = spec.magnitudes[:params.subsegments_per_window]

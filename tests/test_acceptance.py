@@ -21,7 +21,7 @@ from hecsim.deterrent import (apply_modification, generate_pink_noise,
 from hecsim.harness import (ElephantEvent, PnPlacement, Scenario, SimConfig,
                             run_scenario_with_logs)
 from hecsim.mesh import BrokerFailure, LinkModel, MeshNetwork, NetworkConfig
-from hecsim.signals import (RumbleSpec, SeismicTrace, synth_bee_buzz,
+from hecsim.signals import (RumbleSpec, Signal, synth_bee_buzz,
                             synth_rumble)
 from oracles import brute_force_ap50, delivery_probability
 
@@ -55,7 +55,7 @@ def test_criterion_02_rumble_scores_two_tone_and_silence_zero():
         t = np.arange(4000) / 1000.0
         tone = np.sin(2 * np.pi * 10.0 * t)
         # each 4 s window of the joined trace is scored on its own
-        joined = SeismicTrace(
+        joined = Signal(
             samples=np.concatenate([rumble.samples, tone, np.zeros(4000)]),
             sample_rate_hz=1000.0)
         assert [d.ds for d in detect_stream(joined, ALG)] == [2, 0, 0]
@@ -67,7 +67,7 @@ def test_criterion_03_noise_false_alarm_rate_below_one_percent():
     # windows are each scored on their own
     windows = [np.random.default_rng(seed).standard_normal(4000)
                for seed in range(1000)]
-    noise = SeismicTrace(samples=np.concatenate(windows), sample_rate_hz=1000.0)
+    noise = Signal(samples=np.concatenate(windows), sample_rate_hz=1000.0)
     detections = detect_stream(noise, ALG)
     assert len(detections) == 1000
     triggered = sum(d.ds >= 1 for d in detections)
@@ -106,11 +106,11 @@ def test_criterion_05_modified_clips_similar_yet_never_repeated():
             out = apply_modification(bee, params)
             score = stft_similarity(bee, out)
             assert score.max_xcorr >= 0.5, (seed, params, score)
-            is_identity = (out.frame_rate_hz == bee.frame_rate_hz
+            is_identity = (out.sample_rate_hz == bee.sample_rate_hz
                            and np.array_equal(out.samples, bee.samples))
             if not is_identity:
                 assert l2_delta(bee, out) >= 1e-3, (seed, params)
-            fingerprints.add((out.frame_rate_hz, out.samples.tobytes()))
+            fingerprints.add((out.sample_rate_hz, out.samples.tobytes()))
         assert len(fingerprints) == 100
     assert clock.elapsed < 60.0
 

@@ -301,6 +301,11 @@ def test_unreadable_content_is_a_runtime_error(bee_wav, rumble_csv, tmp_path,
                 str(outs / f"{method}-{alpha}.wav"), "--method", method,
                 "--alpha", alpha, "--seed", "1")
 
+    def ap50(flag, value):
+        return ("eval-ap50", "--labels",
+                str(REPO / "scenarios/example_labels.json"),
+                "--detector", "stochastic", flag, value, "--seed", "1")
+
     def synth(signal, flag, value):
         return ("synth", signal, "--out", str(outs / f"{signal}.wav"),
                 flag, value, "--seed", "1")
@@ -329,7 +334,17 @@ def test_unreadable_content_is_a_runtime_error(bee_wav, rumble_csv, tmp_path,
               str(outs / "gram.csv"), "--hop-s", "inf"),
              "hop_s must be non-negative and finite, got inf"),
             (("detect", "--input", str(inf_rate)), "sample_rate_hz=inf"),
-            (modify("frame_rate_scale", "inf"), "frame rate"),
+            # a bad window or detector rate names the field and the value
+            (("detect", "--input", str(rumble_csv), "--window-s", "nan"),
+             "window_s must be positive and finite, got nan"),
+            (("detect", "--input", str(rumble_csv), "--window-s", "-4"),
+             "window_s must be positive and finite, got -4.0"),
+            (("detect", "--input", str(rumble_csv), "--window-s", "inf"),
+             "window_s must be positive and finite, got inf"),
+            (ap50("--tpr", "nan"), "tpr must lie in [0, 1], got nan"),
+            (ap50("--fpr", "2"), "fpr must lie in [0, 1], got 2.0"),
+            (modify("frame_rate_scale", "inf"),
+             "sample rate must be positive and finite, got inf"),
             # a non-finite alpha fails before any sample is computed, and a
             # bad synthesis rate or duration before synthesis; each message
             # names the value
@@ -357,9 +372,13 @@ def test_unreadable_content_is_a_runtime_error(bee_wav, rumble_csv, tmp_path,
 def test_unknown_suffix_is_a_runtime_error(tmp_path, capsys):
     path = tmp_path / "trace.xyz"
     path.write_text("")
-    code, _, err = run_cli(capsys, "detect", "--input", str(path))
-    assert code == 1
-    assert "xyz" in err
+    # the spectrogram loads a trace or a clip the same way detect does
+    for argv in (("detect", "--input", str(path)),
+                 ("spectrogram", "--input", str(path), "--out",
+                  str(tmp_path / "gram.csv"))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "xyz" in err
 
 
 def test_bad_scenario_is_a_runtime_error(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hecsim.detection import (Algorithm1Params, RumbleEvent, WindowDetection,
                               detect_stream, match_and_recall,
                               score_from_run, stft_oracle_detect)
 from hecsim.errors import InvalidInputError
-from hecsim.signals import (RumbleSpec, SeismicTrace, synth_rumble,
+from hecsim.signals import (RumbleSpec, Signal, synth_rumble,
                             synth_rumble_stream)
 from oracles import (longest_true_run, naive_peak_frequency,
                      stft_window_max_run)
@@ -51,13 +51,13 @@ def test_detect_window_high_snr_rumble_scores_two():
 
 def test_detect_window_out_of_band_tone_scores_zero():
     t = np.arange(4000) / 1000.0
-    tone = SeismicTrace(samples=np.sin(2 * np.pi * 10.0 * t),
-                        sample_rate_hz=1000.0)
+    tone = Signal(samples=np.sin(2 * np.pi * 10.0 * t),
+                  sample_rate_hz=1000.0)
     assert score_one_window(tone).ds == 0
 
 
 def test_detect_window_silence_scores_zero():
-    silent = SeismicTrace(samples=np.zeros(4000), sample_rate_hz=1000.0)
+    silent = Signal(samples=np.zeros(4000), sample_rate_hz=1000.0)
     det = score_one_window(silent)
     assert det.ds == 0
     assert det.max_run == 0
@@ -78,36 +78,36 @@ def test_detect_stream_discards_remainder():
     detections = detect_stream(trace, PARAMS)
     assert [d.window_start_s for d in detections] == [0.0, 4.0]
     # the second window is samples 4000..7999, the last 2500 are dropped
-    second = SeismicTrace(samples=trace.samples[4000:8000],
-                          sample_rate_hz=1000.0, start_time_s=4.0)
+    second = Signal(samples=trace.samples[4000:8000],
+                    sample_rate_hz=1000.0, start_time_s=4.0)
     assert detections[1] == replace(score_one_window(second),
                                     window_index=1)
     assert detections[1].ds == 2
 
 
 def test_detect_stream_short_trace_yields_nothing():
-    short = SeismicTrace(samples=np.zeros(100), sample_rate_hz=1000.0)
+    short = Signal(samples=np.zeros(100), sample_rate_hz=1000.0)
     assert detect_stream(short, PARAMS) == []
 
 
 def test_detect_stream_empty_trace_rejected():
     with pytest.raises(InvalidInputError, match="empty"):
-        detect_stream(SeismicTrace(samples=np.zeros(0),
-                                   sample_rate_hz=1000.0), PARAMS)
+        detect_stream(Signal(samples=np.zeros(0),
+                             sample_rate_hz=1000.0), PARAMS)
     tiny = Algorithm1Params(window_s=1e-4, subsegment_s=1e-4)
     with pytest.raises(InvalidInputError, match="shorter than one sample"):
-        detect_stream(SeismicTrace(samples=np.zeros(100),
-                                   sample_rate_hz=1000.0), tiny)
+        detect_stream(Signal(samples=np.zeros(100),
+                             sample_rate_hz=1000.0), tiny)
 
 
 def test_band_edges_are_strict():
     # a tone exactly on the 20 Hz band edge must not count as in-band
     t = np.arange(4000) / 1000.0
-    edge = SeismicTrace(samples=np.sin(2 * np.pi * 20.0 * t),
-                        sample_rate_hz=1000.0)
+    edge = Signal(samples=np.sin(2 * np.pi * 20.0 * t),
+                  sample_rate_hz=1000.0)
     assert score_one_window(edge).max_run == 0
-    inside = SeismicTrace(samples=np.sin(2 * np.pi * 30.0 * t),
-                          sample_rate_hz=1000.0)
+    inside = Signal(samples=np.sin(2 * np.pi * 30.0 * t),
+                    sample_rate_hz=1000.0)
     assert score_one_window(inside).ds == 2
 
 
@@ -151,13 +151,13 @@ def seismic_traces(draw):
                                          snr_db=draw(st.floats(-8.0, 22.0)))))
     trace = synth_rumble_stream(events, total_s, rate,
                                 seed=draw(st.integers(0, 2**32 - 1)))
-    return SeismicTrace(samples=trace.samples, sample_rate_hz=rate,
-                        start_time_s=draw(st.floats(0.0, 1e5)))
+    return Signal(samples=trace.samples, sample_rate_hz=rate,
+                  start_time_s=draw(st.floats(0.0, 1e5)))
 
 
 def _three_windows_of(samples, rate=1000.0):
-    return SeismicTrace(samples=np.concatenate([samples] * 3),
-                        sample_rate_hz=rate, start_time_s=2.0)
+    return Signal(samples=np.concatenate([samples] * 3),
+                  sample_rate_hz=rate, start_time_s=2.0)
 
 
 _T = np.arange(4000) / 1000.0
@@ -189,7 +189,7 @@ def test_flat_spectrum_ties_go_to_the_lowest_bin():
     # every bin of a silent sub-segment ties at zero; with a band around
     # the lowest bin (1.95 Hz at 1 kHz) only the lowest-bin rule counts it
     low = Algorithm1Params(band_low_hz=1.0, band_high_hz=3.0)
-    silent = SeismicTrace(samples=np.zeros(3 * 4000 + 7), sample_rate_hz=1000.0)
+    silent = Signal(samples=np.zeros(3 * 4000 + 7), sample_rate_hz=1000.0)
     assert [d.max_run for d in detect_stream(silent, low)] == [32, 32, 32]
     assert stft_window_max_run(np.zeros(4000), 1000.0, low) == 32
 
@@ -197,7 +197,7 @@ def test_flat_spectrum_ties_go_to_the_lowest_bin():
 def test_detect_stream_memory_is_bounded_by_the_chunk():
     # one hour at 1 kHz is 900 windows; scoring them in one batch would
     # take over 100 MiB of spectra, a chunk of 8 windows about 3 MiB
-    trace = SeismicTrace(
+    trace = Signal(
         samples=np.random.default_rng(0).standard_normal(3_600_000),
         sample_rate_hz=1000.0)
     tracemalloc.start()
@@ -259,8 +259,8 @@ def test_match_and_recall_counts_overlaps():
 
 
 def test_match_and_recall_no_events_is_not_applicable():
-    trace = SeismicTrace(samples=np.random.default_rng(0).standard_normal(8000),
-                         sample_rate_hz=1000.0)
+    trace = Signal(samples=np.random.default_rng(0).standard_normal(8000),
+                   sample_rate_hz=1000.0)
     detections = detect_stream(trace, PARAMS)
     report = match_and_recall(detections, [], window_s=PARAMS.window_s)
     assert report.oracle_count == 0

@@ -11,7 +11,7 @@ from hecsim.deterrent import (ModificationKind, ModificationParams,
                               pick_modification, stft_similarity)
 from hecsim.errors import InvalidInputError
 from hecsim.seeds import derive_seed
-from hecsim.signals import AudioClip, synth_bee_buzz
+from hecsim.signals import Signal, synth_bee_buzz
 from oracles import naive_best_lag, naive_stft_similarity
 
 
@@ -29,8 +29,6 @@ def test_pick_modification_rejects_junk():
         pick_modification("not a seed")
     with pytest.raises(InvalidInputError):
         pick_modification(np.random.default_rng(9))
-    with pytest.raises(InvalidInputError):
-        pick_modification(0, alpha_range=(1.5, 0.5))
 
 
 def test_pick_modification_hits_every_kind():
@@ -40,7 +38,7 @@ def test_pick_modification_hits_every_kind():
 
 def test_frame_rate_scale_keeps_samples(bee_clip):
     out = modify_frame_rate(bee_clip, 1.25)
-    assert out.frame_rate_hz == pytest.approx(bee_clip.frame_rate_hz * 1.25)
+    assert out.sample_rate_hz == pytest.approx(bee_clip.sample_rate_hz * 1.25)
     np.testing.assert_array_equal(out.samples, bee_clip.samples)
     assert out.duration_s == pytest.approx(bee_clip.duration_s / 1.25)
     with pytest.raises(InvalidInputError):
@@ -79,7 +77,7 @@ def test_overlay_scales_with_alpha(bee_clip):
 
 def test_overlay_alpha_zero_is_identity(bee_clip):
     assert overlay_pink_noise(bee_clip, 0.0, seed=5) is bee_clip
-    silent = AudioClip(samples=np.zeros(1000), frame_rate_hz=8000.0)
+    silent = Signal(samples=np.zeros(1000), sample_rate_hz=8000.0)
     assert overlay_pink_noise(silent, 1.0, seed=5) is silent
     for alpha in (-0.1, float("nan"), float("inf")):
         with pytest.raises(InvalidInputError, match="alpha"):
@@ -87,7 +85,7 @@ def test_overlay_alpha_zero_is_identity(bee_clip):
 
 
 def test_overlay_renormalizes_when_clipping():
-    loud = AudioClip(samples=np.full(8000, 0.999), frame_rate_hz=8000.0)
+    loud = Signal(samples=np.full(8000, 0.999), sample_rate_hz=8000.0)
     out = overlay_pink_noise(loud, alpha=1.5, seed=0)
     assert float(np.max(np.abs(out.samples))) == pytest.approx(1.0)
 
@@ -99,8 +97,8 @@ def gapped_frames(clip, out, alpha):
     of round(alpha * 0.1 * rate) samples, clamped to the frame; the partial
     frame at the end is never touched. Returns the gapped frame indices.
     """
-    frame_n = int(round(clip.frame_rate_hz))
-    gap_n = min(int(round(alpha * 0.1 * clip.frame_rate_hz)), frame_n)
+    frame_n = int(round(clip.sample_rate_hz))
+    gap_n = min(int(round(alpha * 0.1 * clip.sample_rate_hz)), frame_n)
     assert len(out.samples) == len(clip.samples)
     n_frames = len(clip.samples) // frame_n
     tail = slice(n_frames * frame_n, None)
@@ -150,7 +148,7 @@ def test_apply_modification_dispatch(bee_clip):
         # alpha 1.2: an alpha of exactly 1 makes the rate scale a no-op
         params = ModificationParams(kind=kind, alpha=1.2, seed=7)
         out = apply_modification(bee_clip, params)
-        assert isinstance(out, AudioClip)
+        assert isinstance(out, Signal)
         assert l2_delta(bee_clip, out) > 0.0
 
 
@@ -164,17 +162,17 @@ def test_stationary_tone_scores_one_up_to_rounding():
     # every lag of a steady tone ties within rounding, so rounding picks the
     # lag, and the score may sit a rounding step above 1; it is not clamped
     t = np.arange(16000) / 8000.0
-    tone = AudioClip(samples=0.5 * np.sin(2 * np.pi * 220 * t),
-                     frame_rate_hz=8000.0)
+    tone = Signal(samples=0.5 * np.sin(2 * np.pi * 220 * t),
+                  sample_rate_hz=8000.0)
     assert abs(stft_similarity(tone, tone).max_xcorr - 1) <= 1e-12
 
 
 def test_similarity_recovers_time_shift(bee_clip):
     hop = 0.032
     shift_frames = 8
-    pad = np.zeros(int(round(shift_frames * hop * bee_clip.frame_rate_hz)))
-    shifted = AudioClip(samples=np.concatenate([pad, bee_clip.samples]),
-                        frame_rate_hz=bee_clip.frame_rate_hz)
+    pad = np.zeros(int(round(shift_frames * hop * bee_clip.sample_rate_hz)))
+    shifted = Signal(samples=np.concatenate([pad, bee_clip.samples]),
+                     sample_rate_hz=bee_clip.sample_rate_hz)
     score = stft_similarity(bee_clip, shifted)
     # the padded region drags the score a little below the self-score of 1
     assert score.max_xcorr > 0.85
@@ -183,8 +181,8 @@ def test_similarity_recovers_time_shift(bee_clip):
 
 def test_similarity_rejects_unrelated_noise(bee_clip):
     rng = np.random.default_rng(0)
-    noise = AudioClip(samples=rng.uniform(-1, 1, len(bee_clip.samples)),
-                      frame_rate_hz=bee_clip.frame_rate_hz)
+    noise = Signal(samples=rng.uniform(-1, 1, len(bee_clip.samples)),
+                   sample_rate_hz=bee_clip.sample_rate_hz)
     score = stft_similarity(bee_clip, noise)
     assert score.max_xcorr < 0.3
 
@@ -258,8 +256,8 @@ def test_lag_search_skips_zero_overlaps_and_keeps_the_first_tie():
 
 def test_l2_delta_same_grid(bee_clip):
     assert l2_delta(bee_clip, bee_clip) == 0.0
-    bumped = AudioClip(samples=bee_clip.samples * 1.01,
-                       frame_rate_hz=bee_clip.frame_rate_hz)
+    bumped = Signal(samples=bee_clip.samples * 1.01,
+                    sample_rate_hz=bee_clip.sample_rate_hz)
     assert l2_delta(bee_clip, bumped) == pytest.approx(0.01, rel=1e-9)
 
 
@@ -272,9 +270,9 @@ def test_l2_delta_sees_rate_change(bee_clip):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_modification_never_silences_or_blows_up(seed):
     rng = np.random.default_rng(41)
-    clip = AudioClip(samples=0.5 * np.sin(2 * np.pi * 220.0
-                                          * np.arange(16000) / 8000.0),
-                     frame_rate_hz=8000.0)
+    clip = Signal(samples=0.5 * np.sin(2 * np.pi * 220.0
+                                       * np.arange(16000) / 8000.0),
+                  sample_rate_hz=8000.0)
     params = pick_modification(seed)
     out = apply_modification(clip, params)
     assert np.all(np.isfinite(out.samples))
@@ -287,6 +285,6 @@ def test_modification_never_silences_or_blows_up(seed):
        st.floats(0.5, 1.5, allow_nan=False))
 def test_gaps_always_fit_their_frames(seed, alpha):
     # 3.5 s: the half frame at the end must stay untouched
-    clip = AudioClip(samples=np.ones(28000), frame_rate_hz=8000.0)
+    clip = Signal(samples=np.ones(28000), sample_rate_hz=8000.0)
     out = insert_silence_gaps(clip, alpha=alpha, seed=seed)
     assert len(gapped_frames(clip, out, alpha)) >= 1

@@ -85,15 +85,14 @@ def test_sim_config_validation():
         ({"noise_rms": "1.0"}, "SimConfig.noise_rms: expected a number"),
         ({"pn": {"ir_capture_count": True}},
          "SimConfig.pn.ir_capture_count: expected an integer"),
-        ({"cn": {"deterrent_alpha_range": [0.5, 1.0, 1.5]}},
-         "SimConfig.cn.deterrent_alpha_range: expected 2 items"),
+        # alpha is drawn from deterrent.ALPHA_RANGE alone
+        ({"cn": {"deterrent_alpha_range": [0.5, 1.5]}},
+         "SimConfig.cn: unknown key 'deterrent_alpha_range'"),
         ({"alg1": {"run_low": 30}}, "SimConfig.alg1: run thresholds"),
         ({"cn": {"repel_duration_s": -5.0}},
          "SimConfig.cn: repel duration and flash frequency"),
         ({"cn": {"flash_freq_hz": 0}},
          "SimConfig.cn: repel duration and flash frequency"),
-        ({"cn": {"deterrent_alpha_range": [2.0, -1.0]}},
-         "SimConfig.cn: deterrent_alpha_range must satisfy lo < hi"),
         ({"pn": {"flash_freq_hz": 99}},
          "SimConfig.pn: unknown key 'flash_freq_hz'"),
         # a file number is finite, whichever field it fills
@@ -112,7 +111,8 @@ def test_sim_config_validation():
         ({"noise_rms": 10 ** 400},
          "SimConfig.noise_rms: expected a finite number"),
         ({"alg1": {"window_s": 1e300, "subsegment_s": 1e-300}},
-         "SimConfig.alg1: window must hold a whole number of sub-segments"),
+         "SimConfig.alg1: window_s 1e+300 must hold a whole number of "
+         "subsegment_s 1e-300"),
         # keys a run used to overwrite or ignore are gone from the schema
         ({"output_dir": "out"}, "SimConfig: unknown key 'output_dir'"),
         ({"detector_params": {"seed": 3}},

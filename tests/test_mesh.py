@@ -67,7 +67,6 @@ def test_network_config_round_trip(tmp_path):
         partitions=(Partition(t_start_s=1.0, t_end_s=2.0,
                               nodes=frozenset({"pn-1"})),),
         failover=FailoverConfig(heartbeat_interval_s=0.5, miss_threshold=2,
-                                broker_priority=("b2", "b1"),
                                 resend_delay_s=0.25),
         broker_failures=(BrokerFailure(broker_id="b1", t_s=5.0),),
         max_retries=4, retry_interval_s=0.1, buffer_cap=16, seed=99)
@@ -114,8 +113,9 @@ def test_config_validation():
         ({"partitions": [{"t_start_s": 1.0, "t_end_s": 2.0}]},
          "NetworkConfig.partitions[0]: missing key 'nodes'"),
         # every broker a config names must be one of its brokers
-        ({"brokers": ["b1"], "failover": {"broker_priority": ["bx"]}},
-         "NetworkConfig: unknown brokers ['bx']"),
+        # broker order is the order of brokers; there is no priority list
+        ({"failover": {"broker_priority": ["broker-a"]}},
+         "NetworkConfig.failover: unknown key 'broker_priority'"),
         ({"brokers": ["b1"],
           "broker_failures": [{"broker_id": "b2", "t_s": 5.0}]},
          "NetworkConfig: unknown brokers ['b2']"),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hecsim.errors import ParseError
-from hecsim.signals import AudioClip, SeismicTrace
+from hecsim.signals import Signal
 from hecsim.sigio import (load_trace_csv, load_wav, save_trace_csv, save_wav,
                           write_jsonl)
 
@@ -14,11 +14,11 @@ from hecsim.sigio import (load_trace_csv, load_wav, save_trace_csv, save_wav,
 def test_wav_round_trip_is_exact_after_quantization(tmp_path):
     rng = np.random.default_rng(0)
     samples = np.clip(rng.standard_normal(500) * 0.3, -1, 1)
-    clip = AudioClip(samples=samples, frame_rate_hz=8000.0)
+    clip = Signal(samples=samples, sample_rate_hz=8000.0)
     path = tmp_path / "x.wav"
     save_wav(clip, path)
     back = load_wav(path)
-    assert back.frame_rate_hz == 8000.0
+    assert back.sample_rate_hz == 8000.0
     quantized = np.round(samples * 32767.0).astype(np.int16) / 32767.0
     assert np.allclose(back.samples, quantized, atol=1e-12)
     # a second pass through the quantizer is the identity
@@ -28,7 +28,7 @@ def test_wav_round_trip_is_exact_after_quantization(tmp_path):
 
 
 def test_wav_clamps_out_of_range(tmp_path):
-    clip = AudioClip(samples=np.array([2.0, -2.0, 0.0]), frame_rate_hz=1000.0)
+    clip = Signal(samples=np.array([2.0, -2.0, 0.0]), sample_rate_hz=1000.0)
     save_wav(clip, tmp_path / "c.wav")
     back = load_wav(tmp_path / "c.wav")
     assert back.samples[0] == pytest.approx(1.0, abs=1e-4)
@@ -45,7 +45,7 @@ def test_wav_bad_magic_rejected_with_offset(tmp_path):
 
 def test_wav_truncated_data_rejected(tmp_path):
     p = tmp_path / "t.wav"
-    clip = AudioClip(samples=np.zeros(100), frame_rate_hz=1000.0)
+    clip = Signal(samples=np.zeros(100), sample_rate_hz=1000.0)
     save_wav(clip, p)
     whole = p.read_bytes()
     p.write_bytes(whole[:-10])
@@ -55,7 +55,7 @@ def test_wav_truncated_data_rejected(tmp_path):
 
 def test_wav_skips_unknown_chunks(tmp_path):
     p = tmp_path / "x.wav"
-    save_wav(AudioClip(samples=np.array([0.5, -0.5]), frame_rate_hz=4000.0), p)
+    save_wav(Signal(samples=np.array([0.5, -0.5]), sample_rate_hz=4000.0), p)
     raw = bytearray(p.read_bytes())
     # splice a LIST chunk between fmt and data
     fmt_end = raw.index(b"data")
@@ -65,14 +65,14 @@ def test_wav_skips_unknown_chunks(tmp_path):
     patched[4:8] = riff_size.to_bytes(4, "little")
     p.write_bytes(bytes(patched))
     back = load_wav(p)
-    assert back.frame_rate_hz == 4000.0
+    assert back.sample_rate_hz == 4000.0
     assert len(back.samples) == 2
 
 
 def test_trace_csv_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(1)
-    trace = SeismicTrace(samples=rng.standard_normal(300),
-                         sample_rate_hz=1000.0, start_time_s=12.5)
+    trace = Signal(samples=rng.standard_normal(300),
+                   sample_rate_hz=1000.0, start_time_s=12.5)
     p = tmp_path / "t.csv"
     save_trace_csv(trace, p)
     back = load_trace_csv(p)
@@ -125,7 +125,7 @@ def test_jsonl_writes_what_json_dumps_writes(tmp_path):
                  allow_nan=False, allow_infinity=False))
 def test_trace_csv_round_trip_property(samples, rate):
     import tempfile
-    trace = SeismicTrace(samples=np.array(samples), sample_rate_hz=rate)
+    trace = Signal(samples=np.array(samples), sample_rate_hz=rate)
     with tempfile.TemporaryDirectory() as d:
         p = f"{d}/t.csv"
         save_trace_csv(trace, p)

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from hecsim.deterrent import generate_pink_noise
 from hecsim.errors import InvalidInputError
-from hecsim.signals import (AudioClip, RumbleSpec, SeismicTrace,
-                            chirp_waveform, compute_stft, default_pad_length,
-                            next_pow2, synth_bee_buzz, synth_rumble,
-                            synth_rumble_stream)
+from hecsim.signals import (RumbleSpec, Signal, chirp_waveform,
+                            compute_stft, default_pad_length, next_pow2,
+                            synth_bee_buzz, synth_rumble, synth_rumble_stream)
 from oracles import naive_dft_magnitudes, rumble_instantaneous_freq
 
 
@@ -29,7 +28,7 @@ def test_default_pad_length_is_at_least_four_times_signal():
 
 def one_frame(samples, rate):
     """Spectrogram of a single rectangular frame spanning the whole signal."""
-    trace = SeismicTrace(samples=samples, sample_rate_hz=rate)
+    trace = Signal(samples=samples, sample_rate_hz=rate)
     return compute_stft(trace, trace.duration_s, trace.duration_s,
                         window_fn="rect")
 
@@ -64,7 +63,7 @@ def test_peak_frequency_exact_for_on_grid_tone():
 
 
 def test_stft_frame_count_and_times():
-    trace = SeismicTrace(samples=np.zeros(4000), sample_rate_hz=1000.0)
+    trace = Signal(samples=np.zeros(4000), sample_rate_hz=1000.0)
     gram = compute_stft(trace, frame_s=0.5, hop_s=0.125)
     assert len(gram.frame_times_s) == 29  # floor((4 - 0.5)/0.125) + 1
     assert gram.frame_times_s[0] == 0.0
@@ -73,13 +72,13 @@ def test_stft_frame_count_and_times():
 
 
 def test_stft_too_short_signal_rejected():
-    trace = SeismicTrace(samples=np.zeros(100), sample_rate_hz=1000.0)
+    trace = Signal(samples=np.zeros(100), sample_rate_hz=1000.0)
     with pytest.raises(InvalidInputError):
         compute_stft(trace, frame_s=0.5, hop_s=0.125)
 
 
 def test_stft_rejects_a_bad_frame_or_hop():
-    trace = SeismicTrace(samples=np.zeros(4000), sample_rate_hz=1000.0)
+    trace = Signal(samples=np.zeros(4000), sample_rate_hz=1000.0)
     for bad in (float("nan"), float("inf"), -0.5):
         with pytest.raises(InvalidInputError, match=f"frame_s must be "
                            f"non-negative and finite, got {bad!r}"):
@@ -91,7 +90,7 @@ def test_stft_rejects_a_bad_frame_or_hop():
 
 def test_stft_tracks_chirp_frequency():
     wave = chirp_waveform(RumbleSpec(duration_s=4.0), 1000.0)
-    trace = SeismicTrace(samples=wave, sample_rate_hz=1000.0)
+    trace = Signal(samples=wave, sample_rate_hz=1000.0)
     gram = compute_stft(trace, frame_s=0.5, hop_s=0.125)
     for i, t0 in enumerate(gram.frame_times_s):
         mid = t0 + 0.25  # frame center
@@ -102,10 +101,8 @@ def test_stft_tracks_chirp_frequency():
 
 def test_containers_need_a_positive_finite_rate():
     for rate in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(InvalidInputError):
-            SeismicTrace(samples=np.zeros(10), sample_rate_hz=rate)
-        with pytest.raises(InvalidInputError):
-            AudioClip(samples=np.zeros(10), frame_rate_hz=rate)
+        with pytest.raises(InvalidInputError, match=f"got {rate!r}"):
+            Signal(samples=np.zeros(10), sample_rate_hz=rate)
 
 
 def test_synth_rumble_snr_definition():
@@ -148,7 +145,7 @@ def test_synthesis_needs_a_finite_rate_and_duration():
                                          sample_rate_hz=inf), "inf"),
             (lambda: synth_rumble_stream([], total_s=nan), "nan"),
             (lambda: synth_rumble(RumbleSpec(3.5), total_s=inf), "inf"),
-            (lambda: synth_bee_buzz(duration_s=1.0, frame_rate_hz=0.0), "0.0"),
+            (lambda: synth_bee_buzz(duration_s=1.0, sample_rate_hz=0.0), "0.0"),
             (lambda: generate_pink_noise(100, -5.0, seed=0), "-5.0")]:
         with pytest.raises(InvalidInputError, match=f"got {value}"):
             call()
@@ -163,10 +160,10 @@ def test_synth_rumble_stream_deterministic():
 
 def test_bee_buzz_shape_and_pitch():
     clip = synth_bee_buzz(duration_s=2.0, seed=0)
-    assert isinstance(clip, AudioClip)
-    assert clip.frame_rate_hz == 8000.0
+    assert isinstance(clip, Signal)
+    assert clip.sample_rate_hz == 8000.0
     assert np.max(np.abs(clip.samples)) <= 1.0
-    gram = one_frame(clip.samples, clip.frame_rate_hz)
+    gram = one_frame(clip.samples, clip.sample_rate_hz)
     assert 200.0 < peak_hz(gram) < 260.0  # fundamental near 230 Hz
 
 
@@ -196,7 +193,7 @@ def test_spectrum_properties(n, frames, seed):
     rng = np.random.default_rng(seed)
     hop = max(1, n // 3)
     samples = rng.standard_normal(n + (frames - 1) * hop)
-    trace = SeismicTrace(samples=samples, sample_rate_hz=500.0)
+    trace = Signal(samples=samples, sample_rate_hz=500.0)
     gram = compute_stft(trace, n / 500.0, hop / 500.0, window_fn="rect")
     assert gram.magnitudes.shape[0] == frames
     assert np.all(gram.magnitudes >= 0.0)
