@@ -2,10 +2,12 @@
 
 The central node receives thermal frames, runs a detector on each one
 exactly once, and turns positive decisions into a repel command plus two
-warnings, an officer message and a siren. Two simulation detectors are
-built in: an oracle that reads the simulated ground truth, and a
-stochastic stand-in with configurable true and false positive rates. The
-evaluation half of the module scores box detectors with IoU and average
+warnings, an officer message and a siren. cn_step returns these objects
+themselves as its actions; the runtime runs the detector on a frame,
+publishes a command, and records and publishes a warning. Two simulation
+detectors are built in: an oracle that reads the simulated ground truth,
+and a stochastic stand-in with configurable true and false positive rates.
+The evaluation half of the module scores box detectors with IoU and average
 precision at IoU 0.5.
 """
 
@@ -207,22 +209,11 @@ class WarningRecord:
                 "message": self.message}
 
 
-@dataclass(frozen=True)
-class RunDetector:
-    frame: ThermalFrame
-
-
-@dataclass(frozen=True)
-class PublishCommand:
-    command: RepelCommand | NegativeDecision
-
-
-@dataclass(frozen=True)
-class IssueWarning:
-    record: WarningRecord  # its kind says officer message or siren
-
-
-CnAction = RunDetector | PublishCommand | IssueWarning | LogAnomaly
+# a ThermalFrame action runs the detector on it; a RepelCommand or
+# NegativeDecision action is published to its node; a WarningRecord action
+# is recorded and published
+CnAction = (ThermalFrame | RepelCommand | NegativeDecision | WarningRecord
+            | LogAnomaly)
 
 
 def cn_step(state: CnState, event: CnEvent, config: CnConfig,
@@ -238,7 +229,7 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
             return state, (LogAnomaly(f"duplicate frame {fid}"),)
         new = CnState(pending=state.pending + ((fid, event.pn_id),),
                       decided=state.decided)
-        return new, (RunDetector(event),)
+        return new, (event,)
 
     if isinstance(event, DetectorDecision):
         fid = event.frame_id
@@ -252,7 +243,7 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
             decided=state.decided | {fid},
         )
         if not event.elephant_present:
-            return new, (PublishCommand(NegativeDecision(pn_id, fid)),)
+            return new, (NegativeDecision(pn_id, fid),)
         # keyed by frame id alone, not by the run's master seed: deriving
         # it from master_seed would change every pinned run output
         deterrent = pick_modification(derive_seed(0, "repel", fid))
@@ -266,8 +257,7 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
         siren = WarningRecord(
             kind=WarningKind.SIREN, timestamp_s=now_s, pn_id=pn_id,
             frame_id=fid, message=f"siren sounding at {pn_id}")
-        return new, (PublishCommand(command),
-                     IssueWarning(officer), IssueWarning(siren))
+        return new, (command, officer, siren)
 
     return state, (LogAnomaly(f"unknown event {type(event).__name__}"),)
 

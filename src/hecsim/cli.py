@@ -3,8 +3,10 @@
 Exit codes: 0 on success, 1 on a runtime failure, 2 on a usage error
 (bad flags, missing input files). Every failure prints a single
 diagnostic line to stderr. Subcommands that draw random numbers accept
---seed; when it is omitted a fresh seed is drawn from the OS and echoed in
-the output so the run can be repeated.
+--seed, an integer in [0, 2**63 - 1]; when it is omitted a fresh seed is
+drawn from the OS and echoed in the output so the run can be repeated.
+synth writes a trace CSV to a .csv path and a peak-normalized WAV to any
+other path.
 """
 
 from __future__ import annotations
@@ -39,12 +41,21 @@ def _fresh_seed() -> int:
     return int.from_bytes(os.urandom(8), "big") & MAX_SEED
 
 
+def _seed_arg(text: str) -> int:
+    """The --seed type: an integer in the range _fresh_seed draws from."""
+    if text.isdecimal() and int(text) <= MAX_SEED:
+        return int(text)
+    raise argparse.ArgumentTypeError(
+        f"expected an integer in [0, {MAX_SEED}], got {text!r}")
+
+
 def _load_trace(path: str) -> Signal:
     p = Path(path)
     if p.suffix.lower() == ".csv":
         return load_trace_csv(p)
     if p.suffix.lower() == ".wav":
         return load_wav(p)
+    p.stat()  # a missing input is a usage error whatever its suffix
     raise InvalidInputError(f"cannot read a trace from {p.suffix!r} files")
 
 
@@ -144,21 +155,19 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     if args.signal == "rumble":
         spec = RumbleSpec(duration_s=args.duration_s, snr_db=args.snr_db)
-        trace = synth_rumble(spec, sample_rate_hz=args.rate, seed=seed,
-                             total_s=args.total_s, onset_s=args.onset_s)
-        if out.suffix.lower() == ".csv":
-            save_trace_csv(trace, out)
-        else:
-            save_wav(replace(trace, samples=_peak_normalized(trace.samples)),
-                     out)
+        signal = synth_rumble(spec, sample_rate_hz=args.rate, seed=seed,
+                              total_s=args.total_s, onset_s=args.onset_s)
     elif args.signal == "bee":
-        clip = synth_bee_buzz(duration_s=args.duration_s,
-                              sample_rate_hz=args.rate, seed=seed)
-        save_wav(clip, out)
+        signal = synth_bee_buzz(duration_s=args.duration_s,
+                                sample_rate_hz=args.rate, seed=seed)
     else:  # pinknoise
-        n = sample_count(args.duration_s, args.rate)
-        clip = generate_pink_noise(n, args.rate, seed)
-        save_wav(replace(clip, samples=_peak_normalized(clip.samples)), out)
+        signal = generate_pink_noise(sample_count(args.duration_s, args.rate),
+                                     args.rate, seed)
+    if out.suffix.lower() == ".csv":
+        save_trace_csv(signal, out)
+    else:
+        save_wav(replace(signal, samples=_peak_normalized(signal.samples)),
+                 out)
     print(json.dumps({"signal": args.signal, "out": str(out), "seed": seed,
                       "duration_s": args.duration_s, "rate_hz": args.rate},
                      sort_keys=True))
@@ -246,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply a seeded random playback modification")
     p.add_argument("--input", required=True)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed_arg)
     p.add_argument("--method",
                    choices=[k.value for k in ModificationKind])
     p.add_argument("--alpha", type=float)
@@ -255,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate test signals")
     p.add_argument("signal", choices=["rumble", "bee", "pinknoise"])
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed_arg)
     p.add_argument("--duration-s", type=float, default=3.5, dest="duration_s")
     p.add_argument("--rate", type=float, default=None)
     p.add_argument("--snr-db", type=float, default=20.0, dest="snr_db")
@@ -276,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="oracle")
     p.add_argument("--tpr", type=float, default=0.9)
     p.add_argument("--fpr", type=float, default=0.05)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed_arg)
     p.set_defaults(func=cmd_eval_ap50)
 
     p = sub.add_parser("spectrogram", help="export an STFT magnitude grid")

@@ -18,20 +18,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
-from .central import (CnConfig, CnState, IssueWarning, OracleDetector,
-                      PublishCommand, RunDetector, StochasticDetector,
-                      StochasticDetectorParams, WarningKind, cn_step,
-                      detect_frame)
+from .central import (CnConfig, CnState, OracleDetector, StochasticDetector,
+                      StochasticDetectorParams, WarningKind, WarningRecord,
+                      cn_step, detect_frame)
 from .codec import JsonConfig, encode, read_json
 from .detection import Algorithm1Params, WindowDetection, detect_stream
 from .errors import InvalidConfigError, InvalidInputError
 from .mesh import (MeshNetwork, NetworkConfig, QoS, heartbeat_and_failover)
-from .peripheral import (CaptureFrame, Flash, LogAnomaly, PlayDeterrent,
-                         PnConfig, PnState, PnStateKind, PreArm, PublishFrame,
-                         RepelCommand, ThermalFrame, TimerExpired,
-                         ir_duty_cycle, pn_step)
+from .peripheral import (CaptureFrame, NegativeDecision, PnConfig, PnState,
+                         PnStateKind, PreArm, RepelCommand, ThermalFrame,
+                         TimerExpired, ir_duty_cycle, pn_step)
 from .seeds import derive_seed
 from .signals import RumbleSpec, synth_rumble_stream
 from .sigio import write_jsonl
@@ -248,37 +247,12 @@ def compute_metrics(logs: RunLogs, scenario: Scenario,
 
 # ---- orchestration ----
 
-def _action_label(action) -> str:
-    if isinstance(action, CaptureFrame):
-        return f"capture_frame:{action.count}"
-    if isinstance(action, PublishFrame):
-        return f"publish_frame:{action.frame.frame_id}"
-    if isinstance(action, PlayDeterrent):
-        d = action.command.deterrent
-        return f"play_deterrent:{d.kind.value}:alpha={d.alpha:.4f}"
-    if isinstance(action, Flash):
-        return f"flash:{action.freq_hz}hz:{action.duration_s}s"
-    if isinstance(action, PreArm):
-        return f"pre_arm:{action.ds}"
-    if isinstance(action, LogAnomaly):
-        return f"anomaly:{action.reason}"
-    if isinstance(action, RunDetector):
-        return f"run_detector:{action.frame.frame_id}"
-    if isinstance(action, PublishCommand):
-        kind = ("repel" if isinstance(action.command, RepelCommand)
-                else "negative")
-        return f"publish_{kind}:{action.command.frame_id}"
-    if isinstance(action, IssueWarning):
-        return f"{action.record.kind.value}:{action.record.frame_id}"
-    return type(action).__name__
-
-
 class _Run:
     """One run's mesh, node states and logs.
 
-    pn_dispatch and cn_dispatch step a node's state machine, log the step
-    and perform its actions: schedule timers, captures and detector runs,
-    and publish the state machines' own objects as mesh payloads.
+    pn_dispatch and cn_dispatch step a node's state machine, then log and
+    perform each action it returns: schedule timers, captures and detector
+    runs, and publish the state machines' own objects as mesh payloads.
     """
 
     def __init__(self, scenario: Scenario, config: SimConfig):
@@ -338,11 +312,14 @@ class _Run:
             if new.kind != old.kind:
                 self.publish(node, f"pn/{node}/status", new,
                              qos=QoS.AT_MOST_ONCE)
-        if new != old or actions:
-            for label in [_action_label(a) for a in actions] or [""]:
-                self.log_action(node, old.kind.value, new.kind.value, label)
+        log = partial(self.log_action, node, old.kind.value, new.kind.value)
+        if new != old and not actions:
+            log("")
+        # playing, flashing, pre-arming and anomalies are fully described by
+        # their action-log rows; nothing further runs in simulation
         for action in actions:
             if isinstance(action, CaptureFrame):
+                log(f"capture_frame:{action.count}")
                 # only a seismic window triggers a capture
                 fid = f"{node}-w{event.window_index:03d}"
                 for k in range(action.count):
@@ -350,10 +327,17 @@ class _Run:
                     self.net.schedule_in(
                         self.config.capture_delay_s,
                         lambda f=fid + suffix: self.capture(node, f))
-            elif isinstance(action, PublishFrame):
-                self.publish(node, f"pn/{node}/frame", action.frame)
-            # PlayDeterrent / Flash / PreArm / LogAnomaly are fully described
-            # by their action-log rows; nothing further runs in simulation
+            elif isinstance(action, ThermalFrame):
+                log(f"publish_frame:{action.frame_id}")
+                self.publish(node, f"pn/{node}/frame", action)
+            elif isinstance(action, RepelCommand):
+                d = action.deterrent
+                log(f"play_deterrent:{d.kind.value}:alpha={d.alpha:.4f}")
+                log(f"flash:{action.flash_freq_hz}hz:{action.duration_s}s")
+            elif isinstance(action, PreArm):
+                log(f"pre_arm:{action.ds}")
+            else:  # LogAnomaly
+                log(f"anomaly:{action.reason}")
 
     def capture(self, node: str, frame_id: str) -> None:
         now = self.net.now
@@ -372,18 +356,24 @@ class _Run:
         new, actions = cn_step(old, event, self.config.cn, self.net.now)
         self.cn = new
         node = self.config.cn.node_id
+        log = partial(self.log_action, node, f"pending={len(old.pending)}",
+                      f"pending={len(new.pending)}")
         for action in actions:
-            self.log_action(node, f"pending={len(old.pending)}",
-                            f"pending={len(new.pending)}", _action_label(action))
-            if isinstance(action, RunDetector):
+            if isinstance(action, ThermalFrame):
+                log(f"run_detector:{action.frame_id}")
                 self.net.schedule_in(self.config.detector_delay_s,
-                                     lambda f=action.frame: self.decide(f))
-            elif isinstance(action, PublishCommand):
-                self.publish(node, f"cn/cmd/{action.command.pn_id}",
-                             action.command)
-            elif isinstance(action, IssueWarning):
-                self.warnings.append(action.record.to_record())
-                self.publish(node, "cn/warning", action.record)
+                                     lambda f=action: self.decide(f))
+            elif isinstance(action, (RepelCommand, NegativeDecision)):
+                kind = ("repel" if isinstance(action, RepelCommand)
+                        else "negative")
+                log(f"publish_{kind}:{action.frame_id}")
+                self.publish(node, f"cn/cmd/{action.pn_id}", action)
+            elif isinstance(action, WarningRecord):
+                log(f"{action.kind.value}:{action.frame_id}")
+                self.warnings.append(action.to_record())
+                self.publish(node, "cn/warning", action)
+            else:  # LogAnomaly
+                log(f"anomaly:{action.reason}")
 
     def decide(self, frame: ThermalFrame) -> None:
         decision = detect_frame(frame, self.detector)

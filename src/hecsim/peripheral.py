@@ -1,8 +1,10 @@
 """Peripheral node: seismic trigger, thermal capture, and repel playback.
 
 The node is a pure state machine. pn_step consumes one event and returns the
-next state plus the actions the surrounding runtime must perform (capture a
-frame, publish it, play the deterrent, flash the light). Keeping the
+next state plus the actions the surrounding runtime must perform. A
+captured ThermalFrame returned as an action is published as it is; a
+RepelCommand returned as an action is played as the acoustic deterrent and
+flashed as the light, at its flash_freq_hz for its duration_s. Keeping the
 transition function free of side effects makes every path scriptable in
 tests.
 
@@ -104,22 +106,6 @@ class CaptureFrame:
 
 
 @dataclass(frozen=True)
-class PublishFrame:
-    frame: ThermalFrame
-
-
-@dataclass(frozen=True)
-class PlayDeterrent:
-    command: RepelCommand
-
-
-@dataclass(frozen=True)
-class Flash:
-    freq_hz: float
-    duration_s: float
-
-
-@dataclass(frozen=True)
 class PreArm:
     ds: int
 
@@ -129,7 +115,9 @@ class LogAnomaly:
     reason: str
 
 
-PnAction = CaptureFrame | PublishFrame | PlayDeterrent | Flash | PreArm | LogAnomaly
+# a ThermalFrame action is published; a RepelCommand action plays the
+# deterrent and flashes the light
+PnAction = CaptureFrame | ThermalFrame | RepelCommand | PreArm | LogAnomaly
 
 
 def _timer_matches(state: PnState, event: TimerExpired, now_s: float) -> bool:
@@ -165,20 +153,17 @@ def pn_step(state: PnState, event: PnEvent, config: PnConfig,
             return state, (LogAnomaly(f"frame captured in state {kind.value}"),)
         remaining = state.captures_remaining - 1
         if remaining > 0:
-            return replace(state, captures_remaining=remaining), \
-                (PublishFrame(event),)
+            return replace(state, captures_remaining=remaining), (event,)
         new = PnState(kind=PnStateKind.AWAITING_DECISION,
                       until_s=now_s + config.decision_timeout_s)
-        return new, (PublishFrame(event),)
+        return new, (event,)
 
     if isinstance(event, (RepelCommand, NegativeDecision)):
         if kind is PnStateKind.AWAITING_DECISION:
             if isinstance(event, RepelCommand):
                 new = PnState(kind=PnStateKind.REPELLING,
                               until_s=now_s + event.duration_s)
-                return new, (PlayDeterrent(event),
-                             Flash(freq_hz=event.flash_freq_hz,
-                                   duration_s=event.duration_s))
+                return new, (event,)
             return PnState(), ()
         return state, (LogAnomaly(f"command received in state {kind.value}"),)
 

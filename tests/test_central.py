@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hecsim.central import (BoundingBox, CnConfig, CnState,
-                            DetectorDecision, IssueWarning, LabeledFrame,
-                            LabeledFrameSet, OracleDetector, PublishCommand,
-                            RunDetector, StochasticDetector,
-                            StochasticDetectorParams, WarningKind, cn_step,
-                            detect_frame, evaluate_ap50, iou)
+                            DetectorDecision, LabeledFrame, LabeledFrameSet,
+                            OracleDetector, StochasticDetector,
+                            StochasticDetectorParams, WarningKind,
+                            WarningRecord, cn_step, detect_frame,
+                            evaluate_ap50, iou)
 from hecsim.deterrent import ModificationKind, ModificationParams
 from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.peripheral import (LogAnomaly, NegativeDecision, RepelCommand,
@@ -133,18 +133,17 @@ def test_stochastic_false_alarm_still_boxes():
 def test_positive_frame_produces_repel_officer_siren():
     state = CnState()
     state, actions = cn_step(state, frame(), CFG, 5.0)
-    assert actions == (RunDetector(frame()),)
+    assert actions == (frame(),)
     decision = OracleDetector().decide(frame())
     state, actions = cn_step(state, decision, CFG, 5.1)
     kinds = [type(a) for a in actions]
-    assert kinds == [PublishCommand, IssueWarning, IssueWarning]
+    assert kinds == [RepelCommand, WarningRecord, WarningRecord]
     repel = actions[0]
-    assert isinstance(repel.command, RepelCommand)
-    assert repel.command.pn_id == "pn-1"
-    assert repel.command.frame_id == "pn-1-w000"
-    assert repel.command.duration_s == CFG.repel_duration_s
-    assert actions[1].record.kind is WarningKind.OFFICER_MESSAGE
-    assert actions[2].record.kind is WarningKind.SIREN
+    assert repel.pn_id == "pn-1"
+    assert repel.frame_id == "pn-1-w000"
+    assert repel.duration_s == CFG.repel_duration_s
+    assert actions[1].kind is WarningKind.OFFICER_MESSAGE
+    assert actions[2].kind is WarningKind.SIREN
     assert "pn-1-w000" in state.decided and state.pending == ()
 
 
@@ -153,10 +152,7 @@ def test_negative_frame_produces_negative_decision():
     state, _ = cn_step(state, frame(truth=False), CFG, 5.0)
     decision = OracleDetector().decide(frame(truth=False))
     state, actions = cn_step(state, decision, CFG, 5.1)
-    assert len(actions) == 1 and isinstance(actions[0], PublishCommand)
-    assert isinstance(actions[0].command, NegativeDecision)
-    assert actions[0].command.pn_id == "pn-1"
-    assert actions[0].command.frame_id == "pn-1-w000"
+    assert actions == (NegativeDecision(pn_id="pn-1", frame_id="pn-1-w000"),)
 
 
 def test_duplicate_frame_is_anomaly():
@@ -206,7 +202,7 @@ def test_deterrent_draw_is_stable_per_frame():
     decision = OracleDetector().decide(frame())
     _, actions_a = cn_step(state, decision, CFG, 5.1)
     _, actions_b = cn_step(state, decision, CFG, 9.9)
-    assert actions_a[0].command.deterrent == actions_b[0].command.deterrent
+    assert actions_a[0].deterrent == actions_b[0].deterrent
 
 
 # ---- labeled frames and AP50 ----

@@ -101,6 +101,21 @@ def test_synth_bee_defaults_to_audio_rate(tmp_path, capsys):
     assert out_path.stat().st_size > 1000
 
 
+def test_synth_bee_to_csv_writes_a_trace(tmp_path, capsys):
+    # a .csv path gets a trace CSV whatever the signal, not WAV bytes
+    bee_csv = tmp_path / "b.csv"
+    code, _, _ = run_cli(capsys, "synth", "bee", "--out", str(bee_csv),
+                         "--seed", "1", "--duration-s", "1.0")
+    assert code == 0
+    gram = tmp_path / "gram.csv"
+    code, _, _ = run_cli(capsys, "spectrogram", "--input", str(bee_csv),
+                         "--out", str(gram))
+    assert code == 0
+    # the top bin sits at Nyquist: the trace was read at 8000 Hz
+    header = gram.read_text().splitlines()[0].split(",")
+    assert float(header[-1]) == 4000.0
+
+
 def test_synth_echoes_fresh_seed_and_it_reproduces(tmp_path, capsys):
     a = tmp_path / "a.wav"
     code, out, _ = run_cli(capsys, "synth", "pinknoise", "--out", str(a),
@@ -272,11 +287,21 @@ def test_spectrogram_wav_defaults(bee_wav, tmp_path, capsys):
 
 # ---- failure modes ----
 
-def test_missing_input_file_is_a_usage_error(capsys):
+def test_missing_input_file_is_a_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "detect", "--input", "missing.csv")
     assert code == 2
     assert err.startswith("hecsim: ")
     assert len(err.strip().splitlines()) == 1
+    # a missing file is a usage error before its suffix is looked at
+    missing = str(tmp_path / "missing.xyz")
+    for argv in (("detect", "--input", missing),
+                 ("oracle", "--input", missing),
+                 ("eval-recall", "--input", missing),
+                 ("spectrogram", "--input", missing, "--out",
+                  str(tmp_path / "gram.csv"))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "missing.xyz" in err
 
 
 def test_unreadable_content_is_a_runtime_error(bee_wav, rumble_csv, tmp_path,
@@ -465,3 +490,14 @@ def test_usage_errors_exit_two(capsys):
         main(["synth", "theremin", "--out", "x.wav"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # a seed lies in [0, 2**63 - 1], the range a fresh seed is drawn from
+    for argv in (["synth", "bee", "--out", "x.wav", "--seed", "-1"],
+                 ["synth", "bee", "--out", "x.wav", "--seed", str(2 ** 63)],
+                 ["synth", "bee", "--out", "x.wav", "--seed", "1.5"],
+                 ["modify-sound", "--input", "x.wav", "--seed", "-3"],
+                 ["eval-ap50", "--labels", "x.json",
+                  "--detector", "stochastic", "--seed", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "--seed" in capsys.readouterr().err

@@ -6,9 +6,8 @@ from hecsim.central import DetectorDecision
 from hecsim.detection import WindowDetection
 from hecsim.deterrent import ModificationKind, ModificationParams
 from hecsim.errors import InvalidInputError
-from hecsim.peripheral import (CaptureFrame, Flash, LogAnomaly,
-                               NegativeDecision, PlayDeterrent, PnConfig,
-                               PnState, PnStateKind, PreArm, PublishFrame,
+from hecsim.peripheral import (CaptureFrame, LogAnomaly, NegativeDecision,
+                               PnConfig, PnState, PnStateKind, PreArm,
                                RepelCommand, ThermalFrame, TimerExpired,
                                ir_duty_cycle, pn_step)
 
@@ -43,13 +42,15 @@ def test_full_cycle_through_all_states():
     state, actions = pn_step(state, frame(), CFG, 4.05)
     assert state.kind is PnStateKind.AWAITING_DECISION
     assert state.until_s == pytest.approx(4.05 + CFG.decision_timeout_s)
-    assert actions == (PublishFrame(frame()),)
+    assert actions == (frame(),)
 
     cmd = repel()
     state, actions = pn_step(state, cmd, CFG, 4.2)
     assert state.kind is PnStateKind.REPELLING
     assert state.until_s == pytest.approx(14.2)
-    assert actions == (PlayDeterrent(cmd), Flash(freq_hz=2.0, duration_s=10.0))
+    assert actions == (cmd,)
+    # the delivered command itself is the action: no copy, no wrapper
+    assert actions[0] is cmd
 
     state, actions = pn_step(state, TimerExpired(deadline_s=14.2), CFG, 14.2)
     assert state.kind is PnStateKind.COOLDOWN
@@ -115,7 +116,7 @@ def test_multi_capture_counts_down():
     state, actions = pn_step(state, frame("pn-1-w000-c0"), cfg, 4.05)
     assert state.kind is PnStateKind.IR_ACTIVE
     assert state.captures_remaining == 2
-    assert isinstance(actions[0], PublishFrame)
+    assert actions == (frame("pn-1-w000-c0"),)
     state, _ = pn_step(state, frame("pn-1-w000-c1"), cfg, 4.10)
     state, _ = pn_step(state, frame("pn-1-w000-c2"), cfg, 4.15)
     assert state.kind is PnStateKind.AWAITING_DECISION
@@ -221,8 +222,8 @@ def test_random_event_storms_never_corrupt_state(events):
         if state.kind is PnStateKind.IR_ACTIVE:
             assert state.captures_remaining >= 1
         for act in actions:
-            assert isinstance(act, (CaptureFrame, PublishFrame, PlayDeterrent,
-                                    Flash, PreArm, LogAnomaly))
+            assert isinstance(act, (CaptureFrame, ThermalFrame, RepelCommand,
+                                    PreArm, LogAnomaly))
 
 
 @settings(max_examples=100, deadline=None)
@@ -234,6 +235,6 @@ def test_repel_only_fires_from_awaiting(events):
         now += 0.5
         prev = state
         state, actions = pn_step(state, ev, CFG, now)
-        if any(isinstance(a, PlayDeterrent) for a in actions):
+        if any(isinstance(a, RepelCommand) for a in actions):
             assert prev.kind is PnStateKind.AWAITING_DECISION
             assert state.kind is PnStateKind.REPELLING
