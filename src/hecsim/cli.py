@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on a runtime failure, 2 on a usage error
-(bad flags, missing input files). Every failure prints a single
-diagnostic line to stderr. Subcommands that draw random numbers accept
---seed, an integer in [0, 2**63 - 1]; when it is omitted a fresh seed is
-drawn from the OS and echoed in the output so the run can be repeated.
-synth writes a trace CSV to a .csv path and a peak-normalized WAV to any
-other path.
+(bad flags, missing input files). A bad flag prints argparse's usage and
+then its error line; every other failure prints one line to stderr.
+Subcommands that draw random numbers accept --seed, an integer in
+[0, 2**63 - 1]; when it is omitted a fresh seed is drawn from the OS and
+echoed in the output so the run can be repeated. synth writes a trace
+CSV to a .csv path and a peak-normalized WAV to any other path.
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ from .codec import JsonConfig, encode, read_json
 from .detection import Algorithm1Params, WindowDetection, detect_stream
 from .errors import InvalidConfigError, InvalidInputError
 from .mesh import (MeshNetwork, NetworkConfig, QoS, heartbeat_and_failover)
-from .peripheral import (CaptureFrame, NegativeDecision, PnConfig, PnState,
-                         PnStateKind, PreArm, RepelCommand, ThermalFrame,
-                         TimerExpired, ir_duty_cycle, pn_step)
+from .peripheral import (IR_POWERED_STATES, CaptureFrame, NegativeDecision,
+                         PnConfig, PnState, PreArm, RepelCommand, ThermalFrame,
+                         TimerExpired, pn_step)
 from .seeds import derive_seed
 from .signals import RumbleSpec, synth_rumble_stream
 from .sigio import write_jsonl
@@ -44,6 +44,11 @@ class PnPlacement:
 
     node_id: str
     position: str = ""
+
+    def __post_init__(self):
+        if not self.node_id or "/" in self.node_id or "+" in self.node_id:
+            raise InvalidConfigError(
+                f"node id must be one plain topic segment, got {self.node_id!r}")
 
 
 @dataclass(frozen=True)
@@ -195,8 +200,8 @@ def compute_metrics(logs: RunLogs, scenario: Scenario,
 
     An event counts as detected when an officer warning lands inside
     [onset, onset + match_horizon_s]; a warning inside no event's horizon is
-    false. Duty cycles come from the state each action row leaves its
-    node in.
+    false. A node's duty cycle is its share of the run in IR_POWERED_STATES,
+    read from the state_to of its action rows.
     """
     for name in ("delivery_trace", "actions", "warnings", "detections"):
         if getattr(logs, name) is None:
@@ -223,13 +228,25 @@ def compute_metrics(logs: RunLogs, scenario: Scenario,
     if scenario.events:
         recall = sum(o.detected for o in outcomes) / len(scenario.events)
 
-    duty = {}
-    for placement in scenario.pns:
-        node = placement.node_id
-        history = [(0.0, PnState())] + [
-            (row["t"], PnState(PnStateKind(row["state_to"])))
-            for row in logs.actions if row["node"] == node]
-        duty[node] = ir_duty_cycle(history, scenario.duration_s)
+    end = scenario.duration_s
+    powered = {p.node_id: 0.0 for p in scenario.pns}
+    last = dict.fromkeys(powered, 0.0)
+    since = {}  # start of each node's open powered stretch
+    for row in logs.actions:
+        node, t = row["node"], row["t"]
+        if node not in powered:
+            continue  # the central node
+        if not last[node] <= t <= end:
+            raise InvalidInputError(f"action row of {node} at t={t} is out "
+                                    f"of time order or outside [0, {end}]")
+        last[node] = t
+        if row["state_to"] in IR_POWERED_STATES:
+            since.setdefault(node, t)
+        elif node in since:
+            powered[node] += t - since.pop(node)
+    for node, t in since.items():
+        powered[node] += end - t
+    duty = {node: on / end for node, on in powered.items()}
 
     counts: dict[str, dict] = {}
     for row in logs.delivery_trace:

@@ -113,6 +113,10 @@ class BrokerFailure:
     broker_id: str
     t_s: float
 
+    def __post_init__(self):
+        if not 0 <= self.t_s < math.inf:
+            raise InvalidConfigError(f"broker failure time {self.t_s} is not in [0, inf)")
+
 
 @dataclass(frozen=True)
 class NetworkConfig(JsonConfig):
@@ -219,8 +223,10 @@ class MeshNetwork:
     # ---- scheduling core ----
 
     def schedule(self, t_s: float, fn: Callable[[], None]) -> None:
-        """Run fn at simulated time t_s (not before the current time)."""
-        heapq.heappush(self._heap, (max(t_s, self.now), next(self._seq), fn))
+        """Run fn at simulated time t_s, which must not be before now."""
+        if not t_s >= self.now:
+            raise InvalidInputError(f"cannot schedule at {t_s} s before {self.now} s")
+        heapq.heappush(self._heap, (t_s, next(self._seq), fn))
 
     def schedule_in(self, dt_s: float, fn: Callable[[], None]) -> None:
         self.schedule(self.now + dt_s, fn)

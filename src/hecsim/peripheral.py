@@ -9,8 +9,8 @@ transition function free of side effects makes every path scriptable in
 tests.
 
 The infrared camera is power-gated: it runs only between a qualifying
-seismic score and the central node's decision, which is what ir_duty_cycle
-measures.
+seismic score and the central node's decision. A run's metrics report the
+fraction of time each node spends in IR_POWERED_STATES as its IR duty cycle.
 """
 
 from __future__ import annotations
@@ -50,8 +50,10 @@ class PnStateKind(Enum):
     COOLDOWN = "cooldown"
 
 
-# camera is powered while armed or waiting on the central node
-IR_POWERED_STATES = frozenset({PnStateKind.IR_ACTIVE, PnStateKind.AWAITING_DECISION})
+# camera is powered while armed or waiting on the central node; these are
+# the state names an action row's state_to carries
+IR_POWERED_STATES = frozenset({PnStateKind.IR_ACTIVE.value,
+                               PnStateKind.AWAITING_DECISION.value})
 
 
 @dataclass(frozen=True)
@@ -180,33 +182,3 @@ def pn_step(state: PnState, event: PnEvent, config: PnConfig,
         return state, (LogAnomaly(f"timer expired in state {kind.value}"),)
 
     return state, (LogAnomaly(f"unknown event {type(event).__name__}"),)
-
-
-def ir_duty_cycle(state_log: list[tuple[float, PnState]],
-                  end_time_s: float) -> float:
-    """Fraction of logged time the camera was powered.
-
-    state_log holds (time, state) entries in chronological order, starting
-    with the initial state; end_time_s closes the last interval. Powered
-    time is summed stretch by stretch, from entering a powered state to
-    entering an unpowered one, so a step between two powered states does
-    not split a stretch.
-    """
-    if not state_log:
-        raise InvalidInputError("state log is empty")
-    times = [t for t, _ in state_log]
-    if any(b < a for a, b in zip(times, times[1:])) or end_time_s < times[-1]:
-        raise InvalidInputError("state log must be chronological")
-    total = end_time_s - times[0]
-    if total <= 0:
-        return 0.0
-    powered = 0.0
-    since = None  # start of the current powered stretch
-    for t, state in state_log + [(end_time_s, PnState())]:
-        on = state.kind in IR_POWERED_STATES
-        if on and since is None:
-            since = t
-        elif not on and since is not None:
-            powered += t - since
-            since = None
-    return powered / total

@@ -14,6 +14,7 @@ from hecsim.harness import (ElephantEvent, EventOutcome, MetricsReport,
                             compute_metrics, run_scenario_with_logs)
 from hecsim.mesh import BrokerFailure, LinkModel, NetworkConfig
 from hecsim.signals import RumbleSpec
+from oracles import naive_ir_duty
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -60,6 +61,21 @@ def test_scenario_validation():
     with pytest.raises(InvalidConfigError):
         tiny_scenario(events=(ElephantEvent(
             t_onset_s=1.0, pn_ids=("pn-9",), rumble=RumbleSpec(duration_s=3.0)),))
+
+
+def test_node_id_is_one_plain_topic_segment(tmp_path):
+    # a '/' or '+' in a node id would change which topic patterns match it
+    path = tmp_path / "scenario.json"
+    for bad in ("pn/1", "+", ""):
+        message = f"node id must be one plain topic segment, got {bad!r}"
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            PnPlacement(bad)
+        data = json.loads((REPO / "scenarios/example_scenario.json").read_text())
+        data["pns"][0]["node_id"] = bad
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidConfigError,
+                           match=re.escape(f"Scenario.pns[0]: {message}")):
+            Scenario.load(path)
 
 
 def test_sim_config_validation():
@@ -351,10 +367,11 @@ def test_run_survives_broker_failover():
 
 # ---- compute_metrics unit cases ----
 
-def metrics_for(warnings, events=(), actions=None, duration=60.0):
+def metrics_for(warnings, events=(), actions=None, duration=60.0,
+                nodes=("pn-1",)):
     sc = Scenario(name="unit", duration_s=duration,
-                  pns=(PnPlacement("pn-1"),), events=tuple(events),
-                  master_seed=0)
+                  pns=tuple(PnPlacement(n) for n in nodes),
+                  events=tuple(events), master_seed=0)
     logs = RunLogs(delivery_trace=[], actions=actions or [],
                    warnings=list(warnings), detections=[])
     return compute_metrics(logs, sc, SimConfig())
@@ -414,6 +431,49 @@ def test_metrics_duty_from_action_rows():
     ]
     report = metrics_for([], actions=actions)
     assert report.ir_duty_cycle["pn-1"] == pytest.approx(4.0 / 60.0)
+
+
+def row(t, state_to, node="pn-1"):
+    return {"t": t, "node": node, "state_from": "", "state_to": state_to,
+            "action": ""}
+
+
+def test_metrics_repelling_and_cooldown_are_unpowered():
+    actions = [row(10.0, "repelling"), row(20.0, "cooldown"),
+               row(30.0, "idle")]
+    report = metrics_for([], actions=actions, nodes=("pn-1", "pn-2"))
+    # pn-2 has no rows at all
+    assert report.ir_duty_cycle == {"pn-1": 0.0, "pn-2": 0.0}
+
+
+def test_metrics_reject_rows_out_of_order_or_outside_the_run():
+    for actions, t in [([row(5.0, "ir_active"), row(3.0, "idle")], 3.0),
+                       ([row(61.0, "ir_active")], 61.0),
+                       ([row(-1.0, "ir_active")], -1.0),
+                       ([row(float("nan"), "idle")], float("nan"))]:
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"action row of pn-1 at t={t} ")):
+            metrics_for([], actions=actions)
+    # the central node's rows are not a peripheral node's history
+    report = metrics_for([], actions=[row(5.0, "ir_active"),
+                                      row(3.0, "pending=0", node="cn")])
+    assert report.ir_duty_cycle["pn-1"] == 55.0 / 60.0
+
+
+PN_STATES = ("idle", "ir_active", "awaiting_decision", "repelling",
+             "cooldown")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 60.0),
+                          st.sampled_from(("pn-1", "pn-2", "cn")),
+                          st.sampled_from(PN_STATES)), max_size=30))
+def test_metrics_duty_matches_the_interval_oracle(drawn):
+    actions = [row(t, state, node) for t, node, state in sorted(drawn)]
+    report = metrics_for([], actions=actions, nodes=("pn-1", "pn-2"))
+    for node in ("pn-1", "pn-2"):
+        expected = naive_ir_duty(actions, node, 60.0)
+        assert abs(report.ir_duty_cycle[node] - expected) <= 1e-9
 
 
 def test_metrics_missing_stream_rejected():

@@ -129,6 +129,39 @@ def test_config_validation():
             NetworkConfig.from_json(data)
 
 
+def test_broker_failure_time_is_finite_and_non_negative(tmp_path):
+    for t in (float("nan"), -5.0, float("inf")):
+        with pytest.raises(InvalidConfigError, match=re.escape(
+                f"broker failure time {t} is not in [0, inf)")):
+            NetworkConfig(brokers=("a", "b"),
+                          broker_failures=(BrokerFailure("a", t),))
+    path = tmp_path / "net.json"
+    for t, where in [
+            (-5, "NetworkConfig.broker_failures[0]: "
+                 "broker failure time -5.0 is not in [0, inf)"),
+            (float("nan"), "NetworkConfig.broker_failures[0].t_s: "
+                           "expected a finite number")]:
+        path.write_text(json.dumps(
+            {"brokers": ["a", "b"],
+             "broker_failures": [{"broker_id": "a", "t_s": t}]}))
+        with pytest.raises(InvalidConfigError, match=re.escape(where)):
+            NetworkConfig.load(path)
+
+
+def test_schedule_rejects_nan_and_past_times():
+    net = make_net()
+    fired = []
+    net.schedule(2.0, lambda: fired.append(net.now))
+    net.run_until(5.0)
+    for t in (float("nan"), 4.0):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"cannot schedule at {t} s")):
+            net.schedule(t, lambda: fired.append(net.now))
+    net.schedule(5.0, lambda: fired.append(net.now))  # now itself is fine
+    net.run_until(10.0)
+    assert fired == [2.0, 5.0]
+
+
 def test_duplicate_and_unknown_clients():
     net = make_net()
     net.add_client("a")

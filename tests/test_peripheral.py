@@ -9,7 +9,7 @@ from hecsim.errors import InvalidInputError
 from hecsim.peripheral import (CaptureFrame, LogAnomaly, NegativeDecision,
                                PnConfig, PnState, PnStateKind, PreArm,
                                RepelCommand, ThermalFrame, TimerExpired,
-                               ir_duty_cycle, pn_step)
+                               pn_step)
 
 CFG = PnConfig()
 
@@ -165,29 +165,6 @@ def test_config_validation():
         PnConfig(decision_timeout_s=float("nan"))
     with pytest.raises(InvalidInputError):
         PnConfig(repel_cooldown_s=float("nan"))
-
-
-def test_ir_duty_cycle_simple_interval():
-    log = [(0.0, PnState()),
-           (10.0, PnState(kind=PnStateKind.IR_ACTIVE, captures_remaining=1)),
-           (12.0, PnState(kind=PnStateKind.AWAITING_DECISION, until_s=22.0)),
-           (14.0, PnState())]
-    assert ir_duty_cycle(log, end_time_s=40.0) == pytest.approx(4.0 / 40.0)
-
-
-def test_ir_duty_cycle_repelling_not_counted():
-    log = [(0.0, PnState(kind=PnStateKind.REPELLING, until_s=10.0)),
-           (10.0, PnState())]
-    assert ir_duty_cycle(log, end_time_s=20.0) == 0.0
-
-
-def test_ir_duty_cycle_validation():
-    with pytest.raises(InvalidInputError):
-        ir_duty_cycle([], end_time_s=10.0)
-    with pytest.raises(InvalidInputError):
-        ir_duty_cycle([(5.0, PnState()), (3.0, PnState())], 10.0)
-    with pytest.raises(InvalidInputError):
-        ir_duty_cycle([(5.0, PnState())], end_time_s=4.0)
 
 
 EVENT_STRATEGY = st.one_of(
