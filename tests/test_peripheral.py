@@ -6,6 +6,8 @@ from hecsim.central import DetectorDecision
 from hecsim.detection import WindowDetection
 from hecsim.deterrent import ModificationKind, ModificationParams
 from hecsim.errors import InvalidInputError
+from hecsim.harness import (PnPlacement, RunLogs, Scenario, SimConfig,
+                            compute_metrics)
 from hecsim.peripheral import (CaptureFrame, LogAnomaly, NegativeDecision,
                                PnConfig, PnState, PnStateKind, PreArm,
                                RepelCommand, ThermalFrame, TimerExpired,
@@ -165,6 +167,21 @@ def test_config_validation():
         PnConfig(decision_timeout_s=float("nan"))
     with pytest.raises(InvalidInputError):
         PnConfig(repel_cooldown_s=float("nan"))
+
+
+def test_ir_duty_cycle_simple_interval():
+    # the camera is powered from ir_active until the node leaves
+    # awaiting_decision: 10 s to 14 s of a 40 s run
+    log = [(10.0, PnStateKind.IR_ACTIVE),
+           (12.0, PnStateKind.AWAITING_DECISION),
+           (14.0, PnStateKind.IDLE)]
+    actions = [{"t": t, "node": "pn-1", "state_from": "",
+                "state_to": kind.value, "action": ""} for t, kind in log]
+    sc = Scenario(name="unit", duration_s=40.0, pns=(PnPlacement("pn-1"),))
+    logs = RunLogs(delivery_trace=[], actions=actions, warnings=[],
+                   detections=[])
+    report = compute_metrics(logs, sc, SimConfig())
+    assert report.ir_duty_cycle["pn-1"] == pytest.approx(4.0 / 40.0)
 
 
 EVENT_STRATEGY = st.one_of(
