@@ -23,9 +23,10 @@ import heapq
 import itertools
 import logging
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,7 +34,6 @@ import numpy as np
 
 from .codec import JsonConfig
 from .errors import InvalidConfigError, InvalidInputError
-from .sigio import write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -65,8 +65,9 @@ class LinkModel:
     loss_prob: float = 0.0
 
     def __post_init__(self):
-        if not self.latency_s >= 0 or not self.jitter_s >= 0:
-            raise InvalidConfigError("latencies must be non-negative")
+        for name in ("latency_s", "jitter_s"):
+            if not 0 <= (value := getattr(self, name)) < math.inf:
+                raise InvalidConfigError(f"{name} {value} is not in [0, inf)")
         if not 0.0 <= self.loss_prob <= 1.0:
             raise InvalidConfigError("loss_prob must be in [0, 1]")
 
@@ -84,11 +85,6 @@ class Partition:
         if not self.t_start_s < self.t_end_s:
             raise InvalidConfigError("partition must end after it starts")
 
-    def severs(self, a: str, b: str, t: float) -> bool:
-        if not self.t_start_s <= t < self.t_end_s:
-            return False
-        return (a in self.nodes) != (b in self.nodes)
-
 
 @dataclass(frozen=True)
 class FailoverConfig:
@@ -104,8 +100,9 @@ class FailoverConfig:
                 "heartbeat interval must be positive and finite")
         if self.miss_threshold < 1:
             raise InvalidConfigError("miss threshold must be at least 1")
-        if not self.resend_delay_s >= 0:
-            raise InvalidConfigError("resend delay must be non-negative")
+        if not 0 <= self.resend_delay_s < math.inf:
+            raise InvalidConfigError(
+                f"resend_delay_s {self.resend_delay_s} is not in [0, inf)")
 
 
 @dataclass(frozen=True)
@@ -205,18 +202,16 @@ class MeshNetwork:
         self.now = 0.0
         self._rng = np.random.default_rng(config.seed)
         self._draws: list[float] = []  # uniforms drawn ahead, next one last
-        self.brokers: dict[str, BrokerState] = {}
+        self.brokers = {b: BrokerState(b) for b in config.brokers}
         self.clients: dict[str, _Client] = {}
         self.trace: list[dict] = []
         self.broker_transitions: list[dict] = []
         self._heap: list = []
         self._seq = itertools.count()
         self._msg_counter = itertools.count(1)
-        self._channels: dict[tuple, deque[_Transfer]] = {}
+        self._channels: defaultdict[tuple, deque[_Transfer]] = defaultdict(deque)
         self._delivered: list[tuple[float, str, Message]] = []
         self._failover_armed = False
-        for broker_id in config.brokers:
-            self.brokers[broker_id] = BrokerState(broker_id)
         for failure in config.broker_failures:
             self.schedule(failure.t_s, lambda b=failure.broker_id: self.kill_broker(b))
 
@@ -233,7 +228,7 @@ class MeshNetwork:
 
     def run_until(self, t_s: float) -> list[tuple[float, str, Message]]:
         """Process every event due by t_s; returns (t, client, msg) deliveries."""
-        if not t_s >= self.now:
+        if not self.now <= t_s < math.inf:  # trace times stay JSON numbers
             raise InvalidInputError(
                 f"cannot run the clock from {self.now} s to {t_s} s")
         self._delivered = []
@@ -288,7 +283,9 @@ class MeshNetwork:
             {"t": self.now, "kind": "broker_killed", "broker": broker_id})
 
     def write_trace_jsonl(self, path: str | Path) -> None:
-        write_jsonl(self.trace, path)
+        """One line per trace row, as json.dumps(row, sort_keys=True)."""
+        with open(path, "w", encoding="ascii") as fh:
+            fh.writelines(map(_trace_line, self.trace))
 
     # ---- internals ----
 
@@ -299,17 +296,25 @@ class MeshNetwork:
             raise InvalidInputError(f"unknown client {client_id!r}")
 
     def _trace(self, msg: Message, event: str, frm: str, to: str | None,
-               **extra) -> None:
+               reason: str | None = None, attempt: int | None = None) -> None:
         row = {"t": round(self.now, 9), "msg_id": msg.msg_id, "topic": msg.topic,
                "from": frm, "to": to or "", "event": event}
-        row.update(extra)
+        if reason is not None:
+            row["reason"] = reason
+        if attempt is not None:
+            row["attempt"] = attempt
         self.trace.append(row)
 
     def _link_for(self, client_id: str) -> LinkModel:
         return self.config.link_overrides.get(client_id, self.config.default_link)
 
     def _severed(self, a: str, b: str) -> bool:
-        return any(p.severs(a, b, self.now) for p in self.config.partitions)
+        """True while an active partition holds exactly one of a and b."""
+        now = self.now
+        for p in self.config.partitions:
+            if p.t_start_s <= now < p.t_end_s and (a in p.nodes) != (b in p.nodes):
+                return True
+        return False
 
     def _draw(self) -> float:
         """Next uniform in [0, 1), in the order scalar rng.random() gives."""
@@ -346,7 +351,7 @@ class MeshNetwork:
                broker_id: str | None = None) -> None:
         key = (direction, msg.publisher, msg.topic, client_id)
         transfer = _Transfer(msg, direction, client_id, broker_id, key)
-        self._channels.setdefault(key, deque()).append(transfer)
+        self._channels[key].append(transfer)
         self._attempt(transfer)
 
     def _attempt(self, transfer: _Transfer) -> None:
@@ -510,10 +515,8 @@ class MeshNetwork:
         client.current_broker = None
         client.missed = 0
         self._try_connect(client)
-        self._trace(
-            Message(msg_id="", topic="", payload=None, qos=QoS.AT_MOST_ONCE,
-                    publisher=client.client_id),
-            "failover", old, client.current_broker)
+        self._trace(Message("", "", None, QoS.AT_MOST_ONCE, client.client_id),
+                    "failover", old, client.current_broker)
         self.broker_transitions.append(
             {"t": self.now, "kind": "failover", "client": client.client_id,
              "from": old, "to": client.current_broker})
@@ -554,14 +557,26 @@ class MeshNetwork:
                 broker.routes.clear()
 
 
+def _trace_line(row: dict) -> str:
+    """A _trace row as json.dumps(row, sort_keys=True) writes it, plus a
+    newline. The key set is closed, so the sorted order is written out."""
+    t = row["t"]  # an int after run_until(5); np.float64 prints as a float
+    t = int.__repr__(t) if isinstance(t, int) else float.__repr__(t)
+    attempt, reason = row.get("attempt"), row.get("reason")
+    attempt = "" if attempt is None else f'"attempt": {int.__repr__(attempt)}, '
+    reason = "" if reason is None else f'"reason": {_quote(reason)}, '
+    return (f'{{{attempt}"event": {_quote(row["event"])}, '
+            f'"from": {_quote(row["from"])}, "msg_id": {_quote(row["msg_id"])}, '
+            f'{reason}"t": {t}, "to": {_quote(row["to"])}, '
+            f'"topic": {_quote(row["topic"])}}}\n')
+
+
 def heartbeat_and_failover(network: MeshNetwork) -> list[dict]:
     """Arm heartbeat emission and client-side liveness monitoring.
 
-    Brokers beat once per interval; a client that misses miss_threshold beats
-    in a row abandons its broker and reconnects down the priority list. The
-    returned list is live: transitions (broker_killed, failover, reconnect)
-    append to it as the simulation advances. Arming twice is a no-op.
-    """
+    The returned list is live: transitions (broker_killed, failover,
+    reconnect) append to it as the simulation advances. Arming twice is a
+    no-op."""
     if not network._failover_armed:
         network._failover_armed = True
         interval = network.config.failover.heartbeat_interval_s

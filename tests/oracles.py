@@ -92,6 +92,13 @@ def delivery_probability(loss_prob: float, max_retries: int) -> float:
     return 1.0 - loss_prob ** (max_retries + 1)
 
 
+def partition_severs(partitions, a, b, t) -> bool:
+    """Whether a partition (t_start, t_end, nodes) active at t holds
+    exactly one of a and b; the window is closed at its start only."""
+    return any(t_start <= t < t_end and (a in nodes) != (b in nodes)
+               for t_start, t_end, nodes in partitions)
+
+
 def iou_fraction(a, b):
     """IoU of two (x0, y0, x1, y1) boxes using exact arithmetic on floats."""
     ix0, iy0 = max(a[0], b[0]), max(a[1], b[1])

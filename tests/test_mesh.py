@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -10,7 +11,8 @@ from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.mesh import (BrokerFailure, FailoverConfig, LinkModel,
                          MeshNetwork, NetworkConfig, Partition, QoS,
                          heartbeat_and_failover, topic_matches)
-from oracles import delivery_probability
+from hecsim.sigio import write_jsonl
+from oracles import delivery_probability, partition_severs
 
 
 def make_net(**kwargs):
@@ -123,10 +125,24 @@ def test_config_validation():
                           "nodes": ["pn-1"]}]},
          "NetworkConfig.partitions[0].t_end_s: expected a finite number"),
         ({"failover": {"resend_delay_s": -3}},
-         "NetworkConfig.failover: resend delay must be non-negative"),
+         "NetworkConfig.failover: resend_delay_s -3.0 is not in [0, inf)"),
     ]:
         with pytest.raises(InvalidConfigError, match=re.escape(where)):
             NetworkConfig.from_json(data)
+
+
+@pytest.mark.parametrize("make,where", [
+    (lambda v: LinkModel(latency_s=v), "latency_s"),
+    (lambda v: LinkModel(jitter_s=v), "jitter_s"),
+    (lambda v: FailoverConfig(resend_delay_s=v), "resend_delay_s"),
+])
+@pytest.mark.parametrize("value", [math.inf, -0.5, math.nan])
+def test_link_times_and_resend_delay_are_finite(make, where, value):
+    # an infinite latency or jitter schedules every hop at infinity, and an
+    # infinite resend delay parks the buffer for good
+    with pytest.raises(InvalidConfigError,
+                       match=re.escape(f"{where} {value} is not in [0, inf)")):
+        make(value)
 
 
 def test_broker_failure_time_is_finite_and_non_negative(tmp_path):
@@ -548,3 +564,127 @@ def test_trace_jsonl_round_trips(tmp_path):
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert rows == net.trace
     assert {r["event"] for r in rows} >= {"publish", "deliver"}
+
+
+# ---- the trace writer and the partition rule ----
+
+def assert_written_like_json(net, tmp_path):
+    """write_trace_jsonl writes the bytes json.dumps(row, sort_keys=True)
+    gives for every row, one per line."""
+    mine, ref = tmp_path / "mine.jsonl", tmp_path / "ref.jsonl"
+    net.write_trace_jsonl(mine)
+    write_jsonl(net.trace, ref)
+    assert mine.read_bytes() == ref.read_bytes()
+    return mine.read_text(encoding="ascii")
+
+
+def row_shape(row):
+    return row["event"], row.get("reason") is not None, "attempt" in row, \
+        row["msg_id"] == ""
+
+
+def storm(loss, jitter, cut, kill_at, buffer_cap, seed):
+    """A lossy two-broker run where pub loses both brokers to a partition
+    while broker-a dies, so every kind of trace row can appear."""
+    start, length = cut
+    net = make_net(
+        brokers=("broker-a", "broker-b"),
+        default_link=LinkModel(latency_s=0.05, jitter_s=jitter, loss_prob=loss),
+        partitions=(Partition(start, start + length, frozenset({"pub"})),),
+        broker_failures=(BrokerFailure("broker-a", kill_at),),
+        max_retries=2, retry_interval_s=0.25, buffer_cap=buffer_cap, seed=seed)
+    heartbeat_and_failover(net)
+    collect(net)
+    net.add_client("pub")
+    for k in range(60):
+        net.run_until(0.25 * k)
+        net.publish("pub", "t/x", k, qos=(QoS.AT_MOST_ONCE, QoS.AT_LEAST_ONCE)[k % 2])
+    net.run_until(30.0)
+    return net
+
+
+def test_trace_writer_covers_every_row_shape(tmp_path):
+    net = storm(loss=0.2, jitter=0.02, cut=(3.0, 8.0), kill_at=10.0,
+                buffer_cap=2, seed=4)
+    assert_written_like_json(net, tmp_path)
+    shapes = {row_shape(r) for r in net.trace}
+    assert {("drop", True, False, False),   # buffer_overflow, unreachable, ...
+            ("drop", True, True, False),    # loss, with its attempt
+            ("retry", False, True, False),
+            ("failover", False, False, True),
+            ("publish", False, False, False),
+            ("deliver", False, False, False)} <= shapes
+    reasons = {r.get("reason") for r in net.trace}
+    assert {"loss", "buffer_overflow", "disconnected", "unreachable"} <= reasons
+
+
+@settings(max_examples=25, deadline=None)
+@given(loss=st.floats(0.0, 0.4), jitter=st.sampled_from([0.0, 0.013, 0.02]),
+       cut=st.tuples(st.floats(0.0, 10.0), st.floats(0.5, 8.0)),
+       kill_at=st.floats(0.0, 20.0), buffer_cap=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+def test_trace_writer_equals_json_dumps(tmp_path_factory, loss, jitter, cut,
+                                        kill_at, buffer_cap, seed):
+    net = storm(loss, jitter, cut, kill_at, buffer_cap, seed)
+    assert_written_like_json(net, tmp_path_factory.mktemp("trace"))
+
+
+def test_trace_writer_prints_an_int_clock_as_an_int(tmp_path):
+    net = make_net()
+    collect(net)
+    net.add_client("pub")
+    net.run_until(5)
+    net.publish("pub", "t/x", 1)
+    net.run_until(6)
+    assert type(net.trace[0]["t"]) is int
+    text = assert_written_like_json(net, tmp_path)
+    assert '"t": 5, ' in text.splitlines()[0]
+
+
+def test_trace_writer_prints_np_float64_as_a_float(tmp_path):
+    net = make_net()
+    collect(net)
+    net.add_client("pub")
+    net.schedule(np.float64(1.25), lambda: net.publish("pub", "t/x", 1))
+    net.run_until(2.0)
+    assert type(net.trace[0]["t"]) is np.float64
+    text = assert_written_like_json(net, tmp_path)
+    assert '"t": 1.25, ' in text.splitlines()[0]
+    assert "np.float64" not in text
+
+
+def test_trace_writer_escapes_ids_like_json(tmp_path):
+    net = make_net()
+    got = collect(net, 'sub"\\', 't/+')
+    net.add_client("pub\u00e9")
+    net.publish("pub\u00e9", 't/"\\\u00e9', 1)
+    net.run_until(1.0)
+    assert len(got) == 1
+    text = assert_written_like_json(net, tmp_path)
+    assert [json.loads(line) for line in text.splitlines()] == net.trace
+    assert '"from": "pub\\u00e9"' in text
+
+
+def test_the_clock_never_runs_to_infinity():
+    net = make_net()
+    with pytest.raises(InvalidInputError,
+                       match=re.escape("cannot run the clock from 0.0 s to inf s")):
+        net.run_until(math.inf)
+
+
+NODES = st.sampled_from(["a", "b", "c", "d"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 4),
+                          st.frozensets(NODES)), max_size=3),
+       NODES, NODES, st.data())
+def test_severed_matches_the_partition_rule(windows, a, b, data):
+    parts = [(float(s), float(s + n), nodes) for s, n, nodes in windows]
+    net = make_net(partitions=tuple(Partition(*p) for p in parts))
+    times = st.floats(0.0, 13.0)
+    if parts:  # the edges themselves: closed at the start, open at the end
+        times |= st.sampled_from([t for s, e, _ in parts for t in (s, e)])
+    net.now = data.draw(times)
+    assert net._severed(a, b) == partition_severs(parts, a, b, net.now)
+    assert net._severed(a, b) == net._severed(b, a)
