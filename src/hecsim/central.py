@@ -23,6 +23,7 @@ import numpy as np
 from .codec import JsonConfig
 from .deterrent import pick_modification
 from .errors import InvalidConfigError, InvalidInputError
+from .mesh import check_segment
 from .peripheral import LogAnomaly, NegativeDecision, RepelCommand, ThermalFrame
 from .seeds import derive_seed
 
@@ -167,6 +168,7 @@ class CnConfig:
     flash_freq_hz: float = 2.0
 
     def __post_init__(self):
+        check_segment("node id", self.node_id)
         if not 0 < self.repel_duration_s < math.inf or \
                 not 0 < self.flash_freq_hz < math.inf:
             raise InvalidConfigError("repel duration and flash frequency "
@@ -274,11 +276,8 @@ class LabeledFrame:
 
     frame_id: str
     boxes: tuple[tuple[float, float, float, float], ...]
-    pn_id: str = ""
-    timestamp_s: float = 0.0
     width: int = 32
     height: int = 24
-    split: str = "test"
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -294,8 +293,7 @@ class LabeledFrame:
 
     @property
     def frame(self) -> ThermalFrame:
-        return ThermalFrame(frame_id=self.frame_id, pn_id=self.pn_id,
-                            timestamp_s=self.timestamp_s, width=self.width,
+        return ThermalFrame(frame_id=self.frame_id, pn_id="", width=self.width,
                             height=self.height, sim_boxes=self.boxes)
 
 

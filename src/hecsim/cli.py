@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Stdout is JSON alone, with sorted keys: simulate prints the metrics report
+as one indented document, the bytes of metrics.json; detect prints one
+object per window, oracle one per event (none when it finds none), and the
+others one report each.
+
 Exit codes: 0 on success, 1 on a runtime failure, 2 on a usage error
 (bad flags, missing input files). A bad flag prints argparse's usage and
 then its error line; every other failure prints one line to stderr.
@@ -24,10 +29,10 @@ from .central import (LabeledFrameSet, OracleDetector, StochasticDetector,
                       StochasticDetectorParams, evaluate_ap50)
 from .detection import (ORACLE_FRAME_S, ORACLE_HOP_S, Algorithm1Params,
                         detect_stream, match_and_recall, stft_oracle_detect)
-from .deterrent import (ALPHA_RANGE, SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
-                        ModificationKind, ModificationParams,
-                        apply_modification, generate_pink_noise, l2_delta,
-                        pick_modification, stft_similarity)
+from .deterrent import (SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
+                        ModificationKind, apply_modification,
+                        generate_pink_noise, l2_delta, pick_modification,
+                        stft_similarity)
 from .errors import InvalidConfigError, InvalidInputError, ParseError
 from .harness import Scenario, SimConfig, run_scenario_with_logs
 from .signals import RumbleSpec, Signal, compute_stft, sample_count, \
@@ -66,24 +71,17 @@ def _peak_normalized(samples: np.ndarray) -> np.ndarray:
     return samples
 
 
-def _emit(obj, as_json: bool, text_lines) -> None:
-    if as_json:
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _emit(obj, indent: int | None = None) -> None:
+    print(json.dumps(obj, sort_keys=True, indent=indent))
 
 
 # ---- subcommand bodies ----
 
 def cmd_detect(args) -> int:
     trace = _load_trace(args.input)
-    params = Algorithm1Params(window_s=args.window_s)
-    for det in detect_stream(trace, params):
+    for det in detect_stream(trace, Algorithm1Params(window_s=args.window_s)):
         _emit({"window": det.window_index, "t_start_s": det.window_start_s,
-               "max_run": det.max_run, "ds": det.ds}, args.json,
-              [f"window={det.window_index} t={det.window_start_s:.3f}s "
-               f"max_run={det.max_run} ds={det.ds}"])
+               "max_run": det.max_run, "ds": det.ds})
     return 0
 
 
@@ -92,11 +90,7 @@ def cmd_oracle(args) -> int:
     events = stft_oracle_detect(trace, min_event_s=args.min_event_s)
     for i, ev in enumerate(events):
         _emit({"event": i, "t_start_s": ev.t_start_s, "t_end_s": ev.t_end_s,
-               "duration_s": ev.duration_s}, args.json,
-              [f"event={i} start={ev.t_start_s:.3f}s end={ev.t_end_s:.3f}s "
-               f"duration={ev.duration_s:.3f}s"])
-    if not events and not args.json:
-        print("no events")
+               "duration_s": ev.duration_s})
     return 0
 
 
@@ -107,46 +101,29 @@ def cmd_eval_recall(args) -> int:
     events = stft_oracle_detect(trace, min_event_s=args.min_event_s)
     report = match_and_recall(detections, events, ds_min=args.ds_min,
                               window_s=params.window_s)
-    out = {"oracle_events": report.oracle_count,
-           "matched": report.matched_count,
-           "recall": report.recall}
-    _emit(out, args.json, [
-        f"oracle events: {report.oracle_count}",
-        f"matched: {report.matched_count}",
-        "recall: n/a (no oracle events)" if report.recall is None
-        else f"recall: {report.recall:.4f}"])
+    _emit({"oracle_events": report.oracle_count,
+           "matched": report.matched_count, "recall": report.recall})
     return 0
 
 
 def cmd_modify_sound(args) -> int:
     clip = load_wav(args.input)
     seed = args.seed if args.seed is not None else _fresh_seed()
-    if args.method is None:
-        params = pick_modification(seed)
-        if args.alpha is not None:
-            params = replace(params, alpha=args.alpha)
-    else:
-        kind = ModificationKind(args.method)
-        alpha = args.alpha
-        if alpha is None:
-            alpha = float(np.random.default_rng(seed).uniform(*ALPHA_RANGE))
-        params = ModificationParams(kind=kind, alpha=alpha, seed=seed)
+    params = pick_modification(seed)
+    if args.method is not None:
+        params = replace(params, kind=ModificationKind(args.method))
+    if args.alpha is not None:
+        params = replace(params, alpha=args.alpha)
     modified = apply_modification(clip, params)
     out_path = Path(args.out) if args.out else \
         Path(args.input).with_suffix(".mod.wav")
     save_wav(modified, out_path)
     score = stft_similarity(clip, modified)
-    report = {
-        "input": str(args.input),
-        "output": str(out_path),
-        "method": params.kind.value,
-        "alpha": round(params.alpha, 6),
-        "seed": seed,
-        "max_xcorr": round(score.max_xcorr, 6),
-        "lag_frames": score.lag_frames,
-        "l2_delta_rel": round(l2_delta(clip, modified), 6),
-    }
-    print(json.dumps(report, sort_keys=True))
+    _emit({"input": str(args.input), "output": str(out_path),
+           "method": params.kind.value, "alpha": round(params.alpha, 6),
+           "seed": seed, "max_xcorr": round(score.max_xcorr, 6),
+           "lag_frames": score.lag_frames,
+           "l2_delta_rel": round(l2_delta(clip, modified), 6)})
     return 0
 
 
@@ -168,9 +145,8 @@ def cmd_synth(args) -> int:
     else:
         save_wav(replace(signal, samples=_peak_normalized(signal.samples)),
                  out)
-    print(json.dumps({"signal": args.signal, "out": str(out), "seed": seed,
-                      "duration_s": args.duration_s, "rate_hz": args.rate},
-                     sort_keys=True))
+    _emit({"signal": args.signal, "out": str(out), "seed": seed,
+           "duration_s": args.duration_s, "rate_hz": args.rate})
     return 0
 
 
@@ -178,7 +154,7 @@ def cmd_simulate(args) -> int:
     scenario = Scenario.load(args.scenario)
     config = SimConfig.load(args.config) if args.config else SimConfig()
     report, _ = run_scenario_with_logs(scenario, config, out_dir=args.out)
-    print(report.dumps(), end="")
+    _emit(report.to_json(), indent=2)
     if args.out:
         print(f"metrics written to {Path(args.out) / 'metrics.json'}",
               file=sys.stderr)
@@ -195,9 +171,8 @@ def cmd_eval_ap50(args) -> int:
         detector = StochasticDetector(seed, StochasticDetectorParams(
             tpr=args.tpr, fpr=args.fpr))
     ap = evaluate_ap50(detector, frame_set)
-    print(json.dumps({"ap50": round(ap, 6), "detector": args.detector,
-                      "frames": len(frame_set.frames), "seed": seed},
-                     sort_keys=True))
+    _emit({"ap50": round(ap, 6), "detector": args.detector,
+           "frames": len(frame_set.frames), "seed": seed})
     return 0
 
 
@@ -216,9 +191,8 @@ def cmd_spectrogram(args) -> int:
         for i, t in enumerate(gram.frame_times_s):
             fh.write(f"{t:.6f}," +
                      ",".join(f"{m:.8e}" for m in gram.magnitudes[i]) + "\n")
-    print(json.dumps({"out": str(out), "frames": len(gram.frame_times_s),
-                      "freq_bins": len(gram.freqs_hz), "frame_s": frame_s,
-                      "hop_s": hop_s}, sort_keys=True))
+    _emit({"out": str(out), "frames": len(gram.frame_times_s),
+           "freq_bins": len(gram.freqs_hz), "frame_s": frame_s, "hop_s": hop_s})
     return 0
 
 
@@ -233,13 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="score a seismic trace window by window")
     p.add_argument("--input", required=True)
     p.add_argument("--window-s", type=float, default=4.0, dest="window_s")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("oracle", help="locate rumble events with the STFT tracker")
     p.add_argument("--input", required=True)
     p.add_argument("--min-event-s", type=float, default=3.0, dest="min_event_s")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("eval-recall",
@@ -248,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-s", type=float, default=4.0, dest="window_s")
     p.add_argument("--min-event-s", type=float, default=3.0, dest="min_event_s")
     p.add_argument("--ds-min", type=int, default=1, dest="ds_min")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval_recall)
 
     p = sub.add_parser("modify-sound",

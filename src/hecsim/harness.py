@@ -24,10 +24,11 @@ from pathlib import Path
 from .central import (CnConfig, CnState, OracleDetector, StochasticDetector,
                       StochasticDetectorParams, WarningKind, WarningRecord,
                       cn_step, detect_frame)
-from .codec import JsonConfig, encode, read_json
+from .codec import JsonConfig, encode
 from .detection import Algorithm1Params, WindowDetection, detect_stream
 from .errors import InvalidConfigError, InvalidInputError
-from .mesh import (MeshNetwork, NetworkConfig, QoS, heartbeat_and_failover)
+from .mesh import (MeshNetwork, NetworkConfig, QoS, check_segment,
+                   heartbeat_and_failover)
 from .peripheral import (IR_POWERED_STATES, CaptureFrame, NegativeDecision,
                          PnConfig, PnState, PreArm, RepelCommand, ThermalFrame,
                          TimerExpired, pn_step)
@@ -40,15 +41,12 @@ from .sigio import write_jsonl
 
 @dataclass(frozen=True)
 class PnPlacement:
-    """A peripheral node and the hotspot label it guards."""
+    """A peripheral node; its id is one level of its topics."""
 
     node_id: str
-    position: str = ""
 
     def __post_init__(self):
-        if not self.node_id or "/" in self.node_id or "+" in self.node_id:
-            raise InvalidConfigError(
-                f"node id must be one plain topic segment, got {self.node_id!r}")
+        check_segment("node id", self.node_id)
 
 
 @dataclass(frozen=True)
@@ -95,6 +93,10 @@ class Scenario(JsonConfig):
             raise InvalidConfigError("duplicate node ids")
         if self.detector not in ("oracle", "stochastic"):
             raise InvalidConfigError(f"unknown detector {self.detector!r}")
+        for i, node in enumerate(ids):
+            if node in self.network.brokers:
+                raise InvalidConfigError(f"pns[{i}].node_id {node!r} is also "
+                                         "a broker in network.brokers")
         known = set(ids)
         for ev in self.events:
             # the same tolerance synth_rumble_stream applies to the stream end
@@ -106,17 +108,6 @@ class Scenario(JsonConfig):
         if self.network.seed != 0:
             raise InvalidConfigError(
                 "network seed must be 0: the mesh seed comes from master_seed")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Scenario":
-        """Read a scenario file; a string network is a path to a network
-        config file, relative to the scenario file itself."""
-        path = Path(path)
-        data = read_json(path, cls.__name__)
-        if isinstance(data, dict) and isinstance(data.get("network"), str):
-            data["network"] = read_json(path.parent / data["network"],
-                                        f"{cls.__name__}.network")
-        return cls.from_json(data)
 
 
 @dataclass(frozen=True)
@@ -138,14 +129,13 @@ class SimConfig(JsonConfig):
                 not 0 < self.noise_rms < math.inf:
             raise InvalidConfigError(
                 "rate and noise level must be positive and finite")
-        if not self.capture_delay_s >= 0 or not self.detector_delay_s >= 0:
-            raise InvalidConfigError("delays must be non-negative")
+        for name in ("capture_delay_s", "detector_delay_s"):
+            if not 0 <= (value := getattr(self, name)) < math.inf:
+                raise InvalidConfigError(f"{name} {value} is not in [0, inf)")
         if not self.thermal_hold_s >= 0 or not self.match_horizon_s >= 0:
             raise InvalidConfigError(
                 "thermal hold and match horizon must be non-negative")
-        if "/" in self.topic_prefix or "+" in self.topic_prefix \
-                or not self.topic_prefix:
-            raise InvalidConfigError("topic prefix must be one plain segment")
+        check_segment("topic prefix", self.topic_prefix)
 
 
 # ---- metrics ----
@@ -276,8 +266,14 @@ class _Run:
         self.scenario = scenario
         self.config = config
         network = scenario.network
-        clients = {p.node_id for p in scenario.pns} | {config.cn.node_id}
-        stray = set(network.link_overrides) - clients
+        cn_id, ids = config.cn.node_id, [p.node_id for p in scenario.pns]
+        if cn_id in ids:
+            raise InvalidConfigError(f"Scenario.pns[{ids.index(cn_id)}].node_id"
+                                     f" and SimConfig.cn.node_id are both {cn_id!r}")
+        if cn_id in network.brokers:
+            raise InvalidConfigError(f"SimConfig.cn.node_id {cn_id!r} is also "
+                                     "a broker in Scenario.network.brokers")
+        stray = set(network.link_overrides) - set(ids) - {cn_id}
         if stray:
             raise InvalidConfigError(
                 "Scenario.network.link_overrides: unknown clients "
@@ -364,7 +360,7 @@ class _Run:
             and ev.t_onset_s <= now <= ev.t_onset_s + ev.rumble.duration_s + hold
             for ev in self.scenario.events)
         self.pn_dispatch(node, ThermalFrame(
-            frame_id=frame_id, pn_id=node, timestamp_s=now,
+            frame_id=frame_id, pn_id=node,
             # a seen elephant fills the central half of the 32x24 frame
             sim_boxes=((8.0, 6.0, 24.0, 18.0),) if seen else ()))
 

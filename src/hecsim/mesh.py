@@ -140,6 +140,13 @@ class NetworkConfig(JsonConfig):
             raise InvalidConfigError(f"unknown brokers {sorted(unknown)}")
 
 
+def check_segment(name: str, value: str) -> None:
+    """Reject a value that cannot stand as one level of a topic."""
+    if not value or "/" in value or "+" in value:
+        raise InvalidConfigError(
+            f"{name} must be one plain topic segment, got {value!r}")
+
+
 def topic_matches(pattern: str, topic: str) -> bool:
     """Segment-wise match where '+' stands in for exactly one level."""
     return _levels_match(pattern.split("/"), topic.split("/"))

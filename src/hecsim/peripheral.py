@@ -67,7 +67,6 @@ class PnState:
 class ThermalFrame:
     frame_id: str
     pn_id: str
-    timestamp_s: float
     width: int = 32
     height: int = 24
     # truth boxes (x0, y0, x1, y1) set by the simulator; None on a real frame

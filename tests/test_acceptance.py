@@ -153,7 +153,7 @@ def test_criterion_07_iou_and_ap50_match_exact_geometry():
 
     def lf(frame_id, boxes):
         return LabeledFrame(frame_id=frame_id, boxes=tuple(boxes),
-                            pn_id="pn-1", width=32, height=32)
+                            width=32, height=32)
 
     truths = [
         [(2, 2, 10, 10)],

@@ -23,7 +23,7 @@ SEEN_BOX = (8.0, 6.0, 24.0, 18.0)  # the box a scenario run gives a seen elephan
 
 
 def frame(frame_id="pn-1-w000", pn="pn-1", truth=True):
-    return ThermalFrame(frame_id=frame_id, pn_id=pn, timestamp_s=4.0,
+    return ThermalFrame(frame_id=frame_id, pn_id=pn,
                         sim_boxes=(SEEN_BOX,) if truth else ())
 
 
@@ -75,7 +75,7 @@ def test_iou_matches_oracle_everywhere(raw_a, raw_b):
 # ---- detectors ----
 
 def test_truth_requires_simulated_flag():
-    bare = ThermalFrame(frame_id="x", pn_id="pn-1", timestamp_s=0.0)
+    bare = ThermalFrame(frame_id="x", pn_id="pn-1")
     for detector in (OracleDetector(), StochasticDetector(0)):
         with pytest.raises(InvalidInputError, match="no simulated ground"):
             detect_frame(bare, detector)
@@ -208,8 +208,8 @@ def test_deterrent_draw_is_stable_per_frame():
 # ---- labeled frames and AP50 ----
 
 def lf(frame_id, boxes, width=32, height=24):
-    return LabeledFrame(frame_id=frame_id, boxes=tuple(boxes), pn_id="pn-1",
-                        width=width, height=height)
+    return LabeledFrame(frame_id=frame_id, boxes=tuple(boxes), width=width,
+                        height=height)
 
 
 def test_labeled_frame_set_round_trip():
@@ -238,8 +238,14 @@ def test_labeled_frame_set_round_trip():
     good = {"frame_id": "a", "boxes": [[1, 1, 5, 5]], "width": 32}
     for bad, path, needle in [
             ({"widht": 640}, "LabeledFrameSet.frames[1]", "unknown key"),
-            ({"timestamp_s": float("nan")},
-             "LabeledFrameSet.frames[1].timestamp_s", "finite"),
+            # a frame is its id, size and boxes; every frame is scored,
+            # so nothing else is a key
+            ({"timestamp_s": 0.0}, "LabeledFrameSet.frames[1]",
+             "unknown key 'timestamp_s'"),
+            ({"pn_id": "pn-1"}, "LabeledFrameSet.frames[1]",
+             "unknown key 'pn_id'"),
+            ({"split": "train"}, "LabeledFrameSet.frames[1]",
+             "unknown key 'split'"),
             ({"boxes": [["1", "1", "5", "5"]]},
              "LabeledFrameSet.frames[1].boxes[0][0]", "a number"),
             ({"width": 32.9}, "LabeledFrameSet.frames[1].width", "an integer"),

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from hecsim.cli import main
+from hecsim.deterrent import pick_modification
 from hecsim.signals import RumbleSpec, synth_rumble
 from hecsim.sigio import save_trace_csv
 
@@ -32,24 +33,17 @@ def json_lines(out):
 
 # ---- detect / oracle / eval-recall ----
 
-def test_detect_text_and_json(rumble_csv, capsys):
+def test_detect_prints_json_lines(rumble_csv, capsys):
     code, out, err = run_cli(capsys, "detect", "--input", str(rumble_csv))
     assert code == 0 and err == ""
-    lines = out.strip().splitlines()
-    assert len(lines) == 3  # three full 4 s windows in 12 s
-    assert lines[0].startswith("window=0 ")
-
-    code, out, _ = run_cli(capsys, "detect", "--input", str(rumble_csv),
-                           "--json")
     rows = json_lines(out)
-    assert [r["window"] for r in rows] == [0, 1, 2]
+    assert [r["window"] for r in rows] == [0, 1, 2]  # three 4 s windows
     assert rows[1]["ds"] >= 1  # the rumble lives in the second window
     assert set(rows[0]) == {"window", "t_start_s", "max_run", "ds"}
 
 
 def test_oracle_finds_the_event(rumble_csv, capsys):
-    code, out, _ = run_cli(capsys, "oracle", "--input", str(rumble_csv),
-                           "--json")
+    code, out, _ = run_cli(capsys, "oracle", "--input", str(rumble_csv))
     assert code == 0
     rows = json_lines(out)
     assert len(rows) == 1
@@ -61,14 +55,13 @@ def test_oracle_reports_no_events_on_noise(tmp_path, capsys):
                          seed=0, total_s=8.0)
     path = tmp_path / "noise.csv"
     save_trace_csv(trace, path)
-    code, out, _ = run_cli(capsys, "oracle", "--input", str(path))
+    code, out, err = run_cli(capsys, "oracle", "--input", str(path))
     assert code == 0
-    assert "no events" in out
+    assert out == "" and err == ""  # one line per event, and there are none
 
 
 def test_eval_recall_json(rumble_csv, capsys):
-    code, out, _ = run_cli(capsys, "eval-recall", "--input", str(rumble_csv),
-                           "--json")
+    code, out, _ = run_cli(capsys, "eval-recall", "--input", str(rumble_csv))
     assert code == 0
     report = json.loads(out)
     assert report["oracle_events"] == 1
@@ -87,8 +80,7 @@ def test_synth_rumble_csv_round_trips(tmp_path, capsys):
     echo = json.loads(out)
     assert echo["seed"] == 5
     assert echo["rate_hz"] == 1000.0  # seismic default
-    code, out, _ = run_cli(capsys, "detect", "--input", str(out_path),
-                           "--json")
+    code, out, _ = run_cli(capsys, "detect", "--input", str(out_path))
     assert any(r["ds"] >= 1 for r in json_lines(out))
 
 
@@ -170,6 +162,17 @@ def test_modify_sound_forced_method(bee_wav, tmp_path, capsys):
     assert report["alpha"] == 0.8
 
 
+def test_modify_sound_method_keeps_the_drawn_alpha(bee_wav, tmp_path, capsys):
+    # --method replaces the kind pick_modification drew, not its alpha
+    code, out, _ = run_cli(capsys, "modify-sound", "--input", str(bee_wav),
+                           "--out", str(tmp_path / "gaps.wav"), "--seed", "4",
+                           "--method", "silence_gaps")
+    assert code == 0
+    report = json.loads(out)
+    assert report["method"] == "silence_gaps"
+    assert report["alpha"] == round(pick_modification(4).alpha, 6)
+
+
 def test_modify_sound_default_output_name(bee_wav, capsys):
     code, out, _ = run_cli(capsys, "modify-sound", "--input", str(bee_wav),
                            "--seed", "4")
@@ -211,10 +214,8 @@ def test_simulate_without_out_dir_writes_nothing(tmp_path, capsys):
 @pytest.fixture()
 def labels_json(tmp_path):
     data = {"frames": [
-        {"frame_id": "a", "pn_id": "pn-1", "timestamp_s": 0.0, "width": 32,
-         "height": 24, "boxes": [[4, 4, 20, 18]], "split": "test"},
-        {"frame_id": "b", "pn_id": "pn-1", "timestamp_s": 1.0, "width": 32,
-         "height": 24, "boxes": [], "split": "test"},
+        {"frame_id": "a", "width": 32, "height": 24, "boxes": [[4, 4, 20, 18]]},
+        {"frame_id": "b", "width": 32, "height": 24, "boxes": []},
     ]}
     path = tmp_path / "labels.json"
     path.write_text(json.dumps(data))
@@ -283,6 +284,33 @@ def test_spectrogram_wav_defaults(bee_wav, tmp_path, capsys):
     assert code == 0
     echo = json.loads(out)
     assert echo["frame_s"] == 0.064 and echo["hop_s"] == 0.032
+
+
+# ---- the output contract ----
+
+def test_every_subcommand_prints_json(rumble_csv, bee_wav, tmp_path, capsys):
+    labels = str(REPO / "scenarios/example_labels.json")
+    for argv in (("detect", "--input", str(rumble_csv)),
+                 ("oracle", "--input", str(rumble_csv)),
+                 ("eval-recall", "--input", str(rumble_csv)),
+                 ("modify-sound", "--input", str(bee_wav), "--seed", "1"),
+                 ("synth", "bee", "--out", str(tmp_path / "b.wav"),
+                  "--seed", "1", "--duration-s", "0.5"),
+                 ("eval-ap50", "--labels", labels),
+                 ("spectrogram", "--input", str(rumble_csv), "--out",
+                  str(tmp_path / "gram.csv"))):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.endswith("\n"), argv
+        for line in out.splitlines():
+            assert isinstance(json.loads(line), dict), (argv, line)
+    # simulate prints the metrics report as one indented document
+    code, out, _ = run_cli(
+        capsys, "simulate",
+        "--scenario", str(REPO / "scenarios/example_scenario.json"),
+        "--out", str(tmp_path / "run"))
+    assert code == 0 and len(out.splitlines()) > 1
+    assert out == (tmp_path / "run" / "metrics.json").read_text()
+    assert json.loads(out)["scenario"] == "river-crossing"
 
 
 # ---- failure modes ----
@@ -452,18 +480,13 @@ def test_bad_json_exits_one_naming_the_file(tmp_path, capsys):
     latin.write_bytes(b'{"frames": [{"frame_id": "\xe9", "boxes": []}]}')
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
-    net_ref = tmp_path / "scenario.json"
-    data = json.loads(Path(bundled).read_text())
-    data["network"] = "truncated.json"  # relative to the scenario file
-    net_ref.write_text(json.dumps(data))
     for argv, prefix in [
             (["eval-ap50", "--labels", str(truncated)], "LabeledFrameSet"),
             (["eval-ap50", "--labels", str(latin)], "LabeledFrameSet"),
             (["eval-ap50", "--labels", str(deep)], "LabeledFrameSet"),
             (["simulate", "--scenario", str(truncated)], "Scenario"),
             (["simulate", "--scenario", bundled, "--config", str(truncated)],
-             "SimConfig"),
-            (["simulate", "--scenario", str(net_ref)], "Scenario.network")]:
+             "SimConfig")]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "", argv
         assert len(err.strip().splitlines()) == 1, err
@@ -471,12 +494,9 @@ def test_bad_json_exits_one_naming_the_file(tmp_path, capsys):
         assert err.startswith(f"hecsim: {prefix}: {bad}: "), err
         assert "DecodeError" not in err and "RecursionError" not in err, err
     # a file that is not there is still a usage error
-    data["network"] = "absent.json"
-    net_ref.write_text(json.dumps(data))
-    for argv in (["eval-ap50", "--labels", str(tmp_path / "absent.json")],
-                 ["simulate", "--scenario", str(net_ref)]):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 2 and "absent.json" in err, (argv, err)
+    code, _, err = run_cli(capsys, "eval-ap50", "--labels",
+                           str(tmp_path / "absent.json"))
+    assert code == 2 and "absent.json" in err, err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -491,7 +511,11 @@ def test_usage_errors_exit_two(capsys):
                  ["synth", "bee", "--out", "x.wav", "--seed", "1.5"],
                  ["modify-sound", "--input", "x.wav", "--seed", "-3"],
                  ["eval-ap50", "--labels", "x.json",
-                  "--detector", "stochastic", "--seed", "-1"]):
+                  "--detector", "stochastic", "--seed", "-1"],
+                 # stdout is always JSON, so no flag asks for it
+                 ["detect", "--input", "x.csv", "--json"],
+                 ["oracle", "--input", "x.csv", "--json"],
+                 ["eval-recall", "--input", "x.csv", "--json"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

@@ -64,18 +64,48 @@ def test_scenario_validation():
 
 
 def test_node_id_is_one_plain_topic_segment(tmp_path):
-    # a '/' or '+' in a node id would change which topic patterns match it
+    # a '/' or '+' in a node id would change which topic patterns match it,
+    # and an empty one reads in trace rows as the "to" of no broker
     path = tmp_path / "scenario.json"
     for bad in ("pn/1", "+", ""):
         message = f"node id must be one plain topic segment, got {bad!r}"
         with pytest.raises(InvalidConfigError, match=re.escape(message)):
             PnPlacement(bad)
+        with pytest.raises(InvalidConfigError, match=re.escape(
+                f"SimConfig.cn: {message}")):
+            SimConfig.from_json({"cn": {"node_id": bad}})
+        with pytest.raises(InvalidConfigError, match=re.escape(
+                f"SimConfig: topic prefix must be one plain topic segment, "
+                f"got {bad!r}")):
+            SimConfig.from_json({"topic_prefix": bad})
         data = json.loads((REPO / "scenarios/example_scenario.json").read_text())
         data["pns"][0]["node_id"] = bad
         path.write_text(json.dumps(data))
         with pytest.raises(InvalidConfigError,
                            match=re.escape(f"Scenario.pns[0]: {message}")):
             Scenario.load(path)
+
+
+def test_node_id_clashes_name_both_places():
+    # a client id shared with a broker or the central node would fail deep
+    # in the mesh as a bare duplicate id
+    data = bundled_scenario().to_json()
+    data["pns"][1]["node_id"] = "broker-a"
+    data["events"] = []
+    with pytest.raises(InvalidConfigError, match=re.escape(
+            "Scenario: pns[1].node_id 'broker-a' is also a broker in "
+            "network.brokers")):
+        Scenario.from_json(data)
+    with pytest.raises(InvalidConfigError, match=re.escape(
+            "Scenario.pns[0].node_id and SimConfig.cn.node_id are both "
+            "'pn-1'")):
+        run_scenario_with_logs(tiny_scenario(),
+                               SimConfig.from_json({"cn": {"node_id": "pn-1"}}))
+    with pytest.raises(InvalidConfigError, match=re.escape(
+            "SimConfig.cn.node_id 'broker-a' is also a broker in "
+            "Scenario.network.brokers")):
+        run_scenario_with_logs(tiny_scenario(), SimConfig.from_json(
+            {"cn": {"node_id": "broker-a"}}))
 
 
 def test_sim_config_validation():
@@ -85,6 +115,12 @@ def test_sim_config_validation():
         SimConfig(topic_prefix="")
     with pytest.raises(InvalidConfigError):
         SimConfig(capture_delay_s=-1.0)
+    # an infinite delay would schedule the capture or decision at infinity
+    # and run silently to a recall of 0
+    for name in ("capture_delay_s", "detector_delay_s"):
+        with pytest.raises(InvalidConfigError,
+                           match=re.escape(f"{name} inf is not in [0, inf)")):
+            SimConfig(**{name: float("inf")})
     with pytest.raises(InvalidConfigError):
         SimConfig(thermal_hold_s=float("nan"))
     # the constructors reject NaN and infinity, not only the file codec
@@ -201,16 +237,20 @@ def test_scenario_with_inline_network_round_trip():
             Scenario.from_json(data)
 
 
-def test_scenario_network_as_file_reference(tmp_path):
-    net = NetworkConfig(brokers=("bx",),
-                        default_link=LinkModel(latency_s=0.02))
-    (tmp_path / "net.json").write_text(json.dumps(net.to_json()))
-    data = tiny_scenario().to_json()
-    data["network"] = "net.json"  # relative to the scenario file
+def test_scenario_network_is_inline_only(tmp_path):
+    # a network is written in the scenario itself, never as a file path;
+    # a node is its id alone
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(data))
-    sc = Scenario.load(path)
-    assert sc.network == net
+    for key, value, where in [
+            ("network", "net.json",
+             "Scenario.network: expected an object, got 'net.json'"),
+            ("pns", [{"node_id": "pn-1", "position": "river-east"}],
+             "Scenario.pns[0]: unknown key 'position'")]:
+        data = tiny_scenario().to_json()
+        data[key] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidConfigError, match=re.escape(where)):
+            Scenario.load(path)
 
 
 def test_sim_config_round_trip():

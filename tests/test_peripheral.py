@@ -23,8 +23,8 @@ def window(ds, run=None, start=0.0):
                            window_start_s=start)
 
 
-def frame(frame_id="pn-1-w000", t=4.0):
-    return ThermalFrame(frame_id=frame_id, pn_id="pn-1", timestamp_s=t)
+def frame(frame_id="pn-1-w000"):
+    return ThermalFrame(frame_id=frame_id, pn_id="pn-1")
 
 
 def repel(duration=10.0):
