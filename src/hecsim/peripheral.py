@@ -9,14 +9,15 @@ transition function free of side effects makes every path scriptable in
 tests.
 
 The infrared camera is power-gated: it runs only between a qualifying
-seismic score and the central node's decision. A run's metrics report the
+seismic score and the central node's decision. Each trigger captures one
+frame, and that frame gets one decision. A run's metrics report the
 fraction of time each node spends in IR_POWERED_STATES as its IR duty cycle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .detection import WindowDetection
@@ -29,14 +30,10 @@ class PnConfig:
     ds_threshold: int = 1
     decision_timeout_s: float = 10.0
     repel_cooldown_s: float = 60.0
-    ir_capture_count: int = 1
-    arm_on_high_score: bool = False
 
     def __post_init__(self):
         if self.ds_threshold not in (1, 2):
             raise InvalidInputError("ds_threshold must be 1 or 2")
-        if self.ir_capture_count < 1:
-            raise InvalidInputError("ir_capture_count must be at least 1")
         if not 0 < self.decision_timeout_s < math.inf or \
                 not self.repel_cooldown_s >= 0:
             raise InvalidInputError("timeouts must be positive")
@@ -60,7 +57,6 @@ IR_POWERED_STATES = frozenset({PnStateKind.IR_ACTIVE.value,
 class PnState:
     kind: PnStateKind = PnStateKind.IDLE
     until_s: float | None = None  # deadline for the timed states
-    captures_remaining: int = 0
 
 
 @dataclass(frozen=True)
@@ -103,12 +99,7 @@ PnEvent = (WindowDetection | ThermalFrame | RepelCommand | NegativeDecision
 
 @dataclass(frozen=True)
 class CaptureFrame:
-    count: int = 1
-
-
-@dataclass(frozen=True)
-class PreArm:
-    ds: int
+    """Capture the one thermal frame of this trigger."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +109,7 @@ class LogAnomaly:
 
 # a ThermalFrame action is published; a RepelCommand action plays the
 # deterrent and flashes the light
-PnAction = CaptureFrame | ThermalFrame | RepelCommand | PreArm | LogAnomaly
+PnAction = CaptureFrame | ThermalFrame | RepelCommand | LogAnomaly
 
 
 def _timer_matches(state: PnState, event: TimerExpired, now_s: float) -> bool:
@@ -141,20 +132,12 @@ def pn_step(state: PnState, event: PnEvent, config: PnConfig,
 
     if isinstance(event, WindowDetection):
         if kind is PnStateKind.IDLE and event.ds >= config.ds_threshold:
-            actions: list[PnAction] = [CaptureFrame(count=config.ir_capture_count)]
-            if config.arm_on_high_score and event.ds >= 2:
-                actions.append(PreArm(ds=event.ds))
-            new = PnState(kind=PnStateKind.IR_ACTIVE,
-                          captures_remaining=config.ir_capture_count)
-            return new, tuple(actions)
+            return PnState(kind=PnStateKind.IR_ACTIVE), (CaptureFrame(),)
         return state, ()
 
     if isinstance(event, ThermalFrame):
         if kind is not PnStateKind.IR_ACTIVE:
             return state, (LogAnomaly(f"frame captured in state {kind.value}"),)
-        remaining = state.captures_remaining - 1
-        if remaining > 0:
-            return replace(state, captures_remaining=remaining), (event,)
         new = PnState(kind=PnStateKind.AWAITING_DECISION,
                       until_s=now_s + config.decision_timeout_s)
         return new, (event,)

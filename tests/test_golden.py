@@ -80,17 +80,17 @@ def hidden_scenario():
         network=NetworkConfig(default_link=LinkModel(latency_s=0.05)))
 
 
-def multi_capture_scenario():
-    """Two nodes with a non-default config: two captures per trigger.
+def retrigger_scenario():
+    """Two nodes with a non-default config: a 5 s repel cooldown.
 
-    Each trigger captures frames -c0 and -c1, a window scoring ds 2 logs a
-    pre_arm row, and the short cooldown lets the second approach trigger
-    again (it is thermally hidden, but its frames fall inside the first
-    approach's thermal hold). Both frames of a trigger are decided, so the
-    second repel command meets a node already repelling: an anomaly row.
+    Each trigger captures one frame, which the central node decides once:
+    one repel command and one officer/siren pair per trigger. The short
+    cooldown lets the second approach trigger both nodes again (it is
+    thermally hidden, but its frames fall inside the first approach's
+    thermal hold, so they are seen and repelled too).
     """
     return Scenario(
-        name="multi-capture", duration_s=40.0,
+        name="retrigger", duration_s=40.0,
         pns=(PnPlacement("pn-1"), PnPlacement("pn-2")),
         events=(ElephantEvent(t_onset_s=4.25, pn_ids=("pn-1", "pn-2"),
                               rumble=RumbleSpec(duration_s=3.5, snr_db=18.0)),
@@ -102,10 +102,9 @@ def multi_capture_scenario():
 
 
 SCENARIOS = {"example": bundled_scenario, "lossy": lossy_scenario,
-             "hidden": hidden_scenario, "multi": multi_capture_scenario}
+             "hidden": hidden_scenario, "retrigger": retrigger_scenario}
 # the runs not named here use SimConfig()
-CONFIGS = {"multi": SimConfig(pn=PnConfig(
-    ir_capture_count=2, arm_on_high_score=True, repel_cooldown_s=5.0))}
+CONFIGS = {"retrigger": SimConfig(pn=PnConfig(repel_cooldown_s=5.0))}
 
 GOLDEN = {
     "example": {
@@ -144,17 +143,17 @@ GOLDEN = {
         "warnings.jsonl":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
-    "multi": {
+    "retrigger": {
         "metrics.json":
-            "1d9fed41d9ea0300de1d3651acb36b71d316312d27abd984cb711f289f5ba135",
+            "45e30cb2f68113f2a2180be4ec44dba928fa533f70d3cf26747261feb065b5c3",
         "delivery_trace.jsonl":
-            "237d9ca0ef399ca402870f050b60ca8f9a4f82b93f68fb45a3c7427523dd9b6a",
+            "86c2ec463c3e94ad1c50669fcd713ff16754221fbefcb2e5592cbc9385a0553f",
         "actions.jsonl":
-            "14e793bd6e60527222a7f454ed61765f564fe0f63b5b462ab534f71fbb51b061",
+            "7e611d734f0f258861aa230abc183914c710c207ed9f66740d30d6d32df659f2",
         "detections.jsonl":
-            "1386068d9c790aec7e25bd9818c5eeefaed9eeb592bb629bdf969bfa15a22e13",
+            "6117bde6368181c9a8cc0b7e7954696d0e9aa82766dd711bba7cf7b34e29ec1d",
         "warnings.jsonl":
-            "65017ac28fc1cd0726e98f9fb06a8a38027f6e4d5484256c3eb2a97333080170",
+            "ef8bbb0b3ffcea5bcdbf1fb3535018347113c2ff3d8c5b46c33ee825cc2a572e",
     },
 }
 
@@ -206,13 +205,30 @@ def test_hidden_scenario_sends_negative_decisions(runs):
     assert logs.warnings == []
 
 
-def test_multi_capture_scenario_covers_the_config(runs):
-    actions = [r["action"] for r in runs["multi"][2].actions]
-    published = [a for a in actions if a.startswith("publish_frame:")]
-    assert any(a.endswith("-c0") for a in published)
-    assert any(a.endswith("-c1") for a in published)
-    assert "pre_arm:2" in actions
-    assert any(a.startswith("anomaly:") for a in actions)
+def test_retrigger_scenario_decides_each_trigger_once(runs):
+    scenario, _, logs, _ = runs["retrigger"]
+    actions = [r["action"] for r in logs.actions]
+    frames = [a.split(":", 1)[1] for a in actions
+              if a.startswith("publish_frame:")]
+    # both nodes trigger on both approaches: the second one comes after the
+    # first repel and its 5 s cooldown have run out
+    assert len(frames) == 2 * len(scenario.events) == 4
+    assert actions.count("capture_frame:1") == len(frames)
+    for fid in frames:
+        assert actions.count(f"run_detector:{fid}") == 1
+        assert actions.count(f"publish_repel:{fid}") == 1
+        assert sorted(w["kind"] for w in logs.warnings
+                      if w["frame_id"] == fid) == ["officer_message", "siren"]
+    assert len(logs.warnings) == 8
+    assert not any(a.startswith("anomaly:") for a in actions)
+    for placement in scenario.pns:
+        cooled = [r["t"] for r in logs.actions
+                  if r["node"] == placement.node_id
+                  and r["state_from"] == "cooldown"]
+        second = [r["t"] for r in logs.actions
+                  if r["node"] == placement.node_id
+                  and r["action"] == "capture_frame:1"][1]
+        assert len(cooled) == 1 and cooled[0] < second
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -1,7 +1,9 @@
+import collections
 import copy
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,8 @@ from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.harness import (ElephantEvent, EventOutcome, MetricsReport,
                             PnPlacement, RunLogs, Scenario, SimConfig,
                             compute_metrics, run_scenario_with_logs)
-from hecsim.mesh import BrokerFailure, LinkModel, NetworkConfig
+from hecsim.mesh import BrokerFailure, LinkModel, NetworkConfig, Partition
+from hecsim.peripheral import PnConfig
 from hecsim.signals import RumbleSpec
 from oracles import naive_ir_duty
 
@@ -135,8 +138,6 @@ def test_sim_config_validation():
         ({"mesh": {}}, "SimConfig: unknown key 'mesh'"),
         ({"window_s": 4.0}, "SimConfig: unknown key 'window_s'"),
         ({"noise_rms": "1.0"}, "SimConfig.noise_rms: expected a number"),
-        ({"pn": {"ir_capture_count": True}},
-         "SimConfig.pn.ir_capture_count: expected an integer"),
         # alpha is drawn from deterrent.ALPHA_RANGE alone
         ({"cn": {"deterrent_alpha_range": [0.5, 1.5]}},
          "SimConfig.cn: unknown key 'deterrent_alpha_range'"),
@@ -171,6 +172,11 @@ def test_sim_config_validation():
          "SimConfig.detector_params: unknown key 'seed'"),
         ({"cn": {"deterrent_seed": 0}},
          "SimConfig.cn: unknown key 'deterrent_seed'"),
+        # one frame per trigger: the capture count and pre-arm are gone
+        ({"pn": {"ir_capture_count": 2}},
+         "SimConfig.pn: unknown key 'ir_capture_count'"),
+        ({"pn": {"arm_on_high_score": True}},
+         "SimConfig.pn: unknown key 'arm_on_high_score'"),
     ]:
         with pytest.raises(InvalidConfigError, match=re.escape(where)):
             SimConfig.from_json(data)
@@ -375,6 +381,31 @@ def test_scenario_network_is_used():
     with pytest.raises(InvalidConfigError, match=re.escape(
             "Scenario.network.link_overrides: unknown clients ['pn-9']")):
         run_scenario_with_logs(tiny_scenario(network=stray))
+
+
+def test_partition_names_must_exist(tmp_path):
+    # a node, the central node and a broker may each be cut off
+    net = NetworkConfig(brokers=("broker-a", "broker-b"), partitions=(
+        Partition(t_start_s=1.0, t_end_s=2.0, nodes=frozenset({"pn-1"})),
+        Partition(t_start_s=3.0, t_end_s=4.0, nodes=frozenset({"cn"})),
+        Partition(t_start_s=5.0, t_end_s=6.0,
+                  nodes=frozenset({"broker-b"}))))
+    run_scenario_with_logs(tiny_scenario(network=net))
+    where = "Scenario.network.partitions[1].nodes: unknown nodes ['pn-9']"
+    stray = replace(net, partitions=net.partitions[:1] + (
+        Partition(t_start_s=1.0, t_end_s=2.0,
+                  nodes=frozenset({"pn-9", "pn-1"})),))
+    with pytest.raises(InvalidConfigError, match=re.escape(where)):
+        run_scenario_with_logs(tiny_scenario(network=stray))
+    # from a file, a whole-run partition of no client fails at run start
+    data = json.loads((REPO / "scenarios/example_scenario.json").read_text())
+    data["network"]["partitions"] = [
+        {"t_start_s": 0.0, "t_end_s": 60.0, "nodes": ["pn-9"]}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidConfigError, match=re.escape(
+            "Scenario.network.partitions[0].nodes: unknown nodes ['pn-9']")):
+        run_scenario_with_logs(Scenario.load(path))
 
 
 def test_overflowing_rumble_fails_before_any_output(tmp_path):
@@ -597,8 +628,11 @@ def test_small_runs_keep_their_invariants(n_nodes, duration_s, loss, kill_at,
         name="prop", duration_s=float(duration_s),
         pns=tuple(PnPlacement(n) for n in nodes), events=tuple(events),
         detector=detector, master_seed=master_seed, network=net)
+    # a short cooldown lets even a short run trigger a node twice
+    config = SimConfig(pn=PnConfig(
+        repel_cooldown_s=data.draw(st.sampled_from([5.0, 60.0]))))
 
-    report, logs = run_scenario_with_logs(scenario)
+    report, logs = run_scenario_with_logs(scenario, config)
 
     assert report.recall is None or 0.0 <= report.recall <= 1.0
     assert all(0.0 <= d <= 1.0 for d in report.ir_duty_cycle.values())
@@ -617,3 +651,24 @@ def test_small_runs_keep_their_invariants(n_nodes, duration_s, loss, kill_at,
             if _AT_MOST_ONCE.match(topic):
                 assert (row["msg_id"], row["to"]) not in delivered_once, row
                 delivered_once.add((row["msg_id"], row["to"]))
+
+    # one frame per trigger, and one decision per frame
+    for node in nodes:
+        steps = [(r["t"], *r["action"].split(":", 1)) for r in logs.actions
+                 if r["node"] == node and r["action"].startswith(
+                     ("capture_frame:", "publish_frame:"))]
+        # each capture publishes its one frame before the next capture; a
+        # capture due after the run's end is the only one left unpublished
+        kinds = [kind for _, kind, _ in steps]
+        pairs = ["capture_frame", "publish_frame"] * len(kinds)
+        assert kinds == pairs[:len(kinds)]
+        if len(kinds) % 2:
+            assert steps[-1][0] + config.capture_delay_s > duration_s
+        for _, kind, fid in steps[1::2]:
+            assert re.fullmatch(rf"{node}-w\d{{3}}", fid), fid
+    per_frame = collections.Counter(
+        ("decision" if kind.startswith("publish_") else kind, fid)
+        for kind, _, fid in (r["action"].partition(":") for r in logs.actions)
+        if kind in ("run_detector", "publish_repel", "publish_negative"))
+    per_frame.update((w["kind"], w["frame_id"]) for w in logs.warnings)
+    assert set(per_frame.values()) <= {1}, per_frame

@@ -442,6 +442,17 @@ def test_all_brokers_dead_strands_the_client():
     assert len(net.clients["pub"].buffer) == 1  # parked, not lost
 
 
+def test_kill_broker_rejects_an_unknown_broker():
+    net = make_net(brokers=("broker-a", "broker-b"))
+    with pytest.raises(InvalidInputError, match="unknown broker 'x'"):
+        net.kill_broker("x")
+    net.kill_broker("broker-a")
+    net.kill_broker("broker-a")  # already dead: a no-op
+    assert [tr["broker"] for tr in net.broker_transitions
+            if tr["kind"] == "broker_killed"] == ["broker-a"]
+    assert net.brokers["broker-b"].alive
+
+
 def test_arming_twice_is_idempotent():
     net = make_net()
     first = heartbeat_and_failover(net)

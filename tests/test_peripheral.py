@@ -9,9 +9,8 @@ from hecsim.errors import InvalidInputError
 from hecsim.harness import (PnPlacement, RunLogs, Scenario, SimConfig,
                             compute_metrics)
 from hecsim.peripheral import (CaptureFrame, LogAnomaly, NegativeDecision,
-                               PnConfig, PnState, PnStateKind, PreArm,
-                               RepelCommand, ThermalFrame, TimerExpired,
-                               pn_step)
+                               PnConfig, PnState, PnStateKind, RepelCommand,
+                               ThermalFrame, TimerExpired, pn_step)
 
 CFG = PnConfig()
 
@@ -23,8 +22,8 @@ def window(ds, run=None, start=0.0):
                            window_start_s=start)
 
 
-def frame(frame_id="pn-1-w000"):
-    return ThermalFrame(frame_id=frame_id, pn_id="pn-1")
+def frame():
+    return ThermalFrame(frame_id="pn-1-w000", pn_id="pn-1")
 
 
 def repel(duration=10.0):
@@ -39,8 +38,9 @@ def test_full_cycle_through_all_states():
 
     state, actions = pn_step(state, window(2), CFG, 4.0)
     assert state.kind is PnStateKind.IR_ACTIVE
-    assert actions == (CaptureFrame(count=1),)
+    assert actions == (CaptureFrame(),)
 
+    # the one frame of the trigger goes straight to awaiting a decision
     state, actions = pn_step(state, frame(), CFG, 4.05)
     assert state.kind is PnStateKind.AWAITING_DECISION
     assert state.until_s == pytest.approx(4.05 + CFG.decision_timeout_s)
@@ -97,31 +97,10 @@ def test_threshold_two_ignores_ds_one():
 def test_scores_outside_idle_are_silent():
     for kind in (PnStateKind.IR_ACTIVE, PnStateKind.AWAITING_DECISION,
                  PnStateKind.REPELLING, PnStateKind.COOLDOWN):
-        state = PnState(kind=kind, until_s=99.0, captures_remaining=1)
+        state = PnState(kind=kind, until_s=99.0)
         new, actions = pn_step(state, window(2), CFG, 8.0)
         assert new == state
         assert actions == ()
-
-
-def test_prearm_on_high_score():
-    cfg = PnConfig(arm_on_high_score=True)
-    _, actions = pn_step(PnState(), window(2), cfg, 4.0)
-    assert actions == (CaptureFrame(count=1), PreArm(ds=2))
-    _, actions = pn_step(PnState(), window(1), cfg, 4.0)
-    assert actions == (CaptureFrame(count=1),)
-
-
-def test_multi_capture_counts_down():
-    cfg = PnConfig(ir_capture_count=3)
-    state, _ = pn_step(PnState(), window(2), cfg, 4.0)
-    assert state.captures_remaining == 3
-    state, actions = pn_step(state, frame("pn-1-w000-c0"), cfg, 4.05)
-    assert state.kind is PnStateKind.IR_ACTIVE
-    assert state.captures_remaining == 2
-    assert actions == (frame("pn-1-w000-c0"),)
-    state, _ = pn_step(state, frame("pn-1-w000-c1"), cfg, 4.10)
-    state, _ = pn_step(state, frame("pn-1-w000-c2"), cfg, 4.15)
-    assert state.kind is PnStateKind.AWAITING_DECISION
 
 
 def test_unexpected_frame_is_an_anomaly():
@@ -159,8 +138,6 @@ def test_stale_timer_is_ignored():
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         PnConfig(ds_threshold=3)
-    with pytest.raises(InvalidInputError):
-        PnConfig(ir_capture_count=0)
     with pytest.raises(InvalidInputError):
         PnConfig(decision_timeout_s=0.0)
     with pytest.raises(InvalidInputError):
@@ -206,6 +183,7 @@ def test_random_event_storms_never_corrupt_state(events):
         while state.until_s is not None and state.until_s <= now:
             state, _ = pn_step(state, TimerExpired(state.until_s), CFG,
                                state.until_s)
+        prev = state
         state, actions = pn_step(state, ev, CFG, now)
         assert isinstance(state, PnState)
         assert state.kind in PnStateKind
@@ -213,11 +191,13 @@ def test_random_event_storms_never_corrupt_state(events):
         if state.kind in (PnStateKind.AWAITING_DECISION, PnStateKind.REPELLING,
                           PnStateKind.COOLDOWN):
             assert state.until_s is not None and state.until_s >= now - 1e-9
-        if state.kind is PnStateKind.IR_ACTIVE:
-            assert state.captures_remaining >= 1
         for act in actions:
             assert isinstance(act, (CaptureFrame, ThermalFrame, RepelCommand,
-                                    PreArm, LogAnomaly))
+                                    LogAnomaly))
+        # a frame in ir_active always ends the capture
+        if isinstance(ev, ThermalFrame) and prev.kind is PnStateKind.IR_ACTIVE:
+            assert state.kind is PnStateKind.AWAITING_DECISION
+            assert actions == (ev,)
 
 
 @settings(max_examples=100, deadline=None)
