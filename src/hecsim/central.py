@@ -14,7 +14,7 @@ precision at IoU 0.5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Protocol
 
@@ -175,18 +175,12 @@ class CnConfig:
                                      "must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass
 class CnState:
     """Pending frames awaiting a detector result, and decided frame ids."""
 
-    pending: tuple[tuple[str, str], ...] = ()  # (frame_id, pn_id)
-    decided: frozenset[str] = frozenset()
-
-    def pending_pn(self, frame_id: str) -> str | None:
-        for fid, pn in self.pending:
-            if fid == frame_id:
-                return pn
-        return None
+    pending: dict[str, str] = field(default_factory=dict)  # frame_id -> pn_id
+    decided: set[str] = field(default_factory=set)
 
 
 CnEvent = ThermalFrame | DetectorDecision
@@ -219,33 +213,31 @@ CnAction = (ThermalFrame | RepelCommand | NegativeDecision | WarningRecord
 
 
 def cn_step(state: CnState, event: CnEvent, config: CnConfig,
-            now_s: float) -> tuple[CnState, tuple[CnAction, ...]]:
-    """Advance the central node by one event.
+            now_s: float) -> tuple[CnAction, ...]:
+    """Advance the central node by one event, updating state in place.
+
+    Each step costs O(1), however many frames the run has seen.
 
     Each frame id is decided at most once: repeat frames and repeat or
     unknown detector results produce an anomaly action and nothing else.
     """
     if isinstance(event, ThermalFrame):
         fid = event.frame_id
-        if fid in state.decided or state.pending_pn(fid) is not None:
-            return state, (LogAnomaly(f"duplicate frame {fid}"),)
-        new = CnState(pending=state.pending + ((fid, event.pn_id),),
-                      decided=state.decided)
-        return new, (event,)
+        if fid in state.decided or fid in state.pending:
+            return (LogAnomaly(f"duplicate frame {fid}"),)
+        state.pending[fid] = event.pn_id
+        return (event,)
 
     if isinstance(event, DetectorDecision):
         fid = event.frame_id
         if fid in state.decided:
-            return state, (LogAnomaly(f"repeat decision for frame {fid}"),)
-        pn_id = state.pending_pn(fid)
+            return (LogAnomaly(f"repeat decision for frame {fid}"),)
+        pn_id = state.pending.pop(fid, None)
         if pn_id is None:
-            return state, (LogAnomaly(f"decision for unknown frame {fid}"),)
-        new = CnState(
-            pending=tuple(p for p in state.pending if p[0] != fid),
-            decided=state.decided | {fid},
-        )
+            return (LogAnomaly(f"decision for unknown frame {fid}"),)
+        state.decided.add(fid)
         if not event.elephant_present:
-            return new, (NegativeDecision(pn_id, fid),)
+            return (NegativeDecision(pn_id, fid),)
         # keyed by frame id alone, not by the run's master seed: deriving
         # it from master_seed would change every pinned run output
         deterrent = pick_modification(derive_seed(0, "repel", fid))
@@ -259,9 +251,9 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
         siren = WarningRecord(
             kind=WarningKind.SIREN, timestamp_s=now_s, pn_id=pn_id,
             frame_id=fid, message=f"siren sounding at {pn_id}")
-        return new, (command, officer, siren)
+        return (command, officer, siren)
 
-    return state, (LogAnomaly(f"unknown event {type(event).__name__}"),)
+    return (LogAnomaly(f"unknown event {type(event).__name__}"),)
 
 
 # ---- labeled frames and AP evaluation ----

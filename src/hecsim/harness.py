@@ -69,6 +69,9 @@ class ElephantEvent:
             raise InvalidInputError("event onset must be non-negative")
         if not self.pn_ids:
             raise InvalidInputError("event must touch at least one node")
+        for i, node in enumerate(self.pn_ids):
+            if node in self.pn_ids[:i]:
+                raise InvalidInputError(f"event lists node {node!r} twice")
 
 
 @dataclass(frozen=True)
@@ -369,12 +372,11 @@ class _Run:
             sim_boxes=((8.0, 6.0, 24.0, 18.0),) if seen else ()))
 
     def cn_dispatch(self, event) -> None:
-        old = self.cn
-        new, actions = cn_step(old, event, self.config.cn, self.net.now)
-        self.cn = new
+        before = len(self.cn.pending)
+        actions = cn_step(self.cn, event, self.config.cn, self.net.now)
         node = self.config.cn.node_id
-        log = partial(self.log_action, node, f"pending={len(old.pending)}",
-                      f"pending={len(new.pending)}")
+        log = partial(self.log_action, node, f"pending={before}",
+                      f"pending={len(self.cn.pending)}")
         for action in actions:
             if isinstance(action, ThermalFrame):
                 log(f"run_detector:{action.frame_id}")

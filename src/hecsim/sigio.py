@@ -100,29 +100,31 @@ def _finite(text: str) -> float:
 
 
 def load_trace_csv(path: str | Path) -> Signal:
-    """Read a trace written by save_trace_csv; NaN and infinity are faults."""
+    """Read a trace written by save_trace_csv; NaN and infinity are faults.
+
+    Each header comes once, before the first sample.
+    """
     raw = Path(path).read_bytes()
     text = raw.decode("ascii", errors="replace")
     offset = 0
-    rate = None
-    start_time = 0.0
+    headers: dict[str, float] = {}
     values: list[float] = []
     for line in text.splitlines(keepends=True):
         stripped = line.strip()
         if stripped.startswith("#"):
             key, _, val = stripped[1:].strip().partition("=")
             key = key.strip()
+            if values or key in headers:
+                where = "after the first sample" if values else "given twice"
+                raise ParseError(f"header {key!r} {where}", byte_offset=offset)
             try:
-                if key == "sample_rate_hz":
-                    rate = _finite(val)
-                elif key == "start_time_s":
-                    start_time = _finite(val)
-                else:
+                if key not in ("sample_rate_hz", "start_time_s"):
                     raise ValueError
+                headers[key] = _finite(val)
             except ValueError:
                 raise ParseError(f"bad header line {stripped!r}", byte_offset=offset)
         elif stripped:
-            if rate is None:
+            if "sample_rate_hz" not in headers:
                 raise ParseError("sample before the sample_rate_hz header",
                                  byte_offset=offset)
             try:
@@ -130,10 +132,11 @@ def load_trace_csv(path: str | Path) -> Signal:
             except ValueError:
                 raise ParseError(f"bad sample value {stripped!r}", byte_offset=offset)
         offset += len(line.encode("ascii", errors="replace"))
-    if rate is None:
+    if "sample_rate_hz" not in headers:
         raise ParseError("missing sample_rate_hz header", byte_offset=0)
     return Signal(samples=np.array(values, dtype=np.float64),
-                  sample_rate_hz=rate, start_time_s=start_time)
+                  sample_rate_hz=headers["sample_rate_hz"],
+                  start_time_s=headers.get("start_time_s", 0.0))
 
 
 # the encoder json.dumps(rec, sort_keys=True) builds anew for every call

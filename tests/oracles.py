@@ -183,6 +183,40 @@ def naive_ir_duty(action_rows, node, duration_s):
     return on / duration_s
 
 
+def naive_cn_bookkeeping(events):
+    """Label each central-node event, with the pending count after it.
+
+    Each event is ("frame", frame_id, pn_id), ("decision", frame_id,
+    elephant_present) or ("other", type_name). Pending frames are a list of
+    (frame_id, pn_id) pairs and decided ids a list, both scanned in full on
+    every event. Returns one (label, pending count) pair per event; a label
+    is run_detector:fid, negative:fid, repel:fid or anomaly:<reason>.
+    """
+    pending, decided, out = [], [], []
+    for kind, *args in events:
+        if kind == "frame":
+            fid, pn = args
+            if fid in decided or fid in [f for f, _ in pending]:
+                label = f"anomaly:duplicate frame {fid}"
+            else:
+                pending.append((fid, pn))
+                label = f"run_detector:{fid}"
+        elif kind == "decision":
+            fid, present = args
+            if fid in decided:
+                label = f"anomaly:repeat decision for frame {fid}"
+            elif fid not in [f for f, _ in pending]:
+                label = f"anomaly:decision for unknown frame {fid}"
+            else:
+                pending = [(f, pn) for f, pn in pending if f != fid]
+                decided.append(fid)
+                label = f"{'repel' if present else 'negative'}:{fid}"
+        else:
+            label = f"anomaly:unknown event {args[0]}"
+        out.append((label, len(pending)))
+    return out
+
+
 def naive_stft_similarity(a, b):
     """Best normalized spectrogram cross-correlation, one lag at a time.
 

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecsim.central import (BoundingBox, CnConfig, CnState,
@@ -14,7 +14,7 @@ from hecsim.deterrent import ModificationKind, ModificationParams
 from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.peripheral import (LogAnomaly, NegativeDecision, RepelCommand,
                                ThermalFrame)
-from oracles import brute_force_ap50, iou_fraction
+from oracles import brute_force_ap50, iou_fraction, naive_cn_bookkeeping
 
 CFG = CnConfig()
 
@@ -130,12 +130,15 @@ def test_stochastic_false_alarm_still_boxes():
 
 # ---- central node steps ----
 
+def snapshot(state):
+    return dict(state.pending), set(state.decided)
+
+
 def test_positive_frame_produces_repel_officer_siren():
     state = CnState()
-    state, actions = cn_step(state, frame(), CFG, 5.0)
-    assert actions == (frame(),)
+    assert cn_step(state, frame(), CFG, 5.0) == (frame(),)
     decision = OracleDetector().decide(frame())
-    state, actions = cn_step(state, decision, CFG, 5.1)
+    actions = cn_step(state, decision, CFG, 5.1)
     kinds = [type(a) for a in actions]
     assert kinds == [RepelCommand, WarningRecord, WarningRecord]
     repel = actions[0]
@@ -144,65 +147,124 @@ def test_positive_frame_produces_repel_officer_siren():
     assert repel.duration_s == CFG.repel_duration_s
     assert actions[1].kind is WarningKind.OFFICER_MESSAGE
     assert actions[2].kind is WarningKind.SIREN
-    assert "pn-1-w000" in state.decided and state.pending == ()
+    assert "pn-1-w000" in state.decided and state.pending == {}
 
 
 def test_negative_frame_produces_negative_decision():
     state = CnState()
-    state, _ = cn_step(state, frame(truth=False), CFG, 5.0)
+    cn_step(state, frame(truth=False), CFG, 5.0)
     decision = OracleDetector().decide(frame(truth=False))
-    state, actions = cn_step(state, decision, CFG, 5.1)
+    actions = cn_step(state, decision, CFG, 5.1)
     assert actions == (NegativeDecision(pn_id="pn-1", frame_id="pn-1-w000"),)
 
 
 def test_duplicate_frame_is_anomaly():
     state = CnState()
-    state, _ = cn_step(state, frame(), CFG, 5.0)
-    state2, actions = cn_step(state, frame(), CFG, 5.2)
-    assert state2 == state
+    cn_step(state, frame(), CFG, 5.0)
+    before = snapshot(state)
+    actions = cn_step(state, frame(), CFG, 5.2)
+    assert snapshot(state) == before
     assert len(actions) == 1 and isinstance(actions[0], LogAnomaly)
 
 
 def test_replayed_frame_after_decision_is_anomaly():
     state = CnState()
-    state, _ = cn_step(state, frame(), CFG, 5.0)
-    state, _ = cn_step(state, OracleDetector().decide(frame()), CFG, 5.1)
-    state2, actions = cn_step(state, frame(), CFG, 6.0)
-    assert state2 == state
+    cn_step(state, frame(), CFG, 5.0)
+    cn_step(state, OracleDetector().decide(frame()), CFG, 5.1)
+    before = snapshot(state)
+    actions = cn_step(state, frame(), CFG, 6.0)
+    assert snapshot(state) == before
     assert len(actions) == 1 and isinstance(actions[0], LogAnomaly)
 
 
 def test_repeat_and_unknown_decisions_are_anomalies():
     state = CnState()
-    state, _ = cn_step(state, frame(), CFG, 5.0)
+    cn_step(state, frame(), CFG, 5.0)
     decision = OracleDetector().decide(frame())
-    state, _ = cn_step(state, decision, CFG, 5.1)
-    state2, actions = cn_step(state, decision, CFG, 5.2)
-    assert state2 == state
+    cn_step(state, decision, CFG, 5.1)
+    before = snapshot(state)
+    actions = cn_step(state, decision, CFG, 5.2)
+    assert snapshot(state) == before
     assert isinstance(actions[0], LogAnomaly)
-    _, actions = cn_step(state, DetectorDecision(
+    actions = cn_step(state, DetectorDecision(
         frame_id="ghost", elephant_present=True, confidence=1.0), CFG, 5.3)
     assert isinstance(actions[0], LogAnomaly)
 
 
+COMMAND = RepelCommand(pn_id="pn-1", frame_id="pn-1-w000",
+                       deterrent=ModificationParams(
+                           kind=ModificationKind.PINK_NOISE_OVERLAY,
+                           alpha=1.0, seed=0))
+
+
 def test_unknown_event_is_an_anomaly():
-    state, _ = cn_step(CnState(), frame(), CFG, 5.0)
-    command = RepelCommand(pn_id="pn-1", frame_id="pn-1-w000",
-                           deterrent=ModificationParams(
-                               kind=ModificationKind.PINK_NOISE_OVERLAY,
-                               alpha=1.0, seed=0))
-    state2, actions = cn_step(state, command, CFG, 5.1)
-    assert state2 == state
+    state = CnState()
+    cn_step(state, frame(), CFG, 5.0)
+    before = snapshot(state)
+    actions = cn_step(state, COMMAND, CFG, 5.1)
+    assert snapshot(state) == before
     assert actions == (LogAnomaly("unknown event RepelCommand"),)
 
 
 def test_deterrent_draw_is_stable_per_frame():
-    state = CnState()
-    state, _ = cn_step(state, frame(), CFG, 5.0)
     decision = OracleDetector().decide(frame())
-    _, actions_a = cn_step(state, decision, CFG, 5.1)
-    _, actions_b = cn_step(state, decision, CFG, 9.9)
-    assert actions_a[0].deterrent == actions_b[0].deterrent
+    deterrents = []
+    for now_s in (5.1, 9.9):
+        state = CnState()
+        cn_step(state, frame(), CFG, 5.0)
+        deterrents.append(cn_step(state, decision, CFG, now_s)[0].deterrent)
+    assert deterrents[0] == deterrents[1]
+
+
+def cn_label(action) -> str:
+    if isinstance(action, ThermalFrame):
+        return f"run_detector:{action.frame_id}"
+    if isinstance(action, NegativeDecision):
+        return f"negative:{action.frame_id}"
+    if isinstance(action, RepelCommand):
+        return f"repel:{action.frame_id}"
+    return f"anomaly:{action.reason}"
+
+
+FRAME_IDS = st.sampled_from([f"f{i}" for i in range(4)])
+CN_EVENTS = st.one_of(
+    st.builds(lambda fid, pn: ThermalFrame(frame_id=fid, pn_id=pn),
+              FRAME_IDS, st.sampled_from(["pn-1", "pn-2"])),
+    st.builds(lambda fid, present: DetectorDecision(
+        frame_id=fid, elephant_present=present, confidence=1.0),
+        FRAME_IDS, st.booleans()),
+    st.just(COMMAND))
+
+
+def as_model_event(event):
+    if isinstance(event, ThermalFrame):
+        return ("frame", event.frame_id, event.pn_id)
+    if isinstance(event, DetectorDecision):
+        return ("decision", event.frame_id, event.elephant_present)
+    return ("other", type(event).__name__)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(CN_EVENTS, max_size=40))
+@example([frame("f0"), frame("f0", pn="pn-2"),  # duplicate frame
+          DetectorDecision("f1", True, 1.0),  # unknown id
+          DetectorDecision("f0", True, 1.0),
+          DetectorDecision("f0", False, 1.0),  # repeat decision
+          frame("f0"), COMMAND])
+def test_cn_step_matches_list_bookkeeping(events):
+    """The in-place frame table labels every event as the list model does.
+
+    Each decided frame goes back to the node that sent its first copy.
+    """
+    expected = naive_cn_bookkeeping(map(as_model_event, events))
+    state, first_pn = CnState(), {}
+    for event, want in zip(events, expected):
+        if isinstance(event, ThermalFrame):
+            first_pn.setdefault(event.frame_id, event.pn_id)
+        actions = cn_step(state, event, CFG, 5.0)
+        assert (cn_label(actions[0]), len(state.pending)) == want
+        if isinstance(actions[0], (RepelCommand, NegativeDecision)):
+            assert actions[0].pn_id == first_pn[event.frame_id]
 
 
 # ---- labeled frames and AP50 ----

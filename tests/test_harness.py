@@ -64,6 +64,16 @@ def test_scenario_validation():
     with pytest.raises(InvalidConfigError):
         tiny_scenario(events=(ElephantEvent(
             t_onset_s=1.0, pn_ids=("pn-9",), rumble=RumbleSpec(duration_s=3.0)),))
+    # a node listed twice hears the event once but metrics.json echoes both
+    with pytest.raises(InvalidInputError,
+                       match=re.escape("event lists node 'pn-1' twice")):
+        ElephantEvent(t_onset_s=1.0, pn_ids=("pn-1", "pn-2", "pn-1"),
+                      rumble=RumbleSpec(duration_s=3.0))
+    data = bundled_scenario().to_json()
+    data["events"][0]["pn_ids"] = ["pn-1", "pn-1"]
+    with pytest.raises(InvalidConfigError, match=re.escape(
+            "Scenario.events[0]: event lists node 'pn-1' twice")):
+        Scenario.from_json(data)
 
 
 def test_node_id_is_one_plain_topic_segment(tmp_path):

@@ -96,6 +96,26 @@ def test_trace_csv_bad_value_reports_offset(tmp_path):
     assert err.value.byte_offset > 0
 
 
+@pytest.mark.parametrize("text, bad_line", [
+    # a late header would re-rate (or move) the samples read before it
+    ("# sample_rate_hz=1000.0\n1.0\n2.0\n# sample_rate_hz=500.0\n3.0\n",
+     "# sample_rate_hz=500.0"),
+    ("# sample_rate_hz=1000.0\n1.0\n# start_time_s=5.0\n2.0\n",
+     "# start_time_s=5.0"),
+    ("# sample_rate_hz=1000.0\n# start_time_s=1.0\n# start_time_s=2.0\n"
+     "1.0\n", "# start_time_s=2.0"),
+    ("# sample_rate_hz=1000.0\n# sample_rate_hz=1000.0\n1.0\n",
+     "# sample_rate_hz=1000.0"),
+])
+def test_trace_csv_late_or_repeated_header_is_a_fault(tmp_path, text,
+                                                      bad_line):
+    p = tmp_path / "headers.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_trace_csv(p)
+    assert err.value.byte_offset == text.rindex(bad_line)
+
+
 def test_jsonl_round_trip(tmp_path):
     rows = [{"b": 2, "a": 1}, {"x": [1, 2, 3]}]
     p = tmp_path / "r.jsonl"
