@@ -5,14 +5,19 @@ Scores many independent noise windows and prints the fraction that reach
 each score level. The strict in-band run rule makes ds >= 1 on noise rare;
 this sweep quantifies how rare at a chosen window count. The windows are
 consecutive windows of one white-noise trace, drawn in one call.
+
+The same trace also goes through detect_triggers, the screened scorer the
+scenario runs use; the script exits 1 if it does not return exactly the
+ds >= 1 windows of detect_stream.
 """
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
-from hecsim.detection import Algorithm1Params, detect_stream
+from hecsim.detection import Algorithm1Params, detect_stream, detect_triggers
 from hecsim.errors import InvalidInputError
 from hecsim.signals import Signal
 
@@ -46,6 +51,13 @@ def main() -> None:
         print(f"  ds={ds}: {counts[ds]} ({frac:.4%})")
     print(f"longest in-band run seen: {worst_run}")
     print(f"fraction ds>=1: {(counts[1] + counts[2]) / args.windows:.4%}")
+
+    hits = [d for d in detections if d.ds >= 1]
+    if detect_triggers(trace, params) != hits:
+        print("detect_triggers differs from detect_stream's ds>=1 windows",
+              file=sys.stderr)
+        sys.exit(1)
+    print(f"detect_triggers agrees on all {len(hits)} ds>=1 windows")
 
 
 if __name__ == "__main__":

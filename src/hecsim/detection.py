@@ -28,6 +28,8 @@ ORACLE_BAND_HIGH_HZ = 40.0
 
 # windows scored per FFT call; keeps each chunk's complex spectrum near 1 MB
 SCORE_CHUNK_WINDOWS = 8
+# windows screened per FFT call: two chunks' windows, at a few columns each
+SCREEN_BLOCK_WINDOWS = 2 * SCORE_CHUNK_WINDOWS
 
 
 @dataclass(frozen=True)
@@ -111,42 +113,75 @@ def _runs(flags: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(padded)).reshape(-1, 2)
 
 
-def _max_runs(windows: np.ndarray, rate: float,
-              params: Algorithm1Params) -> np.ndarray:
-    """Longest in-band sub-segment run of each row of a (windows, samples)
-    array, scored SCORE_CHUNK_WINDOWS rows per FFT.
+def _framing(trace: Signal, params: Algorithm1Params
+             ) -> tuple[np.ndarray, int, int, np.ndarray]:
+    """Check a trace's window and sub-segment geometry and frame it.
 
-    The framing is that of a rectangular-window STFT with the hop equal to
-    the frame: consecutive sub-segments, at most subsegments_per_window of
-    them, each mean-removed and zero-padded to the default FFT length. The
-    peak bin skips DC and ties go to the lowest bin.
+    Returns the full windows as a (windows, k, sub) view of the samples,
+    the window length n, the FFT length and the in-band test of each bin
+    above DC. The trace's remainder is ignored, and so is a window's tail
+    shorter than one sub-segment.
     """
+    x, rate = trace.samples, trace.sample_rate_hz
+    if len(x) == 0:
+        raise InvalidInputError("cannot window an empty trace")
+    n = int(round(params.window_s * rate))
+    if n < 1:
+        raise InvalidInputError("window shorter than one sample")
     sub = int(round(params.subsegment_s * rate))
     if sub < 2:
         raise InvalidInputError("sub-segment shorter than two samples at "
                                 f"{rate!r} Hz")
-    # a sub-segment length rounded down can leave room for an extra one
-    k = min(windows.shape[1] // sub, params.subsegments_per_window)
-    if k == 0:
-        raise InvalidInputError("window shorter than one sub-segment")
+    # a sub-segment length rounded down can leave room for an extra one;
+    # params hold window_s >= subsegment_s, so a window holds at least one
+    k = min(n // sub, params.subsegments_per_window)
     pad = default_pad_length(sub)
     freqs = np.fft.rfftfreq(pad, 1.0 / rate)[1:]
     in_band = (freqs > params.band_low_hz) & (freqs < params.band_high_hz)
-    # zero-padded in place: rfft of a padded buffer is faster than rfft(n=pad)
-    # and gives the same bits
-    buf = np.zeros((min(len(windows), SCORE_CHUNK_WINDOWS), k, pad))
-    flags = np.empty((len(windows), k), dtype=bool)
-    for i0 in range(0, len(windows), SCORE_CHUNK_WINDOWS):
-        segs = windows[i0:i0 + SCORE_CHUNK_WINDOWS, :k * sub].reshape(-1, k, sub)
-        head = buf[:len(segs)]
-        np.subtract(segs, segs.mean(axis=2, keepdims=True), out=head[:, :, :sub])
-        spec = np.fft.rfft(head, axis=2)[:, :, 1:]
-        flags[i0:i0 + len(segs)] = in_band[np.abs(spec).argmax(axis=2)]
-    best = cur = np.zeros(len(windows), dtype=np.int64)
+    count = len(x) // n
+    segs = x[:count * n].reshape(count, n)[:, :k * sub].reshape(count, k, sub)
+    return segs, n, pad, in_band
+
+
+def _in_band_flags(segs: np.ndarray, buf: np.ndarray,
+                   in_band: np.ndarray) -> np.ndarray:
+    """Whether each sub-segment of a (windows, columns, sub) array peaks in
+    band, one FFT call for all of them.
+
+    The framing is that of a rectangular-window STFT with the hop equal to
+    the frame: each sub-segment is mean-removed and zero-padded into buf, a
+    (windows, columns, pad) array whose samples past sub stay zero. The peak
+    bin skips DC and ties go to the lowest bin.
+    """
+    head = buf[:len(segs)]
+    np.subtract(segs, segs.mean(axis=2, keepdims=True),
+                out=head[:, :, :segs.shape[2]])
+    # rfft of a padded buffer is faster than rfft(n=pad) and gives the same bits
+    spec = np.fft.rfft(head, axis=2)[:, :, 1:]
+    return in_band[np.abs(spec).argmax(axis=2)]
+
+
+def _max_runs(segs: np.ndarray, pad: int, in_band: np.ndarray) -> np.ndarray:
+    """Longest in-band sub-segment run of each window of a (windows, k, sub)
+    array, scored SCORE_CHUNK_WINDOWS windows per FFT."""
+    buf = np.zeros((min(len(segs), SCORE_CHUNK_WINDOWS), segs.shape[1], pad))
+    flags = np.empty(segs.shape[:2], dtype=bool)
+    for i0 in range(0, len(segs), SCORE_CHUNK_WINDOWS):
+        chunk = segs[i0:i0 + SCORE_CHUNK_WINDOWS]
+        flags[i0:i0 + len(chunk)] = _in_band_flags(chunk, buf, in_band)
+    best = cur = np.zeros(len(segs), dtype=np.int64)
     for col in flags.T:
         cur = (cur + 1) * col
         best = np.maximum(best, cur)
     return best
+
+
+def _detection(trace: Signal, n: int, i: int, run: int,
+               params: Algorithm1Params) -> WindowDetection:
+    return WindowDetection(window_index=i, ds=score_from_run(run, params),
+                           max_run=run,
+                           window_start_s=trace.start_time_s
+                           + i * n / trace.sample_rate_hz)
 
 
 def detect_stream(trace: Signal,
@@ -156,20 +191,37 @@ def detect_stream(trace: Signal,
     Each window keeps its absolute start time, so detections sit on the
     trace's own timeline.
     """
-    x, rate = trace.samples, trace.sample_rate_hz
-    if len(x) == 0:
-        raise InvalidInputError("cannot window an empty trace")
-    n = int(round(params.window_s * rate))
-    if n < 1:
-        raise InvalidInputError("window shorter than one sample")
-    count = len(x) // n
-    if count == 0:
+    segs, n, pad, in_band = _framing(trace, params)
+    return [_detection(trace, n, i, run, params)
+            for i, run in enumerate(_max_runs(segs, pad, in_band).tolist())]
+
+
+def detect_triggers(trace: Signal,
+                    params: Algorithm1Params = Algorithm1Params()) -> list[WindowDetection]:
+    """The windows of detect_stream that score ds >= 1, and only those.
+
+    A window scores ds >= 1 when it holds an in-band run of L = run_low + 1
+    sub-segments. Any L consecutive sub-segments hold exactly one index
+    congruent to L - 1 mod L, so a window whose sub-segments L - 1,
+    2L - 1, ... are all out of band cannot score. Those columns are
+    screened first, SCREEN_BLOCK_WINDOWS windows per FFT, and only the
+    windows with one of them in band are scored in full.
+    """
+    segs, n, pad, in_band = _framing(trace, params)
+    L = params.run_low + 1
+    screen = segs[:, L - 1::L]
+    if screen.shape[1] == 0:
         return []
-    runs = _max_runs(x[:count * n].reshape(count, n), rate, params)
-    return [WindowDetection(window_index=i, ds=score_from_run(run, params),
-                            max_run=run,
-                            window_start_s=trace.start_time_s + i * n / rate)
-            for i, run in enumerate(runs.tolist())]
+    buf = np.zeros((min(len(segs), SCREEN_BLOCK_WINDOWS), screen.shape[1], pad))
+    found = []
+    for i0 in range(0, len(segs), SCREEN_BLOCK_WINDOWS):
+        block = screen[i0:i0 + SCREEN_BLOCK_WINDOWS]
+        hits = i0 + np.flatnonzero(_in_band_flags(block, buf, in_band).any(axis=1))
+        for i, run in zip(hits.tolist(),
+                          _max_runs(segs[hits], pad, in_band).tolist()):
+            if run >= L:
+                found.append(_detection(trace, n, i, run, params))
+    return found
 
 
 def stft_oracle_detect(trace: Signal,

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecsim.detection import (Algorithm1Params, RumbleEvent, WindowDetection,
-                              detect_stream, match_and_recall,
-                              score_from_run, stft_oracle_detect)
+                              detect_stream, detect_triggers,
+                              match_and_recall, score_from_run,
+                              stft_oracle_detect)
 from hecsim.errors import InvalidInputError
 from hecsim.signals import (RumbleSpec, Signal, synth_rumble,
                             synth_rumble_stream)
@@ -85,19 +86,38 @@ def test_detect_stream_discards_remainder():
     assert detections[1].ds == 2
 
 
-def test_detect_stream_short_trace_yields_nothing():
+BOTH_SCORERS = pytest.mark.parametrize("score", [detect_stream,
+                                                  detect_triggers])
+
+
+@BOTH_SCORERS
+def test_short_trace_yields_nothing(score):
     short = Signal(samples=np.zeros(100), sample_rate_hz=1000.0)
-    assert detect_stream(short, PARAMS) == []
+    assert score(short, PARAMS) == []
 
 
-def test_detect_stream_empty_trace_rejected():
+@BOTH_SCORERS
+def test_empty_trace_rejected(score):
     with pytest.raises(InvalidInputError, match="empty"):
-        detect_stream(Signal(samples=np.zeros(0),
-                             sample_rate_hz=1000.0), PARAMS)
+        score(Signal(samples=np.zeros(0), sample_rate_hz=1000.0), PARAMS)
+
+
+@BOTH_SCORERS
+def test_window_shorter_than_one_sample_rejected(score):
     tiny = Algorithm1Params(window_s=1e-4, subsegment_s=1e-4)
     with pytest.raises(InvalidInputError, match="shorter than one sample"):
-        detect_stream(Signal(samples=np.zeros(100),
-                             sample_rate_hz=1000.0), tiny)
+        score(Signal(samples=np.zeros(100), sample_rate_hz=1000.0), tiny)
+
+
+@BOTH_SCORERS
+@pytest.mark.parametrize("samples", [100, 10])
+def test_subsegment_of_one_sample_rejected(score, samples):
+    # at 8 Hz a 0.125 s sub-segment is one sample; the geometry is checked
+    # before the trace is windowed, so a trace shorter than one window
+    # fails the same way
+    with pytest.raises(InvalidInputError,
+                       match="sub-segment shorter than two samples at 8.0 Hz"):
+        score(Signal(samples=np.zeros(samples), sample_rate_hz=8.0), PARAMS)
 
 
 def test_band_edges_are_strict():
@@ -208,6 +228,95 @@ def test_detect_stream_memory_is_bounded_by_the_chunk():
         tracemalloc.stop()
     assert len(detections) == 900
     assert peak < 4 * 2**20
+
+
+def test_detect_triggers_memory_is_bounded_by_the_chunk():
+    # the screen takes 16 windows at a few sub-segments each per FFT, and
+    # only a block's survivors are scored in full, a chunk at a time
+    trace = Signal(
+        samples=np.random.default_rng(0).standard_normal(3_600_000),
+        sample_rate_hz=1000.0)
+    tracemalloc.start()
+    try:
+        detect_triggers(trace, PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def _check_triggers(trace, params):
+    """detect_triggers returns detect_stream's ds >= 1 windows, each with
+    the per-window reference's run; returns the hits."""
+    hits = detect_triggers(trace, params)
+    assert hits == [d for d in detect_stream(trace, params) if d.ds >= 1]
+    n = int(round(params.window_s * trace.sample_rate_hz))
+    for d in hits:
+        i0 = d.window_index * n
+        assert d.max_run == stft_window_max_run(
+            trace.samples[i0:i0 + n], trace.sample_rate_hz, params)
+    return hits
+
+
+@st.composite
+def run_thresholds(draw):
+    """run_low from 1 to 32, so a trigger needs an in-band run of L = 2 to
+    33 sub-segments: from 16 screened columns of 32 to one (L > 16) or none
+    (L > 32)."""
+    run_low = draw(st.integers(1, 32))
+    return replace(PARAMS, run_low=run_low,
+                   run_high=draw(st.integers(run_low + 1, 40)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seismic_traces(), run_thresholds())
+@example(_three_windows_of(np.sin(2 * np.pi * 30.0 * _T)), PARAMS)
+@example(_three_windows_of(np.sin(2 * np.pi * 30.0 * _T)),
+         replace(PARAMS, run_low=32, run_high=33))
+@example(_three_windows_of(np.sin(2 * np.pi * 30.0 * _T999), rate=999.0),
+         replace(PARAMS, run_low=30, run_high=31))
+def test_detect_triggers_is_the_scoring_windows_of_detect_stream(trace,
+                                                                 params):
+    _check_triggers(trace, params)
+
+
+def _planted_runs(length, rate):
+    """One window per offset of an in-band run of `length` sub-segments,
+    the rest of the window out of band."""
+    sub = int(round(PARAMS.subsegment_s * rate))
+    n = int(round(PARAMS.window_s * rate))
+    k = min(n // sub, PARAMS.subsegments_per_window)
+    t = np.arange(sub) / rate
+    inside, outside = (np.sin(2 * np.pi * f * t) for f in (30.0, 60.0))
+    tail = np.zeros(n - k * sub)
+    return [np.concatenate([inside if o <= j < o + length else outside
+                            for j in range(k)] + [tail])
+            for o in range(k - length + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(run_thresholds(), st.sampled_from([200.0, 999.0, 1000.0]))
+@example(replace(PARAMS, run_low=1, run_high=2), 1000.0)
+@example(PARAMS, 1000.0)
+@example(replace(PARAMS, run_low=15, run_high=16), 1000.0)
+@example(replace(PARAMS, run_low=16, run_high=17), 1000.0)
+@example(replace(PARAMS, run_low=31, run_high=32), 1000.0)
+@example(replace(PARAMS, run_low=32, run_high=33), 1000.0)
+@example(replace(PARAMS, run_low=30, run_high=31), 999.0)
+@example(replace(PARAMS, run_low=32, run_high=33), 999.0)
+def test_detect_triggers_finds_every_planted_run_of_l(params, rate):
+    # an in-band run of L - 1 sub-segments never triggers and one of L
+    # always does, wherever it sits in the window; a silent window closes
+    # the trace, which has no other window once L - 1 exceeds k
+    L = params.run_low + 1
+    short, full = _planted_runs(L - 1, rate), _planted_runs(L, rate)
+    silent = np.zeros(int(round(params.window_s * rate)))
+    trace = Signal(samples=np.concatenate(short + full + [silent]),
+                   sample_rate_hz=rate)
+    hits = _check_triggers(trace, params)
+    assert [d.window_index for d in hits] == list(
+        range(len(short), len(short) + len(full)))
+    assert all(d.max_run == L for d in hits)
 
 
 def test_oracle_finds_one_event_with_tight_bounds():
