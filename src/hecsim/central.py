@@ -27,12 +27,6 @@ from .mesh import check_segment
 from .peripheral import LogAnomaly, NegativeDecision, RepelCommand, ThermalFrame
 from .seeds import derive_seed
 
-# Detector quality reported for the original thermal-image corpus (full
-# precision model vs. the embedded quantized build). That corpus is not
-# bundled, so these are context, not test targets.
-REFERENCE_AP50_FULL = 0.8952
-REFERENCE_AP50_QUANTIZED = 0.6752
-
 
 @dataclass(frozen=True)
 class BoundingBox:

@@ -12,13 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
-from .signals import Signal, compute_stft, default_pad_length
-
-# Recall reported for the original 44-recording field dataset. Context only:
-# that corpus is not available here, so this is not a test target.
-REFERENCE_FIELD_RECALL = 0.82
+# compute_stft is not called here; perfbench's tracer wraps this binding
+from .signals import Signal, compute_stft, default_pad_length  # noqa: F401
 
 # spectrogram frames and rumble band of the reference tracker
 ORACLE_FRAME_S = 0.5
@@ -26,10 +24,8 @@ ORACLE_HOP_S = 0.125
 ORACLE_BAND_LOW_HZ = 20.0
 ORACLE_BAND_HIGH_HZ = 40.0
 
-# windows scored per FFT call; keeps each chunk's complex spectrum near 1 MB
-SCORE_CHUNK_WINDOWS = 8
-# windows screened per FFT call: two chunks' windows, at a few columns each
-SCREEN_BLOCK_WINDOWS = 2 * SCORE_CHUNK_WINDOWS
+# frames per FFT call: 8 windows of 32 sub-segments, about 1 MB of spectra
+FFT_CHUNK_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -143,33 +139,41 @@ def _framing(trace: Signal, params: Algorithm1Params
     return segs, n, pad, in_band
 
 
-def _in_band_flags(segs: np.ndarray, buf: np.ndarray,
-                   in_band: np.ndarray) -> np.ndarray:
-    """Whether each sub-segment of a (windows, columns, sub) array peaks in
-    band, one FFT call for all of them.
+def _in_band_flags(frames: np.ndarray, pad: int, in_band: np.ndarray,
+                   rows: np.ndarray | None = None,
+                   window: np.ndarray | None = None) -> np.ndarray:
+    """Whether each frame of a (rows, columns, m) array, or of its given
+    rows only, peaks in band, FFT_CHUNK_FRAMES frames per FFT call.
 
-    The framing is that of a rectangular-window STFT with the hop equal to
-    the frame: each sub-segment is mean-removed and zero-padded into buf, a
-    (windows, columns, pad) array whose samples past sub stay zero. The peak
-    bin skips DC and ties go to the lowest bin.
+    Each frame is mean-removed, windowed if a window is given and
+    zero-padded to pad in one reused buffer, as compute_stft does. The peak
+    bin skips DC, ties go to the lowest bin, and in_band tests each bin.
     """
-    head = buf[:len(segs)]
-    np.subtract(segs, segs.mean(axis=2, keepdims=True),
-                out=head[:, :, :segs.shape[2]])
-    # rfft of a padded buffer is faster than rfft(n=pad) and gives the same bits
-    spec = np.fft.rfft(head, axis=2)[:, :, 1:]
-    return in_band[np.abs(spec).argmax(axis=2)]
+    count = len(frames) if rows is None else len(rows)
+    cols, m = frames.shape[1:]
+    step = max(1, FFT_CHUNK_FRAMES // cols)
+    buf = np.zeros((min(count, step), cols, pad))
+    flags = np.empty((count, cols), dtype=bool)
+    for i0 in range(0, count, step):
+        chunk = frames[slice(i0, i0 + step) if rows is None
+                       else rows[i0:i0 + step]]
+        head = buf[:len(chunk)]
+        np.subtract(chunk, chunk.mean(axis=2, keepdims=True),
+                    out=head[:, :, :m])
+        if window is not None:
+            head[:, :, :m] *= window
+        # rfft of a padded buffer is faster than rfft(n=pad), same bits
+        spec = np.fft.rfft(head, axis=2)[:, :, 1:]
+        flags[i0:i0 + len(chunk)] = in_band[np.abs(spec).argmax(axis=2)]
+    return flags
 
 
-def _max_runs(segs: np.ndarray, pad: int, in_band: np.ndarray) -> np.ndarray:
+def _max_runs(segs: np.ndarray, pad: int, in_band: np.ndarray,
+              rows: np.ndarray | None = None) -> np.ndarray:
     """Longest in-band sub-segment run of each window of a (windows, k, sub)
-    array, scored SCORE_CHUNK_WINDOWS windows per FFT."""
-    buf = np.zeros((min(len(segs), SCORE_CHUNK_WINDOWS), segs.shape[1], pad))
-    flags = np.empty(segs.shape[:2], dtype=bool)
-    for i0 in range(0, len(segs), SCORE_CHUNK_WINDOWS):
-        chunk = segs[i0:i0 + SCORE_CHUNK_WINDOWS]
-        flags[i0:i0 + len(chunk)] = _in_band_flags(chunk, buf, in_band)
-    best = cur = np.zeros(len(segs), dtype=np.int64)
+    array, or of the windows at the given row indices."""
+    flags = _in_band_flags(segs, pad, in_band, rows)
+    best = cur = np.zeros(len(flags), dtype=np.int64)
     for col in flags.T:
         cur = (cur + 1) * col
         best = np.maximum(best, cur)
@@ -203,25 +207,20 @@ def detect_triggers(trace: Signal,
     A window scores ds >= 1 when it holds an in-band run of L = run_low + 1
     sub-segments. Any L consecutive sub-segments hold exactly one index
     congruent to L - 1 mod L, so a window whose sub-segments L - 1,
-    2L - 1, ... are all out of band cannot score. Those columns are
-    screened first, SCREEN_BLOCK_WINDOWS windows per FFT, and only the
-    windows with one of them in band are scored in full.
+    2L - 1, ... are all out of band cannot score. Those columns of every
+    window are screened first, and only the windows with one of them in
+    band are scored in full.
     """
     segs, n, pad, in_band = _framing(trace, params)
     L = params.run_low + 1
     screen = segs[:, L - 1::L]
     if screen.shape[1] == 0:
         return []
-    buf = np.zeros((min(len(segs), SCREEN_BLOCK_WINDOWS), screen.shape[1], pad))
-    found = []
-    for i0 in range(0, len(segs), SCREEN_BLOCK_WINDOWS):
-        block = screen[i0:i0 + SCREEN_BLOCK_WINDOWS]
-        hits = i0 + np.flatnonzero(_in_band_flags(block, buf, in_band).any(axis=1))
-        for i, run in zip(hits.tolist(),
-                          _max_runs(segs[hits], pad, in_band).tolist()):
-            if run >= L:
-                found.append(_detection(trace, n, i, run, params))
-    return found
+    hits = np.flatnonzero(_in_band_flags(screen, pad, in_band).any(axis=1))
+    return [_detection(trace, n, i, run, params)
+            for i, run in zip(hits.tolist(),
+                              _max_runs(segs, pad, in_band, hits).tolist())
+            if run >= L]
 
 
 def stft_oracle_detect(trace: Signal,
@@ -235,18 +234,22 @@ def stft_oracle_detect(trace: Signal,
     if not min_event_s >= 0:
         raise InvalidInputError(
             f"min_event_s must be non-negative, got {min_event_s!r}")
-    spec = compute_stft(trace, ORACLE_FRAME_S, ORACLE_HOP_S, window_fn="hann")
-    peaks = spec.freqs_hz[np.argmax(spec.magnitudes, axis=1)]
-    in_band = (peaks > ORACLE_BAND_LOW_HZ) & (peaks < ORACLE_BAND_HIGH_HZ)
-
-    events = []
-    for i, j in _runs(in_band):
-        t_start = float(spec.frame_times_s[i])
-        t_end = float(spec.frame_times_s[j - 1]) + ORACLE_FRAME_S
-        if t_end - t_start < min_event_s:
-            continue
-        events.append(RumbleEvent(t_start_s=t_start, t_end_s=t_end))
-    return events
+    x, rate = trace.samples, trace.sample_rate_hz
+    frame, hop = (int(round(s * rate)) for s in (ORACLE_FRAME_S, ORACLE_HOP_S))
+    if frame < 2 or hop < 1:
+        raise InvalidInputError("frame_s and hop_s too small for the rate")
+    if len(x) < frame:
+        raise InvalidInputError("signal shorter than one frame")
+    pad = default_pad_length(frame)
+    freqs = np.fft.rfftfreq(pad, 1.0 / rate)[1:]
+    bins = (freqs > ORACLE_BAND_LOW_HZ) & (freqs < ORACLE_BAND_HIGH_HZ)
+    in_band = _in_band_flags(sliding_window_view(x, frame)[::hop, None], pad,
+                             bins, window=np.hanning(frame))[:, 0]
+    times = trace.start_time_s + np.arange(len(in_band)) * hop / rate
+    events = (RumbleEvent(t_start_s=float(times[i]),
+                          t_end_s=float(times[j - 1]) + ORACLE_FRAME_S)
+              for i, j in _runs(in_band))
+    return [ev for ev in events if ev.duration_s >= min_event_s]
 
 
 def match_and_recall(detections: list[WindowDetection],

@@ -119,7 +119,6 @@ class Scenario(JsonConfig):
 class SimConfig(JsonConfig):
     alg1: Algorithm1Params = Algorithm1Params()
     seismic_rate_hz: float = 1000.0
-    noise_rms: float = 1.0
     pn: PnConfig = PnConfig()
     cn: CnConfig = CnConfig()
     detector_params: StochasticDetectorParams = StochasticDetectorParams()
@@ -130,10 +129,9 @@ class SimConfig(JsonConfig):
     match_horizon_s: float = 30.0
 
     def __post_init__(self):
-        if not 0 < self.seismic_rate_hz < math.inf or \
-                not 0 < self.noise_rms < math.inf:
-            raise InvalidConfigError(
-                "rate and noise level must be positive and finite")
+        if not 0 < self.seismic_rate_hz < math.inf:
+            raise InvalidConfigError("seismic_rate_hz must be positive and "
+                                     f"finite, got {self.seismic_rate_hz!r}")
         for name in ("capture_delay_s", "detector_delay_s"):
             if not 0 <= (value := getattr(self, name)) < math.inf:
                 raise InvalidConfigError(f"{name} {value} is not in [0, inf)")
@@ -441,8 +439,8 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
         for det in detect_triggers(synth_rumble_stream(
                 events, total_s=scenario.duration_s,
                 sample_rate_hz=config.seismic_rate_hz,
-                seed=derive_seed(scenario.master_seed, "seismic", pn_id),
-                noise_rms=config.noise_rms), config.alg1):
+                seed=derive_seed(scenario.master_seed, "seismic", pn_id)),
+                config.alg1):
             t_ready = det.window_start_s + config.alg1.window_s
             run.net.schedule(t_ready, lambda n=pn_id, d=det:
                              run.pn_dispatch(n, d))

@@ -3,10 +3,11 @@
 Everything here is deliberately written the slow, obvious way, without
 sharing code with the package: direct DFT summation instead of FFT, explicit
 threshold enumeration instead of sorted sweeps, closed-form probability
-instead of simulation. Tests compare package output against these. The two
+instead of simulation. Tests compare package output against these. The three
 exceptions read through the package's STFT and pin only what is built on
 top of it: naive_stft_similarity pins the lag search and the frequency-grid
-interpolation, and stft_window_max_run pins the batched window scoring.
+interpolation, stft_window_max_run pins the batched window scoring, and
+stft_tracker_events pins the batched tracker.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import math
 
 import numpy as np
 
+from hecsim.detection import (ORACLE_BAND_HIGH_HZ, ORACLE_BAND_LOW_HZ,
+                              ORACLE_FRAME_S, ORACLE_HOP_S, RumbleEvent)
 from hecsim.deterrent import SIMILARITY_FRAME_S, SIMILARITY_HOP_S
 from hecsim.signals import Signal, compute_stft
 
@@ -77,6 +80,31 @@ def stft_window_max_run(samples, rate, params):
     peaks = spec.freqs_hz[np.argmax(mags, axis=1)]
     return longest_true_run(params.band_low_hz < f < params.band_high_hz
                             for f in peaks)
+
+
+def stft_tracker_events(trace, min_event_s):
+    """Events of the spectrogram tracker, from the whole trace's spectrogram.
+
+    The tracking that hecsim.detection's batched tracker replaced: a Hann
+    STFT of ORACLE_FRAME_S frames every ORACLE_HOP_S, the peak frequency of
+    each frame, and the strict band test. Each maximal run of in-band
+    frames, from its first frame's start to its last frame's end, is an
+    event when it lasts at least min_event_s.
+    """
+    spec = compute_stft(trace, ORACLE_FRAME_S, ORACLE_HOP_S, window_fn="hann")
+    peaks = spec.freqs_hz[np.argmax(spec.magnitudes, axis=1)]
+    flags = [ORACLE_BAND_LOW_HZ < f < ORACLE_BAND_HIGH_HZ for f in peaks]
+    events, first = [], None
+    for i, flag in enumerate(flags + [False]):
+        if flag and first is None:
+            first = i
+        elif not flag and first is not None:
+            t_start = float(spec.frame_times_s[first])
+            t_end = float(spec.frame_times_s[i - 1]) + ORACLE_FRAME_S
+            if t_end - t_start >= min_event_s:
+                events.append(RumbleEvent(t_start_s=t_start, t_end_s=t_end))
+            first = None
+    return events
 
 
 def rumble_instantaneous_freq(t, duration_s, f_start, f_peak, f_end):

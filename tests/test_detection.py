@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hecsim.detection import (Algorithm1Params, RumbleEvent, WindowDetection,
+from hecsim.detection import (FFT_CHUNK_FRAMES, ORACLE_FRAME_S, ORACLE_HOP_S,
+                              Algorithm1Params, RumbleEvent, WindowDetection,
                               detect_stream, detect_triggers,
                               match_and_recall, score_from_run,
                               stft_oracle_detect)
@@ -14,7 +15,7 @@ from hecsim.errors import InvalidInputError
 from hecsim.signals import (RumbleSpec, Signal, synth_rumble,
                             synth_rumble_stream)
 from oracles import (longest_true_run, naive_peak_frequency,
-                     stft_window_max_run)
+                     stft_tracker_events, stft_window_max_run)
 
 PARAMS = Algorithm1Params()
 
@@ -231,8 +232,8 @@ def test_detect_stream_memory_is_bounded_by_the_chunk():
 
 
 def test_detect_triggers_memory_is_bounded_by_the_chunk():
-    # the screen takes 16 windows at a few sub-segments each per FFT, and
-    # only a block's survivors are scored in full, a chunk at a time
+    # the screen takes 64 windows at 4 sub-segments each per FFT, and the
+    # survivors are gathered for full scoring a chunk at a time
     trace = Signal(
         samples=np.random.default_rng(0).standard_normal(3_600_000),
         sample_rate_hz=1000.0)
@@ -354,6 +355,66 @@ def test_oracle_rejects_a_nan_or_negative_min_event():
                            f"non-negative, got {bad!r}"):
             stft_oracle_detect(trace, min_event_s=bad)
     assert len(stft_oracle_detect(trace, min_event_s=0.0)) >= 1
+
+
+@st.composite
+def tracker_traces(draw):
+    """A trace of one FFT chunk of tracker frames, one fewer or one more,
+    plus a part of a hop, at an awkward or easy rate, with up to three
+    rumbles between -8 and 22 dB and a non-zero start time."""
+    rate = draw(st.sampled_from([200.0, 999.0, 1000.0, 1001.0]))
+    frame = int(round(ORACLE_FRAME_S * rate))
+    hop = int(round(ORACLE_HOP_S * rate))
+    frames = FFT_CHUNK_FRAMES + draw(st.sampled_from([-1, 0, 1]))
+    total_s = (frame + (frames - 1) * hop + draw(st.integers(0, hop - 1))) / rate
+    events = []
+    for _ in range(draw(st.integers(0, 3))):
+        duration = draw(st.floats(0.5, 8.0))
+        onset = draw(st.floats(0.0, 1.0)) * (total_s - duration)
+        events.append((onset, RumbleSpec(duration_s=duration,
+                                         snr_db=draw(st.floats(-8.0, 22.0)))))
+    trace = synth_rumble_stream(events, total_s, rate,
+                                seed=draw(st.integers(0, 2**32 - 1)))
+    return Signal(samples=trace.samples, sample_rate_hz=rate,
+                  start_time_s=draw(st.floats(0.5, 1e5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tracker_traces(), st.floats(0.0, 5.0))
+def test_tracker_matches_the_spectrogram_tracker(trace, min_event_s):
+    assert stft_oracle_detect(trace, min_event_s) == stft_tracker_events(
+        trace, min_event_s)
+
+
+def test_tracker_memory_does_not_grow_with_the_trace():
+    # an hour at 1 kHz is 28,797 frames; its whole spectrogram took about
+    # 786 MiB, one chunk of 256 frames takes a few
+    trace = Signal(
+        samples=np.random.default_rng(0).standard_normal(3_600_000),
+        sample_rate_hz=1000.0)
+    tracemalloc.start()
+    try:
+        stft_oracle_detect(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_tracker_rejects_a_trace_shorter_than_one_frame():
+    short = Signal(samples=np.ones(499), sample_rate_hz=1000.0)
+    with pytest.raises(InvalidInputError,
+                       match="^signal shorter than one frame$"):
+        stft_oracle_detect(short)
+
+
+@pytest.mark.parametrize("rate", [1.0, 3.0, 3.99])
+def test_tracker_rejects_a_rate_below_one_sample_per_hop(rate):
+    # below 4 Hz a 0.125 s hop rounds to no sample
+    trace = Signal(samples=np.ones(100), sample_rate_hz=rate)
+    with pytest.raises(InvalidInputError,
+                       match="^frame_s and hop_s too small for the rate$"):
+        stft_oracle_detect(trace)
 
 
 def test_match_and_recall_counts_overlaps():

@@ -138,7 +138,7 @@ def test_sim_config_validation():
         SimConfig(thermal_hold_s=float("nan"))
     # the constructors reject NaN and infinity, not only the file codec
     nan, inf = float("nan"), float("inf")
-    for bad in [{"seismic_rate_hz": nan}, {"noise_rms": inf},
+    for bad in [{"seismic_rate_hz": nan}, {"seismic_rate_hz": inf},
                 {"capture_delay_s": nan}, {"detector_delay_s": nan}]:
         with pytest.raises(InvalidConfigError):
             SimConfig(**bad)
@@ -147,7 +147,10 @@ def test_sim_config_validation():
         # the network lives in the scenario alone
         ({"mesh": {}}, "SimConfig: unknown key 'mesh'"),
         ({"window_s": 4.0}, "SimConfig: unknown key 'window_s'"),
-        ({"noise_rms": "1.0"}, "SimConfig.noise_rms: expected a number"),
+        ({"seismic_rate_hz": "1000.0"},
+         "SimConfig.seismic_rate_hz: expected a number"),
+        # every scorer is scale-invariant, so the noise level is no setting
+        ({"noise_rms": 1.0}, "SimConfig: unknown key 'noise_rms'"),
         # alpha is drawn from deterrent.ALPHA_RANGE alone
         ({"cn": {"deterrent_alpha_range": [0.5, 1.5]}},
          "SimConfig.cn: unknown key 'deterrent_alpha_range'"),
@@ -161,8 +164,8 @@ def test_sim_config_validation():
         # a file number is finite, whichever field it fills
         (json.loads('{"seismic_rate_hz": NaN}'),
          "SimConfig.seismic_rate_hz: expected a finite number"),
-        ({"noise_rms": float("inf")},
-         "SimConfig.noise_rms: expected a finite number"),
+        ({"thermal_hold_s": float("inf")},
+         "SimConfig.thermal_hold_s: expected a finite number"),
         ({"capture_delay_s": float("nan")},
          "SimConfig.capture_delay_s: expected a finite number"),
         ({"pn": {"decision_timeout_s": float("nan")}},
@@ -171,8 +174,8 @@ def test_sim_config_validation():
          "SimConfig: thermal hold and match horizon must be non-negative"),
         ({"match_horizon_s": -1},
          "SimConfig: thermal hold and match horizon must be non-negative"),
-        ({"noise_rms": 10 ** 400},
-         "SimConfig.noise_rms: expected a finite number"),
+        ({"match_horizon_s": 10 ** 400},
+         "SimConfig.match_horizon_s: expected a finite number"),
         ({"alg1": {"window_s": 1e300, "subsegment_s": 1e-300}},
          "SimConfig.alg1: window_s 1e+300 must hold a whole number of "
          "subsegment_s 1e-300"),
@@ -191,7 +194,8 @@ def test_sim_config_validation():
         with pytest.raises(InvalidConfigError, match=re.escape(where)):
             SimConfig.from_json(data)
     # a float field takes a JSON int
-    assert SimConfig.from_json({"noise_rms": 2}).noise_rms == 2.0
+    held = SimConfig.from_json({"thermal_hold_s": 2}).thermal_hold_s
+    assert held == 2.0 and type(held) is float
 
 
 def test_event_outcome_and_report_validation():
@@ -421,10 +425,10 @@ def test_partition_names_must_exist(tmp_path):
 def test_overflowing_rumble_fails_before_any_output(tmp_path):
     loud = tiny_scenario(events=(ElephantEvent(
         t_onset_s=4.25, pn_ids=("pn-1",),
-        rumble=RumbleSpec(duration_s=3.5, snr_db=6160.0)),))
+        rumble=RumbleSpec(duration_s=3.5, snr_db=6164.0)),))
     out = tmp_path / "run"
     with pytest.raises(InvalidInputError, match="event at 4.25 s"):
-        run_scenario_with_logs(loud, SimConfig(noise_rms=10.0), out_dir=out)
+        run_scenario_with_logs(loud, out_dir=out)
     assert not any(out.iterdir())
 
 
