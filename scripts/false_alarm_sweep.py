@@ -6,8 +6,9 @@ each score level. The strict in-band run rule makes ds >= 1 on noise rare;
 this sweep quantifies how rare at a chosen window count. The windows are
 consecutive windows of one white-noise trace, drawn in one call.
 
-The same trace also goes through detect_triggers, the screened scorer the
-scenario runs use; the script exits 1 if it does not return exactly the
+The same trace also goes through TriggerScreen, the screened block-stream
+scorer the scenario runs use, in blocks of 10,007 samples so that windows
+straddle block edges; the script exits 1 if it does not return exactly the
 ds >= 1 windows of detect_stream.
 """
 
@@ -17,7 +18,7 @@ import sys
 
 import numpy as np
 
-from hecsim.detection import Algorithm1Params, detect_stream, detect_triggers
+from hecsim.detection import Algorithm1Params, TriggerScreen, detect_stream
 from hecsim.errors import InvalidInputError
 from hecsim.signals import Signal
 
@@ -53,11 +54,13 @@ def main() -> None:
     print(f"fraction ds>=1: {(counts[1] + counts[2]) / args.windows:.4%}")
 
     hits = [d for d in detections if d.ds >= 1]
-    if detect_triggers(trace, params) != hits:
-        print("detect_triggers differs from detect_stream's ds>=1 windows",
+    x = trace.samples
+    blocks = (x[i:i + 10_007] for i in range(0, len(x), 10_007))
+    if TriggerScreen(args.rate, params)(blocks) != hits:
+        print("TriggerScreen differs from detect_stream's ds>=1 windows",
               file=sys.stderr)
         sys.exit(1)
-    print(f"detect_triggers agrees on all {len(hits)} ds>=1 windows")
+    print(f"TriggerScreen agrees on all {len(hits)} ds>=1 windows")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ slower reference used to label events when scoring recall.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
 # compute_stft is not called here; perfbench's tracer wraps this binding
-from .signals import Signal, compute_stft, default_pad_length  # noqa: F401
+from .signals import (Signal, check_rate, compute_stft,  # noqa: F401
+                      default_pad_length)
 
 # spectrogram frames and rumble band of the reference tracker
 ORACLE_FRAME_S = 0.5
@@ -109,18 +111,14 @@ def _runs(flags: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(padded)).reshape(-1, 2)
 
 
-def _framing(trace: Signal, params: Algorithm1Params
-             ) -> tuple[np.ndarray, int, int, np.ndarray]:
-    """Check a trace's window and sub-segment geometry and frame it.
+def _geometry(rate: float, params: Algorithm1Params
+              ) -> tuple[int, int, int, int, np.ndarray]:
+    """Check the window and sub-segment geometry at a sample rate.
 
-    Returns the full windows as a (windows, k, sub) view of the samples,
-    the window length n, the FFT length and the in-band test of each bin
-    above DC. The trace's remainder is ignored, and so is a window's tail
-    shorter than one sub-segment.
+    Returns the window length n, the sub-segments k per window and their
+    length, the FFT length and the in-band test of each bin above DC. A
+    window's tail shorter than one sub-segment is ignored.
     """
-    x, rate = trace.samples, trace.sample_rate_hz
-    if len(x) == 0:
-        raise InvalidInputError("cannot window an empty trace")
     n = int(round(params.window_s * rate))
     if n < 1:
         raise InvalidInputError("window shorter than one sample")
@@ -134,58 +132,84 @@ def _framing(trace: Signal, params: Algorithm1Params
     pad = default_pad_length(sub)
     freqs = np.fft.rfftfreq(pad, 1.0 / rate)[1:]
     in_band = (freqs > params.band_low_hz) & (freqs < params.band_high_hz)
+    return n, k, sub, pad, in_band
+
+
+def _windows(x: np.ndarray, n: int, k: int, sub: int) -> np.ndarray:
+    """The full windows of x as a (windows, k, sub) view; the remainder
+    is left out."""
     count = len(x) // n
-    segs = x[:count * n].reshape(count, n)[:, :k * sub].reshape(count, k, sub)
-    return segs, n, pad, in_band
+    return x[:count * n].reshape(count, n)[:, :k * sub].reshape(count, k, sub)
+
+
+def _fft_scratch(frames: int, pad: int) -> tuple[np.ndarray, ...]:
+    """Zero-padded input, spectrum and magnitudes above DC for up to frames
+    frames.
+
+    Scratch reused for frames of one length m keeps its padding zero,
+    since only the first m samples of a row are ever written.
+    """
+    bins = pad // 2 + 1
+    return (np.zeros((frames, pad)), np.empty((frames, bins), complex),
+            np.empty((frames, bins - 1)))
 
 
 def _in_band_flags(frames: np.ndarray, pad: int, in_band: np.ndarray,
                    rows: np.ndarray | None = None,
-                   window: np.ndarray | None = None) -> np.ndarray:
+                   window: np.ndarray | None = None,
+                   scratch: tuple[np.ndarray, ...] | None = None
+                   ) -> np.ndarray:
     """Whether each frame of a (rows, columns, m) array, or of its given
     rows only, peaks in band, FFT_CHUNK_FRAMES frames per FFT call.
 
     Each frame is mean-removed, windowed if a window is given and
-    zero-padded to pad in one reused buffer, as compute_stft does. The peak
-    bin skips DC, ties go to the lowest bin, and in_band tests each bin.
+    zero-padded to pad, as compute_stft does, in scratch from _fft_scratch
+    for at least max(FFT_CHUNK_FRAMES, columns) frames of m samples, or in
+    scratch made for this call. The peak bin skips DC, ties go to the
+    lowest bin, and in_band tests each bin.
     """
     count = len(frames) if rows is None else len(rows)
     cols, m = frames.shape[1:]
     step = max(1, FFT_CHUNK_FRAMES // cols)
-    buf = np.zeros((min(count, step), cols, pad))
+    rows_per_fft = min(count, step)
+    if scratch is None:
+        scratch = _fft_scratch(rows_per_fft * cols, pad)
+    buf, spec, mags = (a[:rows_per_fft * cols].reshape(rows_per_fft, cols,
+                                                       a.shape[1])
+                       for a in scratch)
     flags = np.empty((count, cols), dtype=bool)
     for i0 in range(0, count, step):
         chunk = frames[slice(i0, i0 + step) if rows is None
                        else rows[i0:i0 + step]]
-        head = buf[:len(chunk)]
+        c = len(chunk)
         np.subtract(chunk, chunk.mean(axis=2, keepdims=True),
-                    out=head[:, :, :m])
+                    out=buf[:c, :, :m])
         if window is not None:
-            head[:, :, :m] *= window
+            buf[:c, :, :m] *= window
         # rfft of a padded buffer is faster than rfft(n=pad), same bits
-        spec = np.fft.rfft(head, axis=2)[:, :, 1:]
-        flags[i0:i0 + len(chunk)] = in_band[np.abs(spec).argmax(axis=2)]
+        np.fft.rfft(buf[:c], axis=2, out=spec[:c])
+        # argmax copies a strided array, so DC is dropped before it
+        np.abs(spec[:c, :, 1:], out=mags[:c])
+        flags[i0:i0 + c] = in_band[mags[:c].argmax(axis=2)]
     return flags
 
 
 def _max_runs(segs: np.ndarray, pad: int, in_band: np.ndarray,
-              rows: np.ndarray | None = None) -> np.ndarray:
+              rows: np.ndarray | None = None,
+              scratch: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Longest in-band sub-segment run of each window of a (windows, k, sub)
     array, or of the windows at the given row indices."""
-    flags = _in_band_flags(segs, pad, in_band, rows)
-    best = cur = np.zeros(len(flags), dtype=np.int64)
-    for col in flags.T:
-        cur = (cur + 1) * col
-        best = np.maximum(best, cur)
-    return best
+    flags = _in_band_flags(segs, pad, in_band, rows, scratch=scratch)
+    # in-band count so far, less the count at the last out-of-band reading
+    count = flags.cumsum(axis=1)
+    since = np.maximum.accumulate(np.where(flags, 0, count), axis=1)
+    return (count - since).max(axis=1, initial=0)
 
 
-def _detection(trace: Signal, n: int, i: int, run: int,
+def _detection(start_s: float, rate: float, n: int, i: int, run: int,
                params: Algorithm1Params) -> WindowDetection:
     return WindowDetection(window_index=i, ds=score_from_run(run, params),
-                           max_run=run,
-                           window_start_s=trace.start_time_s
-                           + i * n / trace.sample_rate_hz)
+                           max_run=run, window_start_s=start_s + i * n / rate)
 
 
 def detect_stream(trace: Signal,
@@ -195,14 +219,29 @@ def detect_stream(trace: Signal,
     Each window keeps its absolute start time, so detections sit on the
     trace's own timeline.
     """
-    segs, n, pad, in_band = _framing(trace, params)
-    return [_detection(trace, n, i, run, params)
-            for i, run in enumerate(_max_runs(segs, pad, in_band).tolist())]
+    x, rate = trace.samples, trace.sample_rate_hz
+    if len(x) == 0:
+        raise InvalidInputError("cannot window an empty trace")
+    n, k, sub, pad, in_band = _geometry(rate, params)
+    runs = _max_runs(_windows(x, n, k, sub), pad, in_band)
+    return [_detection(trace.start_time_s, rate, n, i, run, params)
+            for i, run in enumerate(runs.tolist())]
 
 
-def detect_triggers(trace: Signal,
-                    params: Algorithm1Params = Algorithm1Params()) -> list[WindowDetection]:
-    """The windows of detect_stream that score ds >= 1, and only those.
+class TriggerScreen:
+    """Finds the windows of detect_stream that score ds >= 1, and only
+    those, in streams of consecutive sample blocks at one rate.
+
+    The geometry is checked and the FFT scratch made once, for every stream
+    the screen scores; fresh scratch per stream or per block costs page
+    faults, since glibc trims and re-faults it. A window may straddle
+    blocks: the samples after a block's last full window are kept,
+    and the window they begin is joined from them and the head of the next
+    block, so a block may be overwritten once the next is drawn and no
+    block is copied whole. A stream's remainder is ignored, and a stream of
+    no sample scores nothing. Window indices and start times count from
+    the stream's start, so a whole trace given as one block gives the same
+    detections as in blocks.
 
     A window scores ds >= 1 when it holds an in-band run of L = run_low + 1
     sub-segments. Any L consecutive sub-segments hold exactly one index
@@ -211,16 +250,49 @@ def detect_triggers(trace: Signal,
     window are screened first, and only the windows with one of them in
     band are scored in full.
     """
-    segs, n, pad, in_band = _framing(trace, params)
-    L = params.run_low + 1
-    screen = segs[:, L - 1::L]
-    if screen.shape[1] == 0:
-        return []
-    hits = np.flatnonzero(_in_band_flags(screen, pad, in_band).any(axis=1))
-    return [_detection(trace, n, i, run, params)
-            for i, run in zip(hits.tolist(),
-                              _max_runs(segs, pad, in_band, hits).tolist())
-            if run >= L]
+
+    def __init__(self, sample_rate_hz: float,
+                 params: Algorithm1Params = Algorithm1Params()):
+        check_rate(sample_rate_hz)
+        self.rate, self.params = sample_rate_hz, params
+        self.geometry = _geometry(sample_rate_hz, params)
+        _, k, _, pad, _ = self.geometry
+        self.scratch = _fft_scratch(max(FFT_CHUNK_FRAMES, k), pad)
+
+    def __call__(self, blocks: Iterable[np.ndarray],
+                 start_time_s: float = 0.0) -> list[WindowDetection]:
+        n, k, sub, pad, in_band = self.geometry
+        L = self.params.run_low + 1
+        if L > k:
+            return []
+        found: list[WindowDetection] = []
+        first = 0  # stream index of the next window to score
+
+        def score(x: np.ndarray) -> np.ndarray:
+            """Score the full windows of x; returns its remainder."""
+            nonlocal first
+            segs = _windows(x, n, k, sub)
+            hits = np.flatnonzero(_in_band_flags(
+                segs[:, L - 1::L], pad, in_band,
+                scratch=self.scratch).any(axis=1))
+            runs = _max_runs(segs, pad, in_band, hits, self.scratch)
+            found.extend(_detection(start_time_s, self.rate, n, first + i,
+                                    run, self.params)
+                         for i, run in zip(hits.tolist(), runs.tolist())
+                         if run >= L)
+            first += len(segs)
+            return x[len(segs) * n:]
+
+        carry = np.zeros(0)
+        for block in blocks:
+            if len(carry):
+                head = np.concatenate((carry, block[:n - len(carry)]))
+                block = block[n - len(carry):]
+                carry = score(head)
+                if len(carry):  # the block ended inside the joined window
+                    continue
+            carry = score(block).copy()
+        return found
 
 
 def stft_oracle_detect(trace: Signal,

@@ -3,9 +3,10 @@
 A Scenario says where the peripheral nodes stand, when elephants pass
 which of them and which network joins them; a SimConfig says how the nodes
 behave.
-run_scenario_with_logs synthesizes one seismic trace per node, scores every
-window, and drives the peripheral and central state machines through the
-simulated mesh in a single discrete-event loop. Every random choice descends
+run_scenario_with_logs synthesizes each node's seismic trace in fixed blocks
+and scores each block as it is made, so no whole trace is ever held. It
+drives the peripheral and central state machines through the simulated mesh
+in a single discrete-event loop. Every random choice descends
 from the scenario's master seed through labeled sub-seeds, so the same
 scenario and seed produce byte-identical outputs.
 
@@ -21,13 +22,15 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .central import (CnConfig, CnState, OracleDetector, StochasticDetector,
                       StochasticDetectorParams, WarningKind, WarningRecord,
                       cn_step, detect_frame)
 from .codec import JsonConfig, encode
 # detect_stream is not called here; perfbench's tracer wraps this binding
-from .detection import (Algorithm1Params, WindowDetection,  # noqa: F401
-                        detect_stream, detect_triggers)
+from .detection import (Algorithm1Params, TriggerScreen,  # noqa: F401
+                        WindowDetection, detect_stream)
 from .errors import InvalidConfigError, InvalidInputError
 from .mesh import (MeshNetwork, NetworkConfig, QoS, check_segment,
                    heartbeat_and_failover)
@@ -35,7 +38,9 @@ from .peripheral import (IR_POWERED_STATES, CaptureFrame, NegativeDecision,
                          PnConfig, PnState, RepelCommand, ThermalFrame,
                          TimerExpired, pn_step)
 from .seeds import derive_seed
-from .signals import RumbleSpec, synth_rumble_stream
+# synth_rumble_stream is not called here; perfbench's tracer wraps it
+from .signals import (BLOCK_SAMPLES, RumbleSpec,  # noqa: F401
+                      synth_rumble_blocks, synth_rumble_stream)
 from .sigio import write_jsonl
 
 
@@ -104,7 +109,7 @@ class Scenario(JsonConfig):
                                          "a broker in network.brokers")
         known = set(ids)
         for ev in self.events:
-            # the same tolerance synth_rumble_stream applies to the stream end
+            # the same tolerance synth_rumble_blocks applies to the stream end
             if ev.t_onset_s + ev.rumble.duration_s > self.duration_s + 1e-9:
                 raise InvalidConfigError("event rumble runs past the end of the scenario")
             missing = set(ev.pn_ids) - known
@@ -430,20 +435,24 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
     # seismic synthesis and window scoring, per node, up front; the event
     # loop consumes each score at its window's end time. A window scoring 0
     # triggers nothing (ds_threshold is at least 1), so only the windows
-    # scoring ds >= 1 are scored in full and scheduled.
-    # No name holds a node's trace, so it is freed before the next is made
+    # scoring ds >= 1 are scored in full and scheduled. Each node's trace
+    # is made and scored a block at a time and never held whole; one block
+    # buffer and one screen serve every node.
+    block = np.empty(BLOCK_SAMPLES)
+    screen = TriggerScreen(config.seismic_rate_hz, config.alg1)
     for placement in scenario.pns:
         pn_id = placement.node_id
         events = [(ev.t_onset_s, ev.rumble) for ev in scenario.events
                   if pn_id in ev.pn_ids]
-        for det in detect_triggers(synth_rumble_stream(
+        for det in screen(synth_rumble_blocks(
                 events, total_s=scenario.duration_s,
                 sample_rate_hz=config.seismic_rate_hz,
-                seed=derive_seed(scenario.master_seed, "seismic", pn_id)),
-                config.alg1):
+                seed=derive_seed(scenario.master_seed, "seismic", pn_id),
+                out=block)):
             t_ready = det.window_start_s + config.alg1.window_s
             run.net.schedule(t_ready, lambda n=pn_id, d=det:
                              run.pn_dispatch(n, d))
+    del block, screen  # 4.6 MB the event loop need not hold
 
     run.net.run_until(scenario.duration_s)
 

@@ -9,12 +9,18 @@ land on the mean.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
+
+
+# samples per synthesis block: 64 four-second windows at 1 kHz, 2 MB of
+# float64, one screen FFT batch of detection.TriggerScreen
+BLOCK_SAMPLES = 256_000
 
 
 def next_pow2(n: int) -> int:
@@ -185,11 +191,46 @@ def synth_rumble_stream(events: list[tuple[float, RumbleSpec]], total_s: float,
     """Background noise of the given RMS with one chirp added per event.
 
     Each event is (onset_s, spec); its chirp is scaled so that chirp RMS over
-    noise RMS matches spec.snr_db. Events may overlap.
+    noise RMS matches spec.snr_db. Events may overlap. This is
+    synth_rumble_blocks with the whole trace as its one block.
     """
-    rng = np.random.default_rng(seed)
     n = sample_count(total_s, sample_rate_hz)
-    x = rng.standard_normal(n) * noise_rms
+    chirps = _scaled_chirps(events, total_s, sample_rate_hz, noise_rms, n)
+    x = np.empty(max(n, 1))
+    next(_noise_blocks(np.random.default_rng(seed), n, noise_rms, chirps, x),
+         None)
+    return Signal(samples=x[:n], sample_rate_hz=sample_rate_hz)
+
+
+def synth_rumble_blocks(events: list[tuple[float, RumbleSpec]], total_s: float,
+                        sample_rate_hz: float = 1000.0, seed: int = 0,
+                        noise_rms: float = 1.0,
+                        out: np.ndarray | None = None
+                        ) -> Iterator[np.ndarray]:
+    """synth_rumble_stream's samples as consecutive blocks, the last one
+    shorter; a stream of no sample has no block.
+
+    Each block is drawn into the head of out, a non-empty float64 buffer
+    whose length is the block length (BLOCK_SAMPLES when none is given),
+    so the next block overwrites it: copy a block to keep it. One buffer
+    can serve stream after stream. Every event is checked, and its scaled
+    chirp made, before any noise is drawn. The blocks join to the whole
+    trace bit for bit: the generator draws the same normal stream in
+    pieces, and each chirp sample is added to its noise sample alone.
+    """
+    n = sample_count(total_s, sample_rate_hz)
+    chirps = _scaled_chirps(events, total_s, sample_rate_hz, noise_rms, n)
+    if out is None:
+        out = np.empty(max(1, min(n, BLOCK_SAMPLES)))
+    return _noise_blocks(np.random.default_rng(seed), n, noise_rms, chirps,
+                         out)
+
+
+def _scaled_chirps(events: list[tuple[float, RumbleSpec]], total_s: float,
+                   sample_rate_hz: float, noise_rms: float, n: int) -> list:
+    """(first sample, scaled chirp clipped to the n samples) of each event,
+    every event checked to fit and to scale to finite samples."""
+    chirps = []
     for onset_s, spec in events:
         if not (onset_s >= 0 and onset_s + spec.duration_s <= total_s + 1e-9):
             raise InvalidInputError("event does not fit in the stream")
@@ -199,9 +240,23 @@ def synth_rumble_stream(events: list[tuple[float, RumbleSpec]], total_s: float,
         if not math.isfinite(scale):
             raise InvalidInputError(f"event at {onset_s} s: chirp scale overflows")
         i0 = int(round(onset_s * sample_rate_hz))
-        seg = chirp[:max(0, n - i0)] * scale
-        x[i0:i0 + len(seg)] += seg
-    return Signal(samples=x, sample_rate_hz=sample_rate_hz)
+        chirps.append((i0, chirp[:max(0, n - i0)] * scale))
+    return chirps
+
+
+def _noise_blocks(rng: np.random.Generator, n: int, noise_rms: float,
+                  chirps: list, out: np.ndarray) -> Iterator[np.ndarray]:
+    for b0 in range(0, n, len(out)):
+        x = out[:min(len(out), n - b0)]
+        rng.standard_normal(out=x)
+        if noise_rms != 1.0:  # x * 1.0 is x, so the pass is skipped
+            x *= noise_rms
+        b1 = b0 + len(x)
+        for i0, chirp in chirps:
+            lo, hi = max(i0, b0), min(i0 + len(chirp), b1)
+            if lo < hi:
+                x[lo - b0:hi - b0] += chirp[lo - i0:hi - i0]
+        yield x
 
 
 def synth_bee_buzz(duration_s: float = 2.0, sample_rate_hz: float = 8000.0,

@@ -7,13 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecsim.detection import (FFT_CHUNK_FRAMES, ORACLE_FRAME_S, ORACLE_HOP_S,
-                              Algorithm1Params, RumbleEvent, WindowDetection,
-                              detect_stream, detect_triggers,
-                              match_and_recall, score_from_run,
-                              stft_oracle_detect)
+                              Algorithm1Params, RumbleEvent, TriggerScreen,
+                              WindowDetection, detect_stream, match_and_recall,
+                              score_from_run, stft_oracle_detect)
 from hecsim.errors import InvalidInputError
 from hecsim.signals import (RumbleSpec, Signal, synth_rumble,
-                            synth_rumble_stream)
+                            synth_rumble_blocks, synth_rumble_stream)
 from oracles import (longest_true_run, naive_peak_frequency,
                      stft_tracker_events, stft_window_max_run)
 
@@ -87,8 +86,15 @@ def test_detect_stream_discards_remainder():
     assert detections[1].ds == 2
 
 
-BOTH_SCORERS = pytest.mark.parametrize("score", [detect_stream,
-                                                  detect_triggers])
+def triggers_of(trace, params=PARAMS):
+    """A trigger screen on a whole trace, given as a stream of one block."""
+    return TriggerScreen(trace.sample_rate_hz, params)([trace.samples],
+                                                       trace.start_time_s)
+
+
+BOTH_SCORERS = pytest.mark.parametrize(
+    "score", [detect_stream, triggers_of],
+    ids=["detect_stream", "detect_triggers"])
 
 
 @BOTH_SCORERS
@@ -97,10 +103,25 @@ def test_short_trace_yields_nothing(score):
     assert score(short, PARAMS) == []
 
 
-@BOTH_SCORERS
-def test_empty_trace_rejected(score):
+def test_empty_trace_rejected():
     with pytest.raises(InvalidInputError, match="empty"):
-        score(Signal(samples=np.zeros(0), sample_rate_hz=1000.0), PARAMS)
+        detect_stream(Signal(samples=np.zeros(0), sample_rate_hz=1000.0),
+                      PARAMS)
+
+
+@pytest.mark.parametrize("blocks", [[], [np.zeros(0)], [np.zeros(0)] * 3],
+                         ids=["no_block", "one_empty_block",
+                              "three_empty_blocks"])
+def test_empty_stream_scores_nothing(blocks):
+    # a stream holds no window until its blocks fill one, so a stream of
+    # no sample is scored like one shorter than a window
+    assert TriggerScreen(1000.0, PARAMS)(blocks) == []
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_stream_rate_must_be_positive_and_finite(rate):
+    with pytest.raises(InvalidInputError, match="sample rate must be"):
+        TriggerScreen(rate, PARAMS)
 
 
 @BOTH_SCORERS
@@ -233,23 +254,43 @@ def test_detect_stream_memory_is_bounded_by_the_chunk():
 
 def test_detect_triggers_memory_is_bounded_by_the_chunk():
     # the screen takes 64 windows at 4 sub-segments each per FFT, and the
-    # survivors are gathered for full scoring a chunk at a time
+    # survivors are gathered for full scoring a chunk at a time; an hour
+    # given as one block makes one FFT scratch
     trace = Signal(
         samples=np.random.default_rng(0).standard_normal(3_600_000),
         sample_rate_hz=1000.0)
     tracemalloc.start()
     try:
-        detect_triggers(trace, PARAMS)
+        triggers_of(trace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("rate", [1000.0, 999.0])
+def test_streamed_scoring_memory_is_bounded_by_the_block(rate):
+    # an hour at 1 kHz is 28.8 MB as one trace; made and scored in blocks
+    # of BLOCK_SAMPLES, one 2 MB block buffer and the FFT scratch are alive.
+    # At 999 Hz a window straddles every block edge, and only that window
+    # is joined: a carry copied onto each whole block would take 2 MB more.
+    # A first short stream keeps numpy's one-off FFT set-up out of the peak
+    TriggerScreen(rate, PARAMS)([np.zeros(8000)])
+    tracemalloc.start()
+    try:
+        triggers = TriggerScreen(rate, PARAMS)(
+            synth_rumble_blocks([], 3600.0, sample_rate_hz=rate, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert triggers == []
+    assert peak < 6 * 2**20
+
+
 def _check_triggers(trace, params):
-    """detect_triggers returns detect_stream's ds >= 1 windows, each with
+    """The trigger screen returns detect_stream's ds >= 1 windows, each with
     the per-window reference's run; returns the hits."""
-    hits = detect_triggers(trace, params)
+    hits = triggers_of(trace, params)
     assert hits == [d for d in detect_stream(trace, params) if d.ds >= 1]
     n = int(round(params.window_s * trace.sample_rate_hz))
     for d in hits:
@@ -279,6 +320,59 @@ def run_thresholds(draw):
 def test_detect_triggers_is_the_scoring_windows_of_detect_stream(trace,
                                                                  params):
     _check_triggers(trace, params)
+
+
+@st.composite
+def block_streams(draw):
+    """A trace of 1 to 6 windows plus a remainder at an awkward or easy
+    rate, with up to three rumbles that may overlap, a non-zero start time,
+    a synthesis block length from 1 sample to three windows, and cuts that
+    split the whole trace into up to nine uneven blocks."""
+    rate = draw(st.sampled_from([200.0, 999.0, 1000.0, 1001.0]))
+    n = int(round(PARAMS.window_s * rate))
+    samples = draw(st.integers(1, 6)) * n + draw(st.integers(0, n - 1))
+    total_s = samples / rate
+    events = []
+    for _ in range(draw(st.integers(0, 3))):
+        duration = min(draw(st.floats(0.5, 5.0)), total_s)
+        onset = draw(st.floats(0.0, 1.0)) * (total_s - duration)
+        events.append((onset, RumbleSpec(duration_s=duration,
+                                         snr_db=draw(st.floats(-8.0, 22.0)))))
+    synth = dict(events=events, total_s=total_s, sample_rate_hz=rate,
+                 seed=draw(st.integers(0, 2**32 - 1)))
+    block = draw(st.one_of(st.integers(1, 64), st.integers(1, 3 * n)))
+    cuts = sorted(draw(st.lists(st.integers(0, samples), max_size=8)))
+    return synth, block, cuts, draw(st.floats(0.5, 1e5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_streams(), run_thresholds())
+@example(({"events": [(3.9, RumbleSpec(duration_s=3.0, snr_db=20.0)),
+                      (4.5, RumbleSpec(duration_s=2.0, snr_db=10.0))],
+           "total_s": 12.5, "sample_rate_hz": 1000.0, "seed": 3},
+          1, [3999, 4000, 4001, 6000], 7.25), PARAMS)
+@example(({"events": [(0.2, RumbleSpec(duration_s=3.5, snr_db=20.0))],
+           "total_s": 8.0, "sample_rate_hz": 999.0, "seed": 1},
+          3996, [], 2.0), PARAMS)
+def test_block_splits_change_nothing(stream, params):
+    # the blocks join to the whole trace bit for bit, and scoring the
+    # trace in any split gives the ds >= 1 windows of the whole trace, on
+    # its timeline; one block buffer and one screen serve every stream, as
+    # in a scenario run, so each stream is made and scored twice
+    synth, block, cuts, start_s = stream
+    whole = synth_rumble_stream(**synth)
+    rate = whole.sample_rate_hz
+    expected = [d for d in detect_stream(
+        replace(whole, start_time_s=start_s), params) if d.ds >= 1]
+    out, screen = np.empty(block), TriggerScreen(rate, params)
+    for _ in range(2):
+        # each block is overwritten by the next, so each is copied
+        joined = np.concatenate([np.zeros(0), *(
+            b.copy() for b in synth_rumble_blocks(**synth, out=out))])
+        assert joined.tobytes() == whole.samples.tobytes()
+        assert screen(synth_rumble_blocks(**synth, out=out),
+                      start_s) == expected
+        assert screen(np.split(whole.samples, cuts), start_s) == expected
 
 
 def _planted_runs(length, rate):

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -430,6 +431,34 @@ def test_overflowing_rumble_fails_before_any_output(tmp_path):
     with pytest.raises(InvalidInputError, match="event at 4.25 s"):
         run_scenario_with_logs(loud, out_dir=out)
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("duration_s", [0.0004, 2.0])
+def test_a_scenario_shorter_than_one_window_runs_and_scores_nothing(
+        duration_s):
+    # at 1 kHz 0.4 ms is no sample and 2 s half a window; neither holds a
+    # window to score, so both run with no seismic row
+    report, logs = run_scenario_with_logs(tiny_scenario(
+        duration_s=duration_s, events=()))
+    assert report.recall is None
+    assert not any(r["action"].startswith("seismic_score")
+                   for r in logs.actions)
+
+
+def test_run_path_memory_is_bounded_by_the_block():
+    # one node for 2 h at 1 kHz is a 57.6 MB trace; it is made and scored
+    # in blocks, so no whole trace is ever held
+    sc = tiny_scenario(duration_s=7200.0, events=(ElephantEvent(
+        t_onset_s=3600.25, pn_ids=("pn-1",),
+        rumble=RumbleSpec(duration_s=3.5, snr_db=18.0)),))
+    tracemalloc.start()
+    try:
+        report, _ = run_scenario_with_logs(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.events[0].detected
+    assert peak < 24 * 2**20
 
 
 def test_run_survives_broker_failover():

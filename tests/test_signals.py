@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hecsim.deterrent import generate_pink_noise
 from hecsim.errors import InvalidInputError
 from hecsim.signals import (RumbleSpec, Signal, chirp_waveform,
                             compute_stft, default_pad_length, next_pow2,
-                            synth_bee_buzz, synth_rumble, synth_rumble_stream)
+                            synth_bee_buzz, synth_rumble, synth_rumble_blocks,
+                            synth_rumble_stream)
 from oracles import naive_dft_magnitudes, rumble_instantaneous_freq
 
 
@@ -136,6 +139,27 @@ def test_synth_rumble_stream_rejects_overflowing_chirp():
     with pytest.raises(InvalidInputError, match="event at 1.0 s"):
         synth_rumble_stream([(1.0, RumbleSpec(3.5, snr_db=6160.0))],
                             total_s=8.0, noise_rms=10.0)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((3598.0, RumbleSpec(3.5)), "event does not fit in the stream"),
+    ((3000.0, RumbleSpec(3.5, snr_db=6160.0)), "event at 3000.0 s"),
+])
+def test_every_event_is_checked_before_any_noise_is_drawn(bad, message):
+    # an hour at 1 kHz is 28.8 MB of noise; a bad last event must fail
+    # before any of it exists, whether the trace is asked for whole or in
+    # blocks
+    events = [(10.0, RumbleSpec(3.5)), (20.0, RumbleSpec(4.0)), bad]
+    for call in (lambda: synth_rumble_stream(events, 3600.0, noise_rms=10.0),
+                 lambda: synth_rumble_blocks(events, 3600.0, noise_rms=10.0)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match=message):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_synthesis_needs_a_finite_rate_and_duration():
