@@ -7,9 +7,9 @@ this sweep quantifies how rare at a chosen window count. The windows are
 consecutive windows of one white-noise trace, drawn in one call.
 
 The same trace also goes through TriggerScreen, the screened block-stream
-scorer the scenario runs use, in blocks of 10,007 samples so that windows
-straddle block edges; the script exits 1 if it does not return exactly the
-ds >= 1 windows of detect_stream.
+scorer the scenario runs use, in the blocks of whole windows a scenario run
+gives it (block_samples); the script exits 1 if it does not return exactly
+the ds >= 1 windows of detect_stream.
 """
 
 import argparse
@@ -54,9 +54,9 @@ def main() -> None:
     print(f"fraction ds>=1: {(counts[1] + counts[2]) / args.windows:.4%}")
 
     hits = [d for d in detections if d.ds >= 1]
-    x = trace.samples
-    blocks = (x[i:i + 10_007] for i in range(0, len(x), 10_007))
-    if TriggerScreen(args.rate, params)(blocks) != hits:
+    screen, x = TriggerScreen(args.rate, params), trace.samples
+    step = screen.block_samples
+    if screen(x[i:i + step] for i in range(0, len(x), step)) != hits:
         print("TriggerScreen differs from detect_stream's ds>=1 windows",
               file=sys.stderr)
         sys.exit(1)

@@ -28,6 +28,9 @@ ORACLE_BAND_HIGH_HZ = 40.0
 
 # frames per FFT call: 8 windows of 32 sub-segments, about 1 MB of spectra
 FFT_CHUNK_FRAMES = 256
+# windows per block of a scored stream: one screen FFT call at 4 screened
+# sub-segments a window, 256,000 samples (2 MB of float64) at 1 kHz
+BLOCK_WINDOWS = 64
 
 
 @dataclass(frozen=True)
@@ -234,13 +237,13 @@ class TriggerScreen:
 
     The geometry is checked and the FFT scratch made once, for every stream
     the screen scores; fresh scratch per stream or per block costs page
-    faults, since glibc trims and re-faults it. A window may straddle
-    blocks: the samples after a block's last full window are kept,
-    and the window they begin is joined from them and the head of the next
-    block, so a block may be overwritten once the next is drawn and no
-    block is copied whole. A stream's remainder is ignored, and a stream of
-    no sample scores nothing. Window indices and start times count from
-    the stream's start, so a whole trace given as one block gives the same
+    faults, since glibc trims and re-faults it. Each block is scored as it
+    arrives, so it may be overwritten once the next is drawn. Every block
+    but the last holds whole windows, block_samples (BLOCK_WINDOWS windows)
+    in a scenario run; a block after one that ends inside a window is
+    rejected. The last block's remainder is ignored, and a stream of no
+    sample scores nothing. Window indices and start times count from the
+    stream's start, so a whole trace given as one block gives the same
     detections as in blocks.
 
     A window scores ds >= 1 when it holds an in-band run of L = run_low + 1
@@ -256,7 +259,8 @@ class TriggerScreen:
         check_rate(sample_rate_hz)
         self.rate, self.params = sample_rate_hz, params
         self.geometry = _geometry(sample_rate_hz, params)
-        _, k, _, pad, _ = self.geometry
+        n, k, _, pad, _ = self.geometry
+        self.block_samples = BLOCK_WINDOWS * n
         self.scratch = _fft_scratch(max(FFT_CHUNK_FRAMES, k), pad)
 
     def __call__(self, blocks: Iterable[np.ndarray],
@@ -266,12 +270,15 @@ class TriggerScreen:
         if L > k:
             return []
         found: list[WindowDetection] = []
-        first = 0  # stream index of the next window to score
-
-        def score(x: np.ndarray) -> np.ndarray:
-            """Score the full windows of x; returns its remainder."""
-            nonlocal first
-            segs = _windows(x, n, k, sub)
+        # stream index of the block's first window, and the samples left
+        # after the last full window of the block before
+        first = tail = 0
+        for block in blocks:
+            if tail:
+                raise InvalidInputError(
+                    f"a block before the last ends inside window {first}"
+                    f", after {tail} of its {n} samples")
+            segs = _windows(block, n, k, sub)
             hits = np.flatnonzero(_in_band_flags(
                 segs[:, L - 1::L], pad, in_band,
                 scratch=self.scratch).any(axis=1))
@@ -280,18 +287,7 @@ class TriggerScreen:
                                     run, self.params)
                          for i, run in zip(hits.tolist(), runs.tolist())
                          if run >= L)
-            first += len(segs)
-            return x[len(segs) * n:]
-
-        carry = np.zeros(0)
-        for block in blocks:
-            if len(carry):
-                head = np.concatenate((carry, block[:n - len(carry)]))
-                block = block[n - len(carry):]
-                carry = score(head)
-                if len(carry):  # the block ended inside the joined window
-                    continue
-            carry = score(block).copy()
+            first, tail = first + len(segs), len(block) % n
         return found
 
 

@@ -217,7 +217,8 @@ def stft_similarity(a: Signal, b: Signal) -> SimilarityScore:
     integer frame lag the overlapping regions are compared by normalized
     inner product, so an exact copy scores 1 and abs(score) <= 1 holds up
     to rounding. On a stationary clip every lag ties within rounding, so
-    rounding picks the lag.
+    rounding picks the lag. A flat spectrogram, such as a silent or
+    constant clip's, has no shape to compare and scores 0 at lag 0.
     """
     sa, sb = (compute_stft(c, SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
                            window_fn="hann") for c in (a, b))
@@ -232,13 +233,12 @@ def stft_similarity(a: Signal, b: Signal) -> SimilarityScore:
     elif fb[-1] < fa[-1]:
         la = _onto_grid(fb, fa, la)
 
-    la = la - la.mean()
-    norm_a = np.linalg.norm(la)
-    lb = lb - lb.mean()
-    norm_b = np.linalg.norm(lb)
-    if norm_a == 0 or norm_b == 0:
+    # a flat spectrogram has no shape to compare; centering it would leave
+    # rounding residue, not zeros, so it is caught before
+    if la.min() == la.max() or lb.min() == lb.max():
         return SimilarityScore(max_xcorr=0.0, lag_frames=0)
-    return _best_lag(la / norm_a, lb / norm_b)
+    la, lb = la - la.mean(), lb - lb.mean()
+    return _best_lag(la / np.linalg.norm(la), lb / np.linalg.norm(lb))
 
 
 def l2_delta(a: Signal, b: Signal) -> float:

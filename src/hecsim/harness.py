@@ -3,10 +3,10 @@
 A Scenario says where the peripheral nodes stand, when elephants pass
 which of them and which network joins them; a SimConfig says how the nodes
 behave.
-run_scenario_with_logs synthesizes each node's seismic trace in fixed blocks
-and scores each block as it is made, so no whole trace is ever held. It
-drives the peripheral and central state machines through the simulated mesh
-in a single discrete-event loop. Every random choice descends
+run_scenario_with_logs synthesizes each node's seismic trace in blocks of
+whole windows and scores each block as it is made, so no whole trace is
+ever held. It drives the peripheral and central state machines through the
+simulated mesh in a single discrete-event loop. Every random choice descends
 from the scenario's master seed through labeled sub-seeds, so the same
 scenario and seed produce byte-identical outputs.
 
@@ -39,8 +39,8 @@ from .peripheral import (IR_POWERED_STATES, CaptureFrame, NegativeDecision,
                          TimerExpired, pn_step)
 from .seeds import derive_seed
 # synth_rumble_stream is not called here; perfbench's tracer wraps it
-from .signals import (BLOCK_SAMPLES, RumbleSpec,  # noqa: F401
-                      synth_rumble_blocks, synth_rumble_stream)
+from .signals import (RumbleSpec, synth_rumble_blocks,  # noqa: F401
+                      synth_rumble_stream)
 from .sigio import write_jsonl
 
 
@@ -438,8 +438,8 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
     # scoring ds >= 1 are scored in full and scheduled. Each node's trace
     # is made and scored a block at a time and never held whole; one block
     # buffer and one screen serve every node.
-    block = np.empty(BLOCK_SAMPLES)
     screen = TriggerScreen(config.seismic_rate_hz, config.alg1)
+    block = np.empty(screen.block_samples)
     for placement in scenario.pns:
         pn_id = placement.node_id
         events = [(ev.t_onset_s, ev.rumble) for ev in scenario.events

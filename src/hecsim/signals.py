@@ -18,11 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InvalidInputError
 
 
-# samples per synthesis block: 64 four-second windows at 1 kHz, 2 MB of
-# float64, one screen FFT batch of detection.TriggerScreen
-BLOCK_SAMPLES = 256_000
-
-
 def next_pow2(n: int) -> int:
     """Smallest power of two >= n."""
     if n < 1:
@@ -204,24 +199,22 @@ def synth_rumble_stream(events: list[tuple[float, RumbleSpec]], total_s: float,
 
 def synth_rumble_blocks(events: list[tuple[float, RumbleSpec]], total_s: float,
                         sample_rate_hz: float = 1000.0, seed: int = 0,
-                        noise_rms: float = 1.0,
-                        out: np.ndarray | None = None
+                        noise_rms: float = 1.0, *, out: np.ndarray
                         ) -> Iterator[np.ndarray]:
     """synth_rumble_stream's samples as consecutive blocks, the last one
     shorter; a stream of no sample has no block.
 
     Each block is drawn into the head of out, a non-empty float64 buffer
-    whose length is the block length (BLOCK_SAMPLES when none is given),
-    so the next block overwrites it: copy a block to keep it. One buffer
-    can serve stream after stream. Every event is checked, and its scaled
-    chirp made, before any noise is drawn. The blocks join to the whole
-    trace bit for bit: the generator draws the same normal stream in
-    pieces, and each chirp sample is added to its noise sample alone.
+    whose length is the block length, so the next block overwrites it: copy
+    a block to keep it. A trigger screen takes blocks of whole windows, so
+    its out is TriggerScreen.block_samples long. One buffer can serve
+    stream after stream. Every event is checked, and its scaled chirp made,
+    before any noise is drawn. The blocks join to the whole trace bit for
+    bit: the generator draws the same normal stream in pieces, and each
+    chirp sample is added to its noise sample alone.
     """
     n = sample_count(total_s, sample_rate_hz)
     chirps = _scaled_chirps(events, total_s, sample_rate_hz, noise_rms, n)
-    if out is None:
-        out = np.empty(max(1, min(n, BLOCK_SAMPLES)))
     return _noise_blocks(np.random.default_rng(seed), n, noise_rms, chirps,
                          out)
 

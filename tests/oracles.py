@@ -271,14 +271,12 @@ def naive_stft_similarity(a, b):
     else:
         la = np.array([np.interp(fb, fa, row) for row in la])
 
+    if la.min() == la.max() or lb.min() == lb.max():
+        return 0.0, 0  # a flat spectrogram, before centering's residue
     la = la - la.mean()
-    norm_a = np.linalg.norm(la)
     lb = lb - lb.mean()
-    norm_b = np.linalg.norm(lb)
-    if norm_a == 0 or norm_b == 0:
-        return 0.0, 0
-    la /= norm_a
-    lb /= norm_b
+    la /= np.linalg.norm(la)
+    lb /= np.linalg.norm(lb)
     return naive_best_lag(la, lb)
 
 

@@ -271,15 +271,16 @@ def test_detect_triggers_memory_is_bounded_by_the_chunk():
 @pytest.mark.parametrize("rate", [1000.0, 999.0])
 def test_streamed_scoring_memory_is_bounded_by_the_block(rate):
     # an hour at 1 kHz is 28.8 MB as one trace; made and scored in blocks
-    # of BLOCK_SAMPLES, one 2 MB block buffer and the FFT scratch are alive.
-    # At 999 Hz a window straddles every block edge, and only that window
-    # is joined: a carry copied onto each whole block would take 2 MB more.
-    # A first short stream keeps numpy's one-off FFT set-up out of the peak
+    # of block_samples, 64 whole windows, only the 2 MB block buffer and
+    # the FFT scratch are alive, at 999 Hz as at 1 kHz. A first short
+    # stream keeps numpy's one-off FFT set-up out of the peak
     TriggerScreen(rate, PARAMS)([np.zeros(8000)])
     tracemalloc.start()
     try:
-        triggers = TriggerScreen(rate, PARAMS)(
-            synth_rumble_blocks([], 3600.0, sample_rate_hz=rate, seed=0))
+        screen = TriggerScreen(rate, PARAMS)
+        out = np.empty(screen.block_samples)
+        triggers = screen(synth_rumble_blocks([], 3600.0, sample_rate_hz=rate,
+                                              seed=0, out=out))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -326,12 +327,13 @@ def test_detect_triggers_is_the_scoring_windows_of_detect_stream(trace,
 def block_streams(draw):
     """A trace of 1 to 6 windows plus a remainder at an awkward or easy
     rate, with up to three rumbles that may overlap, a non-zero start time,
-    a synthesis block length from 1 sample to three windows, and cuts that
-    split the whole trace into up to nine uneven blocks."""
+    a synthesis block length from 1 sample to three windows, a screen block
+    of 1 to 3 whole windows, and up to eight cuts at window edges, so the
+    last block holds the remainder."""
     rate = draw(st.sampled_from([200.0, 999.0, 1000.0, 1001.0]))
     n = int(round(PARAMS.window_s * rate))
-    samples = draw(st.integers(1, 6)) * n + draw(st.integers(0, n - 1))
-    total_s = samples / rate
+    windows = draw(st.integers(1, 6))
+    total_s = (windows * n + draw(st.integers(0, n - 1))) / rate
     events = []
     for _ in range(draw(st.integers(0, 3))):
         duration = min(draw(st.floats(0.5, 5.0)), total_s)
@@ -341,8 +343,9 @@ def block_streams(draw):
     synth = dict(events=events, total_s=total_s, sample_rate_hz=rate,
                  seed=draw(st.integers(0, 2**32 - 1)))
     block = draw(st.one_of(st.integers(1, 64), st.integers(1, 3 * n)))
-    cuts = sorted(draw(st.lists(st.integers(0, samples), max_size=8)))
-    return synth, block, cuts, draw(st.floats(0.5, 1e5))
+    cuts = sorted(draw(st.lists(st.integers(0, windows), max_size=8)))
+    return (synth, block, draw(st.integers(1, 3)), cuts,
+            draw(st.floats(0.5, 1e5)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -350,29 +353,49 @@ def block_streams(draw):
 @example(({"events": [(3.9, RumbleSpec(duration_s=3.0, snr_db=20.0)),
                       (4.5, RumbleSpec(duration_s=2.0, snr_db=10.0))],
            "total_s": 12.5, "sample_rate_hz": 1000.0, "seed": 3},
-          1, [3999, 4000, 4001, 6000], 7.25), PARAMS)
+          1, 1, [0, 1, 1, 3], 7.25), PARAMS)
 @example(({"events": [(0.2, RumbleSpec(duration_s=3.5, snr_db=20.0))],
            "total_s": 8.0, "sample_rate_hz": 999.0, "seed": 1},
-          3996, [], 2.0), PARAMS)
+          3996, 2, [], 2.0), PARAMS)
 def test_block_splits_change_nothing(stream, params):
-    # the blocks join to the whole trace bit for bit, and scoring the
-    # trace in any split gives the ds >= 1 windows of the whole trace, on
-    # its timeline; one block buffer and one screen serve every stream, as
-    # in a scenario run, so each stream is made and scored twice
-    synth, block, cuts, start_s = stream
+    # the blocks join to the whole trace bit for bit, whatever their
+    # length, and scoring the trace in blocks of whole windows gives the
+    # ds >= 1 windows of the whole trace, on its timeline; one block buffer
+    # and one screen serve every stream, as in a scenario run, so each
+    # stream is made and scored twice
+    synth, block, screen_windows, cuts, start_s = stream
     whole = synth_rumble_stream(**synth)
     rate = whole.sample_rate_hz
+    n = int(round(params.window_s * rate))
     expected = [d for d in detect_stream(
         replace(whole, start_time_s=start_s), params) if d.ds >= 1]
     out, screen = np.empty(block), TriggerScreen(rate, params)
+    screen_out = np.empty(screen_windows * n)
     for _ in range(2):
         # each block is overwritten by the next, so each is copied
         joined = np.concatenate([np.zeros(0), *(
             b.copy() for b in synth_rumble_blocks(**synth, out=out))])
         assert joined.tobytes() == whole.samples.tobytes()
-        assert screen(synth_rumble_blocks(**synth, out=out),
+        assert screen(synth_rumble_blocks(**synth, out=screen_out),
                       start_s) == expected
-        assert screen(np.split(whole.samples, cuts), start_s) == expected
+        assert screen(np.split(whole.samples, [c * n for c in cuts]),
+                      start_s) == expected
+
+
+@pytest.mark.parametrize("rate", [1000.0, 999.0])
+@pytest.mark.parametrize("cut", [-1, 1], ids=["before_edge", "after_edge"])
+def test_block_ending_inside_a_window_is_rejected(rate, cut):
+    # a block before the last must hold whole windows; one that ends a
+    # sample off a window edge is not joined to the next
+    screen = TriggerScreen(rate, PARAMS)
+    n = int(round(PARAMS.window_s * rate))
+    x = np.zeros(3 * n)
+    window, tail = divmod(n + cut, n)
+    with pytest.raises(InvalidInputError, match=(
+            f"ends inside window {window}, after {tail} of its {n} samples")):
+        screen(np.split(x, [n + cut]))
+    # the same samples as a last block leave a remainder, which is ignored
+    assert screen([x[:n + cut]]) == []
 
 
 def _planted_runs(length, rate):

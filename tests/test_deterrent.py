@@ -24,6 +24,12 @@ def test_pick_modification_is_replayable():
     assert 0.5 <= a.alpha <= 1.5
 
 
+@pytest.mark.parametrize("n", [1, 0])
+def test_pink_noise_needs_two_samples(n):
+    with pytest.raises(InvalidInputError, match="need at least two samples"):
+        generate_pink_noise(n, 8000.0, seed=0)
+
+
 def test_pick_modification_rejects_junk():
     with pytest.raises(InvalidInputError):
         pick_modification("not a seed")
@@ -193,6 +199,18 @@ def test_modified_clips_stay_similar(bee_clip):
         out = apply_modification(bee_clip, params)
         score = stft_similarity(bee_clip, out)
         assert score.max_xcorr >= 0.5, (params, score)
+
+
+@pytest.mark.parametrize("level", [0.0, 0.5], ids=["silent", "dc"])
+@pytest.mark.parametrize("n", [16000, 12345, 8000])
+def test_flat_spectrogram_scores_zero(bee_clip, level, n):
+    # a constant clip's log spectrogram is flat; centering it leaves
+    # rounding residue that would otherwise score 1 against itself
+    flat = Signal(samples=np.full(n, level), sample_rate_hz=8000.0)
+    for a, b in ((flat, flat), (flat, bee_clip), (bee_clip, flat)):
+        score = stft_similarity(a, b)
+        assert (score.max_xcorr, score.lag_frames) == (0.0, 0)
+        assert naive_stft_similarity(a, b) == (0.0, 0)
 
 
 def assert_matches_loop(a, b):

@@ -1,4 +1,4 @@
-"""Golden sha256 digests of every output file for four fixed runs.
+"""Golden sha256 digests of every output file for five fixed runs.
 
 Any change that alters one byte of metrics.json, delivery_trace.jsonl,
 actions.jsonl, detections.jsonl or warnings.jsonl for these scenarios fails
@@ -101,10 +101,29 @@ def retrigger_scenario():
         network=NetworkConfig(default_link=LinkModel(latency_s=0.05)))
 
 
+def odd_rate_scenario():
+    """Two nodes for ten minutes sampled at 999 Hz, two approaches.
+
+    A 4 s window is 3,996 samples, so no window edge falls on a round
+    number of samples. The first approach scores 1 in pn-1's windows 63
+    and 64, on either side of the stream's first block edge.
+    """
+    return Scenario(
+        name="odd-rate", duration_s=600.0,
+        pns=(PnPlacement("pn-1"), PnPlacement("pn-2")),
+        events=(ElephantEvent(t_onset_s=254.5, pn_ids=("pn-1",),
+                              rumble=RumbleSpec(duration_s=3.5, snr_db=12.0)),
+                ElephantEvent(t_onset_s=510.0, pn_ids=("pn-2", "pn-1"),
+                              rumble=RumbleSpec(duration_s=5.0, snr_db=6.0))),
+        detector="stochastic", master_seed=7)
+
+
 SCENARIOS = {"example": bundled_scenario, "lossy": lossy_scenario,
-             "hidden": hidden_scenario, "retrigger": retrigger_scenario}
+             "hidden": hidden_scenario, "retrigger": retrigger_scenario,
+             "odd_rate": odd_rate_scenario}
 # the runs not named here use SimConfig()
-CONFIGS = {"retrigger": SimConfig(pn=PnConfig(repel_cooldown_s=5.0))}
+CONFIGS = {"retrigger": SimConfig(pn=PnConfig(repel_cooldown_s=5.0)),
+           "odd_rate": SimConfig(seismic_rate_hz=999.0)}
 
 GOLDEN = {
     "example": {
@@ -154,6 +173,18 @@ GOLDEN = {
             "6117bde6368181c9a8cc0b7e7954696d0e9aa82766dd711bba7cf7b34e29ec1d",
         "warnings.jsonl":
             "ef8bbb0b3ffcea5bcdbf1fb3535018347113c2ff3d8c5b46c33ee825cc2a572e",
+    },
+    "odd_rate": {
+        "metrics.json":
+            "bd6117a8ff3b4b1ee2682f707da0929b131b87fbd56c0e738bb7540511aba0fb",
+        "delivery_trace.jsonl":
+            "a798f76862e8f1705ad59f33bab2f030d52641346c70cb51c4478c4ef3c4c41c",
+        "actions.jsonl":
+            "a326247df447ffe7e6d5c396f99e4ac8f8bf68dc21eb647981d1652c9943fe8e",
+        "detections.jsonl":
+            "f4283c021264ee344a2b394e967a97f442c238e5e1b512ad9bdabdefb28f1c46",
+        "warnings.jsonl":
+            "af6cdbc67d9f754121ac1d6477be48572a2ba33223548ec3e5325e7c8a7b1ed7",
     },
 }
 

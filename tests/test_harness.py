@@ -77,6 +77,18 @@ def test_scenario_validation():
         Scenario.from_json(data)
 
 
+def test_event_must_touch_a_node():
+    message = "event must touch at least one node"
+    with pytest.raises(InvalidInputError, match=message):
+        ElephantEvent(t_onset_s=1.0, pn_ids=(),
+                      rumble=RumbleSpec(duration_s=3.0))
+    data = bundled_scenario().to_json()
+    data["events"][0]["pn_ids"] = []
+    with pytest.raises(InvalidConfigError, match=re.escape(
+            f"Scenario.events[0]: {message}")):
+        Scenario.from_json(data)
+
+
 def test_node_id_is_one_plain_topic_segment(tmp_path):
     # a '/' or '+' in a node id would change which topic patterns match it,
     # and an empty one reads in trace rows as the "to" of no broker

@@ -1,4 +1,6 @@
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -67,6 +69,61 @@ def test_wav_skips_unknown_chunks(tmp_path):
     back = load_wav(p)
     assert back.sample_rate_hz == 4000.0
     assert len(back.samples) == 2
+
+
+def _chunk(chunk_id, body):
+    pad = b"\x00" * (len(body) % 2)
+    return chunk_id + struct.pack("<I", len(body)) + body + pad
+
+
+def _fmt(audio_format=1, channels=1, bits=16):
+    return _chunk(b"fmt ", struct.pack("<HHIIHH", audio_format, channels,
+                                       8000, 16000, 2, bits))
+
+
+def _riff(*chunks):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("raw, message, offset", [
+    (b"RIFF\x04\x00\x00\x00", "file too short for a RIFF header", 0),
+    (b"RIFF\x04\x00\x00\x00AVI ", "missing WAVE form type", 8),
+    (_riff(_chunk(b"fmt ", bytes(14)), _chunk(b"data", bytes(2))),
+     "fmt chunk too short", 20),
+    (_riff(_fmt(audio_format=3), _chunk(b"data", bytes(2))),
+     "unsupported audio format 3", 20),
+    (_riff(_fmt(channels=2), _chunk(b"data", bytes(4))),
+     "expected mono, got 2 channels", 22),
+    (_riff(_fmt(bits=8), _chunk(b"data", bytes(2))),
+     "expected 16-bit samples, got 8", 34),
+    (_riff(_chunk(b"data", bytes(2)), _fmt()),
+     "data chunk before fmt chunk", 12),
+    (_riff(_fmt(), _chunk(b"data", bytes(3))),
+     "odd data chunk size for 16-bit samples", 40),
+    (_riff(), "no data chunk found", 12),
+], ids=["too_short", "not_wave", "short_fmt", "not_pcm", "stereo", "8_bit",
+        "data_before_fmt", "odd_data_size", "no_data"])
+def test_wav_faults_name_their_byte_offset(tmp_path, raw, message, offset):
+    p = tmp_path / "bad.wav"
+    p.write_bytes(raw)
+    with pytest.raises(ParseError, match=re.escape(
+            f"{message} (byte offset {offset})")) as err:
+        load_wav(p)
+    assert err.value.byte_offset == offset
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# foo=1\n", "bad header line '# foo=1'"),
+    ("", "missing sample_rate_hz header"),
+], ids=["unknown_header", "empty_file"])
+def test_trace_csv_header_faults_are_at_offset_zero(tmp_path, text, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(
+            f"{message} (byte offset 0)")) as err:
+        load_trace_csv(p)
+    assert err.value.byte_offset == 0
 
 
 def test_trace_csv_round_trip_bit_identical(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecsim.detection import TriggerScreen
 from hecsim.deterrent import generate_pink_noise
 from hecsim.errors import InvalidInputError
 from hecsim.signals import (RumbleSpec, Signal, chirp_waveform,
@@ -148,10 +149,12 @@ def test_synth_rumble_stream_rejects_overflowing_chirp():
 def test_every_event_is_checked_before_any_noise_is_drawn(bad, message):
     # an hour at 1 kHz is 28.8 MB of noise; a bad last event must fail
     # before any of it exists, whether the trace is asked for whole or in
-    # blocks
+    # blocks; the block buffer is made before tracing starts
     events = [(10.0, RumbleSpec(3.5)), (20.0, RumbleSpec(4.0)), bad]
+    out = np.empty(TriggerScreen(1000.0).block_samples)
     for call in (lambda: synth_rumble_stream(events, 3600.0, noise_rms=10.0),
-                 lambda: synth_rumble_blocks(events, 3600.0, noise_rms=10.0)):
+                 lambda: synth_rumble_blocks(events, 3600.0, noise_rms=10.0,
+                                             out=out)):
         tracemalloc.start()
         try:
             with pytest.raises(InvalidInputError, match=message):
