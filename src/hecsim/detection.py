@@ -28,9 +28,11 @@ ORACLE_BAND_HIGH_HZ = 40.0
 
 # frames per FFT call: 8 windows of 32 sub-segments, about 1 MB of spectra
 FFT_CHUNK_FRAMES = 256
-# windows per block of a scored stream: one screen FFT call at 4 screened
-# sub-segments a window, 256,000 samples (2 MB of float64) at 1 kHz
-BLOCK_WINDOWS = 64
+# samples per block of a scored stream, rounded down to whole windows (one
+# window at least): 32 windows of 4 s, 1 MB of float64, at 1 kHz. Synthesis
+# draws one block while the screen scores the other, so a stream's two
+# blocks hold 2 MB
+BLOCK_SAMPLES = 128_000
 
 
 @dataclass(frozen=True)
@@ -238,9 +240,10 @@ class TriggerScreen:
     The geometry is checked and the FFT scratch made once, for every stream
     the screen scores; fresh scratch per stream or per block costs page
     faults, since glibc trims and re-faults it. Each block is scored as it
-    arrives, so it may be overwritten once the next is drawn. Every block
-    but the last holds whole windows, block_samples (BLOCK_WINDOWS windows)
-    in a scenario run; a block after one that ends inside a window is
+    arrives and not read again once the next is asked for, so a synthesis
+    stream may then redraw it. Every block but the last holds whole
+    windows, block_samples (BLOCK_SAMPLES rounded down to whole windows) in
+    a scenario run; a block after one that ends inside a window is
     rejected. The last block's remainder is ignored, and a stream of no
     sample scores nothing. Window indices and start times count from the
     stream's start, so a whole trace given as one block gives the same
@@ -260,7 +263,7 @@ class TriggerScreen:
         self.rate, self.params = sample_rate_hz, params
         self.geometry = _geometry(sample_rate_hz, params)
         n, k, _, pad, _ = self.geometry
-        self.block_samples = BLOCK_WINDOWS * n
+        self.block_samples = max(1, BLOCK_SAMPLES // n) * n
         self.scratch = _fft_scratch(max(FFT_CHUNK_FRAMES, k), pad)
 
     def __call__(self, blocks: Iterable[np.ndarray],

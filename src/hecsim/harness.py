@@ -5,10 +5,12 @@ which of them and which network joins them; a SimConfig says how the nodes
 behave.
 run_scenario_with_logs synthesizes each node's seismic trace in blocks of
 whole windows and scores each block as it is made, so no whole trace is
-ever held. It drives the peripheral and central state machines through the
-simulated mesh in a single discrete-event loop. Every random choice descends
-from the scenario's master seed through labeled sub-seeds, so the same
-scenario and seed produce byte-identical outputs.
+ever held; on more than one CPU, a helper thread draws a node's next block
+while the current one is scored. It drives the peripheral and central
+state machines through the simulated mesh in a single discrete-event loop.
+Every random choice descends from the scenario's master seed through
+labeled sub-seeds, so the same scenario and seed produce byte-identical
+outputs.
 
 Outputs per run: delivery_trace.jsonl, actions.jsonl, detections.jsonl,
 warnings.jsonl, metrics.json.
@@ -436,10 +438,10 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
     # loop consumes each score at its window's end time. A window scoring 0
     # triggers nothing (ds_threshold is at least 1), so only the windows
     # scoring ds >= 1 are scored in full and scheduled. Each node's trace
-    # is made and scored a block at a time and never held whole; one block
-    # buffer and one screen serve every node.
+    # is made and scored a block at a time and never held whole; one pair
+    # of block slots and one screen serve every node.
     screen = TriggerScreen(config.seismic_rate_hz, config.alg1)
-    block = np.empty(screen.block_samples)
+    slots = np.empty((2, screen.block_samples))
     for placement in scenario.pns:
         pn_id = placement.node_id
         events = [(ev.t_onset_s, ev.rumble) for ev in scenario.events
@@ -448,11 +450,11 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
                 events, total_s=scenario.duration_s,
                 sample_rate_hz=config.seismic_rate_hz,
                 seed=derive_seed(scenario.master_seed, "seismic", pn_id),
-                out=block)):
+                out=slots)):
             t_ready = det.window_start_s + config.alg1.window_s
             run.net.schedule(t_ready, lambda n=pn_id, d=det:
                              run.pn_dispatch(n, d))
-    del block, screen  # 4.6 MB the event loop need not hold
+    del slots, screen  # 4.6 MB the event loop need not hold
 
     run.net.run_until(scenario.duration_s)
 

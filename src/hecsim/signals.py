@@ -9,6 +9,9 @@ land on the mean.
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -187,13 +190,13 @@ def synth_rumble_stream(events: list[tuple[float, RumbleSpec]], total_s: float,
 
     Each event is (onset_s, spec); its chirp is scaled so that chirp RMS over
     noise RMS matches spec.snr_db. Events may overlap. This is
-    synth_rumble_blocks with the whole trace as its one block.
+    synth_rumble_blocks with the whole trace as its one block, drawn inline.
     """
     n = sample_count(total_s, sample_rate_hz)
     chirps = _scaled_chirps(events, total_s, sample_rate_hz, noise_rms, n)
     x = np.empty(max(n, 1))
-    next(_noise_blocks(np.random.default_rng(seed), n, noise_rms, chirps, x),
-         None)
+    next(_noise_blocks(np.random.default_rng(seed), n, noise_rms, chirps,
+                       x[None]), None)
     return Signal(samples=x[:n], sample_rate_hz=sample_rate_hz)
 
 
@@ -204,19 +207,79 @@ def synth_rumble_blocks(events: list[tuple[float, RumbleSpec]], total_s: float,
     """synth_rumble_stream's samples as consecutive blocks, the last one
     shorter; a stream of no sample has no block.
 
-    Each block is drawn into the head of out, a non-empty float64 buffer
-    whose length is the block length, so the next block overwrites it: copy
-    a block to keep it. A trigger screen takes blocks of whole windows, so
-    its out is TriggerScreen.block_samples long. One buffer can serve
-    stream after stream. Every event is checked, and its scaled chirp made,
-    before any noise is drawn. The blocks join to the whole trace bit for
-    bit: the generator draws the same normal stream in pieces, and each
-    chirp sample is added to its noise sample alone.
+    out is two slots of m samples, a writeable, C-contiguous float64 array
+    of shape (2, m) with m >= 1, checked here before any draw; block j is
+    drawn into the head of slot j % 2. A block is valid until the next one
+    is asked for: copy it to keep it. A trigger screen takes blocks of whole
+    windows, so its slots are TriggerScreen.block_samples long. One out can
+    serve stream after stream, one at a time. Every event is checked, and
+    its scaled chirp made, before any noise is drawn.
+
+    When the process may run on more than one CPU, a helper thread, started
+    at the first next(), draws block j + 1 into the other slot while the
+    caller works on block j; numpy's normal fill releases the GIL. It is
+    joined when the stream ends, raises or is closed, and an error it
+    raises is raised again here. On one CPU the blocks are drawn inline.
+    Either way the blocks join to the whole trace bit for bit: one thread
+    draws the same normal stream in pieces, in order, and each chirp sample
+    is added to its noise sample alone.
     """
+    if not isinstance(out, np.ndarray):
+        raise InvalidInputError(
+            f"out must be a numpy array, got {type(out).__name__}")
+    if out.ndim != 2 or out.shape[0] != 2 or out.shape[1] < 1:
+        raise InvalidInputError(
+            f"out must have shape (2, m) with m >= 1, got {out.shape}")
+    if out.dtype != np.float64:
+        raise InvalidInputError(f"out must be float64, got {out.dtype}")
+    if not out.flags.writeable:
+        raise InvalidInputError("out must be writeable")
+    if not out.flags.c_contiguous:
+        raise InvalidInputError("out must be C-contiguous")
     n = sample_count(total_s, sample_rate_hz)
     chirps = _scaled_chirps(events, total_s, sample_rate_hz, noise_rms, n)
-    return _noise_blocks(np.random.default_rng(seed), n, noise_rms, chirps,
-                         out)
+    blocks = _noise_blocks(np.random.default_rng(seed), n, noise_rms, chirps,
+                           out)
+    return _look_ahead(blocks, len(out)) if _cpu_count() > 1 else blocks
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _look_ahead(blocks: Iterator[np.ndarray],
+                slots: int) -> Iterator[np.ndarray]:
+    """blocks, each drawn on a helper thread while the caller holds the one
+    before; a block's slot is drawn again only once the caller has asked
+    for the block after it."""
+    free, handed = threading.Semaphore(slots), queue.SimpleQueue()
+    stop = False
+
+    def draw() -> None:
+        try:
+            while free.acquire() and not stop:
+                block = next(blocks, None)
+                handed.put(block)
+                if block is None:
+                    return
+        except BaseException as exc:  # raised again in the caller
+            handed.put(exc)
+
+    thread = threading.Thread(target=draw, name="hecsim-synth", daemon=True)
+    thread.start()
+    try:
+        while (block := handed.get()) is not None:
+            if isinstance(block, BaseException):
+                raise block
+            yield block
+            free.release()  # the caller asked for the next block
+    finally:
+        stop = True
+        free.release()
+        thread.join()
 
 
 def _scaled_chirps(events: list[tuple[float, RumbleSpec]], total_s: float,
@@ -238,9 +301,11 @@ def _scaled_chirps(events: list[tuple[float, RumbleSpec]], total_s: float,
 
 
 def _noise_blocks(rng: np.random.Generator, n: int, noise_rms: float,
-                  chirps: list, out: np.ndarray) -> Iterator[np.ndarray]:
-    for b0 in range(0, n, len(out)):
-        x = out[:min(len(out), n - b0)]
+                  chirps: list, slots: np.ndarray) -> Iterator[np.ndarray]:
+    """The stream's blocks, block j drawn into slots[j % len(slots)]."""
+    m = slots.shape[1]
+    for j, b0 in enumerate(range(0, n, m)):
+        x = slots[j % len(slots), :min(m, n - b0)]
         rng.standard_normal(out=x)
         if noise_rms != 1.0:  # x * 1.0 is x, so the pass is skipped
             x *= noise_rms

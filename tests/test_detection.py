@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hecsim import signals
 from hecsim.detection import (FFT_CHUNK_FRAMES, ORACLE_FRAME_S, ORACLE_HOP_S,
                               Algorithm1Params, RumbleEvent, TriggerScreen,
                               WindowDetection, detect_stream, match_and_recall,
@@ -271,14 +272,14 @@ def test_detect_triggers_memory_is_bounded_by_the_chunk():
 @pytest.mark.parametrize("rate", [1000.0, 999.0])
 def test_streamed_scoring_memory_is_bounded_by_the_block(rate):
     # an hour at 1 kHz is 28.8 MB as one trace; made and scored in blocks
-    # of block_samples, 64 whole windows, only the 2 MB block buffer and
-    # the FFT scratch are alive, at 999 Hz as at 1 kHz. A first short
+    # of block_samples, 32 whole windows, only the two 1 MB block slots
+    # and the FFT scratch are alive, at 999 Hz as at 1 kHz. A first short
     # stream keeps numpy's one-off FFT set-up out of the peak
     TriggerScreen(rate, PARAMS)([np.zeros(8000)])
     tracemalloc.start()
     try:
         screen = TriggerScreen(rate, PARAMS)
-        out = np.empty(screen.block_samples)
+        out = np.empty((2, screen.block_samples))
         triggers = screen(synth_rumble_blocks([], 3600.0, sample_rate_hz=rate,
                                               seed=0, out=out))
         peak = tracemalloc.get_traced_memory()[1]
@@ -286,6 +287,17 @@ def test_streamed_scoring_memory_is_bounded_by_the_block(rate):
         tracemalloc.stop()
     assert triggers == []
     assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("window_s, rate, samples", [
+    (4.0, 1000.0, 128_000), (4.0, 999.0, 127_872), (60.0, 1000.0, 120_000),
+    (200.0, 1000.0, 200_000)])
+def test_block_is_about_128000_samples_of_whole_windows(window_s, rate,
+                                                        samples):
+    # whole windows, as many as fit in 128,000 samples, and one window when
+    # none fits, so the block no longer grows with the window length
+    params = replace(PARAMS, window_s=window_s)
+    assert TriggerScreen(rate, params).block_samples == samples
 
 
 def _check_triggers(trace, params):
@@ -360,24 +372,28 @@ def block_streams(draw):
 def test_block_splits_change_nothing(stream, params):
     # the blocks join to the whole trace bit for bit, whatever their
     # length, and scoring the trace in blocks of whole windows gives the
-    # ds >= 1 windows of the whole trace, on its timeline; one block buffer
-    # and one screen serve every stream, as in a scenario run, so each
-    # stream is made and scored twice
+    # ds >= 1 windows of the whole trace, on its timeline; one pair of
+    # block slots and one screen serve every stream, as in a scenario run,
+    # so each stream is made and scored twice: drawn inline (one CPU) and
+    # on the look-ahead thread (more than one)
     synth, block, screen_windows, cuts, start_s = stream
     whole = synth_rumble_stream(**synth)
     rate = whole.sample_rate_hz
     n = int(round(params.window_s * rate))
     expected = [d for d in detect_stream(
         replace(whole, start_time_s=start_s), params) if d.ds >= 1]
-    out, screen = np.empty(block), TriggerScreen(rate, params)
-    screen_out = np.empty(screen_windows * n)
-    for _ in range(2):
-        # each block is overwritten by the next, so each is copied
-        joined = np.concatenate([np.zeros(0), *(
-            b.copy() for b in synth_rumble_blocks(**synth, out=out))])
-        assert joined.tobytes() == whole.samples.tobytes()
-        assert screen(synth_rumble_blocks(**synth, out=screen_out),
-                      start_s) == expected
+    out, screen = np.empty((2, block)), TriggerScreen(rate, params)
+    screen_out = np.empty((2, screen_windows * n))
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signals, "_cpu_count", lambda: cpus)
+            # a slot is redrawn once the next block is asked for, so each
+            # block is copied
+            joined = np.concatenate([np.zeros(0), *(
+                b.copy() for b in synth_rumble_blocks(**synth, out=out))])
+            assert joined.tobytes() == whole.samples.tobytes()
+            assert screen(synth_rumble_blocks(**synth, out=screen_out),
+                          start_s) == expected
         assert screen(np.split(whole.samples, [c * n for c in cuts]),
                       start_s) == expected
 

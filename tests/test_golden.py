@@ -106,7 +106,7 @@ def odd_rate_scenario():
 
     A 4 s window is 3,996 samples, so no window edge falls on a round
     number of samples. The first approach scores 1 in pn-1's windows 63
-    and 64, on either side of the stream's first block edge.
+    and 64, on either side of the stream's second block edge.
     """
     return Scenario(
         name="odd-rate", duration_s=600.0,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecsim.detection import Algorithm1Params
 from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.harness import (ElephantEvent, EventOutcome, MetricsReport,
                             PnPlacement, RunLogs, Scenario, SimConfig,
@@ -471,6 +472,20 @@ def test_run_path_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert report.events[0].detected
     assert peak < 24 * 2**20
+
+
+def test_long_windows_keep_the_block_bounded():
+    # a block holds whole windows near 128,000 samples, so 60 s windows
+    # make 120,000-sample slots, not 64 windows' 30.7 MB
+    sc = tiny_scenario(duration_s=120.0)
+    config = SimConfig(alg1=Algorithm1Params(window_s=60.0))
+    tracemalloc.start()
+    try:
+        run_scenario_with_logs(sc, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_run_survives_broker_failover():

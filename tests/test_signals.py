@@ -1,11 +1,16 @@
+import sys
+import threading
+import time
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecsim.detection import TriggerScreen
+from hecsim import signals
+from hecsim.detection import Algorithm1Params, TriggerScreen
 from hecsim.deterrent import generate_pink_noise
 from hecsim.errors import InvalidInputError
 from hecsim.signals import (RumbleSpec, Signal, chirp_waveform,
@@ -149,9 +154,9 @@ def test_synth_rumble_stream_rejects_overflowing_chirp():
 def test_every_event_is_checked_before_any_noise_is_drawn(bad, message):
     # an hour at 1 kHz is 28.8 MB of noise; a bad last event must fail
     # before any of it exists, whether the trace is asked for whole or in
-    # blocks; the block buffer is made before tracing starts
+    # blocks; the block slots are made before tracing starts
     events = [(10.0, RumbleSpec(3.5)), (20.0, RumbleSpec(4.0)), bad]
-    out = np.empty(TriggerScreen(1000.0).block_samples)
+    out = np.empty((2, TriggerScreen(1000.0).block_samples))
     for call in (lambda: synth_rumble_stream(events, 3600.0, noise_rms=10.0),
                  lambda: synth_rumble_blocks(events, 3600.0, noise_rms=10.0,
                                              out=out)):
@@ -163,6 +168,138 @@ def test_every_event_is_checked_before_any_noise_is_drawn(bad, message):
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def _read_only(shape):
+    out = np.empty(shape)
+    out.flags.writeable = False
+    return out
+
+
+@pytest.mark.parametrize("out, message", [
+    (np.empty(0), r"shape \(2, m\) with m >= 1, got \(0,\)"),
+    (np.empty(1000), r"shape \(2, m\) with m >= 1, got \(1000,\)"),
+    (np.empty((2, 0)), r"shape \(2, m\) with m >= 1, got \(2, 0\)"),
+    (np.empty((3, 1000)), r"shape \(2, m\) with m >= 1, got \(3, 1000\)"),
+    (np.empty((2, 5, 1)), r"shape \(2, m\) with m >= 1, got \(2, 5, 1\)"),
+    ([[0.0] * 1000] * 2, "out must be a numpy array, got list"),
+    (np.empty((2, 1000), np.float32), "out must be float64, got float32"),
+    (_read_only((2, 1000)), "out must be writeable"),
+    (np.empty((2, 1000), order="F"), "out must be C-contiguous"),
+], ids=["empty", "one_slot_shape", "empty_slots", "three_slots", "3d",
+        "list", "float32", "read_only", "fortran_order"])
+def test_block_slots_are_checked_when_the_stream_is_made(out, message):
+    # the check runs when synth_rumble_blocks is called, before any draw
+    # or thread, not deep inside the first draw
+    before = threading.active_count()
+    with pytest.raises(InvalidInputError, match=message):
+        synth_rumble_blocks([], total_s=1.0, out=out)
+    assert threading.active_count() == before
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    """synth_rumble_blocks draws on its helper thread, on any host."""
+    monkeypatch.setattr(signals, "_cpu_count", lambda: 2)
+
+
+def _ten_blocks():
+    """10 s at 1 kHz, with a rumble, in blocks of 1,000 samples."""
+    return synth_rumble_blocks([(2.0, RumbleSpec(3.5))], total_s=10.0,
+                               seed=3, out=np.empty((2, 1000)))
+
+
+def _run_to_end(stream):
+    assert sum(1 for _ in stream) == 9
+
+
+def _close(stream):
+    stream.close()
+
+
+def _raise_mid_stream(stream):
+    with pytest.raises(RuntimeError, match="consumer"):
+        for i, _ in enumerate(stream):
+            if i == 2:
+                raise RuntimeError("consumer")
+    stream.close()
+
+
+@pytest.mark.parametrize("consume", [_run_to_end, _close, _raise_mid_stream],
+                         ids=["run_to_end", "close_after_first",
+                              "consumer_raises"])
+def test_look_ahead_thread_is_joined(threaded, consume):
+    # the helper starts at the first next() and is joined when the stream
+    # ends or is closed, whatever the consumer did
+    before = threading.active_count()
+    stream = _ten_blocks()
+    assert threading.active_count() == before
+    next(stream)
+    assert threading.active_count() == before + 1
+    consume(stream)
+    assert threading.active_count() == before
+
+
+def test_screen_that_scores_nothing_starts_no_thread(threaded):
+    # run_low + 1 > 32 sub-segments: the screen returns without iterating
+    screen = TriggerScreen(1000.0, Algorithm1Params(run_low=32, run_high=33))
+    before = threading.active_count()
+    assert screen(synth_rumble_blocks(
+        [], total_s=60.0, out=np.empty((2, screen.block_samples)))) == []
+    assert threading.active_count() == before
+
+
+class DrawError(Exception):
+    pass
+
+
+def test_synthesis_error_on_the_helper_is_raised_in_the_caller(threaded,
+                                                               monkeypatch):
+    default_rng, raised_on = np.random.default_rng, []
+
+    class ThirdDrawFails:
+        def __init__(self, seed):
+            self.rng, self.calls = default_rng(seed), 0
+
+        def standard_normal(self, *, out):
+            self.calls += 1
+            if self.calls == 3:
+                raised_on.append(threading.current_thread())
+                raise DrawError("third draw")
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", ThirdDrawFails)
+    before, got = threading.active_count(), []
+    with pytest.raises(DrawError, match="third draw"):
+        for block in _ten_blocks():
+            got.append(block.copy())
+    assert len(got) == 2
+    assert raised_on and raised_on[0] is not threading.current_thread()
+    assert threading.active_count() == before
+
+
+def test_a_block_is_not_redrawn_until_the_next_is_asked_for(threaded):
+    # the helper runs ahead while the consumer holds a block, so a block
+    # drawn into the slot the consumer holds would change under it
+    whole = synth_rumble_stream([(2.0, RumbleSpec(3.5))], 10.0, seed=3)
+    joined = []
+    for block in _ten_blocks():
+        checksum = zlib.crc32(block)
+        time.sleep(0.02)
+        assert zlib.crc32(block) == checksum
+        joined.append(block.tobytes())
+    assert b"".join(joined) == whole.samples.tobytes()
+    # with threads switched as often as the interpreter allows, 1,429
+    # blocks of 7 samples, each copied on receipt, still join to the trace
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        joined = [block.tobytes() for block in synth_rumble_blocks(
+            [(2.0, RumbleSpec(3.5))], total_s=10.0, seed=3,
+            out=np.empty((2, 7)))]
+    finally:
+        sys.setswitchinterval(interval)
+    assert b"".join(joined) == whole.samples.tobytes()
 
 
 def test_synthesis_needs_a_finite_rate_and_duration():
