@@ -241,7 +241,8 @@ class TriggerScreen:
     the screen scores; fresh scratch per stream or per block costs page
     faults, since glibc trims and re-faults it. Each block is scored as it
     arrives and not read again once the next is asked for, so a synthesis
-    stream may then redraw it. Every block but the last holds whole
+    stream may then redraw it; a stream the screen starts is closed when it
+    is done, also when it raises. Every block but the last holds whole
     windows, block_samples (BLOCK_SAMPLES rounded down to whole windows) in
     a scenario run; a block after one that ends inside a window is
     rejected. The last block's remainder is ignored, and a stream of no
@@ -276,21 +277,27 @@ class TriggerScreen:
         # stream index of the block's first window, and the samples left
         # after the last full window of the block before
         first = tail = 0
-        for block in blocks:
-            if tail:
-                raise InvalidInputError(
-                    f"a block before the last ends inside window {first}"
-                    f", after {tail} of its {n} samples")
-            segs = _windows(block, n, k, sub)
-            hits = np.flatnonzero(_in_band_flags(
-                segs[:, L - 1::L], pad, in_band,
-                scratch=self.scratch).any(axis=1))
-            runs = _max_runs(segs, pad, in_band, hits, self.scratch)
-            found.extend(_detection(start_time_s, self.rate, n, first + i,
-                                    run, self.params)
-                         for i, run in zip(hits.tolist(), runs.tolist())
-                         if run >= L)
-            first, tail = first + len(segs), len(block) % n
+        blocks = iter(blocks)
+        try:
+            for block in blocks:
+                if tail:
+                    raise InvalidInputError(
+                        f"a block before the last ends inside window {first}"
+                        f", after {tail} of its {n} samples")
+                segs = _windows(block, n, k, sub)
+                hits = np.flatnonzero(_in_band_flags(
+                    segs[:, L - 1::L], pad, in_band,
+                    scratch=self.scratch).any(axis=1))
+                runs = _max_runs(segs, pad, in_band, hits, self.scratch)
+                found.extend(_detection(start_time_s, self.rate, n, first + i,
+                                        run, self.params)
+                             for i, run in zip(hits.tolist(), runs.tolist())
+                             if run >= L)
+                first, tail = first + len(segs), len(block) % n
+        finally:
+            # a stream left unfinished by an error is closed, so its
+            # look-ahead stops drawing into slots that may serve the next
+            getattr(blocks, "close", lambda: None)()
         return found
 
 

@@ -5,12 +5,11 @@ which of them and which network joins them; a SimConfig says how the nodes
 behave.
 run_scenario_with_logs synthesizes each node's seismic trace in blocks of
 whole windows and scores each block as it is made, so no whole trace is
-ever held; on more than one CPU, a helper thread draws a node's next block
-while the current one is scored. It drives the peripheral and central
-state machines through the simulated mesh in a single discrete-event loop.
-Every random choice descends from the scenario's master seed through
-labeled sub-seeds, so the same scenario and seed produce byte-identical
-outputs.
+ever held; a helper thread draws a node's next block while the current
+one is scored. It drives the peripheral and central state machines
+through the simulated mesh in a single discrete-event loop. Every random
+choice descends from the scenario's master seed through labeled
+sub-seeds, so the same scenario and seed produce byte-identical outputs.
 
 Outputs per run: delivery_trace.jsonl, actions.jsonl, detections.jsonl,
 warnings.jsonl, metrics.json.

@@ -9,10 +9,8 @@ land on the mean.
 from __future__ import annotations
 
 import math
-import os
-import queue
-import threading
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,14 +213,14 @@ def synth_rumble_blocks(events: list[tuple[float, RumbleSpec]], total_s: float,
     serve stream after stream, one at a time. Every event is checked, and
     its scaled chirp made, before any noise is drawn.
 
-    When the process may run on more than one CPU, a helper thread, started
-    at the first next(), draws block j + 1 into the other slot while the
-    caller works on block j; numpy's normal fill releases the GIL. It is
-    joined when the stream ends, raises or is closed, and an error it
-    raises is raised again here. On one CPU the blocks are drawn inline.
-    Either way the blocks join to the whole trace bit for bit: one thread
-    draws the same normal stream in pieces, in order, and each chirp sample
-    is added to its noise sample alone.
+    A helper thread, started at the first next(), draws block j + 1 into
+    the other slot while the caller works on block j; numpy's normal fill
+    releases the GIL. It is joined when the stream ends, raises or is
+    closed, and an error it raises is raised again here. Close a stream
+    left unfinished before its out serves another. The blocks join to the
+    whole trace bit for bit: the helper alone draws the same normal stream
+    in pieces, in order, and each chirp sample is added to its noise
+    sample alone.
     """
     if not isinstance(out, np.ndarray):
         raise InvalidInputError(
@@ -240,46 +238,18 @@ def synth_rumble_blocks(events: list[tuple[float, RumbleSpec]], total_s: float,
     chirps = _scaled_chirps(events, total_s, sample_rate_hz, noise_rms, n)
     blocks = _noise_blocks(np.random.default_rng(seed), n, noise_rms, chirps,
                            out)
-    return _look_ahead(blocks, len(out)) if _cpu_count() > 1 else blocks
+    return _look_ahead(blocks)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _look_ahead(blocks: Iterator[np.ndarray],
-                slots: int) -> Iterator[np.ndarray]:
+def _look_ahead(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
     """blocks, each drawn on a helper thread while the caller holds the one
     before; a block's slot is drawn again only once the caller has asked
     for the block after it."""
-    free, handed = threading.Semaphore(slots), queue.SimpleQueue()
-    stop = False
-
-    def draw() -> None:
-        try:
-            while free.acquire() and not stop:
-                block = next(blocks, None)
-                handed.put(block)
-                if block is None:
-                    return
-        except BaseException as exc:  # raised again in the caller
-            handed.put(exc)
-
-    thread = threading.Thread(target=draw, name="hecsim-synth", daemon=True)
-    thread.start()
-    try:
-        while (block := handed.get()) is not None:
-            if isinstance(block, BaseException):
-                raise block
+    with ThreadPoolExecutor(1, thread_name_prefix="hecsim-synth") as helper:
+        pending = helper.submit(next, blocks, None)
+        while (block := pending.result()) is not None:
+            pending = helper.submit(next, blocks, None)
             yield block
-            free.release()  # the caller asked for the next block
-    finally:
-        stop = True
-        free.release()
-        thread.join()
 
 
 def _scaled_chirps(events: list[tuple[float, RumbleSpec]], total_s: float,

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hecsim import signals
 from hecsim.detection import (FFT_CHUNK_FRAMES, ORACLE_FRAME_S, ORACLE_HOP_S,
                               Algorithm1Params, RumbleEvent, TriggerScreen,
                               WindowDetection, detect_stream, match_and_recall,
@@ -374,8 +373,7 @@ def test_block_splits_change_nothing(stream, params):
     # length, and scoring the trace in blocks of whole windows gives the
     # ds >= 1 windows of the whole trace, on its timeline; one pair of
     # block slots and one screen serve every stream, as in a scenario run,
-    # so each stream is made and scored twice: drawn inline (one CPU) and
-    # on the look-ahead thread (more than one)
+    # so each stream is made and scored twice
     synth, block, screen_windows, cuts, start_s = stream
     whole = synth_rumble_stream(**synth)
     rate = whole.sample_rate_hz
@@ -384,16 +382,14 @@ def test_block_splits_change_nothing(stream, params):
         replace(whole, start_time_s=start_s), params) if d.ds >= 1]
     out, screen = np.empty((2, block)), TriggerScreen(rate, params)
     screen_out = np.empty((2, screen_windows * n))
-    for cpus in (1, 2):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(signals, "_cpu_count", lambda: cpus)
-            # a slot is redrawn once the next block is asked for, so each
-            # block is copied
-            joined = np.concatenate([np.zeros(0), *(
-                b.copy() for b in synth_rumble_blocks(**synth, out=out))])
-            assert joined.tobytes() == whole.samples.tobytes()
-            assert screen(synth_rumble_blocks(**synth, out=screen_out),
-                          start_s) == expected
+    for _ in range(2):
+        # a slot is redrawn once the next block is asked for, so each block
+        # is copied
+        joined = np.concatenate([np.zeros(0), *(
+            b.copy() for b in synth_rumble_blocks(**synth, out=out))])
+        assert joined.tobytes() == whole.samples.tobytes()
+        assert screen(synth_rumble_blocks(**synth, out=screen_out),
+                      start_s) == expected
         assert screen(np.split(whole.samples, [c * n for c in cuts]),
                       start_s) == expected
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecsim import signals
 from hecsim.detection import Algorithm1Params, TriggerScreen
 from hecsim.deterrent import generate_pink_noise
 from hecsim.errors import InvalidInputError
@@ -197,12 +196,6 @@ def test_block_slots_are_checked_when_the_stream_is_made(out, message):
     assert threading.active_count() == before
 
 
-@pytest.fixture
-def threaded(monkeypatch):
-    """synth_rumble_blocks draws on its helper thread, on any host."""
-    monkeypatch.setattr(signals, "_cpu_count", lambda: 2)
-
-
 def _ten_blocks():
     """10 s at 1 kHz, with a rumble, in blocks of 1,000 samples."""
     return synth_rumble_blocks([(2.0, RumbleSpec(3.5))], total_s=10.0,
@@ -228,7 +221,7 @@ def _raise_mid_stream(stream):
 @pytest.mark.parametrize("consume", [_run_to_end, _close, _raise_mid_stream],
                          ids=["run_to_end", "close_after_first",
                               "consumer_raises"])
-def test_look_ahead_thread_is_joined(threaded, consume):
+def test_look_ahead_thread_is_joined(consume):
     # the helper starts at the first next() and is joined when the stream
     # ends or is closed, whatever the consumer did
     before = threading.active_count()
@@ -240,7 +233,7 @@ def test_look_ahead_thread_is_joined(threaded, consume):
     assert threading.active_count() == before
 
 
-def test_screen_that_scores_nothing_starts_no_thread(threaded):
+def test_screen_that_scores_nothing_starts_no_thread():
     # run_low + 1 > 32 sub-segments: the screen returns without iterating
     screen = TriggerScreen(1000.0, Algorithm1Params(run_low=32, run_high=33))
     before = threading.active_count()
@@ -249,12 +242,30 @@ def test_screen_that_scores_nothing_starts_no_thread(threaded):
     assert threading.active_count() == before
 
 
+def test_screen_that_raises_closes_its_stream():
+    # 1.5 windows a slot: the second block follows one ending inside a
+    # window, so the screen raises while the helper draws the third. The
+    # screen closes the stream itself, so the helper is gone even while the
+    # traceback holds the screen's frame, and the slots can serve the next
+    # stream at once
+    screen = TriggerScreen(1000.0)
+    out = np.empty((2, 6000))
+    before = threading.active_count()
+    with pytest.raises(InvalidInputError, match="ends inside window") as err:
+        screen(synth_rumble_blocks([], total_s=60.0, out=out))
+    assert threading.active_count() == before
+    whole = synth_rumble_stream([(2.0, RumbleSpec(3.5))], 10.0, seed=3)
+    joined = [block.tobytes() for block in synth_rumble_blocks(
+        [(2.0, RumbleSpec(3.5))], total_s=10.0, seed=3, out=out)]
+    assert b"".join(joined) == whole.samples.tobytes()
+    assert err.traceback  # still held while the helper was checked
+
+
 class DrawError(Exception):
     pass
 
 
-def test_synthesis_error_on_the_helper_is_raised_in_the_caller(threaded,
-                                                               monkeypatch):
+def test_synthesis_error_on_the_helper_is_raised_in_the_caller(monkeypatch):
     default_rng, raised_on = np.random.default_rng, []
 
     class ThirdDrawFails:
@@ -278,7 +289,7 @@ def test_synthesis_error_on_the_helper_is_raised_in_the_caller(threaded,
     assert threading.active_count() == before
 
 
-def test_a_block_is_not_redrawn_until_the_next_is_asked_for(threaded):
+def test_a_block_is_not_redrawn_until_the_next_is_asked_for():
     # the helper runs ahead while the consumer holds a block, so a block
     # drawn into the slot the consumer holds would change under it
     whole = synth_rumble_stream([(2.0, RumbleSpec(3.5))], 10.0, seed=3)
