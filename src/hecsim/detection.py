@@ -169,9 +169,10 @@ def _in_band_flags(frames: np.ndarray, pad: int, in_band: np.ndarray,
 
     Each frame is mean-removed, windowed if a window is given and
     zero-padded to pad, as compute_stft does, in scratch from _fft_scratch
-    for at least max(FFT_CHUNK_FRAMES, columns) frames of m samples, or in
-    scratch made for this call. The peak bin skips DC, ties go to the
-    lowest bin, and in_band tests each bin.
+    for at least one FFT call's frames of m samples (max(FFT_CHUNK_FRAMES,
+    columns), or all the frames scored if fewer), or in scratch made for
+    this call. The peak bin skips DC, ties go to the lowest bin, and
+    in_band tests each bin.
     """
     count = len(frames) if rows is None else len(rows)
     cols, m = frames.shape[1:]
@@ -308,6 +309,16 @@ def stft_oracle_detect(trace: Signal,
     Maximal runs of frames whose peak frequency sits strictly inside the
     band become events when they last at least min_event_s. An event spans
     from the first frame's start to the last frame's end.
+
+    A run of r frames lasts (r - 1) * hop / rate + ORACLE_FRAME_S, so a
+    kept run holds more than L = floor((min_event_s - ORACLE_FRAME_S) *
+    rate / hop) frames (at least 1, at most the frame count; one frame of
+    slack for the rounding of frame times). Frames L - 1, 2L - 1, ... are
+    screened first. Every run of L frames holds one of them, and all its
+    frames lie in the gaps next to in-band probes, so only those gaps are
+    scored in full and every other frame counts as out of band. A run
+    that can be kept is thus found whole; only runs dropped anyway can be
+    cut short.
     """
     if not min_event_s >= 0:
         raise InvalidInputError(
@@ -321,8 +332,23 @@ def stft_oracle_detect(trace: Signal,
     pad = default_pad_length(frame)
     freqs = np.fft.rfftfreq(pad, 1.0 / rate)[1:]
     bins = (freqs > ORACLE_BAND_LOW_HZ) & (freqs < ORACLE_BAND_HIGH_HZ)
-    in_band = _in_band_flags(sliding_window_view(x, frame)[::hop, None], pad,
-                             bins, window=np.hanning(frame))[:, 0]
+    frames = sliding_window_view(x, frame)[::hop, None]
+    count, window = len(frames), np.hanning(frame)
+    span = (min_event_s - ORACLE_FRAME_S) * rate / hop
+    L = count if span >= count else max(1, math.floor(span))
+    scratch = _fft_scratch(min(count, FFT_CHUNK_FRAMES), pad)
+    in_band = np.zeros(count, dtype=bool)
+    probes = np.arange(L - 1, count, L)
+    in_band[probes] = _in_band_flags(frames, pad, bins, probes, window,
+                                     scratch)[:, 0]
+    # gap g holds frames gL .. gL + L - 2, between probes g - 1 and g
+    near = np.zeros(count // L + 1, dtype=bool)
+    near[:-1] = in_band[probes]
+    near[1:] |= in_band[probes]
+    rows = (np.flatnonzero(near)[:, None] * L + np.arange(L - 1)).ravel()
+    rows = rows[rows < count]
+    in_band[rows] = _in_band_flags(frames, pad, bins, rows, window,
+                                   scratch)[:, 0]
     times = trace.start_time_s + np.arange(len(in_band)) * hop / rate
     events = (RumbleEvent(t_start_s=float(times[i]),
                           t_end_s=float(times[j - 1]) + ORACLE_FRAME_S)

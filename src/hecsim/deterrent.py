@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError
-from .signals import Signal, check_rate, compute_stft
+from .signals import Signal, Spectrogram, check_rate, compute_stft
 
 log = logging.getLogger(__name__)
 
@@ -208,6 +208,28 @@ def _best_lag(la, lb) -> SimilarityScore:
     return SimilarityScore(max_xcorr=float(scores[best]), lag_frames=int(lags[best]))
 
 
+# the first argument of the last stft_similarity call: a private copy of
+# its samples, its rate and its spectrogram. It is read and replaced whole,
+# so calls from two threads at worst make one spectrogram twice
+_reference: tuple[np.ndarray, float, Spectrogram] | None = None
+
+
+def _reference_stft(clip: Signal) -> Spectrogram:
+    """The similarity spectrogram of clip, made once while the samples and
+    rate stay equal to the last reference's; a clip changed in place or
+    read at a new rate is analyzed again."""
+    global _reference
+    if _reference is not None:
+        samples, rate, spec = _reference
+        if (rate == clip.sample_rate_hz
+                and np.array_equal(samples, clip.samples)):
+            return spec
+    spec = compute_stft(clip, SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
+                        window_fn="hann")
+    _reference = (clip.samples.copy(), clip.sample_rate_hz, spec)
+    return spec
+
+
 def stft_similarity(a: Signal, b: Signal) -> SimilarityScore:
     """Best normalized cross-correlation of two log-magnitude spectrograms.
 
@@ -219,12 +241,19 @@ def stft_similarity(a: Signal, b: Signal) -> SimilarityScore:
     to rounding. On a stationary clip every lag ties within rounding, so
     rounding picks the lag. A flat spectrogram, such as a silent or
     constant clip's, has no shape to compare and scores 0 at lag 0.
+
+    a is the reference: its spectrogram is kept, with a copy of its
+    samples and its rate, and reused while a later a has equal samples at
+    the same rate, as when many draws are checked against one original.
     """
-    sa, sb = (compute_stft(c, SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
-                           window_fn="hann") for c in (a, b))
+    sa = _reference_stft(a)
+    sb = compute_stft(b, SIMILARITY_FRAME_S, SIMILARITY_HOP_S, window_fn="hann")
     fa, ma, fb, mb = sa.freqs_hz, sa.magnitudes, sb.freqs_hz, sb.magnitudes
     floor = 1e-6 * max(float(ma.max()), float(mb.max())) or 1e-12
-    la, lb = np.log(ma + floor), np.log(mb + floor)
+    # new arrays, worked in place: ma may be the kept reference's
+    la, lb = ma + floor, mb + floor
+    np.log(la, out=la)
+    np.log(lb, out=lb)
 
     # shared grid: keep the coarser axis, interpolate the other onto it
     # (equal tops mean equal rates, so the grids already agree)
@@ -237,8 +266,10 @@ def stft_similarity(a: Signal, b: Signal) -> SimilarityScore:
     # rounding residue, not zeros, so it is caught before
     if la.min() == la.max() or lb.min() == lb.max():
         return SimilarityScore(max_xcorr=0.0, lag_frames=0)
-    la, lb = la - la.mean(), lb - lb.mean()
-    return _best_lag(la / np.linalg.norm(la), lb / np.linalg.norm(lb))
+    for x in (la, lb):
+        x -= x.mean()
+        x /= np.linalg.norm(x)
+    return _best_lag(la, lb)
 
 
 def l2_delta(a: Signal, b: Signal) -> float:

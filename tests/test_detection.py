@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hecsim import detection
 from hecsim.detection import (FFT_CHUNK_FRAMES, ORACLE_FRAME_S, ORACLE_HOP_S,
                               Algorithm1Params, RumbleEvent, TriggerScreen,
                               WindowDetection, detect_stream, match_and_recall,
@@ -513,6 +515,78 @@ def tracker_traces(draw):
 def test_tracker_matches_the_spectrogram_tracker(trace, min_event_s):
     assert stft_oracle_detect(trace, min_event_s) == stft_tracker_events(
         trace, min_event_s)
+
+
+def _probe_spacing(min_event_s, rate, hop):
+    """The tracker's probe spacing L for min_event_s up to 6 s."""
+    span = (min(min_event_s, 6.0) - ORACLE_FRAME_S) * rate / hop
+    return max(1, math.floor(span))
+
+
+@st.composite
+def screened_tracker_cases(draw):
+    """A trace of 2 to 8 FFT chunks of tracker frames, at an awkward or
+    easy rate, with rumbles of 0.5 to 12 s that start and end a frame or
+    two from a probe frame, and a min_event_s in [0, 6] or infinite."""
+    rate = draw(st.sampled_from([200.0, 999.0, 1000.0, 1001.0]))
+    min_event_s = draw(st.one_of(st.floats(0.0, 6.0), st.just(math.inf)))
+    frame = int(round(ORACLE_FRAME_S * rate))
+    hop = int(round(ORACLE_HOP_S * rate))
+    count = FFT_CHUNK_FRAMES * draw(st.integers(2, 8)) + draw(
+        st.sampled_from([-1, 0, 1]))
+    total_s = (frame + (count - 1) * hop + draw(st.integers(0, hop - 1))) / rate
+    L = _probe_spacing(min_event_s, rate, hop)
+    events = []
+    for _ in range(draw(st.integers(0, 4))):
+        edges = [(draw(st.integers(1, count // L)) * L - 1
+                  + draw(st.integers(-2, 2))) * hop / rate for _ in range(2)]
+        duration = min(max(abs(edges[1] - edges[0]), 0.5), 12.0)
+        onset = min(max(min(edges), 0.0), total_s - duration)
+        events.append((onset, RumbleSpec(duration_s=duration,
+                                         snr_db=draw(st.floats(-5.0, 20.0)))))
+    trace = synth_rumble_stream(events, total_s, rate,
+                                seed=draw(st.integers(0, 2**32 - 1)))
+    return Signal(samples=trace.samples, sample_rate_hz=rate,
+                  start_time_s=draw(st.floats(0.5, 1e5))), min_event_s
+
+
+@settings(max_examples=30, deadline=None)
+@given(screened_tracker_cases())
+def test_screened_tracker_matches_the_spectrogram_tracker(case):
+    trace, min_event_s = case
+    assert stft_oracle_detect(trace, min_event_s) == stft_tracker_events(
+        trace, min_event_s)
+
+
+def test_tracker_keeps_an_event_of_exactly_min_event_s():
+    trace = synth_rumble(RumbleSpec(duration_s=4.0, snr_db=20.0),
+                         seed=3, total_s=100.0, onset_s=62.5)
+    # at 0 s every noise blip is an event too; the rumble is the longest
+    event = max(stft_oracle_detect(trace, 0.0), key=lambda e: e.duration_s)
+    assert stft_oracle_detect(trace, event.duration_s) == [event]
+    assert stft_oracle_detect(
+        trace, math.nextafter(event.duration_s, math.inf)) == []
+    assert stft_oracle_detect(trace, math.inf) == []
+
+
+def test_tracker_scores_a_fraction_of_the_frames(monkeypatch):
+    # 600 s at 1 kHz is 4,797 frames; six events of 4 s open a few gaps of
+    # L = 20 frames around their probes, and the rest stays out of band
+    rows_scored = []
+    kernel = detection._in_band_flags
+
+    def counting(frames, pad, in_band, rows=None, *args):
+        rows_scored.append(len(frames) if rows is None else len(rows))
+        return kernel(frames, pad, in_band, rows, *args)
+
+    events = [(50.0 + 100.0 * k, RumbleSpec(duration_s=4.0, snr_db=10.0))
+              for k in range(6)]
+    trace = synth_rumble_stream(events, 600.0, 1000.0, seed=1)
+    monkeypatch.setattr(detection, "_in_band_flags", counting)
+    found = stft_oracle_detect(trace)
+    assert len(found) == 6
+    assert sum(rows_scored) <= 4797 // 4
+    assert found == stft_tracker_events(trace, 3.0)
 
 
 def test_tracker_memory_does_not_grow_with_the_trace():
