@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -185,9 +186,11 @@ class MetricsReport:
 
 @dataclass
 class RunLogs:
-    """Everything one run produced, as plain JSON-able rows."""
+    """Everything one run produced, as plain JSON-able rows. A run's
+    delivery trace is the mesh's read-only trace view, which builds each
+    row's dict when it is read; the other streams are lists."""
 
-    delivery_trace: list
+    delivery_trace: Sequence[dict]
     actions: list
     warnings: list
     detections: list

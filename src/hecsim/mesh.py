@@ -23,12 +23,14 @@ import heapq
 import itertools
 import logging
 import math
+import operator
 from collections import defaultdict, deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -142,9 +144,23 @@ class NetworkConfig(JsonConfig):
 
 def check_segment(name: str, value: str) -> None:
     """Reject a value that cannot stand as one level of a topic."""
-    if not value or "/" in value or "+" in value:
+    if not value or "/" in value or "+" in value or "#" in value:
         raise InvalidConfigError(
             f"{name} must be one plain topic segment, got {value!r}")
+
+
+def _check_topic(text: str, wildcards: bool) -> None:
+    """Reject a topic, or with wildcards a subscription pattern, that the
+    matcher cannot honour: an empty level, a '#', or a '+' that is not a
+    whole level of a pattern. Plain string tests keep publish cheap."""
+    if (not text or text[0] == "/" or text[-1] == "/" or "//" in text
+            or "#" in text or "+" in text and not (wildcards and all(
+                level == "+" or "+" not in level
+                for level in text.split("/")))):
+        raise InvalidInputError(
+            f"{'pattern' if wildcards else 'topic'} {text!r}: every level must "
+            f"be non-empty, '+' may only stand alone as a level of a "
+            f"pattern, and '#' is not supported")
 
 
 def topic_matches(pattern: str, topic: str) -> bool:
@@ -211,13 +227,14 @@ class MeshNetwork:
         self._draws: list[float] = []  # uniforms drawn ahead, next one last
         self.brokers = {b: BrokerState(b) for b in config.brokers}
         self.clients: dict[str, _Client] = {}
-        self.trace: list[dict] = []
+        # one (t, msg_id, topic, from, to, event, reason, attempt) per row
+        self._rows: list[tuple] = []
         self.broker_transitions: list[dict] = []
         self._heap: list = []
         self._seq = itertools.count()
         self._msg_counter = itertools.count(1)
         self._channels: defaultdict[tuple, deque[_Transfer]] = defaultdict(deque)
-        self._delivered: list[tuple[float, str, Message]] = []
+        self._delivered: list = []  # t, client id, msg of each delivery
         self._failover_armed = False
         for failure in config.broker_failures:
             self.schedule(failure.t_s, lambda b=failure.broker_id: self.kill_broker(b))
@@ -233,8 +250,9 @@ class MeshNetwork:
     def schedule_in(self, dt_s: float, fn: Callable[[], None]) -> None:
         self.schedule(self.now + dt_s, fn)
 
-    def run_until(self, t_s: float) -> list[tuple[float, str, Message]]:
-        """Process every event due by t_s; returns (t, client, msg) deliveries."""
+    def run_until(self, t_s: float) -> Deliveries:
+        """Process every event due by t_s; returns a view of this call's
+        deliveries whose len and iteration give (t, client, msg) tuples."""
         if not self.now <= t_s < math.inf:  # trace times stay JSON numbers
             raise InvalidInputError(
                 f"cannot run the clock from {self.now} s to {t_s} s")
@@ -244,7 +262,13 @@ class MeshNetwork:
             self.now = t
             fn()
         self.now = t_s
-        return self._delivered
+        return Deliveries(self._delivered)
+
+    @property
+    def trace(self) -> TraceRows:
+        """Read-only view of every trace row so far, rows traced later
+        included; each row's dict is built when it is read."""
+        return TraceRows(self._rows)
 
     # ---- wiring ----
 
@@ -258,6 +282,7 @@ class MeshNetwork:
     def subscribe(self, client_id: str, pattern: str) -> None:
         """Register interest; replayed automatically after a failover."""
         client = self._client(client_id)
+        _check_topic(pattern, wildcards=True)
         if pattern not in client.subscriptions:
             client.subscriptions.append(pattern)
         if client.current_broker is not None:
@@ -268,6 +293,7 @@ class MeshNetwork:
                 qos: QoS = QoS.AT_LEAST_ONCE) -> str:
         """Publish one message; returns its id. Buffered while disconnected."""
         client = self._client(client_id)
+        _check_topic(topic, wildcards=False)
         msg = Message(msg_id=f"m{next(self._msg_counter):06d}", topic=topic,
                       payload=payload, qos=qos, publisher=client_id)
         self._trace(msg, "publish", client_id, client.current_broker)
@@ -294,7 +320,7 @@ class MeshNetwork:
     def write_trace_jsonl(self, path: str | Path) -> None:
         """One line per trace row, as json.dumps(row, sort_keys=True)."""
         with open(path, "w", encoding="ascii") as fh:
-            fh.writelines(map(_trace_line, self.trace))
+            fh.writelines(itertools.starmap(_trace_line, self._rows))
 
     # ---- internals ----
 
@@ -306,13 +332,8 @@ class MeshNetwork:
 
     def _trace(self, msg: Message, event: str, frm: str, to: str | None,
                reason: str | None = None, attempt: int | None = None) -> None:
-        row = {"t": round(self.now, 9), "msg_id": msg.msg_id, "topic": msg.topic,
-               "from": frm, "to": to or "", "event": event}
-        if reason is not None:
-            row["reason"] = reason
-        if attempt is not None:
-            row["attempt"] = attempt
-        self.trace.append(row)
+        self._rows.append((round(self.now, 9), msg.msg_id, msg.topic, frm,
+                           to or "", event, reason, attempt))
 
     def _link_for(self, client_id: str) -> LinkModel:
         return self.config.link_overrides.get(client_id, self.config.default_link)
@@ -469,7 +490,7 @@ class MeshNetwork:
         client = self.clients[transfer.client_id]
         msg = transfer.msg
         self._trace(msg, "deliver", transfer.broker_id, client.client_id)
-        self._delivered.append((self.now, client.client_id, msg))
+        self._delivered.extend((self.now, client.client_id, msg))
         if client.on_message is not None:
             client.on_message(client.client_id, msg, self.now)
 
@@ -566,18 +587,73 @@ class MeshNetwork:
                 broker.routes.clear()
 
 
-def _trace_line(row: dict) -> str:
-    """A _trace row as json.dumps(row, sort_keys=True) writes it, plus a
-    newline. The key set is closed, so the sorted order is written out."""
-    t = row["t"]  # an int after run_until(5); np.float64 prints as a float
+def _row_dict(t, msg_id, topic, frm, to, event, reason, attempt) -> dict:
+    """A _trace row as a dict; reason and attempt only when set."""
+    row = {"t": t, "msg_id": msg_id, "topic": topic, "from": frm, "to": to,
+           "event": event}
+    if reason is not None:
+        row["reason"] = reason
+    if attempt is not None:
+        row["attempt"] = attempt
+    return row
+
+
+def _trace_line(t, msg_id, topic, frm, to, event, reason, attempt) -> str:
+    """A _trace row as json.dumps(_row_dict(...), sort_keys=True) writes it,
+    plus a newline. The key set is closed, so the sorted order is written
+    out."""
+    # t is an int after run_until(5); np.float64 prints as a float
     t = int.__repr__(t) if isinstance(t, int) else float.__repr__(t)
-    attempt, reason = row.get("attempt"), row.get("reason")
     attempt = "" if attempt is None else f'"attempt": {int.__repr__(attempt)}, '
     reason = "" if reason is None else f'"reason": {_quote(reason)}, '
-    return (f'{{{attempt}"event": {_quote(row["event"])}, '
-            f'"from": {_quote(row["from"])}, "msg_id": {_quote(row["msg_id"])}, '
-            f'{reason}"t": {t}, "to": {_quote(row["to"])}, '
-            f'"topic": {_quote(row["topic"])}}}\n')
+    return (f'{{{attempt}"event": {_quote(event)}, '
+            f'"from": {_quote(frm)}, "msg_id": {_quote(msg_id)}, '
+            f'{reason}"t": {t}, "to": {_quote(to)}, '
+            f'"topic": {_quote(topic)}}}\n')
+
+
+class TraceRows(Sequence):
+    """Read-only sequence view of a network's trace. The rows are kept as
+    flat tuples, which the cyclic GC stops tracking, and each row's dict is
+    built when it is read; rows traced after the view was taken show."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list[tuple]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(itertools.starmap(_row_dict, self._rows[index]))
+        return _row_dict(*self._rows[index])
+
+    def __iter__(self):
+        return itertools.starmap(_row_dict, self._rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+class Deliveries:
+    """The deliveries of one run_until call, kept as one flat list of t,
+    client id and message; len and iteration give (t, client, msg)."""
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, flat: list):
+        self._flat = flat
+
+    def __len__(self) -> int:
+        return len(self._flat) // 3
+
+    def __iter__(self):
+        items = iter(self._flat)
+        return zip(items, items, items)
 
 
 def heartbeat_and_failover(network: MeshNetwork) -> list[dict]:

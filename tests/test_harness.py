@@ -92,9 +92,10 @@ def test_event_must_touch_a_node():
 
 def test_node_id_is_one_plain_topic_segment(tmp_path):
     # a '/' or '+' in a node id would change which topic patterns match it,
-    # and an empty one reads in trace rows as the "to" of no broker
+    # a '#' makes a topic the mesh rejects mid-run, and an empty one reads
+    # in trace rows as the "to" of no broker
     path = tmp_path / "scenario.json"
-    for bad in ("pn/1", "+", ""):
+    for bad in ("pn/1", "+", "", "pn#1"):
         message = f"node id must be one plain topic segment, got {bad!r}"
         with pytest.raises(InvalidConfigError, match=re.escape(message)):
             PnPlacement(bad)
