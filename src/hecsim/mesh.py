@@ -19,6 +19,7 @@ Ordering guarantee: for the messages that survive, delivery order per
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import logging
@@ -179,15 +180,17 @@ class BrokerState:
     def __init__(self, broker_id: str):
         self.broker_id = broker_id
         self.alive = True
+        self.heartbeat_topic = f"sys/heartbeat/{broker_id}"
         self.subscriptions: dict[str, list[tuple[str, ...]]] = {}  # split patterns
         # topic -> matching client ids in slot order; cleared on any change
         self.routes: dict[str, tuple[str, ...]] = {}
 
 
 class _Client:
-    def __init__(self, client_id: str, on_message):
+    def __init__(self, client_id: str, on_message, link: LinkModel):
         self.client_id = client_id
         self.on_message = on_message
+        self.link = link
         self.current_broker: str | None = None  # None while disconnected
         self.failed_brokers: set[str] = set()
         self.last_heartbeat_s = -np.inf
@@ -203,18 +206,18 @@ _PENDING, _ARRIVED, _DEAD = range(3)
 class _Transfer:
     """One message moving over one hop, with retry state."""
 
-    __slots__ = ("msg", "direction", "client_id", "broker_id", "attempts",
-                 "state", "channel_key")
+    __slots__ = ("msg", "up", "client", "broker_id", "attempts", "state",
+                 "channel")
 
-    def __init__(self, msg: Message, direction: str, client_id: str,
-                 broker_id: str | None, channel_key):
+    def __init__(self, msg: Message, up: bool, client: _Client,
+                 broker_id: str | None, channel: deque):
         self.msg = msg
-        self.direction = direction  # "up" (client->broker) or "down"
-        self.client_id = client_id
+        self.up = up  # client->broker; down is broker->client
+        self.client = client
         self.broker_id = broker_id  # fixed for down, resolved per attempt for up
         self.attempts = 0
         self.state = _PENDING
-        self.channel_key = channel_key
+        self.channel = channel  # this hop's transfers in publish order
 
 
 class MeshNetwork:
@@ -223,8 +226,12 @@ class MeshNetwork:
     def __init__(self, config: NetworkConfig):
         self.config = config
         self.now = 0.0
-        self._rng = np.random.default_rng(config.seed)
-        self._draws: list[float] = []  # uniforms drawn ahead, next one last
+        rng = np.random.default_rng(config.seed)
+        # the generator's uniforms in scalar random() order, drawn 512 at a time
+        self._uniform = itertools.chain.from_iterable(map(
+            lambda k: rng.random(k).tolist(), itertools.repeat(512))).__next__
+        self._partitions = tuple((p.t_start_s, p.t_end_s, p.nodes)
+                                 for p in config.partitions)
         self.brokers = {b: BrokerState(b) for b in config.brokers}
         self.clients: dict[str, _Client] = {}
         # one (t, msg_id, topic, from, to, event, reason, attempt) per row
@@ -275,7 +282,8 @@ class MeshNetwork:
     def add_client(self, client_id: str, on_message=None) -> None:
         if client_id in self.clients or client_id in self.brokers:
             raise InvalidInputError(f"duplicate node id {client_id!r}")
-        client = _Client(client_id, on_message)
+        client = _Client(client_id, on_message, self.config.link_overrides.get(
+            client_id, self.config.default_link))
         self.clients[client_id] = client
         self._try_connect(client)
 
@@ -302,7 +310,7 @@ class MeshNetwork:
             # _attempt decides what a disconnected client does with the rest
             self._park(client, msg)
         else:
-            self._start(msg, "up", client_id)
+            self._start(msg, True, client)
         return msg.msg_id
 
     def kill_broker(self, broker_id: str) -> None:
@@ -318,7 +326,8 @@ class MeshNetwork:
             {"t": self.now, "kind": "broker_killed", "broker": broker_id})
 
     def write_trace_jsonl(self, path: str | Path) -> None:
-        """One line per trace row, as json.dumps(row, sort_keys=True)."""
+        """One line per trace row, as json.dumps(row, sort_keys=True) of the
+        row's dict, so its clock rounded to 9 decimals."""
         with open(path, "w", encoding="ascii") as fh:
             fh.writelines(itertools.starmap(_trace_line, self._rows))
 
@@ -332,34 +341,29 @@ class MeshNetwork:
 
     def _trace(self, msg: Message, event: str, frm: str, to: str | None,
                reason: str | None = None, attempt: int | None = None) -> None:
-        self._rows.append((round(self.now, 9), msg.msg_id, msg.topic, frm,
-                           to or "", event, reason, attempt))
-
-    def _link_for(self, client_id: str) -> LinkModel:
-        return self.config.link_overrides.get(client_id, self.config.default_link)
+        """Append one row with the raw clock; reading or writing the row
+        rounds it to 9 decimals."""
+        self._rows.append((self.now, msg.msg_id, msg.topic, frm, to or "",
+                           event, reason, attempt))
 
     def _severed(self, a: str, b: str) -> bool:
         """True while an active partition holds exactly one of a and b."""
         now = self.now
-        for p in self.config.partitions:
-            if p.t_start_s <= now < p.t_end_s and (a in p.nodes) != (b in p.nodes):
+        for start, end, nodes in self._partitions:
+            if start <= now < end and (a in nodes) != (b in nodes):
                 return True
         return False
 
-    def _draw(self) -> float:
-        """Next uniform in [0, 1), in the order scalar rng.random() gives."""
-        if not self._draws:
-            self._draws = self._rng.random(512).tolist()[::-1]
-        return self._draws.pop()
-
-    def _latency(self, link: LinkModel) -> float:
-        # rng.uniform(0, j) is 0.0 + j * u, so this is bit-identical to it
+    def _transmit(self, link: LinkModel) -> float | None:
+        """Draw one transmission over link: None if it is lost, else its
+        delay. The loss test draws first and the jitter only on a kept
+        transmission, each only when the link has one."""
+        if link.loss_prob > 0 and self._uniform() < link.loss_prob:
+            return None
         if link.jitter_s > 0:
-            return link.latency_s + link.jitter_s * self._draw()
+            # rng.uniform(0, j) is 0.0 + j * u, so this is bit-identical to it
+            return link.latency_s + link.jitter_s * self._uniform()
         return link.latency_s
-
-    def _lost(self, link: LinkModel) -> bool:
-        return link.loss_prob > 0 and self._draw() < link.loss_prob
 
     def _park(self, client: _Client, msg: Message) -> None:
         client.buffer.append(msg)
@@ -373,21 +377,21 @@ class MeshNetwork:
     def _drain_buffer(self, client: _Client) -> None:
         client.drain_scheduled = False
         while client.current_broker is not None and client.buffer:
-            self._start(client.buffer.popleft(), "up", client.client_id)
+            self._start(client.buffer.popleft(), True, client)
 
     # ---- one hop: client to broker ("up") or broker to client ("down") ----
 
-    def _start(self, msg: Message, direction: str, client_id: str,
+    def _start(self, msg: Message, up: bool, client: _Client,
                broker_id: str | None = None) -> None:
-        key = (direction, msg.publisher, msg.topic, client_id)
-        transfer = _Transfer(msg, direction, client_id, broker_id, key)
-        self._channels[key].append(transfer)
+        channel = self._channels[up, msg.publisher, msg.topic, client.client_id]
+        transfer = _Transfer(msg, up, client, broker_id, channel)
+        channel.append(transfer)
         self._attempt(transfer)
 
     def _attempt(self, transfer: _Transfer) -> None:
-        client = self.clients[transfer.client_id]
+        client = transfer.client
         msg = transfer.msg
-        if transfer.direction == "up":
+        if transfer.up:
             if client.current_broker is None:
                 # only at-least-once messages survive a disconnect: they fold
                 # back into the buffer, and the transfer slot dies so the
@@ -409,7 +413,7 @@ class MeshNetwork:
                 # the session this delivery belonged to is gone
                 self._kill(transfer, "session_gone", *ends)
                 return
-        if not self.brokers[broker_id].alive or \
+        if not self.brokers[broker_id].alive or self._partitions and \
                 self._severed(client.client_id, broker_id):
             if msg.qos is QoS.AT_LEAST_ONCE:
                 # unreachable, not lost: retry without spending a credit
@@ -417,8 +421,8 @@ class MeshNetwork:
             else:
                 self._kill(transfer, "unreachable", *ends)
             return
-        link = self._link_for(client.client_id)
-        if self._lost(link):
+        delay = self._transmit(client.link)
+        if delay is None:
             transfer.attempts += 1
             self._trace(msg, "drop", *ends, reason="loss",
                         attempt=transfer.attempts)
@@ -429,25 +433,25 @@ class MeshNetwork:
             else:
                 self._kill(transfer)
             return
-        self.schedule_in(self._latency(link),
-                         lambda: self._arrive(transfer, broker_id))
+        self.schedule(self.now + delay,
+                      functools.partial(self._arrive, transfer, broker_id))
 
     def _arrive(self, transfer: _Transfer, broker_id: str) -> None:
-        if transfer.direction == "up" and not self.brokers[broker_id].alive:
+        if transfer.up and not self.brokers[broker_id].alive:
             # the broker died while the message was in flight
             if transfer.msg.qos is QoS.AT_LEAST_ONCE:
                 self._retry_later(transfer)
             else:
-                self._kill(transfer, "broker_dead", transfer.client_id,
+                self._kill(transfer, "broker_dead", transfer.client.client_id,
                            broker_id)
             return
         transfer.state = _ARRIVED
         transfer.broker_id = broker_id
-        self._pump(transfer.channel_key)
+        self._pump(transfer.channel)
 
     def _retry_later(self, transfer: _Transfer) -> None:
-        self.schedule_in(self.config.retry_interval_s,
-                         lambda: self._attempt(transfer))
+        self.schedule(self.now + self.config.retry_interval_s,
+                      functools.partial(self._attempt, transfer))
 
     def _kill(self, transfer: _Transfer, reason: str | None = None,
               frm: str = "", to: str = "") -> None:
@@ -455,7 +459,7 @@ class MeshNetwork:
         transfer.state = _DEAD
         if reason is not None:
             self._trace(transfer.msg, "drop", frm, to, reason=reason)
-        self._pump(transfer.channel_key)
+        self._pump(transfer.channel)
 
     def _fanout(self, msg: Message, broker_id: str) -> None:
         broker = self.brokers[broker_id]
@@ -466,13 +470,12 @@ class MeshNetwork:
                 client_id for client_id, patterns in broker.subscriptions.items()
                 if any(_levels_match(p, levels) for p in patterns))
         for client_id in route:
-            self._start(msg, "down", client_id, broker_id)
+            self._start(msg, False, self.clients[client_id], broker_id)
 
     # ---- ordered handoff ----
 
-    def _pump(self, key: tuple) -> None:
+    def _pump(self, channel: deque[_Transfer]) -> None:
         """Release the channel head when it has resolved, preserving order."""
-        channel = self._channels.get(key)
         while channel:
             head = channel[0]
             if head.state == _DEAD:
@@ -481,13 +484,13 @@ class MeshNetwork:
             if head.state != _ARRIVED:
                 return
             channel.popleft()
-            if head.direction == "up":
+            if head.up:
                 self._fanout(head.msg, head.broker_id)
             else:
                 self._deliver(head)
 
     def _deliver(self, transfer: _Transfer) -> None:
-        client = self.clients[transfer.client_id]
+        client = transfer.client
         msg = transfer.msg
         self._trace(msg, "deliver", transfer.broker_id, client.client_id)
         self._delivered.extend((self.now, client.client_id, msg))
@@ -502,22 +505,20 @@ class MeshNetwork:
             if not broker.alive:
                 continue
             msg = Message(msg_id=f"m{next(self._msg_counter):06d}",
-                          topic=f"sys/heartbeat/{broker.broker_id}",
-                          payload=None, qos=QoS.AT_MOST_ONCE,
-                          publisher=broker.broker_id)
+                          topic=broker.heartbeat_topic, payload=None,
+                          qos=QoS.AT_MOST_ONCE, publisher=broker.broker_id)
             self._trace(msg, "publish", broker.broker_id, "")
             for client in self.clients.values():
                 if client.current_broker != broker.broker_id:
                     continue
-                if self._severed(client.client_id, broker.broker_id):
+                if self._partitions and \
+                        self._severed(client.client_id, broker.broker_id):
                     continue
-                link = self._link_for(client.client_id)
-                if self._lost(link):
-                    continue
-                self.schedule_in(
-                    self._latency(link),
-                    lambda c=client, m=msg: self._receive_heartbeat(c, m))
-        self.schedule_in(interval, self._heartbeat_tick)
+                delay = self._transmit(client.link)
+                if delay is not None:
+                    self.schedule(self.now + delay, functools.partial(
+                        self._receive_heartbeat, client, msg))
+        self.schedule(self.now + interval, self._heartbeat_tick)
 
     def _receive_heartbeat(self, client: _Client, msg: Message) -> None:
         if client.current_broker != msg.publisher:
@@ -588,9 +589,10 @@ class MeshNetwork:
 
 
 def _row_dict(t, msg_id, topic, frm, to, event, reason, attempt) -> dict:
-    """A _trace row as a dict; reason and attempt only when set."""
-    row = {"t": t, "msg_id": msg_id, "topic": topic, "from": frm, "to": to,
-           "event": event}
+    """A _trace row as a dict, its clock rounded to 9 decimals; reason and
+    attempt only when set."""
+    row = {"t": round(t, 9), "msg_id": msg_id, "topic": topic, "from": frm,
+           "to": to, "event": event}
     if reason is not None:
         row["reason"] = reason
     if attempt is not None:
@@ -602,8 +604,17 @@ def _trace_line(t, msg_id, topic, frm, to, event, reason, attempt) -> str:
     """A _trace row as json.dumps(_row_dict(...), sort_keys=True) writes it,
     plus a newline. The key set is closed, so the sorted order is written
     out."""
-    # t is an int after run_until(5); np.float64 prints as a float
-    t = int.__repr__(t) if isinstance(t, int) else float.__repr__(t)
+    if type(t) is float and 1e-4 <= t < 1e6:
+        # 9 decimals here are at most 15 significant digits, which repr of
+        # round(t, 9) gives back unchanged, and repr writes no exponent
+        t = ("%.9f" % t).rstrip("0")
+        if t[-1] == ".":
+            t += "0"
+    else:
+        # t is an int after run_until(5); np.float64 rounds to np.float64
+        # and prints as a float
+        t = round(t, 9)
+        t = int.__repr__(t) if isinstance(t, int) else float.__repr__(t)
     attempt = "" if attempt is None else f'"attempt": {int.__repr__(attempt)}, '
     reason = "" if reason is None else f'"reason": {_quote(reason)}, '
     return (f'{{{attempt}"event": {_quote(event)}, '
@@ -614,8 +625,9 @@ def _trace_line(t, msg_id, topic, frm, to, event, reason, attempt) -> str:
 
 class TraceRows(Sequence):
     """Read-only sequence view of a network's trace. The rows are kept as
-    flat tuples, which the cyclic GC stops tracking, and each row's dict is
-    built when it is read; rows traced after the view was taken show."""
+    flat tuples with the raw clock, which the cyclic GC stops tracking, and
+    each row's dict, its clock rounded to 9 decimals, is built when it is
+    read; rows traced after the view was taken show."""
 
     __slots__ = ("_rows",)
 

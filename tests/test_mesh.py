@@ -6,13 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.mesh import (BrokerFailure, FailoverConfig, LinkModel,
                          MeshNetwork, NetworkConfig, Partition, QoS,
-                         heartbeat_and_failover, topic_matches)
+                         _row_dict, _trace_line, heartbeat_and_failover,
+                         topic_matches)
 from hecsim.sigio import write_jsonl
 from oracles import delivery_probability, partition_severs
 
@@ -581,20 +582,31 @@ def test_subscribe_after_a_topic_was_routed_receives_the_next_message():
 
 
 def test_block_draws_equal_scalar_draws():
-    # 2,000 interleaved draws cross several 512-draw block edges
-    link = LinkModel(latency_s=0.05, jitter_s=0.02, loss_prob=0.3)
+    # 2,000 interleaved transmissions over three links cross several
+    # 512-draw block edges; a lost one draws no jitter
+    links = (LinkModel(latency_s=0.05, loss_prob=0.3),
+             LinkModel(latency_s=0.05, jitter_s=0.02),
+             LinkModel(latency_s=0.05, jitter_s=0.02, loss_prob=0.3))
     net = make_net(seed=17)
     ref = np.random.default_rng(17)
-    kinds = np.random.default_rng(0).integers(0, 3, 2000)
-    for kind in kinds:
-        if kind == 0:
-            assert net._draw() == ref.random()
-        elif kind == 1:
-            assert net._lost(link) == (ref.random() < link.loss_prob)
-        else:
-            assert net._latency(link) == \
-                link.latency_s + ref.uniform(0.0, link.jitter_s)
-    assert (kinds == 2).sum() > 512
+    loss_tests = jittered = lost = 0
+    for kind in np.random.default_rng(0).integers(0, 3, 2000):
+        link = links[kind]
+        expected = link.latency_s
+        if link.loss_prob > 0:
+            loss_tests += 1
+            if ref.random() < link.loss_prob:
+                expected = None
+                lost += 1
+        if expected is not None and link.jitter_s > 0:
+            jittered += 1
+            expected = link.latency_s + ref.uniform(0.0, link.jitter_s)
+        assert net._transmit(link) == expected
+    assert loss_tests > 512 and jittered > 512 and lost > 100
+    # a certain loss draws its loss test only
+    assert net._transmit(LinkModel(jitter_s=0.02, loss_prob=1.0)) is None
+    ref.random()
+    assert net._transmit(links[1]) == 0.05 + ref.uniform(0.0, 0.02)
 
 
 def test_trace_jsonl_round_trips(tmp_path):
@@ -766,6 +778,64 @@ def test_trace_writer_prints_np_float64_as_a_float(tmp_path):
     text = assert_written_like_json(net, tmp_path)
     assert '"t": 1.25, ' in text.splitlines()[0]
     assert "np.float64" not in text
+
+
+def test_a_row_keeps_the_raw_clock_and_reads_it_rounded(tmp_path):
+    net = make_net()
+    collect(net)
+    net.add_client("pub")
+    net.schedule(0.1 + 0.2, lambda: net.publish("pub", "t/x", 1))
+    net.run_until(1.0)
+    assert net._rows[0][0] == 0.1 + 0.2 != 0.3
+    assert net.trace[0]["t"] == 0.3
+    text = assert_written_like_json(net, tmp_path)
+    assert '"t": 0.3, ' in text.splitlines()[0]
+
+
+@pytest.mark.parametrize("clock,text", [(3e-05, "3e-05"),
+                                        (1_234_567.123456789, "1234567.123456789")])
+def test_trace_writer_outside_the_fixed_point_range(tmp_path, clock, text):
+    # below 1e-4 s repr writes an exponent; from 1e6 s 9 decimals can be
+    # more than 15 significant digits
+    net = make_net(default_link=LinkModel(jitter_s=0.02), seed=5)
+    collect(net)
+    net.add_client("pub")
+    net.schedule(clock, lambda: net.publish("pub", "t/x", 1))
+    net.run_until(clock + 1.0)
+    lines = assert_written_like_json(net, tmp_path).splitlines()
+    assert len(lines) == 2 and f'"t": {text}, ' in lines[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(0.0, 2e6) | st.floats(0.0, 1e-4) | st.floats(1e6, 2e6)
+       | st.floats(2e6, 1e9)
+       | st.integers(0, 2 * 10**15).map(lambda k: k / 1e9 + 5e-10)
+       | st.floats(1e6 - 1.0, 1e6, exclude_max=True)
+       | st.integers(0, 2 * 10**6)
+       | st.floats(0.0, 2e6).map(np.float64))
+@example(0.1 + 0.2)
+@example(np.nextafter(1e6, 0.0))
+@example(np.nextafter(1e-4, 0.0))
+@example(8496165.71936638)  # "%.9f" gives 8496165.719366379
+@example(1e-4)
+@example(1e6)
+@example(0.0)
+@example(5)
+@example(np.float64(0.1 + 0.2))
+def test_trace_line_writes_the_clock_like_json(t):
+    row = (t, "m000001", "t/x", "pub", "broker-a", "deliver", None, None)
+    assert _trace_line(*row) == json.dumps(_row_dict(*row), sort_keys=True) + "\n"
+
+
+def test_heartbeat_rows_of_one_broker_share_one_topic_string():
+    net = make_net(brokers=("broker-a", "broker-b"))
+    heartbeat_and_failover(net)
+    net.add_client("sub")
+    net.run_until(20.0)
+    for broker in net.brokers.values():
+        rows = [r for r in net._rows if r[2] == broker.heartbeat_topic]
+        assert len(rows) >= 20
+        assert all(r[2] is broker.heartbeat_topic for r in rows)
 
 
 def test_trace_writer_escapes_ids_like_json(tmp_path):
