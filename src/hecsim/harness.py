@@ -35,7 +35,7 @@ from .detection import (Algorithm1Params, TriggerScreen,  # noqa: F401
                         WindowDetection, detect_stream)
 from .errors import InvalidConfigError, InvalidInputError
 from .mesh import (MeshNetwork, NetworkConfig, QoS, check_segment,
-                   heartbeat_and_failover)
+                   heartbeat_and_failover, trace_fields)
 from .peripheral import (IR_POWERED_STATES, CaptureFrame, NegativeDecision,
                          PnConfig, PnState, RepelCommand, ThermalFrame,
                          TimerExpired, pn_step)
@@ -251,11 +251,11 @@ def compute_metrics(logs: RunLogs, scenario: Scenario,
     duty = {node: on / end for node, on in powered.items()}
 
     counts: dict[str, dict] = {}
-    for row in logs.delivery_trace:
-        if not row["msg_id"] or row["event"] not in ("publish", "deliver"):
+    for msg_id, event, topic in trace_fields(logs.delivery_trace):
+        if not msg_id or event not in ("publish", "deliver"):
             continue
-        slot = counts.setdefault(row["topic"], {"published": 0, "delivered": 0})
-        slot["published" if row["event"] == "publish" else "delivered"] += 1
+        slot = counts.setdefault(topic, {"published": 0, "delivered": 0})
+        slot["published" if event == "publish" else "delivered"] += 1
 
     return MetricsReport(
         scenario=scenario.name, duration_s=scenario.duration_s,

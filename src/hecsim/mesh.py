@@ -46,7 +46,7 @@ class QoS(Enum):
     AT_LEAST_ONCE = "at_least_once"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """Envelope. The mesh never reads, copies or traces the payload, so
     every subscriber receives the publisher's own object: publish
@@ -234,8 +234,8 @@ class MeshNetwork:
                                  for p in config.partitions)
         self.brokers = {b: BrokerState(b) for b in config.brokers}
         self.clients: dict[str, _Client] = {}
-        # one (t, msg_id, topic, from, to, event, reason, attempt) per row
-        self._rows: list[tuple] = []
+        # t, msg_id, topic, from, to, event, reason, attempt of each row
+        self._rows: list = []
         self.broker_transitions: list[dict] = []
         self._heap: list = []
         self._seq = itertools.count()
@@ -329,7 +329,7 @@ class MeshNetwork:
         """One line per trace row, as json.dumps(row, sort_keys=True) of the
         row's dict, so its clock rounded to 9 decimals."""
         with open(path, "w", encoding="ascii") as fh:
-            fh.writelines(itertools.starmap(_trace_line, self._rows))
+            fh.writelines(itertools.starmap(_trace_line, _by_row(self._rows)))
 
     # ---- internals ----
 
@@ -341,9 +341,9 @@ class MeshNetwork:
 
     def _trace(self, msg: Message, event: str, frm: str, to: str | None,
                reason: str | None = None, attempt: int | None = None) -> None:
-        """Append one row with the raw clock; reading or writing the row
-        rounds it to 9 decimals."""
-        self._rows.append((self.now, msg.msg_id, msg.topic, frm, to or "",
+        """Extend the flat row list with one row's eight fields, the clock
+        raw; reading or writing the row rounds it to 9 decimals."""
+        self._rows.extend((self.now, msg.msg_id, msg.topic, frm, to or "",
                            event, reason, attempt))
 
     def _severed(self, a: str, b: str) -> bool:
@@ -588,6 +588,23 @@ class MeshNetwork:
                 broker.routes.clear()
 
 
+_ROW = 8  # fields of one trace row in MeshNetwork._rows
+
+
+def _by_row(flat: list):
+    """The rows of a flat trace list as tuples of their eight fields."""
+    return zip(*[iter(flat)] * _ROW)
+
+
+def trace_fields(trace: Sequence[dict]):
+    """(msg_id, event, topic) of each trace row; the mesh's view gives them
+    from its flat list without building the row dicts."""
+    if isinstance(trace, TraceRows):
+        flat = trace._flat
+        return zip(*(itertools.islice(flat, k, None, _ROW) for k in (1, 5, 2)))
+    return ((row["msg_id"], row["event"], row["topic"]) for row in trace)
+
+
 def _row_dict(t, msg_id, topic, frm, to, event, reason, attempt) -> dict:
     """A _trace row as a dict, its clock rounded to 9 decimals; reason and
     attempt only when set."""
@@ -624,26 +641,32 @@ def _trace_line(t, msg_id, topic, frm, to, event, reason, attempt) -> str:
 
 
 class TraceRows(Sequence):
-    """Read-only sequence view of a network's trace. The rows are kept as
-    flat tuples with the raw clock, which the cyclic GC stops tracking, and
-    each row's dict, its clock rounded to 9 decimals, is built when it is
-    read; rows traced after the view was taken show."""
+    """Read-only sequence view of a network's trace. The rows are kept in
+    one flat list, eight fields a row with the raw clock, and each row's
+    dict, its clock rounded to 9 decimals, is built when it is read; rows
+    traced after the view was taken show."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_flat",)
 
-    def __init__(self, rows: list[tuple]):
-        self._rows = rows
+    def __init__(self, flat: list):
+        self._flat = flat
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._flat) // _ROW
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(itertools.starmap(_row_dict, self._rows[index]))
-        return _row_dict(*self._rows[index])
+        # a range does the index arithmetic: negatives, steps, __index__
+        # and IndexError past either end
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return list(map(self._row, rows))
+        return self._row(rows)
+
+    def _row(self, i: int) -> dict:
+        return _row_dict(*self._flat[_ROW * i:_ROW * (i + 1)])
 
     def __iter__(self):
-        return itertools.starmap(_row_dict, self._rows)
+        return itertools.starmap(_row_dict, _by_row(self._flat))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):

@@ -302,8 +302,8 @@ def test_bundled_files_match_builders():
 # ---- end to end ----
 
 def test_example_scenario_end_to_end(tmp_path):
-    report, logs = run_scenario_with_logs(bundled_scenario(),
-                                          out_dir=tmp_path)
+    scenario = bundled_scenario()
+    report, logs = run_scenario_with_logs(scenario, out_dir=tmp_path)
     assert report.recall == 1.0
     assert report.false_warning_count == 0
     assert len(report.events) == 2
@@ -317,6 +317,9 @@ def test_example_scenario_end_to_end(tmp_path):
     for topic, counts in report.message_counts.items():
         if "/frame" in topic or "/cmd/" in topic:
             assert counts["delivered"] == counts["published"]
+    # the mesh's trace view and a plain list of its row dicts count alike
+    as_dicts = replace(logs, delivery_trace=list(logs.delivery_trace))
+    assert compute_metrics(as_dicts, scenario, SimConfig()) == report
 
     for name in ("delivery_trace.jsonl", "actions.jsonl", "warnings.jsonl",
                  "detections.jsonl", "metrics.json"):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.mesh import (BrokerFailure, FailoverConfig, LinkModel,
-                         MeshNetwork, NetworkConfig, Partition, QoS,
+                         MeshNetwork, Message, NetworkConfig, Partition, QoS,
                          _row_dict, _trace_line, heartbeat_and_failover,
                          topic_matches)
 from hecsim.sigio import write_jsonl
@@ -632,10 +632,17 @@ def test_trace_view_reads_like_a_list_of_dicts():
     net.run_until(5.0)
     rows = list(view)  # rows traced after the view was taken show in it
     assert len(view) == len(rows) == len(net.trace) > 2
-    assert view[0] == rows[0] and view[-1] == rows[-1]
-    assert view[1:3] == rows[1:3] and view[::-1] == rows[::-1]
-    with pytest.raises(IndexError):
-        view[len(rows)]
+    n = len(rows)
+    for i in (0, 1, n - 1, -1, -2, -n):
+        assert view[i] == rows[i]
+    assert view[np.int64(1)] == rows[1] and view[np.int64(-1)] == rows[-1]
+    for part in (slice(1, 3), slice(None, None, -1), slice(None, None, 2),
+                 slice(-2, None), slice(n - 1, 0, -3), slice(5, 1),
+                 slice(-n - 5, n + 5), slice(np.int64(1), None, np.int64(2))):
+        assert view[part] == rows[part], part
+    for i in (n, -n - 1, np.int64(n)):
+        with pytest.raises(IndexError):
+            view[i]
     assert view == rows and rows == view and view == net.trace
     assert view != rows[:-1] and rows[:-1] != view
     assert view != [dict(rows[0], t=-1.0)] + rows[1:]
@@ -671,7 +678,8 @@ def test_trace_and_deliveries_stay_out_of_the_cyclic_gc():
 
 
 def test_trace_rows_retain_little_memory():
-    # a dict per row retained about 370 B here; a flat tuple about 185 B
+    # eight fields a row in one flat list, and messages without an instance
+    # dict, retain about 159 B a row here
     gc.collect()
     tracemalloc.start()
     try:
@@ -690,7 +698,9 @@ def test_trace_rows_retain_little_memory():
     finally:
         tracemalloc.stop()
     assert len(net.trace) > 15_000
-    assert per_row < 275, per_row
+    assert per_row < 170, per_row
+    msg = Message("m000001", "t/x", None, QoS.AT_MOST_ONCE, "pub")
+    assert not hasattr(msg, "__dict__")
 
 
 # ---- the trace writer and the partition rule ----
@@ -793,7 +803,7 @@ def test_a_row_keeps_the_raw_clock_and_rounds_it_when_read(tmp_path, clock,
     net.add_client("pub")
     net.schedule(clock, lambda: net.publish("pub", "t/x", 1))
     net.run_until(clock + 1.0)
-    assert net._rows[0][0] == clock
+    assert net._rows[0] == clock  # the first field of the first row
     assert net.trace[0]["t"] == float(text)
     lines = assert_written_like_json(net, tmp_path).splitlines()
     assert len(lines) == 2 and f'"t": {text}, ' in lines[0]
@@ -826,9 +836,10 @@ def test_heartbeat_rows_of_one_broker_share_one_topic_string():
     net.add_client("sub")
     net.run_until(20.0)
     for broker in net.brokers.values():
-        rows = [r for r in net._rows if r[2] == broker.heartbeat_topic]
-        assert len(rows) >= 20
-        assert all(r[2] is broker.heartbeat_topic for r in rows)
+        # the topic is the third of each row's eight flat fields
+        topics = [t for t in net._rows[2::8] if t == broker.heartbeat_topic]
+        assert len(topics) >= 20
+        assert all(t is broker.heartbeat_topic for t in topics)
 
 
 def test_trace_writer_escapes_ids_like_json(tmp_path):
