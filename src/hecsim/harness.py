@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -190,7 +190,7 @@ class RunLogs:
     delivery trace is the mesh's read-only trace view, which builds each
     row's dict when it is read; the other streams are lists."""
 
-    delivery_trace: Sequence[dict]
+    delivery_trace: Iterable[dict]
     actions: list
     warnings: list
     detections: list
@@ -356,8 +356,8 @@ class _Run:
                 log("capture_frame:1")
                 # only a seismic window triggers a capture
                 fid = f"{node}-w{event.window_index:03d}"
-                self.net.schedule_in(self.config.capture_delay_s,
-                                     lambda f=fid: self.capture(node, f))
+                self.net.schedule(self.net.now + self.config.capture_delay_s,
+                                  lambda f=fid: self.capture(node, f))
             elif isinstance(action, ThermalFrame):
                 log(f"publish_frame:{action.frame_id}")
                 self.publish(node, f"pn/{node}/frame", action)
@@ -389,8 +389,8 @@ class _Run:
         for action in actions:
             if isinstance(action, ThermalFrame):
                 log(f"run_detector:{action.frame_id}")
-                self.net.schedule_in(self.config.detector_delay_s,
-                                     lambda f=action: self.decide(f))
+                self.net.schedule(self.net.now + self.config.detector_delay_s,
+                                  lambda f=action: self.decide(f))
             elif isinstance(action, (RepelCommand, NegativeDecision)):
                 kind = ("repel" if isinstance(action, RepelCommand)
                         else "negative")

@@ -24,9 +24,8 @@ import heapq
 import itertools
 import logging
 import math
-import operator
 from collections import defaultdict, deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
@@ -134,6 +133,10 @@ class NetworkConfig(JsonConfig):
     def __post_init__(self):
         if not self.brokers:
             raise InvalidConfigError("need at least one broker")
+        for i, broker in enumerate(self.brokers):
+            check_segment("broker id", broker)
+            if broker in self.brokers[:i]:
+                raise InvalidConfigError(f"broker {broker!r} is listed twice")
         if self.max_retries < 0 or self.buffer_cap < 1:
             raise InvalidConfigError("bad retry or buffer setting")
         if not 0 < self.retry_interval_s < math.inf:
@@ -241,7 +244,7 @@ class MeshNetwork:
         self._seq = itertools.count()
         self._msg_counter = itertools.count(1)
         self._channels: defaultdict[tuple, deque[_Transfer]] = defaultdict(deque)
-        self._delivered: list = []  # t, client id, msg of each delivery
+        self._delivered = 0  # deliveries of the current run_until call
         self._failover_armed = False
         for failure in config.broker_failures:
             self.schedule(failure.t_s, lambda b=failure.broker_id: self.kill_broker(b))
@@ -254,16 +257,13 @@ class MeshNetwork:
             raise InvalidInputError(f"cannot schedule at {t_s} s before {self.now} s")
         heapq.heappush(self._heap, (t_s, next(self._seq), fn))
 
-    def schedule_in(self, dt_s: float, fn: Callable[[], None]) -> None:
-        self.schedule(self.now + dt_s, fn)
-
     def run_until(self, t_s: float) -> Deliveries:
-        """Process every event due by t_s; returns a view of this call's
-        deliveries whose len and iteration give (t, client, msg) tuples."""
+        """Process every event due by t_s; returns this call's deliveries,
+        of which only the count is kept."""
         if not self.now <= t_s < math.inf:  # trace times stay JSON numbers
             raise InvalidInputError(
                 f"cannot run the clock from {self.now} s to {t_s} s")
-        self._delivered = []
+        self._delivered = 0
         while self._heap and self._heap[0][0] <= t_s:
             t, _, fn = heapq.heappop(self._heap)
             self.now = t
@@ -493,7 +493,7 @@ class MeshNetwork:
         client = transfer.client
         msg = transfer.msg
         self._trace(msg, "deliver", transfer.broker_id, client.client_id)
-        self._delivered.extend((self.now, client.client_id, msg))
+        self._delivered += 1
         if client.on_message is not None:
             client.on_message(client.client_id, msg, self.now)
 
@@ -538,7 +538,7 @@ class MeshNetwork:
             else:
                 # a client the failover logic disconnected keeps probing
                 self._try_connect(client, record_reconnect=True)
-        self.schedule_in(interval, self._monitor_tick)
+        self.schedule(self.now + interval, self._monitor_tick)
 
     def _failover(self, client: _Client) -> None:
         old = client.current_broker
@@ -572,8 +572,8 @@ class MeshNetwork:
                      "client": client.client_id, "to": broker_id})
             if client.buffer and not client.drain_scheduled:
                 client.drain_scheduled = True
-                self.schedule_in(self.config.failover.resend_delay_s,
-                                 lambda c=client: self._drain_buffer(c))
+                self.schedule(self.now + self.config.failover.resend_delay_s,
+                              lambda c=client: self._drain_buffer(c))
             return
 
     @staticmethod
@@ -596,7 +596,7 @@ def _by_row(flat: list):
     return zip(*[iter(flat)] * _ROW)
 
 
-def trace_fields(trace: Sequence[dict]):
+def trace_fields(trace: Iterable[dict]):
     """(msg_id, event, topic) of each trace row; the mesh's view gives them
     from its flat list without building the row dicts."""
     if isinstance(trace, TraceRows):
@@ -640,11 +640,11 @@ def _trace_line(t, msg_id, topic, frm, to, event, reason, attempt) -> str:
             f'"topic": {_quote(topic)}}}\n')
 
 
-class TraceRows(Sequence):
-    """Read-only sequence view of a network's trace. The rows are kept in
-    one flat list, eight fields a row with the raw clock, and each row's
-    dict, its clock rounded to 9 decimals, is built when it is read; rows
-    traced after the view was taken show."""
+class TraceRows:
+    """Read-only view of a network's trace, giving its length and its rows
+    in order. The rows are kept in one flat list, eight fields a row with
+    the raw clock, and each row's dict, its clock rounded to 9 decimals, is
+    built when it is read; rows traced after the view was taken show."""
 
     __slots__ = ("_flat",)
 
@@ -654,41 +654,21 @@ class TraceRows(Sequence):
     def __len__(self) -> int:
         return len(self._flat) // _ROW
 
-    def __getitem__(self, index):
-        # a range does the index arithmetic: negatives, steps, __index__
-        # and IndexError past either end
-        rows = range(len(self))[index]
-        if isinstance(rows, range):
-            return list(map(self._row, rows))
-        return self._row(rows)
-
-    def _row(self, i: int) -> dict:
-        return _row_dict(*self._flat[_ROW * i:_ROW * (i + 1)])
-
     def __iter__(self):
         return itertools.starmap(_row_dict, _by_row(self._flat))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
 
 class Deliveries:
-    """The deliveries of one run_until call, kept as one flat list of t,
-    client id and message; len and iteration give (t, client, msg)."""
+    """The number of deliveries of one run_until call; nothing of them is
+    kept. It stays for the benchmark's count until that reads the trace."""
 
-    __slots__ = ("_flat",)
+    __slots__ = ("_count",)
 
-    def __init__(self, flat: list):
-        self._flat = flat
+    def __init__(self, count: int):
+        self._count = count
 
     def __len__(self) -> int:
-        return len(self._flat) // 3
-
-    def __iter__(self):
-        items = iter(self._flat)
-        return zip(items, items, items)
+        return self._count
 
 
 def heartbeat_and_failover(network: MeshNetwork) -> list[dict]:

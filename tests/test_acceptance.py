@@ -289,7 +289,7 @@ def test_criterion_09_failover_rescues_outage_detection():
 
     # deterministic: the whole delivery trace replays byte for byte
     _, again = run_scenario_with_logs(failover_scenario())
-    assert again.delivery_trace == logs.delivery_trace
+    assert list(again.delivery_trace) == list(logs.delivery_trace)
 
 
 def test_criterion_10_bundled_scenario_deterministic_fast_and_gated():

@@ -339,6 +339,20 @@ def test_l2_delta_same_grid(bee_clip):
     assert l2_delta(bee_clip, bumped) == pytest.approx(0.01, rel=1e-9)
 
 
+def test_l2_delta_of_a_silent_reference_is_finite():
+    # a silent reference has no norm to divide by; a stand-in of 1e-30
+    # keeps the distance finite and zero only for another silent clip
+    silent = Signal(samples=np.zeros(100), sample_rate_hz=100.0)
+    assert l2_delta(silent, silent) == 0.0
+    same_grid = Signal(samples=np.full(100, 0.5), sample_rate_hz=100.0)
+    assert l2_delta(silent, same_grid) == pytest.approx(5.0e30)
+    # the resampled path, onto the finer grid of a clip at twice the rate
+    assert l2_delta(silent, Signal(samples=np.zeros(200),
+                                   sample_rate_hz=200.0)) == 0.0
+    resampled = Signal(samples=np.ones(200), sample_rate_hz=200.0)
+    assert l2_delta(silent, resampled) == pytest.approx(200 ** 0.5 * 1e30)
+
+
 def test_l2_delta_sees_rate_change(bee_clip):
     out = modify_frame_rate(bee_clip, 1.3)
     assert l2_delta(bee_clip, out) > 1e-3

@@ -15,9 +15,9 @@ from hecsim.detection import Algorithm1Params
 from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.harness import (ElephantEvent, EventOutcome, MetricsReport,
                             PnPlacement, RunLogs, Scenario, SimConfig,
-                            compute_metrics, run_scenario_with_logs)
+                            _Run, compute_metrics, run_scenario_with_logs)
 from hecsim.mesh import BrokerFailure, LinkModel, NetworkConfig, Partition
-from hecsim.peripheral import PnConfig
+from hecsim.peripheral import PnConfig, ThermalFrame
 from hecsim.signals import RumbleSpec
 from oracles import naive_ir_duty
 
@@ -265,7 +265,12 @@ def test_scenario_with_inline_network_round_trip():
              "number"),
             (None, "Scenario.network: expected an object, got None"),
             # the mesh seed comes from master_seed
-            ({"seed": 5}, "Scenario: network seed must be 0")]:
+            ({"seed": 5}, "Scenario: network seed must be 0"),
+            ({"brokers": ["broker-a", "broker-a"]},
+             "Scenario.network: broker 'broker-a' is listed twice"),
+            ({"brokers": ["broker-a", ""]},
+             "Scenario.network: broker id must be one plain topic segment, "
+             "got ''")]:
         data = sc.to_json()
         data["network"] = network
         with pytest.raises(InvalidConfigError, match=re.escape(where)):
@@ -357,6 +362,22 @@ def test_repel_commands_are_causally_justified():
             pn = frame_id.rsplit("-w", 1)[0]
             assert pn in score_times
             assert score_times[pn] < row["t"]
+
+
+def test_a_repeat_frame_is_logged_as_an_anomaly():
+    # the central node runs the detector once per frame id; a second copy
+    # of a frame is one anomaly row and nothing else
+    run = _Run(tiny_scenario(), SimConfig())
+    frame = ThermalFrame(frame_id="pn-1-w004", pn_id="pn-1")
+    run.cn_dispatch(frame)
+    run.cn_dispatch(frame)
+    cn = SimConfig().cn.node_id
+    assert run.actions == [
+        {"t": 0.0, "node": cn, "state_from": "pending=0",
+         "state_to": "pending=1", "action": "run_detector:pn-1-w004"},
+        {"t": 0.0, "node": cn, "state_from": "pending=1",
+         "state_to": "pending=1",
+         "action": "anomaly:duplicate frame pn-1-w004"}]
 
 
 def test_frame_ids_follow_window_naming():
