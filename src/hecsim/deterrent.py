@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
-from .signals import Signal, Spectrogram, check_rate, compute_stft
+from .signals import Signal, check_rate, compute_stft, sample_count
 
 log = logging.getLogger(__name__)
 
@@ -56,14 +57,18 @@ class SimilarityScore:
     lag_frames: int
 
 
+def _check_seed(seed) -> int:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 def pick_modification(seed: int) -> ModificationParams:
     """Draw a modification kind uniformly and alpha uniformly in ALPHA_RANGE.
 
     The seed is recorded in the result so the exact draw can be replayed.
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise InvalidInputError("expected an integer seed")
-    seed = int(seed)
+    seed = _check_seed(seed)
     rng = np.random.default_rng(seed)
     kind = _KINDS[int(rng.integers(0, len(_KINDS)))]
     alpha = float(rng.uniform(*ALPHA_RANGE))
@@ -100,7 +105,7 @@ def generate_pink_noise(n_samples: int, sample_rate_hz: float, seed: int) -> Sig
     check_rate(sample_rate_hz)
     if n_samples < 2:
         raise InvalidInputError("need at least two samples")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     spectrum = np.fft.rfft(rng.standard_normal(n_samples))
     f = np.fft.rfftfreq(n_samples, 1.0 / sample_rate_hz)
     shape = np.zeros_like(f)
@@ -123,6 +128,7 @@ def overlay_pink_noise(clip: Signal, alpha: float, seed: int) -> Signal:
     or a silent clip returns the input unchanged.
     """
     _check_alpha(alpha)
+    _check_seed(seed)
     rms = float(np.sqrt(np.mean(clip.samples ** 2)))
     if alpha == 0.0 or rms == 0.0:
         return clip
@@ -144,7 +150,7 @@ def insert_silence_gaps(clip: Signal, alpha: float, seed: int) -> Signal:
     length never changes.
     """
     _check_alpha(alpha)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     frame_n = int(round(_GAP_FRAME_S * clip.sample_rate_hz))
     n_frames = len(clip.samples) // frame_n if frame_n > 0 else 0
     gap_n = int(round(alpha * 0.1 * clip.sample_rate_hz))
@@ -172,24 +178,33 @@ def _onto_grid(grid, freqs, rows):
     j = np.clip(np.searchsorted(freqs, grid, side="right") - 1, 0, len(freqs) - 2)
     # clamped like np.interp; a grid point on a bin takes its value exactly
     w = np.clip((grid - freqs[j]) / (freqs[j + 1] - freqs[j]), 0.0, 1.0)
-    return rows[:, j] * (1.0 - w) + rows[:, j + 1] * w
+    out, right = rows[:, j], rows[:, j + 1]  # new arrays, worked in place
+    out *= 1.0 - w
+    right *= w
+    return np.add(out, right, out=out)
 
 
-def _overlap_norms(rows, lo, hi):
+def _row_sums(rows):
+    """Prefix sums of the row energies and of the count of non-zero rows."""
+    energy = np.concatenate(([0.0], (rows * rows).sum(axis=1)))
+    return np.cumsum(energy), np.cumsum(energy > 0)
+
+
+def _overlap_norms(cum, nonzero, lo, hi):
     """Per lag: the norm of rows[lo:hi] and, by row count, if it is non-zero."""
-    energy = (rows * rows).sum(axis=1)
-    cum = np.concatenate(([0.0], np.cumsum(energy)))
-    nonzero = np.concatenate(([0], np.cumsum(energy > 0)))
     return np.sqrt(np.maximum(cum[hi] - cum[lo], 0.0)), nonzero[hi] > nonzero[lo]
 
 
-def _best_lag(la, lb) -> SimilarityScore:
+def _best_lag(la, lb, sums_a=None) -> SimilarityScore:
     """Score every frame lag of two spectrograms (rows are frames) at once.
 
     A lag's inner product is a diagonal sum of one frame Gram matrix, its
     overlap norms are differences of cumulative row energies. A lag whose
     overlap is all zeros is skipped; ties go to the most negative lag.
+    sums_a, if given, is _row_sums(la).
     """
+    # the row sums first, while no Gram matrix is held
+    sums_a, sums_b = sums_a or _row_sums(la), _row_sums(lb)
     # row i of a meets row j of b at lag i - j
     n_a, n_b = len(la), len(lb)
     diag = np.subtract.outer(np.arange(n_a), np.arange(n_b)) + (n_b - 1)
@@ -197,8 +212,8 @@ def _best_lag(la, lb) -> SimilarityScore:
                        minlength=n_a + n_b - 1)
     lags = np.arange(-(n_b - 1), n_a)
     a0, a1 = np.maximum(lags, 0), np.minimum(lags + n_b, n_a)
-    ov_a, live_a = _overlap_norms(la, a0, a1)
-    ov_b, live_b = _overlap_norms(lb, a0 - lags, a1 - lags)
+    ov_a, live_a = _overlap_norms(*sums_a, a0, a1)
+    ov_b, live_b = _overlap_norms(*sums_b, a0 - lags, a1 - lags)
     denom = ov_a * ov_b  # > 0 only guards an overlap lost to cumsum rounding
     scored = live_a & live_b & (denom > 0)
     if not scored.any():
@@ -208,26 +223,44 @@ def _best_lag(la, lb) -> SimilarityScore:
     return SimilarityScore(max_xcorr=float(scores[best]), lag_frames=int(lags[best]))
 
 
-# the first argument of the last stft_similarity call: a private copy of
-# its samples, its rate and its spectrogram. It is read and replaced whole,
-# so calls from two threads at worst make one spectrogram twice
-_reference: tuple[np.ndarray, float, Spectrogram] | None = None
+def _check_finite(**clips: Signal) -> None:
+    for name, clip in clips.items():
+        if not np.isfinite(clip.samples).all():
+            raise InvalidInputError(f"clip {name} has a NaN or infinite sample")
 
 
-def _reference_stft(clip: Signal) -> Spectrogram:
-    """The similarity spectrogram of clip, made once while the samples and
-    rate stay equal to the last reference's; a clip changed in place or
-    read at a new rate is analyzed again."""
+def _logged(mags, floor, freqs, grid, out=None):
+    """log(mags + floor) in out or a new array, on grid if that is coarser,
+    centered to unit norm; None if flat, where that leaves rounding residue."""
+    x = np.add(mags, floor, out=out)
+    np.log(x, out=x)
+    if grid[-1] < freqs[-1]:
+        x = _onto_grid(grid, freqs, x)
+    if x.min() == x.max():
+        return None
+    x -= x.mean()
+    x /= np.linalg.norm(x)
+    return x
+
+
+# the last stft_similarity reference: a copy of its samples, its rate, freqs,
+# magnitudes, peak, magnitudes _logged at its own floor and their _row_sums;
+# never written, replaced whole, so two threads at worst make it twice
+_reference: tuple | None = None
+
+
+def _reference_record(clip: Signal) -> tuple:
     global _reference
-    if _reference is not None:
-        samples, rate, spec = _reference
-        if (rate == clip.sample_rate_hz
-                and np.array_equal(samples, clip.samples)):
-            return spec
-    spec = compute_stft(clip, SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
-                        window_fn="hann")
-    _reference = (clip.samples.copy(), clip.sample_rate_hz, spec)
-    return spec
+    ref = _reference
+    if (ref is None or ref[1] != clip.sample_rate_hz
+            or not np.array_equal(ref[0], clip.samples)):
+        _check_finite(a=clip)
+        spec = compute_stft(clip, SIMILARITY_FRAME_S, SIMILARITY_HOP_S)
+        f, m, peak = spec.freqs_hz, spec.magnitudes, float(spec.magnitudes.max())
+        log = _logged(m, 1e-6 * peak or 1e-12, f, f)
+        _reference = ref = (clip.samples.copy(), clip.sample_rate_hz, f, m,
+                            peak, log, None if log is None else _row_sums(log))
+    return ref
 
 
 def stft_similarity(a: Signal, b: Signal) -> SimilarityScore:
@@ -240,36 +273,43 @@ def stft_similarity(a: Signal, b: Signal) -> SimilarityScore:
     inner product, so an exact copy scores 1 and abs(score) <= 1 holds up
     to rounding. On a stationary clip every lag ties within rounding, so
     rounding picks the lag. A flat spectrogram, such as a silent or
-    constant clip's, has no shape to compare and scores 0 at lag 0.
+    constant clip's, has no shape to compare and scores 0 at lag 0. A NaN
+    or infinite sample is rejected.
 
-    a is the reference: its spectrogram is kept, with a copy of its
-    samples and its rate, and reused while a later a has equal samples at
-    the same rate, as when many draws are checked against one original.
+    a is the reference: its spectrogram and log spectrogram, kept with a
+    copy of its samples and its rate, are reused while a later a has equal
+    samples at the same rate, as when many draws are checked against one
+    original; a b of its rate and length is analyzed where it changed.
     """
-    sa = _reference_stft(a)
-    sb = compute_stft(b, SIMILARITY_FRAME_S, SIMILARITY_HOP_S, window_fn="hann")
-    fa, ma, fb, mb = sa.freqs_hz, sa.magnitudes, sb.freqs_hz, sb.magnitudes
-    floor = 1e-6 * max(float(ma.max()), float(mb.max())) or 1e-12
-    # new arrays, worked in place: ma may be the kept reference's
-    la, lb = ma + floor, mb + floor
-    np.log(la, out=la)
-    np.log(lb, out=lb)
-
-    # shared grid: keep the coarser axis, interpolate the other onto it
-    # (equal tops mean equal rates, so the grids already agree)
-    if fa[-1] < fb[-1]:
-        lb = _onto_grid(fa, fb, lb)
-    elif fb[-1] < fa[-1]:
-        la = _onto_grid(fb, fa, la)
-
-    # a flat spectrogram has no shape to compare; centering it would leave
-    # rounding residue, not zeros, so it is caught before
-    if la.min() == la.max() or lb.min() == lb.max():
+    samples, rate, fa, ma, peak_a, log_a, sums_a = _reference_record(a)
+    _check_finite(b=b)
+    runs = [[0, len(ma)]]
+    if rate == b.sample_rate_hz and len(b.samples) == len(samples):
+        frame = sample_count(SIMILARITY_FRAME_S, rate)
+        hop = sample_count(SIMILARITY_HOP_S, rate)
+        changed = sliding_window_view(b.samples != samples, frame)[::hop]
+        edges = np.diff(changed.any(axis=1), prepend=False, append=False)
+        runs = np.flatnonzero(edges).reshape(-1, 2).tolist()
+    if runs == [[0, len(ma)]]:  # every frame changed, or a new rate or length
+        sb = compute_stft(b, SIMILARITY_FRAME_S, SIMILARITY_HOP_S)
+        fb, lb = sb.freqs_hz, sb.magnitudes
+        del sb  # so that lb is freed once it is put onto the grid
+    else:  # each frame is its own FFT row: unchanged rows are the reference's
+        fb, lb = fa, ma.copy()
+        for r0, r1 in runs:
+            part = Signal(b.samples[r0 * hop:(r1 - 1) * hop + frame], rate)
+            lb[r0:r1] = compute_stft(part, SIMILARITY_FRAME_S,
+                                     SIMILARITY_HOP_S).magnitudes
+    peak_b = float(lb.max())
+    floor = 1e-6 * max(peak_a, peak_b) or 1e-12
+    # shared grid: the coarser axis (equal tops mean equal rates and grids)
+    grid = fb if fb[-1] < fa[-1] else fa
+    lb = _logged(lb, floor, fb, grid, out=lb)  # lb is new
+    own = grid is fa and peak_b <= peak_a  # the reference's own floor
+    la = log_a if own else _logged(ma, floor, fa, grid)
+    if la is None or lb is None:
         return SimilarityScore(max_xcorr=0.0, lag_frames=0)
-    for x in (la, lb):
-        x -= x.mean()
-        x /= np.linalg.norm(x)
-    return _best_lag(la, lb)
+    return _best_lag(la, lb, sums_a if own else None)
 
 
 def l2_delta(a: Signal, b: Signal) -> float:
@@ -280,19 +320,15 @@ def l2_delta(a: Signal, b: Signal) -> float:
     their support), which makes a frame-rate reinterpretation register as a
     change even though the stored samples are identical.
     """
-    ref = float(np.linalg.norm(a.samples))
-    if ref == 0.0:
-        ref = 1e-30
-    if a.sample_rate_hz == b.sample_rate_hz and len(a.samples) == len(b.samples):
-        return float(np.linalg.norm(a.samples - b.samples)) / ref
-    rate = max(a.sample_rate_hz, b.sample_rate_hz)
-    total = max(a.duration_s, b.duration_s)
-    t = np.arange(int(round(total * rate))) / rate
-    ta = np.arange(len(a.samples)) / a.sample_rate_hz
-    tb = np.arange(len(b.samples)) / b.sample_rate_hz
-    ga = np.interp(t, ta, a.samples, left=0.0, right=0.0)
-    gb = np.interp(t, tb, b.samples, left=0.0, right=0.0)
-    ref = float(np.linalg.norm(ga))
-    if ref == 0.0:
-        ref = 1e-30
-    return float(np.linalg.norm(ga - gb)) / ref
+    _check_finite(a=a, b=b)
+    ga, gb = a.samples, b.samples
+    if a.sample_rate_hz != b.sample_rate_hz or len(ga) != len(gb):
+        rate = max(a.sample_rate_hz, b.sample_rate_hz)
+        total = max(a.duration_s, b.duration_s)
+        t = np.arange(int(round(total * rate))) / rate
+        ta = np.arange(len(ga)) / a.sample_rate_hz
+        tb = np.arange(len(gb)) / b.sample_rate_hz
+        ga = np.interp(t, ta, ga, left=0.0, right=0.0)
+        gb = np.interp(t, tb, gb, left=0.0, right=0.0)
+    # a silent reference has no norm; 1e-30 keeps the distance finite
+    return float(np.linalg.norm(ga - gb)) / (float(np.linalg.norm(ga)) or 1e-30)

@@ -113,6 +113,9 @@ class RumbleSpec:
                 "amplitude ratio")
 
 
+STFT_CHUNK_BYTES = 1 << 20  # of complex spectrum compute_stft holds at once
+
+
 def compute_stft(signal: Signal, frame_s: float, hop_s: float,
                  window_fn: str = "hann") -> Spectrogram:
     """Short-time spectrum over sliding frames.
@@ -137,10 +140,12 @@ def compute_stft(signal: Signal, frame_s: float, hop_s: float,
 
     frames = sliding_window_view(x, frame)[::hop]
     pad = default_pad_length(frame)
-    # two steps, so only one frame-sized temporary is alive at a time
-    segs = frames - frames.mean(axis=1, keepdims=True)
-    segs *= win
-    mags = np.abs(np.fft.rfft(segs, n=pad, axis=1))[:, 1:]
+    mags = np.empty((len(frames), pad // 2))
+    step = max(1, STFT_CHUNK_BYTES // (16 * (pad // 2 + 1)))
+    for i in range(0, len(frames), step):
+        segs = frames[i:i + step] - frames[i:i + step].mean(axis=1, keepdims=True)
+        segs *= win
+        np.abs(np.fft.rfft(segs, n=pad, axis=1)[:, 1:], out=mags[i:i + step])
     freqs = np.fft.rfftfreq(pad, 1.0 / rate)[1:]
     times = signal.start_time_s + np.arange(len(frames)) * hop / rate
     return Spectrogram(frame_times_s=times, freqs_hz=freqs, magnitudes=mags)

@@ -3,11 +3,14 @@
 Everything here is deliberately written the slow, obvious way, without
 sharing code with the package: direct DFT summation instead of FFT, explicit
 threshold enumeration instead of sorted sweeps, closed-form probability
-instead of simulation. Tests compare package output against these. The three
+instead of simulation. Tests compare package output against these. The
 exceptions read through the package's STFT and pin only what is built on
 top of it: naive_stft_similarity pins the lag search and the frequency-grid
-interpolation, stft_window_max_run pins the batched window scoring, and
-stft_tracker_events pins the batched tracker.
+interpolation, stft_window_max_run pins the batched window scoring,
+stft_tracker_events pins the batched tracker, and whole_stft_similarity,
+which also reads the package's lag search, pins the kept reference and the
+per-run analysis of changed frames bit for bit. one_batch_stft_magnitudes
+is the STFT transformed in one batch, which the chunked one must equal.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from hecsim.detection import (ORACLE_BAND_HIGH_HZ, ORACLE_BAND_LOW_HZ,
                               ORACLE_FRAME_S, ORACLE_HOP_S, RumbleEvent)
-from hecsim.deterrent import SIMILARITY_FRAME_S, SIMILARITY_HOP_S
+from hecsim.deterrent import SIMILARITY_FRAME_S, SIMILARITY_HOP_S, _best_lag
 from hecsim.signals import Signal, compute_stft
 
 
@@ -305,3 +308,52 @@ def naive_best_lag(la, lb):
     if best < -1.5:
         raise ValueError("no overlapping frames at any lag")
     return best, best_lag
+
+
+def one_batch_stft_magnitudes(samples, rate, frame_s, hop_s, window_fn="hann"):
+    """compute_stft's magnitudes with every frame stacked and transformed in
+    one batch: mean removed, windowed, zero-padded to the next power of two
+    of 4x the frame, DC bin dropped."""
+    frame, hop = int(round(frame_s * rate)), int(round(hop_s * rate))
+    n = (len(samples) - frame) // hop + 1
+    frames = np.stack([samples[k * hop:k * hop + frame] for k in range(n)])
+    win = np.hanning(frame) if window_fn == "hann" else np.ones(frame)
+    segs = (frames - frames.mean(axis=1, keepdims=True)) * win
+    pad = 1 << (4 * frame - 1).bit_length()
+    return np.abs(np.fft.rfft(segs, n=pad, axis=1))[:, 1:]
+
+
+def whole_stft_similarity(a, b):
+    """stft_similarity(a, b) in one pass over both whole spectrograms, with
+    nothing kept between calls and no row taken from another analysis.
+
+    The same arithmetic in the same order as the package, so the results
+    must agree bit for bit; the lag search is the package's _best_lag, which
+    naive_best_lag pins. Returns (max_xcorr, lag_frames).
+    """
+    sa = compute_stft(a, SIMILARITY_FRAME_S, SIMILARITY_HOP_S)
+    sb = compute_stft(b, SIMILARITY_FRAME_S, SIMILARITY_HOP_S)
+    fa, fb = sa.freqs_hz, sb.freqs_hz
+    floor = 1e-6 * max(float(sa.magnitudes.max()), float(sb.magnitudes.max()))
+    if floor == 0.0:
+        floor = 1e-12
+    la, lb = np.log(sa.magnitudes + floor), np.log(sb.magnitudes + floor)
+
+    def onto(grid, freqs, rows):
+        j = np.searchsorted(freqs, grid, side="right") - 1
+        j = np.clip(j, 0, len(freqs) - 2)
+        w = np.clip((grid - freqs[j]) / (freqs[j + 1] - freqs[j]), 0.0, 1.0)
+        return rows[:, j] * (1.0 - w) + rows[:, j + 1] * w
+
+    if fa[-1] < fb[-1]:
+        lb = onto(fa, fb, lb)
+    elif fb[-1] < fa[-1]:
+        la = onto(fb, fa, la)
+    if la.min() == la.max() or lb.min() == lb.max():
+        return 0.0, 0
+    la = la - la.mean()
+    lb = lb - lb.mean()
+    la /= np.linalg.norm(la)
+    lb /= np.linalg.norm(lb)
+    score = _best_lag(la, lb)
+    return score.max_xcorr, score.lag_frames

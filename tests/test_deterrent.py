@@ -13,8 +13,9 @@ from hecsim.deterrent import (ModificationKind, ModificationParams,
                               pick_modification, stft_similarity)
 from hecsim.errors import InvalidInputError
 from hecsim.seeds import derive_seed
-from hecsim.signals import Signal, synth_bee_buzz
-from oracles import naive_best_lag, naive_stft_similarity
+from hecsim.signals import Signal, compute_stft, synth_bee_buzz
+from oracles import (naive_best_lag, naive_stft_similarity,
+                     whole_stft_similarity)
 
 
 def test_pick_modification_is_replayable():
@@ -37,6 +38,19 @@ def test_pick_modification_rejects_junk():
         pick_modification("not a seed")
     with pytest.raises(InvalidInputError):
         pick_modification(np.random.default_rng(9))
+
+
+@pytest.mark.parametrize("draw", [
+    pick_modification,
+    lambda seed: generate_pink_noise(100, 8000.0, seed),
+    lambda seed: overlay_pink_noise(synth_bee_buzz(0.5), 1.0, seed),
+    lambda seed: insert_silence_gaps(synth_bee_buzz(1.5), 1.0, seed),
+], ids=["pick_modification", "generate_pink_noise", "overlay_pink_noise",
+        "insert_silence_gaps"])
+def test_a_negative_seed_is_rejected_by_name(draw):
+    with pytest.raises(InvalidInputError, match="seed .*got -1"):
+        draw(-1)
+    draw(0)
 
 
 def test_pick_modification_hits_every_kind():
@@ -258,19 +272,117 @@ def test_silent_reference_after_a_bee_clip_scores_zero(bee_clip):
     assert (score.max_xcorr, score.lag_frames) == (0.0, 0)
 
 
-def test_similarity_memory_with_the_reference_kept():
-    # the 10 s sweep clip at 8 kHz: 311 frames of 1,024 bins, 2.5 MB each
-    # spectrogram; 10.5 MiB traced, 17.8 MiB when every step made a copy
-    clip = synth_bee_buzz(duration_s=10.0, seed=derive_seed(1, "clip"))
-    out = overlay_pink_noise(clip, 1.0, 3)
+def traced_peak_with_the_reference_kept(clip, out):
     stft_similarity(clip, out)
     tracemalloc.start()
     try:
         stft_similarity(clip, out)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+
+
+def test_similarity_memory_with_the_reference_kept():
+    # the 10 s sweep clip at 8 kHz: 311 frames of 1,024 bins, 2.5 MB each
+    # spectrogram; 10.5 MiB traced while the whole complex spectrum was held
+    clip = synth_bee_buzz(duration_s=10.0, seed=derive_seed(1, "clip"))
+    out = overlay_pink_noise(clip, 1.0, 3)
+    assert traced_peak_with_the_reference_kept(clip, out) < 8 * 2**20
+
+
+def test_similarity_memory_of_a_draw_read_at_a_lower_rate():
+    # 445 frames at 0.7 times the rate, and the reference interpolated onto
+    # their grid; 16.8 MiB traced while the whole complex spectrum was held
+    # and the log spectrograms and the interpolation were made in copies
+    clip = synth_bee_buzz(duration_s=10.0, seed=derive_seed(1, "clip"))
+    out = modify_frame_rate(clip, 0.7)
+    assert traced_peak_with_the_reference_kept(clip, out) < 12 * 2**20
+
+
+def assert_kept_reference_changes_nothing(pairs):
+    """stft_similarity over pairs, in order with its record kept, gives the
+    scores of fresh calls and of one pass over whole spectrograms, exactly."""
+    deterrent._reference = None
+    got = [stft_similarity(a, b) for a, b in pairs]
+    assert got == [unmemoized(a, b) for a, b in pairs]
+    assert ([(s.max_xcorr, s.lag_frames) for s in got]
+            == [whole_stft_similarity(a, b) for a, b in pairs])
+
+
+def edited(clip, start, stop, factor):
+    samples = clip.samples.copy()
+    samples[start:stop] *= factor
+    return Signal(samples=samples, sample_rate_hz=clip.sample_rate_hz)
+
+
+def test_kept_reference_scores_the_sweep_draws_exactly():
+    clip = synth_bee_buzz(duration_s=10.0, seed=derive_seed(1, "clip"))
+    assert_kept_reference_changes_nothing([
+        (clip, apply_modification(clip, pick_modification(
+            derive_seed(1, "draw", i)))) for i in range(16)])
+
+
+def test_kept_reference_with_a_louder_then_a_quieter_draw(bee_clip):
+    louder, quieter = (edited(bee_clip, 4000, 6000, f) for f in (4.0, 0.25))
+    peak = compute_stft(bee_clip, deterrent.SIMILARITY_FRAME_S,
+                        deterrent.SIMILARITY_HOP_S).magnitudes.max()
+    for draw, is_louder in ((louder, True), (quieter, False)):
+        mags = compute_stft(draw, deterrent.SIMILARITY_FRAME_S,
+                            deterrent.SIMILARITY_HOP_S).magnitudes
+        assert bool(mags.max() > peak) is is_louder
+    assert_kept_reference_changes_nothing(
+        [(bee_clip, louder), (bee_clip, quieter), (bee_clip, louder)])
+
+
+@pytest.mark.parametrize("n", [16000, 62 * 256], ids=["tail", "whole_hops"])
+def test_kept_reference_with_an_equal_draw_or_one_end_changed(bee_clip, n):
+    # 16,000 samples leave a tail that no frame covers; 62 hops of 256 end
+    # with the last frame, so a change in the last sample reaches one frame
+    clip = Signal(samples=bee_clip.samples[:n], sample_rate_hz=8000.0)
+    same = Signal(samples=clip.samples.copy(), sample_rate_hz=8000.0)
+    first, last = edited(clip, 0, 1, -1.0), edited(clip, -1, None, -1.0)
+    assert_kept_reference_changes_nothing(
+        [(clip, same), (clip, first), (clip, last)])
+    assert stft_similarity(clip, same).max_xcorr == pytest.approx(1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([0.5, 0.7, 1.3]), st.integers(3, 40), st.integers(1, 99),
+       st.lists(st.tuples(st.floats(0, 1), st.integers(1, 2000),
+                          st.floats(0, 2)), min_size=1, max_size=4),
+       st.floats(0.5, 1.5))
+def test_kept_reference_on_partial_hops(scale, hops, part, edits, alpha):
+    # a clip of whole hops plus part of one, edited in runs, read again at
+    # its own rate, and reinterpreted at alpha times that rate
+    rate = 8000.0 * scale
+    hop = int(round(deterrent.SIMILARITY_HOP_S * rate))
+    n = hops * hop + max(1, part * hop // 100)
+    clip = synth_bee_buzz(duration_s=n / rate, sample_rate_hz=rate, seed=hops)
+    assert len(clip.samples) % hop != 0
+    draw = clip
+    for at, length, factor in edits:
+        start = int(at * (n - 1))
+        draw = edited(draw, start, start + length, factor)
+    assert_kept_reference_changes_nothing(
+        [(clip, draw), (clip, modify_frame_rate(clip, alpha)), (clip, draw)])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_a_non_finite_sample_is_rejected_by_argument(bee_clip, bad, which):
+    broken = edited(bee_clip, 100, 101, bad)
+    args = (broken, bee_clip) if which == "a" else (bee_clip, broken)
+    for fn in (stft_similarity, l2_delta):
+        with pytest.raises(InvalidInputError, match=f"clip {which} has a NaN"):
+            fn(*args)
+
+
+def test_a_kept_reference_made_non_finite_in_place_is_rejected(bee_clip):
+    clip = Signal(samples=bee_clip.samples.copy(), sample_rate_hz=8000.0)
+    stft_similarity(clip, bee_clip)
+    clip.samples[5] = float("nan")
+    with pytest.raises(InvalidInputError, match="clip a has a NaN"):
+        stft_similarity(clip, bee_clip)
 
 
 def assert_matches_loop(a, b):

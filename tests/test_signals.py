@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from hecsim.detection import Algorithm1Params, TriggerScreen
 from hecsim.deterrent import generate_pink_noise
 from hecsim.errors import InvalidInputError
-from hecsim.signals import (RumbleSpec, Signal, chirp_waveform,
-                            compute_stft, default_pad_length, next_pow2,
-                            synth_bee_buzz, synth_rumble, synth_rumble_blocks,
-                            synth_rumble_stream)
-from oracles import naive_dft_magnitudes, rumble_instantaneous_freq
+from hecsim.signals import (STFT_CHUNK_BYTES, RumbleSpec, Signal,
+                            chirp_waveform, compute_stft, default_pad_length,
+                            next_pow2, synth_bee_buzz, synth_rumble,
+                            synth_rumble_blocks, synth_rumble_stream)
+from oracles import (naive_dft_magnitudes, one_batch_stft_magnitudes,
+                     rumble_instantaneous_freq)
 
 
 def test_next_pow2():
@@ -77,6 +78,26 @@ def test_stft_frame_count_and_times():
     assert gram.frame_times_s[0] == 0.0
     assert gram.frame_times_s[1] == pytest.approx(0.125)
     assert gram.frame_times_s[-1] == pytest.approx(3.5)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("rate, window_fn", [(1000.0, "hann"),
+                                             (1000.0, "rect"),
+                                             (8000.0, "hann")])
+def test_chunked_stft_equals_one_batch(rate, window_fn, extra):
+    # a chunk is the frames whose complex spectra fill STFT_CHUNK_BYTES;
+    # one frame short of a whole chunk, a whole chunk, and one frame over
+    frame_s, hop_s = 0.064, 0.024
+    frame, hop = round(frame_s * rate), round(hop_s * rate)
+    chunk = STFT_CHUNK_BYTES // (16 * (default_pad_length(frame) // 2 + 1))
+    n_frames = chunk + extra
+    x = np.random.default_rng(n_frames).standard_normal(
+        (n_frames - 1) * hop + frame)
+    gram = compute_stft(Signal(samples=x, sample_rate_hz=rate), frame_s,
+                        hop_s, window_fn=window_fn)
+    want = one_batch_stft_magnitudes(x, rate, frame_s, hop_s, window_fn)
+    assert gram.magnitudes.shape == want.shape == (n_frames, len(gram.freqs_hz))
+    assert np.array_equal(gram.magnitudes, want)
 
 
 def test_stft_too_short_signal_rejected():
