@@ -20,9 +20,10 @@ from typing import Protocol
 
 import numpy as np
 
-from .codec import JsonConfig
+from .codec import (JsonConfig, Positive, PositiveCount, Probability,
+                    check_ranges)
 from .deterrent import pick_modification
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidInputError
 from .mesh import check_segment
 from .peripheral import LogAnomaly, NegativeDecision, RepelCommand, ThermalFrame
 from .seeds import derive_seed
@@ -98,14 +99,10 @@ class OracleDetector:
 
 @dataclass(frozen=True)
 class StochasticDetectorParams:
-    tpr: float = 0.9
-    fpr: float = 0.05
+    tpr: Probability = 0.9
+    fpr: Probability = 0.05
 
-    def __post_init__(self):
-        for name in ("tpr", "fpr"):
-            if not 0.0 <= (rate := getattr(self, name)) <= 1.0:
-                raise InvalidInputError(
-                    f"{name} must lie in [0, 1], got {rate!r}")
+    __post_init__ = check_ranges
 
 
 class StochasticDetector:
@@ -158,15 +155,12 @@ def detect_frame(frame: ThermalFrame, detector: Detector) -> DetectorDecision:
 @dataclass(frozen=True)
 class CnConfig:
     node_id: str = "cn"
-    repel_duration_s: float = 10.0
-    flash_freq_hz: float = 2.0
+    repel_duration_s: Positive = 10.0
+    flash_freq_hz: Positive = 2.0
 
     def __post_init__(self):
+        check_ranges(self)
         check_segment("node id", self.node_id)
-        if not 0 < self.repel_duration_s < math.inf or \
-                not 0 < self.flash_freq_hz < math.inf:
-            raise InvalidConfigError("repel duration and flash frequency "
-                                     "must be positive and finite")
 
 
 @dataclass
@@ -262,13 +256,11 @@ class LabeledFrame:
 
     frame_id: str
     boxes: tuple[tuple[float, float, float, float], ...]
-    width: int = 32
-    height: int = 24
+    width: PositiveCount = 32
+    height: PositiveCount = 24
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise InvalidInputError("frame size must be at least 1x1, got "
-                                    f"{self.width!r}x{self.height!r}")
+        check_ranges(self)
         for corners in self.boxes:
             box = BoundingBox(*corners)
             if box.x0 < 0 or box.y0 < 0 or box.x1 > self.width or \

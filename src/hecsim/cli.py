@@ -33,7 +33,7 @@ from .deterrent import (SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
                         ModificationKind, apply_modification,
                         generate_pink_noise, l2_delta, pick_modification,
                         stft_similarity)
-from .errors import InvalidConfigError, InvalidInputError, ParseError
+from .errors import InvalidInputError, ParseError
 from .harness import Scenario, SimConfig, run_scenario_with_logs
 from .signals import RumbleSpec, Signal, compute_stft, sample_count, \
     synth_bee_buzz, synth_rumble
@@ -280,7 +280,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"hecsim: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, InvalidInputError, InvalidConfigError) as exc:
+    except (ParseError, InvalidInputError) as exc:
         print(f"hecsim: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is still one line on stderr

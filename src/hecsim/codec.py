@@ -10,17 +10,31 @@ InvalidConfigError naming the dotted path, e.g.
 a JSON int; nothing else is coerced. NaN and the infinities are never valid
 numbers. A file that is not UTF-8 JSON raises InvalidConfigError naming the
 class and the file.
+
+A numeric field declares its range in its type, bare or in "X | None", by an
+interval alias below. check_ranges, run first in __post_init__, rejects the
+first field out of range; from a file, e.g. "Scenario.network.failover:
+heartbeat_interval_s 0.0 is not in (0, inf)".
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import operator
 import typing
 from pathlib import Path
 
 from .errors import InvalidConfigError, InvalidInputError
+
+Positive = typing.Annotated[float, "(0, inf)"]
+NonNegative = typing.Annotated[float, "[0, inf)"]
+NonNegativeOrInf = typing.Annotated[float, "[0, inf]"]
+Probability = typing.Annotated[float, "[0, 1]"]
+Count = typing.Annotated[int, "[0, inf)"]
+PositiveCount = typing.Annotated[int, "[1, inf)"]
 
 _SCALARS = {float: "a number", int: "an integer", str: "a string",
             bool: "true or false"}
@@ -38,6 +52,31 @@ def encode(value):
     if isinstance(value, dict):
         return {k: encode(v) for k, v in value.items()}
     return value
+
+
+@functools.cache
+def _ranges(cls) -> tuple:
+    """(field, interval, low, high, low test, high test) per interval alias
+    among the type hints of cls, bare or as a member of a union."""
+    ranges = []
+    for name, tp in typing.get_type_hints(cls, include_extras=True).items():
+        union = typing.get_origin(tp) is typing.Union
+        for t in typing.get_args(tp) if union else (tp,):
+            if typing.get_origin(t) is typing.Annotated:
+                text = t.__metadata__[0]
+                ranges.append((name, text, *map(float, text[1:-1].split(",")),
+                               operator.le if text[0] == "[" else operator.lt,
+                               operator.le if text[-1] == "]" else operator.lt))
+    return tuple(ranges)
+
+
+def check_ranges(obj) -> None:
+    """Reject the first field of a dataclass outside its declared interval
+    as "<field> <value> is not in <interval>"; None passes."""
+    for name, text, low, high, above, below in _ranges(type(obj)):
+        value = getattr(obj, name)
+        if value is not None and not (above(low, value) and below(value, high)):
+            raise InvalidConfigError(f"{name} {value} is not in {text}")
 
 
 def _fail(path: str, message: str):
@@ -67,7 +106,7 @@ def decode(tp, data, path: str):
                 _fail(path, f"missing key {name!r}")
         try:
             return tp(**kwargs)
-        except (InvalidConfigError, InvalidInputError) as exc:
+        except InvalidInputError as exc:
             raise InvalidConfigError(f"{path}: {exc}") from exc
 
     origin, args = typing.get_origin(tp), typing.get_args(tp)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .codec import Positive, check_ranges
 from .errors import InvalidInputError
 # compute_stft is not called here; perfbench's tracer wraps this binding
 from .signals import (Signal, check_rate, compute_stft,  # noqa: F401
@@ -45,18 +46,15 @@ class Algorithm1Params:
     and a run of run_high or more scores 2.
     """
 
-    window_s: float = 4.0
-    subsegment_s: float = 0.125
+    window_s: Positive = 4.0
+    subsegment_s: Positive = 0.125
     band_low_hz: float = 20.0
     band_high_hz: float = 40.0
     run_low: int = 6
     run_high: int = 24
 
     def __post_init__(self):
-        for name in ("window_s", "subsegment_s"):
-            if not 0 < (value := getattr(self, name)) < math.inf:
-                raise InvalidInputError(
-                    f"{name} must be positive and finite, got {value!r}")
+        check_ranges(self)
         ratio = self.window_s / self.subsegment_s
         if not 1 <= ratio < math.inf or abs(ratio - round(ratio)) > 1e-9:
             raise InvalidInputError(

@@ -147,24 +147,28 @@ def insert_silence_gaps(clip: Signal, alpha: float, seed: int) -> Signal:
     chance selects none at all, one frame is forced so that a draw can
     never return the clip unmodified. The gap offset is uniform within the
     frame, and a gap longer than the frame is clamped with a warning. Total
-    length never changes.
+    length never changes. A clip shorter than one frame, or a gap that
+    rounds to no sample, raises InvalidInputError.
     """
     _check_alpha(alpha)
     rng = np.random.default_rng(_check_seed(seed))
     frame_n = int(round(_GAP_FRAME_S * clip.sample_rate_hz))
-    n_frames = len(clip.samples) // frame_n if frame_n > 0 else 0
+    n_frames = len(clip.samples) // frame_n if frame_n else 0
     gap_n = int(round(alpha * 0.1 * clip.sample_rate_hz))
+    if n_frames == 0 or gap_n == 0:
+        raise InvalidInputError(
+            f"no gap fits: {len(clip.samples)} samples at {clip.sample_rate_hz}"
+            f" Hz hold {n_frames} whole frames, and alpha {alpha!r} gives a "
+            f"{gap_n}-sample gap")
     if gap_n > frame_n:
         log.warning("gap of %d samples clamped to the %d-sample frame",
                     gap_n, frame_n)
         gap_n = frame_n
 
-    selected: list[int] = []
-    if n_frames > 0 and gap_n > 0:
-        mask = rng.random(n_frames) < _GAP_PROB
-        selected = [k for k in range(n_frames) if mask[k]]
-        if not selected:
-            selected = [int(rng.integers(0, n_frames))]
+    mask = rng.random(n_frames) < _GAP_PROB
+    selected = [k for k in range(n_frames) if mask[k]]
+    if not selected:
+        selected = [int(rng.integers(0, n_frames))]
 
     y = clip.samples.copy()
     for k in selected:

@@ -1,11 +1,11 @@
-"""Shared exception types."""
+"""Shared exception types: InvalidConfigError is an InvalidInputError."""
 
 
 class InvalidInputError(ValueError):
     """An operation received data it cannot process."""
 
 
-class InvalidConfigError(ValueError):
+class InvalidConfigError(InvalidInputError):
     """A configuration object failed validation."""
 
 

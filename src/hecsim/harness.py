@@ -18,7 +18,6 @@ warnings.jsonl, metrics.json.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import partial
@@ -29,7 +28,8 @@ import numpy as np
 from .central import (CnConfig, CnState, OracleDetector, StochasticDetector,
                       StochasticDetectorParams, WarningKind, WarningRecord,
                       cn_step, detect_frame)
-from .codec import JsonConfig, encode
+from .codec import (JsonConfig, NonNegative, NonNegativeOrInf, Positive,
+                    Probability, check_ranges, encode)
 # detect_stream is not called here; perfbench's tracer wraps this binding
 from .detection import (Algorithm1Params, TriggerScreen,  # noqa: F401
                         WindowDetection, detect_stream)
@@ -67,15 +67,14 @@ class ElephantEvent:
     thermally hidden event exercises the negative-decision path.
     """
 
-    t_onset_s: float
+    t_onset_s: NonNegativeOrInf
     pn_ids: tuple[str, ...]
     rumble: RumbleSpec
     thermal_visible: bool = True
 
     def __post_init__(self):
+        check_ranges(self)
         object.__setattr__(self, "pn_ids", tuple(self.pn_ids))
-        if not self.t_onset_s >= 0:
-            raise InvalidInputError("event onset must be non-negative")
         if not self.pn_ids:
             raise InvalidInputError("event must touch at least one node")
         for i, node in enumerate(self.pn_ids):
@@ -86,7 +85,7 @@ class ElephantEvent:
 @dataclass(frozen=True)
 class Scenario(JsonConfig):
     name: str
-    duration_s: float
+    duration_s: Positive
     pns: tuple[PnPlacement, ...]
     events: tuple[ElephantEvent, ...] = ()
     detector: str = "oracle"
@@ -94,10 +93,9 @@ class Scenario(JsonConfig):
     network: NetworkConfig = NetworkConfig()
 
     def __post_init__(self):
+        check_ranges(self)
         object.__setattr__(self, "pns", tuple(self.pns))
         object.__setattr__(self, "events", tuple(self.events))
-        if not 0 < self.duration_s < math.inf:
-            raise InvalidConfigError("scenario duration must be positive and finite")
         if not self.pns:
             raise InvalidConfigError("scenario needs at least one node")
         ids = [p.node_id for p in self.pns]
@@ -125,26 +123,18 @@ class Scenario(JsonConfig):
 @dataclass(frozen=True)
 class SimConfig(JsonConfig):
     alg1: Algorithm1Params = Algorithm1Params()
-    seismic_rate_hz: float = 1000.0
+    seismic_rate_hz: Positive = 1000.0
     pn: PnConfig = PnConfig()
     cn: CnConfig = CnConfig()
     detector_params: StochasticDetectorParams = StochasticDetectorParams()
-    thermal_hold_s: float = 30.0
-    capture_delay_s: float = 0.05
-    detector_delay_s: float = 0.1
+    thermal_hold_s: NonNegativeOrInf = 30.0
+    capture_delay_s: NonNegative = 0.05
+    detector_delay_s: NonNegative = 0.1
     topic_prefix: str = "hec"
-    match_horizon_s: float = 30.0
+    match_horizon_s: NonNegativeOrInf = 30.0
 
     def __post_init__(self):
-        if not 0 < self.seismic_rate_hz < math.inf:
-            raise InvalidConfigError("seismic_rate_hz must be positive and "
-                                     f"finite, got {self.seismic_rate_hz!r}")
-        for name in ("capture_delay_s", "detector_delay_s"):
-            if not 0 <= (value := getattr(self, name)) < math.inf:
-                raise InvalidConfigError(f"{name} {value} is not in [0, inf)")
-        if not self.thermal_hold_s >= 0 or not self.match_horizon_s >= 0:
-            raise InvalidConfigError(
-                "thermal hold and match horizon must be non-negative")
+        check_ranges(self)
         check_segment("topic prefix", self.topic_prefix)
 
 
@@ -155,11 +145,9 @@ class EventOutcome:
     t_onset_s: float
     pn_ids: tuple[str, ...]
     detected: bool
-    latency_s: float | None
+    latency_s: NonNegativeOrInf | None
 
-    def __post_init__(self):
-        if self.latency_s is not None and self.latency_s < 0:
-            raise InvalidInputError("latency cannot be negative")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -167,15 +155,13 @@ class MetricsReport:
     scenario: str
     duration_s: float
     events: tuple[EventOutcome, ...]
-    recall: float | None
+    recall: Probability | None
     false_warning_count: int
     ir_duty_cycle: dict
     message_counts: dict
     seed: int
 
-    def __post_init__(self):
-        if self.recall is not None and not 0.0 <= self.recall <= 1.0:
-            raise InvalidInputError("recall must lie in [0, 1]")
+    __post_init__ = check_ranges
 
     def to_json(self) -> dict:
         return encode(self)

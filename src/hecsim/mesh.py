@@ -34,7 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .codec import JsonConfig
+from .codec import (Count, JsonConfig, NonNegative, Positive, PositiveCount,
+                    Probability, check_ranges)
 from .errors import InvalidConfigError, InvalidInputError
 
 log = logging.getLogger(__name__)
@@ -62,16 +63,11 @@ class Message:
 class LinkModel:
     """Per-link behavior; latency gets a uniform jitter in [0, jitter_s]."""
 
-    latency_s: float = 0.05
-    jitter_s: float = 0.0
-    loss_prob: float = 0.0
+    latency_s: NonNegative = 0.05
+    jitter_s: NonNegative = 0.0
+    loss_prob: Probability = 0.0
 
-    def __post_init__(self):
-        for name in ("latency_s", "jitter_s"):
-            if not 0 <= (value := getattr(self, name)) < math.inf:
-                raise InvalidConfigError(f"{name} {value} is not in [0, inf)")
-        if not 0.0 <= self.loss_prob <= 1.0:
-            raise InvalidConfigError("loss_prob must be in [0, 1]")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -90,31 +86,21 @@ class Partition:
 
 @dataclass(frozen=True)
 class FailoverConfig:
-    heartbeat_interval_s: float = 1.0
-    miss_threshold: int = 3
+    heartbeat_interval_s: Positive = 1.0
+    miss_threshold: PositiveCount = 3
     # parked publishes are re-sent this long after a reconnect, giving every
     # client time to replay subscriptions on the new broker first
-    resend_delay_s: float = 1.0
+    resend_delay_s: NonNegative = 1.0
 
-    def __post_init__(self):
-        if not 0 < self.heartbeat_interval_s < math.inf:
-            raise InvalidConfigError(
-                "heartbeat interval must be positive and finite")
-        if self.miss_threshold < 1:
-            raise InvalidConfigError("miss threshold must be at least 1")
-        if not 0 <= self.resend_delay_s < math.inf:
-            raise InvalidConfigError(
-                f"resend_delay_s {self.resend_delay_s} is not in [0, inf)")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class BrokerFailure:
     broker_id: str
-    t_s: float
+    t_s: NonNegative
 
-    def __post_init__(self):
-        if not 0 <= self.t_s < math.inf:
-            raise InvalidConfigError(f"broker failure time {self.t_s} is not in [0, inf)")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -125,22 +111,19 @@ class NetworkConfig(JsonConfig):
     partitions: tuple[Partition, ...] = ()
     failover: FailoverConfig = FailoverConfig()
     broker_failures: tuple[BrokerFailure, ...] = ()
-    max_retries: int = 10
-    retry_interval_s: float = 0.5
-    buffer_cap: int = 64
+    max_retries: Count = 10
+    retry_interval_s: Positive = 0.5
+    buffer_cap: PositiveCount = 64
     seed: int = 0
 
     def __post_init__(self):
+        check_ranges(self)
         if not self.brokers:
             raise InvalidConfigError("need at least one broker")
         for i, broker in enumerate(self.brokers):
             check_segment("broker id", broker)
             if broker in self.brokers[:i]:
                 raise InvalidConfigError(f"broker {broker!r} is listed twice")
-        if self.max_retries < 0 or self.buffer_cap < 1:
-            raise InvalidConfigError("bad retry or buffer setting")
-        if not 0 < self.retry_interval_s < math.inf:
-            raise InvalidConfigError("retry interval must be positive and finite")
         unknown = {f.broker_id for f in self.broker_failures} - set(self.brokers)
         if unknown:
             raise InvalidConfigError(f"unknown brokers {sorted(unknown)}")

@@ -16,10 +16,10 @@ fraction of time each node spends in IR_POWERED_STATES as its IR duty cycle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .codec import NonNegativeOrInf, Positive, check_ranges
 from .detection import WindowDetection
 from .deterrent import ModificationParams
 from .errors import InvalidInputError
@@ -27,16 +27,14 @@ from .errors import InvalidInputError
 
 @dataclass(frozen=True)
 class PnConfig:
-    ds_threshold: int = 1
-    decision_timeout_s: float = 10.0
-    repel_cooldown_s: float = 60.0
+    ds_threshold: int = 1  # a score of 1 or 2, so a set and no interval
+    decision_timeout_s: Positive = 10.0
+    repel_cooldown_s: NonNegativeOrInf = 60.0
 
     def __post_init__(self):
+        check_ranges(self)
         if self.ds_threshold not in (1, 2):
-            raise InvalidInputError("ds_threshold must be 1 or 2")
-        if not 0 < self.decision_timeout_s < math.inf or \
-                not self.repel_cooldown_s >= 0:
-            raise InvalidInputError("timeouts must be positive")
+            raise InvalidInputError(f"ds_threshold {self.ds_threshold} is not in {{1, 2}}")
 
 
 class PnStateKind(Enum):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .codec import Positive, check_ranges
 from .errors import InvalidInputError
 
 
@@ -95,13 +96,11 @@ RUMBLE_RAMP_HZ = (20.0, 40.0, 20.0)  # start, peak at mid-duration, end
 class RumbleSpec:
     """Elephant rumble: a flat-amplitude linear chirp through RUMBLE_RAMP_HZ."""
 
-    duration_s: float
+    duration_s: Positive
     snr_db: float = 20.0
 
     def __post_init__(self):
-        if not 0 < self.duration_s < math.inf:
-            raise InvalidInputError("rumble duration must be positive and "
-                                    f"finite, got {self.duration_s!r}")
+        check_ranges(self)
         # synthesis scales by this amplitude ratio and by its inverse
         try:
             ratio = 10.0 ** (self.snr_db / 20.0)

@@ -313,8 +313,10 @@ def test_labeled_frame_set_round_trip():
             ({"width": 32.9}, "LabeledFrameSet.frames[1].width", "an integer"),
             ({"width": True}, "LabeledFrameSet.frames[1].width", "an integer"),
             ({"frame_id": 7}, "LabeledFrameSet.frames[1].frame_id", "a string"),
-            ({"width": -5}, "LabeledFrameSet.frames[1]", "-5x24"),
-            ({"height": 0}, "LabeledFrameSet.frames[1]", "32x0"),
+            ({"width": -5}, "LabeledFrameSet.frames[1]",
+             "width -5 is not in [1, inf)"),
+            ({"height": 0}, "LabeledFrameSet.frames[1]",
+             "height 0 is not in [1, inf)"),
             ({"boxes": [[5, 1, 1, 5]]}, "LabeledFrameSet.frames[1]",
              "inverted"),
             ({"boxes": [[4, 4, 200, 180]]}, "LabeledFrameSet.frames[1]",

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,23 @@ def test_gaps_validate_inputs(bee_clip):
     for alpha in (-1.0, float("nan"), float("inf")):
         with pytest.raises(InvalidInputError, match="alpha"):
             insert_silence_gaps(bee_clip, alpha=alpha, seed=0)
+
+
+def test_gaps_never_return_the_clip_unmodified():
+    # a clip with no whole 1 s frame, or a gap of no sample, has nowhere to
+    # put the forced gap, so it fails instead of coming back unchanged
+    short = Signal(samples=np.ones(7999), sample_rate_hz=8000.0)
+    with pytest.raises(InvalidInputError, match=re.escape(
+            "no gap fits: 7999 samples at 8000.0 Hz hold 0 whole frames")):
+        insert_silence_gaps(short, alpha=1.0, seed=0)
+    one_frame = Signal(samples=np.ones(8000), sample_rate_hz=8000.0)
+    assert len(gapped_frames(one_frame,
+                             insert_silence_gaps(one_frame, 1.0, 0), 1.0)) == 1
+    # 0.1 * alpha * 8000 rounds to 0 samples
+    for alpha in (0.0, 0.0006):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"1 whole frames, and alpha {alpha!r} gives a 0-sample gap")):
+            insert_silence_gaps(one_frame, alpha=alpha, seed=0)
 
 
 def test_apply_modification_dispatch(bee_clip):
@@ -406,7 +424,14 @@ def test_similarity_matches_loop_on_sweep_draws():
        st.floats(0.5, 1.5), st.floats(0.2, 3.0), st.booleans())
 def test_similarity_matches_loop(seed, kind, alpha, clip_s, swap):
     clip = synth_bee_buzz(duration_s=clip_s, seed=seed)
-    out = apply_modification(clip, ModificationParams(kind, alpha, seed))
+    params = ModificationParams(kind, alpha, seed)
+    if kind is ModificationKind.SILENCE_GAPS and \
+            len(clip.samples) < clip.sample_rate_hz:
+        # no whole 1 s frame holds the forced gap
+        with pytest.raises(InvalidInputError, match="0 whole frames"):
+            apply_modification(clip, params)
+        return
+    out = apply_modification(clip, params)
     assert_matches_loop(*((out, clip) if swap else (clip, out)))
 
 

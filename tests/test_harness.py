@@ -171,9 +171,9 @@ def test_sim_config_validation():
          "SimConfig.cn: unknown key 'deterrent_alpha_range'"),
         ({"alg1": {"run_low": 30}}, "SimConfig.alg1: run thresholds"),
         ({"cn": {"repel_duration_s": -5.0}},
-         "SimConfig.cn: repel duration and flash frequency"),
+         "SimConfig.cn: repel_duration_s -5.0 is not in (0, inf)"),
         ({"cn": {"flash_freq_hz": 0}},
-         "SimConfig.cn: repel duration and flash frequency"),
+         "SimConfig.cn: flash_freq_hz 0.0 is not in (0, inf)"),
         ({"pn": {"flash_freq_hz": 99}},
          "SimConfig.pn: unknown key 'flash_freq_hz'"),
         # a file number is finite, whichever field it fills
@@ -186,9 +186,9 @@ def test_sim_config_validation():
         ({"pn": {"decision_timeout_s": float("nan")}},
          "SimConfig.pn.decision_timeout_s: expected a finite number"),
         ({"thermal_hold_s": -5},
-         "SimConfig: thermal hold and match horizon must be non-negative"),
+         "SimConfig: thermal_hold_s -5.0 is not in [0, inf]"),
         ({"match_horizon_s": -1},
-         "SimConfig: thermal hold and match horizon must be non-negative"),
+         "SimConfig: match_horizon_s -1.0 is not in [0, inf]"),
         ({"match_horizon_s": 10 ** 400},
          "SimConfig.match_horizon_s: expected a finite number"),
         ({"alg1": {"window_s": 1e300, "subsegment_s": 1e-300}},

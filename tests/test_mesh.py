@@ -188,13 +188,13 @@ def test_link_times_and_resend_delay_are_finite(make, where, value):
 def test_broker_failure_time_is_finite_and_non_negative(tmp_path):
     for t in (float("nan"), -5.0, float("inf")):
         with pytest.raises(InvalidConfigError, match=re.escape(
-                f"broker failure time {t} is not in [0, inf)")):
+                f"t_s {t} is not in [0, inf)")):
             NetworkConfig(brokers=("a", "b"),
                           broker_failures=(BrokerFailure("a", t),))
     path = tmp_path / "net.json"
     for t, where in [
             (-5, "NetworkConfig.broker_failures[0]: "
-                 "broker failure time -5.0 is not in [0, inf)"),
+                 "t_s -5.0 is not in [0, inf)"),
             (float("nan"), "NetworkConfig.broker_failures[0].t_s: "
                            "expected a finite number")]:
         path.write_text(json.dumps(

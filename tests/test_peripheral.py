@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -136,8 +138,11 @@ def test_stale_timer_is_ignored():
 
 
 def test_config_validation():
-    with pytest.raises(InvalidInputError):
-        PnConfig(ds_threshold=3)
+    # a score is 1 or 2: a set, so 1.5 fails where an interval [1, 2] would pass
+    for bad in (3, 1.5):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"ds_threshold {bad} is not in {{1, 2}}")):
+            PnConfig(ds_threshold=bad)
     with pytest.raises(InvalidInputError):
         PnConfig(decision_timeout_s=0.0)
     with pytest.raises(InvalidInputError):
