@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .codec import Positive, check_ranges
 from .errors import InvalidInputError
 # compute_stft is not called here; perfbench's tracer wraps this binding
-from .signals import (Signal, check_rate, compute_stft,  # noqa: F401
-                      default_pad_length)
+from .signals import (Signal, _rumble_blocks, check_rate,  # noqa: F401
+                      compute_stft, default_pad_length)
 
 # spectrogram frames and rumble band of the reference tracker
 ORACLE_FRAME_S = 0.5
@@ -29,10 +30,9 @@ ORACLE_BAND_HIGH_HZ = 40.0
 
 # frames per FFT call: 8 windows of 32 sub-segments, about 1 MB of spectra
 FFT_CHUNK_FRAMES = 256
-# samples per block of a scored stream, rounded down to whole windows (one
-# window at least): 32 windows of 4 s, 1 MB of float64, at 1 kHz. Synthesis
-# draws one block while the screen scores the other, so a stream's two
-# blocks hold 2 MB
+# samples per block of trigger_windows, rounded down to whole windows (one
+# window at least): 32 windows of 4 s, 1 MB of float64, at 1 kHz. One block
+# is drawn while the other is scored, so the two slots hold 2 MB
 BLOCK_SAMPLES = 128_000
 
 
@@ -234,20 +234,13 @@ def detect_stream(trace: Signal,
 
 class TriggerScreen:
     """Finds the windows of detect_stream that score ds >= 1, and only
-    those, in streams of consecutive sample blocks at one rate.
+    those, in samples at one rate.
 
-    The geometry is checked and the FFT scratch made once, for every stream
-    the screen scores; fresh scratch per stream or per block costs page
-    faults, since glibc trims and re-faults it. Each block is scored as it
-    arrives and not read again once the next is asked for, so a synthesis
-    stream may then redraw it; a stream the screen starts is closed when it
-    is done, also when it raises. Every block but the last holds whole
-    windows, block_samples (BLOCK_SAMPLES rounded down to whole windows) in
-    a scenario run; a block after one that ends inside a window is
-    rejected. The last block's remainder is ignored, and a stream of no
-    sample scores nothing. Window indices and start times count from the
-    stream's start, so a whole trace given as one block gives the same
-    detections as in blocks.
+    The geometry is checked and the FFT scratch made once, for every array
+    the screen scores; fresh scratch per array costs page faults, since
+    glibc trims and re-faults it. screen(x, start, first) scores the full
+    windows of x, whose remainder is ignored, as windows first, first + 1,
+    ... of a stream that starts at start.
 
     A window scores ds >= 1 when it holds an in-band run of L = run_low + 1
     sub-segments. Any L consecutive sub-segments hold exactly one index
@@ -262,42 +255,66 @@ class TriggerScreen:
         check_rate(sample_rate_hz)
         self.rate, self.params = sample_rate_hz, params
         self.geometry = _geometry(sample_rate_hz, params)
-        n, k, _, pad, _ = self.geometry
-        self.block_samples = max(1, BLOCK_SAMPLES // n) * n
+        _, k, _, pad, _ = self.geometry
         self.scratch = _fft_scratch(max(FFT_CHUNK_FRAMES, k), pad)
 
-    def __call__(self, blocks: Iterable[np.ndarray],
-                 start_time_s: float = 0.0) -> list[WindowDetection]:
+    def __call__(self, x: np.ndarray, start_time_s: float = 0.0,
+                 first_window: int = 0) -> list[WindowDetection]:
         n, k, sub, pad, in_band = self.geometry
         L = self.params.run_low + 1
         if L > k:
             return []
-        found: list[WindowDetection] = []
-        # stream index of the block's first window, and the samples left
-        # after the last full window of the block before
-        first = tail = 0
-        blocks = iter(blocks)
-        try:
-            for block in blocks:
-                if tail:
-                    raise InvalidInputError(
-                        f"a block before the last ends inside window {first}"
-                        f", after {tail} of its {n} samples")
-                segs = _windows(block, n, k, sub)
-                hits = np.flatnonzero(_in_band_flags(
-                    segs[:, L - 1::L], pad, in_band,
-                    scratch=self.scratch).any(axis=1))
-                runs = _max_runs(segs, pad, in_band, hits, self.scratch)
-                found.extend(_detection(start_time_s, self.rate, n, first + i,
-                                        run, self.params)
-                             for i, run in zip(hits.tolist(), runs.tolist())
-                             if run >= L)
-                first, tail = first + len(segs), len(block) % n
-        finally:
-            # a stream left unfinished by an error is closed, so its
-            # look-ahead stops drawing into slots that may serve the next
-            getattr(blocks, "close", lambda: None)()
-        return found
+        segs = _windows(x, n, k, sub)
+        hits = np.flatnonzero(_in_band_flags(
+            segs[:, L - 1::L], pad, in_band, scratch=self.scratch).any(axis=1))
+        runs = _max_runs(segs, pad, in_band, hits, self.scratch)
+        return [_detection(start_time_s, self.rate, n, first_window + i, run,
+                           self.params)
+                for i, run in zip(hits.tolist(), runs.tolist()) if run >= L]
+
+
+def trigger_windows(streams: Iterable[tuple[list, float, int]],
+                    sample_rate_hz: float,
+                    params: Algorithm1Params = Algorithm1Params()
+                    ) -> list[list[WindowDetection]]:
+    """For each (events, total_s, seed) stream, the windows of
+    detect_stream(synth_rumble_stream(events, total_s, sample_rate_hz,
+    seed), params) that score ds >= 1, found without holding a whole trace.
+
+    The events of every stream are checked before the screen, slots or any
+    noise are made, and no noise is drawn when run_low + 1 exceeds the
+    sub-segments of a window, since no window can then score. Each stream is drawn in blocks of
+    BLOCK_SAMPLES rounded down to whole windows (one at least), block j
+    into slot j % 2 of one pair of slots, and one screen scores every block
+    of every stream. A helper thread draws block j + 1 while the screen
+    scores block j; numpy's normal fill and rfft release the GIL, so the two
+    overlap. Block j + 2 is asked for only once block j is scored, so no
+    slot is redrawn while it is read. The with block joins the helper on
+    every path, and an error on it is raised here.
+    """
+    streams = list(streams)
+    for events, total_s, seed in streams:  # fail before anything is made
+        _rumble_blocks(events, total_s, sample_rate_hz, seed)
+    screen = TriggerScreen(sample_rate_hz, params)
+    n, k = screen.geometry[:2]
+    if params.run_low + 1 > k:
+        return [[] for _ in streams]
+    slots = np.empty((2, max(1, BLOCK_SAMPLES // n) * n))
+    found = []
+    with ThreadPoolExecutor(1, thread_name_prefix="hecsim-synth") as helper:
+        for events, total_s, seed in streams:
+            # checked again, so that one stream's chirps are held at a time:
+            # they go with the generator when it ends
+            blocks = _rumble_blocks(events, total_s, sample_rate_hz,
+                                    seed)(slots)
+            hits, first = [], 0
+            pending = helper.submit(next, blocks, None)
+            while (block := pending.result()) is not None:
+                pending = helper.submit(next, blocks, None)
+                hits += screen(block, first_window=first)
+                first += len(block) // n
+            found.append(hits)
+    return found
 
 
 def stft_oracle_detect(trace: Signal,

@@ -3,11 +3,10 @@
 A Scenario says where the peripheral nodes stand, when elephants pass
 which of them and which network joins them; a SimConfig says how the nodes
 behave.
-run_scenario_with_logs synthesizes each node's seismic trace in blocks of
-whole windows and scores each block as it is made, so no whole trace is
-ever held; a helper thread draws a node's next block while the current
-one is scored. It drives the peripheral and central state machines
-through the simulated mesh in a single discrete-event loop. Every random
+run_scenario_with_logs finds every node's seismic windows scoring ds >= 1
+in one call to detection.trigger_windows, which never holds a whole
+trace. It drives the peripheral and central state machines through the
+simulated mesh in a single discrete-event loop. Every random
 choice descends from the scenario's master seed through labeled
 sub-seeds, so the same scenario and seed produce byte-identical outputs.
 
@@ -23,16 +22,14 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from .central import (CnConfig, CnState, OracleDetector, StochasticDetector,
                       StochasticDetectorParams, WarningKind, WarningRecord,
                       cn_step, detect_frame)
 from .codec import (JsonConfig, NonNegative, NonNegativeOrInf, Positive,
                     Probability, check_ranges, encode)
 # detect_stream is not called here; perfbench's tracer wraps this binding
-from .detection import (Algorithm1Params, TriggerScreen,  # noqa: F401
-                        WindowDetection, detect_stream)
+from .detection import (Algorithm1Params, WindowDetection,  # noqa: F401
+                        detect_stream, trigger_windows)
 from .errors import InvalidConfigError, InvalidInputError
 from .mesh import (MeshNetwork, NetworkConfig, QoS, check_segment,
                    heartbeat_and_failover, trace_fields)
@@ -41,8 +38,7 @@ from .peripheral import (IR_POWERED_STATES, CaptureFrame, NegativeDecision,
                          TimerExpired, pn_step)
 from .seeds import derive_seed
 # synth_rumble_stream is not called here; perfbench's tracer wraps it
-from .signals import (RumbleSpec, synth_rumble_blocks,  # noqa: F401
-                      synth_rumble_stream)
+from .signals import RumbleSpec, synth_rumble_stream  # noqa: F401
 from .sigio import write_jsonl
 
 
@@ -109,7 +105,7 @@ class Scenario(JsonConfig):
                                          "a broker in network.brokers")
         known = set(ids)
         for ev in self.events:
-            # the same tolerance synth_rumble_blocks applies to the stream end
+            # the same tolerance seismic synthesis applies to the stream end
             if ev.t_onset_s + ev.rumble.duration_s > self.duration_s + 1e-9:
                 raise InvalidConfigError("event rumble runs past the end of the scenario")
             missing = set(ev.pn_ids) - known
@@ -422,27 +418,21 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
 
     run = _Run(scenario, config)
 
-    # seismic synthesis and window scoring, per node, up front; the event
-    # loop consumes each score at its window's end time. A window scoring 0
-    # triggers nothing (ds_threshold is at least 1), so only the windows
-    # scoring ds >= 1 are scored in full and scheduled. Each node's trace
-    # is made and scored a block at a time and never held whole; one pair
-    # of block slots and one screen serve every node.
-    screen = TriggerScreen(config.seismic_rate_hz, config.alg1)
-    slots = np.empty((2, screen.block_samples))
-    for placement in scenario.pns:
-        pn_id = placement.node_id
-        events = [(ev.t_onset_s, ev.rumble) for ev in scenario.events
-                  if pn_id in ev.pn_ids]
-        for det in screen(synth_rumble_blocks(
-                events, total_s=scenario.duration_s,
-                sample_rate_hz=config.seismic_rate_hz,
-                seed=derive_seed(scenario.master_seed, "seismic", pn_id),
-                out=slots)):
+    # seismic synthesis and window scoring, for every node, up front; the
+    # event loop consumes each score at its window's end time. A window
+    # scoring 0 triggers nothing (ds_threshold is at least 1), so only the
+    # windows scoring ds >= 1 are found and scheduled
+    ids = [p.node_id for p in scenario.pns]
+    streams = [([(ev.t_onset_s, ev.rumble) for ev in scenario.events
+                 if pn_id in ev.pn_ids], scenario.duration_s,
+                derive_seed(scenario.master_seed, "seismic", pn_id))
+               for pn_id in ids]
+    for pn_id, hits in zip(ids, trigger_windows(
+            streams, config.seismic_rate_hz, config.alg1)):
+        for det in hits:
             t_ready = det.window_start_s + config.alg1.window_s
             run.net.schedule(t_ready, lambda n=pn_id, d=det:
                              run.pn_dispatch(n, d))
-    del slots, screen  # 4.6 MB the event loop need not hold
 
     run.net.run_until(scenario.duration_s)
 

@@ -9,8 +9,7 @@ land on the mean.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,75 +190,31 @@ def synth_rumble_stream(events: list[tuple[float, RumbleSpec]], total_s: float,
     """Background noise of the given RMS with one chirp added per event.
 
     Each event is (onset_s, spec); its chirp is scaled so that chirp RMS over
-    noise RMS matches spec.snr_db. Events may overlap. This is
-    synth_rumble_blocks with the whole trace as its one block, drawn inline.
+    noise RMS matches spec.snr_db. Events may overlap. The whole trace is
+    drawn as one block.
+    """
+    draw = _rumble_blocks(events, total_s, sample_rate_hz, seed, noise_rms)
+    n = sample_count(total_s, sample_rate_hz)
+    x = np.empty((1, max(n, 1)))
+    next(draw(x), None)
+    return Signal(samples=x[0, :n], sample_rate_hz=sample_rate_hz)
+
+
+def _rumble_blocks(events: list[tuple[float, RumbleSpec]], total_s: float,
+                   sample_rate_hz: float, seed: int, noise_rms: float = 1.0
+                   ) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
+    """synth_rumble_stream's samples, drawn in blocks by the function this
+    returns.
+
+    Every event is checked to fit and to scale to finite samples, and its
+    scaled chirp made, here, before any noise is drawn. The function takes
+    slots, a (s, m) float64 array, and yields the stream's blocks of m
+    samples, the last one shorter, block j drawn into the head of slot
+    j % s; a stream of no sample has no block. Its blocks join to the whole
+    trace bit for bit: they draw one normal stream in pieces, in order, and
+    each chirp sample is added to its own noise sample alone.
     """
     n = sample_count(total_s, sample_rate_hz)
-    chirps = _scaled_chirps(events, total_s, sample_rate_hz, noise_rms, n)
-    x = np.empty(max(n, 1))
-    next(_noise_blocks(np.random.default_rng(seed), n, noise_rms, chirps,
-                       x[None]), None)
-    return Signal(samples=x[:n], sample_rate_hz=sample_rate_hz)
-
-
-def synth_rumble_blocks(events: list[tuple[float, RumbleSpec]], total_s: float,
-                        sample_rate_hz: float = 1000.0, seed: int = 0,
-                        noise_rms: float = 1.0, *, out: np.ndarray
-                        ) -> Iterator[np.ndarray]:
-    """synth_rumble_stream's samples as consecutive blocks, the last one
-    shorter; a stream of no sample has no block.
-
-    out is two slots of m samples, a writeable, C-contiguous float64 array
-    of shape (2, m) with m >= 1, checked here before any draw; block j is
-    drawn into the head of slot j % 2. A block is valid until the next one
-    is asked for: copy it to keep it. A trigger screen takes blocks of whole
-    windows, so its slots are TriggerScreen.block_samples long. One out can
-    serve stream after stream, one at a time. Every event is checked, and
-    its scaled chirp made, before any noise is drawn.
-
-    A helper thread, started at the first next(), draws block j + 1 into
-    the other slot while the caller works on block j; numpy's normal fill
-    releases the GIL. It is joined when the stream ends, raises or is
-    closed, and an error it raises is raised again here. Close a stream
-    left unfinished before its out serves another. The blocks join to the
-    whole trace bit for bit: the helper alone draws the same normal stream
-    in pieces, in order, and each chirp sample is added to its noise
-    sample alone.
-    """
-    if not isinstance(out, np.ndarray):
-        raise InvalidInputError(
-            f"out must be a numpy array, got {type(out).__name__}")
-    if out.ndim != 2 or out.shape[0] != 2 or out.shape[1] < 1:
-        raise InvalidInputError(
-            f"out must have shape (2, m) with m >= 1, got {out.shape}")
-    if out.dtype != np.float64:
-        raise InvalidInputError(f"out must be float64, got {out.dtype}")
-    if not out.flags.writeable:
-        raise InvalidInputError("out must be writeable")
-    if not out.flags.c_contiguous:
-        raise InvalidInputError("out must be C-contiguous")
-    n = sample_count(total_s, sample_rate_hz)
-    chirps = _scaled_chirps(events, total_s, sample_rate_hz, noise_rms, n)
-    blocks = _noise_blocks(np.random.default_rng(seed), n, noise_rms, chirps,
-                           out)
-    return _look_ahead(blocks)
-
-
-def _look_ahead(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """blocks, each drawn on a helper thread while the caller holds the one
-    before; a block's slot is drawn again only once the caller has asked
-    for the block after it."""
-    with ThreadPoolExecutor(1, thread_name_prefix="hecsim-synth") as helper:
-        pending = helper.submit(next, blocks, None)
-        while (block := pending.result()) is not None:
-            pending = helper.submit(next, blocks, None)
-            yield block
-
-
-def _scaled_chirps(events: list[tuple[float, RumbleSpec]], total_s: float,
-                   sample_rate_hz: float, noise_rms: float, n: int) -> list:
-    """(first sample, scaled chirp clipped to the n samples) of each event,
-    every event checked to fit and to scale to finite samples."""
     chirps = []
     for onset_s, spec in events:
         if not (onset_s >= 0 and onset_s + spec.duration_s <= total_s + 1e-9):
@@ -271,24 +226,22 @@ def _scaled_chirps(events: list[tuple[float, RumbleSpec]], total_s: float,
             raise InvalidInputError(f"event at {onset_s} s: chirp scale overflows")
         i0 = int(round(onset_s * sample_rate_hz))
         chirps.append((i0, chirp[:max(0, n - i0)] * scale))
-    return chirps
+    rng = np.random.default_rng(seed)
 
-
-def _noise_blocks(rng: np.random.Generator, n: int, noise_rms: float,
-                  chirps: list, slots: np.ndarray) -> Iterator[np.ndarray]:
-    """The stream's blocks, block j drawn into slots[j % len(slots)]."""
-    m = slots.shape[1]
-    for j, b0 in enumerate(range(0, n, m)):
-        x = slots[j % len(slots), :min(m, n - b0)]
-        rng.standard_normal(out=x)
-        if noise_rms != 1.0:  # x * 1.0 is x, so the pass is skipped
-            x *= noise_rms
-        b1 = b0 + len(x)
-        for i0, chirp in chirps:
-            lo, hi = max(i0, b0), min(i0 + len(chirp), b1)
-            if lo < hi:
-                x[lo - b0:hi - b0] += chirp[lo - i0:hi - i0]
-        yield x
+    def draw(slots: np.ndarray) -> Iterator[np.ndarray]:
+        m = slots.shape[1]
+        for j, b0 in enumerate(range(0, n, m)):
+            x = slots[j % len(slots), :min(m, n - b0)]
+            rng.standard_normal(out=x)
+            if noise_rms != 1.0:  # x * 1.0 is x, so the pass is skipped
+                x *= noise_rms
+            b1 = b0 + len(x)
+            for i0, chirp in chirps:
+                lo, hi = max(i0, b0), min(i0 + len(chirp), b1)
+                if lo < hi:
+                    x[lo - b0:hi - b0] += chirp[lo - i0:hi - i0]
+            yield x
+    return draw
 
 
 def synth_bee_buzz(duration_s: float = 2.0, sample_rate_hz: float = 8000.0,

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hecsim import detection
+from hecsim import detection, signals
 from hecsim.detection import (FFT_CHUNK_FRAMES, ORACLE_FRAME_S, ORACLE_HOP_S,
                               Algorithm1Params, RumbleEvent, TriggerScreen,
                               WindowDetection, detect_stream, match_and_recall,
-                              score_from_run, stft_oracle_detect)
+                              score_from_run, stft_oracle_detect,
+                              trigger_windows)
 from hecsim.errors import InvalidInputError
 from hecsim.signals import (RumbleSpec, Signal, synth_rumble,
-                            synth_rumble_blocks, synth_rumble_stream)
+                            synth_rumble_stream)
 from oracles import (longest_true_run, naive_peak_frequency,
                      stft_tracker_events, stft_window_max_run)
 
@@ -89,8 +90,8 @@ def test_detect_stream_discards_remainder():
 
 
 def triggers_of(trace, params=PARAMS):
-    """A trigger screen on a whole trace, given as a stream of one block."""
-    return TriggerScreen(trace.sample_rate_hz, params)([trace.samples],
+    """A trigger screen on a whole trace."""
+    return TriggerScreen(trace.sample_rate_hz, params)(trace.samples,
                                                        trace.start_time_s)
 
 
@@ -111,13 +112,17 @@ def test_empty_trace_rejected():
                       PARAMS)
 
 
-@pytest.mark.parametrize("blocks", [[], [np.zeros(0)], [np.zeros(0)] * 3],
-                         ids=["no_block", "one_empty_block",
-                              "three_empty_blocks"])
-def test_empty_stream_scores_nothing(blocks):
-    # a stream holds no window until its blocks fill one, so a stream of
-    # no sample is scored like one shorter than a window
-    assert TriggerScreen(1000.0, PARAMS)(blocks) == []
+@pytest.mark.parametrize("score, expected", [
+    (lambda: TriggerScreen(1000.0, PARAMS)(np.zeros(0)), []),
+    (lambda: trigger_windows([([], 0.0, 0)], 1000.0, PARAMS), [[]]),
+    (lambda: trigger_windows([([], 0.0, s) for s in range(3)], 1000.0,
+                             PARAMS), [[], [], []]),
+], ids=["no_block", "one_empty_block", "three_empty_blocks"])
+def test_empty_stream_scores_nothing(score, expected):
+    # an array or a stream of no sample holds no window, so it is scored
+    # like one shorter than a window: the screen given no sample, one
+    # stream of 0 s, and three such streams through one screen
+    assert score() == expected
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
@@ -273,20 +278,17 @@ def test_detect_triggers_memory_is_bounded_by_the_chunk():
 @pytest.mark.parametrize("rate", [1000.0, 999.0])
 def test_streamed_scoring_memory_is_bounded_by_the_block(rate):
     # an hour at 1 kHz is 28.8 MB as one trace; made and scored in blocks
-    # of block_samples, 32 whole windows, only the two 1 MB block slots
-    # and the FFT scratch are alive, at 999 Hz as at 1 kHz. A first short
-    # stream keeps numpy's one-off FFT set-up out of the peak
-    TriggerScreen(rate, PARAMS)([np.zeros(8000)])
+    # of 32 whole windows, only the two 1 MB block slots and the FFT
+    # scratch are alive, at 999 Hz as at 1 kHz. A first short stream keeps
+    # numpy's one-off FFT set-up out of the peak
+    trigger_windows([([], 8.0, 0)], rate, PARAMS)
     tracemalloc.start()
     try:
-        screen = TriggerScreen(rate, PARAMS)
-        out = np.empty((2, screen.block_samples))
-        triggers = screen(synth_rumble_blocks([], 3600.0, sample_rate_hz=rate,
-                                              seed=0, out=out))
+        triggers = trigger_windows([([], 3600.0, 0)], rate, PARAMS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert triggers == []
+    assert triggers == [[]]
     assert peak < 6 * 2**20
 
 
@@ -294,11 +296,21 @@ def test_streamed_scoring_memory_is_bounded_by_the_block(rate):
     (4.0, 1000.0, 128_000), (4.0, 999.0, 127_872), (60.0, 1000.0, 120_000),
     (200.0, 1000.0, 200_000)])
 def test_block_is_about_128000_samples_of_whole_windows(window_s, rate,
-                                                        samples):
+                                                        samples, monkeypatch):
     # whole windows, as many as fit in 128,000 samples, and one window when
-    # none fits, so the block no longer grows with the window length
+    # none fits, so the block no longer grows with the window length; a
+    # stream of two and a half blocks gives two full blocks and the rest
     params = replace(PARAMS, window_s=window_s)
-    assert TriggerScreen(rate, params).block_samples == samples
+    lengths, screen = [], TriggerScreen.__call__
+
+    def recording(self, x, *args, **kwargs):
+        lengths.append(len(x))
+        return screen(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(TriggerScreen, "__call__", recording)
+    total = int(2.5 * samples)
+    assert trigger_windows([([], total / rate, 0)], rate, params) == [[]]
+    assert lengths == [samples, samples, total - 2 * samples]
 
 
 def _check_triggers(trace, params):
@@ -338,78 +350,65 @@ def test_detect_triggers_is_the_scoring_windows_of_detect_stream(trace,
 
 @st.composite
 def block_streams(draw):
-    """A trace of 1 to 6 windows plus a remainder at an awkward or easy
-    rate, with up to three rumbles that may overlap, a non-zero start time,
-    a synthesis block length from 1 sample to three windows, a screen block
-    of 1 to 3 whole windows, and up to eight cuts at window edges, so the
-    last block holds the remainder."""
+    """One to three streams of 1 to 6 windows plus a remainder at an awkward
+    or easy rate, each with up to three rumbles that may overlap; a block
+    length from 1 sample to three windows, for the helper alone and, rounded
+    down to whole windows, for trigger_windows; and up to eight cuts at
+    window edges, so the last piece holds the remainder."""
     rate = draw(st.sampled_from([200.0, 999.0, 1000.0, 1001.0]))
     n = int(round(PARAMS.window_s * rate))
-    windows = draw(st.integers(1, 6))
-    total_s = (windows * n + draw(st.integers(0, n - 1))) / rate
-    events = []
-    for _ in range(draw(st.integers(0, 3))):
-        duration = min(draw(st.floats(0.5, 5.0)), total_s)
-        onset = draw(st.floats(0.0, 1.0)) * (total_s - duration)
-        events.append((onset, RumbleSpec(duration_s=duration,
-                                         snr_db=draw(st.floats(-8.0, 22.0)))))
-    synth = dict(events=events, total_s=total_s, sample_rate_hz=rate,
-                 seed=draw(st.integers(0, 2**32 - 1)))
+    streams = []
+    for _ in range(draw(st.integers(1, 3))):
+        total_s = (draw(st.integers(1, 6)) * n
+                   + draw(st.integers(0, n - 1))) / rate
+        events = []
+        for _ in range(draw(st.integers(0, 3))):
+            duration = min(draw(st.floats(0.5, 5.0)), total_s)
+            onset = draw(st.floats(0.0, 1.0)) * (total_s - duration)
+            events.append((onset, RumbleSpec(
+                duration_s=duration, snr_db=draw(st.floats(-8.0, 22.0)))))
+        streams.append((events, total_s, draw(st.integers(0, 2**32 - 1))))
     block = draw(st.one_of(st.integers(1, 64), st.integers(1, 3 * n)))
-    cuts = sorted(draw(st.lists(st.integers(0, windows), max_size=8)))
-    return (synth, block, draw(st.integers(1, 3)), cuts,
-            draw(st.floats(0.5, 1e5)))
+    cuts = sorted(draw(st.lists(st.integers(0, 6), max_size=8)))
+    return rate, streams, block, cuts, draw(st.floats(0.5, 1e5))
 
 
 @settings(max_examples=40, deadline=None)
 @given(block_streams(), run_thresholds())
-@example(({"events": [(3.9, RumbleSpec(duration_s=3.0, snr_db=20.0)),
-                      (4.5, RumbleSpec(duration_s=2.0, snr_db=10.0))],
-           "total_s": 12.5, "sample_rate_hz": 1000.0, "seed": 3},
-          1, 1, [0, 1, 1, 3], 7.25), PARAMS)
-@example(({"events": [(0.2, RumbleSpec(duration_s=3.5, snr_db=20.0))],
-           "total_s": 8.0, "sample_rate_hz": 999.0, "seed": 1},
-          3996, 2, [], 2.0), PARAMS)
+@example((1000.0, [([(3.9, RumbleSpec(duration_s=3.0, snr_db=20.0)),
+                     (4.5, RumbleSpec(duration_s=2.0, snr_db=10.0))],
+                    12.5, 3)], 1, [0, 1, 1, 3], 7.25), PARAMS)
+@example((999.0, [([(0.2, RumbleSpec(duration_s=3.5, snr_db=20.0))], 8.0, 1),
+                  ([], 4.0, 2)], 3996, [], 2.0), PARAMS)
 def test_block_splits_change_nothing(stream, params):
-    # the blocks join to the whole trace bit for bit, whatever their
-    # length, and scoring the trace in blocks of whole windows gives the
-    # ds >= 1 windows of the whole trace, on its timeline; one pair of
-    # block slots and one screen serve every stream, as in a scenario run,
-    # so each stream is made and scored twice
-    synth, block, screen_windows, cuts, start_s = stream
-    whole = synth_rumble_stream(**synth)
-    rate = whole.sample_rate_hz
+    # the helper's blocks join to the whole trace bit for bit, whatever
+    # their length; trigger_windows, its blocks shrunk to 1 to 3 windows,
+    # and a screen given the trace in pieces cut at window edges both give
+    # the ds >= 1 windows of each whole trace. One pair of slots and one
+    # screen serve every stream of a call, as in a scenario run
+    rate, streams, block, cuts, start_s = stream
     n = int(round(params.window_s * rate))
-    expected = [d for d in detect_stream(
-        replace(whole, start_time_s=start_s), params) if d.ds >= 1]
-    out, screen = np.empty((2, block)), TriggerScreen(rate, params)
-    screen_out = np.empty((2, screen_windows * n))
-    for _ in range(2):
-        # a slot is redrawn once the next block is asked for, so each block
-        # is copied
+    wholes = [synth_rumble_stream(events, total_s, rate, seed)
+              for events, total_s, seed in streams]
+    expected = [[d for d in detect_stream(whole, params) if d.ds >= 1]
+                for whole in wholes]
+    for (events, total_s, seed), whole in zip(streams, wholes):
+        # a slot is redrawn two blocks later, so each block is copied
+        draw = signals._rumble_blocks(events, total_s, rate, seed)
         joined = np.concatenate([np.zeros(0), *(
-            b.copy() for b in synth_rumble_blocks(**synth, out=out))])
+            b.copy() for b in draw(np.empty((2, block))))])
         assert joined.tobytes() == whole.samples.tobytes()
-        assert screen(synth_rumble_blocks(**synth, out=screen_out),
-                      start_s) == expected
-        assert screen(np.split(whole.samples, [c * n for c in cuts]),
-                      start_s) == expected
-
-
-@pytest.mark.parametrize("rate", [1000.0, 999.0])
-@pytest.mark.parametrize("cut", [-1, 1], ids=["before_edge", "after_edge"])
-def test_block_ending_inside_a_window_is_rejected(rate, cut):
-    # a block before the last must hold whole windows; one that ends a
-    # sample off a window edge is not joined to the next
-    screen = TriggerScreen(rate, PARAMS)
-    n = int(round(PARAMS.window_s * rate))
-    x = np.zeros(3 * n)
-    window, tail = divmod(n + cut, n)
-    with pytest.raises(InvalidInputError, match=(
-            f"ends inside window {window}, after {tail} of its {n} samples")):
-        screen(np.split(x, [n + cut]))
-    # the same samples as a last block leave a remainder, which is ignored
-    assert screen([x[:n + cut]]) == []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detection, "BLOCK_SAMPLES", block)
+        assert trigger_windows(streams, rate, params) == expected
+    screen = TriggerScreen(rate, params)
+    for whole, hits in zip(wholes, expected):
+        pieces, first = [], 0
+        for piece in np.split(whole.samples, [c * n for c in cuts]):
+            pieces += screen(piece, start_s, first)
+            first += len(piece) // n
+        assert pieces == [replace(d, window_start_s=start_s
+                                  + d.window_index * n / rate) for d in hits]
 
 
 def _planted_runs(length, rate):

@@ -3,6 +3,8 @@ import copy
 import hashlib
 import json
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -302,6 +304,25 @@ def test_sim_config_round_trip():
 def test_bundled_files_match_builders():
     sim = json.loads((REPO / "scenarios/example_sim.json").read_text())
     assert sim == SimConfig().to_json()
+
+
+def test_fifty_hour_file_is_its_generator_output():
+    # the committed 50-node hour is scripts/make_fifty_hour.py's output
+    # byte for byte: 50 nodes, 40 approaches, the first 10 hidden, and no
+    # node hears a hidden and a visible approach within 30 s of each other
+    made = subprocess.run(
+        [sys.executable, str(REPO / "scripts/make_fifty_hour.py")],
+        capture_output=True, text=True, check=True).stdout
+    path = REPO / "scenarios/fifty_hour.json"
+    assert made == path.read_text()
+    scenario = Scenario.load(path)
+    assert len(scenario.pns) == 50
+    assert [ev.thermal_visible for ev in scenario.events] == (
+        [False] * 10 + [True] * 30)
+    for a in scenario.events[:10]:
+        for b in scenario.events[10:]:
+            assert not (set(a.pn_ids) & set(b.pn_ids)
+                        and abs(a.t_onset_s - b.t_onset_s) < 30)
 
 
 # ---- end to end ----

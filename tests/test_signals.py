@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecsim.detection import Algorithm1Params, TriggerScreen
+from hecsim import detection
+from hecsim.detection import (Algorithm1Params, TriggerScreen, detect_stream,
+                              trigger_windows)
 from hecsim.deterrent import generate_pink_noise
 from hecsim.errors import InvalidInputError
 from hecsim.signals import (STFT_CHUNK_BYTES, RumbleSpec, Signal,
                             chirp_waveform, compute_stft, default_pad_length,
                             next_pow2, synth_bee_buzz, synth_rumble,
-                            synth_rumble_blocks, synth_rumble_stream)
+                            synth_rumble_stream)
 from oracles import (naive_dft_magnitudes, one_batch_stft_magnitudes,
                      rumble_instantaneous_freq)
 
@@ -169,17 +171,19 @@ def test_synth_rumble_stream_rejects_overflowing_chirp():
 
 @pytest.mark.parametrize("bad, message", [
     ((3598.0, RumbleSpec(3.5)), "event does not fit in the stream"),
-    ((3000.0, RumbleSpec(3.5, snr_db=6160.0)), "event at 3000.0 s"),
+    # a finite amplitude ratio (about 1.5e308) whose chirp scale is not
+    ((3000.0, RumbleSpec(3.5, snr_db=6163.5)), "event at 3000.0 s"),
 ])
 def test_every_event_is_checked_before_any_noise_is_drawn(bad, message):
     # an hour at 1 kHz is 28.8 MB of noise; a bad last event must fail
-    # before any of it exists, whether the trace is asked for whole or in
-    # blocks; the block slots are made before tracing starts
+    # before any of it exists, whether the trace is asked for whole or
+    # scored in blocks. trigger_windows checks the events of every stream,
+    # here with the bad event in the second, before it makes its 2.5 MB of
+    # FFT scratch or its 2 MB of block slots
     events = [(10.0, RumbleSpec(3.5)), (20.0, RumbleSpec(4.0)), bad]
-    out = np.empty((2, TriggerScreen(1000.0).block_samples))
-    for call in (lambda: synth_rumble_stream(events, 3600.0, noise_rms=10.0),
-                 lambda: synth_rumble_blocks(events, 3600.0, noise_rms=10.0,
-                                             out=out)):
+    for call in (lambda: synth_rumble_stream(events, 3600.0),
+                 lambda: trigger_windows([(events[:2], 3600.0, 0),
+                                          (events, 3600.0, 1)], 1000.0)):
         tracemalloc.start()
         try:
             with pytest.raises(InvalidInputError, match=message):
@@ -190,95 +194,98 @@ def test_every_event_is_checked_before_any_noise_is_drawn(bad, message):
         assert peak < 2**20
 
 
-def _read_only(shape):
-    out = np.empty(shape)
-    out.flags.writeable = False
-    return out
+_SCREEN = TriggerScreen.__call__
 
 
-@pytest.mark.parametrize("out, message", [
-    (np.empty(0), r"shape \(2, m\) with m >= 1, got \(0,\)"),
-    (np.empty(1000), r"shape \(2, m\) with m >= 1, got \(1000,\)"),
-    (np.empty((2, 0)), r"shape \(2, m\) with m >= 1, got \(2, 0\)"),
-    (np.empty((3, 1000)), r"shape \(2, m\) with m >= 1, got \(3, 1000\)"),
-    (np.empty((2, 5, 1)), r"shape \(2, m\) with m >= 1, got \(2, 5, 1\)"),
-    ([[0.0] * 1000] * 2, "out must be a numpy array, got list"),
-    (np.empty((2, 1000), np.float32), "out must be float64, got float32"),
-    (_read_only((2, 1000)), "out must be writeable"),
-    (np.empty((2, 1000), order="F"), "out must be C-contiguous"),
-], ids=["empty", "one_slot_shape", "empty_slots", "three_slots", "3d",
-        "list", "float32", "read_only", "fortran_order"])
-def test_block_slots_are_checked_when_the_stream_is_made(out, message):
-    # the check runs when synth_rumble_blocks is called, before any draw
-    # or thread, not deep inside the first draw
-    before = threading.active_count()
-    with pytest.raises(InvalidInputError, match=message):
-        synth_rumble_blocks([], total_s=1.0, out=out)
-    assert threading.active_count() == before
+def _scoring(monkeypatch, check):
+    """Makes every screen call check(block index, block) first; returns the
+    number of live threads seen at each call."""
+    seen = []
+
+    def scoring(self, x, *args, **kwargs):
+        seen.append(threading.active_count())
+        check(len(seen) - 1, x)
+        return _SCREEN(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(TriggerScreen, "__call__", scoring)
+    # blocks of one 4 s window, 10 of them in 40 s at 1 kHz
+    monkeypatch.setattr(detection, "BLOCK_SAMPLES", 1000)
+    return seen
 
 
-def _ten_blocks():
-    """10 s at 1 kHz, with a rumble, in blocks of 1,000 samples."""
-    return synth_rumble_blocks([(2.0, RumbleSpec(3.5))], total_s=10.0,
-                               seed=3, out=np.empty((2, 1000)))
+FORTY_S = [([(2.0, RumbleSpec(3.5)), (21.0, RumbleSpec(4.0, snr_db=5.0))],
+            40.0, 3)]
 
 
-def _run_to_end(stream):
-    assert sum(1 for _ in stream) == 9
+def _hits(streams, rate=1000.0):
+    """The ds >= 1 windows of each whole stream, by detect_stream."""
+    return [[d for d in detect_stream(synth_rumble_stream(
+        events, total_s, rate, seed)) if d.ds >= 1]
+        for events, total_s, seed in streams]
 
 
-def _close(stream):
-    stream.close()
-
-
-def _raise_mid_stream(stream):
-    with pytest.raises(RuntimeError, match="consumer"):
-        for i, _ in enumerate(stream):
-            if i == 2:
-                raise RuntimeError("consumer")
-    stream.close()
-
-
-@pytest.mark.parametrize("consume", [_run_to_end, _close, _raise_mid_stream],
+@pytest.mark.parametrize("raise_on", [None, 0, 2],
                          ids=["run_to_end", "close_after_first",
                               "consumer_raises"])
-def test_look_ahead_thread_is_joined(consume):
-    # the helper starts at the first next() and is joined when the stream
-    # ends or is closed, whatever the consumer did
+def test_look_ahead_thread_is_joined(raise_on, monkeypatch):
+    # the helper runs while every block is scored, and is joined when
+    # trigger_windows returns, or raises from a screen that raised on the
+    # first block or in mid-stream
+    def check(i, _):
+        if i == raise_on:
+            raise RuntimeError("consumer")
+
     before = threading.active_count()
-    stream = _ten_blocks()
-    assert threading.active_count() == before
-    next(stream)
-    assert threading.active_count() == before + 1
-    consume(stream)
+    seen = _scoring(monkeypatch, check)
+    if raise_on is None:
+        assert trigger_windows(FORTY_S, 1000.0) == _hits(FORTY_S)
+    else:
+        with pytest.raises(RuntimeError, match="consumer"):
+            trigger_windows(FORTY_S, 1000.0)
+    assert seen == [before + 1] * (10 if raise_on is None else raise_on + 1)
     assert threading.active_count() == before
 
 
-def test_screen_that_scores_nothing_starts_no_thread():
-    # run_low + 1 > 32 sub-segments: the screen returns without iterating
-    screen = TriggerScreen(1000.0, Algorithm1Params(run_low=32, run_high=33))
+def test_screen_that_scores_nothing_starts_no_thread(monkeypatch):
+    # run_low + 1 > 32 sub-segments: no window can score, so no block is
+    # drawn and no helper started, though the events are still checked
+    draws, default_rng = [], np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, *, out):
+            draws.append(len(out))
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    params = Algorithm1Params(run_low=32, run_high=33)
     before = threading.active_count()
-    assert screen(synth_rumble_blocks(
-        [], total_s=60.0, out=np.empty((2, screen.block_samples)))) == []
+    assert trigger_windows(FORTY_S * 2, 1000.0, params) == [[], []]
     assert threading.active_count() == before
+    assert draws == []
+    with pytest.raises(InvalidInputError, match="does not fit"):
+        trigger_windows([([(39.0, RumbleSpec(3.5))], 40.0, 0)], 1000.0,
+                        params)
 
 
-def test_screen_that_raises_closes_its_stream():
-    # 1.5 windows a slot: the second block follows one ending inside a
-    # window, so the screen raises while the helper draws the third. The
-    # screen closes the stream itself, so the helper is gone even while the
-    # traceback holds the screen's frame, and the slots can serve the next
-    # stream at once
-    screen = TriggerScreen(1000.0)
-    out = np.empty((2, 6000))
+def test_screen_that_raises_closes_its_stream(monkeypatch):
+    # the screen raises on the second block while the helper draws the
+    # third. The with block joins the helper before the error leaves
+    # trigger_windows, so it is gone even while the traceback holds the
+    # frames of the abandoned stream, and the next call runs at once
+    def check(i, _):
+        if i == 1:
+            raise InvalidInputError("second block")
+
     before = threading.active_count()
-    with pytest.raises(InvalidInputError, match="ends inside window") as err:
-        screen(synth_rumble_blocks([], total_s=60.0, out=out))
+    _scoring(monkeypatch, check)
+    with pytest.raises(InvalidInputError, match="second block") as err:
+        trigger_windows(FORTY_S, 1000.0)
     assert threading.active_count() == before
-    whole = synth_rumble_stream([(2.0, RumbleSpec(3.5))], 10.0, seed=3)
-    joined = [block.tobytes() for block in synth_rumble_blocks(
-        [(2.0, RumbleSpec(3.5))], total_s=10.0, seed=3, out=out)]
-    assert b"".join(joined) == whole.samples.tobytes()
+    monkeypatch.setattr(TriggerScreen, "__call__", _SCREEN)
+    assert trigger_windows(FORTY_S, 1000.0) == _hits(FORTY_S)
     assert err.traceback  # still held while the helper was checked
 
 
@@ -301,37 +308,38 @@ def test_synthesis_error_on_the_helper_is_raised_in_the_caller(monkeypatch):
             return self.rng.standard_normal(out=out)
 
     monkeypatch.setattr(np.random, "default_rng", ThirdDrawFails)
-    before, got = threading.active_count(), []
+    before = threading.active_count()
+    seen = _scoring(monkeypatch, lambda i, x: None)
     with pytest.raises(DrawError, match="third draw"):
-        for block in _ten_blocks():
-            got.append(block.copy())
-    assert len(got) == 2
+        trigger_windows(FORTY_S, 1000.0)
+    assert len(seen) == 2  # the two blocks drawn before it
     assert raised_on and raised_on[0] is not threading.current_thread()
     assert threading.active_count() == before
 
 
-def test_a_block_is_not_redrawn_until_the_next_is_asked_for():
-    # the helper runs ahead while the consumer holds a block, so a block
-    # drawn into the slot the consumer holds would change under it
-    whole = synth_rumble_stream([(2.0, RumbleSpec(3.5))], 10.0, seed=3)
-    joined = []
-    for block in _ten_blocks():
+def test_a_block_is_not_redrawn_until_the_next_is_asked_for(monkeypatch):
+    # the helper runs ahead while the screen holds a block, so a block
+    # drawn into the slot the screen holds would change under it
+    def check(_, block):
         checksum = zlib.crc32(block)
         time.sleep(0.02)
         assert zlib.crc32(block) == checksum
-        joined.append(block.tobytes())
-    assert b"".join(joined) == whole.samples.tobytes()
-    # with threads switched as often as the interpreter allows, 1,429
-    # blocks of 7 samples, each copied on receipt, still join to the trace
+
+    _scoring(monkeypatch, check)
+    assert trigger_windows(FORTY_S, 1000.0) == _hits(FORTY_S)
+    # with threads switched as often as the interpreter allows, 40 blocks
+    # of one 800-sample window at 200 Hz still give the whole trace's hits
+    monkeypatch.setattr(TriggerScreen, "__call__", _SCREEN)
+    streams = [([(4.0 * k + 0.25, RumbleSpec(3.5, snr_db=20.0 - k))
+                 for k in range(0, 40, 4)], 160.0, 5)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        joined = [block.tobytes() for block in synth_rumble_blocks(
-            [(2.0, RumbleSpec(3.5))], total_s=10.0, seed=3,
-            out=np.empty((2, 7)))]
+        got = trigger_windows(streams, 200.0)
     finally:
         sys.setswitchinterval(interval)
-    assert b"".join(joined) == whole.samples.tobytes()
+    assert got == _hits(streams, 200.0)
+    assert got[0]
 
 
 def test_synthesis_needs_a_finite_rate_and_duration():
