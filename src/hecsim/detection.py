@@ -14,13 +14,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import Positive, check_ranges
 from .errors import InvalidInputError
 # compute_stft is not called here; perfbench's tracer wraps this binding
 from .signals import (Signal, _rumble_blocks, check_rate,  # noqa: F401
-                      compute_stft, default_pad_length)
+                      compute_stft, default_pad_length, fft_chunk_frames,
+                      fft_scratch, frame_spectra, sliding_frames)
 
 # spectrogram frames and rumble band of the reference tracker
 ORACLE_FRAME_S = 0.5
@@ -28,8 +28,6 @@ ORACLE_HOP_S = 0.125
 ORACLE_BAND_LOW_HZ = 20.0
 ORACLE_BAND_HIGH_HZ = 40.0
 
-# frames per FFT call: 8 windows of 32 sub-segments, about 1 MB of spectra
-FFT_CHUNK_FRAMES = 256
 # samples per block of trigger_windows, rounded down to whole windows (one
 # window at least): 32 windows of 4 s, 1 MB of float64, at 1 kHz. One block
 # is drawn while the other is scored, so the two slots hold 2 MB
@@ -115,11 +113,11 @@ def _runs(flags: np.ndarray) -> np.ndarray:
 
 
 def _geometry(rate: float, params: Algorithm1Params
-              ) -> tuple[int, int, int, int, np.ndarray]:
+              ) -> tuple[int, int, int, np.ndarray]:
     """Check the window and sub-segment geometry at a sample rate.
 
     Returns the window length n, the sub-segments k per window and their
-    length, the FFT length and the in-band test of each bin above DC. A
+    length, and the in-band test of each bin of a sub-segment's spectrum. A
     window's tail shorter than one sub-segment is ignored.
     """
     n = int(round(params.window_s * rate))
@@ -132,10 +130,9 @@ def _geometry(rate: float, params: Algorithm1Params
     # a sub-segment length rounded down can leave room for an extra one;
     # params hold window_s >= subsegment_s, so a window holds at least one
     k = min(n // sub, params.subsegments_per_window)
-    pad = default_pad_length(sub)
-    freqs = np.fft.rfftfreq(pad, 1.0 / rate)[1:]
+    freqs = np.fft.rfftfreq(default_pad_length(sub), 1.0 / rate)[1:]
     in_band = (freqs > params.band_low_hz) & (freqs < params.band_high_hz)
-    return n, k, sub, pad, in_band
+    return n, k, sub, in_band
 
 
 def _windows(x: np.ndarray, n: int, k: int, sub: int) -> np.ndarray:
@@ -145,65 +142,27 @@ def _windows(x: np.ndarray, n: int, k: int, sub: int) -> np.ndarray:
     return x[:count * n].reshape(count, n)[:, :k * sub].reshape(count, k, sub)
 
 
-def _fft_scratch(frames: int, pad: int) -> tuple[np.ndarray, ...]:
-    """Zero-padded input, spectrum and magnitudes above DC for up to frames
-    frames.
-
-    Scratch reused for frames of one length m keeps its padding zero,
-    since only the first m samples of a row are ever written.
-    """
-    bins = pad // 2 + 1
-    return (np.zeros((frames, pad)), np.empty((frames, bins), complex),
-            np.empty((frames, bins - 1)))
-
-
-def _in_band_flags(frames: np.ndarray, pad: int, in_band: np.ndarray,
+def _in_band_flags(frames: np.ndarray, in_band: np.ndarray,
                    rows: np.ndarray | None = None,
                    window: np.ndarray | None = None,
                    scratch: tuple[np.ndarray, ...] | None = None
                    ) -> np.ndarray:
     """Whether each frame of a (rows, columns, m) array, or of its given
-    rows only, peaks in band, FFT_CHUNK_FRAMES frames per FFT call.
-
-    Each frame is mean-removed, windowed if a window is given and
-    zero-padded to pad, as compute_stft does, in scratch from _fft_scratch
-    for at least one FFT call's frames of m samples (max(FFT_CHUNK_FRAMES,
-    columns), or all the frames scored if fewer), or in scratch made for
-    this call. The peak bin skips DC, ties go to the lowest bin, and
-    in_band tests each bin.
-    """
-    count = len(frames) if rows is None else len(rows)
-    cols, m = frames.shape[1:]
-    step = max(1, FFT_CHUNK_FRAMES // cols)
-    rows_per_fft = min(count, step)
-    if scratch is None:
-        scratch = _fft_scratch(rows_per_fft * cols, pad)
-    buf, spec, mags = (a[:rows_per_fft * cols].reshape(rows_per_fft, cols,
-                                                       a.shape[1])
-                       for a in scratch)
-    flags = np.empty((count, cols), dtype=bool)
-    for i0 in range(0, count, step):
-        chunk = frames[slice(i0, i0 + step) if rows is None
-                       else rows[i0:i0 + step]]
-        c = len(chunk)
-        np.subtract(chunk, chunk.mean(axis=2, keepdims=True),
-                    out=buf[:c, :, :m])
-        if window is not None:
-            buf[:c, :, :m] *= window
-        # rfft of a padded buffer is faster than rfft(n=pad), same bits
-        np.fft.rfft(buf[:c], axis=2, out=spec[:c])
-        # argmax copies a strided array, so DC is dropped before it
-        np.abs(spec[:c, :, 1:], out=mags[:c])
-        flags[i0:i0 + c] = in_band[mags[:c].argmax(axis=2)]
+    rows only, peaks in band: the peak bin of frame_spectra's spectrum,
+    ties to the lowest bin, tested by in_band."""
+    flags = np.empty((len(frames) if rows is None else len(rows),
+                      frames.shape[1]), dtype=bool)
+    for i, mags in frame_spectra(frames, window, rows, scratch):
+        flags[i:i + len(mags)] = in_band[mags.argmax(axis=2)]
     return flags
 
 
-def _max_runs(segs: np.ndarray, pad: int, in_band: np.ndarray,
+def _max_runs(segs: np.ndarray, in_band: np.ndarray,
               rows: np.ndarray | None = None,
               scratch: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Longest in-band sub-segment run of each window of a (windows, k, sub)
     array, or of the windows at the given row indices."""
-    flags = _in_band_flags(segs, pad, in_band, rows, scratch=scratch)
+    flags = _in_band_flags(segs, in_band, rows, scratch=scratch)
     # in-band count so far, less the count at the last out-of-band reading
     count = flags.cumsum(axis=1)
     since = np.maximum.accumulate(np.where(flags, 0, count), axis=1)
@@ -226,8 +185,8 @@ def detect_stream(trace: Signal,
     x, rate = trace.samples, trace.sample_rate_hz
     if len(x) == 0:
         raise InvalidInputError("cannot window an empty trace")
-    n, k, sub, pad, in_band = _geometry(rate, params)
-    runs = _max_runs(_windows(x, n, k, sub), pad, in_band)
+    n, k, sub, in_band = _geometry(rate, params)
+    runs = _max_runs(_windows(x, n, k, sub), in_band)
     return [_detection(trace.start_time_s, rate, n, i, run, params)
             for i, run in enumerate(runs.tolist())]
 
@@ -255,19 +214,19 @@ class TriggerScreen:
         check_rate(sample_rate_hz)
         self.rate, self.params = sample_rate_hz, params
         self.geometry = _geometry(sample_rate_hz, params)
-        _, k, _, pad, _ = self.geometry
-        self.scratch = _fft_scratch(max(FFT_CHUNK_FRAMES, k), pad)
+        _, k, sub, _ = self.geometry
+        self.scratch = fft_scratch(max(fft_chunk_frames(sub), k), sub)
 
     def __call__(self, x: np.ndarray, start_time_s: float = 0.0,
                  first_window: int = 0) -> list[WindowDetection]:
-        n, k, sub, pad, in_band = self.geometry
+        n, k, sub, in_band = self.geometry
         L = self.params.run_low + 1
         if L > k:
             return []
         segs = _windows(x, n, k, sub)
         hits = np.flatnonzero(_in_band_flags(
-            segs[:, L - 1::L], pad, in_band, scratch=self.scratch).any(axis=1))
-        runs = _max_runs(segs, pad, in_band, hits, self.scratch)
+            segs[:, L - 1::L], in_band, scratch=self.scratch).any(axis=1))
+        runs = _max_runs(segs, in_band, hits, self.scratch)
         return [_detection(start_time_s, self.rate, n, first_window + i, run,
                            self.params)
                 for i, run in zip(hits.tolist(), runs.tolist()) if run >= L]
@@ -338,32 +297,25 @@ def stft_oracle_detect(trace: Signal,
     if not min_event_s >= 0:
         raise InvalidInputError(
             f"min_event_s must be non-negative, got {min_event_s!r}")
-    x, rate = trace.samples, trace.sample_rate_hz
-    frame, hop = (int(round(s * rate)) for s in (ORACLE_FRAME_S, ORACLE_HOP_S))
-    if frame < 2 or hop < 1:
-        raise InvalidInputError("frame_s and hop_s too small for the rate")
-    if len(x) < frame:
-        raise InvalidInputError("signal shorter than one frame")
-    pad = default_pad_length(frame)
-    freqs = np.fft.rfftfreq(pad, 1.0 / rate)[1:]
+    rate = trace.sample_rate_hz
+    frames, hop = sliding_frames(trace.samples, rate, ORACLE_FRAME_S,
+                                 ORACLE_HOP_S)
+    count, _, frame = frames.shape
+    freqs = np.fft.rfftfreq(default_pad_length(frame), 1.0 / rate)[1:]
     bins = (freqs > ORACLE_BAND_LOW_HZ) & (freqs < ORACLE_BAND_HIGH_HZ)
-    frames = sliding_window_view(x, frame)[::hop, None]
-    count, window = len(frames), np.hanning(frame)
+    window = np.hanning(frame)
     span = (min_event_s - ORACLE_FRAME_S) * rate / hop
     L = count if span >= count else max(1, math.floor(span))
-    scratch = _fft_scratch(min(count, FFT_CHUNK_FRAMES), pad)
     in_band = np.zeros(count, dtype=bool)
     probes = np.arange(L - 1, count, L)
-    in_band[probes] = _in_band_flags(frames, pad, bins, probes, window,
-                                     scratch)[:, 0]
+    in_band[probes] = _in_band_flags(frames, bins, probes, window)[:, 0]
     # gap g holds frames gL .. gL + L - 2, between probes g - 1 and g
     near = np.zeros(count // L + 1, dtype=bool)
     near[:-1] = in_band[probes]
     near[1:] |= in_band[probes]
     rows = (np.flatnonzero(near)[:, None] * L + np.arange(L - 1)).ravel()
     rows = rows[rows < count]
-    in_band[rows] = _in_band_flags(frames, pad, bins, rows, window,
-                                   scratch)[:, 0]
+    in_band[rows] = _in_band_flags(frames, bins, rows, window)[:, 0]
     times = trace.start_time_s + np.arange(len(in_band)) * hop / rate
     events = (RumbleEvent(t_start_s=float(times[i]),
                           t_end_s=float(times[j - 1]) + ORACLE_FRAME_S)

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
-from .signals import Signal, check_rate, compute_stft, sample_count
+from .signals import (Signal, check_rate, compute_stft, frame_spectra,
+                      sliding_frames)
 
 log = logging.getLogger(__name__)
 
@@ -287,23 +287,21 @@ def stft_similarity(a: Signal, b: Signal) -> SimilarityScore:
     """
     samples, rate, fa, ma, peak_a, log_a, sums_a = _reference_record(a)
     _check_finite(b=b)
-    runs = [[0, len(ma)]]
+    rows = None  # of the frames b changed, at a's rate and length
     if rate == b.sample_rate_hz and len(b.samples) == len(samples):
-        frame = sample_count(SIMILARITY_FRAME_S, rate)
-        hop = sample_count(SIMILARITY_HOP_S, rate)
-        changed = sliding_window_view(b.samples != samples, frame)[::hop]
-        edges = np.diff(changed.any(axis=1), prepend=False, append=False)
-        runs = np.flatnonzero(edges).reshape(-1, 2).tolist()
-    if runs == [[0, len(ma)]]:  # every frame changed, or a new rate or length
+        frames, changed = (
+            sliding_frames(x, rate, SIMILARITY_FRAME_S, SIMILARITY_HOP_S)[0]
+            for x in (b.samples, b.samples != samples))
+        rows = np.flatnonzero(changed.any(axis=(1, 2)))
+    if rows is None or len(rows) == len(ma):  # b is new all through
         sb = compute_stft(b, SIMILARITY_FRAME_S, SIMILARITY_HOP_S)
         fb, lb = sb.freqs_hz, sb.magnitudes
         del sb  # so that lb is freed once it is put onto the grid
     else:  # each frame is its own FFT row: unchanged rows are the reference's
         fb, lb = fa, ma.copy()
-        for r0, r1 in runs:
-            part = Signal(b.samples[r0 * hop:(r1 - 1) * hop + frame], rate)
-            lb[r0:r1] = compute_stft(part, SIMILARITY_FRAME_S,
-                                     SIMILARITY_HOP_S).magnitudes
+        for i, mags in frame_spectra(frames, np.hanning(frames.shape[2]),
+                                     rows):
+            lb[rows[i:i + len(mags)]] = mags[:, 0]
     peak_b = float(lb.max())
     floor = 1e-6 * max(peak_a, peak_b) or 1e-12
     # shared grid: the coarser axis (equal tops mean equal rates and grids)

@@ -111,41 +111,87 @@ class RumbleSpec:
                 "amplitude ratio")
 
 
-STFT_CHUNK_BYTES = 1 << 20  # of complex spectrum compute_stft holds at once
+FFT_CHUNK_BYTES = 1 << 20  # of complex spectrum per FFT call of frame_spectra
 
 
-def compute_stft(signal: Signal, frame_s: float, hop_s: float,
-                 window_fn: str = "hann") -> Spectrogram:
-    """Short-time spectrum over sliding frames.
+def fft_chunk_frames(m: int) -> int:
+    """Frames of m samples per FFT call of frame_spectra, one at least."""
+    return max(1, FFT_CHUNK_BYTES // (16 * (default_pad_length(m) // 2 + 1)))
 
-    The frame count is floor((duration - frame_s) / hop_s) + 1; a signal
-    shorter than one frame is rejected. Each frame is mean-removed,
-    multiplied by the window, and zero-padded to the default FFT length.
+
+def fft_scratch(frames: int, m: int) -> tuple[np.ndarray, ...]:
+    """Padded input, spectrum and magnitudes above DC for frames frames of m
+    samples; reused for one m, its padding stays zero."""
+    pad = default_pad_length(m)
+    return (np.zeros((frames, pad)), np.empty((frames, pad // 2 + 1), complex),
+            np.empty((frames, pad // 2)))
+
+
+def frame_spectra(frames: np.ndarray, window: np.ndarray | None = None,
+                  rows: np.ndarray | None = None,
+                  scratch: tuple[np.ndarray, ...] | None = None
+                  ) -> Iterator[tuple[int, np.ndarray]]:
+    """Magnitude spectra above DC of the frames of a (rows, columns, m)
+    array, or of its given rows only, each mean-removed, windowed if a
+    window is given and zero-padded to default_pad_length(m).
+
+    There is one FFT call per fft_chunk_frames(m) frames (whole rows, one
+    at least). Each yields (i, mags): the (c, columns, pad // 2) spectra of
+    the i-th to (i + c - 1)-th rows scored, in scratch the next overwrites,
+    fft_scratch's for max(fft_chunk_frames(m), columns) frames (or all
+    those scored if fewer), or made here.
     """
-    x, rate = signal.samples, signal.sample_rate_hz
-    frame = sample_count(frame_s, rate, "frame_s")
-    hop = sample_count(hop_s, rate, "hop_s")
+    count = len(frames) if rows is None else len(rows)
+    cols, m = frames.shape[1:]
+    step = max(1, fft_chunk_frames(m) // cols)
+    n = min(count, step)
+    buf, spec, mags = (a[:n * cols].reshape(n, cols, a.shape[1])
+                       for a in scratch or fft_scratch(n * cols, m))
+    for i0 in range(0, count, step):
+        chunk = frames[slice(i0, i0 + step) if rows is None
+                       else rows[i0:i0 + step]]
+        c = len(chunk)
+        np.subtract(chunk, chunk.mean(axis=2, keepdims=True),
+                    out=buf[:c, :, :m])
+        if window is not None:
+            buf[:c, :, :m] *= window
+        # rfft of a padded buffer is faster than rfft(n=pad), same bits
+        np.fft.rfft(buf[:c], axis=2, out=spec[:c])
+        np.abs(spec[:c, :, 1:], out=mags[:c])
+        yield i0, mags[:c]
+
+
+def sliding_frames(x: np.ndarray, rate_hz: float, frame_s: float,
+                   hop_s: float) -> tuple[np.ndarray, int]:
+    """The frames of frame_s every hop_s of x, a (frames, 1, frame) view,
+    and the hop in samples. There are floor((len(x) - frame) / hop) + 1; an
+    x shorter than one frame is rejected."""
+    frame = sample_count(frame_s, rate_hz, "frame_s")
+    hop = sample_count(hop_s, rate_hz, "hop_s")
     if frame < 2 or hop < 1:
         raise InvalidInputError("frame_s and hop_s too small for the rate")
     if len(x) < frame:
         raise InvalidInputError("signal shorter than one frame")
-    if window_fn == "hann":
-        win = np.hanning(frame)
-    elif window_fn == "rect":
-        win = np.ones(frame)
-    else:
-        raise InvalidInputError(f"unknown window {window_fn!r}")
+    return sliding_window_view(x, frame)[::hop, None], hop
 
-    frames = sliding_window_view(x, frame)[::hop]
-    pad = default_pad_length(frame)
-    mags = np.empty((len(frames), pad // 2))
-    step = max(1, STFT_CHUNK_BYTES // (16 * (pad // 2 + 1)))
-    for i in range(0, len(frames), step):
-        segs = frames[i:i + step] - frames[i:i + step].mean(axis=1, keepdims=True)
-        segs *= win
-        np.abs(np.fft.rfft(segs, n=pad, axis=1)[:, 1:], out=mags[i:i + step])
-    freqs = np.fft.rfftfreq(pad, 1.0 / rate)[1:]
+
+def compute_stft(signal: Signal, frame_s: float, hop_s: float,
+                 window_fn: str = "hann") -> Spectrogram:
+    """Short-time spectrum of sliding_frames' frames, by frame_spectra: each
+    frame mean-removed, multiplied by the window, zero-padded to the default
+    FFT length."""
+    rate = signal.sample_rate_hz
+    frames, hop = sliding_frames(signal.samples, rate, frame_s, hop_s)
+    frame = frames.shape[2]
+    if window_fn not in ("hann", "rect"):
+        raise InvalidInputError(f"unknown window {window_fn!r}")
+    # a rectangular window multiplies by 1.0, which changes no bit
+    window = np.hanning(frame) if window_fn == "hann" else None
+    mags = np.empty((len(frames), default_pad_length(frame) // 2))
+    for i, chunk in frame_spectra(frames, window):
+        mags[i:i + len(chunk)] = chunk[:, 0]
     times = signal.start_time_s + np.arange(len(frames)) * hop / rate
+    freqs = np.fft.rfftfreq(default_pad_length(frame), 1.0 / rate)[1:]
     return Spectrogram(frame_times_s=times, freqs_hz=freqs, magnitudes=mags)
 
 

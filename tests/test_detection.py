@@ -8,18 +8,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecsim import detection, signals
-from hecsim.detection import (FFT_CHUNK_FRAMES, ORACLE_FRAME_S, ORACLE_HOP_S,
+from hecsim.detection import (ORACLE_FRAME_S, ORACLE_HOP_S,
                               Algorithm1Params, RumbleEvent, TriggerScreen,
                               WindowDetection, detect_stream, match_and_recall,
                               score_from_run, stft_oracle_detect,
                               trigger_windows)
 from hecsim.errors import InvalidInputError
-from hecsim.signals import (RumbleSpec, Signal, synth_rumble,
+from hecsim.signals import (FFT_CHUNK_BYTES, RumbleSpec, Signal,
+                            default_pad_length, synth_rumble,
                             synth_rumble_stream)
 from oracles import (longest_true_run, naive_peak_frequency,
                      stft_tracker_events, stft_window_max_run)
 
 PARAMS = Algorithm1Params()
+
+
+def chunk_frames(frame):
+    """Frames of frame samples per FFT call: their complex spectra fill
+    FFT_CHUNK_BYTES."""
+    return FFT_CHUNK_BYTES // (16 * (default_pad_length(frame) // 2 + 1))
 
 
 def score_one_window(trace):
@@ -495,7 +502,7 @@ def tracker_traces(draw):
     rate = draw(st.sampled_from([200.0, 999.0, 1000.0, 1001.0]))
     frame = int(round(ORACLE_FRAME_S * rate))
     hop = int(round(ORACLE_HOP_S * rate))
-    frames = FFT_CHUNK_FRAMES + draw(st.sampled_from([-1, 0, 1]))
+    frames = chunk_frames(frame) + draw(st.sampled_from([-1, 0, 1]))
     total_s = (frame + (frames - 1) * hop + draw(st.integers(0, hop - 1))) / rate
     events = []
     for _ in range(draw(st.integers(0, 3))):
@@ -531,7 +538,7 @@ def screened_tracker_cases(draw):
     min_event_s = draw(st.one_of(st.floats(0.0, 6.0), st.just(math.inf)))
     frame = int(round(ORACLE_FRAME_S * rate))
     hop = int(round(ORACLE_HOP_S * rate))
-    count = FFT_CHUNK_FRAMES * draw(st.integers(2, 8)) + draw(
+    count = chunk_frames(frame) * draw(st.integers(2, 8)) + draw(
         st.sampled_from([-1, 0, 1]))
     total_s = (frame + (count - 1) * hop + draw(st.integers(0, hop - 1))) / rate
     L = _probe_spacing(min_event_s, rate, hop)
@@ -574,9 +581,9 @@ def test_tracker_scores_a_fraction_of_the_frames(monkeypatch):
     rows_scored = []
     kernel = detection._in_band_flags
 
-    def counting(frames, pad, in_band, rows=None, *args):
+    def counting(frames, in_band, rows=None, *args):
         rows_scored.append(len(frames) if rows is None else len(rows))
-        return kernel(frames, pad, in_band, rows, *args)
+        return kernel(frames, in_band, rows, *args)
 
     events = [(50.0 + 100.0 * k, RumbleSpec(duration_s=4.0, snr_db=10.0))
               for k in range(6)]

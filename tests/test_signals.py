@@ -14,7 +14,7 @@ from hecsim.detection import (Algorithm1Params, TriggerScreen, detect_stream,
                               trigger_windows)
 from hecsim.deterrent import generate_pink_noise
 from hecsim.errors import InvalidInputError
-from hecsim.signals import (STFT_CHUNK_BYTES, RumbleSpec, Signal,
+from hecsim.signals import (FFT_CHUNK_BYTES, RumbleSpec, Signal,
                             chirp_waveform, compute_stft, default_pad_length,
                             next_pow2, synth_bee_buzz, synth_rumble,
                             synth_rumble_stream)
@@ -87,11 +87,12 @@ def test_stft_frame_count_and_times():
                                              (1000.0, "rect"),
                                              (8000.0, "hann")])
 def test_chunked_stft_equals_one_batch(rate, window_fn, extra):
-    # a chunk is the frames whose complex spectra fill STFT_CHUNK_BYTES;
-    # one frame short of a whole chunk, a whole chunk, and one frame over
+    # a chunk is the frames whose complex spectra fill FFT_CHUNK_BYTES at
+    # this rate's pad length (63 frames at 1 kHz, 15 at 8 kHz); one frame
+    # short of a whole chunk, a whole chunk, and one frame over
     frame_s, hop_s = 0.064, 0.024
     frame, hop = round(frame_s * rate), round(hop_s * rate)
-    chunk = STFT_CHUNK_BYTES // (16 * (default_pad_length(frame) // 2 + 1))
+    chunk = FFT_CHUNK_BYTES // (16 * (default_pad_length(frame) // 2 + 1))
     n_frames = chunk + extra
     x = np.random.default_rng(n_frames).standard_normal(
         (n_frames - 1) * hop + frame)
