@@ -3,15 +3,19 @@
 
 Generates N recordings, each holding one rumble at a random onset with a
 random SNR, runs both detectors on every recording, and reports pooled
-recall plus a per-SNR-bucket breakdown.
+recall plus a per-SNR-bucket breakdown. A rumble lasts 3 to 5 s and starts
+at least 0.5 s into its recording and ends 0.5 s before its end, so a
+recording lasts at least 6 s. A bad flag is a usage error (exit 2).
 """
 
 import argparse
+import math
 
 import numpy as np
 
 from hecsim.detection import (Algorithm1Params, detect_stream,
                               match_and_recall, stft_oracle_detect)
+from hecsim.errors import InvalidInputError
 from hecsim.seeds import derive_seed
 from hecsim.signals import RumbleSpec, synth_rumble_stream
 
@@ -24,6 +28,18 @@ def main() -> None:
     ap.add_argument("--snr-high", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.recordings < 1:
+        ap.error(f"--recordings must be at least 1, got {args.recordings}")
+    if not 6.0 <= args.total_s < math.inf:
+        ap.error(f"--total-s must be at least 6 and finite, got {args.total_s}")
+    if not math.isfinite(args.snr_low) or not math.isfinite(args.snr_high):
+        ap.error(f"--snr-low and --snr-high must be finite, got "
+                 f"{args.snr_low} and {args.snr_high}")
+    if args.snr_low > args.snr_high:
+        ap.error(f"--snr-low {args.snr_low} is above --snr-high "
+                 f"{args.snr_high}")
+    if args.seed < 0:
+        ap.error(f"--seed must be non-negative, got {args.seed}")
 
     params = Algorithm1Params()
     rng = np.random.default_rng(args.seed)
@@ -35,7 +51,10 @@ def main() -> None:
         duration = float(rng.uniform(3.0, 5.0))
         onset = float(rng.uniform(0.5, args.total_s - duration - 0.5))
         snr = float(rng.uniform(args.snr_low, args.snr_high))
-        spec = RumbleSpec(duration_s=duration, snr_db=snr)
+        try:
+            spec = RumbleSpec(duration_s=duration, snr_db=snr)
+        except InvalidInputError as exc:  # an SNR of no finite amplitude
+            ap.error(f"--snr-low/--snr-high: {exc}")
         trace = synth_rumble_stream(
             [(onset, spec)], total_s=args.total_s,
             seed=derive_seed(args.seed, "recording", i))

@@ -193,17 +193,17 @@ class _Transfer:
     """One message moving over one hop, with retry state."""
 
     __slots__ = ("msg", "up", "client", "broker_id", "attempts", "state",
-                 "channel")
+                 "key")
 
     def __init__(self, msg: Message, up: bool, client: _Client,
-                 broker_id: str | None, channel: deque):
+                 broker_id: str | None, key: tuple):
         self.msg = msg
         self.up = up  # client->broker; down is broker->client
         self.client = client
         self.broker_id = broker_id  # fixed for down, resolved per attempt for up
         self.attempts = 0
         self.state = _PENDING
-        self.channel = channel  # this hop's transfers in publish order
+        self.key = key  # of this hop's channel, in MeshNetwork._channels
 
 
 class MeshNetwork:
@@ -366,9 +366,9 @@ class MeshNetwork:
 
     def _start(self, msg: Message, up: bool, client: _Client,
                broker_id: str | None = None) -> None:
-        channel = self._channels[up, msg.publisher, msg.topic, client.client_id]
-        transfer = _Transfer(msg, up, client, broker_id, channel)
-        channel.append(transfer)
+        key = (up, msg.publisher, msg.topic, client.client_id)
+        transfer = _Transfer(msg, up, client, broker_id, key)
+        self._channels[key].append(transfer)
         self._attempt(transfer)
 
     def _attempt(self, transfer: _Transfer) -> None:
@@ -430,7 +430,7 @@ class MeshNetwork:
             return
         transfer.state = _ARRIVED
         transfer.broker_id = broker_id
-        self._pump(transfer.channel)
+        self._pump(transfer.key)
 
     def _retry_later(self, transfer: _Transfer) -> None:
         self.schedule(self.now + self.config.retry_interval_s,
@@ -442,7 +442,7 @@ class MeshNetwork:
         transfer.state = _DEAD
         if reason is not None:
             self._trace(transfer.msg, "drop", frm, to, reason=reason)
-        self._pump(transfer.channel)
+        self._pump(transfer.key)
 
     def _fanout(self, msg: Message, broker_id: str) -> None:
         broker = self.brokers[broker_id]
@@ -457,8 +457,10 @@ class MeshNetwork:
 
     # ---- ordered handoff ----
 
-    def _pump(self, channel: deque[_Transfer]) -> None:
-        """Release the channel head when it has resolved, preserving order."""
+    def _pump(self, key: tuple) -> None:
+        """Release the resolved heads of the channel at key, in publish order;
+        a drained channel is dropped, so a later transfer starts afresh."""
+        channel = self._channels[key]
         while channel:
             head = channel[0]
             if head.state == _DEAD:
@@ -471,6 +473,7 @@ class MeshNetwork:
                 self._fanout(head.msg, head.broker_id)
             else:
                 self._deliver(head)
+        del self._channels[key]
 
     def _deliver(self, transfer: _Transfer) -> None:
         client = transfer.client

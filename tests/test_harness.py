@@ -718,36 +718,60 @@ def test_any_one_leaf_decodes_or_raises_config_error(data):
 _AT_MOST_ONCE = re.compile(r"^(sys/heartbeat/.*|.*/status)$")
 
 
-@settings(max_examples=10, deadline=None)
-@given(n_nodes=st.integers(1, 3), duration_s=st.integers(8, 60),
-       loss=st.floats(0.0, 0.3), kill_at=st.none() | st.floats(0.0, 60.0),
-       detector=st.sampled_from(["oracle", "stochastic"]),
-       master_seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-def test_small_runs_keep_their_invariants(n_nodes, duration_s, loss, kill_at,
-                                          detector, master_seed, data):
+@st.composite
+def small_runs(draw, faults=False):
+    """A generated run: 1 to 3 nodes for 8 to 60 s with up to two 3.5 s
+    rumbles, loss up to 0.3 on two brokers of which the first may die,
+    either detector and a short or long cooldown, as (scenario, config).
+
+    With faults, the link also has jitter, one node may be cut off by a
+    partition, there may be three rumbles, and rumbles that share a node do
+    not overlap: two chirps summed in the other order can differ in the
+    last bit.
+    """
+    n_nodes, duration_s = draw(st.integers(1, 3)), draw(st.integers(8, 60))
     nodes = tuple(f"pn-{i}" for i in range(n_nodes))
     events = []
-    for _ in range(data.draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 3 if faults else 2))):
         rumble = RumbleSpec(duration_s=3.5,
-                            snr_db=data.draw(st.floats(0.0, 20.0)))
-        events.append(ElephantEvent(
-            t_onset_s=data.draw(st.floats(0.0, duration_s - 3.5)),
-            pn_ids=tuple(sorted(data.draw(st.sets(st.sampled_from(nodes),
-                                                  min_size=1)))),
-            rumble=rumble, thermal_visible=data.draw(st.booleans())))
+                            snr_db=draw(st.floats(0.0, 20.0)))
+        event = ElephantEvent(
+            t_onset_s=draw(st.floats(0.0, duration_s - 3.5)),
+            pn_ids=tuple(sorted(draw(st.sets(st.sampled_from(nodes),
+                                             min_size=1)))),
+            rumble=rumble, thermal_visible=draw(st.booleans()))
+        if not faults or all(
+                abs(e.t_onset_s - event.t_onset_s) > 3.5
+                or not set(e.pn_ids) & set(event.pn_ids) for e in events):
+            events.append(event)
+    kill_at = draw(st.none() | st.floats(0.0, 60.0))
+    start = draw(st.floats(0.0, duration_s))
+    cut = () if not faults or not draw(st.booleans()) else (Partition(
+        start, start + draw(st.floats(0.5, 20.0)),
+        frozenset({draw(st.sampled_from(nodes))})),)
     net = NetworkConfig(
         brokers=("broker-a", "broker-b"),
-        default_link=LinkModel(latency_s=0.02, loss_prob=loss),
+        default_link=LinkModel(
+            latency_s=0.02, loss_prob=draw(st.floats(0.0, 0.3)),
+            jitter_s=draw(st.sampled_from([0.0, 0.013])) if faults else 0.0),
         broker_failures=() if kill_at is None
-        else (BrokerFailure("broker-a", kill_at),))
+        else (BrokerFailure("broker-a", kill_at),), partitions=cut)
     scenario = Scenario(
         name="prop", duration_s=float(duration_s),
         pns=tuple(PnPlacement(n) for n in nodes), events=tuple(events),
-        detector=detector, master_seed=master_seed, network=net)
+        detector=draw(st.sampled_from(["oracle", "stochastic"])),
+        master_seed=draw(st.integers(0, 2 ** 32 - 1)), network=net)
     # a short cooldown lets even a short run trigger a node twice
-    config = SimConfig(pn=PnConfig(
-        repel_cooldown_s=data.draw(st.sampled_from([5.0, 60.0]))))
+    return scenario, SimConfig(pn=PnConfig(
+        repel_cooldown_s=draw(st.sampled_from([5.0, 60.0]))))
 
+
+@settings(max_examples=10, deadline=None)
+@given(small_runs())
+def test_small_runs_keep_their_invariants(run):
+    scenario, config = run
+    nodes = [p.node_id for p in scenario.pns]
+    duration_s = scenario.duration_s
     report, logs = run_scenario_with_logs(scenario, config)
 
     assert report.recall is None or 0.0 <= report.recall <= 1.0

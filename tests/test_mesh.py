@@ -906,3 +906,37 @@ def test_severed_matches_the_partition_rule(windows, a, b, data):
     net.now = data.draw(times)
     assert net._severed(a, b) == partition_severs(parts, a, b, net.now)
     assert net._severed(a, b) == net._severed(b, a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(loss=st.floats(0.0, 0.4), jitter=st.sampled_from([0.0, 0.013, 0.02]),
+       seed=st.integers(0, 2**16))
+def test_a_channel_lives_only_while_it_holds_a_transfer(loss, jitter, seed):
+    # each (direction, publisher, topic, client) hop keeps its transfers in
+    # publish order in a channel that is dropped once drained, and a later
+    # transfer starts a fresh one: order holds across that, and the table
+    # is empty once every transfer has resolved
+    net = make_net(default_link=LinkModel(latency_s=0.01, jitter_s=jitter,
+                                          loss_prob=loss),
+                   max_retries=3, retry_interval_s=0.05, seed=seed)
+    got = {"s1": [], "s2": []}
+    for sub in got:
+        net.add_client(sub, on_message=lambda cid, msg, t: got[cid].append(
+            (msg.publisher, msg.topic, msg.payload)))
+        net.subscribe(sub, "t/+")
+    for pub in ("p1", "p2"):
+        net.add_client(pub)
+    for k in range(40):
+        net.run_until(0.01 * k)
+        for pub in ("p1", "p2"):
+            net.publish(pub, "t/alo", k)
+            net.publish(pub, "t/amo", k, qos=QoS.AT_MOST_ONCE)
+    assert net._channels
+    net.run_until(60.0)
+    assert not net._channels
+    for rows in got.values():
+        for key in {(p, t) for p, t, _ in rows}:
+            ks = [k for p, t, k in rows if (p, t) == key]
+            assert ks == sorted(set(ks)), (key, ks)
+    if loss == 0.0:
+        assert all(len(rows) == 160 for rows in got.values())
