@@ -293,7 +293,7 @@ def stft_similarity(a: Signal, b: Signal) -> SimilarityScore:
             sliding_frames(x, rate, SIMILARITY_FRAME_S, SIMILARITY_HOP_S)[0]
             for x in (b.samples, b.samples != samples))
         rows = np.flatnonzero(changed.any(axis=(1, 2)))
-    if rows is None or len(rows) == len(ma):  # b is new all through
+    if rows is None or len(rows) == len(ma):  # new rate or length, or all new
         sb = compute_stft(b, SIMILARITY_FRAME_S, SIMILARITY_HOP_S)
         fb, lb = sb.freqs_hz, sb.magnitudes
         del sb  # so that lb is freed once it is put onto the grid

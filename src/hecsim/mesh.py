@@ -24,7 +24,7 @@ import heapq
 import itertools
 import logging
 import math
-from collections import defaultdict, deque
+from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -193,17 +193,18 @@ class _Transfer:
     """One message moving over one hop, with retry state."""
 
     __slots__ = ("msg", "up", "client", "broker_id", "attempts", "state",
-                 "key")
+                 "key", "channel")
 
     def __init__(self, msg: Message, up: bool, client: _Client,
-                 broker_id: str | None, key: tuple):
+                 broker_id: str | None, key: tuple, channel: list):
         self.msg = msg
         self.up = up  # client->broker; down is broker->client
         self.client = client
         self.broker_id = broker_id  # fixed for down, resolved per attempt for up
         self.attempts = 0
         self.state = _PENDING
-        self.key = key  # of this hop's channel, in MeshNetwork._channels
+        self.key = key  # this hop's (up, publisher, topic, client id)
+        self.channel = channel  # this hop's transfers in publish order
 
 
 class MeshNetwork:
@@ -226,7 +227,7 @@ class MeshNetwork:
         self._heap: list = []
         self._seq = itertools.count()
         self._msg_counter = itertools.count(1)
-        self._channels: defaultdict[tuple, deque[_Transfer]] = defaultdict(deque)
+        self._channels: dict[tuple, list[_Transfer]] = {}  # of live hops
         self._delivered = 0  # deliveries of the current run_until call
         self._failover_armed = False
         for failure in config.broker_failures:
@@ -367,9 +368,9 @@ class MeshNetwork:
     def _start(self, msg: Message, up: bool, client: _Client,
                broker_id: str | None = None) -> None:
         key = (up, msg.publisher, msg.topic, client.client_id)
-        transfer = _Transfer(msg, up, client, broker_id, key)
-        self._channels[key].append(transfer)
-        self._attempt(transfer)
+        channel = self._channels.setdefault(key, [])
+        channel.append(_Transfer(msg, up, client, broker_id, key, channel))
+        self._attempt(channel[-1])
 
     def _attempt(self, transfer: _Transfer) -> None:
         client = transfer.client
@@ -430,7 +431,7 @@ class MeshNetwork:
             return
         transfer.state = _ARRIVED
         transfer.broker_id = broker_id
-        self._pump(transfer.key)
+        self._pump(transfer)
 
     def _retry_later(self, transfer: _Transfer) -> None:
         self.schedule(self.now + self.config.retry_interval_s,
@@ -442,7 +443,7 @@ class MeshNetwork:
         transfer.state = _DEAD
         if reason is not None:
             self._trace(transfer.msg, "drop", frm, to, reason=reason)
-        self._pump(transfer.key)
+        self._pump(transfer)
 
     def _fanout(self, msg: Message, broker_id: str) -> None:
         broker = self.brokers[broker_id]
@@ -457,23 +458,23 @@ class MeshNetwork:
 
     # ---- ordered handoff ----
 
-    def _pump(self, key: tuple) -> None:
-        """Release the resolved heads of the channel at key, in publish order;
-        a drained channel is dropped, so a later transfer starts afresh."""
-        channel = self._channels[key]
+    def _pump(self, transfer: _Transfer) -> None:
+        """Release the resolved heads of a transfer's channel in order and
+        drop it once drained; the hop's next transfer opens a new one."""
+        channel = transfer.channel
         while channel:
             head = channel[0]
             if head.state == _DEAD:
-                channel.popleft()
+                del channel[0]
                 continue
             if head.state != _ARRIVED:
                 return
-            channel.popleft()
+            del channel[0]
             if head.up:
                 self._fanout(head.msg, head.broker_id)
             else:
                 self._deliver(head)
-        del self._channels[key]
+        del self._channels[transfer.key]
 
     def _deliver(self, transfer: _Transfer) -> None:
         client = transfer.client

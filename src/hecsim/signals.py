@@ -135,11 +135,11 @@ def frame_spectra(frames: np.ndarray, window: np.ndarray | None = None,
     array, or of its given rows only, each mean-removed, windowed if a
     window is given and zero-padded to default_pad_length(m).
 
-    There is one FFT call per fft_chunk_frames(m) frames (whole rows, one
-    at least). Each yields (i, mags): the (c, columns, pad // 2) spectra of
-    the i-th to (i + c - 1)-th rows scored, in scratch the next overwrites,
-    fft_scratch's for max(fft_chunk_frames(m), columns) frames (or all
-    those scored if fewer), or made here.
+    Each FFT call takes the whole rows of fft_chunk_frames(m) frames (one
+    row at least) and yields (i, mags): the (c, columns, pad // 2) spectra
+    of rows i .. i + c - 1 of those taken, in scratch the next call reuses.
+    Scratch from fft_scratch for max(fft_chunk_frames(m), columns) frames
+    serves every call on m-sample frames; by default it is made here.
     """
     count = len(frames) if rows is None else len(rows)
     cols, m = frames.shape[1:]

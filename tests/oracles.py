@@ -9,7 +9,7 @@ top of it: naive_stft_similarity pins the lag search and the frequency-grid
 interpolation, stft_window_max_run pins the batched window scoring,
 stft_tracker_events pins the batched tracker, and whole_stft_similarity,
 which also reads the package's lag search, pins the kept reference and the
-per-run analysis of changed frames bit for bit. one_batch_stft_magnitudes
+analysis of changed frames by row bit for bit. one_batch_stft_magnitudes
 is the STFT transformed in one batch, which the chunked one must equal.
 """
 

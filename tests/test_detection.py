@@ -252,7 +252,7 @@ def test_flat_spectrum_ties_go_to_the_lowest_bin():
 
 def test_detect_stream_memory_is_bounded_by_the_chunk():
     # one hour at 1 kHz is 900 windows; scoring them in one batch would
-    # take over 100 MiB of spectra, a chunk of 8 windows about 3 MiB
+    # take over 100 MiB of spectra, a chunk of 7 windows about 3 MiB
     trace = Signal(
         samples=np.random.default_rng(0).standard_normal(3_600_000),
         sample_rate_hz=1000.0)
@@ -267,7 +267,7 @@ def test_detect_stream_memory_is_bounded_by_the_chunk():
 
 
 def test_detect_triggers_memory_is_bounded_by_the_chunk():
-    # the screen takes 64 windows at 4 sub-segments each per FFT, and the
+    # the screen takes 63 windows at 4 sub-segments each per FFT, and the
     # survivors are gathered for full scoring a chunk at a time; an hour
     # given as one block makes one FFT scratch
     trace = Signal(
@@ -597,7 +597,7 @@ def test_tracker_scores_a_fraction_of_the_frames(monkeypatch):
 
 def test_tracker_memory_does_not_grow_with_the_trace():
     # an hour at 1 kHz is 28,797 frames; its whole spectrogram took about
-    # 786 MiB, one chunk of 256 frames takes a few
+    # 786 MiB, one chunk of 63 frames (1 MiB of spectra) about 3 MiB
     trace = Signal(
         samples=np.random.default_rng(0).standard_normal(3_600_000),
         sample_rate_hz=1000.0)

@@ -16,7 +16,7 @@ from hecsim.deterrent import generate_pink_noise
 from hecsim.errors import InvalidInputError
 from hecsim.signals import (FFT_CHUNK_BYTES, RumbleSpec, Signal,
                             chirp_waveform, compute_stft, default_pad_length,
-                            next_pow2, synth_bee_buzz, synth_rumble,
+                            frame_spectra, next_pow2, synth_bee_buzz, synth_rumble,
                             synth_rumble_stream)
 from oracles import (naive_dft_magnitudes, one_batch_stft_magnitudes,
                      rumble_instantaneous_freq)
@@ -101,6 +101,32 @@ def test_chunked_stft_equals_one_batch(rate, window_fn, extra):
     want = one_batch_stft_magnitudes(x, rate, frame_s, hop_s, window_fn)
     assert gram.magnitudes.shape == want.shape == (n_frames, len(gram.freqs_hz))
     assert np.array_equal(gram.magnitudes, want)
+
+
+@pytest.mark.parametrize("m, cols", [(125, 1), (125, 4), (125, 32), (500, 1),
+                                     (25, 32), (4000, 3), (4000, 8)])
+def test_each_fft_call_takes_the_whole_rows_of_one_chunk(m, cols,
+                                                         monkeypatch):
+    # as many whole rows as FFT_CHUNK_BYTES of complex spectrum holds, one
+    # row at least when a row holds more (4000 samples pad to 16,384: 7
+    # frames a chunk), then a last call of what is left
+    pad = default_pad_length(m)
+    chunk = FFT_CHUNK_BYTES // (16 * (pad // 2 + 1))
+    per_call = max(1, chunk // cols)
+    shapes, rfft = [], np.fft.rfft
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    frames = np.random.default_rng(m).standard_normal(
+        (2 * per_call + 1, cols, m))
+    got = [(i, mags.shape) for i, mags in frame_spectra(frames)]
+    assert shapes == [(per_call, cols, pad)] * 2 + [(1, cols, pad)]
+    assert got == [(0, (per_call, cols, pad // 2)),
+                   (per_call, (per_call, cols, pad // 2)),
+                   (2 * per_call, (1, cols, pad // 2))]
 
 
 def test_stft_too_short_signal_rejected():
