@@ -745,10 +745,11 @@ def small_runs(draw, faults=False):
                 or not set(e.pn_ids) & set(event.pn_ids) for e in events):
             events.append(event)
     kill_at = draw(st.none() | st.floats(0.0, 60.0))
-    start = draw(st.floats(0.0, duration_s))
-    cut = () if not faults or not draw(st.booleans()) else (Partition(
-        start, start + draw(st.floats(0.5, 20.0)),
-        frozenset({draw(st.sampled_from(nodes))})),)
+    cut = ()
+    if faults and draw(st.booleans()):
+        start = draw(st.floats(0.0, duration_s))
+        cut = (Partition(start, start + draw(st.floats(0.5, 20.0)),
+                         frozenset({draw(st.sampled_from(nodes))})),)
     net = NetworkConfig(
         brokers=("broker-a", "broker-b"),
         default_link=LinkModel(
