@@ -40,6 +40,13 @@ def main() -> None:
                  f"{args.snr_high}")
     if args.seed < 0:
         ap.error(f"--seed must be non-negative, got {args.seed}")
+    # the amplitude ratio rises with the SNR: if both bounds give a finite
+    # one, every SNR drawn between them does
+    for snr in (args.snr_low, args.snr_high):
+        try:
+            RumbleSpec(duration_s=3.0, snr_db=snr)
+        except InvalidInputError as exc:
+            ap.error(f"--snr-low/--snr-high: {exc}")
 
     params = Algorithm1Params()
     rng = np.random.default_rng(args.seed)
@@ -51,12 +58,9 @@ def main() -> None:
         duration = float(rng.uniform(3.0, 5.0))
         onset = float(rng.uniform(0.5, args.total_s - duration - 0.5))
         snr = float(rng.uniform(args.snr_low, args.snr_high))
-        try:
-            spec = RumbleSpec(duration_s=duration, snr_db=snr)
-        except InvalidInputError as exc:  # an SNR of no finite amplitude
-            ap.error(f"--snr-low/--snr-high: {exc}")
         trace = synth_rumble_stream(
-            [(onset, spec)], total_s=args.total_s,
+            [(onset, RumbleSpec(duration_s=duration, snr_db=snr))],
+            total_s=args.total_s,
             seed=derive_seed(args.seed, "recording", i))
         detections = detect_stream(trace, params)
         events = stft_oracle_detect(trace)

@@ -193,17 +193,16 @@ class _Transfer:
     """One message moving over one hop, with retry state."""
 
     __slots__ = ("msg", "up", "client", "broker_id", "attempts", "state",
-                 "key", "channel")
+                 "channel")
 
     def __init__(self, msg: Message, up: bool, client: _Client,
-                 broker_id: str | None, key: tuple, channel: list):
+                 broker_id: str | None, channel: list):
         self.msg = msg
         self.up = up  # client->broker; down is broker->client
         self.client = client
         self.broker_id = broker_id  # fixed for down, resolved per attempt for up
         self.attempts = 0
         self.state = _PENDING
-        self.key = key  # this hop's (up, publisher, topic, client id)
         self.channel = channel  # this hop's transfers in publish order
 
 
@@ -369,7 +368,7 @@ class MeshNetwork:
                broker_id: str | None = None) -> None:
         key = (up, msg.publisher, msg.topic, client.client_id)
         channel = self._channels.setdefault(key, [])
-        channel.append(_Transfer(msg, up, client, broker_id, key, channel))
+        channel.append(_Transfer(msg, up, client, broker_id, channel))
         self._attempt(channel[-1])
 
     def _attempt(self, transfer: _Transfer) -> None:
@@ -474,7 +473,8 @@ class MeshNetwork:
                 self._fanout(head.msg, head.broker_id)
             else:
                 self._deliver(head)
-        del self._channels[transfer.key]
+        del self._channels[transfer.up, transfer.msg.publisher,
+                           transfer.msg.topic, transfer.client.client_id]
 
     def _deliver(self, transfer: _Transfer) -> None:
         client = transfer.client

@@ -4,13 +4,15 @@ Everything here is deliberately written the slow, obvious way, without
 sharing code with the package: direct DFT summation instead of FFT, explicit
 threshold enumeration instead of sorted sweeps, closed-form probability
 instead of simulation. Tests compare package output against these. The
-exceptions read through the package's STFT and pin only what is built on
-top of it: naive_stft_similarity pins the lag search and the frequency-grid
+STFT references take their spectra from one_batch_stft, which frames,
+windows and transforms the frames here in plain batches, not through the
+package's kernel, so a kernel fault cannot move a reference with the code
+it checks: compute_stft must equal one_batch_stft_magnitudes,
+naive_stft_similarity pins the lag search and the frequency-grid
 interpolation, stft_window_max_run pins the batched window scoring,
 stft_tracker_events pins the batched tracker, and whole_stft_similarity,
-which also reads the package's lag search, pins the kept reference and the
-analysis of changed frames by row bit for bit. one_batch_stft_magnitudes
-is the STFT transformed in one batch, which the chunked one must equal.
+which reads the package's lag search, pins the kept reference and the
+analysis of changed frames by row bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 from hecsim.detection import (ORACLE_BAND_HIGH_HZ, ORACLE_BAND_LOW_HZ,
                               ORACLE_FRAME_S, ORACLE_HOP_S, RumbleEvent)
 from hecsim.deterrent import SIMILARITY_FRAME_S, SIMILARITY_HOP_S, _best_lag
-from hecsim.signals import Signal, compute_stft
 
 
 def naive_dft_magnitudes(samples, sample_rate_hz, pad_to=None):
@@ -76,11 +77,9 @@ def stft_window_max_run(samples, rate, params):
     subsegments_per_window rows, the peak frequency of each, and
     longest_true_run over the strict band test.
     """
-    spec = compute_stft(Signal(samples=samples, sample_rate_hz=rate),
-                        params.subsegment_s, params.subsegment_s,
-                        window_fn="rect")
-    mags = spec.magnitudes[:params.subsegments_per_window]
-    peaks = spec.freqs_hz[np.argmax(mags, axis=1)]
+    _, freqs, mags = one_batch_stft(samples, rate, params.subsegment_s,
+                                    params.subsegment_s, window_fn="rect")
+    peaks = freqs[np.argmax(mags[:params.subsegments_per_window], axis=1)]
     return longest_true_run(params.band_low_hz < f < params.band_high_hz
                             for f in peaks)
 
@@ -94,16 +93,18 @@ def stft_tracker_events(trace, min_event_s):
     frames, from its first frame's start to its last frame's end, is an
     event when it lasts at least min_event_s.
     """
-    spec = compute_stft(trace, ORACLE_FRAME_S, ORACLE_HOP_S, window_fn="hann")
-    peaks = spec.freqs_hz[np.argmax(spec.magnitudes, axis=1)]
+    times, freqs, mags = one_batch_stft(trace.samples, trace.sample_rate_hz,
+                                        ORACLE_FRAME_S, ORACLE_HOP_S,
+                                        trace.start_time_s)
+    peaks = freqs[np.argmax(mags, axis=1)]
     flags = [ORACLE_BAND_LOW_HZ < f < ORACLE_BAND_HIGH_HZ for f in peaks]
     events, first = [], None
     for i, flag in enumerate(flags + [False]):
         if flag and first is None:
             first = i
         elif not flag and first is not None:
-            t_start = float(spec.frame_times_s[first])
-            t_end = float(spec.frame_times_s[i - 1]) + ORACLE_FRAME_S
+            t_start = float(times[first])
+            t_end = float(times[i - 1]) + ORACLE_FRAME_S
             if t_end - t_start >= min_event_s:
                 events.append(RumbleEvent(t_start_s=t_start, t_end_s=t_end))
             first = None
@@ -258,9 +259,9 @@ def naive_stft_similarity(a, b):
     lag_frames).
     """
     def log_spectrogram(clip):
-        spec = compute_stft(clip, SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
-                            window_fn="hann")
-        return spec.freqs_hz, spec.magnitudes
+        _, freqs, mags = one_batch_stft(clip.samples, clip.sample_rate_hz,
+                                        SIMILARITY_FRAME_S, SIMILARITY_HOP_S)
+        return freqs, mags
 
     fa, ma = log_spectrogram(a)
     fb, mb = log_spectrogram(b)
@@ -323,6 +324,23 @@ def one_batch_stft_magnitudes(samples, rate, frame_s, hop_s, window_fn="hann"):
     return np.abs(np.fft.rfft(segs, n=pad, axis=1))[:, 1:]
 
 
+def one_batch_stft(samples, rate, frame_s, hop_s, start_time_s=0.0,
+                   window_fn="hann"):
+    """(frame start times, frequencies, magnitudes) of compute_stft, with
+    the magnitudes from one_batch_stft_magnitudes, taken 1,000 frames a
+    batch so that an hour-long trace stays small."""
+    frame, hop = int(round(frame_s * rate)), int(round(hop_s * rate))
+    n = (len(samples) - frame) // hop + 1
+    mags = np.concatenate([
+        one_batch_stft_magnitudes(
+            samples[k * hop:(min(n, k + 1000) - 1) * hop + frame], rate,
+            frame_s, hop_s, window_fn)
+        for k in range(0, n, 1000)])
+    pad = 1 << (4 * frame - 1).bit_length()
+    freqs = np.fft.rfftfreq(pad, 1.0 / rate)[1:]
+    return start_time_s + np.arange(n) * hop / rate, freqs, mags
+
+
 def whole_stft_similarity(a, b):
     """stft_similarity(a, b) in one pass over both whole spectrograms, with
     nothing kept between calls and no row taken from another analysis.
@@ -331,13 +349,14 @@ def whole_stft_similarity(a, b):
     must agree bit for bit; the lag search is the package's _best_lag, which
     naive_best_lag pins. Returns (max_xcorr, lag_frames).
     """
-    sa = compute_stft(a, SIMILARITY_FRAME_S, SIMILARITY_HOP_S)
-    sb = compute_stft(b, SIMILARITY_FRAME_S, SIMILARITY_HOP_S)
-    fa, fb = sa.freqs_hz, sb.freqs_hz
-    floor = 1e-6 * max(float(sa.magnitudes.max()), float(sb.magnitudes.max()))
+    _, fa, ma = one_batch_stft(a.samples, a.sample_rate_hz,
+                               SIMILARITY_FRAME_S, SIMILARITY_HOP_S)
+    _, fb, mb = one_batch_stft(b.samples, b.sample_rate_hz,
+                               SIMILARITY_FRAME_S, SIMILARITY_HOP_S)
+    floor = 1e-6 * max(float(ma.max()), float(mb.max()))
     if floor == 0.0:
         floor = 1e-12
-    la, lb = np.log(sa.magnitudes + floor), np.log(sb.magnitudes + floor)
+    la, lb = np.log(ma + floor), np.log(mb + floor)
 
     def onto(grid, freqs, rows):
         j = np.searchsorted(freqs, grid, side="right") - 1

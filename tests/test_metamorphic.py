@@ -60,7 +60,7 @@ def _other_nodes_actions(streams, idle):
             if f'"node": "{idle}"'.encode() not in line]
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "one uniform stream feeds the loss and jitter draws of every client's "
     "hops, so an extra client's heartbeats shift every later draw; "
     "ROADMAP item 2 gives each client its own stream"))
