@@ -3,10 +3,11 @@
 A Scenario says where the peripheral nodes stand, when elephants pass
 which of them and which network joins them; a SimConfig says how the nodes
 behave.
-run_scenario_with_logs finds every node's seismic windows scoring ds >= 1
-in one call to detection.trigger_windows, which never holds a whole
-trace. It drives the peripheral and central state machines through the
-simulated mesh in a single discrete-event loop. Every random
+run_scenario_with_logs finds every node's seismic windows that a rumble
+touches and that score ds >= 1 in one call to detection.trigger_windows,
+which never holds a whole trace; every other window scores 0 by rule. It
+drives the peripheral and central state machines through the simulated
+mesh in a single discrete-event loop. Every random
 choice descends from the scenario's master seed through labeled
 sub-seeds, so the same scenario and seed produce byte-identical outputs.
 
@@ -421,7 +422,7 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
     # seismic synthesis and window scoring, for every node, up front; the
     # event loop consumes each score at its window's end time. A window
     # scoring 0 triggers nothing (ds_threshold is at least 1), so only the
-    # windows scoring ds >= 1 are found and scheduled
+    # windows a rumble touches that score ds >= 1 are found and scheduled
     ids = [p.node_id for p in scenario.pns]
     streams = [([(ev.t_onset_s, ev.rumble) for ev in scenario.events
                  if pn_id in ev.pn_ids], scenario.duration_s,

@@ -114,39 +114,26 @@ class RumbleSpec:
 FFT_CHUNK_BYTES = 1 << 20  # of complex spectrum per FFT call of frame_spectra
 
 
-def fft_chunk_frames(m: int) -> int:
-    """Frames of m samples per FFT call of frame_spectra, one at least."""
-    return max(1, FFT_CHUNK_BYTES // (16 * (default_pad_length(m) // 2 + 1)))
-
-
-def fft_scratch(frames: int, m: int) -> tuple[np.ndarray, ...]:
-    """Padded input, spectrum and magnitudes above DC for frames frames of m
-    samples; reused for one m, its padding stays zero."""
-    pad = default_pad_length(m)
-    return (np.zeros((frames, pad)), np.empty((frames, pad // 2 + 1), complex),
-            np.empty((frames, pad // 2)))
-
-
 def frame_spectra(frames: np.ndarray, window: np.ndarray | None = None,
-                  rows: np.ndarray | None = None,
-                  scratch: tuple[np.ndarray, ...] | None = None
+                  rows: np.ndarray | None = None
                   ) -> Iterator[tuple[int, np.ndarray]]:
     """Magnitude spectra above DC of the frames of a (rows, columns, m)
     array, or of its given rows only, each mean-removed, windowed if a
     window is given and zero-padded to default_pad_length(m).
 
-    Each FFT call takes the whole rows of fft_chunk_frames(m) frames (one
-    row at least) and yields (i, mags): the (c, columns, pad // 2) spectra
-    of rows i .. i + c - 1 of those taken, in scratch the next call reuses.
-    Scratch from fft_scratch for max(fft_chunk_frames(m), columns) frames
-    serves every call on m-sample frames; by default it is made here.
+    Each FFT call takes as many whole rows as FFT_CHUNK_BYTES of complex
+    spectrum holds (one row at least) and yields (i, mags): the
+    (c, columns, pad // 2) spectra of rows i .. i + c - 1 of those taken,
+    in buffers the next call overwrites.
     """
     count = len(frames) if rows is None else len(rows)
     cols, m = frames.shape[1:]
-    step = max(1, fft_chunk_frames(m) // cols)
+    pad = default_pad_length(m)
+    step = max(1, FFT_CHUNK_BYTES // (16 * (pad // 2 + 1)) // cols)
     n = min(count, step)
-    buf, spec, mags = (a[:n * cols].reshape(n, cols, a.shape[1])
-                       for a in scratch or fft_scratch(n * cols, m))
+    buf = np.zeros((n, cols, pad))  # its padding stays zero
+    spec = np.empty((n, cols, pad // 2 + 1), complex)
+    mags = np.empty((n, cols, pad // 2))
     for i0 in range(0, count, step):
         chunk = frames[slice(i0, i0 + step) if rows is None
                        else rows[i0:i0 + step]]
@@ -175,20 +162,15 @@ def sliding_frames(x: np.ndarray, rate_hz: float, frame_s: float,
     return sliding_window_view(x, frame)[::hop, None], hop
 
 
-def compute_stft(signal: Signal, frame_s: float, hop_s: float,
-                 window_fn: str = "hann") -> Spectrogram:
+def compute_stft(signal: Signal, frame_s: float, hop_s: float) -> Spectrogram:
     """Short-time spectrum of sliding_frames' frames, by frame_spectra: each
-    frame mean-removed, multiplied by the window, zero-padded to the default
-    FFT length."""
+    frame mean-removed, multiplied by a Hann window, zero-padded to the
+    default FFT length."""
     rate = signal.sample_rate_hz
     frames, hop = sliding_frames(signal.samples, rate, frame_s, hop_s)
     frame = frames.shape[2]
-    if window_fn not in ("hann", "rect"):
-        raise InvalidInputError(f"unknown window {window_fn!r}")
-    # a rectangular window multiplies by 1.0, which changes no bit
-    window = np.hanning(frame) if window_fn == "hann" else None
     mags = np.empty((len(frames), default_pad_length(frame) // 2))
-    for i, chunk in frame_spectra(frames, window):
+    for i, chunk in frame_spectra(frames, np.hanning(frame)):
         mags[i:i + len(chunk)] = chunk[:, 0]
     times = signal.start_time_s + np.arange(len(frames)) * hop / rate
     freqs = np.fft.rfftfreq(default_pad_length(frame), 1.0 / rate)[1:]
@@ -239,26 +221,25 @@ def synth_rumble_stream(events: list[tuple[float, RumbleSpec]], total_s: float,
     noise RMS matches spec.snr_db. Events may overlap. The whole trace is
     drawn as one block.
     """
-    draw = _rumble_blocks(events, total_s, sample_rate_hz, seed, noise_rms)
-    n = sample_count(total_s, sample_rate_hz)
-    x = np.empty((1, max(n, 1)))
-    next(draw(x), None)
-    return Signal(samples=x[0, :n], sample_rate_hz=sample_rate_hz)
+    _, draw = _rumble_blocks(events, total_s, sample_rate_hz, seed, noise_rms)
+    x = np.empty(max(sample_count(total_s, sample_rate_hz), 1))
+    return Signal(samples=next(draw(x), x[:0]), sample_rate_hz=sample_rate_hz)
 
 
 def _rumble_blocks(events: list[tuple[float, RumbleSpec]], total_s: float,
                    sample_rate_hz: float, seed: int, noise_rms: float = 1.0
-                   ) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
-    """synth_rumble_stream's samples, drawn in blocks by the function this
-    returns.
+                   ) -> tuple[list[tuple[int, int]],
+                              Callable[[np.ndarray], Iterator[np.ndarray]]]:
+    """synth_rumble_stream's samples, drawn in blocks.
 
     Every event is checked to fit and to scale to finite samples, and its
-    scaled chirp made, here, before any noise is drawn. The function takes
-    slots, a (s, m) float64 array, and yields the stream's blocks of m
-    samples, the last one shorter, block j drawn into the head of slot
-    j % s; a stream of no sample has no block. Its blocks join to the whole
-    trace bit for bit: they draw one normal stream in pieces, in order, and
-    each chirp sample is added to its own noise sample alone.
+    scaled chirp made, here, before any noise is drawn. Returns the sample
+    span [i0, i1) of each event's chirp, cut at the stream end, and a
+    function that takes buf, a float64 array of m samples, and yields the
+    stream's blocks of m samples, the last one shorter, each drawn into the
+    head of buf; a stream of no sample has no block. Its blocks join to the
+    whole trace bit for bit: they draw one normal stream in pieces, in
+    order, and each chirp sample is added to its own noise sample alone.
     """
     n = sample_count(total_s, sample_rate_hz)
     chirps = []
@@ -274,10 +255,9 @@ def _rumble_blocks(events: list[tuple[float, RumbleSpec]], total_s: float,
         chirps.append((i0, chirp[:max(0, n - i0)] * scale))
     rng = np.random.default_rng(seed)
 
-    def draw(slots: np.ndarray) -> Iterator[np.ndarray]:
-        m = slots.shape[1]
-        for j, b0 in enumerate(range(0, n, m)):
-            x = slots[j % len(slots), :min(m, n - b0)]
+    def draw(buf: np.ndarray) -> Iterator[np.ndarray]:
+        for b0 in range(0, n, len(buf)):
+            x = buf[:min(len(buf), n - b0)]
             rng.standard_normal(out=x)
             if noise_rms != 1.0:  # x * 1.0 is x, so the pass is skipped
                 x *= noise_rms
@@ -287,7 +267,7 @@ def _rumble_blocks(events: list[tuple[float, RumbleSpec]], total_s: float,
                 if lo < hi:
                     x[lo - b0:hi - b0] += chirp[lo - i0:hi - i0]
             yield x
-    return draw
+    return [(i0, i0 + len(chirp)) for i0, chirp in chirps], draw
 
 
 def synth_bee_buzz(duration_s: float = 2.0, sample_rate_hz: float = 8000.0,

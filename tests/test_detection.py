@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hecsim import detection, signals
 from hecsim.detection import (ORACLE_FRAME_S, ORACLE_HOP_S,
-                              Algorithm1Params, RumbleEvent, TriggerScreen,
+                              Algorithm1Params, RumbleEvent,
                               WindowDetection, detect_stream, match_and_recall,
                               score_from_run, stft_oracle_detect,
                               trigger_windows)
@@ -97,9 +97,13 @@ def test_detect_stream_discards_remainder():
 
 
 def triggers_of(trace, params=PARAMS):
-    """A trigger screen on a whole trace."""
-    return TriggerScreen(trace.sample_rate_hz, params)(trace.samples,
-                                                       trace.start_time_s)
+    """trigger_windows on a stream of the trace's length and rate with one
+    rumble over the whole of it; the trace's samples are not read."""
+    rate = trace.sample_rate_hz
+    total_s = len(trace.samples) / rate
+    (hits,) = trigger_windows([([(0.0, RumbleSpec(duration_s=total_s))],
+                                total_s, 0)], rate, params)
+    return hits
 
 
 BOTH_SCORERS = pytest.mark.parametrize(
@@ -120,22 +124,21 @@ def test_empty_trace_rejected():
 
 
 @pytest.mark.parametrize("score, expected", [
-    (lambda: TriggerScreen(1000.0, PARAMS)(np.zeros(0)), []),
+    (lambda: trigger_windows([], 1000.0, PARAMS), []),
     (lambda: trigger_windows([([], 0.0, 0)], 1000.0, PARAMS), [[]]),
     (lambda: trigger_windows([([], 0.0, s) for s in range(3)], 1000.0,
                              PARAMS), [[], [], []]),
 ], ids=["no_block", "one_empty_block", "three_empty_blocks"])
 def test_empty_stream_scores_nothing(score, expected):
-    # an array or a stream of no sample holds no window, so it is scored
-    # like one shorter than a window: the screen given no sample, one
-    # stream of 0 s, and three such streams through one screen
+    # no stream, one stream of 0 s and three such streams: a stream of no
+    # sample holds no window, so it is scored like one shorter than a window
     assert score() == expected
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
 def test_stream_rate_must_be_positive_and_finite(rate):
     with pytest.raises(InvalidInputError, match="sample rate must be"):
-        TriggerScreen(rate, PARAMS)
+        trigger_windows([([], 1.0, 0)], rate, PARAMS)
 
 
 @BOTH_SCORERS
@@ -267,35 +270,38 @@ def test_detect_stream_memory_is_bounded_by_the_chunk():
 
 
 def test_detect_triggers_memory_is_bounded_by_the_chunk():
-    # the screen takes 63 windows at 4 sub-segments each per FFT, and the
-    # survivors are gathered for full scoring a chunk at a time; an hour
-    # given as one block makes one FFT scratch
-    trace = Signal(
-        samples=np.random.default_rng(0).standard_normal(3_600_000),
-        sample_rate_hz=1000.0)
+    # trigger_windows scores the rumble windows of a block by row index;
+    # the rows are gathered for scoring a chunk at a time, so even every
+    # window of an hour given as one array stays near one chunk's spectra
+    x = np.random.default_rng(0).standard_normal(3_600_000)
+    n, k, sub, in_band = detection._geometry(1000.0, PARAMS)
+    segs = detection._windows(x, n, k, sub)
     tracemalloc.start()
     try:
-        triggers_of(trace)
+        runs = detection._max_runs(segs, in_band, np.arange(len(segs)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(runs) == 900
     assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("rate", [1000.0, 999.0])
 def test_streamed_scoring_memory_is_bounded_by_the_block(rate):
-    # an hour at 1 kHz is 28.8 MB as one trace; made and scored in blocks
-    # of 32 whole windows, only the two 1 MB block slots and the FFT
-    # scratch are alive, at 999 Hz as at 1 kHz. A first short stream keeps
-    # numpy's one-off FFT set-up out of the peak
-    trigger_windows([([], 8.0, 0)], rate, PARAMS)
+    # an hour at 1 kHz is 28.8 MB as one trace; a rumble in its last
+    # window has the whole hour drawn, and made and scored in blocks of 32
+    # whole windows only the 1 MB block and one chunk's spectra are alive,
+    # at 999 Hz as at 1 kHz. A first short stream keeps numpy's one-off FFT
+    # set-up out of the peak
+    events = [(3596.25, RumbleSpec(duration_s=3.5))]
+    trigger_windows([(events, 3600.0, 0)], rate, PARAMS)
     tracemalloc.start()
     try:
-        triggers = trigger_windows([([], 3600.0, 0)], rate, PARAMS)
+        triggers = trigger_windows([(events, 3600.0, 0)], rate, PARAMS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert triggers == [[]]
+    assert [d.window_index for d in triggers[0]] == [899]
     assert peak < 6 * 2**20
 
 
@@ -303,119 +309,141 @@ def test_streamed_scoring_memory_is_bounded_by_the_block(rate):
     (4.0, 1000.0, 128_000), (4.0, 999.0, 127_872), (60.0, 1000.0, 120_000),
     (200.0, 1000.0, 200_000)])
 def test_block_is_about_128000_samples_of_whole_windows(window_s, rate,
-                                                        samples, monkeypatch):
+                                                        samples, draws):
     # whole windows, as many as fit in 128,000 samples, and one window when
-    # none fits, so the block no longer grows with the window length; a
-    # stream of two and a half blocks gives two full blocks and the rest
+    # none fits, so the block no longer grows with the window length. A
+    # stream of two and a half blocks with a rumble in its last window
+    # draws two full blocks and the rest, unless the rest holds no whole
+    # window: no block past the last rumble window is drawn
     params = replace(PARAMS, window_s=window_s)
-    lengths, screen = [], TriggerScreen.__call__
-
-    def recording(self, x, *args, **kwargs):
-        lengths.append(len(x))
-        return screen(self, x, *args, **kwargs)
-
-    monkeypatch.setattr(TriggerScreen, "__call__", recording)
-    total = int(2.5 * samples)
-    assert trigger_windows([([], total / rate, 0)], rate, params) == [[]]
-    assert lengths == [samples, samples, total - 2 * samples]
-
-
-def _check_triggers(trace, params):
-    """The trigger screen returns detect_stream's ds >= 1 windows, each with
-    the per-window reference's run; returns the hits."""
-    hits = triggers_of(trace, params)
-    assert hits == [d for d in detect_stream(trace, params) if d.ds >= 1]
-    n = int(round(params.window_s * trace.sample_rate_hz))
-    for d in hits:
-        i0 = d.window_index * n
-        assert d.max_run == stft_window_max_run(
-            trace.samples[i0:i0 + n], trace.sample_rate_hz, params)
-    return hits
+    n, total = int(round(window_s * rate)), int(2.5 * samples)
+    last = total // n - 1
+    events = [(last * n / rate + 0.25, RumbleSpec(duration_s=3.5))]
+    (hits,) = trigger_windows([(events, total / rate, 0)], rate, params)
+    assert [d.window_index for d in hits] == [last]
+    rest = total - 2 * samples
+    assert draws == [samples, samples] + [rest] * (rest >= n)
 
 
 @st.composite
 def run_thresholds(draw):
     """run_low from 1 to 32, so a trigger needs an in-band run of L = 2 to
-    33 sub-segments: from 16 screened columns of 32 to one (L > 16) or none
-    (L > 32)."""
+    33 sub-segments, which no window of 32 holds at 33."""
     run_low = draw(st.integers(1, 32))
     return replace(PARAMS, run_low=run_low,
                    run_high=draw(st.integers(run_low + 1, 40)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(seismic_traces(), run_thresholds())
-@example(_three_windows_of(np.sin(2 * np.pi * 30.0 * _T)), PARAMS)
-@example(_three_windows_of(np.sin(2 * np.pi * 30.0 * _T)),
-         replace(PARAMS, run_low=32, run_high=33))
-@example(_three_windows_of(np.sin(2 * np.pi * 30.0 * _T999), rate=999.0),
-         replace(PARAMS, run_low=30, run_high=31))
-def test_detect_triggers_is_the_scoring_windows_of_detect_stream(trace,
-                                                                 params):
-    _check_triggers(trace, params)
-
-
 @st.composite
-def block_streams(draw):
-    """One to three streams of 1 to 6 windows plus a remainder at an awkward
-    or easy rate, each with up to three rumbles that may overlap; a block
-    length from 1 sample to three windows, for the helper alone and, rounded
-    down to whole windows, for trigger_windows; and up to eight cuts at
-    window edges, so the last piece holds the remainder."""
+def rumble_streams(draw):
+    """One to three streams of 1 to 8 windows plus a remainder at an awkward
+    or easy rate, and a block length from 1 sample to three windows, which
+    trigger_windows rounds down to 1 to 3 whole windows. Each stream has up
+    to three rumbles of -8 to 22 dB that may overlap, straddle a block
+    edge, or end at the stream end."""
     rate = draw(st.sampled_from([200.0, 999.0, 1000.0, 1001.0]))
     n = int(round(PARAMS.window_s * rate))
+    block = draw(st.one_of(st.integers(1, 64), st.integers(1, 3 * n)))
+    per = max(1, block // n)
     streams = []
     for _ in range(draw(st.integers(1, 3))):
-        total_s = (draw(st.integers(1, 6)) * n
+        total_s = (draw(st.integers(1, 8)) * n
                    + draw(st.integers(0, n - 1))) / rate
         events = []
         for _ in range(draw(st.integers(0, 3))):
             duration = min(draw(st.floats(0.5, 5.0)), total_s)
-            onset = draw(st.floats(0.0, 1.0)) * (total_s - duration)
+            latest = total_s - duration
+            place = draw(st.sampled_from(["any", "edge", "end"]))
+            if place == "edge":
+                edge_s = draw(st.integers(1, 8)) * per * n / rate
+                onset = edge_s - draw(st.floats(0.0, duration))
+            else:
+                onset = draw(st.floats(0.0, 1.0)) * latest
+            onset = latest if place == "end" else min(max(onset, 0.0),
+                                                      latest)
             events.append((onset, RumbleSpec(
                 duration_s=duration, snr_db=draw(st.floats(-8.0, 22.0)))))
         streams.append((events, total_s, draw(st.integers(0, 2**32 - 1))))
-    block = draw(st.one_of(st.integers(1, 64), st.integers(1, 3 * n)))
-    cuts = sorted(draw(st.lists(st.integers(0, 6), max_size=8)))
-    return rate, streams, block, cuts, draw(st.floats(0.5, 1e5))
+    return rate, block, streams
+
+
+# two overlapping rumbles across the first window edge, blocks of one window
+_TWO = (1000.0, 1, [([(3.9, RumbleSpec(duration_s=3.0, snr_db=20.0)),
+                      (4.5, RumbleSpec(duration_s=2.0, snr_db=10.0))],
+                     12.5, 3)])
+# a chirp cut at the stream end: onset and length round up, to samples
+# 4501 and 3500 of an 8000-sample stream, so its last sample is dropped
+_CUT = (1000.0, 2000, [([(4.5005000001, RumbleSpec(3.4995000001, 20.0))],
+                        8.0, 3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rumble_streams(), run_thresholds())
+@example(_TWO, PARAMS)
+# window 1 of _TWO has a run of 23 and window 0 one of 1: each scores
+# ds >= 1 exactly when its run exceeds run_low
+@example(_TWO, replace(PARAMS, run_low=22, run_high=23))
+@example(_TWO, replace(PARAMS, run_low=23, run_high=24))
+@example(_TWO, replace(PARAMS, run_low=1, run_high=2))
+@example((999.0, 3996, [([(0.2, RumbleSpec(duration_s=3.5, snr_db=20.0))],
+                         8.0, 1), ([], 4.0, 2)]), PARAMS)
+@example(_CUT, PARAMS)
+# 40 blocks of one 800-sample window, ten rumbles of falling SNR
+@example((200.0, 800, [([(4.0 * k + 0.25, RumbleSpec(3.5, snr_db=20.0 - k))
+                         for k in range(0, 40, 4)], 160.0, 5)]), PARAMS)
+def test_detect_triggers_is_the_scoring_windows_of_detect_stream(stream,
+                                                                 params):
+    # trigger_windows, its blocks shrunk so that streams cross block edges,
+    # returns the windows of each whole stream's detect_stream that score
+    # ds >= 1 and hold a rumble sample: those whose samples differ from the
+    # same seed's stream with no rumble. Each keeps the run of the
+    # per-window reference. One block buffer serves every stream of a
+    # call, as in a scenario run
+    rate, block, streams = stream
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detection, "BLOCK_SAMPLES", block)
+        found = trigger_windows(streams, rate, params)
+    n = int(round(params.window_s * rate))
+    for (events, total_s, seed), hits in zip(streams, found):
+        x = synth_rumble_stream(events, total_s, rate, seed).samples
+        quiet = synth_rumble_stream([], total_s, rate, seed).samples
+        assert hits == [
+            d for d in detect_stream(
+                Signal(samples=x, sample_rate_hz=rate), params) if d.ds >= 1
+            and not np.array_equal(x[d.window_index * n:][:n],
+                                   quiet[d.window_index * n:][:n])]
+        for d in hits:
+            assert d.max_run == stft_window_max_run(
+                x[d.window_index * n:][:n], rate, params)
+
+
+def test_a_chirp_span_is_cut_at_the_stream_end():
+    # _CUT's 3,500 chirp samples from sample 4501 would end one past the
+    # stream, so its span, and the windows it touches, stop at the end
+    rate, _, [(events, total_s, seed)] = _CUT
+    spans, _ = signals._rumble_blocks(events, total_s, rate, seed)
+    assert len(signals.chirp_waveform(events[0][1], rate)) == 3500
+    assert spans == [(4501, 8000)]
 
 
 @settings(max_examples=40, deadline=None)
-@given(block_streams(), run_thresholds())
-@example((1000.0, [([(3.9, RumbleSpec(duration_s=3.0, snr_db=20.0)),
-                     (4.5, RumbleSpec(duration_s=2.0, snr_db=10.0))],
-                    12.5, 3)], 1, [0, 1, 1, 3], 7.25), PARAMS)
-@example((999.0, [([(0.2, RumbleSpec(duration_s=3.5, snr_db=20.0))], 8.0, 1),
-                  ([], 4.0, 2)], 3996, [], 2.0), PARAMS)
+@given(rumble_streams(), run_thresholds())
 def test_block_splits_change_nothing(stream, params):
-    # the helper's blocks join to the whole trace bit for bit, whatever
-    # their length; trigger_windows, its blocks shrunk to 1 to 3 windows,
-    # and a screen given the trace in pieces cut at window edges both give
-    # the ds >= 1 windows of each whole trace. One pair of slots and one
-    # screen serve every stream of a call, as in a scenario run
-    rate, streams, block, cuts, start_s = stream
-    n = int(round(params.window_s * rate))
-    wholes = [synth_rumble_stream(events, total_s, rate, seed)
-              for events, total_s, seed in streams]
-    expected = [[d for d in detect_stream(whole, params) if d.ds >= 1]
-                for whole in wholes]
-    for (events, total_s, seed), whole in zip(streams, wholes):
-        # a slot is redrawn two blocks later, so each block is copied
-        draw = signals._rumble_blocks(events, total_s, rate, seed)
+    # the block function's blocks join to the whole trace bit for bit,
+    # whatever their length, and trigger_windows gives the same windows
+    # whatever its block
+    rate, block, streams = stream
+    for events, total_s, seed in streams:
+        # the buffer is redrawn for the next block, so each is copied
+        _, draw = signals._rumble_blocks(events, total_s, rate, seed)
         joined = np.concatenate([np.zeros(0), *(
-            b.copy() for b in draw(np.empty((2, block))))])
-        assert joined.tobytes() == whole.samples.tobytes()
+            b.copy() for b in draw(np.empty(block)))])
+        assert joined.tobytes() == synth_rumble_stream(
+            events, total_s, rate, seed).samples.tobytes()
+    whole = trigger_windows(streams, rate, params)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(detection, "BLOCK_SAMPLES", block)
-        assert trigger_windows(streams, rate, params) == expected
-    screen = TriggerScreen(rate, params)
-    for whole, hits in zip(wholes, expected):
-        pieces, first = [], 0
-        for piece in np.split(whole.samples, [c * n for c in cuts]):
-            pieces += screen(piece, start_s, first)
-            first += len(piece) // n
-        assert pieces == [replace(d, window_start_s=start_s
-                                  + d.window_index * n / rate) for d in hits]
+        assert trigger_windows(streams, rate, params) == whole
 
 
 def _planted_runs(length, rate):
@@ -445,16 +473,22 @@ def _planted_runs(length, rate):
 def test_detect_triggers_finds_every_planted_run_of_l(params, rate):
     # an in-band run of L - 1 sub-segments never triggers and one of L
     # always does, wherever it sits in the window; a silent window closes
-    # the trace, which has no other window once L - 1 exceeds k
+    # the trace, which has no other window once L - 1 exceeds k. The
+    # triggering windows, scored by row index as trigger_windows scores
+    # its rumble windows, keep the run of the per-window reference
     L = params.run_low + 1
     short, full = _planted_runs(L - 1, rate), _planted_runs(L, rate)
-    silent = np.zeros(int(round(params.window_s * rate)))
-    trace = Signal(samples=np.concatenate(short + full + [silent]),
-                   sample_rate_hz=rate)
-    hits = _check_triggers(trace, params)
-    assert [d.window_index for d in hits] == list(
-        range(len(short), len(short) + len(full)))
-    assert all(d.max_run == L for d in hits)
+    n, k, sub, in_band = detection._geometry(rate, params)
+    x = np.concatenate(short + full + [np.zeros(n)])
+    hits = [d for d in detect_stream(Signal(samples=x, sample_rate_hz=rate),
+                                     params) if d.ds >= 1]
+    rows = np.array([d.window_index for d in hits], dtype=int)
+    assert rows.tolist() == list(range(len(short), len(short) + len(full)))
+    assert detection._max_runs(detection._windows(x, n, k, sub), in_band,
+                               rows).tolist() == [L] * len(hits)
+    for d in hits:
+        assert d.max_run == L == stft_window_max_run(
+            x[d.window_index * n:][:n], rate, params)
 
 
 def test_oracle_finds_one_event_with_tight_bounds():

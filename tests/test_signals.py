@@ -1,23 +1,17 @@
-import sys
-import threading
-import time
 import tracemalloc
-import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecsim import detection
-from hecsim.detection import (Algorithm1Params, TriggerScreen, detect_stream,
-                              trigger_windows)
+from hecsim.detection import detect_stream, trigger_windows
 from hecsim.deterrent import generate_pink_noise
 from hecsim.errors import InvalidInputError
-from hecsim.signals import (FFT_CHUNK_BYTES, RumbleSpec, Signal,
+from hecsim.signals import (FFT_CHUNK_BYTES, RumbleSpec, Signal, Spectrogram,
                             chirp_waveform, compute_stft, default_pad_length,
-                            frame_spectra, next_pow2, synth_bee_buzz, synth_rumble,
-                            synth_rumble_stream)
+                            frame_spectra, next_pow2, sliding_frames,
+                            synth_bee_buzz, synth_rumble, synth_rumble_stream)
 from oracles import (naive_dft_magnitudes, one_batch_stft_magnitudes,
                      rumble_instantaneous_freq)
 
@@ -37,11 +31,20 @@ def test_default_pad_length_is_at_least_four_times_signal():
         assert padded & (padded - 1) == 0  # a power of two
 
 
+def rect_stft(samples, rate, frame_s, hop_s):
+    """compute_stft with no window: frame_spectra's spectra of the frames
+    sliding_frames makes."""
+    frames, hop = sliding_frames(samples, rate, frame_s, hop_s)
+    mags = np.concatenate([m[:, 0].copy() for _, m in frame_spectra(frames)])
+    pad = default_pad_length(frames.shape[2])
+    return Spectrogram(frame_times_s=np.arange(len(frames)) * hop / rate,
+                       freqs_hz=np.fft.rfftfreq(pad, 1.0 / rate)[1:],
+                       magnitudes=mags)
+
+
 def one_frame(samples, rate):
     """Spectrogram of a single rectangular frame spanning the whole signal."""
-    trace = Signal(samples=samples, sample_rate_hz=rate)
-    return compute_stft(trace, trace.duration_s, trace.duration_s,
-                        window_fn="rect")
+    return rect_stft(samples, rate, len(samples) / rate, len(samples) / rate)
 
 
 def peak_hz(gram):
@@ -89,15 +92,17 @@ def test_stft_frame_count_and_times():
 def test_chunked_stft_equals_one_batch(rate, window_fn, extra):
     # a chunk is the frames whose complex spectra fill FFT_CHUNK_BYTES at
     # this rate's pad length (63 frames at 1 kHz, 15 at 8 kHz); one frame
-    # short of a whole chunk, a whole chunk, and one frame over
+    # short of a whole chunk, a whole chunk, and one frame over. compute_stft
+    # takes a Hann window; the kernel with none stands for "rect"
     frame_s, hop_s = 0.064, 0.024
     frame, hop = round(frame_s * rate), round(hop_s * rate)
     chunk = FFT_CHUNK_BYTES // (16 * (default_pad_length(frame) // 2 + 1))
     n_frames = chunk + extra
     x = np.random.default_rng(n_frames).standard_normal(
         (n_frames - 1) * hop + frame)
-    gram = compute_stft(Signal(samples=x, sample_rate_hz=rate), frame_s,
-                        hop_s, window_fn=window_fn)
+    gram = (compute_stft(Signal(samples=x, sample_rate_hz=rate), frame_s,
+                         hop_s) if window_fn == "hann"
+            else rect_stft(x, rate, frame_s, hop_s))
     want = one_batch_stft_magnitudes(x, rate, frame_s, hop_s, window_fn)
     assert gram.magnitudes.shape == want.shape == (n_frames, len(gram.freqs_hz))
     assert np.array_equal(gram.magnitudes, want)
@@ -205,8 +210,8 @@ def test_every_event_is_checked_before_any_noise_is_drawn(bad, message):
     # an hour at 1 kHz is 28.8 MB of noise; a bad last event must fail
     # before any of it exists, whether the trace is asked for whole or
     # scored in blocks. trigger_windows checks the events of every stream,
-    # here with the bad event in the second, before it makes its 2.5 MB of
-    # FFT scratch or its 2 MB of block slots
+    # here with the bad event in the second, before it makes its 1 MB block
+    # buffer
     events = [(10.0, RumbleSpec(3.5)), (20.0, RumbleSpec(4.0)), bad]
     for call in (lambda: synth_rumble_stream(events, 3600.0),
                  lambda: trigger_windows([(events[:2], 3600.0, 0),
@@ -221,152 +226,23 @@ def test_every_event_is_checked_before_any_noise_is_drawn(bad, message):
         assert peak < 2**20
 
 
-_SCREEN = TriggerScreen.__call__
-
-
-def _scoring(monkeypatch, check):
-    """Makes every screen call check(block index, block) first; returns the
-    number of live threads seen at each call."""
-    seen = []
-
-    def scoring(self, x, *args, **kwargs):
-        seen.append(threading.active_count())
-        check(len(seen) - 1, x)
-        return _SCREEN(self, x, *args, **kwargs)
-
-    monkeypatch.setattr(TriggerScreen, "__call__", scoring)
-    # blocks of one 4 s window, 10 of them in 40 s at 1 kHz
-    monkeypatch.setattr(detection, "BLOCK_SAMPLES", 1000)
-    return seen
-
-
-FORTY_S = [([(2.0, RumbleSpec(3.5)), (21.0, RumbleSpec(4.0, snr_db=5.0))],
-            40.0, 3)]
-
-
-def _hits(streams, rate=1000.0):
-    """The ds >= 1 windows of each whole stream, by detect_stream."""
-    return [[d for d in detect_stream(synth_rumble_stream(
-        events, total_s, rate, seed)) if d.ds >= 1]
-        for events, total_s, seed in streams]
-
-
-@pytest.mark.parametrize("raise_on", [None, 0, 2],
-                         ids=["run_to_end", "close_after_first",
-                              "consumer_raises"])
-def test_look_ahead_thread_is_joined(raise_on, monkeypatch):
-    # the helper runs while every block is scored, and is joined when
-    # trigger_windows returns, or raises from a screen that raised on the
-    # first block or in mid-stream
-    def check(i, _):
-        if i == raise_on:
-            raise RuntimeError("consumer")
-
-    before = threading.active_count()
-    seen = _scoring(monkeypatch, check)
-    if raise_on is None:
-        assert trigger_windows(FORTY_S, 1000.0) == _hits(FORTY_S)
-    else:
-        with pytest.raises(RuntimeError, match="consumer"):
-            trigger_windows(FORTY_S, 1000.0)
-    assert seen == [before + 1] * (10 if raise_on is None else raise_on + 1)
-    assert threading.active_count() == before
-
-
-def test_screen_that_scores_nothing_starts_no_thread(monkeypatch):
-    # run_low + 1 > 32 sub-segments: no window can score, so no block is
-    # drawn and no helper started, though the events are still checked
-    draws, default_rng = [], np.random.default_rng
-
-    class Counting:
-        def __init__(self, seed):
-            self.rng = default_rng(seed)
-
-        def standard_normal(self, *, out):
-            draws.append(len(out))
-            return self.rng.standard_normal(out=out)
-
-    monkeypatch.setattr(np.random, "default_rng", Counting)
-    params = Algorithm1Params(run_low=32, run_high=33)
-    before = threading.active_count()
-    assert trigger_windows(FORTY_S * 2, 1000.0, params) == [[], []]
-    assert threading.active_count() == before
+def test_a_stream_with_no_rumble_draws_no_block(draws):
+    # every window no rumble touches scores 0 by rule, so neither an hour
+    # with no rumble nor a stream of no sample draws any noise
+    assert trigger_windows([([], 3600.0, 0), ([], 0.0, 1)], 1000.0) == [[], []]
     assert draws == []
-    with pytest.raises(InvalidInputError, match="does not fit"):
-        trigger_windows([([(39.0, RumbleSpec(3.5))], 40.0, 0)], 1000.0,
-                        params)
 
 
-def test_screen_that_raises_closes_its_stream(monkeypatch):
-    # the screen raises on the second block while the helper draws the
-    # third. The with block joins the helper before the error leaves
-    # trigger_windows, so it is gone even while the traceback holds the
-    # frames of the abandoned stream, and the next call runs at once
-    def check(i, _):
-        if i == 1:
-            raise InvalidInputError("second block")
-
-    before = threading.active_count()
-    _scoring(monkeypatch, check)
-    with pytest.raises(InvalidInputError, match="second block") as err:
-        trigger_windows(FORTY_S, 1000.0)
-    assert threading.active_count() == before
-    monkeypatch.setattr(TriggerScreen, "__call__", _SCREEN)
-    assert trigger_windows(FORTY_S, 1000.0) == _hits(FORTY_S)
-    assert err.traceback  # still held while the helper was checked
-
-
-class DrawError(Exception):
-    pass
-
-
-def test_synthesis_error_on_the_helper_is_raised_in_the_caller(monkeypatch):
-    default_rng, raised_on = np.random.default_rng, []
-
-    class ThirdDrawFails:
-        def __init__(self, seed):
-            self.rng, self.calls = default_rng(seed), 0
-
-        def standard_normal(self, *, out):
-            self.calls += 1
-            if self.calls == 3:
-                raised_on.append(threading.current_thread())
-                raise DrawError("third draw")
-            return self.rng.standard_normal(out=out)
-
-    monkeypatch.setattr(np.random, "default_rng", ThirdDrawFails)
-    before = threading.active_count()
-    seen = _scoring(monkeypatch, lambda i, x: None)
-    with pytest.raises(DrawError, match="third draw"):
-        trigger_windows(FORTY_S, 1000.0)
-    assert len(seen) == 2  # the two blocks drawn before it
-    assert raised_on and raised_on[0] is not threading.current_thread()
-    assert threading.active_count() == before
-
-
-def test_a_block_is_not_redrawn_until_the_next_is_asked_for(monkeypatch):
-    # the helper runs ahead while the screen holds a block, so a block
-    # drawn into the slot the screen holds would change under it
-    def check(_, block):
-        checksum = zlib.crc32(block)
-        time.sleep(0.02)
-        assert zlib.crc32(block) == checksum
-
-    _scoring(monkeypatch, check)
-    assert trigger_windows(FORTY_S, 1000.0) == _hits(FORTY_S)
-    # with threads switched as often as the interpreter allows, 40 blocks
-    # of one 800-sample window at 200 Hz still give the whole trace's hits
-    monkeypatch.setattr(TriggerScreen, "__call__", _SCREEN)
-    streams = [([(4.0 * k + 0.25, RumbleSpec(3.5, snr_db=20.0 - k))
-                 for k in range(0, 40, 4)], 160.0, 5)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = trigger_windows(streams, 200.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == _hits(streams, 200.0)
-    assert got[0]
+def test_a_rumble_in_the_first_block_draws_that_block_alone(draws):
+    # an hour at 1 kHz is 28 blocks of 32 windows and a rest; a rumble in
+    # window 31, the first block's last, draws the first 128,000 samples
+    # only, which are those of a 128 s stream of the same seed
+    events = [(124.25, RumbleSpec(3.5))]
+    (hits,) = trigger_windows([(events, 3600.0, 4)], 1000.0)
+    assert draws == [128_000]
+    assert [(d.window_index, d.ds) for d in hits] == [(31, 2)]
+    assert hits == [d for d in detect_stream(synth_rumble_stream(
+        events, 128.0, 1000.0, 4)) if d.ds >= 1]
 
 
 def test_synthesis_needs_a_finite_rate_and_duration():
@@ -424,8 +300,7 @@ def test_spectrum_properties(n, frames, seed):
     rng = np.random.default_rng(seed)
     hop = max(1, n // 3)
     samples = rng.standard_normal(n + (frames - 1) * hop)
-    trace = Signal(samples=samples, sample_rate_hz=500.0)
-    gram = compute_stft(trace, n / 500.0, hop / 500.0, window_fn="rect")
+    gram = rect_stft(samples, 500.0, n / 500.0, hop / 500.0)
     assert gram.magnitudes.shape[0] == frames
     assert np.all(gram.magnitudes >= 0.0)
     assert gram.freqs_hz[0] > 0.0
