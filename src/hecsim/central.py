@@ -20,8 +20,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .codec import (JsonConfig, Positive, PositiveCount, Probability,
-                    check_ranges)
+from .codec import JsonConfig, PositiveCount, Probability, check_ranges
 from .deterrent import pick_modification
 from .errors import InvalidInputError
 from .mesh import check_segment
@@ -155,11 +154,8 @@ def detect_frame(frame: ThermalFrame, detector: Detector) -> DetectorDecision:
 @dataclass(frozen=True)
 class CnConfig:
     node_id: str = "cn"
-    repel_duration_s: Positive = 10.0
-    flash_freq_hz: Positive = 2.0
 
     def __post_init__(self):
-        check_ranges(self)
         check_segment("node id", self.node_id)
 
 
@@ -200,7 +196,7 @@ CnAction = (ThermalFrame | RepelCommand | NegativeDecision | WarningRecord
             | LogAnomaly)
 
 
-def cn_step(state: CnState, event: CnEvent, config: CnConfig,
+def cn_step(state: CnState, event: CnEvent,
             now_s: float) -> tuple[CnAction, ...]:
     """Advance the central node by one event, updating state in place.
 
@@ -229,9 +225,7 @@ def cn_step(state: CnState, event: CnEvent, config: CnConfig,
         # keyed by frame id alone, not by the run's master seed: deriving
         # it from master_seed would change every pinned run output
         deterrent = pick_modification(derive_seed(0, "repel", fid))
-        command = RepelCommand(pn_id=pn_id, frame_id=fid, deterrent=deterrent,
-                               flash_freq_hz=config.flash_freq_hz,
-                               duration_s=config.repel_duration_s)
+        command = RepelCommand(pn_id=pn_id, frame_id=fid, deterrent=deterrent)
         officer = WarningRecord(
             kind=WarningKind.OFFICER_MESSAGE, timestamp_s=now_s, pn_id=pn_id,
             frame_id=fid,
@@ -256,8 +250,8 @@ class LabeledFrame:
 
     frame_id: str
     boxes: tuple[tuple[float, float, float, float], ...]
-    width: PositiveCount = 32
-    height: PositiveCount = 24
+    width: PositiveCount = ThermalFrame.width
+    height: PositiveCount = ThermalFrame.height
 
     def __post_init__(self):
         check_ranges(self)

@@ -27,8 +27,9 @@ import numpy as np
 
 from .central import (LabeledFrameSet, OracleDetector, StochasticDetector,
                       StochasticDetectorParams, evaluate_ap50)
-from .detection import (ORACLE_FRAME_S, ORACLE_HOP_S, Algorithm1Params,
-                        detect_stream, match_and_recall, stft_oracle_detect)
+from .detection import (ORACLE_FRAME_S, ORACLE_HOP_S, ORACLE_MIN_EVENT_S,
+                        Algorithm1Params, detect_stream, match_and_recall,
+                        stft_oracle_detect)
 from .deterrent import (SIMILARITY_FRAME_S, SIMILARITY_HOP_S,
                         ModificationKind, apply_modification,
                         generate_pink_noise, l2_delta, pick_modification,
@@ -206,20 +207,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="score a seismic trace window by window")
     p.add_argument("--input", required=True)
-    p.add_argument("--window-s", type=float, default=4.0, dest="window_s")
+    p.add_argument("--window-s", type=float, default=Algorithm1Params.window_s)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("oracle", help="locate rumble events with the STFT tracker")
     p.add_argument("--input", required=True)
-    p.add_argument("--min-event-s", type=float, default=3.0, dest="min_event_s")
+    p.add_argument("--min-event-s", type=float, default=ORACLE_MIN_EVENT_S)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("eval-recall",
                        help="windowed detector recall against the STFT tracker")
     p.add_argument("--input", required=True)
-    p.add_argument("--window-s", type=float, default=4.0, dest="window_s")
-    p.add_argument("--min-event-s", type=float, default=3.0, dest="min_event_s")
-    p.add_argument("--ds-min", type=int, default=1, dest="ds_min")
+    p.add_argument("--window-s", type=float, default=Algorithm1Params.window_s)
+    p.add_argument("--min-event-s", type=float, default=ORACLE_MIN_EVENT_S)
+    p.add_argument("--ds-min", type=int, default=1)
     p.set_defaults(func=cmd_eval_recall)
 
     p = sub.add_parser("modify-sound",
@@ -236,11 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("signal", choices=["rumble", "bee", "pinknoise"])
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed_arg)
-    p.add_argument("--duration-s", type=float, default=3.5, dest="duration_s")
+    p.add_argument("--duration-s", type=float, default=3.5)
     p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--snr-db", type=float, default=20.0, dest="snr_db")
-    p.add_argument("--total-s", type=float, default=None, dest="total_s")
-    p.add_argument("--onset-s", type=float, default=0.0, dest="onset_s")
+    p.add_argument("--snr-db", type=float, default=RumbleSpec.snr_db)
+    p.add_argument("--total-s", type=float, default=None)
+    p.add_argument("--onset-s", type=float, default=0.0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simulate", help="run a scenario end to end")
@@ -254,16 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--detector", choices=["oracle", "stochastic"],
                    default="oracle")
-    p.add_argument("--tpr", type=float, default=0.9)
-    p.add_argument("--fpr", type=float, default=0.05)
+    p.add_argument("--tpr", type=float, default=StochasticDetectorParams.tpr)
+    p.add_argument("--fpr", type=float, default=StochasticDetectorParams.fpr)
     p.add_argument("--seed", type=_seed_arg)
     p.set_defaults(func=cmd_eval_ap50)
 
     p = sub.add_parser("spectrogram", help="export an STFT magnitude grid")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--frame-s", type=float, default=None, dest="frame_s")
-    p.add_argument("--hop-s", type=float, default=None, dest="hop_s")
+    p.add_argument("--frame-s", type=float, default=None)
+    p.add_argument("--hop-s", type=float, default=None)
     p.set_defaults(func=cmd_spectrogram)
 
     return parser

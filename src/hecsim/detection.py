@@ -26,6 +26,7 @@ ORACLE_FRAME_S = 0.5
 ORACLE_HOP_S = 0.125
 ORACLE_BAND_LOW_HZ = 20.0
 ORACLE_BAND_HIGH_HZ = 40.0
+ORACLE_MIN_EVENT_S = 3.0  # the shortest event the tracker keeps by default
 
 # samples per block of trigger_windows, rounded down to whole windows (one
 # window at least): 32 windows of 4 s, 1 MB of float64, at 1 kHz
@@ -232,8 +233,8 @@ def trigger_windows(streams: Iterable[tuple[list, float, int]],
     return found
 
 
-def stft_oracle_detect(trace: Signal,
-                       min_event_s: float = 3.0) -> list[RumbleEvent]:
+def stft_oracle_detect(trace: Signal, min_event_s: float = ORACLE_MIN_EVENT_S
+                       ) -> list[RumbleEvent]:
     """Reference detector: track the spectrogram peak through the band.
 
     Maximal runs of frames whose peak frequency sits strictly inside the
@@ -281,7 +282,8 @@ def stft_oracle_detect(trace: Signal,
 
 def match_and_recall(detections: list[WindowDetection],
                      events: list[RumbleEvent], ds_min: int = 1,
-                     window_s: float = 4.0) -> RecallReport:
+                     window_s: float = Algorithm1Params.window_s
+                     ) -> RecallReport:
     """Score the windowed detector against reference events.
 
     An event is matched when any window with ds >= ds_min overlaps its

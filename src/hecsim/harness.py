@@ -26,8 +26,8 @@ from pathlib import Path
 from .central import (CnConfig, CnState, OracleDetector, StochasticDetector,
                       StochasticDetectorParams, WarningKind, WarningRecord,
                       cn_step, detect_frame)
-from .codec import (JsonConfig, NonNegative, NonNegativeOrInf, Positive,
-                    Probability, check_ranges, encode)
+from .codec import (JsonConfig, NonNegativeOrInf, Positive, Probability,
+                    check_ranges, encode)
 # detect_stream is not called here; perfbench's tracer wraps this binding
 from .detection import (Algorithm1Params, WindowDetection,  # noqa: F401
                         detect_stream, trigger_windows)
@@ -41,6 +41,13 @@ from .seeds import derive_seed
 # synth_rumble_stream is not called here; perfbench's tracer wraps it
 from .signals import RumbleSpec, synth_rumble_stream  # noqa: F401
 from .sigio import write_jsonl
+
+CAPTURE_DELAY_S = 0.05  # from a trigger to the publish of its frame
+DETECTOR_DELAY_S = 0.1  # from a frame's arrival to its decision
+THERMAL_HOLD_S = 30.0  # a visible elephant stays in view after its rumble
+# a seen elephant fills the central half of the frame: (8, 6, 24, 18)
+SEEN_BOX = (ThermalFrame.width / 4, ThermalFrame.height / 4,
+            ThermalFrame.width * 3 / 4, ThermalFrame.height * 3 / 4)
 
 
 # ---- scenario model ----
@@ -124,9 +131,6 @@ class SimConfig(JsonConfig):
     pn: PnConfig = PnConfig()
     cn: CnConfig = CnConfig()
     detector_params: StochasticDetectorParams = StochasticDetectorParams()
-    thermal_hold_s: NonNegativeOrInf = 30.0
-    capture_delay_s: NonNegative = 0.05
-    detector_delay_s: NonNegative = 0.1
     topic_prefix: str = "hec"
     match_horizon_s: NonNegativeOrInf = 30.0
 
@@ -339,7 +343,7 @@ class _Run:
                 log("capture_frame:1")
                 # only a seismic window triggers a capture
                 fid = f"{node}-w{event.window_index:03d}"
-                self.net.schedule(self.net.now + self.config.capture_delay_s,
+                self.net.schedule(self.net.now + CAPTURE_DELAY_S,
                                   lambda f=fid: self.capture(node, f))
             elif isinstance(action, ThermalFrame):
                 log(f"publish_frame:{action.frame_id}")
@@ -353,26 +357,24 @@ class _Run:
 
     def capture(self, node: str, frame_id: str) -> None:
         now = self.net.now
-        hold = self.config.thermal_hold_s
         seen = any(
-            ev.thermal_visible and node in ev.pn_ids
-            and ev.t_onset_s <= now <= ev.t_onset_s + ev.rumble.duration_s + hold
+            ev.thermal_visible and node in ev.pn_ids and ev.t_onset_s <= now
+            <= ev.t_onset_s + ev.rumble.duration_s + THERMAL_HOLD_S
             for ev in self.scenario.events)
         self.pn_dispatch(node, ThermalFrame(
             frame_id=frame_id, pn_id=node,
-            # a seen elephant fills the central half of the 32x24 frame
-            sim_boxes=((8.0, 6.0, 24.0, 18.0),) if seen else ()))
+            sim_boxes=(SEEN_BOX,) if seen else ()))
 
     def cn_dispatch(self, event) -> None:
         before = len(self.cn.pending)
-        actions = cn_step(self.cn, event, self.config.cn, self.net.now)
+        actions = cn_step(self.cn, event, self.net.now)
         node = self.config.cn.node_id
         log = partial(self.log_action, node, f"pending={before}",
                       f"pending={len(self.cn.pending)}")
         for action in actions:
             if isinstance(action, ThermalFrame):
                 log(f"run_detector:{action.frame_id}")
-                self.net.schedule(self.net.now + self.config.detector_delay_s,
+                self.net.schedule(self.net.now + DETECTOR_DELAY_S,
                                   lambda f=action: self.decide(f))
             elif isinstance(action, (RepelCommand, NegativeDecision)):
                 kind = ("repel" if isinstance(action, RepelCommand)

@@ -39,6 +39,9 @@ from .codec import (Count, JsonConfig, NonNegative, Positive, PositiveCount,
 from .errors import InvalidConfigError, InvalidInputError
 
 log = logging.getLogger(__name__)
+# parked publishes are re-sent this long after a reconnect, giving every
+# client time to replay subscriptions on the new broker first
+RESEND_DELAY_S = 1.0
 
 
 class QoS(Enum):
@@ -88,9 +91,6 @@ class Partition:
 class FailoverConfig:
     heartbeat_interval_s: Positive = 1.0
     miss_threshold: PositiveCount = 3
-    # parked publishes are re-sent this long after a reconnect, giving every
-    # client time to replay subscriptions on the new broker first
-    resend_delay_s: NonNegative = 1.0
 
     __post_init__ = check_ranges
 
@@ -559,7 +559,7 @@ class MeshNetwork:
                      "client": client.client_id, "to": broker_id})
             if client.buffer and not client.drain_scheduled:
                 client.drain_scheduled = True
-                self.schedule(self.now + self.config.failover.resend_delay_s,
+                self.schedule(self.now + RESEND_DELAY_S,
                               lambda c=client: self._drain_buffer(c))
             return
 

@@ -4,20 +4,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hecsim.central import (BoundingBox, CnConfig, CnState,
-                            DetectorDecision, LabeledFrame, LabeledFrameSet,
-                            OracleDetector, StochasticDetector,
-                            StochasticDetectorParams, WarningKind,
-                            WarningRecord, cn_step, detect_frame,
+from hecsim.central import (BoundingBox, CnState, DetectorDecision,
+                            LabeledFrame, LabeledFrameSet, OracleDetector,
+                            StochasticDetector, StochasticDetectorParams,
+                            WarningKind, WarningRecord, cn_step, detect_frame,
                             evaluate_ap50, iou)
 from hecsim.deterrent import ModificationKind, ModificationParams
 from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.peripheral import (LogAnomaly, NegativeDecision, RepelCommand,
                                ThermalFrame)
 from oracles import brute_force_ap50, iou_fraction, naive_cn_bookkeeping
-
-CFG = CnConfig()
-
 
 SEEN_BOX = (8.0, 6.0, 24.0, 18.0)  # the box a scenario run gives a seen elephant
 
@@ -136,15 +132,16 @@ def snapshot(state):
 
 def test_positive_frame_produces_repel_officer_siren():
     state = CnState()
-    assert cn_step(state, frame(), CFG, 5.0) == (frame(),)
+    assert cn_step(state, frame(), 5.0) == (frame(),)
     decision = OracleDetector().decide(frame())
-    actions = cn_step(state, decision, CFG, 5.1)
+    actions = cn_step(state, decision, 5.1)
     kinds = [type(a) for a in actions]
     assert kinds == [RepelCommand, WarningRecord, WarningRecord]
     repel = actions[0]
     assert repel.pn_id == "pn-1"
     assert repel.frame_id == "pn-1-w000"
-    assert repel.duration_s == CFG.repel_duration_s
+    # the command's own defaults: every repel flashes at 2 Hz for 10 s
+    assert (repel.flash_freq_hz, repel.duration_s) == (2.0, 10.0)
     assert actions[1].kind is WarningKind.OFFICER_MESSAGE
     assert actions[2].kind is WarningKind.SIREN
     assert "pn-1-w000" in state.decided and state.pending == {}
@@ -152,42 +149,42 @@ def test_positive_frame_produces_repel_officer_siren():
 
 def test_negative_frame_produces_negative_decision():
     state = CnState()
-    cn_step(state, frame(truth=False), CFG, 5.0)
+    cn_step(state, frame(truth=False), 5.0)
     decision = OracleDetector().decide(frame(truth=False))
-    actions = cn_step(state, decision, CFG, 5.1)
+    actions = cn_step(state, decision, 5.1)
     assert actions == (NegativeDecision(pn_id="pn-1", frame_id="pn-1-w000"),)
 
 
 def test_duplicate_frame_is_anomaly():
     state = CnState()
-    cn_step(state, frame(), CFG, 5.0)
+    cn_step(state, frame(), 5.0)
     before = snapshot(state)
-    actions = cn_step(state, frame(), CFG, 5.2)
+    actions = cn_step(state, frame(), 5.2)
     assert snapshot(state) == before
     assert len(actions) == 1 and isinstance(actions[0], LogAnomaly)
 
 
 def test_replayed_frame_after_decision_is_anomaly():
     state = CnState()
-    cn_step(state, frame(), CFG, 5.0)
-    cn_step(state, OracleDetector().decide(frame()), CFG, 5.1)
+    cn_step(state, frame(), 5.0)
+    cn_step(state, OracleDetector().decide(frame()), 5.1)
     before = snapshot(state)
-    actions = cn_step(state, frame(), CFG, 6.0)
+    actions = cn_step(state, frame(), 6.0)
     assert snapshot(state) == before
     assert len(actions) == 1 and isinstance(actions[0], LogAnomaly)
 
 
 def test_repeat_and_unknown_decisions_are_anomalies():
     state = CnState()
-    cn_step(state, frame(), CFG, 5.0)
+    cn_step(state, frame(), 5.0)
     decision = OracleDetector().decide(frame())
-    cn_step(state, decision, CFG, 5.1)
+    cn_step(state, decision, 5.1)
     before = snapshot(state)
-    actions = cn_step(state, decision, CFG, 5.2)
+    actions = cn_step(state, decision, 5.2)
     assert snapshot(state) == before
     assert isinstance(actions[0], LogAnomaly)
     actions = cn_step(state, DetectorDecision(
-        frame_id="ghost", elephant_present=True, confidence=1.0), CFG, 5.3)
+        frame_id="ghost", elephant_present=True, confidence=1.0), 5.3)
     assert isinstance(actions[0], LogAnomaly)
 
 
@@ -199,9 +196,9 @@ COMMAND = RepelCommand(pn_id="pn-1", frame_id="pn-1-w000",
 
 def test_unknown_event_is_an_anomaly():
     state = CnState()
-    cn_step(state, frame(), CFG, 5.0)
+    cn_step(state, frame(), 5.0)
     before = snapshot(state)
-    actions = cn_step(state, COMMAND, CFG, 5.1)
+    actions = cn_step(state, COMMAND, 5.1)
     assert snapshot(state) == before
     assert actions == (LogAnomaly("unknown event RepelCommand"),)
 
@@ -211,8 +208,8 @@ def test_deterrent_draw_is_stable_per_frame():
     deterrents = []
     for now_s in (5.1, 9.9):
         state = CnState()
-        cn_step(state, frame(), CFG, 5.0)
-        deterrents.append(cn_step(state, decision, CFG, now_s)[0].deterrent)
+        cn_step(state, frame(), 5.0)
+        deterrents.append(cn_step(state, decision, now_s)[0].deterrent)
     assert deterrents[0] == deterrents[1]
 
 
@@ -261,7 +258,7 @@ def test_cn_step_matches_list_bookkeeping(events):
     for event, want in zip(events, expected):
         if isinstance(event, ThermalFrame):
             first_pn.setdefault(event.frame_id, event.pn_id)
-        actions = cn_step(state, event, CFG, 5.0)
+        actions = cn_step(state, event, 5.0)
         assert (cn_label(actions[0]), len(state.pending)) == want
         if isinstance(actions[0], (RepelCommand, NegativeDecision)):
             assert actions[0].pn_id == first_pn[event.frame_id]

@@ -13,7 +13,7 @@ import typing
 import pytest
 
 from hecsim import codec
-from hecsim.central import (CnConfig, LabeledFrame, LabeledFrameSet,
+from hecsim.central import (LabeledFrame, LabeledFrameSet,
                             StochasticDetectorParams)
 from hecsim.detection import Algorithm1Params
 from hecsim.errors import InvalidConfigError
@@ -39,8 +39,6 @@ TABLE = {
     (Algorithm1Params, "subsegment_s"): "(0, inf)",
     (StochasticDetectorParams, "tpr"): "[0, 1]",
     (StochasticDetectorParams, "fpr"): "[0, 1]",
-    (CnConfig, "repel_duration_s"): "(0, inf)",
-    (CnConfig, "flash_freq_hz"): "(0, inf)",
     (LabeledFrame, "width"): "[1, inf)",
     (LabeledFrame, "height"): "[1, inf)",
     (PnConfig, "decision_timeout_s"): "(0, inf)",
@@ -51,7 +49,6 @@ TABLE = {
     (LinkModel, "loss_prob"): "[0, 1]",
     (FailoverConfig, "heartbeat_interval_s"): "(0, inf)",
     (FailoverConfig, "miss_threshold"): "[1, inf)",
-    (FailoverConfig, "resend_delay_s"): "[0, inf)",
     (BrokerFailure, "t_s"): "[0, inf)",
     (NetworkConfig, "max_retries"): "[0, inf)",
     (NetworkConfig, "retry_interval_s"): "(0, inf)",
@@ -59,9 +56,6 @@ TABLE = {
     (ElephantEvent, "t_onset_s"): "[0, inf]",
     (Scenario, "duration_s"): "(0, inf)",
     (SimConfig, "seismic_rate_hz"): "(0, inf)",
-    (SimConfig, "thermal_hold_s"): "[0, inf]",
-    (SimConfig, "capture_delay_s"): "[0, inf)",
-    (SimConfig, "detector_delay_s"): "[0, inf)",
     (SimConfig, "match_horizon_s"): "[0, inf]",
     (EventOutcome, "latency_s"): "[0, inf]",
     (MetricsReport, "recall"): "[0, 1]",
@@ -101,7 +95,7 @@ SCENARIO = {"name": "s", "duration_s": 1e308, "pns": [{"node_id": "pn-1"}]}
 EVENT = {"t_onset_s": 0.0, "pn_ids": ["pn-1"], "rumble": {"duration_s": 1.0}}
 NESTED = {Algorithm1Params: (SimConfig, "alg1"),
           StochasticDetectorParams: (SimConfig, "detector_params"),
-          CnConfig: (SimConfig, "cn"), PnConfig: (SimConfig, "pn"),
+          PnConfig: (SimConfig, "pn"),
           LinkModel: (NetworkConfig, "default_link"),
           FailoverConfig: (NetworkConfig, "failover")}
 
@@ -155,7 +149,7 @@ def numeric_fields(cls):
 
 
 def test_every_numeric_field_declares_its_range_or_none():
-    assert len(CLASSES) == 15 and not UNBOUNDED & TABLE.keys()
+    assert len(CLASSES) == 14 and not UNBOUNDED & TABLE.keys()
     numeric = {(cls, name) for cls in CLASSES for name in numeric_fields(cls)}
     assert numeric == TABLE.keys() | UNBOUNDED
     declared = {(cls, r[0], r[1]) for cls in CLASSES

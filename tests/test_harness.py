@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from hecsim.detection import Algorithm1Params
 from hecsim.errors import InvalidConfigError, InvalidInputError
-from hecsim.harness import (ElephantEvent, EventOutcome, MetricsReport,
-                            PnPlacement, RunLogs, Scenario, SimConfig,
-                            _Run, compute_metrics, run_scenario_with_logs)
+from hecsim.harness import (CAPTURE_DELAY_S, DETECTOR_DELAY_S, ElephantEvent,
+                            EventOutcome, MetricsReport, PnPlacement, RunLogs,
+                            Scenario, SimConfig, _Run, compute_metrics,
+                            run_scenario_with_logs)
 from hecsim.mesh import BrokerFailure, LinkModel, NetworkConfig, Partition
 from hecsim.peripheral import PnConfig, ThermalFrame
 from hecsim.signals import RumbleSpec
@@ -143,20 +144,10 @@ def test_sim_config_validation():
         SimConfig(topic_prefix="a/b")
     with pytest.raises(InvalidConfigError):
         SimConfig(topic_prefix="")
-    with pytest.raises(InvalidConfigError):
-        SimConfig(capture_delay_s=-1.0)
-    # an infinite delay would schedule the capture or decision at infinity
-    # and run silently to a recall of 0
-    for name in ("capture_delay_s", "detector_delay_s"):
-        with pytest.raises(InvalidConfigError,
-                           match=re.escape(f"{name} inf is not in [0, inf)")):
-            SimConfig(**{name: float("inf")})
-    with pytest.raises(InvalidConfigError):
-        SimConfig(thermal_hold_s=float("nan"))
     # the constructors reject NaN and infinity, not only the file codec
     nan, inf = float("nan"), float("inf")
     for bad in [{"seismic_rate_hz": nan}, {"seismic_rate_hz": inf},
-                {"capture_delay_s": nan}, {"detector_delay_s": nan}]:
+                {"match_horizon_s": nan}]:
         with pytest.raises(InvalidConfigError):
             SimConfig(**bad)
     # the file codec rejects typos and wrong types, naming the path
@@ -172,23 +163,15 @@ def test_sim_config_validation():
         ({"cn": {"deterrent_alpha_range": [0.5, 1.5]}},
          "SimConfig.cn: unknown key 'deterrent_alpha_range'"),
         ({"alg1": {"run_low": 30}}, "SimConfig.alg1: run thresholds"),
-        ({"cn": {"repel_duration_s": -5.0}},
-         "SimConfig.cn: repel_duration_s -5.0 is not in (0, inf)"),
-        ({"cn": {"flash_freq_hz": 0}},
-         "SimConfig.cn: flash_freq_hz 0.0 is not in (0, inf)"),
         ({"pn": {"flash_freq_hz": 99}},
          "SimConfig.pn: unknown key 'flash_freq_hz'"),
         # a file number is finite, whichever field it fills
         (json.loads('{"seismic_rate_hz": NaN}'),
          "SimConfig.seismic_rate_hz: expected a finite number"),
-        ({"thermal_hold_s": float("inf")},
-         "SimConfig.thermal_hold_s: expected a finite number"),
-        ({"capture_delay_s": float("nan")},
-         "SimConfig.capture_delay_s: expected a finite number"),
+        ({"match_horizon_s": float("inf")},
+         "SimConfig.match_horizon_s: expected a finite number"),
         ({"pn": {"decision_timeout_s": float("nan")}},
          "SimConfig.pn.decision_timeout_s: expected a finite number"),
-        ({"thermal_hold_s": -5},
-         "SimConfig: thermal_hold_s -5.0 is not in [0, inf]"),
         ({"match_horizon_s": -1},
          "SimConfig: match_horizon_s -1.0 is not in [0, inf]"),
         ({"match_horizon_s": 10 ** 400},
@@ -207,11 +190,21 @@ def test_sim_config_validation():
          "SimConfig.pn: unknown key 'ir_capture_count'"),
         ({"pn": {"arm_on_high_score": True}},
          "SimConfig.pn: unknown key 'arm_on_high_score'"),
+        # no run varied them: each is one constant of harness or of
+        # RepelCommand
+        ({"capture_delay_s": 0.05}, "SimConfig: unknown key 'capture_delay_s'"),
+        ({"detector_delay_s": 0.1},
+         "SimConfig: unknown key 'detector_delay_s'"),
+        ({"thermal_hold_s": 30.0}, "SimConfig: unknown key 'thermal_hold_s'"),
+        ({"cn": {"repel_duration_s": 10.0}},
+         "SimConfig.cn: unknown key 'repel_duration_s'"),
+        ({"cn": {"flash_freq_hz": 2.0}},
+         "SimConfig.cn: unknown key 'flash_freq_hz'"),
     ]:
         with pytest.raises(InvalidConfigError, match=re.escape(where)):
             SimConfig.from_json(data)
     # a float field takes a JSON int
-    held = SimConfig.from_json({"thermal_hold_s": 2}).thermal_hold_s
+    held = SimConfig.from_json({"match_horizon_s": 2}).match_horizon_s
     assert held == 2.0 and type(held) is float
 
 
@@ -399,6 +392,17 @@ def test_a_repeat_frame_is_logged_as_an_anomaly():
         {"t": 0.0, "node": cn, "state_from": "pending=1",
          "state_to": "pending=1",
          "action": "anomaly:duplicate frame pn-1-w004"}]
+
+
+def test_a_seen_capture_fills_the_central_half_of_the_frame():
+    # tiny_scenario's elephant is in view from its onset at 4.25 s
+    run = _Run(tiny_scenario(), SimConfig())
+    frames = []
+    run.pn_dispatch = lambda node, frame: frames.append(frame)
+    for t in (4.0, 5.0):
+        run.net.schedule(t, lambda: run.capture("pn-1", "pn-1-w001"))
+    run.net.run_until(5.0)
+    assert [f.sim_boxes for f in frames] == [(), ((8.0, 6.0, 24.0, 18.0),)]
 
 
 def test_frame_ids_follow_window_naming():
@@ -804,9 +808,19 @@ def test_small_runs_keep_their_invariants(run):
         pairs = ["capture_frame", "publish_frame"] * len(kinds)
         assert kinds == pairs[:len(kinds)]
         if len(kinds) % 2:
-            assert steps[-1][0] + config.capture_delay_s > duration_s
-        for _, kind, fid in steps[1::2]:
+            assert steps[-1][0] + CAPTURE_DELAY_S > duration_s
+        # each frame is published exactly the capture delay after its capture
+        for (t_capture, _, _), (t_publish, _, fid) in zip(steps[::2],
+                                                         steps[1::2]):
+            assert t_publish == t_capture + CAPTURE_DELAY_S, fid
             assert re.fullmatch(rf"{node}-w\d{{3}}", fid), fid
+    # each decision is made exactly the detector delay after its detector
+    # run; a decision due after the run's end is the only one left unmade
+    runs = {r["action"].split(":", 1)[1]: r["t"] for r in logs.actions
+            if r["action"].startswith("run_detector:")}
+    for row in logs.detections:
+        assert row["t"] == runs.pop(row["frame_id"]) + DETECTOR_DELAY_S, row
+    assert all(t + DETECTOR_DELAY_S > duration_s for t in runs.values()), runs
     per_frame = collections.Counter(
         ("decision" if kind.startswith("publish_") else kind, fid)
         for kind, _, fid in (r["action"].partition(":") for r in logs.actions)

@@ -97,8 +97,7 @@ def test_network_config_round_trip(tmp_path):
         link_overrides={"pn-1": LinkModel(latency_s=0.2)},
         partitions=(Partition(t_start_s=1.0, t_end_s=2.0,
                               nodes=frozenset({"pn-1"})),),
-        failover=FailoverConfig(heartbeat_interval_s=0.5, miss_threshold=2,
-                                resend_delay_s=0.25),
+        failover=FailoverConfig(heartbeat_interval_s=0.5, miss_threshold=2),
         broker_failures=(BrokerFailure(broker_id="b1", t_s=5.0),),
         max_retries=4, retry_interval_s=0.1, buffer_cap=16, seed=99)
     back = NetworkConfig.from_json(json.loads(json.dumps(cfg.to_json())))
@@ -119,8 +118,6 @@ def test_config_validation():
         Partition(t_start_s=2.0, t_end_s=1.0, nodes=frozenset())
     with pytest.raises(InvalidConfigError):
         FailoverConfig(miss_threshold=0)
-    with pytest.raises(InvalidConfigError):
-        FailoverConfig(resend_delay_s=float("nan"))
     # the constructors reject NaN, not only the file codec
     nan = float("nan")
     for make in [lambda: LinkModel(latency_s=nan),
@@ -164,8 +161,9 @@ def test_config_validation():
         ({"partitions": [{"t_start_s": 1.0, "t_end_s": float("nan"),
                           "nodes": ["pn-1"]}]},
          "NetworkConfig.partitions[0].t_end_s: expected a finite number"),
-        ({"failover": {"resend_delay_s": -3}},
-         "NetworkConfig.failover: resend_delay_s -3.0 is not in [0, inf)"),
+        # the resend delay is the constant mesh.RESEND_DELAY_S
+        ({"failover": {"resend_delay_s": 1.0}},
+         "NetworkConfig.failover: unknown key 'resend_delay_s'"),
     ]:
         with pytest.raises(InvalidConfigError, match=re.escape(where)):
             NetworkConfig.from_json(data)
@@ -174,12 +172,10 @@ def test_config_validation():
 @pytest.mark.parametrize("make,where", [
     (lambda v: LinkModel(latency_s=v), "latency_s"),
     (lambda v: LinkModel(jitter_s=v), "jitter_s"),
-    (lambda v: FailoverConfig(resend_delay_s=v), "resend_delay_s"),
 ])
 @pytest.mark.parametrize("value", [math.inf, -0.5, math.nan])
-def test_link_times_and_resend_delay_are_finite(make, where, value):
-    # an infinite latency or jitter schedules every hop at infinity, and an
-    # infinite resend delay parks the buffer for good
+def test_link_times_are_finite(make, where, value):
+    # an infinite latency or jitter schedules every hop at infinity
     with pytest.raises(InvalidConfigError,
                        match=re.escape(f"{where} {value} is not in [0, inf)")):
         make(value)

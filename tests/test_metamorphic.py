@@ -63,7 +63,7 @@ def _other_nodes_actions(streams, idle):
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "one uniform stream feeds the loss and jitter draws of every client's "
     "hops, so an extra client's heartbeats shift every later draw; "
-    "ROADMAP item 2 gives each client its own stream"))
+    "ROADMAP item 21 gives each client its own stream"))
 @settings(max_examples=25, deadline=None)
 @given(small_runs(faults=True))
 @example((replace(bundled_scenario(), network=replace(
