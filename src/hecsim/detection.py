@@ -21,11 +21,12 @@ from .signals import (Signal, _rumble_blocks, check_rate,  # noqa: F401
                       compute_stft, default_pad_length, frame_spectra,
                       sample_count, sliding_frames)
 
-# spectrogram frames and rumble band of the reference tracker
+SUBSEGMENT_S = 0.125  # one peak reading of a window's score
+RUMBLE_BAND_HZ = (20.0, 40.0)  # a peak strictly inside is in band
+
+# spectrogram frames of the reference tracker
 ORACLE_FRAME_S = 0.5
 ORACLE_HOP_S = 0.125
-ORACLE_BAND_LOW_HZ = 20.0
-ORACLE_BAND_HIGH_HZ = 40.0
 ORACLE_MIN_EVENT_S = 3.0  # the shortest event the tracker keeps by default
 
 # samples per block of trigger_windows, rounded down to whole windows (one
@@ -37,34 +38,25 @@ BLOCK_SAMPLES = 128_000
 class Algorithm1Params:
     """Scoring thresholds for the windowed detector.
 
-    A sub-segment is in-band when its peak frequency lies strictly between
-    band_low_hz and band_high_hz. With the default 4 s window and 0.125 s
-    sub-segments there are 32 readings; a run longer than run_low scores 1
-    and a run of run_high or more scores 2.
+    A SUBSEGMENT_S sub-segment is in band when its peak frequency lies
+    strictly inside RUMBLE_BAND_HZ. The default 4 s window holds 32
+    readings; a run longer than run_low scores 1 and a run of run_high or
+    more scores 2.
     """
 
     window_s: Positive = 4.0
-    subsegment_s: Positive = 0.125
-    band_low_hz: float = 20.0
-    band_high_hz: float = 40.0
     run_low: int = 6
     run_high: int = 24
 
     def __post_init__(self):
         check_ranges(self)
-        ratio = self.window_s / self.subsegment_s
+        ratio = self.window_s / SUBSEGMENT_S
         if not 1 <= ratio < math.inf or abs(ratio - round(ratio)) > 1e-9:
             raise InvalidInputError(
                 f"window_s {self.window_s!r} must hold a whole number of "
-                f"subsegment_s {self.subsegment_s!r}")
-        if not 0 < self.band_low_hz < self.band_high_hz:
-            raise InvalidInputError("band edges must satisfy 0 < low < high")
+                f"{SUBSEGMENT_S} s sub-segments")
         if not 0 < self.run_low < self.run_high:
             raise InvalidInputError("run thresholds must satisfy 0 < low < high")
-
-    @property
-    def subsegments_per_window(self) -> int:
-        return int(round(self.window_s / self.subsegment_s))
 
 
 @dataclass(frozen=True)
@@ -111,6 +103,14 @@ def _runs(flags: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(padded)).reshape(-1, 2)
 
 
+def _band_mask(m: int, rate: float) -> np.ndarray:
+    """Whether each bin of frame_spectra's spectrum of an m-sample frame at
+    rate lies strictly inside RUMBLE_BAND_HZ; the window scores and the
+    tracker both test their peaks with it."""
+    freqs = np.fft.rfftfreq(default_pad_length(m), 1.0 / rate)[1:]
+    return (freqs > RUMBLE_BAND_HZ[0]) & (freqs < RUMBLE_BAND_HZ[1])
+
+
 def _geometry(rate: float, params: Algorithm1Params
               ) -> tuple[int, int, int, np.ndarray]:
     """Check the window and sub-segment geometry at a sample rate.
@@ -123,16 +123,14 @@ def _geometry(rate: float, params: Algorithm1Params
     n = int(round(params.window_s * rate))
     if n < 1:
         raise InvalidInputError("window shorter than one sample")
-    sub = int(round(params.subsegment_s * rate))
+    sub = int(round(SUBSEGMENT_S * rate))
     if sub < 2:
         raise InvalidInputError("sub-segment shorter than two samples at "
                                 f"{rate!r} Hz")
     # a sub-segment length rounded down can leave room for an extra one;
-    # params hold window_s >= subsegment_s, so a window holds at least one
-    k = min(n // sub, params.subsegments_per_window)
-    freqs = np.fft.rfftfreq(default_pad_length(sub), 1.0 / rate)[1:]
-    in_band = (freqs > params.band_low_hz) & (freqs < params.band_high_hz)
-    return n, k, sub, in_band
+    # params hold window_s >= SUBSEGMENT_S, so a window holds at least one
+    k = min(n // sub, round(params.window_s / SUBSEGMENT_S))
+    return n, k, sub, _band_mask(sub, rate)
 
 
 def _windows(x: np.ndarray, n: int, k: int, sub: int) -> np.ndarray:
@@ -258,8 +256,7 @@ def stft_oracle_detect(trace: Signal, min_event_s: float = ORACLE_MIN_EVENT_S
     frames, hop = sliding_frames(trace.samples, rate, ORACLE_FRAME_S,
                                  ORACLE_HOP_S)
     count, _, frame = frames.shape
-    freqs = np.fft.rfftfreq(default_pad_length(frame), 1.0 / rate)[1:]
-    bins = (freqs > ORACLE_BAND_LOW_HZ) & (freqs < ORACLE_BAND_HIGH_HZ)
+    bins = _band_mask(frame, rate)
     window = np.hanning(frame)
     span = (min_event_s - ORACLE_FRAME_S) * rate / hop
     L = count if span >= count else max(1, math.floor(span))
@@ -288,8 +285,8 @@ def match_and_recall(detections: list[WindowDetection],
 
     An event is matched when any window with ds >= ds_min overlaps its
     interval. Recall is matched / total; with no reference events the ratio
-    is undefined and recall is None rather than 0 or 1. ds_min is 1 or 2,
-    the same rule as PnConfig.ds_threshold.
+    is undefined and recall is None rather than 0 or 1. ds_min is 1 or 2:
+    a score of 1 wakes a node's camera.
     """
     if ds_min not in (1, 2):
         raise InvalidInputError(f"ds_min must be 1 or 2, got {ds_min!r}")

@@ -324,8 +324,7 @@ class _Run:
         new, actions = pn_step(old, event, self.config.pn, self.net.now)
         self.pns[node] = new
         if new != old:
-            if new.until_s is not None and \
-                    (new.kind, new.until_s) != (old.kind, old.until_s):
+            if new.until_s is not None:
                 self.net.schedule(new.until_s, lambda d=new.until_s:
                                   self.pn_dispatch(node, TimerExpired(d)))
             if new.kind != old.kind:
@@ -423,7 +422,7 @@ def run_scenario_with_logs(scenario: Scenario, config: SimConfig | None = None,
 
     # seismic synthesis and window scoring, for every node, up front; the
     # event loop consumes each score at its window's end time. A window
-    # scoring 0 triggers nothing (ds_threshold is at least 1), so only the
+    # scoring 0 triggers nothing (a node wakes on ds >= 1), so only the
     # windows a rumble touches that score ds >= 1 are found and scheduled
     ids = [p.node_id for p in scenario.pns]
     streams = [([(ev.t_onset_s, ev.rumble) for ev in scenario.events

@@ -181,7 +181,7 @@ class _Client:
         self.failed_brokers: set[str] = set()
         self.last_heartbeat_s = -np.inf
         self.missed = 0
-        self.buffer: deque[Message] = deque()
+        self.buffer: deque[_Transfer] = deque()  # parked up transfers
         self.subscriptions: list[str] = []
         self.drain_scheduled = False
 
@@ -288,12 +288,13 @@ class MeshNetwork:
         msg = Message(msg_id=f"m{next(self._msg_counter):06d}", topic=topic,
                       payload=payload, qos=qos, publisher=client_id)
         self._trace(msg, "publish", client_id, client.current_broker)
+        transfer = self._open(msg, True, client)
         if client.buffer and qos is QoS.AT_LEAST_ONCE:
-            # queue behind undrained messages to preserve publish order;
+            # queue behind undrained transfers to preserve publish order;
             # _attempt decides what a disconnected client does with the rest
-            self._park(client, msg)
+            self._park(transfer)
         else:
-            self._start(msg, True, client)
+            self._attempt(transfer)
         return msg.msg_id
 
     def kill_broker(self, broker_id: str) -> None:
@@ -348,41 +349,45 @@ class MeshNetwork:
             return link.latency_s + link.jitter_s * self._uniform()
         return link.latency_s
 
-    def _park(self, client: _Client, msg: Message) -> None:
-        client.buffer.append(msg)
+    def _park(self, transfer: _Transfer) -> None:
+        """Hold a pending up transfer, in its place in its channel, until
+        the drain; past buffer_cap the oldest parked transfer dies."""
+        client = transfer.client
+        client.buffer.append(transfer)
         if len(client.buffer) > self.config.buffer_cap:
             dropped = client.buffer.popleft()
             log.warning("client %s buffer full, dropping oldest message %s",
-                        client.client_id, dropped.msg_id)
-            self._trace(dropped, "drop", client.client_id, "",
-                        reason="buffer_overflow")
+                        client.client_id, dropped.msg.msg_id)
+            self._kill(dropped, "buffer_overflow", client.client_id, "")
 
     def _drain_buffer(self, client: _Client) -> None:
         client.drain_scheduled = False
         while client.current_broker is not None and client.buffer:
-            self._start(client.buffer.popleft(), True, client)
+            transfer = client.buffer.popleft()
+            transfer.attempts = 0  # a fresh start, as for a new publish
+            self._attempt(transfer)
 
     # ---- one hop: client to broker ("up") or broker to client ("down") ----
 
-    def _start(self, msg: Message, up: bool, client: _Client,
-               broker_id: str | None = None) -> None:
+    def _open(self, msg: Message, up: bool, client: _Client,
+              broker_id: str | None = None) -> _Transfer:
+        """A new transfer at the back of its hop's channel."""
         key = (up, msg.publisher, msg.topic, client.client_id)
         channel = self._channels.setdefault(key, [])
         channel.append(_Transfer(msg, up, client, broker_id, channel))
-        self._attempt(channel[-1])
+        return channel[-1]
 
     def _attempt(self, transfer: _Transfer) -> None:
         client = transfer.client
         msg = transfer.msg
         if transfer.up:
             if client.current_broker is None:
-                # only at-least-once messages survive a disconnect: they fold
-                # back into the buffer, and the transfer slot dies so the
-                # channel does not deadlock; the drain re-creates it. The
-                # fire-and-forget class is stale by the time a reconnect lands
+                # only at-least-once messages survive a disconnect: they wait
+                # in the buffer, keeping their place in the channel, for the
+                # drain. The fire-and-forget class is stale by the time a
+                # reconnect lands
                 if msg.qos is QoS.AT_LEAST_ONCE:
-                    self._park(client, msg)
-                    self._kill(transfer)
+                    self._park(transfer)
                 else:
                     self._kill(transfer, "disconnected", client.client_id, "")
                 return
@@ -452,8 +457,8 @@ class MeshNetwork:
             route = broker.routes[msg.topic] = tuple(
                 client_id for client_id, patterns in broker.subscriptions.items()
                 if any(_levels_match(p, levels) for p in patterns))
-        for client_id in route:
-            self._start(msg, False, self.clients[client_id], broker_id)
+        for cid in route:
+            self._attempt(self._open(msg, False, self.clients[cid], broker_id))
 
     # ---- ordered handoff ----
 
@@ -531,7 +536,6 @@ class MeshNetwork:
         old = client.current_broker
         client.failed_brokers.add(old)
         client.current_broker = None
-        client.missed = 0
         self._try_connect(client)
         self._trace(Message("", "", None, QoS.AT_MOST_ONCE, client.client_id),
                     "failover", old, client.current_broker)

@@ -8,8 +8,8 @@ flashed as the light, at its flash_freq_hz for its duration_s. Keeping the
 transition function free of side effects makes every path scriptable in
 tests.
 
-The infrared camera is power-gated: it runs only between a qualifying
-seismic score and the central node's decision. Each trigger captures one
+The infrared camera is power-gated: it runs only between a seismic score
+of at least 1 and the central node's decision. Each trigger captures one
 frame, and that frame gets one decision. A run's metrics report the
 fraction of time each node spends in IR_POWERED_STATES as its IR duty cycle.
 """
@@ -22,19 +22,14 @@ from enum import Enum
 from .codec import NonNegativeOrInf, Positive, check_ranges
 from .detection import WindowDetection
 from .deterrent import ModificationParams
-from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
 class PnConfig:
-    ds_threshold: int = 1  # a score of 1 or 2, so a set and no interval
     decision_timeout_s: Positive = 10.0
     repel_cooldown_s: NonNegativeOrInf = 60.0
 
-    def __post_init__(self):
-        check_ranges(self)
-        if self.ds_threshold not in (1, 2):
-            raise InvalidInputError(f"ds_threshold {self.ds_threshold} is not in {{1, 2}}")
+    __post_init__ = check_ranges
 
 
 class PnStateKind(Enum):
@@ -129,7 +124,7 @@ def pn_step(state: PnState, event: PnEvent, config: PnConfig,
     kind = state.kind
 
     if isinstance(event, WindowDetection):
-        if kind is PnStateKind.IDLE and event.ds >= config.ds_threshold:
+        if kind is PnStateKind.IDLE and event.ds >= 1:
             return PnState(kind=PnStateKind.IR_ACTIVE), (CaptureFrame(),)
         return state, ()
 

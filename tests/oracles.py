@@ -12,7 +12,9 @@ naive_stft_similarity pins the lag search and the frequency-grid
 interpolation, stft_window_max_run pins the batched window scoring,
 stft_tracker_events pins the batched tracker, and whole_stft_similarity,
 which reads the package's lag search, pins the kept reference and the
-analysis of changed frames by row bit for bit.
+analysis of changed frames by row bit for bit. The sub-segment and the
+rumble band are the paper's, stated here and not read from the package, so
+a wrong package constant cannot move a reference either.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ import math
 
 import numpy as np
 
-from hecsim.detection import (ORACLE_BAND_HIGH_HZ, ORACLE_BAND_LOW_HZ,
-                              ORACLE_FRAME_S, ORACLE_HOP_S, RumbleEvent)
+from hecsim.detection import ORACLE_FRAME_S, ORACLE_HOP_S, RumbleEvent
 from hecsim.deterrent import SIMILARITY_FRAME_S, SIMILARITY_HOP_S, _best_lag
+
+SUBSEGMENT_S = 0.125  # one peak reading of a window's score
+RUMBLE_BAND_HZ = (20.0, 40.0)  # in band strictly between the edges
 
 
 def naive_dft_magnitudes(samples, sample_rate_hz, pad_to=None):
@@ -69,35 +73,35 @@ def longest_true_run(flags) -> int:
     return best
 
 
-def stft_window_max_run(samples, rate, params):
+def stft_window_max_run(samples, rate, params, band=RUMBLE_BAND_HZ):
     """Longest strict in-band run of one window, one STFT row per sub-segment.
 
     The per-window scoring that hecsim.detection's batched path replaced: a
     rectangular-window STFT with the hop equal to the sub-segment, its first
-    subsegments_per_window rows, the peak frequency of each, and
-    longest_true_run over the strict band test.
+    window_s / SUBSEGMENT_S rows, the peak frequency of each, and
+    longest_true_run over the strict test of the (low, high) band.
     """
-    _, freqs, mags = one_batch_stft(samples, rate, params.subsegment_s,
-                                    params.subsegment_s, window_fn="rect")
-    peaks = freqs[np.argmax(mags[:params.subsegments_per_window], axis=1)]
-    return longest_true_run(params.band_low_hz < f < params.band_high_hz
-                            for f in peaks)
+    _, freqs, mags = one_batch_stft(samples, rate, SUBSEGMENT_S,
+                                    SUBSEGMENT_S, window_fn="rect")
+    rows = round(params.window_s / SUBSEGMENT_S)
+    peaks = freqs[np.argmax(mags[:rows], axis=1)]
+    return longest_true_run(band[0] < f < band[1] for f in peaks)
 
 
-def stft_tracker_events(trace, min_event_s):
+def stft_tracker_events(trace, min_event_s, band=RUMBLE_BAND_HZ):
     """Events of the spectrogram tracker, from the whole trace's spectrogram.
 
     The tracking that hecsim.detection's batched tracker replaced: a Hann
     STFT of ORACLE_FRAME_S frames every ORACLE_HOP_S, the peak frequency of
-    each frame, and the strict band test. Each maximal run of in-band
-    frames, from its first frame's start to its last frame's end, is an
-    event when it lasts at least min_event_s.
+    each frame, and the strict test of the (low, high) band. Each maximal
+    run of in-band frames, from its first frame's start to its last frame's
+    end, is an event when it lasts at least min_event_s.
     """
     times, freqs, mags = one_batch_stft(trace.samples, trace.sample_rate_hz,
                                         ORACLE_FRAME_S, ORACLE_HOP_S,
                                         trace.start_time_s)
     peaks = freqs[np.argmax(mags, axis=1)]
-    flags = [ORACLE_BAND_LOW_HZ < f < ORACLE_BAND_HIGH_HZ for f in peaks]
+    flags = [band[0] < f < band[1] for f in peaks]
     events, first = [], None
     for i, flag in enumerate(flags + [False]):
         if flag and first is None:

@@ -16,7 +16,7 @@ from hecsim import codec
 from hecsim.central import (LabeledFrame, LabeledFrameSet,
                             StochasticDetectorParams)
 from hecsim.detection import Algorithm1Params
-from hecsim.errors import InvalidConfigError
+from hecsim.errors import InvalidConfigError, InvalidInputError
 from hecsim.harness import (ElephantEvent, EventOutcome, MetricsReport,
                             PnPlacement, Scenario, SimConfig)
 from hecsim.mesh import BrokerFailure, FailoverConfig, LinkModel, NetworkConfig
@@ -36,7 +36,6 @@ INTERVALS = {
 
 TABLE = {
     (Algorithm1Params, "window_s"): "(0, inf)",
-    (Algorithm1Params, "subsegment_s"): "(0, inf)",
     (StochasticDetectorParams, "tpr"): "[0, 1]",
     (StochasticDetectorParams, "fpr"): "[0, 1]",
     (LabeledFrame, "width"): "[1, inf)",
@@ -61,12 +60,11 @@ TABLE = {
     (MetricsReport, "recall"): "[0, 1]",
 }
 
-# numeric fields with no interval: a rule that joins fields, a set, a seed
-# or a plain record
+# numeric fields with no interval: a rule that joins fields, a seed or a
+# plain record
 UNBOUNDED = {
-    (Algorithm1Params, "band_low_hz"), (Algorithm1Params, "band_high_hz"),
     (Algorithm1Params, "run_low"), (Algorithm1Params, "run_high"),
-    (PnConfig, "ds_threshold"), (RumbleSpec, "snr_db"),
+    (RumbleSpec, "snr_db"),
     (NetworkConfig, "seed"), (Scenario, "master_seed"),
     (EventOutcome, "t_onset_s"), (MetricsReport, "duration_s"),
     (MetricsReport, "false_warning_count"), (MetricsReport, "seed"),
@@ -123,15 +121,11 @@ def in_file(cls, fields):
     return root, {key: fields}, f"{root.__name__}.{key}"
 
 
-def with_value(cls, name, value):
-    """The fields that set name to value. A window and its sub-segment are
-    set alike when value is in range, so their ratio rule holds."""
-    fields = {name: value}
-    if cls is Algorithm1Params:
-        other = ({"window_s", "subsegment_s"} - {name}).pop()
-        fields[other] = value if INTERVALS["(0, inf)"](value) else \
-            getattr(Algorithm1Params(), other)
-    return fields
+# in-interval edges another rule rejects: a window holds a whole number of
+# 0.125 s sub-segments, and 5e-324 s holds none, 1e308 s too many to count
+WHOLE = "must hold a whole number of 0.125 s sub-segments"
+OTHER_RULE = {(Algorithm1Params, "window_s", 5e-324),
+              (Algorithm1Params, "window_s", 1e308)}
 
 
 def edges(cls, name):
@@ -165,7 +159,11 @@ def ids(key):
 def test_construction_admits_exactly_the_interval(cls, name):
     interval = TABLE[cls, name]
     for value in edges(cls, name):
-        kwargs = {**REQUIRED.get(cls, {}), **with_value(cls, name, value)}
+        kwargs = {**REQUIRED.get(cls, {}), name: value}
+        if (cls, name, value) in OTHER_RULE:
+            with pytest.raises(InvalidInputError, match=WHOLE):
+                cls(**kwargs)
+            continue
         if INTERVALS[interval](value):
             cls(**kwargs)
             continue
@@ -182,7 +180,11 @@ FILE_KEYS = [key for key in TABLE if key[0] not in (EventOutcome,
 def test_a_file_admits_exactly_the_finite_interval(cls, name):
     interval = TABLE[cls, name]
     for value in edges(cls, name):
-        root, data, path = in_file(cls, with_value(cls, name, value))
+        root, data, path = in_file(cls, {name: value})
+        if (cls, name, value) in OTHER_RULE:
+            with pytest.raises(InvalidConfigError, match=f"{path}: .*{WHOLE}"):
+                root.from_json(data)
+            continue
         if INTERVALS[interval](value) and math.isfinite(value):
             root.from_json(data)
             continue

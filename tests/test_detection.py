@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecsim import detection, signals
-from hecsim.detection import (ORACLE_FRAME_S, ORACLE_HOP_S,
+from hecsim.detection import (ORACLE_FRAME_S, ORACLE_HOP_S, ORACLE_MIN_EVENT_S,
                               Algorithm1Params, RumbleEvent,
                               WindowDetection, detect_stream, match_and_recall,
                               score_from_run, stft_oracle_detect,
@@ -17,8 +18,9 @@ from hecsim.errors import InvalidInputError
 from hecsim.signals import (FFT_CHUNK_BYTES, RumbleSpec, Signal,
                             default_pad_length, synth_rumble,
                             synth_rumble_stream)
-from oracles import (longest_true_run, naive_peak_frequency,
-                     stft_tracker_events, stft_window_max_run)
+from oracles import (RUMBLE_BAND_HZ, SUBSEGMENT_S, longest_true_run,
+                     naive_peak_frequency, stft_tracker_events,
+                     stft_window_max_run)
 
 PARAMS = Algorithm1Params()
 
@@ -143,9 +145,10 @@ def test_stream_rate_must_be_positive_and_finite(rate):
 
 @BOTH_SCORERS
 def test_window_shorter_than_one_sample_rejected(score):
-    tiny = Algorithm1Params(window_s=1e-4, subsegment_s=1e-4)
+    # one 0.125 s sub-segment a window, which rounds to no sample at 2 Hz
+    tiny = Algorithm1Params(window_s=0.125)
     with pytest.raises(InvalidInputError, match="shorter than one sample"):
-        score(Signal(samples=np.zeros(100), sample_rate_hz=1000.0), tiny)
+        score(Signal(samples=np.zeros(100), sample_rate_hz=2.0), tiny)
 
 
 @BOTH_SCORERS
@@ -182,11 +185,11 @@ def test_detect_window_matches_naive_dft_runs():
     n = int(PARAMS.window_s * rate)
     for i0 in range(0, len(trace.samples), n):
         in_band = [
-            PARAMS.band_low_hz
+            RUMBLE_BAND_HZ[0]
             < naive_peak_frequency(seg, rate, pad_to=128)
-            < PARAMS.band_high_hz
+            < RUMBLE_BAND_HZ[1]
             for seg in np.split(trace.samples[i0:i0 + n],
-                                PARAMS.subsegments_per_window)]
+                                round(PARAMS.window_s / SUBSEGMENT_S))]
         runs.append(longest_true_run(in_band))
     # each window of the joined trace is scored on its own
     assert [d.max_run for d in detect_stream(trace, PARAMS)] == runs
@@ -244,13 +247,20 @@ def test_batched_scoring_matches_per_window_stft(trace):
             window_start_s=trace.start_time_s + i * n / rate)
 
 
-def test_flat_spectrum_ties_go_to_the_lowest_bin():
+def test_flat_spectrum_ties_go_to_the_lowest_bin(monkeypatch):
     # every bin of a silent sub-segment ties at zero; with a band around
     # the lowest bin (1.95 Hz at 1 kHz) only the lowest-bin rule counts it
-    low = Algorithm1Params(band_low_hz=1.0, band_high_hz=3.0)
+    monkeypatch.setattr(detection, "RUMBLE_BAND_HZ", (1.0, 3.0))
     silent = Signal(samples=np.zeros(3 * 4000 + 7), sample_rate_hz=1000.0)
-    assert [d.max_run for d in detect_stream(silent, low)] == [32, 32, 32]
-    assert stft_window_max_run(np.zeros(4000), 1000.0, low) == 32
+    assert [d.max_run for d in detect_stream(silent, PARAMS)] == [32, 32, 32]
+    assert stft_window_max_run(np.zeros(4000), 1000.0, PARAMS,
+                               band=(1.0, 3.0)) == 32
+    # the tracker reads the same constant; around its lowest bin (0.49 Hz
+    # for a 0.5 s frame at 1 kHz) every silent frame is in band
+    monkeypatch.setattr(detection, "RUMBLE_BAND_HZ", (0.4, 0.6))
+    (event,) = stft_oracle_detect(silent)
+    assert [event] == stft_tracker_events(silent, ORACLE_MIN_EVENT_S,
+                                          band=(0.4, 0.6))
 
 
 def test_detect_stream_memory_is_bounded_by_the_chunk():
@@ -449,9 +459,9 @@ def test_block_splits_change_nothing(stream, params):
 def _planted_runs(length, rate):
     """One window per offset of an in-band run of `length` sub-segments,
     the rest of the window out of band."""
-    sub = int(round(PARAMS.subsegment_s * rate))
+    sub = int(round(SUBSEGMENT_S * rate))
     n = int(round(PARAMS.window_s * rate))
-    k = min(n // sub, PARAMS.subsegments_per_window)
+    k = min(n // sub, round(PARAMS.window_s / SUBSEGMENT_S))
     t = np.arange(sub) / rate
     inside, outside = (np.sin(2 * np.pi * f * t) for f in (30.0, 60.0))
     tail = np.zeros(n - k * sub)
@@ -698,10 +708,9 @@ def test_match_and_recall_ds_min_filter():
 
 
 def test_params_validation():
-    with pytest.raises(InvalidInputError):
-        Algorithm1Params(window_s=4.0, subsegment_s=0.3)  # not a divisor
-    with pytest.raises(InvalidInputError):
-        Algorithm1Params(band_low_hz=40.0, band_high_hz=20.0)
+    with pytest.raises(InvalidInputError, match=re.escape(
+            "window_s 4.1 must hold a whole number of 0.125 s sub-segments")):
+        Algorithm1Params(window_s=4.1)
     with pytest.raises(InvalidInputError):
         Algorithm1Params(run_low=24, run_high=6)
 

@@ -176,9 +176,13 @@ def test_sim_config_validation():
          "SimConfig: match_horizon_s -1.0 is not in [0, inf]"),
         ({"match_horizon_s": 10 ** 400},
          "SimConfig.match_horizon_s: expected a finite number"),
-        ({"alg1": {"window_s": 1e300, "subsegment_s": 1e-300}},
-         "SimConfig.alg1: window_s 1e+300 must hold a whole number of "
-         "subsegment_s 1e-300"),
+        ({"alg1": {"window_s": 4.1}},
+         "SimConfig.alg1: window_s 4.1 must hold a whole number of "
+         "0.125 s sub-segments"),
+        # a window too long to count its sub-segments
+        ({"alg1": {"window_s": 1e308}},
+         "SimConfig.alg1: window_s 1e+308 must hold a whole number of "
+         "0.125 s sub-segments"),
         # keys a run used to overwrite or ignore are gone from the schema
         ({"output_dir": "out"}, "SimConfig: unknown key 'output_dir'"),
         ({"detector_params": {"seed": 3}},
@@ -200,6 +204,16 @@ def test_sim_config_validation():
          "SimConfig.cn: unknown key 'repel_duration_s'"),
         ({"cn": {"flash_freq_hz": 2.0}},
          "SimConfig.cn: unknown key 'flash_freq_hz'"),
+        # the sub-segment, the rumble band and the trigger score are
+        # detection constants; a node wakes on ds >= 1
+        ({"alg1": {"subsegment_s": 0.125}},
+         "SimConfig.alg1: unknown key 'subsegment_s'"),
+        ({"alg1": {"band_low_hz": 20.0}},
+         "SimConfig.alg1: unknown key 'band_low_hz'"),
+        ({"alg1": {"band_high_hz": 40.0}},
+         "SimConfig.alg1: unknown key 'band_high_hz'"),
+        ({"pn": {"ds_threshold": 1}},
+         "SimConfig.pn: unknown key 'ds_threshold'"),
     ]:
         with pytest.raises(InvalidConfigError, match=re.escape(where)):
             SimConfig.from_json(data)

@@ -376,7 +376,7 @@ def test_disconnected_publishes_park_then_drop_oldest():
     overflow = [r for r in net.trace if r["event"] == "drop"
                 and r.get("reason") == "buffer_overflow"]
     assert [r["msg_id"] for r in overflow] == ids[:2]  # oldest go first
-    assert [m.msg_id for m in net.clients["pub"].buffer] == ids[2:]
+    assert [t.msg.msg_id for t in net.clients["pub"].buffer] == ids[2:]
     # at-least-once messages are parked, never dropped as disconnected
     assert not [r for r in net.trace if r.get("reason") == "disconnected"]
 
@@ -446,6 +446,28 @@ def test_alo_published_during_outage_arrives_after_failover():
     net.run_until(20.2)
     assert len(got) == 1
     assert 12.5 <= got[0][0] <= 13.0
+
+
+def test_a_message_parked_on_its_retry_stays_ahead_of_a_newer_one():
+    # pub and sub lose both brokers to a partition; m1 is retrying when
+    # both clients fail over to no broker at 3.5 s, m2 is published at
+    # 3.6 s and parked before m1's 3.7 s retry parks m1
+    net = make_net(brokers=("b1", "b2"), default_link=LinkModel(latency_s=0.05),
+                   retry_interval_s=0.5,
+                   partitions=(Partition(0.9, 10.0, {"pub", "sub"}),))
+    transitions = heartbeat_and_failover(net)
+    got = collect(net)
+    net.add_client("pub")
+    net.run_until(1.2)
+    net.publish("pub", "t/x", "m1")
+    net.run_until(3.6)
+    net.publish("pub", "t/x", "m2")
+    net.run_until(20.0)
+    assert [(tr["t"], tr["client"], tr["to"]) for tr in transitions] == [
+        (3.5, "sub", None), (3.5, "pub", None),
+        (10.5, "sub", "b2"), (10.5, "pub", "b2")]
+    # drained 1 s after the reconnect, both in publish order
+    assert got == [(pytest.approx(11.6), "m1"), (pytest.approx(11.6), "m2")]
 
 
 @pytest.mark.parametrize("qos", [QoS.AT_MOST_ONCE, QoS.AT_LEAST_ONCE])
@@ -745,21 +767,23 @@ def row_shape(row):
         row["msg_id"] == ""
 
 
-def storm(loss, jitter, cut, kill_at, buffer_cap, seed):
-    """A lossy two-broker run where pub loses both brokers to a partition
-    while broker-a dies, so every kind of trace row can appear."""
+def storm(loss, jitter, cut, kill_at, buffer_cap, seed, cut_off=("pub",),
+          offset=0.0):
+    """A lossy two-broker run where the cut_off clients lose both brokers
+    to a partition while broker-a dies, so every kind of trace row can
+    appear; pub publishes every 0.25 s from offset."""
     start, length = cut
     net = make_net(
         brokers=("broker-a", "broker-b"),
         default_link=LinkModel(latency_s=0.05, jitter_s=jitter, loss_prob=loss),
-        partitions=(Partition(start, start + length, frozenset({"pub"})),),
+        partitions=(Partition(start, start + length, frozenset(cut_off)),),
         broker_failures=(BrokerFailure("broker-a", kill_at),),
         max_retries=2, retry_interval_s=0.25, buffer_cap=buffer_cap, seed=seed)
     heartbeat_and_failover(net)
     collect(net)
     net.add_client("pub")
     for k in range(60):
-        net.run_until(0.25 * k)
+        net.run_until(0.25 * k + offset)
         net.publish("pub", "t/x", k, qos=(QoS.AT_MOST_ONCE, QoS.AT_LEAST_ONCE)[k % 2])
     net.run_until(30.0)
     return net
@@ -789,6 +813,26 @@ def test_trace_writer_equals_json_dumps(tmp_path_factory, loss, jitter, cut,
                                         kill_at, buffer_cap, seed):
     net = storm(loss, jitter, cut, kill_at, buffer_cap, seed)
     assert_written_like_json(net, tmp_path_factory.mktemp("trace"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(loss=st.floats(0.0, 0.4), jitter=st.sampled_from([0.0, 0.013, 0.02]),
+       cut=st.tuples(st.floats(0.0, 10.0), st.floats(0.5, 8.0)),
+       kill_at=st.floats(0.0, 20.0), buffer_cap=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+# an at-most-once message overtook the at-least-once ones parked before it
+@example(loss=0.0, jitter=0.0, cut=(2.0, 4.0), kill_at=20.0, buffer_cap=4,
+         seed=0)
+def test_deliveries_keep_publish_order_when_both_ends_are_cut_off(
+        loss, jitter, cut, kill_at, buffer_cap, seed):
+    # publishes off the 0.25 s retry grid, so a new publish can fall
+    # between an older message's retries; message ids rise with publish
+    # order
+    net = storm(loss, jitter, cut, kill_at, buffer_cap, seed,
+                cut_off=("pub", "sub"), offset=0.1)
+    got = [r["msg_id"] for r in net.trace
+           if r["event"] == "deliver" and r["topic"] == "t/x"]
+    assert got == sorted(got)
 
 
 def test_trace_writer_prints_an_int_clock_as_an_int(tmp_path):
